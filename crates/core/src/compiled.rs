@@ -22,13 +22,74 @@
 //! it assumed empty at build time; users revalidate that assumption
 //! against live storage on every hit.
 //!
+//! Beside the rule sets the store keeps the [`CatalogIndex`]: the name-keyed
+//! lookups over the genealogy that every statement needs, which used to be
+//! rebuilt — every relation name and column list cloned — per statement
+//! view, per drain and per maintenance pass.
+//!
 //! [`Inverda`]: crate::Inverda
 
-use inverda_catalog::{SmoId, TableVersionId};
+use inverda_catalog::{Genealogy, SmoId, TableVersionId};
 use inverda_datalog::{CompiledRuleSet, RuleSet};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+
+/// Name-keyed lookups over the genealogy — a function of the genealogy
+/// alone, so one instance serves every statement until the next genealogy
+/// change ([`CompiledStore::catalog_index`]).
+#[derive(Debug, Default)]
+pub struct CatalogIndex {
+    /// rel name → table version (for virtual resolution).
+    pub(crate) rel_index: BTreeMap<String, TableVersionId>,
+    /// aux rel name → (owning SMO, lives on target side). A non-physical
+    /// aux table is part of the *derived* state of its side and resolves
+    /// through the owning SMO's mapping.
+    pub(crate) aux_index: BTreeMap<String, (SmoId, bool)>,
+    /// rel name → column names (for derived relation schemas).
+    pub(crate) head_columns: BTreeMap<String, Vec<String>>,
+    /// rel name → generator, for relations whose rows persist generator
+    /// assignments (the SMOs' observe hints): applying a delta to one must
+    /// keep the skolem registry in sync, or a later occurrence of a
+    /// replaced payload would reuse a repurposed id.
+    pub(crate) hint_generators: BTreeMap<String, String>,
+}
+
+impl CatalogIndex {
+    fn build(genealogy: &Genealogy) -> CatalogIndex {
+        let mut index = CatalogIndex::default();
+        for tv in genealogy.table_versions() {
+            index.rel_index.insert(tv.rel.clone(), tv.id);
+            index
+                .head_columns
+                .insert(tv.rel.clone(), tv.columns.clone());
+        }
+        for smo in genealogy.smos() {
+            for aux in &smo.derived.src_aux {
+                index.aux_index.insert(aux.rel.clone(), (smo.id, false));
+            }
+            for aux in &smo.derived.tgt_aux {
+                index.aux_index.insert(aux.rel.clone(), (smo.id, true));
+            }
+            for aux in smo.derived.all_aux() {
+                index
+                    .head_columns
+                    .insert(aux.rel.clone(), aux.columns.clone());
+            }
+            for shared in &smo.derived.shared_aux {
+                index
+                    .head_columns
+                    .insert(shared.new_name.clone(), shared.table.columns.clone());
+            }
+            for hint in &smo.derived.observe_hints {
+                index
+                    .hint_generators
+                    .insert(hint.relation.clone(), hint.generator.clone());
+            }
+        }
+        index
+    }
+}
 
 /// Which of an SMO's two rule sets is addressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,6 +130,7 @@ pub struct FusedChain {
 pub struct CompiledStore {
     map: Mutex<HashMap<(SmoId, Direction), Arc<CompiledRuleSet>>>,
     fused: Mutex<HashMap<TableVersionId, Arc<FusedChain>>>,
+    catalog: Mutex<Option<Arc<CatalogIndex>>>,
 }
 
 impl CompiledStore {
@@ -94,6 +156,14 @@ impl CompiledStore {
             .lock()
             .insert((smo, direction), Arc::clone(&compiled));
         Ok(compiled)
+    }
+
+    /// The [`CatalogIndex`] of `genealogy`, built on first use. `genealogy`
+    /// must be the one this store serves — like the compilations, the index
+    /// is only dropped by [`clear`](CompiledStore::clear).
+    pub fn catalog_index(&self, genealogy: &Genealogy) -> Arc<CatalogIndex> {
+        let mut slot = self.catalog.lock();
+        Arc::clone(slot.get_or_insert_with(|| Arc::new(CatalogIndex::build(genealogy))))
     }
 
     /// The cached fused chain resolving `source`, if any. The caller must
@@ -147,14 +217,16 @@ impl CompiledStore {
         CompiledStore {
             map: Mutex::new(self.map.lock().clone()),
             fused: Mutex::new(self.fused.lock().clone()),
+            catalog: Mutex::new(self.catalog.lock().clone()),
         }
     }
 
-    /// Drop every cached compilation and fused chain (called on genealogy
-    /// changes).
+    /// Drop every cached compilation, every fused chain and the catalog
+    /// index (called on genealogy changes).
     pub fn clear(&self) {
         self.map.lock().clear();
         self.fused.lock().clear();
+        *self.catalog.lock() = None;
     }
 
     /// Number of cached compilations (diagnostics).

@@ -23,7 +23,7 @@
 //! raced by a concurrent write can never be served (its stamp is already
 //! behind the table's epoch).
 
-use crate::compiled::{CompiledStore, Direction, FusedChain};
+use crate::compiled::{CatalogIndex, CompiledStore, Direction, FusedChain};
 use crate::snapshot::SnapshotStore;
 use crate::Result;
 use inverda_catalog::{Genealogy, MaterializationSchema, StorageCase, TableVersionId};
@@ -60,14 +60,8 @@ pub struct VersionedEdb<'a> {
     compiled: &'a CompiledStore,
     /// Cross-statement snapshot store, when reuse is enabled.
     snapshots: Option<&'a SnapshotStore>,
-    /// rel name → table version (for virtual resolution).
-    rel_index: BTreeMap<String, TableVersionId>,
-    /// aux rel name → (owning SMO, lives on target side). A non-physical
-    /// aux table is part of the *derived* state of its side and resolves
-    /// through the owning SMO's mapping.
-    aux_index: BTreeMap<String, (inverda_catalog::SmoId, bool)>,
-    /// rel name → column names (for derived relation schemas).
-    head_columns: BTreeMap<String, Vec<String>>,
+    /// Name-keyed genealogy lookups, shared across statements.
+    catalog: Arc<CatalogIndex>,
     /// Caches are mutex-guarded (not `RefCell`) so the view is `Sync` and
     /// one statement's view can be shared by parallel evaluation workers.
     cache: Mutex<BTreeMap<String, Arc<Relation>>>,
@@ -104,27 +98,6 @@ impl<'a> VersionedEdb<'a> {
         ids: &'a (dyn IdSource + Sync),
         compiled: &'a CompiledStore,
     ) -> Self {
-        let mut rel_index = BTreeMap::new();
-        let mut aux_index = BTreeMap::new();
-        let mut head_columns = BTreeMap::new();
-        for tv in genealogy.table_versions() {
-            rel_index.insert(tv.rel.clone(), tv.id);
-            head_columns.insert(tv.rel.clone(), tv.columns.clone());
-        }
-        for smo in genealogy.smos() {
-            for aux in &smo.derived.src_aux {
-                aux_index.insert(aux.rel.clone(), (smo.id, false));
-            }
-            for aux in &smo.derived.tgt_aux {
-                aux_index.insert(aux.rel.clone(), (smo.id, true));
-            }
-            for aux in smo.derived.all_aux() {
-                head_columns.insert(aux.rel.clone(), aux.columns.clone());
-            }
-            for shared in &smo.derived.shared_aux {
-                head_columns.insert(shared.new_name.clone(), shared.table.columns.clone());
-            }
-        }
         VersionedEdb {
             genealogy,
             materialization,
@@ -132,9 +105,7 @@ impl<'a> VersionedEdb<'a> {
             ids,
             compiled,
             snapshots: None,
-            rel_index,
-            aux_index,
-            head_columns,
+            catalog: compiled.catalog_index(genealogy),
             cache: Mutex::new(BTreeMap::new()),
             seen_epochs: Mutex::new(HashMap::new()),
             key_cache: Mutex::new(HashMap::new()),
@@ -153,7 +124,7 @@ impl<'a> VersionedEdb<'a> {
 
     /// Column-name map for derived heads (shared with the delta engine).
     pub fn head_columns(&self) -> &BTreeMap<String, Vec<String>> {
-        &self.head_columns
+        &self.catalog.head_columns
     }
 
     /// The mapping that defines a virtual table version, together with the
@@ -188,10 +159,10 @@ impl<'a> VersionedEdb<'a> {
     /// The rule set whose evaluation materializes `relation` (a virtual
     /// table version or a virtual aux table), if any.
     fn resolving_rules(&self, relation: &str) -> Option<&'a RuleSet> {
-        if let Some(tv) = self.rel_index.get(relation) {
+        if let Some(tv) = self.catalog.rel_index.get(relation) {
             return self.defining_rules(*tv).map(|(_, _, rules)| rules);
         }
-        if let Some((smo, tgt_side)) = self.aux_index.get(relation).copied() {
+        if let Some((smo, tgt_side)) = self.catalog.aux_index.get(relation).copied() {
             return Some(self.aux_rules(smo, tgt_side).1);
         }
         None
@@ -336,7 +307,7 @@ impl<'a> VersionedEdb<'a> {
         crs: &CompiledRuleSet,
         stamp: Option<&BTreeMap<String, u64>>,
     ) -> Result<Arc<Relation>> {
-        let out = evaluate_compiled(crs, self, self.ids, &self.head_columns)
+        let out = evaluate_compiled(crs, self, self.ids, &self.catalog.head_columns)
             .map_err(crate::CoreError::from)?;
         let mut cache = self.cache.lock();
         let mut requested = None;
@@ -346,8 +317,8 @@ impl<'a> VersionedEdb<'a> {
             // (virtual) aux tables. Shared `@new` heads describe the next
             // physical state, not current state, and intermediate heads
             // (Sn, Ro, …) are artifacts — skip both.
-            if self.rel_index.contains_key(&head)
-                || (self.aux_index.contains_key(&head) && !self.storage.has_table(&head))
+            if self.catalog.rel_index.contains_key(&head)
+                || (self.catalog.aux_index.contains_key(&head) && !self.storage.has_table(&head))
             {
                 let shared = Arc::new(rel);
                 if head == relation {
@@ -366,8 +337,13 @@ impl<'a> VersionedEdb<'a> {
             // An aux table the mapping derives no rules for is empty by
             // construction (e.g. the single-arm split's R⁻, which has no
             // second twin to lose).
-            None if self.aux_index.contains_key(relation) => {
-                let columns = self.head_columns.get(relation).cloned().unwrap_or_default();
+            None if self.catalog.aux_index.contains_key(relation) => {
+                let columns = self
+                    .catalog
+                    .head_columns
+                    .get(relation)
+                    .cloned()
+                    .unwrap_or_default();
                 let empty = Arc::new(Relation::new(
                     inverda_storage::TableSchema::new(relation.to_string(), columns)
                         .expect("valid aux schema"),
@@ -428,11 +404,11 @@ impl<'a> VersionedEdb<'a> {
         &self,
         relation: &str,
     ) -> Option<inverda_datalog::Result<Arc<CompiledRuleSet>>> {
-        if let Some(tv) = self.rel_index.get(relation).copied() {
+        if let Some(tv) = self.catalog.rel_index.get(relation).copied() {
             let (smo, direction, rules) = self.defining_rules(tv)?;
             return Some(self.compiled_rules(smo, direction, rules));
         }
-        if let Some((smo, tgt_side)) = self.aux_index.get(relation).copied() {
+        if let Some((smo, tgt_side)) = self.catalog.aux_index.get(relation).copied() {
             let (direction, rules) = self.aux_rules(smo, tgt_side);
             return Some(self.compiled_rules(smo, direction, rules));
         }
@@ -536,7 +512,7 @@ impl<'a> VersionedEdb<'a> {
                 if let Literal::Pos(a) | Literal::Neg(a) = lit {
                     let rel = a.relation.as_str();
                     if empty.contains(rel)
-                        || !self.aux_index.contains_key(rel)
+                        || !self.catalog.aux_index.contains_key(rel)
                         || !self.storage.has_table(rel)
                     {
                         continue;
@@ -610,7 +586,8 @@ impl<'a> VersionedEdb<'a> {
                         if self.storage.has_table(rel) || barriers.contains(rel) {
                             return None;
                         }
-                        self.rel_index
+                        self.catalog
+                            .rel_index
                             .get(rel)
                             .copied()
                             .map(|ctv| (rel.to_string(), ctv))
@@ -664,7 +641,7 @@ impl<'a> VersionedEdb<'a> {
     /// of the single defining mapping, pushing the binding through the
     /// whole run at once.
     fn fused_for(&self, relation: &str) -> Option<Arc<CompiledRuleSet>> {
-        let tv = self.rel_index.get(relation).copied()?;
+        let tv = self.catalog.rel_index.get(relation).copied()?;
         self.fused_chain(relation, tv).map(|c| Arc::clone(&c.crs))
     }
 
@@ -741,9 +718,9 @@ impl EdbView for VersionedEdb<'_> {
         }
         // Cold path: stamp the footprint, then resolve.
         let stamp = self.snapshots.map(|_| self.stamped_footprint(relation));
-        let resolved = if let Some(tv) = self.rel_index.get(relation).copied() {
+        let resolved = if let Some(tv) = self.catalog.rel_index.get(relation).copied() {
             self.resolve_virtual(relation, tv, stamp.as_ref())
-        } else if let Some((smo, tgt_side)) = self.aux_index.get(relation).copied() {
+        } else if let Some((smo, tgt_side)) = self.catalog.aux_index.get(relation).copied() {
             self.resolve_virtual_aux(relation, smo, tgt_side, stamp.as_ref())
         } else {
             return Err(DatalogError::UnboundRelation {
@@ -783,9 +760,9 @@ impl EdbView for VersionedEdb<'_> {
                 return Ok(row);
             }
         }
-        let Some(tv) = self.rel_index.get(relation).copied() else {
+        let Some(tv) = self.catalog.rel_index.get(relation).copied() else {
             // Virtual aux tables resolve through their full state.
-            if self.aux_index.contains_key(relation) {
+            if self.catalog.aux_index.contains_key(relation) {
                 return Ok(self.full(relation)?.get(key).cloned());
             }
             return Err(DatalogError::UnboundRelation {
@@ -818,7 +795,7 @@ impl EdbView for VersionedEdb<'_> {
     }
 
     fn contains(&self, relation: &str) -> bool {
-        self.storage.has_table(relation) || self.rel_index.contains_key(relation)
+        self.storage.has_table(relation) || self.catalog.rel_index.contains_key(relation)
     }
 
     /// Column-equality rows, with **predicate pushdown through the γ

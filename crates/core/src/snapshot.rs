@@ -23,11 +23,16 @@
 //!   commits, [`SnapshotStore::commit`] applies those deltas to the cached
 //!   snapshots copy-on-write (and to their indexes, incrementally) and
 //!   restamps their footprints — O(delta) instead of O(data). Hops whose
-//!   defining mapping is staged or id-minting are maintained by
-//!   **recompute-vs-stored**: the departed side's new state is fully
-//!   re-evaluated over the post-write state (minting exactly what a
-//!   post-write cold read would mint, in the same order) and diffed against
-//!   the stored snapshot. Relations whose footprint intersects an aux-table
+//!   defining mapping can mint ids are maintained **against the stored
+//!   snapshot**, which stands in for the old state so that only the new
+//!   state is ever evaluated (minting exactly what a post-write cold read
+//!   would mint, in the same order): a non-staged minting mapping (FK
+//!   DECOMPOSE) by **delta-vs-stored** — probe the changed tuples,
+//!   re-derive the candidate rows, read every old row out of the snapshot;
+//!   still O(delta) — and a staged one (DECOMPOSE ON condition, the JOIN
+//!   variants) by **recompute-vs-stored**, a full evaluation of the new
+//!   state diffed against the snapshot ([`SnapshotStats::recomputes`]
+//!   counts those). Relations whose footprint intersects an aux-table
 //!   purge fall back to targeted invalidation; everything else the write
 //!   did not touch stays warm untouched.
 //!
@@ -166,6 +171,10 @@ pub struct SnapshotStats {
     pub patches: u64,
     /// Entries dropped by commit-time invalidation.
     pub invalidations: u64,
+    /// Maintenance steps that evaluated a departed side's whole new state
+    /// and diffed it against the stored snapshots (recompute-vs-stored)
+    /// instead of propagating the write's delta.
+    pub recomputes: u64,
 }
 
 /// Cross-statement store of resolved relation snapshots. Owned by
@@ -189,6 +198,7 @@ pub struct SnapshotStore {
     misses: AtomicU64,
     patches: AtomicU64,
     invalidations: AtomicU64,
+    recomputes: AtomicU64,
 }
 
 impl SnapshotStore {
@@ -239,7 +249,8 @@ impl SnapshotStore {
     /// footprint is at exactly the probing storage's epochs (newest version
     /// wins). When every version is stale the line is dropped — unless
     /// epoch-pinned readers are outstanding, in which case the versions are
-    /// retired in place so an in-flight fork can still copy them.
+    /// retired in place so an in-flight fork can still copy them. Every
+    /// call counts exactly one hit or one miss.
     pub fn get(&self, relation: &str, storage: &Storage) -> Option<Arc<Relation>> {
         if !self.serves(storage) {
             // A foreign branch's storage: its epochs live in a different
@@ -252,9 +263,14 @@ impl SnapshotStore {
         match inner.entries.get(relation) {
             Some(versions) => {
                 if let Some(entry) = versions.iter().rev().find(|e| e.is_valid(storage)) {
-                    let rel = entry.rel.as_ref().map(Arc::clone)?;
+                    // A physical table's index carrier holds no snapshot to
+                    // serve: a miss like any other, so every probe counts.
+                    let Some(rel) = entry.rel.as_ref() else {
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        return None;
+                    };
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(rel)
+                    Some(Arc::clone(rel))
                 } else {
                     if self.pins.load(Ordering::Relaxed) == 0 {
                         inner.entries.remove(relation);
@@ -423,19 +439,22 @@ impl SnapshotStore {
             .map(Arc::clone)
     }
 
-    /// Names of entries that are valid *right now* — captured by the write
-    /// path immediately before applying a batch, so commit-time patching can
-    /// tell pre-write-valid entries (patchable) from already-stale ones.
-    pub fn valid_rels(&self, storage: &Storage) -> BTreeSet<String> {
+    /// Which of `rels` have an entry that is valid *right now* — captured by
+    /// the write path (for the relations its plan patches) immediately
+    /// before applying a batch, so commit-time patching can tell
+    /// pre-write-valid entries (patchable) from already-stale ones.
+    pub fn valid_rels<'r>(
+        &self,
+        storage: &Storage,
+        rels: impl IntoIterator<Item = &'r String>,
+    ) -> BTreeSet<String> {
         if !self.serves(storage) {
             return BTreeSet::new();
         }
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .filter(|(_, versions)| versions.iter().any(|e| e.is_valid(storage)))
-            .map(|(name, _)| name.clone())
+        let inner = self.inner.lock();
+        rels.into_iter()
+            .filter(|rel| inner.first_valid(rel, storage).is_some())
+            .cloned()
             .collect()
     }
 
@@ -562,7 +581,14 @@ impl SnapshotStore {
             misses: self.misses.load(Ordering::Relaxed),
             patches: self.patches.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
+            recomputes: self.recomputes.load(Ordering::Relaxed),
         }
+    }
+
+    /// Count one recompute-vs-stored maintenance step (see
+    /// [`SnapshotStats::recomputes`]).
+    pub(crate) fn note_recompute(&self) {
+        self.recomputes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Register an epoch-pinned reader. While any pin is outstanding,
@@ -639,6 +665,7 @@ impl SnapshotStore {
             misses: AtomicU64::new(0),
             patches: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
+            recomputes: AtomicU64::new(0),
         }
     }
 }
@@ -772,7 +799,7 @@ mod tests {
         let fp = BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
         store.store_entry("V", rel_with("V", &[(1, 10), (2, 20)]), fp);
 
-        let valid = store.valid_rels(&storage);
+        let valid = store.valid_rels(&storage, [&"V".to_string()]);
         assert!(valid.contains("V"));
         bump(&storage, "T", 3, 30); // the physical half of the write
         let mut maint = SnapshotMaintenance::new();
@@ -806,7 +833,7 @@ mod tests {
             rel_with("W", &[(1, 10)]),
             BTreeMap::from([("T".to_string(), e("T")), ("Aux".to_string(), e("Aux"))]),
         );
-        let valid = store.valid_rels(&storage);
+        let valid = store.valid_rels(&storage, [&"V".to_string(), &"W".to_string()]);
         let mut maint = SnapshotMaintenance::new();
         maint.record_invalidate("V");
         maint.record_patch("V", &Delta::insert(Key(9), vec![Value::Int(9)]));
@@ -840,7 +867,7 @@ mod tests {
 
         // Patch keeps the index in sync — and replaces the snapshot Arc,
         // so a statement still holding the old snapshot no longer matches.
-        let valid = store.valid_rels(&storage);
+        let valid = store.valid_rels(&storage, [&"V".to_string()]);
         bump(&storage, "T", 9, 9);
         let mut maint = SnapshotMaintenance::new();
         maint.record_patch(
@@ -987,7 +1014,7 @@ mod tests {
         let foreign = storage.fork();
         assert_eq!(foreign.epoch_of("T"), storage.epoch_of("T"));
         assert!(store.peek_valid("V", &foreign).is_none());
-        assert!(store.valid_rels(&foreign).is_empty());
+        assert!(store.valid_rels(&foreign, [&"V".to_string()]).is_empty());
         let misses_before = store.stats().misses;
         assert!(store.get("V", &foreign).is_none());
         assert_eq!(store.stats().misses, misses_before + 1);

@@ -43,13 +43,13 @@ use crate::snapshot::SnapshotMaintenance;
 use crate::Result;
 use inverda_catalog::{SmoId, StorageCase, TableVersionId};
 use inverda_datalog::delta::{
-    patch_delta_map, propagate_by_recompute_compiled, propagate_compiled, Delta, DeltaMap,
-    PatchedEdb,
+    patch_delta_map, propagate_by_recompute_compiled, propagate_compiled, propagate_vs_stored,
+    Delta, DeltaMap, PatchedEdb,
 };
-use inverda_datalog::eval::{evaluate_compiled, EdbView as _, ReservingIds, NO_MINT_IDS};
-use inverda_datalog::skolem;
+use inverda_datalog::eval::{evaluate_compiled, EdbView, ReservingIds, NO_MINT_IDS};
+use inverda_datalog::{skolem, DatalogError};
 use inverda_storage::codec::{Codec, Reader};
-use inverda_storage::{Key, Relation, Row, TableSchema, Value, WriteBatch};
+use inverda_storage::{ColumnIndex, Key, Relation, Row, Value, WriteBatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -140,6 +140,52 @@ impl MaintenancePlan {
                 self.landed.insert(rel.to_string(), delta.clone());
             }
         }
+    }
+}
+
+/// Deltas up to this many rows are never *bulk* (see
+/// [`maintain_against_stored`](Inverda::maintain_against_stored)): on a table
+/// that small either way costs microseconds, and a statement-sized write
+/// then takes the same path on a ten-row database as on a ten-million-row
+/// one. Past it, a delta is bulk once it has more rows than the snapshots
+/// it maintains — the measured crossover on the TasKy2 FK DECOMPOSE at
+/// 10 000 tasks (10 200 stored rows): delta-vs-stored 5 / 16 / 31 / 75 ms at
+/// 1 500 / 4 100 / 8 200 / 16 400 delta rows, recompute-vs-stored 20 / 28 /
+/// 32 / 33 ms (EXPERIMENTS.md, "O(delta) maintenance through minting hops").
+const STATEMENT_ROWS: usize = 32;
+
+/// The pre-write snapshots of a departed side, served to
+/// [`propagate_vs_stored`] straight out of the snapshot store: rows from the
+/// stored `Arc`s, payload-column probes through the store's own indexes
+/// (attached on first use, patched by every commit thereafter).
+struct StoredHeads<'a> {
+    store: &'a crate::snapshot::SnapshotStore,
+    rels: BTreeMap<&'a str, Arc<Relation>>,
+}
+
+impl EdbView for StoredHeads<'_> {
+    fn full(&self, relation: &str) -> inverda_datalog::Result<Arc<Relation>> {
+        self.rels
+            .get(relation)
+            .cloned()
+            .ok_or_else(|| DatalogError::UnboundRelation {
+                relation: relation.to_string(),
+            })
+    }
+
+    fn contains(&self, relation: &str) -> bool {
+        self.rels.contains_key(relation)
+    }
+
+    fn index(&self, relation: &str, column: usize) -> inverda_datalog::Result<Arc<ColumnIndex>> {
+        let rel = self.full(relation)?;
+        if let Some(hit) = self.store.get_index_virtual(relation, column, &rel) {
+            return Ok(hit);
+        }
+        let built = Arc::new(rel.build_column_index(column));
+        self.store
+            .store_index_virtual(relation, column, Arc::clone(&built), &rel);
+        Ok(built)
     }
 }
 
@@ -256,7 +302,6 @@ impl Inverda {
             // earlier ones.
             let ids = self.id_source();
             let edb = self.edb(state, &ids);
-            use inverda_datalog::eval::EdbView;
             let mut overlay: BTreeMap<Key, Option<Row>> = BTreeMap::new();
             let current = |overlay: &BTreeMap<Key, Option<Row>>, key: Key| -> Result<Option<Row>> {
                 match overlay.get(&key) {
@@ -328,7 +373,7 @@ impl Inverda {
         // would compound the staleness).
         match self.snapshot_store() {
             Some(store) => {
-                let valid = store.valid_rels(&self.storage);
+                let valid = store.valid_rels(&self.storage, plan.maint.patches.keys());
                 self.storage.apply(&batch)?;
                 store.commit(&plan.maint, &valid, &self.storage);
             }
@@ -373,18 +418,7 @@ impl Inverda {
     ) -> Result<()> {
         let g = &state.genealogy;
         let m = &state.materialization;
-        // Relations whose rows persist generator assignments: applying a
-        // delta to them must keep the skolem registry in sync, or a later
-        // occurrence of a replaced payload would reuse a repurposed id.
-        let hint_map: BTreeMap<&str, &str> = g
-            .smos()
-            .flat_map(|s| {
-                s.derived
-                    .observe_hints
-                    .iter()
-                    .map(|h| (h.relation.as_str(), h.generator.as_str()))
-            })
-            .collect();
+        let catalog = self.compiled.catalog_index(g);
         while let Some((&tv, _)) = pending.iter().next() {
             let case = m.storage_of(g, tv);
             match case {
@@ -392,7 +426,7 @@ impl Inverda {
                     let (delta, arrived) = pending.remove(&tv).expect("present");
                     let rel = g.table_version(tv).rel.clone();
                     self.purge_sibling_aux(state, tv, &delta, arrived, None, batch, plan);
-                    if let Some(generator) = hint_map.get(rel.as_str()) {
+                    if let Some(generator) = catalog.hint_generators.get(&rel) {
                         self.sync_registry(generator, &delta);
                     }
                     if plan.track {
@@ -765,19 +799,19 @@ impl Inverda {
     /// trustworthy patches.
     ///
     /// A hop whose defining mapping is staged or can mint skolem ids (the
-    /// id-generating SMOs served by the recompute fallback) cannot be
-    /// probe-maintained, but it no longer falls back to invalidation: its
-    /// departed side's **new** visible state is fully re-evaluated over the
-    /// post-write state and diffed against the stored (pre-write-valid)
-    /// snapshots — recompute-vs-stored. Evaluating only the *new* state is
-    /// deliberate: the mints it performs are exactly those a post-write
-    /// cold read would perform, in the same order, so the registry and key
-    /// sequence stay in lockstep with a store-disabled database executing
-    /// the same statement-and-read sequence (evaluating the old state too,
-    /// as the propagation fallback would, could mint ids for payloads that
-    /// vanished in this very write — ids no cold read ever mints).
-    /// Departed relations without a valid stored entry, and maintenance
-    /// failures, degrade to invalidation; they never fail the write.
+    /// id-generating SMOs) cannot be maintained by the two-state probe —
+    /// evaluating its *old* state could mint for a payload that vanished in
+    /// this very write — so it is maintained **against the stored
+    /// snapshots** instead
+    /// ([`maintain_against_stored`](Inverda::maintain_against_stored)):
+    /// a non-staged minting mapping (FK DECOMPOSE) by delta-vs-stored,
+    /// O(delta); a staged one (DECOMPOSE ON condition, the JOIN variants) by
+    /// recompute-vs-stored, O(state). Either way only the departed side's
+    /// **new** state is evaluated, which keeps the registry and the key
+    /// sequence in lockstep with a store-disabled database executing the
+    /// same statement-and-read sequence. Departed relations without a valid
+    /// stored entry, and maintenance failures, degrade to invalidation;
+    /// they never fail the write.
     fn reverse_maintenance(
         &self,
         state: &State,
@@ -801,8 +835,7 @@ impl Inverda {
                 remaining.push(hop);
             }
         }
-        let tv_of: BTreeMap<&str, TableVersionId> =
-            g.table_versions().map(|t| (t.rel.as_str(), t.id)).collect();
+        let catalog = self.compiled.catalog_index(g);
         // rel → true delta, seeded with what physically landed and extended
         // by each processed hop; rels whose delta could not be derived.
         let mut known = landed;
@@ -830,7 +863,7 @@ impl Inverda {
                     if self.storage.has_table(&t.rel) {
                         return true;
                     }
-                    match tv_of.get(t.rel.as_str()).map(|tv| m.storage_of(g, *tv)) {
+                    match catalog.rel_index.get(&t.rel).map(|tv| m.storage_of(g, *tv)) {
                         Some(StorageCase::Forward(s)) | Some(StorageCase::Backward(s)) => {
                             !remaining_smos.contains(&s)
                         }
@@ -865,10 +898,11 @@ impl Inverda {
                     dep_virtual: Vec<&'r str>,
                     propagate: Option<(Arc<inverda_datalog::CompiledRuleSet>, DeltaMap)>,
                 },
-                /// Staged / id-minting defining mapping: evaluate the
-                /// departed side's new state fully and diff against the
-                /// stored snapshots (see the method docs).
-                RecomputeDiff {
+                /// Staged or id-minting defining mapping: maintained
+                /// against the stored snapshots, inline at the hop's
+                /// canonical position (see
+                /// [`maintain_against_stored`](Inverda::maintain_against_stored)).
+                AgainstStored {
                     dep_virtual: Vec<&'r str>,
                     crs: Arc<inverda_datalog::CompiledRuleSet>,
                     input: DeltaMap,
@@ -948,7 +982,7 @@ impl Inverda {
                         propagate: None,
                     });
                 } else if rev_crs.staged() || rev_crs.mints_ids() {
-                    actions.push(Action::RecomputeDiff {
+                    actions.push(Action::AgainstStored {
                         dep_virtual,
                         crs: rev_crs,
                         input: rev_input,
@@ -998,7 +1032,7 @@ impl Inverda {
                 }
             }
             // Record outcomes in ready order (deterministic and identical
-            // to processing the ready hops one at a time). RecomputeDiff
+            // to processing the ready hops one at a time). AgainstStored
             // actions evaluate *here*, inline and in ready order: their
             // evaluations may mint (committing through the real id source),
             // so they must run at their canonical sequential position —
@@ -1010,29 +1044,14 @@ impl Inverda {
                     Action::Invalidate => {
                         self.invalidate_departed(state, h, maint, &mut unknown);
                     }
-                    Action::RecomputeDiff {
+                    Action::AgainstStored {
                         dep_virtual,
                         crs,
                         input,
                     } => {
-                        // Nothing warm to patch (store cleared, or the
-                        // departed side already invalidated)? Skip the
-                        // O(state) evaluation — the next cold read performs
-                        // the identical mints, so registry lockstep with a
-                        // store-disabled twin is unaffected.
-                        let store = self.snapshot_store().filter(|store| {
-                            dep_virtual
-                                .iter()
-                                .any(|rel| store.peek_valid(rel, &self.storage).is_some())
-                        });
-                        let Some(store) = store else {
-                            self.invalidate_departed(state, h, maint, &mut unknown);
-                            continue;
-                        };
-                        let patched = PatchedEdb::new(edb, input);
-                        let new_out =
-                            evaluate_compiled(crs, &patched, ids, edb.head_columns()).ok();
-                        let Some(mut new_out) = new_out else {
+                        let deltas =
+                            self.maintain_against_stored(edb, dep_virtual, crs, input, ids);
+                        let Some(mut deltas) = deltas else {
                             self.invalidate_departed(state, h, maint, &mut unknown);
                             continue;
                         };
@@ -1041,33 +1060,11 @@ impl Inverda {
                             // may be patched; anything else re-resolves cold
                             // on next read (recording it as unknown poisons
                             // dependents, like an invalidation would).
-                            let Some(stored) = store.peek_valid(rel, &self.storage) else {
+                            let Some(delta) = deltas.remove(*rel) else {
                                 maint.record_invalidate(rel);
                                 unknown.insert((*rel).to_string());
                                 continue;
                             };
-                            // A head the mapping derives no rules for is
-                            // empty by construction (single-arm aux).
-                            let new_rel = new_out.remove(*rel).unwrap_or_else(|| {
-                                let columns =
-                                    edb.head_columns().get(*rel).cloned().unwrap_or_default();
-                                Relation::new(
-                                    TableSchema::new((*rel).to_string(), columns)
-                                        .expect("valid head schema"),
-                                )
-                            });
-                            let rd = new_rel.diff(&stored);
-                            let mut delta = Delta::new();
-                            for (k, row) in rd.deletes {
-                                delta.deletes.insert(k, row);
-                            }
-                            for (k, row) in rd.inserts {
-                                delta.inserts.insert(k, row);
-                            }
-                            for (k, old_row, new_row) in rd.updates {
-                                delta.deletes.insert(k, old_row);
-                                delta.inserts.insert(k, new_row);
-                            }
                             maint.record_patch(rel, &delta);
                             match known.get_mut(*rel) {
                                 Some(existing) => existing.merge(&delta),
@@ -1105,6 +1102,83 @@ impl Inverda {
                 }
             }
         }
+    }
+
+    /// The deltas of a departed side's warm snapshots under a staged or
+    /// id-minting defining mapping `crs`, given the deltas `input` of what
+    /// it reads: one (possibly empty) delta per relation of `dep_virtual`
+    /// with a pre-write-valid stored snapshot, none for the others. `None`
+    /// when nothing is warm — the O(state) work is skipped and the next
+    /// cold read performs the identical mints, so registry lockstep with a
+    /// store-disabled twin is unaffected — or when maintenance fails.
+    ///
+    /// Only the side's **new** state is ever evaluated: its mints are then
+    /// exactly those a post-write cold read performs, in the same order,
+    /// and nothing is minted for a payload that vanished in this very
+    /// write. Two ways to get there:
+    ///
+    /// * **delta-vs-stored**
+    ///   ([`propagate_vs_stored`](inverda_datalog::delta::propagate_vs_stored),
+    ///   which also states the mint-order argument): probe the changed
+    ///   tuples, re-derive the candidate rows, take every old row from the
+    ///   stored snapshots — O(delta);
+    /// * **recompute-vs-stored**: evaluate the new state in full and diff
+    ///   it against the stored snapshots — O(state). It remains for
+    ///   *staged* rule sets, whose rules consume heads of the set itself
+    ///   (the `old`/`new` intermediates) that no snapshot stores, so a
+    ///   candidate row cannot be re-derived from stored state; for a side
+    ///   only partly warm (a cold head's key conflicts would go unseen);
+    ///   and for bulk deltas — more changed rows than stored ones (and
+    ///   than [`STATEMENT_ROWS`]) — where one evaluation beats per-tuple
+    ///   probing.
+    fn maintain_against_stored(
+        &self,
+        edb: &VersionedEdb<'_>,
+        dep_virtual: &[&str],
+        crs: &inverda_datalog::CompiledRuleSet,
+        input: &DeltaMap,
+        ids: &dyn inverda_datalog::eval::IdSource,
+    ) -> Option<DeltaMap> {
+        let store = self.snapshot_store()?;
+        let stored = StoredHeads {
+            store,
+            rels: dep_virtual
+                .iter()
+                .filter_map(|rel| Some((*rel, store.peek_valid(rel, &self.storage)?)))
+                .collect(),
+        };
+        if stored.rels.is_empty() {
+            return None;
+        }
+        let derived_warm = crs
+            .head_names()
+            .filter(|head| dep_virtual.contains(head))
+            .all(|head| stored.rels.contains_key(head));
+        let delta_rows: usize = input.values().map(Delta::len).sum();
+        let stored_rows: usize = stored.rels.values().map(|rel| rel.len()).sum();
+        let bulk = delta_rows > STATEMENT_ROWS && delta_rows > stored_rows;
+        let mut deltas = if crs.staged() || !derived_warm || bulk {
+            store.note_recompute();
+            let patched = PatchedEdb::new(edb, input);
+            let mut new_out = evaluate_compiled(crs, &patched, ids, edb.head_columns()).ok()?;
+            let mut deltas = DeltaMap::new();
+            for (rel, old) in &stored.rels {
+                // A head the mapping derives no rules for is empty by
+                // construction (single-arm aux).
+                let Some(new) = new_out.remove(*rel) else {
+                    continue;
+                };
+                deltas.insert((*rel).to_string(), Delta::from(new.diff(old)));
+            }
+            deltas
+        } else {
+            propagate_vs_stored(crs, edb, input, ids, &stored).ok()?
+        };
+        // Unchanged warm heads get an empty delta: it refreshes their stamps.
+        for rel in stored.rels.keys() {
+            deltas.entry((*rel).to_string()).or_default();
+        }
+        Some(deltas)
     }
 
     /// Mark every virtual relation of a hop's departed side as

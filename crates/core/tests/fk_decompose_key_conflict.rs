@@ -38,8 +38,10 @@ const SCRIPT: &str = "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author,
        DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author; \
        RENAME COLUMN author IN Author TO name;";
 
-/// Replay the minimized repro and return the built database.
-fn replay(path: WritePath, snapshot_reuse: bool) -> Inverda {
+/// The repro up to the separating update: two tasks of author `a0` — `k`,
+/// returned, and a twin written through `Do!` while the data lived on the
+/// decomposed side — with the data back at the source version.
+fn twins(path: WritePath, snapshot_reuse: bool) -> (Inverda, inverda_storage::Key) {
     let db = Inverda::new();
     db.execute(SCRIPT).unwrap();
     db.set_write_path(path);
@@ -55,6 +57,12 @@ fn replay(path: WritePath, snapshot_reuse: bool) -> Inverda {
     db.insert("Do!", "Todo", vec![Value::text("a0"), Value::text("d")])
         .unwrap();
     db.materialize(&["TasKy".to_string()]).unwrap();
+    (db, k)
+}
+
+/// Replay the minimized repro and return the built database.
+fn replay(path: WritePath, snapshot_reuse: bool) -> Inverda {
+    let (db, k) = twins(path, snapshot_reuse);
     db.update("Do!", "Todo", k, vec![Value::text("a1"), Value::text("v")])
         .unwrap();
     db
@@ -124,6 +132,82 @@ fn twin_separated_fk_decompose_resolves_identically_everywhere() {
         assert_eq!(baseline, visible(&replay(WritePath::Delta, false)));
         assert_eq!(baseline, visible(&replay(WritePath::Recompute, true)));
         assert_eq!(baseline, visible(&replay(WritePath::Recompute, false)));
+    }
+    set_threads(None);
+}
+
+/// The same separation written **through the decompose's target version**
+/// while its snapshots are warm: the repro's memo state (both twins
+/// memoized onto author `a0`'s id), then task `k` is re-pointed at another
+/// author by an update of `TasKy2.Task`. That write departs through the
+/// virtualized DECOMPOSE, so its minting γ_tgt is what maintains the
+/// `TasKy2` snapshots — by delta-vs-stored when the store is on. Also
+/// returns how many snapshots that last update patched.
+fn replay_through_target(path: WritePath, snapshot_reuse: bool) -> (Inverda, u64) {
+    let (db, k) = twins(path, snapshot_reuse);
+    let a1 = db
+        .insert("TasKy2", "Author", vec![Value::text("a1")])
+        .unwrap();
+    // Warm every version, then separate the twins through TasKy2.
+    visible(&db);
+    let patches_before = db.snapshot_stats().patches;
+    db.update(
+        "TasKy2",
+        "Task",
+        k,
+        vec![Value::text("v"), Value::Int(1), Value::Int(a1.0 as i64)],
+    )
+    .unwrap();
+    let patched = db.snapshot_stats().patches - patches_before;
+    (db, patched)
+}
+
+#[test]
+fn twin_separation_through_the_decompose_target_resolves_identically_everywhere() {
+    set_threads(Some(1));
+    let (db, patched) = replay_through_target(WritePath::Delta, true);
+    // The separating update patched both TasKy2 snapshots by delta, not by
+    // re-evaluating the decompose over the whole relation...
+    assert!(patched >= 2, "only {patched} snapshots patched");
+    assert_eq!(db.snapshot_stats().recomputes, 0);
+    let baseline = visible(&db);
+    // ...and every warm entry it left behind equals its cold resolution.
+    let audit = db.snapshot_store_audit();
+    assert!(audit.is_empty(), "{}", audit.join("\n"));
+    assert!(
+        !baseline.contains("error"),
+        "separating the twins through TasKy2 failed:\n{baseline}"
+    );
+    let authors = db.scan("TasKy2", "Author").unwrap();
+    let names: Vec<String> = authors.iter().map(|(_, row)| row[0].to_string()).collect();
+    assert_eq!(names.len(), 2, "both authors survive:\n{authors}");
+    let task2 = db.scan("TasKy2", "Task").unwrap();
+    let fks: Vec<&Value> = task2.iter().map(|(_, row)| &row[2]).collect();
+    assert_ne!(fks[0], fks[1], "the twins must point at different authors");
+    for fk in fks {
+        let Value::Int(fk) = fk else {
+            panic!("non-integer fk {fk:?}")
+        };
+        assert!(authors.contains_key(inverda_storage::Key(*fk as u64)));
+    }
+    // The source version sees the re-pointed author.
+    let tasky = db.scan("TasKy", "Task").unwrap().to_string();
+    assert!(tasky.contains("a1") && tasky.contains("a0"), "{tasky}");
+
+    for width in [1usize, 2, 4, 8] {
+        set_threads(Some(width));
+        for (path, reuse) in [
+            (WritePath::Delta, true),
+            (WritePath::Delta, false),
+            (WritePath::Recompute, true),
+            (WritePath::Recompute, false),
+        ] {
+            assert_eq!(
+                baseline,
+                visible(&replay_through_target(path, reuse).0),
+                "diverged at width {width}, {path:?}, snapshot reuse {reuse}"
+            );
+        }
     }
     set_threads(None);
 }

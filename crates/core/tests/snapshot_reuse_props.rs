@@ -13,16 +13,16 @@
 //!
 //! Genealogies under test:
 //! * the full TasKy triple (SPLIT + DROP COLUMN branch, FK-DECOMPOSE +
-//!   RENAME branch — the latter is staged/id-generating, served by the
-//!   recompute propagation fallback and, since PR 4, *maintained* by
-//!   recompute-vs-stored patching rather than invalidated);
+//!   RENAME branch — the latter id-generating, and *maintained* rather
+//!   than invalidated: by delta-vs-stored patching, which the stream of
+//!   writes through `TasKy2` itself drives);
 //! * an overlapping two-arm SPLIT, whose twins can be separated by
 //!   one-sided updates and whose deletes trigger the auxiliary-table purge
 //!   (DESIGN.md) — purges bypass delta propagation and must force
 //!   invalidation, not patching;
 //! * an id-minting SMO *chain* (FK-DECOMPOSE with a SPLIT stacked on top),
-//!   driving two-phase minting, hop arenas, and staged maintenance at
-//!   widths {1, 2, 4, 8}.
+//!   driving two-phase minting, hop arenas, and minting-hop maintenance
+//!   at widths {1, 2, 4, 8}.
 //!
 //! [`SnapshotStore`]: inverda_core::SnapshotStore
 
@@ -254,9 +254,9 @@ const MINT_CHAIN_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE D(a,
 proptest! {
     /// TasKy: random writes through all three versions, with occasional
     /// migrations. Covers the SPLIT/DROP COLUMN delta-patched path, the
-    /// staged FK-DECOMPOSE recompute path (now maintained via
-    /// recompute-vs-stored), skolem id order (Author keys appear in the
-    /// visible state), and store clears on materialization.
+    /// id-minting FK-DECOMPOSE mapping (maintained against the stored
+    /// snapshots), skolem id order (Author keys appear in the visible
+    /// state), and store clears on materialization.
     #[test]
     fn warm_reads_equal_cold_resolution_tasky(
         ops in prop::collection::vec(op_strategy(2, 3), 1..25),
@@ -308,8 +308,8 @@ proptest! {
     /// relocating the data across all three frontiers. This drives the
     /// staged/minting mappings through every maintained path — two-phase
     /// minting under fan-out (widths 1/2/4/8), hop-arena drains, and the
-    /// recompute-vs-stored maintenance that now *patches* staged mappings —
-    /// and the visible states (which include the generated `U` keys) must
+    /// delta-vs-stored maintenance that *patches* the minting mapping's
+    /// snapshots — and the visible states (which include the generated `U` keys) must
     /// stay byte-identical between the warm and cold databases after every
     /// single op.
     #[test]
@@ -330,6 +330,223 @@ proptest! {
             h.apply(op);
             h.check(&format!("op {i}: {op:?}"));
         }
+    }
+}
+
+/// A statement against the FK-DECOMPOSE *target* version (`TasKy2`) or one
+/// of its siblings. Slots index the keys inserted so far / the `Author`
+/// rows currently visible.
+#[derive(Debug, Clone)]
+enum Fk {
+    /// An existing author's generated key.
+    Author(usize),
+    /// ω: the task references no author.
+    Null,
+}
+
+#[derive(Debug, Clone)]
+enum Tasky2Op {
+    InsertTask {
+        text: u8,
+        prio: i64,
+        fk: Fk,
+    },
+    UpdateTask {
+        slot: usize,
+        text: u8,
+        prio: i64,
+        fk: Fk,
+    },
+    DeleteTask {
+        slot: usize,
+    },
+    /// A new (orphaned) author row.
+    InsertAuthor {
+        name: u8,
+    },
+    RenameAuthor {
+        author: usize,
+        name: u8,
+    },
+    DeleteAuthor {
+        author: usize,
+    },
+    /// A write through a sibling version: the `TasKy2` snapshots go stale
+    /// and the next read mints for any new author name.
+    InsertViaTasky {
+        name: u8,
+        text: u8,
+        prio: i64,
+    },
+    UpdateViaDo {
+        slot: usize,
+        name: u8,
+        text: u8,
+    },
+}
+
+fn arb_fk() -> impl Strategy<Value = Fk> {
+    prop_oneof![(0usize..8).prop_map(Fk::Author), Just(Fk::Null)]
+}
+
+fn tasky2_op_strategy() -> impl Strategy<Value = Tasky2Op> {
+    prop_oneof![
+        (0u8..6, 1i64..4, arb_fk()).prop_map(|(text, prio, fk)| Tasky2Op::InsertTask {
+            text,
+            prio,
+            fk
+        }),
+        (0u8..6, 1i64..4, arb_fk()).prop_map(|(text, prio, fk)| Tasky2Op::InsertTask {
+            text,
+            prio,
+            fk
+        }),
+        (0usize..12, 0u8..6, 1i64..4, arb_fk()).prop_map(|(slot, text, prio, fk)| {
+            Tasky2Op::UpdateTask {
+                slot,
+                text,
+                prio,
+                fk,
+            }
+        }),
+        (0usize..12).prop_map(|slot| Tasky2Op::DeleteTask { slot }),
+        (0u8..5).prop_map(|name| Tasky2Op::InsertAuthor { name }),
+        (0usize..8, 0u8..5).prop_map(|(author, name)| Tasky2Op::RenameAuthor { author, name }),
+        (0usize..8).prop_map(|author| Tasky2Op::DeleteAuthor { author }),
+        (0u8..5, 0u8..6, 1i64..4).prop_map(|(name, text, prio)| Tasky2Op::InsertViaTasky {
+            name,
+            text,
+            prio
+        }),
+        (0usize..12, 0u8..5, 0u8..6).prop_map(|(slot, name, text)| Tasky2Op::UpdateViaDo {
+            slot,
+            name,
+            text
+        }),
+    ]
+}
+
+impl Harness {
+    /// Run one statement against both databases; outcomes (including the
+    /// minted key of an insert) must agree.
+    fn apply_tasky2(&mut self, op: &Tasky2Op) {
+        let authors: Vec<Key> = match self.warm.scan("TasKy2", "Author") {
+            Ok(rel) => rel.keys().collect(),
+            Err(_) => Vec::new(),
+        };
+        let fk_value = |fk: &Fk| match fk {
+            Fk::Author(slot) if !authors.is_empty() => {
+                Value::Int(authors[slot % authors.len()].0 as i64)
+            }
+            _ => Value::Null,
+        };
+        let task = |text: u8, prio: i64, fk: &Fk| {
+            vec![
+                Value::text(format!("task{text}")),
+                Value::Int(prio),
+                fk_value(fk),
+            ]
+        };
+        let name = |n: u8| Value::text(format!("author{n}"));
+        let slot_key =
+            |slot: usize| (!self.keys.is_empty()).then(|| self.keys[slot % self.keys.len()]);
+        let author_key = |slot: usize| (!authors.is_empty()).then(|| authors[slot % authors.len()]);
+        let both = |f: &dyn Fn(&Inverda) -> inverda_core::Result<Option<Key>>| {
+            let (rw, rc) = (f(&self.warm), f(&self.cold));
+            match (&rw, &rc) {
+                (Ok(kw), Ok(kc)) => assert_eq!(kw, kc, "key sequences must stay in lockstep"),
+                _ => assert_eq!(rw.is_ok(), rc.is_ok(), "outcome diverged: {rw:?} vs {rc:?}"),
+            }
+            rw.ok().flatten()
+        };
+        let minted = match op {
+            Tasky2Op::InsertTask { text, prio, fk } => both(&|db| {
+                db.insert("TasKy2", "Task", task(*text, *prio, fk))
+                    .map(Some)
+            }),
+            Tasky2Op::UpdateTask {
+                slot,
+                text,
+                prio,
+                fk,
+            } => slot_key(*slot).and_then(|key| {
+                both(&|db| {
+                    db.update("TasKy2", "Task", key, task(*text, *prio, fk))
+                        .map(|()| None)
+                })
+            }),
+            Tasky2Op::DeleteTask { slot } => slot_key(*slot)
+                .and_then(|key| both(&|db| db.delete("TasKy2", "Task", key).map(|()| None))),
+            Tasky2Op::InsertAuthor { name: n } => {
+                both(&|db| db.insert("TasKy2", "Author", vec![name(*n)]).map(Some))
+            }
+            Tasky2Op::RenameAuthor { author, name: n } => author_key(*author).and_then(|key| {
+                both(&|db| {
+                    db.update("TasKy2", "Author", key, vec![name(*n)])
+                        .map(|()| None)
+                })
+            }),
+            Tasky2Op::DeleteAuthor { author } => author_key(*author)
+                .and_then(|key| both(&|db| db.delete("TasKy2", "Author", key).map(|()| None))),
+            Tasky2Op::InsertViaTasky {
+                name: n,
+                text,
+                prio,
+            } => both(&|db| {
+                let row = vec![
+                    name(*n),
+                    Value::text(format!("task{text}")),
+                    Value::Int(*prio),
+                ];
+                db.insert("TasKy", "Task", row).map(Some)
+            }),
+            Tasky2Op::UpdateViaDo {
+                slot,
+                name: n,
+                text,
+            } => slot_key(*slot).and_then(|key| {
+                both(&|db| {
+                    let row = vec![name(*n), Value::text(format!("todo{text}"))];
+                    db.update("Do!", "Todo", key, row).map(|()| None)
+                })
+            }),
+        };
+        self.keys.extend(minted);
+    }
+}
+
+proptest! {
+    /// Writes **through the FK-DECOMPOSE target version** — explicit and ω
+    /// foreign keys, new and orphaned authors, an author's last task
+    /// deleted, authors renamed and deleted under their tasks — interleaved
+    /// with sibling writes and with reads through every version after each
+    /// statement. The minting γ_tgt is maintained by delta-vs-stored: the
+    /// warm database must stay byte-identical to its store-disabled twin —
+    /// visible states, skolem registry and key sequence — and must never
+    /// have fallen back to recompute-vs-stored on the way.
+    #[test]
+    fn warm_writes_through_fk_decompose_equal_cold_twin(
+        ops in prop::collection::vec(tasky2_op_strategy(), 1..30),
+        tsel in 0usize..3,
+    ) {
+        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
+        let mut h = Harness::new(TASKY_SCRIPT, vec![], vec![]);
+        for (i, op) in ops.iter().enumerate() {
+            h.apply_tasky2(op);
+            h.check(&format!("op {i}: {op:?}"));
+            prop_assert_eq!(
+                h.warm.debug_registry(),
+                h.cold.debug_registry(),
+                "registries diverged after op {}: {:?}", i, op
+            );
+            prop_assert_eq!(
+                h.warm.debug_key_seq(),
+                h.cold.debug_key_seq(),
+                "key sequences diverged after op {}: {:?}", i, op
+            );
+        }
+        let stats = h.warm.snapshot_stats();
+        prop_assert_eq!(stats.recomputes, 0, "recompute fallback taken: {:?}", stats);
     }
 }
 
@@ -402,6 +619,56 @@ fn staged_mappings_are_maintained_not_invalidated() {
         "maintained entries diverged:\n{}",
         audit.join("\n")
     );
+}
+
+/// A warm write through the FK-DECOMPOSE target version keeps both of its
+/// snapshots patched in place — by delta-vs-stored, never by re-evaluating
+/// the minting γ_tgt over the whole relation — and the next reads of
+/// `TasKy2.Task` is served warm.
+#[test]
+fn fk_decompose_target_writes_are_delta_maintained() {
+    let db = Inverda::new();
+    db.execute(TASKY_SCRIPT).unwrap();
+    for i in 0..40 {
+        let row = vec![
+            Value::text(format!("a{}", i % 5)),
+            Value::text(format!("t{i}")),
+            Value::Int(i % 3 + 1),
+        ];
+        db.insert("TasKy", "Task", row).unwrap();
+    }
+    let authors: Vec<Key> = db.scan("TasKy2", "Author").unwrap().keys().collect();
+    db.scan("TasKy2", "Task").unwrap();
+    let before = db.snapshot_stats();
+    let fk = |i: usize| Value::Int(authors[i % authors.len()].0 as i64);
+    let key = db
+        .insert("TasKy2", "Task", vec!["new".into(), 1.into(), fk(0)])
+        .unwrap();
+    db.update("TasKy2", "Task", key, vec!["moved".into(), 2.into(), fk(1)])
+        .unwrap();
+    db.update(
+        "TasKy2",
+        "Task",
+        key,
+        vec!["orphan".into(), 2.into(), Value::Null],
+    )
+    .unwrap();
+    db.delete("TasKy2", "Task", key).unwrap();
+    let after_writes = db.snapshot_stats();
+    assert_eq!(after_writes.recomputes, 0, "{after_writes:?}");
+    assert_eq!(after_writes.invalidations, before.invalidations);
+    assert!(
+        after_writes.patches >= before.patches + 8,
+        "both TasKy2 snapshots are patched by every write: {before:?} -> {after_writes:?}"
+    );
+    // (`TasKy2.Author` sits one RENAME beyond the decomposed relation, off
+    // the write's path: it re-resolves — from the warm decomposed side.)
+    db.scan("TasKy2", "Task").unwrap();
+    let after_read = db.snapshot_stats();
+    assert_eq!(after_read.misses, after_writes.misses, "read went cold");
+    assert!(after_read.hits > after_writes.hits);
+    let audit = db.snapshot_store_audit();
+    assert!(audit.is_empty(), "{}", audit.join("\n"));
 }
 
 /// The warm database must actually serve warm reads on this workload —

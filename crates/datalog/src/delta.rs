@@ -15,16 +15,24 @@
 //! paper's update rules, which fall out of the diff.
 //!
 //! Rule sets whose rules consume earlier heads (the id-generating SMOs of
-//! Appendix B.3/B.4/B.6, with their `old`/`new` staging) fall back to a full
+//! Appendix B.4/B.6, with their `old`/`new` staging) fall back to a full
 //! two-state evaluation and diff; they are exactly the SMOs whose triggers
 //! also need non-key joins in SQL.
+//!
+//! A caller that holds the heads' *old* state — the snapshot store keeping
+//! derived relations current — needs neither the old-state probes nor the
+//! old-state re-derivation: [`propagate_vs_stored`] evaluates the new state
+//! only, which is also what makes it safe for id-minting rule sets.
 
 use crate::ast::RuleSet;
 use crate::error::DatalogError;
-use crate::eval::{evaluate_compiled, CompiledRuleSet, EdbView, Evaluator, IdSource, ReservingIds};
+use crate::eval::{
+    evaluate_compiled, head_cells_bound_by, value_key, CompiledRuleSet, EdbView, Evaluator,
+    IdSource, ReservingIds,
+};
 use crate::skolem::{self, PlaceholderPatch};
 use crate::Result;
-use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, Row};
+use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, RelationDelta, Row, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -74,9 +82,30 @@ impl Delta {
 
     /// Number of affected keys.
     pub fn len(&self) -> usize {
-        let mut keys: BTreeSet<Key> = self.deletes.keys().copied().collect();
-        keys.extend(self.inserts.keys().copied());
-        keys.len()
+        // Both sides iterate in key order: count the keys they share (the
+        // updates) by one merge walk.
+        let mut deletes = self.deletes.keys().peekable();
+        let mut updates = 0;
+        for key in self.inserts.keys() {
+            while deletes.next_if(|d| *d < key).is_some() {}
+            if deletes.next_if_eq(&key).is_some() {
+                updates += 1;
+            }
+        }
+        self.deletes.len() + self.inserts.len() - updates
+    }
+
+    /// The changed tuples that take part in firings of one state at a
+    /// literal of the given polarity: in the new state the inserts at a
+    /// positive literal and the deletes at a negated one (they enable new
+    /// firings); in the old state the other way round (they supported
+    /// firings that are now lost).
+    fn side_at(&self, positive: bool, new_state: bool) -> &BTreeMap<Key, Row> {
+        if positive == new_state {
+            &self.inserts
+        } else {
+            &self.deletes
+        }
     }
 
     /// Apply to a relation in place (delete-then-insert; same-key pairs act
@@ -91,19 +120,34 @@ impl Delta {
         Ok(())
     }
 
-    /// Fold another delta into this one (later changes win).
+    /// Fold another delta into this one (later changes win). A later delete
+    /// cancels an earlier insert of the key — leaving the earlier delete, if
+    /// any (the key was updated, then deleted), or nothing at all (the tuple
+    /// existed only transiently).
     pub fn merge(&mut self, other: &Delta) {
         for (k, row) in &other.deletes {
             if self.inserts.remove(k).is_none() {
                 self.deletes.entry(*k).or_insert_with(|| row.clone());
-            } else if !self.deletes.contains_key(k) {
-                // The earlier insert is cancelled; if we also had no delete
-                // recorded, the tuple existed only transiently.
             }
         }
         for (k, row) in &other.inserts {
             self.inserts.insert(*k, row.clone());
         }
+    }
+}
+
+/// A relation diff as a delta: an update is the delete of its old row plus
+/// the insert of its new one.
+impl From<RelationDelta> for Delta {
+    fn from(diff: RelationDelta) -> Delta {
+        let mut delta = Delta::new();
+        delta.deletes.extend(diff.deletes);
+        delta.inserts.extend(diff.inserts);
+        for (key, old_row, new_row) in diff.updates {
+            delta.deletes.insert(key, old_row);
+            delta.inserts.insert(key, new_row);
+        }
+        delta
     }
 }
 
@@ -185,9 +229,30 @@ impl EdbView for PatchedEdb<'_> {
         self.base.contains(relation) || self.patches.contains_key(relation)
     }
 
+    fn overlay(&self, relation: &str) -> Result<Option<(Arc<Relation>, &Delta)>> {
+        match self.patches.get(relation) {
+            Some(delta) if !delta.is_empty() => Ok(Some((self.base.full(relation)?, delta))),
+            _ => Ok(None),
+        }
+    }
+
+    /// The base view's (cached) index under an overlay of the patched rows'
+    /// changes — O(delta), where materializing the patched relation and
+    /// indexing it again would be O(relation) per statement.
     fn index(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
+        let delta = match self.patches.get(relation) {
+            Some(delta) if !delta.is_empty() => delta,
+            _ => return self.base.index(relation, column),
+        };
         self.indexes.get_or_build(relation, column, || {
-            Ok(self.full(relation)?.build_column_index(column))
+            let mut index = ColumnIndex::overlay(self.base.index(relation, column)?);
+            for (key, old) in &delta.deletes {
+                index.apply_row_change(column, *key, Some(old), None);
+            }
+            for (key, new) in &delta.inserts {
+                index.apply_row_change(column, *key, None, Some(new));
+            }
+            Ok(index)
         })
     }
 }
@@ -381,20 +446,210 @@ pub fn propagate_by_recompute_compiled(
         if d.is_empty() {
             continue;
         }
-        let mut delta = Delta::new();
-        for (k, row) in d.deletes {
-            delta.deletes.insert(k, row);
-        }
-        for (k, row) in d.inserts {
-            delta.inserts.insert(k, row);
-        }
-        for (k, old_row, new_row) in d.updates {
-            delta.deletes.insert(k, old_row);
-            delta.inserts.insert(k, new_row);
-        }
-        out.insert(head.clone(), delta);
+        out.insert(head.clone(), Delta::from(d));
     }
     Ok(out)
+}
+
+/// **Delta-vs-stored** propagation: the head deltas of a *non-staged* rule
+/// set when the heads' pre-write state is at hand (`stored`, e.g. the
+/// snapshot store's entries) — the O(delta) way to keep derived snapshots
+/// of an **id-minting** mapping current. `base` is the pre-write input
+/// state, `input_delta` the changes to it; `stored` serves the old state of
+/// every head to maintain ([`EdbView::contains`] selects them; other heads
+/// are derived for their mints only) and must equal what evaluating `crs`
+/// over `base` with `ids` derives. Returns the non-empty head deltas.
+///
+/// The old state is never evaluated. Only the **new** state is, and only
+/// around the changed tuples:
+///
+/// 1. for every changed tuple that can take part in the new state (an
+///    insert at a positive literal, a delete at a negated one), the keys of
+///    its rule's depth-0 scan that are consistent with it are collected — a
+///    superset of the scan keys of every firing that uses the tuple, the
+///    ones cut short behind a generator call included (against throw-away
+///    reservations: probe order means nothing);
+/// 2. each rule is then **replayed** for exactly those scan keys, in rule
+///    order and ascending key order, under the real reservation scope: the
+///    head tuples of the replay are the new rows of their keys;
+/// 3. the old rows that may have lost a derivation are read out of `stored`
+///    by the head cells a deleted tuple (or a tuple inserted at a negated
+///    literal) fixes — the key, or else a payload-column probe;
+/// 4. a candidate's new row is the replayed one, or its stored row if some
+///    rule still derives that very tuple (checked with all head variables
+///    seeded and generators only *peeked*: nothing is ever minted for a
+///    payload that vanished in this write).
+///
+/// **Mint order.** The ids minted are exactly those a full evaluation of
+/// the new state mints ([`evaluate_compiled`], what a cold read of the
+/// heads performs), in the same order. A full evaluation reserves where —
+/// in rule order, then scan-key order, then join order — a (possibly
+/// partial) firing first reaches a generator with arguments that have no
+/// id. A firing prefix of the new state that uses no changed tuple was
+/// explored in the old state too, so its arguments were memoized when
+/// `stored` was derived. Every other one sits under one of the collected
+/// scan keys, and step 2 re-runs everything under those keys in the full
+/// evaluation's relative order — so it meets the same unknown arguments in
+/// the same order, and the commit epilogue mints them that way. (Ids are
+/// assumed fresh — the engine draws them from the key sequence — so a
+/// minted key never collides with a stored one.)
+///
+/// Rules without a keyed depth-0 scan are replayed whole, a changed tuple
+/// that shares no variable with its rule's scan atom selects every scan
+/// key, and a literal that fixes no head cell makes every stored row a
+/// candidate: still exact, no longer O(delta). Errors a full evaluation of
+/// the new state would raise at a changed firing (a
+/// [`DatalogError::KeyConflict`] between a new tuple and a surviving one
+/// included) are raised here too.
+pub fn propagate_vs_stored(
+    crs: &CompiledRuleSet,
+    base: &dyn EdbView,
+    input_delta: &DeltaMap,
+    ids: &dyn IdSource,
+    stored: &dyn EdbView,
+) -> Result<DeltaMap> {
+    debug_assert!(!crs.staged(), "staged sets consume their own heads");
+    let patched = PatchedEdb::new(base, input_delta);
+
+    // ---- 1. Scan keys the changed tuples touch, per rule they occur in.
+    let mut scan_keys: BTreeMap<usize, BTreeSet<Key>> = BTreeMap::new();
+    {
+        let scratch = ReservingIds::new(ids, skolem::SCOPE_CHUNK);
+        let ev = Evaluator::new(&patched, &scratch);
+        for (rule_idx, rule) in crs.rules.iter().enumerate() {
+            for (lit_idx, atom, positive) in crs.body_atoms(rule_idx) {
+                let Some(delta) = input_delta.get(&atom.relation) else {
+                    continue;
+                };
+                let keys = scan_keys.entry(rule_idx).or_default();
+                if rule.has_keyed_scan() {
+                    for (key, row) in delta.side_at(positive, true) {
+                        ev.probe_scan_keys(rule, lit_idx, *key, row, keys)?;
+                    }
+                }
+            }
+        }
+    }
+
+    // ---- 2. Replay, in the full evaluation's order, under the real scope.
+    let scope = ReservingIds::new(ids, skolem::SCOPE_EVAL);
+    let mut fresh: BTreeMap<&str, BTreeMap<Key, Row>> = BTreeMap::new();
+    {
+        let ev = Evaluator::new(&patched, &scope);
+        for (&rule_idx, keys) in &scan_keys {
+            let rule = &crs.rules[rule_idx];
+            let tuples = if rule.has_keyed_scan() {
+                ev.scan_key_head_tuples(rule, keys)?
+            } else {
+                ev.rule_head_tuples(rule, &rule.base_order, None)?
+            };
+            let head = rule.head.relation.as_str();
+            let rows = fresh.entry(head).or_default();
+            for (key, row) in tuples {
+                match rows.get(&key) {
+                    Some(existing) if *existing != row => {
+                        return Err(DatalogError::KeyConflict {
+                            relation: head.to_string(),
+                            key: key.0,
+                        })
+                    }
+                    Some(_) => {}
+                    None => {
+                        rows.insert(key, row);
+                    }
+                }
+            }
+        }
+    }
+
+    // ---- 3. + 4. Per maintained head: candidates, then old vs. new rows.
+    let survives = Evaluator::peeking(&patched, ids);
+    let no_rows = BTreeMap::new();
+    let mut out = DeltaMap::new();
+    for head in crs.head_names() {
+        if !stored.contains(head) {
+            continue;
+        }
+        let fresh_rows = fresh.get(head).unwrap_or(&no_rows);
+        let mut candidates: BTreeSet<Key> = fresh_rows.keys().copied().collect();
+        for &rule_idx in crs.rules_for(head) {
+            for (lit_idx, atom, positive) in crs.body_atoms(rule_idx) {
+                let Some(delta) = input_delta.get(&atom.relation) else {
+                    continue;
+                };
+                for (key, row) in delta.side_at(positive, false) {
+                    let rule = &crs.rules[rule_idx];
+                    let Some(cells) = head_cells_bound_by(rule, lit_idx, *key, row) else {
+                        continue;
+                    };
+                    stored_candidates(stored, head, &cells, &mut candidates)?;
+                }
+            }
+        }
+        let mut delta = Delta::new();
+        for key in candidates {
+            let old = stored.by_key(head, key)?;
+            let new = fresh_rows.get(&key);
+            if old.as_ref() == new {
+                continue;
+            }
+            let old_survives = match &old {
+                Some(row) => survives.derives_head_tuple(crs, head, key, row)?,
+                None => false,
+            };
+            match (old, new) {
+                (Some(_), Some(_)) if old_survives => {
+                    return Err(DatalogError::KeyConflict {
+                        relation: head.to_string(),
+                        key: key.0,
+                    })
+                }
+                (Some(_), None) if old_survives => {}
+                (old, new) => {
+                    delta.deletes.extend(old.map(|row| (key, row)));
+                    delta.inserts.extend(new.map(|row| (key, row.clone())));
+                }
+            }
+        }
+        if !delta.is_empty() {
+            out.insert(head.to_string(), delta);
+        }
+    }
+    let patch = scope.commit();
+    Ok(patch_delta_map(out, &patch))
+}
+
+/// The keys of `stored[head]` rows agreeing with the head cells a changed
+/// tuple fixes (`cells[0]` is the key cell): the one key, or the rows an
+/// index probe on the first fixed payload column finds that also agree on
+/// the other fixed columns, or — nothing fixed — every row.
+fn stored_candidates(
+    stored: &dyn EdbView,
+    head: &str,
+    cells: &[Option<Value>],
+    out: &mut BTreeSet<Key>,
+) -> Result<()> {
+    if let Some(key_cell) = &cells[0] {
+        // A cell that is no key (ω) keys no stored row.
+        out.extend(value_key(head, key_cell).ok());
+        return Ok(());
+    }
+    let fixed: Vec<(usize, &Value)> = cells[1..]
+        .iter()
+        .enumerate()
+        .filter_map(|(col, cell)| cell.as_ref().map(|v| (col, v)))
+        .collect();
+    match fixed.first() {
+        None => out.extend(stored.full(head)?.keys()),
+        Some(&(col, value)) => {
+            for (key, row) in stored.by_column(head, col, value)? {
+                if fixed.iter().all(|&(c, v)| row.get(c) == Some(v)) {
+                    out.insert(key);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Rewrite a committed reservation patch through a delta map: placeholder
@@ -621,12 +876,7 @@ fn probe_rules(
             //   old derivations);
             // new state: insertions at positive literals and deletions at
             //   negative literals.
-            let tuples: Vec<(&Key, &Row)> = match (state, positive) {
-                (ProbeState::Old, true) => delta.deletes.iter().collect(),
-                (ProbeState::Old, false) => delta.inserts.iter().collect(),
-                (ProbeState::New, true) => delta.inserts.iter().collect(),
-                (ProbeState::New, false) => delta.deletes.iter().collect(),
-            };
+            let tuples = delta.side_at(positive, state == ProbeState::New);
             let head = &crs.rules[rule_idx].head.relation;
             let keys = candidates.entry(head.clone()).or_default();
             for (key, row) in tuples {
@@ -867,15 +1117,94 @@ mod tests {
     }
 
     #[test]
-    fn delta_merge_cancels_transients() {
-        let mut a = Delta::insert(Key(1), vec![Value::Int(1)]);
-        let b = Delta::delete(Key(1), vec![Value::Int(1)]);
-        a.merge(&b);
-        assert!(a.inserts.is_empty());
-        // Insert-then-delete of a previously absent tuple nets to nothing
-        // visible (the delete entry is harmless for apply_to).
-        let mut rel = Relation::with_columns("X", ["v"]);
-        a.apply_to(&mut rel).unwrap();
-        assert!(rel.is_empty());
+    fn delta_merge_composes_per_key() {
+        let row = |v: i64| vec![Value::Int(v)];
+        // insert → delete: the tuple existed only transiently.
+        let mut d = Delta::insert(Key(1), row(1));
+        d.merge(&Delta::delete(Key(1), row(1)));
+        assert!(d.is_empty());
+        // update → delete: the pre-update row is what gets deleted.
+        let mut d = Delta::update(Key(1), row(1), row(2));
+        d.merge(&Delta::delete(Key(1), row(2)));
+        assert_eq!(d, Delta::delete(Key(1), row(1)));
+        // delete → insert: an update.
+        let mut d = Delta::delete(Key(1), row(1));
+        d.merge(&Delta::insert(Key(1), row(3)));
+        assert_eq!(d, Delta::update(Key(1), row(1), row(3)));
+        assert_eq!(d.len(), 1);
+        d.merge(&Delta::insert(Key(2), row(4)));
+        d.merge(&Delta::delete(Key(0), row(0)));
+        assert_eq!(d.len(), 3);
+    }
+
+    /// A view that counts how often its relations are materialized.
+    struct CountingEdb {
+        inner: MapEdb,
+        fulls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl EdbView for CountingEdb {
+        fn full(&self, relation: &str) -> Result<Arc<Relation>> {
+            self.fulls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.full(relation)
+        }
+
+        fn by_key(&self, relation: &str, key: Key) -> Result<Option<Row>> {
+            self.inner.by_key(relation, key)
+        }
+
+        fn contains(&self, relation: &str) -> bool {
+            self.inner.contains(relation)
+        }
+
+        fn index(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
+            self.inner.index(relation, column)
+        }
+    }
+
+    #[test]
+    fn patched_index_and_key_lookups_never_materialize_the_base() {
+        let base = CountingEdb {
+            inner: task_edb(),
+            fulls: Default::default(),
+        };
+        let mut patches = DeltaMap::new();
+        let mut delta = Delta::update(
+            Key(3),
+            vec!["Ann".into(), "Write paper".into(), 1.into()],
+            vec!["Ben".into(), "Write paper".into(), 1.into()],
+        );
+        delta.merge(&Delta::delete(
+            Key(4),
+            vec!["Ben".into(), "Clean room".into(), 1.into()],
+        ));
+        delta.merge(&Delta::insert(
+            Key(9),
+            vec!["Ann".into(), "New".into(), 2.into()],
+        ));
+        patches.insert("T".into(), delta);
+        let patched = PatchedEdb::new(&base, &patches);
+
+        let by_author = patched.index("T", 0).unwrap();
+        assert_eq!(by_author.keys_for(&Value::text("Ann")), &[Key(1), Key(9)]);
+        assert_eq!(by_author.keys_for(&Value::text("Ben")), &[Key(3)]);
+        assert_eq!(
+            patched.by_key("T", Key(3)).unwrap().unwrap()[0],
+            Value::text("Ben")
+        );
+        assert!(patched.by_key("T", Key(4)).unwrap().is_none());
+        assert!(patched.by_key("T", Key(1)).unwrap().is_some());
+        // An unpatched relation's index is the base's own.
+        patched.index("Rminus", 0).unwrap();
+        assert_eq!(base.fulls.load(std::sync::atomic::Ordering::Relaxed), 0);
+
+        // The overlay index describes exactly the materialized patched state.
+        let full = patched.full("T").unwrap();
+        let rebuilt = full.build_column_index(0);
+        for author in ["Ann", "Ben", "Eve"] {
+            let author = Value::text(author);
+            assert_eq!(by_author.keys_for(&author), rebuilt.keys_for(&author));
+        }
     }
 }

@@ -61,6 +61,7 @@
 //! deterministic merge").
 
 use crate::ast::{Literal, Rule, RuleSet, Term};
+use crate::delta::Delta;
 use crate::error::DatalogError;
 use crate::skolem::{self, PlaceholderPatch, ReservationArena, SkolemRegistry};
 use crate::Result;
@@ -69,6 +70,7 @@ use inverda_storage::{
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -115,6 +117,18 @@ pub trait EdbView: Sync {
 
     /// Whether the relation is served by this view.
     fn contains(&self, relation: &str) -> bool;
+
+    /// The write overlay this view serves `relation` under, if it holds the
+    /// relation as *base snapshot plus row changes* rather than as one
+    /// materialized state ([`PatchedEdb`](crate::delta::PatchedEdb)). The
+    /// sequential join then reads the pair directly — rows by key through
+    /// the changes, index probes through [`index`](EdbView::index) — so a
+    /// handful of changed rows never forces [`full`](EdbView::full) to clone
+    /// and patch the whole relation.
+    fn overlay(&self, relation: &str) -> Result<Option<(Arc<Relation>, &Delta)>> {
+        let _ = relation;
+        Ok(None)
+    }
 
     /// A secondary join index over one payload column of the relation's
     /// current state. The default builds it on the spot; caching
@@ -482,6 +496,13 @@ pub struct CompiledRule {
     /// Per body literal: evaluation order with that literal skipped and its
     /// variables pre-bound (delta-engine probing). `None` for non-atoms.
     probe_orders: Vec<Option<Vec<usize>>>,
+    /// Evaluation order with every head variable pre-bound — the
+    /// "is this very tuple derivable" check of delta-vs-stored maintenance.
+    head_seed_order: Vec<usize>,
+    /// Slot of the key variable of the depth-0 scan, if `base_order` opens
+    /// with a positive atom keyed by an (unbound) variable (see
+    /// [`has_keyed_scan`](CompiledRule::has_keyed_scan)).
+    scan_key_slot: Option<usize>,
     /// Slot of the head key variable, if it is a variable.
     pub head_key_slot: Option<usize>,
     /// Whether the head key variable occurs in some positive body atom, so
@@ -489,6 +510,15 @@ pub struct CompiledRule {
     pub seedable: bool,
     /// Display form of the source rule (for errors).
     pub(crate) display: String,
+}
+
+impl CompiledRule {
+    /// Whether `base_order` opens with a positive atom whose key term is an
+    /// (unbound) variable: every firing is then owned by one key of that
+    /// depth-0 scan, and the rule can be re-run for a chosen set of them.
+    pub(crate) fn has_keyed_scan(&self) -> bool {
+        self.scan_key_slot.is_some()
+    }
 }
 
 /// A rule set compiled for evaluation. Built once per rule set via
@@ -606,6 +636,11 @@ impl CompiledRuleSet {
             }
         }
         out
+    }
+
+    /// Names of the heads the set derives, in name order.
+    pub fn head_names(&self) -> impl Iterator<Item = &str> {
+        self.head_index.keys().map(String::as_str)
     }
 
     /// Indices of the rules deriving `head`.
@@ -807,6 +842,22 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         }
         None => None,
     };
+    let head_seed_order = {
+        let mut seed = SlotSet::new(n_vars);
+        for v in rule.head.terms.iter().filter_map(Term::as_var) {
+            seed.insert(slot_of[v]);
+        }
+        // Schedulable whenever `base_order` is: more slots bound up front
+        // only ever makes more filters ready.
+        schedule_slots(&meta, None, &seed, &display)?
+    };
+    let scan_key_slot = base_order.first().and_then(|&li| match &body[li] {
+        CLit::Pos(atom) => match atom.terms[0] {
+            CTerm::Var(slot) => Some(slot),
+            _ => None,
+        },
+        _ => None,
+    });
     let probe_orders: Vec<Option<Vec<usize>>> = meta
         .iter()
         .enumerate()
@@ -830,6 +881,8 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         base_order,
         keyed_order,
         probe_orders,
+        head_seed_order,
+        scan_key_slot,
         head_key_slot,
         seedable,
         display,
@@ -1179,6 +1232,73 @@ pub struct Evaluator<'a> {
     /// grow (heads are append-only: a conflicting emit is an error).
     /// (EDB relations are indexed and cached by the [`EdbView`] itself.)
     derived_indexes: IndexCache,
+    /// Skolem literals only [`peek`](IdSource::peek): arguments without an
+    /// assigned id end the branch instead of reserving one (see
+    /// [`Evaluator::peeking`]).
+    peek_only: bool,
+}
+
+/// A relation as the sequential join reads it: one materialized state, or a
+/// base snapshot under a view's write overlay ([`EdbView::overlay`]) that is
+/// never materialized.
+enum RelView<'e> {
+    Whole(Arc<Relation>),
+    Patched(Arc<Relation>, &'e Delta),
+}
+
+impl RelView<'_> {
+    fn arity(&self) -> usize {
+        match self {
+            RelView::Whole(rel) | RelView::Patched(rel, _) => rel.schema().arity(),
+        }
+    }
+
+    fn get(&self, key: Key) -> Option<&Row> {
+        match self {
+            RelView::Whole(rel) => rel.get(key),
+            RelView::Patched(base, delta) => match delta.inserts.get(&key) {
+                Some(row) => Some(row),
+                None if delta.deletes.contains_key(&key) => None,
+                None => base.get(key),
+            },
+        }
+    }
+
+    /// Visit rows in ascending key order (the order a scan of the
+    /// materialized state would take) until `f` breaks.
+    fn try_for_each(&self, mut f: impl FnMut(Key, &Row) -> Result<ControlFlow<()>>) -> Result<()> {
+        match self {
+            RelView::Whole(rel) => {
+                for (key, row) in rel.iter() {
+                    if f(key, row)?.is_break() {
+                        break;
+                    }
+                }
+            }
+            RelView::Patched(base, delta) => {
+                // Merge the surviving base rows with the inserted ones.
+                let mut inserts = delta.inserts.iter().peekable();
+                for (key, row) in base.iter() {
+                    while let Some((k, r)) = inserts.next_if(|(k, _)| **k < key) {
+                        if f(*k, r)?.is_break() {
+                            return Ok(());
+                        }
+                    }
+                    let kept =
+                        !delta.inserts.contains_key(&key) && !delta.deletes.contains_key(&key);
+                    if kept && f(key, row)?.is_break() {
+                        return Ok(());
+                    }
+                }
+                for (k, r) in inserts {
+                    if f(*k, r)?.is_break() {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -1190,6 +1310,20 @@ impl<'a> Evaluator<'a> {
             derived: BTreeMap::new(),
             by_key_memo: HashMap::new(),
             derived_indexes: IndexCache::new(),
+            peek_only: false,
+        }
+    }
+
+    /// An evaluator that never mints or reserves: a skolem literal whose
+    /// arguments have no assigned id yet simply matches nothing. Exact for
+    /// checking derivations that *already existed* — their generator
+    /// arguments were memoized when they were first derived — which is what
+    /// the delete side of delta-vs-stored maintenance asks
+    /// ([`crate::delta::propagate_vs_stored`]).
+    pub(crate) fn peeking(edb: &'a dyn EdbView, ids: &'a dyn IdSource) -> Self {
+        Evaluator {
+            peek_only: true,
+            ..Evaluator::new(edb, ids)
         }
     }
 
@@ -1208,6 +1342,7 @@ impl<'a> Evaluator<'a> {
             derived,
             by_key_memo: HashMap::new(),
             derived_indexes: IndexCache::new(),
+            peek_only: false,
         }
     }
 
@@ -1358,6 +1493,18 @@ impl<'a> Evaluator<'a> {
         self.edb.full(name)
     }
 
+    /// [`relation_full`](Evaluator::relation_full) for the sequential
+    /// join, which can read an overlaid relation without materializing it.
+    fn relation_view(&self, name: &str) -> Result<RelView<'a>> {
+        if let Some(rel) = self.derived.get(name) {
+            return Ok(RelView::Whole(Arc::clone(rel)));
+        }
+        Ok(match self.edb.overlay(name)? {
+            Some((base, delta)) => RelView::Patched(base, delta),
+            None => RelView::Whole(self.edb.full(name)?),
+        })
+    }
+
     pub(crate) fn relation_by_key(&self, name: &str, key: Key) -> Result<Option<Row>> {
         if let Some(rel) = self.derived.get(name) {
             return Ok(rel.get(key).cloned());
@@ -1430,8 +1577,8 @@ impl<'a> Evaluator<'a> {
                     }
                     return Ok(());
                 }
-                let rel = self.relation_full(&atom.relation)?;
-                check_arity(atom, rel.schema().arity() + 1)?;
+                let rel = self.relation_view(&atom.relation)?;
+                check_arity(atom, rel.arity() + 1)?;
                 // Index path: probe the first bound payload column.
                 if let Some((col, value)) = atom.bound_payload(frame) {
                     let value = value.clone();
@@ -1447,14 +1594,14 @@ impl<'a> Evaluator<'a> {
                     return Ok(());
                 }
                 // No bound column at all: full scan.
-                for (key, row) in rel.iter() {
+                rel.try_for_each(|key, row| {
                     let mark = trail.len();
                     if unify_atom(atom, key, row, frame, trail) {
                         self.join(rule, order, depth + 1, frame, trail, on_match)?;
                     }
                     undo(frame, trail, mark);
-                }
-                Ok(())
+                    Ok(ControlFlow::Continue(()))
+                })
             }
             CLit::Neg(atom) => {
                 if !self.atom_has_match(atom, frame, trail)? {
@@ -1492,7 +1639,14 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 }
-                let id = self.ids.generate(generator, &vals);
+                let id = if self.peek_only {
+                    match self.ids.peek(generator, &vals) {
+                        Some(id) => id,
+                        None => return Ok(()),
+                    }
+                } else {
+                    self.ids.generate(generator, &vals)
+                };
                 let v = Value::Int(id as i64);
                 self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, on_match)
             }
@@ -1548,8 +1702,8 @@ impl<'a> Evaluator<'a> {
                 None => false,
             });
         }
-        let rel = self.relation_full(&atom.relation)?;
-        check_arity(atom, rel.schema().arity() + 1)?;
+        let rel = self.relation_view(&atom.relation)?;
+        check_arity(atom, rel.arity() + 1)?;
         if let Some((col, value)) = atom.bound_payload(frame) {
             let value = value.clone();
             let index = self.index_for(&atom.relation, col)?;
@@ -1564,15 +1718,18 @@ impl<'a> Evaluator<'a> {
             }
             return Ok(false);
         }
-        for (key, row) in rel.iter() {
+        let mut found = false;
+        rel.try_for_each(|key, row| {
             let mark = trail.len();
-            let matched = unify_atom(atom, key, row, frame, trail);
+            found = unify_atom(atom, key, row, frame, trail);
             undo(frame, trail, mark);
-            if matched {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+            Ok(if found {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        })?;
+        Ok(found)
     }
 
     /// Key-seeded evaluation: the row `head` derives for `key` under the
@@ -1829,6 +1986,104 @@ impl<'a> Evaluator<'a> {
             Ok(())
         })
     }
+
+    /// The keys of `rule`'s depth-0 scan that are consistent with body atom
+    /// `lit_idx` bound to `(key, row)` — every (even partial) firing of a
+    /// full evaluation that uses this tuple at this literal sits under one
+    /// of them. Only the scan atom is matched against the tuple's bindings
+    /// (a point lookup or index probe when they share a variable), so the
+    /// result over-approximates. Only for rules with a
+    /// [keyed scan](CompiledRule::has_keyed_scan).
+    pub(crate) fn probe_scan_keys(
+        &self,
+        rule: &CompiledRule,
+        lit_idx: usize,
+        key: Key,
+        row: &Row,
+        out: &mut BTreeSet<Key>,
+    ) -> Result<()> {
+        let slot = rule.scan_key_slot.expect("rule opens with a keyed scan");
+        let scan = &rule.base_order[..1];
+        let (CLit::Pos(atom) | CLit::Neg(atom)) = &rule.body[lit_idx] else {
+            unreachable!("probed literals are atoms")
+        };
+        let Some(mut frame) = seed_frame(rule, atom, key, row) else {
+            return Ok(());
+        };
+        if scan[0] == lit_idx {
+            out.insert(key);
+            return Ok(());
+        }
+        let mut trail = Vec::with_capacity(rule.n_vars);
+        self.join(rule, scan, 0, &mut frame, &mut trail, &mut |frame| {
+            let scan_key = frame[slot].as_ref().and_then(|v| value_key("", v).ok());
+            out.extend(scan_key);
+            Ok(())
+        })
+    }
+
+    /// The head tuples of every firing of `rule` whose depth-0 scan is at
+    /// one of `keys`, in the order a full evaluation of the rule meets them
+    /// (ascending scan key, then join order) — so skolem literals reserve in
+    /// exactly the full evaluation's relative order. Only for rules with a
+    /// [keyed scan](CompiledRule::has_keyed_scan).
+    pub(crate) fn scan_key_head_tuples(
+        &self,
+        rule: &CompiledRule,
+        keys: &BTreeSet<Key>,
+    ) -> Result<Vec<(Key, Row)>> {
+        let CLit::Pos(atom) = &rule.body[rule.base_order[0]] else {
+            unreachable!("rule opens with a keyed scan")
+        };
+        let mut frame: Frame = vec![None; rule.n_vars];
+        let mut trail = Vec::with_capacity(rule.n_vars);
+        let mut out = Vec::new();
+        for &key in keys {
+            let Some(row) = self.relation_by_key(&atom.relation, key)? else {
+                continue;
+            };
+            check_arity(atom, row.len() + 1)?;
+            let mark = trail.len();
+            if unify_atom(atom, key, &row, &mut frame, &mut trail) {
+                let order = &rule.base_order;
+                self.join(rule, order, 1, &mut frame, &mut trail, &mut |frame| {
+                    out.push(head_tuple(rule, frame)?);
+                    Ok(())
+                })?;
+            }
+            undo(&mut frame, &mut trail, mark);
+        }
+        Ok(out)
+    }
+
+    /// Whether some rule of `crs` derives exactly the tuple `head(key, row)`:
+    /// every head variable is seeded, so the body is only searched for one
+    /// witness binding of the remaining variables.
+    pub(crate) fn derives_head_tuple(
+        &self,
+        crs: &CompiledRuleSet,
+        head: &str,
+        key: Key,
+        row: &Row,
+    ) -> Result<bool> {
+        for &idx in crs.rules_for(head) {
+            let rule = &crs.rules[idx];
+            let Some(mut frame) = seed_frame(rule, &rule.head, key, row) else {
+                continue;
+            };
+            let mut trail = Vec::with_capacity(rule.n_vars);
+            let mut found = false;
+            let order = &rule.head_seed_order;
+            self.join(rule, order, 0, &mut frame, &mut trail, &mut |_| {
+                found = true;
+                Ok(())
+            })?;
+            if found {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 /// Row context over a frame, using a rule-compile-time name→slot table.
@@ -1899,6 +2154,28 @@ fn seed_frame(rule: &CompiledRule, atom: &CAtom, key: Key, row: &Row) -> Option<
         }
     }
     Some(frame)
+}
+
+/// What binding body atom `lit_idx` of `rule` to `(key, row)` fixes of the
+/// head tuple: one cell per head term (key first), `None` where the literal
+/// leaves it open. `None` overall if the tuple cannot match the literal.
+pub(crate) fn head_cells_bound_by(
+    rule: &CompiledRule,
+    lit_idx: usize,
+    key: Key,
+    row: &Row,
+) -> Option<Vec<Option<Value>>> {
+    let (CLit::Pos(atom) | CLit::Neg(atom)) = &rule.body[lit_idx] else {
+        return None;
+    };
+    let frame = seed_frame(rule, atom, key, row)?;
+    Some(
+        rule.head
+            .terms
+            .iter()
+            .map(|t| t.resolved(&frame).cloned())
+            .collect(),
+    )
 }
 
 /// Try to extend the frame so the atom matches `(key, row)`; newly bound

@@ -28,10 +28,17 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// The process-wide pool, created on first parallel use.
 static POOL: OnceLock<ThreadPool> = OnceLock::new();
 
+/// The machine's available parallelism, probed once per process: the
+/// standard library re-reads the cgroup CPU quota on every call (≈ 12 µs on
+/// Linux), and [`threads`] is asked at every parallelism gate — several
+/// times per statement.
 fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 fn env_threads() -> Option<usize> {

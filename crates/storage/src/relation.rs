@@ -272,7 +272,7 @@ impl Relation {
         for (key, row) in &self.rows {
             map.entry(row[column].clone()).or_default().push(*key);
         }
-        ColumnIndex { map }
+        ColumnIndex { map, base: None }
     }
 
     fn check_arity(&self, row: &Row) -> Result<()> {
@@ -307,15 +307,64 @@ impl fmt::Display for Relation {
 /// reuse it across mutations. `Value`'s `Hash` agrees with its `Eq`
 /// (numerically equal ints and floats collide), so a probe finds exactly the
 /// rows a scan-and-compare would.
+///
+/// An index can also be an **overlay** ([`ColumnIndex::overlay`]): it then
+/// describes a base snapshot's index plus a handful of row changes without
+/// copying the base — `map` holds the complete patched key list of every
+/// value a change touched (an empty list shadows a value the changes
+/// emptied), every other value reads through to the base.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnIndex {
     map: HashMap<Value, Vec<Key>>,
+    base: Option<Arc<ColumnIndex>>,
 }
 
 impl ColumnIndex {
+    /// An index that starts out equal to `base` and takes row changes
+    /// ([`apply_row_change`](ColumnIndex::apply_row_change)) at O(keys of
+    /// the touched values) each, sharing everything else with `base`.
+    pub fn overlay(base: Arc<ColumnIndex>) -> ColumnIndex {
+        ColumnIndex {
+            map: HashMap::new(),
+            base: Some(base),
+        }
+    }
+
     /// The keys whose indexed column equals `value`, in ascending key order.
     pub fn keys_for(&self, value: &Value) -> &[Key] {
-        self.map.get(value).map(Vec::as_slice).unwrap_or(&[])
+        match (self.map.get(value), &self.base) {
+            (Some(keys), _) => keys,
+            (None, Some(base)) => base.keys_for(value),
+            (None, None) => &[],
+        }
+    }
+
+    /// Visit every indexed value with its (non-empty) key list, overlay
+    /// entries shadowing the base's.
+    fn for_each_entry(&self, f: &mut dyn FnMut(&Value, &[Key])) {
+        for (value, keys) in &self.map {
+            if !keys.is_empty() {
+                f(value, keys);
+            }
+        }
+        if let Some(base) = &self.base {
+            base.for_each_entry(&mut |value, keys| {
+                if !self.map.contains_key(value) {
+                    f(value, keys);
+                }
+            });
+        }
+    }
+
+    /// The key list of `value` in an overlay's own map, copied up from the
+    /// base on first touch.
+    fn copied_up(&mut self, value: &Value) -> &mut Vec<Key> {
+        if !self.map.contains_key(value) {
+            let base = self.base.as_ref().expect("overlay");
+            self.map
+                .insert(value.clone(), base.keys_for(value).to_vec());
+        }
+        self.map.get_mut(value).expect("inserted above")
     }
 
     /// The keys whose indexed column satisfies `column <op> probe`, in
@@ -328,12 +377,12 @@ impl ColumnIndex {
         if matches!(op, crate::expr::CmpOp::Eq) {
             return self.keys_for(probe).to_vec();
         }
-        let mut out: Vec<Key> = self
-            .map
-            .iter()
-            .filter(|(v, _)| op.apply(v, probe))
-            .flat_map(|(_, keys)| keys.iter().copied())
-            .collect();
+        let mut out: Vec<Key> = Vec::new();
+        self.for_each_entry(&mut |v, keys| {
+            if op.apply(v, probe) {
+                out.extend_from_slice(keys);
+            }
+        });
         out.sort_unstable();
         out
     }
@@ -345,11 +394,13 @@ impl ColumnIndex {
         if matches!(op, crate::expr::CmpOp::Eq) {
             return self.keys_for(probe).len();
         }
-        self.map
-            .iter()
-            .filter(|(v, _)| op.apply(v, probe))
-            .map(|(_, keys)| keys.len())
-            .sum()
+        let mut count = 0;
+        self.for_each_entry(&mut |v, keys| {
+            if op.apply(v, probe) {
+                count += keys.len();
+            }
+        });
+        count
     }
 
     /// The `(key, row)` pairs of `rel` whose indexed column equals `value`,
@@ -365,14 +416,23 @@ impl ColumnIndex {
 
     /// Number of distinct values indexed.
     pub fn distinct_values(&self) -> usize {
-        self.map.len()
+        if self.base.is_none() {
+            return self.map.len();
+        }
+        let mut count = 0;
+        self.for_each_entry(&mut |_, _| count += 1);
+        count
     }
 
     /// Record that `key`'s indexed column now holds `value`, keeping the
     /// per-value key list in ascending order (the order an index probe must
     /// enumerate to match a scan). Idempotent for an already-recorded pair.
     pub fn insert_key(&mut self, value: Value, key: Key) {
-        let keys = self.map.entry(value).or_default();
+        let keys = if self.base.is_some() {
+            self.copied_up(&value)
+        } else {
+            self.map.entry(value).or_default()
+        };
         if let Err(pos) = keys.binary_search(&key) {
             keys.insert(pos, key);
         }
@@ -380,6 +440,13 @@ impl ColumnIndex {
 
     /// Remove the `(value, key)` pair; a no-op if it was not indexed.
     pub fn remove_key(&mut self, value: &Value, key: Key) {
+        if self.base.is_some() {
+            // An overlay keeps an emptied list: it shadows the base's.
+            if let Ok(pos) = self.keys_for(value).binary_search(&key) {
+                self.copied_up(value).remove(pos);
+            }
+            return;
+        }
         if let Some(keys) = self.map.get_mut(value) {
             if let Ok(pos) = keys.binary_search(&key) {
                 keys.remove(pos);
@@ -727,6 +794,42 @@ mod tests {
             rebuilt.keys_for(&Value::text("x"))
         );
         assert_eq!(idx.distinct_values(), rebuilt.distinct_values());
+    }
+
+    #[test]
+    fn overlay_index_matches_rebuild_and_leaves_base_alone() {
+        let mut r = Relation::with_columns("T", ["a"]);
+        for (k, v) in [(1, "x"), (2, "y"), (3, "x"), (4, "z")] {
+            r.insert(Key(k), vec![v.into()]).unwrap();
+        }
+        let base = Arc::new(r.build_column_index(0));
+        let mut over = ColumnIndex::overlay(Arc::clone(&base));
+        assert_eq!(over.keys_for(&Value::text("x")), &[Key(1), Key(3)]);
+        // Update 3: x -> y; delete 4 (empties `z`); insert 5 with a new value.
+        let row = |v: &str| vec![Value::text(v)];
+        over.apply_row_change(0, Key(3), Some(&row("x")), Some(&row("y")));
+        over.apply_row_change(0, Key(4), Some(&row("z")), None);
+        over.apply_row_change(0, Key(5), None, Some(&row("w")));
+        // Tolerant: removing a pair that is not indexed copies nothing up.
+        over.remove_key(&Value::text("q"), Key(9));
+        r.update(Key(3), row("y")).unwrap();
+        r.delete(Key(4)).unwrap();
+        r.insert(Key(5), row("w")).unwrap();
+        let rebuilt = r.build_column_index(0);
+        for v in ["x", "y", "z", "w", "q"] {
+            let v = Value::text(v);
+            assert_eq!(over.keys_for(&v), rebuilt.keys_for(&v), "{v}");
+        }
+        assert_eq!(over.distinct_values(), rebuilt.distinct_values());
+        let ge_x = |idx: &ColumnIndex| idx.keys_where(crate::expr::CmpOp::Ge, &Value::text("x"));
+        assert_eq!(ge_x(&over), ge_x(&rebuilt));
+        assert_eq!(
+            over.count_where(crate::expr::CmpOp::Lt, &Value::text("y")),
+            rebuilt.count_where(crate::expr::CmpOp::Lt, &Value::text("y"))
+        );
+        // The shared base still describes the old snapshot.
+        assert_eq!(base.keys_for(&Value::text("x")), &[Key(1), Key(3)]);
+        assert_eq!(base.keys_for(&Value::text("z")), &[Key(4)]);
     }
 
     #[test]
