@@ -1,5 +1,6 @@
 //! Error type for the schema version catalog.
 
+use crate::genealogy::SmoId;
 use inverda_bidel::BidelError;
 use std::fmt;
 
@@ -42,6 +43,15 @@ pub enum CatalogError {
         /// Why it cannot be dropped.
         reason: String,
     },
+    /// The schema version holds the materialized data: SMOs of its own
+    /// evolution are materialized, so dropping it would delete the data
+    /// every other version reads.
+    VersionHoldsData {
+        /// The version.
+        version: String,
+        /// A materialized SMO of its evolution.
+        smo: SmoId,
+    },
     /// Error from SMO semantics derivation.
     Bidel(BidelError),
 }
@@ -69,6 +79,13 @@ impl fmt::Display for CatalogError {
             }
             CatalogError::VersionInUse { version, reason } => {
                 write!(f, "cannot drop schema version '{version}': {reason}")
+            }
+            CatalogError::VersionHoldsData { version, smo } => {
+                write!(
+                    f,
+                    "cannot drop schema version '{version}': it holds the materialized data \
+                     ({smo} is materialized); MATERIALIZE another version first"
+                )
             }
             CatalogError::Bidel(e) => write!(f, "{e}"),
         }

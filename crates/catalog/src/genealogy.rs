@@ -1,6 +1,7 @@
 //! The genealogy hypergraph: table versions, SMO instances, schema versions.
 
 use crate::error::CatalogError;
+use crate::materialization::MaterializationSchema;
 use crate::Result;
 use inverda_bidel::semantics::ObserveHint;
 use inverda_bidel::{derive_smo, DerivedSmo, SharedAux, Smo, TableRef};
@@ -104,6 +105,31 @@ pub struct EvolutionOutcome {
     pub new_tables: Vec<TableVersionId>,
 }
 
+/// What dropping one schema version retired from the genealogy, by value:
+/// the engine drops their physical data and aux tables and forgets exactly
+/// these in its caches. Newest first, the order they were retired in.
+#[derive(Debug, Default)]
+pub struct Retired {
+    /// Table versions no remaining schema version can reach.
+    pub tables: Vec<TableVersion>,
+    /// SMO instances all of whose targets are retired.
+    pub smos: Vec<SmoInstance>,
+}
+
+impl Retired {
+    /// Names of every relation the retired set owned: the table versions'
+    /// `tv<N>` and the SMOs' aux tables on either side — whichever of them
+    /// are physical tables, and whatever was cached under them.
+    pub fn relations(&self) -> impl Iterator<Item = &str> {
+        let tables = self.tables.iter().map(|tv| tv.rel.as_str());
+        let aux = self
+            .smos
+            .iter()
+            .flat_map(|smo| smo.derived.all_aux().map(|aux| aux.rel.as_str()));
+        tables.chain(aux)
+    }
+}
+
 impl Genealogy {
     /// Empty genealogy.
     pub fn new() -> Self {
@@ -179,7 +205,43 @@ impl Genealogy {
     /// new version's table set is computed. Complexity is `O(N + M)` in the
     /// number of SMOs `N` and untouched table versions `M` — delta code is
     /// local to each SMO (Section 8.1).
+    ///
+    /// All-or-nothing: when an SMO of the evolution fails, the SMOs and
+    /// table versions registered before it are unregistered again and the
+    /// id counters rewound, so a failed statement leaves the genealogy
+    /// exactly as it found it and the next one mints the ids it would have.
     pub fn create_schema_version(
+        &mut self,
+        name: &str,
+        from: Option<&str>,
+        smos: &[Smo],
+    ) -> Result<EvolutionOutcome> {
+        let (tv_mark, smo_mark) = (self.next_tv, self.next_smo);
+        let outcome = self.register_evolution(name, from, smos);
+        if outcome.is_err() {
+            // Everything at or past the marks is this evolution's.
+            for inst in self.smos.split_off(&SmoId(smo_mark)).into_values() {
+                self.unlink(&inst);
+            }
+            self.table_versions.split_off(&TableVersionId(tv_mark));
+            (self.next_tv, self.next_smo) = (tv_mark, smo_mark);
+        }
+        outcome
+    }
+
+    /// Remove `inst` from the outgoing edges of its sources.
+    fn unlink(&mut self, inst: &SmoInstance) {
+        for src in &inst.sources {
+            if let Some(edges) = self.out_edges.get_mut(src) {
+                edges.retain(|id| *id != inst.id);
+                if edges.is_empty() {
+                    self.out_edges.remove(src);
+                }
+            }
+        }
+    }
+
+    fn register_evolution(
         &mut self,
         name: &str,
         from: Option<&str>,
@@ -421,19 +483,31 @@ impl Genealogy {
         })
     }
 
-    /// Drop a schema version from the catalog. The version's SMOs and table
-    /// versions are kept while they still connect or serve the remaining
-    /// versions ("the respective SMOs are only removed in case they are no
-    /// longer part of an evolution that connects two remaining schema
-    /// versions"). Returns the table versions whose data tables are no
-    /// longer referenced by any remaining version and have no outgoing SMOs
-    /// — candidates for physical cleanup by the engine.
-    pub fn drop_schema_version(&mut self, name: &str) -> Result<Vec<TableVersionId>> {
-        if !self.versions.contains_key(name) {
-            return Err(CatalogError::UnknownVersion {
-                version: name.to_string(),
-            });
-        }
+    /// Drop a schema version from the catalog and retire what it orphans:
+    /// "the respective SMOs are only removed in case they are no longer part
+    /// of an evolution that connects two remaining schema versions".
+    ///
+    /// Only a version nothing was evolved from can be dropped, so the table
+    /// versions it alone can reach are the targets of its own evolution
+    /// (everything else it exposes is inherited from — and still exposed by
+    /// — its parent), and only SMOs of that evolution can leave them. The
+    /// collection therefore reaches its fixpoint in one pass over the
+    /// evolution, newest SMO first: a table version no remaining version
+    /// references and with no outgoing SMO goes; an SMO all of whose targets
+    /// are gone goes, with its outgoing-edge entries, which frees the hop
+    /// before it (a leaf built by `SPLIT; DROP COLUMN` retires both). The
+    /// id counters are **not** rewound: `tv<N>` / `smo<N>` names are never
+    /// reused, and replaying the same DDL history mints the same ids.
+    ///
+    /// A version whose evolution is materialized under `m` holds the data:
+    /// retiring those SMOs would delete it, so the drop is refused with
+    /// [`CatalogError::VersionHoldsData`] and nothing changes.
+    pub fn drop_schema_version(
+        &mut self,
+        name: &str,
+        m: &MaterializationSchema,
+    ) -> Result<Retired> {
+        let version = self.version(name)?;
         // A version that other versions were evolved from must stay while
         // they exist (its SMOs connect them).
         let dependents: Vec<&str> = self
@@ -451,21 +525,35 @@ impl Genealogy {
                 ),
             });
         }
-        self.versions.remove(name);
-        // Conservative GC: table versions in no remaining version and with
-        // no outgoing SMOs (leaves of the genealogy) are unreachable.
-        let referenced: std::collections::BTreeSet<TableVersionId> = self
-            .versions
-            .values()
-            .flat_map(|v| v.tables.values().copied())
-            .collect();
-        let orphans: Vec<TableVersionId> = self
-            .table_versions
-            .keys()
-            .copied()
-            .filter(|id| !referenced.contains(id) && self.outgoing(*id).is_empty())
-            .collect();
-        Ok(orphans)
+        if let Some(smo) = version
+            .evolution
+            .iter()
+            .find(|smo| self.smo(**smo).moves_data() && m.is_materialized(self, **smo))
+        {
+            return Err(CatalogError::VersionHoldsData {
+                version: name.to_string(),
+                smo: *smo,
+            });
+        }
+        let version = self.versions.remove(name).expect("looked up above");
+        let mut retired = Retired::default();
+        for smo_id in version.evolution.iter().rev() {
+            let targets = self.smos[smo_id].targets.clone();
+            for tv in &targets {
+                if self.outgoing(*tv).is_empty() {
+                    retired.tables.extend(self.table_versions.remove(tv));
+                }
+            }
+            if targets
+                .iter()
+                .all(|tv| !self.table_versions.contains_key(tv))
+            {
+                let inst = self.smos.remove(smo_id).expect("listed in the evolution");
+                self.unlink(&inst);
+                retired.smos.push(inst);
+            }
+        }
+        Ok(retired)
     }
 
     /// All SMO instance ids, ascending.
@@ -593,19 +681,191 @@ mod tests {
             .is_err());
     }
 
+    /// Apply every `CREATE SCHEMA VERSION` of `script`.
+    fn evolve(g: &mut Genealogy, script: &str) -> Result<()> {
+        for stmt in parse_script(script).unwrap().statements {
+            let Statement::CreateSchemaVersion { name, from, smos } = stmt else {
+                panic!("unexpected statement {stmt:?}")
+            };
+            g.create_schema_version(&name, from.as_deref(), &smos)?;
+        }
+        Ok(())
+    }
+
+    fn virtualized() -> MaterializationSchema {
+        MaterializationSchema::initial()
+    }
+
+    /// `(table versions, SMOs, table versions with outgoing edges)`.
+    fn sizes(g: &Genealogy) -> (usize, usize, usize) {
+        (
+            g.table_version_count(),
+            g.smo_ids().len(),
+            g.out_edges.len(),
+        )
+    }
+
     #[test]
     fn drop_version_respects_dependencies() {
         let mut g = tasky_genealogy();
         // TasKy has children Do! and TasKy2 -> cannot drop.
         assert!(matches!(
-            g.drop_schema_version("TasKy"),
+            g.drop_schema_version("TasKy", &virtualized()),
             Err(CatalogError::VersionInUse { .. })
         ));
-        // Do! is a leaf -> droppable; its Todo table version is orphaned.
+        // Do! is a leaf -> droppable; its Todo table version is retired.
         let todo = g.resolve("Do!", "Todo").unwrap();
-        let orphans = g.drop_schema_version("Do!").unwrap();
-        assert!(orphans.contains(&todo));
+        let retired = g.drop_schema_version("Do!", &virtualized()).unwrap();
+        assert!(retired.tables.iter().any(|tv| tv.id == todo));
         assert!(!g.has_version("Do!"));
-        assert!(g.drop_schema_version("Do!").is_err());
+        assert!(g.drop_schema_version("Do!", &virtualized()).is_err());
+    }
+
+    #[test]
+    fn drop_retires_both_hops_of_a_two_hop_leaf() {
+        let mut g = tasky_genealogy();
+        let task0 = g.resolve("TasKy", "Task").unwrap();
+        let before = sizes(&g);
+        let retired = g.drop_schema_version("Do!", &virtualized()).unwrap();
+        // SPLIT and DROP COLUMN, with the table version between them and
+        // the leaf's own: the DROP COLUMN goes first and frees the SPLIT.
+        let kinds: Vec<&str> = retired.smos.iter().map(|s| s.derived.kind).collect();
+        assert_eq!(kinds, ["DROP COLUMN", "SPLIT"]);
+        assert_eq!(retired.tables.len(), 2);
+        assert_eq!(
+            sizes(&g),
+            (before.0 - 2, before.1 - 2, before.2 - 1),
+            "only the split's target had an outgoing edge of its own"
+        );
+        // The parent's other child keeps its edge; nothing dangles.
+        let outgoing: Vec<&str> = g
+            .outgoing(task0)
+            .iter()
+            .map(|id| g.smo(*id).derived.kind)
+            .collect();
+        assert_eq!(outgoing, ["DECOMPOSE"]);
+        for smo in g.smos() {
+            for tv in smo.sources.iter().chain(&smo.targets) {
+                g.table_version(*tv);
+            }
+        }
+        // Relation names of the retired set: two table versions plus the
+        // aux tables of both SMOs.
+        let names: Vec<&str> = retired.relations().collect();
+        assert!(
+            names.len() > 2
+                && names
+                    .iter()
+                    .all(|n| n.starts_with("tv") || n.contains("_aux_"))
+        );
+    }
+
+    #[test]
+    fn drop_keeps_a_table_the_leaf_shares_with_its_parent() {
+        let mut g = tasky_genealogy();
+        evolve(
+            &mut g,
+            "CREATE SCHEMA VERSION TasKy3 FROM TasKy2 WITH ADD COLUMN done AS 0 INTO Task;",
+        )
+        .unwrap();
+        let author = g.resolve("TasKy3", "Author").unwrap();
+        let task3 = g.resolve("TasKy3", "Task").unwrap();
+        let before = sizes(&g);
+        let retired = g.drop_schema_version("TasKy3", &virtualized()).unwrap();
+        assert_eq!(retired.tables.len(), 1);
+        assert_eq!(retired.tables[0].id, task3);
+        assert_eq!(retired.smos.len(), 1);
+        assert_eq!(sizes(&g), (before.0 - 1, before.1 - 1, before.2 - 1));
+        assert_eq!(g.resolve("TasKy2", "Author").unwrap(), author);
+        assert!(g.outgoing(g.resolve("TasKy2", "Task").unwrap()).is_empty());
+    }
+
+    #[test]
+    fn drop_retires_a_drop_table_smo_and_a_root_version() {
+        let mut g = tasky_genealogy();
+        let before = sizes(&g);
+        // DROP TABLE has no target: it goes with the version that
+        // introduced it, and never while that version exists.
+        evolve(
+            &mut g,
+            "CREATE SCHEMA VERSION Slim FROM TasKy2 WITH DROP TABLE Author; \
+             CREATE SCHEMA VERSION Solo WITH CREATE TABLE Z(a);",
+        )
+        .unwrap();
+        let author = g.resolve("TasKy2", "Author").unwrap();
+        assert_eq!(g.outgoing(author).len(), 1);
+        let retired = g.drop_schema_version("Slim", &virtualized()).unwrap();
+        assert!(retired.tables.is_empty());
+        assert_eq!(retired.smos[0].derived.kind, "DROP TABLE");
+        assert!(g.outgoing(author).is_empty());
+        // A root nobody evolved from retires its CREATE TABLE and table.
+        let retired = g.drop_schema_version("Solo", &virtualized()).unwrap();
+        assert_eq!((retired.tables.len(), retired.smos.len()), (1, 1));
+        assert_eq!(sizes(&g), before);
+    }
+
+    #[test]
+    fn drop_refuses_the_version_that_holds_the_data() {
+        let mut g = tasky_genealogy();
+        let todo = g.resolve("Do!", "Todo").unwrap();
+        let at_do = MaterializationSchema::for_table_versions(&g, &[todo]).unwrap();
+        let before = sizes(&g);
+        assert!(matches!(
+            g.drop_schema_version("Do!", &at_do),
+            Err(CatalogError::VersionHoldsData { .. })
+        ));
+        assert!(g.has_version("Do!"));
+        assert_eq!(sizes(&g), before);
+        // The other leaf holds nothing and goes.
+        g.drop_schema_version("TasKy2", &at_do).unwrap();
+    }
+
+    #[test]
+    fn ids_are_never_reused_after_a_drop() {
+        let mut g = tasky_genealogy();
+        let (next_tv, next_smo) = (g.next_tv, g.next_smo);
+        g.drop_schema_version("Do!", &virtualized()).unwrap();
+        assert_eq!((g.next_tv, g.next_smo), (next_tv, next_smo));
+        evolve(
+            &mut g,
+            "CREATE SCHEMA VERSION Do2 FROM TasKy WITH ADD COLUMN x AS 0 INTO Task;",
+        )
+        .unwrap();
+        let tv = g.resolve("Do2", "Task").unwrap();
+        assert_eq!(tv, TableVersionId(next_tv));
+        assert_eq!(g.incoming(tv), SmoId(next_smo));
+    }
+
+    #[test]
+    fn a_failed_create_leaves_no_trace() {
+        let mut g = tasky_genealogy();
+        let mut twin = tasky_genealogy();
+        let before = (sizes(&g), g.next_tv, g.next_smo);
+        // The first two SMOs register (one of them chained on the other's
+        // target), the third fails.
+        let failed = evolve(
+            &mut g,
+            "CREATE SCHEMA VERSION Bad FROM TasKy WITH \
+               ADD COLUMN extra AS 0 INTO Task; \
+               RENAME COLUMN extra IN Task TO more; \
+               DROP TABLE NoSuch;",
+        );
+        assert!(failed.is_err());
+        assert!(!g.has_version("Bad"));
+        assert_eq!((sizes(&g), g.next_tv, g.next_smo), before);
+        let task0 = g.resolve("TasKy", "Task").unwrap();
+        assert_eq!(g.outgoing(task0).len(), 2);
+        // The next CREATE mints the ids it would have minted anyway.
+        let next = "CREATE SCHEMA VERSION Good FROM TasKy WITH ADD COLUMN extra AS 0 INTO Task;";
+        evolve(&mut g, next).unwrap();
+        evolve(&mut twin, next).unwrap();
+        assert_eq!(g.resolve("Good", "Task"), twin.resolve("Good", "Task"));
+        assert_eq!(g.smo_ids(), twin.smo_ids());
+        let rels = |g: &Genealogy| -> Vec<String> {
+            g.smos()
+                .flat_map(|s| s.derived.all_aux().map(|a| a.rel.clone()))
+                .collect()
+        };
+        assert_eq!(rels(&g), rels(&twin));
     }
 }

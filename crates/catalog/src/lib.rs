@@ -23,7 +23,10 @@ pub mod genealogy;
 pub mod materialization;
 
 pub use error::CatalogError;
-pub use genealogy::{Genealogy, SchemaVersion, SmoId, SmoInstance, TableVersion, TableVersionId};
+pub use genealogy::{
+    EvolutionOutcome, Genealogy, Retired, SchemaVersion, SmoId, SmoInstance, TableVersion,
+    TableVersionId,
+};
 pub use materialization::{MaterializationSchema, StorageCase};
 
 /// Crate-wide result alias.

@@ -5,40 +5,51 @@
 //! precomputation, see `inverda-datalog::eval`) is cheap but happens on the
 //! hot path of every statement: one read on a three-hop virtual version
 //! resolves up to three mappings. This store compiles each `(SMO,
-//! direction)` pair once and hands out shared references; the [`Inverda`]
-//! facade clears it whenever the genealogy changes (schema version created
-//! or dropped), which is the only event that can add or retire rule sets.
+//! direction)` pair once and hands out shared references. SMO ids are never
+//! reused, so creating a schema version only ever *adds* keys and every
+//! cached compilation stays valid; dropping one retires SMOs, and the
+//! [`Inverda`] facade has the store [`forget`](CompiledStore::forget)
+//! exactly those.
 //!
 //! The store also caches **fused γ-chains** ([`FusedChain`]): rule sets
 //! composing a whole run of adjacent mappings, built by `VersionedEdb` via
 //! `inverda_datalog::fusion`. A chain is keyed by its *source* table
 //! version; the *target* version it resolves toward is recorded in the
 //! entry — equivalent to `(source, target)` keying, because the target is a
-//! function of the source, the genealogy, and the materialization schema,
-//! and the cache is cleared whenever either changes (genealogy changes
-//! clear everything; `MATERIALIZE` clears the fused chains, whose hop
-//! structure depends on where the data lives, while the per-SMO
-//! compilations stay valid). A chain additionally records the aux tables
-//! it assumed empty at build time; users revalidate that assumption
-//! against live storage on every hit.
+//! function of the source, the materialization schema, and the part of the
+//! genealogy between the source and the data. A new schema version starts
+//! virtualized, so it changes none of the three for an existing source and
+//! the chains are kept; a dropped one forgets the chains of the table
+//! versions it retires (no surviving chain runs through them: they were
+//! leaves); `MATERIALIZE` clears every chain, whose hop structure depends on
+//! where the data lives, while the per-SMO compilations stay valid. A chain
+//! additionally records the aux tables it assumed empty at build time;
+//! users revalidate that assumption against live storage on every hit.
 //!
 //! Beside the rule sets the store keeps the [`CatalogIndex`]: the name-keyed
 //! lookups over the genealogy that every statement needs, which used to be
 //! rebuilt — every relation name and column list cloned — per statement
-//! view, per drain and per maintenance pass.
+//! view, per drain and per maintenance pass. It follows the genealogy in
+//! place: [`CompiledStore::extend_catalog`] on CREATE,
+//! [`CompiledStore::forget`] on DROP.
 //!
 //! [`Inverda`]: crate::Inverda
 
-use inverda_catalog::{Genealogy, SmoId, TableVersionId};
+use inverda_catalog::{
+    EvolutionOutcome, Genealogy, Retired, SmoId, SmoInstance, TableVersion, TableVersionId,
+};
 use inverda_datalog::{CompiledRuleSet, RuleSet};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Name-keyed lookups over the genealogy — a function of the genealogy
-/// alone, so one instance serves every statement until the next genealogy
-/// change ([`CompiledStore::catalog_index`]).
-#[derive(Debug, Default)]
+/// alone, so one instance serves every statement
+/// ([`CompiledStore::catalog_index`]) and is kept equal to
+/// `CatalogIndex::build(genealogy)` across DDL by adding and removing the
+/// entries of exactly the table versions and SMOs the statement added or
+/// retired (their names are never reused).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CatalogIndex {
     /// rel name → table version (for virtual resolution).
     pub(crate) rel_index: BTreeMap<String, TableVersionId>,
@@ -59,35 +70,77 @@ impl CatalogIndex {
     fn build(genealogy: &Genealogy) -> CatalogIndex {
         let mut index = CatalogIndex::default();
         for tv in genealogy.table_versions() {
-            index.rel_index.insert(tv.rel.clone(), tv.id);
-            index
-                .head_columns
-                .insert(tv.rel.clone(), tv.columns.clone());
+            index.add_table(tv);
         }
         for smo in genealogy.smos() {
-            for aux in &smo.derived.src_aux {
-                index.aux_index.insert(aux.rel.clone(), (smo.id, false));
-            }
-            for aux in &smo.derived.tgt_aux {
-                index.aux_index.insert(aux.rel.clone(), (smo.id, true));
-            }
-            for aux in smo.derived.all_aux() {
-                index
-                    .head_columns
-                    .insert(aux.rel.clone(), aux.columns.clone());
-            }
-            for shared in &smo.derived.shared_aux {
-                index
-                    .head_columns
-                    .insert(shared.new_name.clone(), shared.table.columns.clone());
-            }
-            for hint in &smo.derived.observe_hints {
-                index
-                    .hint_generators
-                    .insert(hint.relation.clone(), hint.generator.clone());
-            }
+            index.add_smo(smo);
         }
         index
+    }
+
+    fn add_table(&mut self, tv: &TableVersion) {
+        self.rel_index.insert(tv.rel.clone(), tv.id);
+        self.head_columns.insert(tv.rel.clone(), tv.columns.clone());
+    }
+
+    fn add_smo(&mut self, smo: &SmoInstance) {
+        for aux in &smo.derived.src_aux {
+            self.aux_index.insert(aux.rel.clone(), (smo.id, false));
+        }
+        for aux in &smo.derived.tgt_aux {
+            self.aux_index.insert(aux.rel.clone(), (smo.id, true));
+        }
+        for aux in smo.derived.all_aux() {
+            self.head_columns
+                .insert(aux.rel.clone(), aux.columns.clone());
+        }
+        for shared in &smo.derived.shared_aux {
+            self.head_columns
+                .insert(shared.new_name.clone(), shared.table.columns.clone());
+        }
+        for hint in &smo.derived.observe_hints {
+            self.hint_generators
+                .insert(hint.relation.clone(), hint.generator.clone());
+        }
+    }
+
+    /// Remove what [`add_table`](CatalogIndex::add_table) and
+    /// [`add_smo`](CatalogIndex::add_smo) entered for the retired table
+    /// versions and SMOs of `genealogy` (already without them). Every key
+    /// is a `tv<N>` / `smo<N>_…` name owned by one of them — except an
+    /// observe hint on the SMO's *source* relation, which survives and may
+    /// be hinted by its other adjacent SMOs too: there the newest remaining
+    /// hint takes over, as in [`build`](CatalogIndex::build).
+    fn remove(&mut self, retired: &Retired, genealogy: &Genealogy) {
+        for tv in &retired.tables {
+            self.rel_index.remove(&tv.rel);
+            self.head_columns.remove(&tv.rel);
+        }
+        for smo in &retired.smos {
+            for aux in smo.derived.all_aux() {
+                self.aux_index.remove(&aux.rel);
+                self.head_columns.remove(&aux.rel);
+            }
+            for shared in &smo.derived.shared_aux {
+                self.head_columns.remove(&shared.new_name);
+            }
+            for hint in &smo.derived.observe_hints {
+                self.hint_generators.remove(&hint.relation);
+                let Some(tv) = self.rel_index.get(&hint.relation) else {
+                    continue;
+                };
+                // Ascending ids: a table version's creator precedes its
+                // consumers, which are listed in registration order.
+                let adjacent = std::iter::once(genealogy.incoming(*tv))
+                    .chain(genealogy.outgoing(*tv).iter().copied());
+                for other in adjacent.flat_map(|id| &genealogy.smo(id).derived.observe_hints) {
+                    if other.relation == hint.relation {
+                        self.hint_generators
+                            .insert(other.relation.clone(), other.generator.clone());
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -159,11 +212,56 @@ impl CompiledStore {
     }
 
     /// The [`CatalogIndex`] of `genealogy`, built on first use. `genealogy`
-    /// must be the one this store serves — like the compilations, the index
-    /// is only dropped by [`clear`](CompiledStore::clear).
+    /// must be the one this store serves: afterwards the index follows it
+    /// through [`extend_catalog`](CompiledStore::extend_catalog) and
+    /// [`forget`](CompiledStore::forget).
     pub fn catalog_index(&self, genealogy: &Genealogy) -> Arc<CatalogIndex> {
         let mut slot = self.catalog.lock();
         Arc::clone(slot.get_or_insert_with(|| Arc::new(CatalogIndex::build(genealogy))))
+    }
+
+    /// Enter the table versions and SMOs one `CREATE SCHEMA VERSION` added
+    /// to `genealogy` into the cached index, in place (copy-on-write: a
+    /// branch fork or a statement in flight may still share the `Arc`). A
+    /// store that has not built its index yet has nothing to extend.
+    pub fn extend_catalog(&self, genealogy: &Genealogy, outcome: &EvolutionOutcome) {
+        let mut slot = self.catalog.lock();
+        let Some(index) = slot.as_mut().map(Arc::make_mut) else {
+            return;
+        };
+        for tv in &outcome.new_tables {
+            index.add_table(genealogy.table_version(*tv));
+        }
+        for smo in &outcome.new_smos {
+            index.add_smo(genealogy.smo(*smo));
+        }
+        debug_assert_eq!(*index, CatalogIndex::build(genealogy));
+    }
+
+    /// Forget what one `DROP SCHEMA VERSION` retired from `genealogy`: the
+    /// compiled rule sets of its SMOs, the fused chains resolving its table
+    /// versions, and their catalog-index entries. Everything else stays —
+    /// no surviving chain or rule set mentions a retired relation (a
+    /// retired table version had no outgoing SMO left, and no remaining
+    /// version resolves through a virtualized SMO toward its targets).
+    pub fn forget(&self, retired: &Retired, genealogy: &Genealogy) {
+        {
+            let mut map = self.map.lock();
+            for smo in &retired.smos {
+                map.remove(&(smo.id, Direction::ToTgt));
+                map.remove(&(smo.id, Direction::ToSrc));
+            }
+        }
+        {
+            let mut fused = self.fused.lock();
+            for tv in &retired.tables {
+                fused.remove(&tv.id);
+            }
+        }
+        if let Some(index) = self.catalog.lock().as_mut().map(Arc::make_mut) {
+            index.remove(retired, genealogy);
+            debug_assert_eq!(*index, CatalogIndex::build(genealogy));
+        }
     }
 
     /// The cached fused chain resolving `source`, if any. The caller must
@@ -222,7 +320,7 @@ impl CompiledStore {
     }
 
     /// Drop every cached compilation, every fused chain and the catalog
-    /// index (called on genealogy changes).
+    /// index (recovery installs a whole new catalog state).
     pub fn clear(&self) {
         self.map.lock().clear();
         self.fused.lock().clear();
@@ -237,5 +335,124 @@ impl CompiledStore {
     /// True iff nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inverda_bidel::{parse_script, Statement};
+    use inverda_catalog::MaterializationSchema;
+
+    /// Run a DDL script against `genealogy`, keeping `store` in step the way
+    /// the engine does, and check the index against a fresh build after
+    /// every statement (the store's own debug assertion does so too).
+    fn run(genealogy: &mut Genealogy, store: &CompiledStore, script: &str) {
+        let m = MaterializationSchema::initial();
+        for stmt in parse_script(script).unwrap().statements {
+            match stmt {
+                Statement::CreateSchemaVersion { name, from, smos } => {
+                    let outcome = genealogy
+                        .create_schema_version(&name, from.as_deref(), &smos)
+                        .unwrap();
+                    store.extend_catalog(genealogy, &outcome);
+                }
+                Statement::DropSchemaVersion { name } => {
+                    let retired = genealogy.drop_schema_version(&name, &m).unwrap();
+                    store.forget(&retired, genealogy);
+                }
+                other => panic!("unexpected statement {other:?}"),
+            }
+            assert_eq!(
+                *store.catalog_index(genealogy),
+                CatalogIndex::build(genealogy)
+            );
+        }
+    }
+
+    #[test]
+    fn the_index_follows_creates_and_drops_in_place() {
+        let mut g = Genealogy::new();
+        let store = CompiledStore::new();
+        run(
+            &mut g,
+            &store,
+            "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio);",
+        );
+        let first = store.catalog_index(&g);
+        run(
+            &mut g,
+            &store,
+            "CREATE SCHEMA VERSION Do! FROM TasKy WITH \
+               SPLIT TABLE Task INTO Todo WITH prio = 1; \
+               DROP COLUMN prio FROM Todo DEFAULT 1; \
+             CREATE SCHEMA VERSION TasKy2 FROM TasKy WITH \
+               DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author; \
+               RENAME COLUMN author IN Author TO name; \
+             DROP SCHEMA VERSION Do!; \
+             CREATE SCHEMA VERSION TasKy3 FROM TasKy2 WITH ADD COLUMN done AS 0 INTO Task; \
+             DROP SCHEMA VERSION TasKy3; \
+             DROP SCHEMA VERSION TasKy2;",
+        );
+        // Copy-on-write: whoever still held the old index kept it.
+        assert_eq!(first.rel_index.len(), 1);
+        assert_eq!(*store.catalog_index(&g), *first);
+    }
+
+    #[test]
+    fn a_hint_on_a_shared_source_falls_back_to_the_remaining_smo() {
+        // Both children hint their generator on the *parent's* table.
+        let mut g = Genealogy::new();
+        let store = CompiledStore::new();
+        let history = "CREATE SCHEMA VERSION P WITH CREATE TABLE R(a, b); \
+             CREATE SCHEMA VERSION A FROM P WITH DECOMPOSE TABLE R INTO S(a), T(b) ON a = b; \
+             CREATE SCHEMA VERSION B FROM P WITH DECOMPOSE TABLE R INTO S(a), T(b) ON a = b;";
+        run(&mut g, &store, history);
+        let parent = g.table_version(g.resolve("P", "R").unwrap()).rel.clone();
+        let hinted = |store: &CompiledStore, g: &Genealogy| {
+            store.catalog_index(g).hint_generators.get(&parent).cloned()
+        };
+        let by_b = hinted(&store, &g).expect("hinted");
+        run(&mut g, &store, "DROP SCHEMA VERSION B;");
+        let by_a = hinted(&store, &g).expect("the older hint takes over");
+        assert_ne!(by_a, by_b);
+        run(&mut g, &store, "DROP SCHEMA VERSION A;");
+        assert_eq!(hinted(&store, &g), None);
+    }
+
+    #[test]
+    fn forget_drops_exactly_the_retired_compilations_and_chains() {
+        let mut g = Genealogy::new();
+        let store = CompiledStore::new();
+        run(
+            &mut g,
+            &store,
+            "CREATE SCHEMA VERSION V0 WITH CREATE TABLE T(a); \
+             CREATE SCHEMA VERSION V1 FROM V0 WITH ADD COLUMN b AS a INTO T; \
+             CREATE SCHEMA VERSION V2 FROM V1 WITH ADD COLUMN c AS a INTO T;",
+        );
+        let chain = |tv: TableVersionId| FusedChain {
+            crs: Arc::new(CompiledRuleSet::compile(&RuleSet::new(vec![])).unwrap()),
+            source: tv,
+            target: tv,
+            hops: 1,
+            assumed_empty: BTreeSet::new(),
+        };
+        for version in ["V1", "V2"] {
+            let tv = g.resolve(version, "T").unwrap();
+            let smo = g.smo(g.incoming(tv));
+            store
+                .get_or_compile(smo.id, Direction::ToTgt, &smo.derived.to_tgt)
+                .unwrap();
+            store
+                .get_or_compile(smo.id, Direction::ToSrc, &smo.derived.to_src)
+                .unwrap();
+            store.fused_insert(chain(tv));
+        }
+        assert_eq!((store.len(), store.fused_stats().0), (4, 2));
+        let kept = g.resolve("V1", "T").unwrap();
+        run(&mut g, &store, "DROP SCHEMA VERSION V2;");
+        assert_eq!((store.len(), store.fused_stats().0), (2, 1));
+        assert!(store.fused_get(kept).is_some());
     }
 }

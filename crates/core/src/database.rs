@@ -86,8 +86,9 @@ pub struct Inverda {
     pub(crate) ids: SharedIds,
     /// Serializes logical writes and migrations.
     pub(crate) write_lock: Mutex<()>,
-    /// Compiled SMO rule sets, reused across statements and invalidated on
-    /// genealogy changes.
+    /// Compiled SMO rule sets, fused chains and the catalog index, reused
+    /// across statements; a DDL statement changes exactly the entries of
+    /// what it adds or retires.
     pub(crate) compiled: CompiledStore,
     /// Cross-statement resolved-relation snapshots, delta-maintained by the
     /// write path and invalidated by physical-table epochs.
@@ -408,6 +409,30 @@ impl Inverda {
         result
     }
 
+    /// Register the evolution and create its physical tables. **Nothing
+    /// cached is invalidated**, because nothing cached can have changed:
+    ///
+    /// * a new version only *adds* table versions, SMOs and aux tables,
+    ///   under names (`tv<N>`, `smo<N>_aux_…`) minted from counters that
+    ///   never hand out a name twice, so no cache key is reused — and a
+    ///   CREATE that fails part-way is rolled back inside the genealogy,
+    ///   counters included, before the engine has seen any of it;
+    /// * an existing table version's storage case is decided by its
+    ///   incoming SMO and by which of its outgoing SMOs is *materialized*
+    ///   (`MaterializationSchema::storage_of`); the new SMOs start
+    ///   virtualized (CREATE TABLE has no source, DROP TABLE never
+    ///   materializes), so every existing relation keeps its defining rule
+    ///   set — hence its compiled form, its fused chain and the static
+    ///   footprint computed over those rules — and no existing rule set
+    ///   mentions a new relation;
+    /// * the new physical tables get fresh storage epochs and are in no
+    ///   existing footprint, so every stamped snapshot stays exactly as
+    ///   valid as it was.
+    ///
+    /// The catalog index is the one cache keyed by the *whole* genealogy;
+    /// it is extended by the new entries instead of rebuilt. Writes pick
+    /// up the new SMOs' aux tables through the genealogy's outgoing edges,
+    /// which they walk live.
     fn create_schema_version_locked(
         &self,
         state: &mut State,
@@ -416,11 +441,7 @@ impl Inverda {
         smos: &[Smo],
     ) -> Result<()> {
         let outcome = state.genealogy.create_schema_version(name, from, smos)?;
-        // The genealogy changed: retire compiled rule sets of retired SMOs
-        // (ids are never reused, but keep the cache tight), and drop every
-        // resolved snapshot — defining rule sets and footprints may differ.
-        self.compiled.clear();
-        self.snapshots.clear();
+        self.compiled.extend_catalog(&state.genealogy, &outcome);
         // Physical side effects: data tables for CREATE TABLE targets,
         // auxiliary tables for the initially-virtualized new SMOs.
         for smo_id in &outcome.new_smos {
@@ -474,8 +495,12 @@ impl Inverda {
         }
     }
 
-    /// Drop a schema version. Data shared with other versions is kept;
-    /// physical tables reachable from no remaining version are deleted.
+    /// Drop a schema version. Data shared with other versions is kept; the
+    /// table versions and SMOs only the dropped version could reach are
+    /// retired, and their physical tables deleted. A version that holds the
+    /// materialized data is refused
+    /// ([`VersionHoldsData`](inverda_catalog::CatalogError::VersionHoldsData)):
+    /// `MATERIALIZE` another version first.
     pub fn drop_schema_version(&self, name: &str) -> Result<()> {
         let _guard = self.write_lock.lock();
         let mut state = self.state.write();
@@ -488,21 +513,25 @@ impl Inverda {
         result
     }
 
+    /// Retire what the version orphans, then forget exactly that. The
+    /// retired SMOs are virtualized (the genealogy refuses the drop
+    /// otherwise) and their targets are gone, so no remaining relation
+    /// resolves through them or reads their aux tables: every compiled
+    /// rule set, fused chain, footprint and snapshot that is not the
+    /// retired set's own is as valid as before.
     fn drop_schema_version_locked(&self, state: &mut State, name: &str) -> Result<()> {
-        let orphans = state.genealogy.drop_schema_version(name)?;
-        self.compiled.clear();
-        self.snapshots.clear();
-        for tv in orphans {
-            // Orphans may or may not be physical depending on M.
-            let rel = {
-                // The table version entry may already be gone if a previous
-                // drop removed it; resolve defensively.
-                state.genealogy.table_version(tv).rel.clone()
-            };
-            if self.storage.has_table(&rel) {
-                self.storage.drop_table(&rel)?;
+        let retired = state
+            .genealogy
+            .drop_schema_version(name, &state.materialization)?;
+        // A root version's own data tables, and the source-side and shared
+        // aux tables of the virtualized SMOs.
+        for rel in retired.relations() {
+            if self.storage.has_table(rel) {
+                self.storage.drop_table(rel)?;
             }
         }
+        self.compiled.forget(&retired, &state.genealogy);
+        self.snapshots.forget(&retired);
         Ok(())
     }
 
@@ -831,5 +860,63 @@ mod tests {
         assert!(db
             .execute("CREATE SCHEMA VERSION TasKy WITH CREATE TABLE X(a);")
             .is_err());
+    }
+
+    /// Creating, using and dropping a version leaves nothing behind: not in
+    /// the genealogy, not in storage, not in either store. (It used to
+    /// leave a table version, an SMO and its aux table per cycle, walked by
+    /// every later statement.)
+    #[test]
+    fn create_use_drop_cycles_leave_state_bounded() {
+        let db = tasky_db();
+        db.execute(
+            "CREATE SCHEMA VERSION Do! FROM TasKy WITH \
+             SPLIT TABLE Task INTO Todo WITH prio = 1; \
+             DROP COLUMN prio FROM Todo DEFAULT 1;",
+        )
+        .unwrap();
+        for i in 0..20i64 {
+            let row = vec![
+                Value::text("ann"),
+                Value::text(format!("t{i}")),
+                (i % 3).into(),
+            ];
+            db.insert("TasKy", "Task", row).unwrap();
+        }
+        let sizes = |db: &Inverda| {
+            let state = db.state.read();
+            (
+                state.genealogy.table_version_count(),
+                state.genealogy.smo_ids().len(),
+                db.physical_tables().len(),
+                db.compiled.len(),
+                db.compiled.fused_stats().0,
+                db.snapshots.len(),
+            )
+        };
+        let cycle = |db: &Inverda| {
+            db.execute(
+                "CREATE SCHEMA VERSION X FROM Do! WITH \
+                 ADD COLUMN note AS 0 INTO Todo; RENAME COLUMN note IN Todo TO memo;",
+            )
+            .unwrap();
+            let row = vec![Value::text("ben"), Value::text("x"), 7.into()];
+            let key = db.insert("X", "Todo", row).unwrap();
+            assert_eq!(
+                db.count("X", "Todo").unwrap(),
+                db.count("Do!", "Todo").unwrap()
+            );
+            assert!(db.get("TasKy", "Task", key).unwrap().is_some());
+            db.delete("X", "Todo", key).unwrap();
+            db.execute("DROP SCHEMA VERSION X;").unwrap();
+        };
+        // One cycle first: it compiles and resolves what stays for good.
+        cycle(&db);
+        let start = sizes(&db);
+        for _ in 0..100 {
+            cycle(&db);
+        }
+        assert_eq!(sizes(&db), start);
+        assert!(db.snapshot_store_audit().is_empty());
     }
 }

@@ -536,7 +536,8 @@ impl<'a> VersionedEdb<'a> {
     /// The fused γ-chain resolving `relation` (a virtual table version):
     /// served from the [`CompiledStore`] after revalidating its
     /// aux-emptiness assumptions, built and cached on a miss. `None` when
-    /// fusion is disabled or the defining hop cannot be fused — callers
+    /// fusion is disabled, the defining hop cannot be fused, or the hop
+    /// reads [resolved state](VersionedEdb::is_resolved_state) — callers
     /// then take the ordinary hop-by-hop path.
     fn fused_chain(&self, relation: &str, tv: TableVersionId) -> Option<Arc<FusedChain>> {
         if !fusion::enabled() {
@@ -558,11 +559,35 @@ impl<'a> VersionedEdb<'a> {
         self.build_fused_chain(relation, tv)
     }
 
+    /// Whether the virtual table version `rel` is **resolved state**:
+    /// already resolved for this statement, servable from a valid snapshot,
+    /// or owning a fused chain of its own. Fusion exists to skip *cold*
+    /// intermediates; composing a run through one of these would pay a
+    /// k-hop unfold and compile to avoid state that is already there (and,
+    /// for a snapshot, that the write path keeps patched).
+    fn is_resolved_state(&self, rel: &str, tv: TableVersionId) -> bool {
+        self.compiled.fused_get(tv).is_some()
+            || self.cache.lock().contains_key(rel)
+            || self
+                .snapshots
+                .is_some_and(|store| store.peek_valid(rel, self.storage).is_some())
+    }
+
     /// Compose the longest fusable run starting at `relation`'s defining
     /// hop into one rule set, compile it, and cache it. Body atoms over a
     /// non-fusable (barrier) or budget-exceeding hop are left in place —
     /// evaluation resolves them recursively, so a chain interrupted by a
     /// SPLIT simply fuses per segment.
+    ///
+    /// **A fused run ends where resolved state begins**: an intermediate
+    /// that [is resolved state](VersionedEdb::is_resolved_state) is a
+    /// barrier too, and when it is the relation the defining hop itself
+    /// reads there is nothing to fuse — `None`, and the hop is evaluated
+    /// from its defining rules over that relation. So a version created on
+    /// top of a warm one is a one-hop read, and a statement walking a chain
+    /// outward from the data (`MATERIALIZE`) composes nothing it has
+    /// already resolved. Fused ≡ hop-by-hop, so where a run ends is free to
+    /// depend on what happens to be cached.
     fn build_fused_chain(&self, relation: &str, tv: TableVersionId) -> Option<Arc<FusedChain>> {
         let budget = fusion::FusionBudget::default();
         let mut assumed = BTreeSet::new();
@@ -595,6 +620,13 @@ impl<'a> VersionedEdb<'a> {
                     _ => None,
                 });
             let Some((crel, ctv)) = next else { break };
+            if self.is_resolved_state(&crel, ctv) {
+                if hops == 1 {
+                    return None;
+                }
+                barriers.insert(crel);
+                continue;
+            }
             let Some(defs) = self.fusable_hop(&crel, ctv) else {
                 barriers.insert(crel);
                 continue;

@@ -229,8 +229,9 @@ impl Inverda {
         state.materialization = new_m;
         // The physical/virtual split changed: every defining rule set and
         // static footprint may differ, so resolved snapshots are retired
-        // wholesale (mirroring the compiled-rule cache on genealogy change),
-        // and so is every fused γ-chain — its hop structure follows the
+        // wholesale (unlike CREATE / DROP SCHEMA VERSION, which leave the
+        // split alone and invalidate only what they add or retire), and
+        // so is every fused γ-chain — its hop structure follows the
         // storage cases. The per-SMO compilations stay valid: MATERIALIZE
         // does not touch the rule sets themselves. Both invalidations are
         // branch-scoped: `self.snapshots` and `self.compiled` belong to

@@ -109,8 +109,9 @@ impl PinnedView {
         registry: Arc<SkolemRegistry>,
         compiled: Arc<CompiledStore>,
         epoch: u64,
+        store_seq: u64,
     ) -> PinnedView {
-        let store = origin.snapshots.fork_for_pin();
+        let store = origin.snapshots.fork_for_pin(store_seq);
         // The pinned view reproduces the origin's epochs, so it inherits
         // the origin's branch tag — the forked store keeps serving it.
         let storage = Arc::new(Storage::from_pinned_tagged(
@@ -239,6 +240,7 @@ impl Inverda {
             registry,
             Arc::new(CompiledStore::new()),
             0,
+            self.snapshots.installed(),
         )
     }
 }
@@ -311,6 +313,9 @@ struct Published {
     /// catalog; SMO ids are never reused, and fused-chain revalidation
     /// checks each pin's own storage).
     compiled: Arc<CompiledStore>,
+    /// The snapshot store's install position at this epoch: a pin forks
+    /// the store later and takes nothing installed past it.
+    store_seq: u64,
 }
 
 /// Shared state between the façade, its readers, and the pipeline thread.
@@ -347,6 +352,7 @@ impl Reader {
             Arc::clone(&p.registry),
             Arc::clone(&p.compiled),
             p.epoch,
+            p.store_seq,
         )
     }
 
@@ -437,6 +443,7 @@ impl ServingInverda {
             materialization: Arc::clone(&catalog.materialization),
             registry: Arc::clone(&catalog.registry),
             compiled: Arc::clone(&catalog.compiled),
+            store_seq: db.snapshots.installed(),
         };
         let shared = Arc::new(Shared {
             db,
@@ -624,6 +631,7 @@ fn run_pipeline(shared: Arc<Shared>, mut catalog: PipelineCatalog, rx: mpsc::Rec
                 materialization: Arc::clone(&catalog.materialization),
                 registry: Arc::clone(&catalog.registry),
                 compiled: Arc::clone(&catalog.compiled),
+                store_seq: db.snapshots.installed(),
             };
             *shared.published.write() = Arc::new(published);
             shared.max_epoch.fetch_max(epoch, Ordering::Relaxed);

@@ -36,9 +36,15 @@
 //!   purge fall back to targeted invalidation; everything else the write
 //!   did not touch stays warm untouched.
 //!
-//! The store is cleared wholesale on every genealogy or materialization
-//! change — exactly the events that can alter the defining rule sets or the
-//! physical/virtual split — mirroring [`CompiledStore`].
+//! What a DDL statement does to the store follows from what it can change
+//! (the argument is written out at `Inverda::create_schema_version`):
+//! `CREATE SCHEMA VERSION` touches nothing — relation names are never
+//! reused and a new, virtualized SMO alters no existing relation's defining
+//! rule set or static footprint; `DROP SCHEMA VERSION`
+//! [`forget`](SnapshotStore::forget)s the entries and footprints of the
+//! relations it retires; `MATERIALIZE` and recovery, which move the
+//! physical/virtual split under every footprint, still
+//! [`clear`](SnapshotStore::clear) wholesale — mirroring [`CompiledStore`].
 //!
 //! ## Epoch-versioned invalidation (the serving layer's contract)
 //!
@@ -56,7 +62,8 @@
 //! whichever version was resolved at `E`.
 //! [`fork_for_pin`](SnapshotStore::fork_for_pin) hands such a reader a
 //! private store of
-//! `Arc`-shared versions, so a pin taken from a store the commit pipeline
+//! `Arc`-shared versions — those installed up to the position the reader
+//! pinned the store at — so a pin taken from a store the commit pipeline
 //! has already advanced still starts warm at its own epochs, and its cold
 //! resolutions never touch the shared store. Correctness invalidations
 //! (aux-purge hits, unpatchable deltas, targeted
@@ -73,6 +80,7 @@
 //! [`drain`]: crate::Inverda
 //! [`Storage`]: inverda_storage::Storage
 
+use inverda_catalog::Retired;
 use inverda_datalog::delta::{Delta, DeltaMap};
 use inverda_storage::{ColumnIndex, Key, Relation, Storage};
 use parking_lot::Mutex;
@@ -90,6 +98,11 @@ struct Entry {
     footprint: BTreeMap<String, u64>,
     /// Join indexes over this snapshot, patched in lockstep with it.
     indexes: HashMap<usize, Arc<ColumnIndex>>,
+    /// Position in the store's install order (`Inner::installed` when this
+    /// version was stored or patched): a reader pinned at an earlier
+    /// position must not be served it, see
+    /// [`fork_for_pin`](SnapshotStore::fork_for_pin).
+    seq: u64,
 }
 
 impl Entry {
@@ -115,6 +128,8 @@ struct Inner {
     /// Static resolution footprints per relation (data-independent, so they
     /// are computed once per catalog state and survive patching).
     footprints: HashMap<String, Arc<BTreeSet<String>>>,
+    /// Snapshot versions installed so far (stored or patched).
+    installed: u64,
 }
 
 impl Inner {
@@ -130,7 +145,9 @@ impl Inner {
     /// previous current is retired when `retain` is set and its stamps
     /// differ (identical stamps mean the new version supersedes it for
     /// every possible pin); otherwise it is dropped.
-    fn push_version(&mut self, relation: &str, entry: Entry, retain: bool) {
+    fn push_version(&mut self, relation: &str, mut entry: Entry, retain: bool) {
+        self.installed += 1;
+        entry.seq = self.installed;
         let versions = self.entries.entry(relation.to_string()).or_default();
         if let Some(last) = versions.last() {
             if !retain || last.footprint == entry.footprint {
@@ -227,7 +244,8 @@ impl SnapshotStore {
     }
 
     /// The static footprint of `relation`, computing it with `compute` on
-    /// first use (cached until [`clear`](SnapshotStore::clear)).
+    /// first use (cached until [`clear`](SnapshotStore::clear) or until the
+    /// relation is [`forgotten`](SnapshotStore::forget)).
     pub fn footprint_of(
         &self,
         relation: &str,
@@ -341,13 +359,18 @@ impl SnapshotStore {
         rel: Arc<Relation>,
         footprint: BTreeMap<String, u64>,
     ) {
-        let retain = self.pins.load(Ordering::Relaxed) > 0;
-        self.inner.lock().push_version(
+        // Read the pin count under the lock `release_pin` prunes under: a
+        // version retired on a count read earlier could land after the last
+        // pin's prune and stay behind.
+        let mut inner = self.inner.lock();
+        let retain = self.pins.load(Ordering::SeqCst) > 0;
+        inner.push_version(
             relation,
             Entry {
                 rel: Some(rel),
                 footprint,
                 indexes: HashMap::new(),
+                seq: 0,
             },
             retain,
         );
@@ -389,8 +412,8 @@ impl SnapshotStore {
         index: Arc<ColumnIndex>,
         epoch: u64,
     ) {
-        let retain = self.pins.load(Ordering::Relaxed) > 0;
         let mut inner = self.inner.lock();
+        let retain = self.pins.load(Ordering::SeqCst) > 0;
         if let Some(versions) = inner.entries.get_mut(relation) {
             let pos = versions
                 .iter()
@@ -416,6 +439,7 @@ impl SnapshotStore {
                 rel: None,
                 footprint: BTreeMap::from([(relation.to_string(), epoch)]),
                 indexes: HashMap::from([(column, index)]),
+                seq: 0,
             },
             retain,
         );
@@ -469,8 +493,10 @@ impl SnapshotStore {
         valid_before: &BTreeSet<String>,
         storage: &Storage,
     ) {
-        let retain = self.pins.load(Ordering::Relaxed) > 0;
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        // (A plain `&mut Inner`: its fields borrow independently below.)
+        let inner = &mut *guard;
+        let retain = self.pins.load(Ordering::SeqCst) > 0;
         for rel in &maint.invalidate {
             if inner.drop_current(rel) {
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -511,6 +537,8 @@ impl SnapshotStore {
                 for (table, epoch) in entry.footprint.iter_mut() {
                     *epoch = storage.epoch_of(table);
                 }
+                inner.installed += 1;
+                entry.seq = inner.installed;
                 if let Some(old) = retired {
                     // Identical stamps mean the patched version supersedes
                     // the old one for every possible pin.
@@ -542,8 +570,21 @@ impl SnapshotStore {
         }
     }
 
-    /// Drop everything — entries and cached footprints (genealogy or
-    /// materialization changed).
+    /// Drop the entries (every version, retired ones included) and cached
+    /// footprints of the relations a `DROP SCHEMA VERSION` retired: its
+    /// table versions and the aux tables of its SMOs. No surviving entry
+    /// reads one of them — they were reachable through the dropped version
+    /// only — so everything else stays warm.
+    pub fn forget(&self, retired: &Retired) {
+        let mut inner = self.inner.lock();
+        for rel in retired.relations() {
+            inner.entries.remove(rel);
+            inner.footprints.remove(rel);
+        }
+    }
+
+    /// Drop everything — entries and cached footprints (the materialization
+    /// changed, recovery installed a new state, or reuse was switched off).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.entries.clear();
@@ -630,16 +671,31 @@ impl SnapshotStore {
             .sum()
     }
 
+    /// How many snapshot versions this store has installed (stored or
+    /// patched) so far — the position a reader pins the store at, captured
+    /// together with the rest of the state it will read.
+    pub fn installed(&self) -> u64 {
+        self.inner.lock().installed
+    }
+
     /// A private copy of this store for an epoch-pinned reader: shares the
     /// snapshot versions (`Arc`) and cached footprints at fork time, but is
     /// fully isolated afterwards — the pin's cold resolutions (which may
     /// mint scratch skolem ids deterministic only for that pin's own read
     /// history) never flow back, and later live-store maintenance never
     /// touches the fork. The fork starts with zero pins and zero counters.
-    pub fn fork_for_pin(&self) -> SnapshotStore {
+    ///
+    /// Only versions installed up to `upto` — the store's
+    /// [`installed`](SnapshotStore::installed) count when the pinned state
+    /// was captured — are taken. The fork may be made a beat after that
+    /// capture, and a later statement's reads, which run before its write
+    /// lands, install versions stamped with the very epochs the pin reads
+    /// at; those can hold skolem ids minted after the pin's registry was
+    /// captured, which the pin would otherwise serve while minting its own.
+    pub fn fork_for_pin(&self, upto: u64) -> SnapshotStore {
         // A pinned view's storage reproduces the origin's epochs and
         // inherits its branch tag, so the fork keeps the owner binding.
-        self.fork_owned_by(self.owner_tag.load(Ordering::Relaxed))
+        self.fork_owned_by(self.owner_tag.load(Ordering::Relaxed), upto)
     }
 
     /// A private copy of this store for a **branch** fork: shares entries
@@ -649,15 +705,28 @@ impl SnapshotStore {
     /// fresh tag — after divergence, neither branch's entries can be
     /// mistaken for the other's.
     pub fn fork_for_branch(&self, branch_tag: u64) -> SnapshotStore {
-        self.fork_owned_by(branch_tag)
+        self.fork_owned_by(branch_tag, u64::MAX)
     }
 
-    fn fork_owned_by(&self, owner_tag: u64) -> SnapshotStore {
+    fn fork_owned_by(&self, owner_tag: u64, upto: u64) -> SnapshotStore {
         let inner = self.inner.lock();
+        let entries = inner
+            .entries
+            .iter()
+            .filter_map(|(name, versions)| {
+                let taken: Vec<Arc<Entry>> = versions
+                    .iter()
+                    .filter(|e| e.seq <= upto)
+                    .map(Arc::clone)
+                    .collect();
+                (!taken.is_empty()).then(|| (name.clone(), taken))
+            })
+            .collect();
         SnapshotStore {
             inner: Mutex::new(Inner {
-                entries: inner.entries.clone(),
+                entries,
                 footprints: inner.footprints.clone(),
+                installed: inner.installed,
             }),
             pins: AtomicU64::new(0),
             owner_tag: AtomicU64::new(owner_tag),
@@ -960,7 +1029,7 @@ mod tests {
             BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]),
         );
 
-        let fork = store.fork_for_pin();
+        let fork = store.fork_for_pin(store.installed());
         let pinned = Storage::from_pinned(pinned_tables, 1);
         // The fork serves the pin's epochs even after the live store drops
         // every version.
@@ -975,6 +1044,27 @@ mod tests {
         );
         assert!(store.is_empty());
         store.release_pin();
+    }
+
+    /// A statement's reads run before its write lands, so what they
+    /// resolve is stamped with the epochs a reader pinned one statement
+    /// earlier reads at — but may hold skolem ids minted since. A fork made
+    /// for that reader must leave it out.
+    #[test]
+    fn fork_for_pin_takes_nothing_installed_after_the_pinned_position() {
+        let storage = storage_with("T");
+        let store = SnapshotStore::new();
+        let stamps = || BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
+        store.store_entry("V", rel_with("V", &[(1, 10)]), stamps());
+        let pinned_at = store.installed();
+        store.store_entry("W", rel_with("W", &[(2, 20)]), stamps());
+        let fork = store.fork_for_pin(pinned_at);
+        assert!(fork.get("V", &storage).is_some());
+        assert!(fork.get("W", &storage).is_none(), "installed after the pin");
+        assert!(store
+            .fork_for_pin(store.installed())
+            .get("W", &storage)
+            .is_some());
     }
 
     #[test]
@@ -1028,7 +1118,7 @@ mod tests {
 
         // A pin fork keeps the owner binding, serving a tag-inheriting
         // pinned view.
-        let pin_fork = store.fork_for_pin();
+        let pin_fork = store.fork_for_pin(store.installed());
         let pinned = Storage::from_pinned_tagged(
             storage.snapshot_all(),
             storage.sequences().current_key(),

@@ -93,8 +93,22 @@ fn replay(history: &[HistoryEntry], cold: bool) -> Inverda {
     db
 }
 
+/// Every table-version and SMO id of an engine's genealogy, with the
+/// relation names derived from them.
+fn catalog_ids(db: &Inverda) -> String {
+    db.with_genealogy(|g| {
+        let tables: Vec<&str> = g.table_versions().map(|tv| tv.rel.as_str()).collect();
+        let aux: Vec<&str> = g
+            .smos()
+            .flat_map(|smo| smo.derived.all_aux().map(|aux| aux.rel.as_str()))
+            .collect();
+        format!("{tables:?} {:?} {aux:?}", g.smo_ids())
+    })
+}
+
 fn assert_branch_equals_replay(branch: &Branch, cold: bool, context: &str) {
-    let live = state(&branch.engine().expect("engine"));
+    let engine = branch.engine().expect("engine");
+    let live = state(&engine);
     let oracle = replay(&branch.history().expect("history"), cold);
     assert_eq!(
         live,
@@ -102,6 +116,16 @@ fn assert_branch_equals_replay(branch: &Branch, cold: bool, context: &str) {
         "branch '{}' diverged from its history replay ({context})",
         branch.name()
     );
+    // Same catalog ids — dropped versions retire theirs without rewinding
+    // the counters, on the live side and in replay alike — and the next
+    // CREATE mints the same ones on both sides (tried on a scratch fork:
+    // the branch itself must not move behind its history's back).
+    assert_eq!(catalog_ids(&engine), catalog_ids(&oracle), "{context}");
+    let scratch = engine.fork_detached();
+    let next = "CREATE SCHEMA VERSION Next FROM G0 WITH ADD COLUMN next AS 0 INTO T0;";
+    scratch.execute(next).expect("create on the fork");
+    oracle.execute(next).expect("create on the replay");
+    assert_eq!(catalog_ids(&scratch), catalog_ids(&oracle), "{context}");
 }
 
 // ---------------------------------------------------------------------
@@ -114,7 +138,9 @@ fn assert_branch_equals_replay(branch: &Branch, cold: bool, context: &str) {
 enum Action {
     /// Fork a new branch off an existing one.
     Fork { parent: usize },
-    /// CREATE SCHEMA VERSION on a branch, one SMO ahead of its newest.
+    /// CREATE SCHEMA VERSION on a branch, one SMO ahead of its newest —
+    /// or (`hop == 4`) a scratch version created on the newest and dropped
+    /// again, which retires catalog ids mid-history.
     Ddl { branch: usize, hop: u8 },
     /// Insert through a branch's newest (or base) version.
     Insert {
@@ -136,7 +162,7 @@ enum Action {
 fn action_strategy() -> impl Strategy<Value = Action> {
     prop_oneof![
         (0usize..4).prop_map(|parent| Action::Fork { parent }),
-        (0usize..4, 0u8..4).prop_map(|(branch, hop)| Action::Ddl { branch, hop }),
+        (0usize..4, 0u8..5).prop_map(|(branch, hop)| Action::Ddl { branch, hop }),
         (
             0usize..4,
             any::<bool>(),
@@ -214,6 +240,18 @@ fn apply_action(manager: &BranchingInverda, models: &mut Vec<Model>, i: usize, a
             // Version names carry the branch name so sibling branches
             // never create the same version independently.
             let v = format!("V_{}_{i}", m.branch.name());
+            if *hop == 4 {
+                m.branch
+                    .execute(&format!(
+                        "CREATE SCHEMA VERSION {v} FROM {} WITH \
+                           SPLIT TABLE {t} INTO X{i} WITH a < 3; DROP COLUMN a FROM X{i} DEFAULT 0; \
+                         DROP SCHEMA VERSION {v};",
+                        m.version,
+                        t = m.table
+                    ))
+                    .expect("generated DDL is valid");
+                return;
+            }
             let smo = match hop % 4 {
                 1 if m.cols.len() > 2 => {
                     let col = m.cols.pop().expect("guarded");

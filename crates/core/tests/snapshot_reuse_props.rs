@@ -22,7 +22,13 @@
 //!   invalidation, not patching;
 //! * an id-minting SMO *chain* (FK-DECOMPOSE with a SPLIT stacked on top),
 //!   driving two-phase minting, hop arenas, and minting-hop maintenance
-//!   at widths {1, 2, 4, 8}.
+//!   at widths {1, 2, 4, 8};
+//! * TasKy **under DDL**: leaves created on and dropped from every version
+//!   (column-level SMOs, SPLIT, a two-hop leaf, leaves over the FK-DECOMPOSE
+//!   targets, leaves over leaves) between the writes and migrations. The
+//!   warm database keeps its stores across `CREATE` / `DROP SCHEMA VERSION`
+//!   while the twin re-resolves everything, which pins "a DDL statement
+//!   changes only what it adds or retires" — by equivalence and by counters.
 //!
 //! [`SnapshotStore`]: inverda_core::SnapshotStore
 
@@ -427,6 +433,29 @@ fn tasky2_op_strategy() -> impl Strategy<Value = Tasky2Op> {
 }
 
 impl Harness {
+    /// Run `f` on both databases; the outcomes — and the results, a minted
+    /// key for one — must agree.
+    fn both<T: std::fmt::Debug + PartialEq>(
+        &self,
+        what: &str,
+        f: impl Fn(&Inverda) -> inverda_core::Result<T>,
+    ) -> Option<T> {
+        match (f(&self.warm), f(&self.cold)) {
+            (Ok(w), Ok(c)) => {
+                assert_eq!(w, c, "{what}: results diverged");
+                Some(w)
+            }
+            (rw, rc) => {
+                assert_eq!(
+                    rw.is_ok(),
+                    rc.is_ok(),
+                    "{what}: outcome diverged: {rw:?} vs {rc:?}"
+                );
+                None
+            }
+        }
+    }
+
     /// Run one statement against both databases; outcomes (including the
     /// minted key of an insert) must agree.
     fn apply_tasky2(&mut self, op: &Tasky2Op) {
@@ -452,12 +481,7 @@ impl Harness {
             |slot: usize| (!self.keys.is_empty()).then(|| self.keys[slot % self.keys.len()]);
         let author_key = |slot: usize| (!authors.is_empty()).then(|| authors[slot % authors.len()]);
         let both = |f: &dyn Fn(&Inverda) -> inverda_core::Result<Option<Key>>| {
-            let (rw, rc) = (f(&self.warm), f(&self.cold));
-            match (&rw, &rc) {
-                (Ok(kw), Ok(kc)) => assert_eq!(kw, kc, "key sequences must stay in lockstep"),
-                _ => assert_eq!(rw.is_ok(), rc.is_ok(), "outcome diverged: {rw:?} vs {rc:?}"),
-            }
-            rw.ok().flatten()
+            self.both("statement", f).flatten()
         };
         let minted = match op {
             Tasky2Op::InsertTask { text, prio, fk } => both(&|db| {
@@ -547,6 +571,379 @@ proptest! {
         }
         let stats = h.warm.snapshot_stats();
         prop_assert_eq!(stats.recomputes, 0, "recompute fallback taken: {:?}", stats);
+    }
+}
+
+/// The kind of value a column of the DDL stream's tables carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Col {
+    Author,
+    Text,
+    Prio,
+    /// A column some leaf added (`ADD COLUMN … AS 0`).
+    Int,
+    /// `TasKy2.Task`'s foreign key: an existing `Author` key or ω.
+    Fk,
+}
+
+/// A writable `version.table` of the DDL stream with its columns.
+#[derive(Debug, Clone)]
+struct Target {
+    version: String,
+    table: String,
+    cols: Vec<(String, Col)>,
+}
+
+/// A statement of the DDL-bearing stream. Targets index the writable tables
+/// alive at that point (modulo their number); version names come from a
+/// small pool, so names are reused after a drop and collide before one.
+#[derive(Debug, Clone)]
+enum DdlOp {
+    Insert {
+        target: usize,
+        vals: Vec<i64>,
+    },
+    Update {
+        target: usize,
+        slot: usize,
+        vals: Vec<i64>,
+    },
+    Delete {
+        target: usize,
+        slot: usize,
+    },
+    /// `CREATE SCHEMA VERSION X<name> FROM <the target's version> WITH …`.
+    Create {
+        parent: usize,
+        shape: u8,
+        name: usize,
+    },
+    Drop {
+        version: usize,
+    },
+    Materialize {
+        target: usize,
+    },
+}
+
+fn ddl_op_strategy() -> impl Strategy<Value = DdlOp> {
+    let vals = || prop::collection::vec(0i64..6, 4..5);
+    prop_oneof![
+        (0usize..16, vals()).prop_map(|(target, vals)| DdlOp::Insert { target, vals }),
+        (0usize..16, vals()).prop_map(|(target, vals)| DdlOp::Insert { target, vals }),
+        (0usize..16, 0usize..12, vals()).prop_map(|(target, slot, vals)| DdlOp::Update {
+            target,
+            slot,
+            vals
+        }),
+        (0usize..16, 0usize..12).prop_map(|(target, slot)| DdlOp::Delete { target, slot }),
+        (0usize..16, 0u8..5, 0usize..4).prop_map(|(parent, shape, name)| DdlOp::Create {
+            parent,
+            shape,
+            name
+        }),
+        (0usize..16, 0u8..5, 0usize..4).prop_map(|(parent, shape, name)| DdlOp::Create {
+            parent,
+            shape,
+            name
+        }),
+        (0usize..6).prop_map(|version| DdlOp::Drop { version }),
+        (0usize..6).prop_map(|version| DdlOp::Drop { version }),
+        (0usize..16).prop_map(|target| DdlOp::Materialize { target }),
+    ]
+}
+
+/// The versions `DdlOp::Drop` addresses: the leaf pool and the two base
+/// leaves (`TasKy` stays, so something is always writable).
+const DROPPABLE: [&str; 6] = ["X0", "X1", "X2", "X3", "Do!", "TasKy2"];
+
+/// The SMO list and resulting table of the leaf `version` over `parent`, and
+/// whether the leaf is a single column-level SMO directly over the parent's
+/// table (then reading it over a warm parent must not build a fused chain).
+fn leaf_over(parent: &Target, version: String, shape: u8, n: usize) -> (String, Target, bool) {
+    let t = &parent.table;
+    let mut cols = parent.cols.clone();
+    let has_prio = cols.iter().any(|(name, _)| name == "prio");
+    let (smos, table, single_hop) = match shape {
+        1 => {
+            let (first, _) = &mut cols[0];
+            let renamed = format!("{first}n{n}");
+            let smo = format!("RENAME COLUMN {first} IN {t} TO {renamed}");
+            *first = renamed;
+            (smo, t.clone(), true)
+        }
+        2 if has_prio => (
+            format!("SPLIT TABLE {t} INTO Hot{n} WITH prio = 1"),
+            format!("Hot{n}"),
+            false,
+        ),
+        3 if has_prio => {
+            cols.retain(|(name, _)| name != "prio");
+            (
+                format!(
+                    "SPLIT TABLE {t} INTO Low{n} WITH prio = 1; \
+                     DROP COLUMN prio FROM Low{n} DEFAULT 1"
+                ),
+                format!("Low{n}"),
+                false,
+            )
+        }
+        4 if cols.last().is_some_and(|(_, kind)| *kind == Col::Int) => {
+            let (dropped, _) = cols.pop().expect("checked");
+            (
+                format!("DROP COLUMN {dropped} FROM {t} DEFAULT 0"),
+                t.clone(),
+                true,
+            )
+        }
+        _ => {
+            cols.push((format!("x{n}"), Col::Int));
+            (format!("ADD COLUMN x{n} AS 0 INTO {t}"), t.clone(), true)
+        }
+    };
+    (
+        smos,
+        Target {
+            version,
+            table,
+            cols,
+        },
+        single_hop,
+    )
+}
+
+/// The warm/cold pair plus the stream's view of what is writable.
+struct DdlHarness {
+    h: Harness,
+    targets: Vec<Target>,
+    created: usize,
+}
+
+impl DdlHarness {
+    fn new() -> Self {
+        let target = |version: &str, table: &str, cols: &[(&str, Col)]| Target {
+            version: version.to_string(),
+            table: table.to_string(),
+            cols: cols.iter().map(|(n, k)| (n.to_string(), *k)).collect(),
+        };
+        DdlHarness {
+            h: Harness::new(TASKY_SCRIPT, vec![], vec![]),
+            targets: vec![
+                target(
+                    "TasKy",
+                    "Task",
+                    &[
+                        ("author", Col::Author),
+                        ("task", Col::Text),
+                        ("prio", Col::Prio),
+                    ],
+                ),
+                target(
+                    "Do!",
+                    "Todo",
+                    &[("author", Col::Author), ("task", Col::Text)],
+                ),
+                target(
+                    "TasKy2",
+                    "Task",
+                    &[
+                        ("task", Col::Text),
+                        ("prio", Col::Prio),
+                        ("author", Col::Fk),
+                    ],
+                ),
+                target("TasKy2", "Author", &[("name", Col::Author)]),
+            ],
+            created: 0,
+        }
+    }
+
+    fn row(&self, target: &Target, vals: &[i64]) -> Vec<Value> {
+        let authors: Vec<Key> = match self.h.warm.scan("TasKy2", "Author") {
+            Ok(rel) => rel.keys().collect(),
+            Err(_) => Vec::new(),
+        };
+        target
+            .cols
+            .iter()
+            .enumerate()
+            .map(|(i, (_, kind))| {
+                let v = vals[i % vals.len()];
+                match kind {
+                    Col::Author => Value::text(format!("author{v}")),
+                    Col::Text => Value::text(format!("task{v}")),
+                    Col::Prio => Value::Int(v % 3 + 1),
+                    Col::Int => Value::Int(v),
+                    Col::Fk if authors.is_empty() || v == 0 => Value::Null,
+                    Col::Fk => Value::Int(authors[v as usize % authors.len()].0 as i64),
+                }
+            })
+            .collect()
+    }
+
+    /// Every `version.table` that currently scans cleanly — read on both
+    /// databases, which leaves each of them warm in the warm one.
+    fn readable(&self) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for v in self.h.warm.versions() {
+            for t in self.h.warm.tables_of(&v).unwrap() {
+                let ok = self.h.warm.scan(&v, &t).is_ok();
+                let _ = self.h.cold.scan(&v, &t);
+                if ok {
+                    out.push((v.clone(), t));
+                }
+            }
+        }
+        out
+    }
+
+    /// Re-read `pairs` (warm before the DDL statement that just ran): every
+    /// one of them must be served from the store it was left in.
+    fn assert_still_warm(&self, pairs: &[(String, String)], after: &str) {
+        let before = self.h.warm.snapshot_stats();
+        for (v, t) in pairs {
+            if self.h.warm.tables_of(v).is_ok_and(|ts| ts.contains(t)) {
+                self.h.warm.scan(v, t).unwrap();
+                let _ = self.h.cold.scan(v, t);
+            }
+        }
+        let now = self.h.warm.snapshot_stats();
+        assert_eq!(
+            now.misses, before.misses,
+            "a version that was warm went cold across {after}"
+        );
+    }
+
+    fn apply(&mut self, op: &DdlOp) {
+        let pick = |i: usize| self.targets[i % self.targets.len()].clone();
+        let slot_key =
+            |slot: usize| (!self.h.keys.is_empty()).then(|| self.h.keys[slot % self.h.keys.len()]);
+        match op {
+            DdlOp::Insert { target, vals } => {
+                let t = pick(*target);
+                let row = self.row(&t, vals);
+                let key = self
+                    .h
+                    .both("insert", |db| db.insert(&t.version, &t.table, row.clone()));
+                self.h.keys.extend(key);
+            }
+            DdlOp::Update { target, slot, vals } => {
+                let (t, Some(key)) = (pick(*target), slot_key(*slot)) else {
+                    return;
+                };
+                let row = self.row(&t, vals);
+                self.h.both("update", |db| {
+                    db.update(&t.version, &t.table, key, row.clone())
+                });
+            }
+            DdlOp::Delete { target, slot } => {
+                let (t, Some(key)) = (pick(*target), slot_key(*slot)) else {
+                    return;
+                };
+                self.h
+                    .both("delete", |db| db.delete(&t.version, &t.table, key));
+            }
+            DdlOp::Materialize { target } => {
+                let v = pick(*target).version;
+                self.h
+                    .both("materialize", |db| db.materialize(std::slice::from_ref(&v)));
+            }
+            DdlOp::Create {
+                parent,
+                shape,
+                name,
+            } => {
+                let parent = pick(*parent);
+                self.created += 1;
+                let (smos, leaf, single_hop) =
+                    leaf_over(&parent, format!("X{name}"), *shape, self.created);
+                let script = format!(
+                    "CREATE SCHEMA VERSION {} FROM {} WITH {smos};",
+                    leaf.version, parent.version
+                );
+                let warm_before = self.readable();
+                // Warm *snapshot*: a physical parent has none to end a run at.
+                let parent_warm = self
+                    .h
+                    .warm
+                    .storage_case(&parent.version, &parent.table)
+                    .is_ok_and(|case| case != "local")
+                    && warm_before.contains(&(parent.version.clone(), parent.table));
+                if self
+                    .h
+                    .both("create", |db| db.execute(&script).map(drop))
+                    .is_none()
+                {
+                    return;
+                }
+                self.assert_still_warm(&warm_before, &script);
+                // The new version over a warm parent: one hop, no chain.
+                let chains = self.h.warm.fused_chain_stats().0;
+                let read = self.h.warm.scan(&leaf.version, &leaf.table);
+                let _ = self.h.cold.scan(&leaf.version, &leaf.table);
+                if single_hop && parent_warm && read.is_ok() {
+                    assert_eq!(
+                        self.h.warm.fused_chain_stats().0,
+                        chains,
+                        "a fused chain was built over a warm parent by {script}"
+                    );
+                }
+                self.targets.push(leaf);
+            }
+            DdlOp::Drop { version } => {
+                let version = DROPPABLE[*version];
+                let script = format!("DROP SCHEMA VERSION {version};");
+                let warm_before = self.readable();
+                if self
+                    .h
+                    .both("drop", |db| db.execute(&script).map(drop))
+                    .is_none()
+                {
+                    return;
+                }
+                self.targets.retain(|t| t.version != version);
+                self.assert_still_warm(&warm_before, &script);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// TasKy under DDL: random interleavings of leaf creation (on every
+    /// version, leaves included), leaf and base-version drops (refused ones
+    /// too: a parent, the version holding the data), writes through anything
+    /// writable, migrations, and — after every statement — reads of every
+    /// version. The warm database, which keeps its compiled rules, fused
+    /// chains and snapshots across DDL, must stay byte-identical to its
+    /// store-disabled twin (rows, registry, key sequence), its store must
+    /// audit clean, and the counters must show the stores were actually
+    /// kept: no read of a version that was warm before a `CREATE` or `DROP`
+    /// misses after it, and a one-hop leaf over a warm parent builds no
+    /// fused chain. Fusion on and off.
+    #[test]
+    fn warm_database_under_ddl_equals_cold_twin(
+        ops in prop::collection::vec(ddl_op_strategy(), 1..30),
+        tsel in 0usize..3,
+        fused in any::<bool>(),
+    ) {
+        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
+        inverda_datalog::fusion::set_enabled(Some(fused));
+        let mut d = DdlHarness::new();
+        for (i, op) in ops.iter().enumerate() {
+            d.apply(op);
+            d.h.check(&format!("op {i}: {op:?}"));
+            prop_assert_eq!(
+                d.h.warm.debug_registry(),
+                d.h.cold.debug_registry(),
+                "registries diverged after op {}: {:?}", i, op
+            );
+            prop_assert_eq!(
+                d.h.warm.debug_key_seq(),
+                d.h.cold.debug_key_seq(),
+                "key sequences diverged after op {}: {:?}", i, op
+            );
+        }
+        inverda_datalog::fusion::set_enabled(None);
     }
 }
 

@@ -10,7 +10,7 @@
 //! negative ones. This module provides the policy around that mechanism:
 //!
 //! * the `INVERDA_FUSION={on,off}` knob ([`enabled`] / [`set_enabled`]),
-//!   defaulting **on**;
+//!   defaulting **on** and read from the environment once per process;
 //! * the structural gate [`hop_fusable`]: a mapping participates in a fused
 //!   run only if it is skolem-free (fused runs must not reorder id minting)
 //!   and non-staged (staged sets consume their own intermediate heads, which
@@ -26,24 +26,42 @@
 //! next to the catalog; this module is pure rule-set surgery.
 
 use crate::ast::{Literal, RuleSet};
-use crate::simplify::{unfold, Derivation};
+use crate::simplify::{unfold_within, Derivation};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Runtime override of the knob: 0 = not set, 1 = on, 2 = off.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-fn env_enabled() -> bool {
-    match std::env::var("INVERDA_FUSION") {
-        Ok(v) => !matches!(v.trim(), "off" | "0" | "false" | "no"),
-        Err(_) => true,
+/// The meaning of one spelling of the knob, `None` for an unknown one.
+fn parse_knob(value: &str) -> Option<bool> {
+    match value.trim() {
+        "on" | "1" | "true" | "yes" => Some(true),
+        "off" | "0" | "false" | "no" => Some(false),
+        _ => None,
     }
 }
 
+/// `INVERDA_FUSION`, read once per process: [`enabled`] is asked on every
+/// key lookup, seeded probe and cold resolution, and `std::env::var` takes
+/// the process-wide environment lock and allocates. Panics on an unknown
+/// spelling rather than letting a typo silently mean "on".
+fn env_enabled() -> bool {
+    static ENV: OnceLock<bool> = OnceLock::new();
+    *ENV.get_or_init(|| match std::env::var("INVERDA_FUSION") {
+        Ok(v) => parse_knob(&v).unwrap_or_else(|| {
+            panic!("INVERDA_FUSION: expected on/1/true/yes or off/0/false/no, got '{v}'")
+        }),
+        Err(_) => true,
+    })
+}
+
 /// Whether γ-chain fusion is enabled: a [`set_enabled`] override, else the
-/// `INVERDA_FUSION` environment variable (`off`/`0`/`false`/`no` disable),
-/// else **on**. Disabled fusion runs exactly the hop-by-hop resolution that
-/// existed before fusion landed.
+/// `INVERDA_FUSION` environment variable as the process found it at first
+/// use (`on`/`1`/`true`/`yes`, `off`/`0`/`false`/`no`), else **on**.
+/// Disabled fusion runs exactly the hop-by-hop resolution that existed
+/// before fusion landed.
 pub fn enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => true,
@@ -121,17 +139,22 @@ pub fn hop_fusable(rules: &RuleSet) -> bool {
 /// relation) into every occurrence in `outer`, returning the fused set —
 /// or `None` when the result outgrows `budget`, in which case the caller
 /// keeps `outer` and lets ordinary resolution handle the remaining hops.
+/// The unfolding stops at the first rule past the budget; the verdict and
+/// the fused set are those of unfolding in full and checking
+/// [`within_budget`] afterwards.
 ///
 /// `defs` must be restricted to the rules of the single relation being
 /// inlined and must satisfy [`hop_fusable`]; under those conditions
-/// [`unfold`] terminates and is exact (Lemma 1 over functional relations).
+/// [`unfold`](crate::simplify::unfold) terminates and is exact (Lemma 1 over
+/// functional relations).
 pub fn inline_hop(outer: &RuleSet, defs: &RuleSet, budget: &FusionBudget) -> Option<RuleSet> {
-    let fused = unfold(outer, defs, &mut Derivation::new());
-    if within_budget(&fused, budget) {
-        Some(fused)
-    } else {
-        None
-    }
+    unfold_within(
+        outer,
+        defs,
+        &mut Derivation::new(),
+        budget.max_rules,
+        budget.max_body,
+    )
 }
 
 #[cfg(test)]
@@ -141,6 +164,19 @@ mod tests {
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
         Atom::vars(rel, vars)
+    }
+
+    #[test]
+    fn knob_spellings() {
+        for on in ["on", "1", "true", "yes", " on "] {
+            assert_eq!(parse_knob(on), Some(true), "{on}");
+        }
+        for off in ["off", "0", "false", "no"] {
+            assert_eq!(parse_knob(off), Some(false), "{off}");
+        }
+        for unknown in ["", "ON", "of", "enabled", "2"] {
+            assert_eq!(parse_knob(unknown), None, "{unknown}");
+        }
     }
 
     #[test]
@@ -222,5 +258,42 @@ mod tests {
         };
         assert!(inline_hop(&outer, &defs, &tight).is_none());
         assert!(inline_hop(&outer, &defs, &FusionBudget::default()).is_some());
+    }
+
+    /// A rule over `In0`/`In1` and the relation being inlined, `Mid`:
+    /// each selector byte picks one body literal.
+    fn generated_rule(head: &str, literals: &[u8]) -> Rule {
+        let mut body = vec![Literal::Pos(atom("In0", &["p", "a"]))];
+        for sel in literals {
+            body.push(match sel % 5 {
+                0 => Literal::Pos(atom("Mid", &["p", "a"])),
+                1 => Literal::Neg(atom("Mid", &["p", "a"])),
+                2 => Literal::Neg(Atom::new("Mid", vec![Term::var("p"), Term::Anon])),
+                3 => Literal::Neg(atom("In1", &["p", "a"])),
+                _ => {
+                    Literal::Cond(inverda_storage::Expr::col("a").eq(inverda_storage::Expr::lit(1)))
+                }
+            });
+        }
+        Rule::new(atom(head, &["p", "a"]), body)
+    }
+
+    proptest::proptest! {
+        /// Stopping at the first rule past the budget changes neither the
+        /// verdict nor the fused set.
+        #[test]
+        fn bounded_unfold_equals_unfold_then_check(
+            outer in proptest::collection::vec(proptest::collection::vec(0u8..5, 0..4), 1..4),
+            defs in proptest::collection::vec(proptest::collection::vec(3u8..5, 0..3), 1..4),
+            max_rules in 1usize..12,
+            max_body in 1usize..10,
+        ) {
+            let outer = RuleSet::new(outer.iter().map(|l| generated_rule("Out", l)).collect());
+            let defs = RuleSet::new(defs.iter().map(|l| generated_rule("Mid", l)).collect());
+            let budget = FusionBudget { max_rules, max_body };
+            let full = crate::simplify::unfold(&outer, &defs, &mut Derivation::new());
+            let expected = within_budget(&full, &budget).then_some(full);
+            proptest::prop_assert_eq!(inline_hop(&outer, &defs, &budget), expected);
+        }
     }
 }

@@ -140,6 +140,21 @@ pub fn apply_empty(rules: &RuleSet, empty: &BTreeSet<String>, deriv: &mut Deriva
 /// Lemma 1: unfold every body literal over a predicate defined in `defs`,
 /// to fixpoint. `defs` must be non-recursive.
 pub fn unfold(outer: &RuleSet, defs: &RuleSet, deriv: &mut Derivation) -> RuleSet {
+    unfold_within(outer, defs, deriv, usize::MAX, usize::MAX).expect("no bound to exceed")
+}
+
+/// [`unfold`] under a size bound: `None` as soon as the result is known to
+/// hold more than `max_rules` rules or a rule with more than `max_body`
+/// body literals — exactly when the finished result would, since finished
+/// rules are only ever added — instead of building the whole oversized set
+/// first (negative unfolding can double the rule count per step).
+pub fn unfold_within(
+    outer: &RuleSet,
+    defs: &RuleSet,
+    deriv: &mut Derivation,
+    max_rules: usize,
+    max_body: usize,
+) -> Option<RuleSet> {
     let def_heads: BTreeSet<String> = defs.head_relations().into_iter().collect();
     let mut fresh = FreshVars::new(outer, defs);
     let mut work: Vec<Rule> = outer.rules.clone();
@@ -156,7 +171,12 @@ pub fn unfold(outer: &RuleSet, defs: &RuleSet, deriv: &mut Derivation) -> RuleSe
             .iter()
             .position(|l| l.relation().map(|r| def_heads.contains(r)).unwrap_or(false));
         match target {
-            None => done.push(rule),
+            None => {
+                if done.len() == max_rules || rule.body.len() > max_body {
+                    return None;
+                }
+                done.push(rule);
+            }
             Some(i) => {
                 let expanded = unfold_literal(&rule, i, defs, &mut fresh, deriv);
                 work.extend(expanded);
@@ -164,7 +184,7 @@ pub fn unfold(outer: &RuleSet, defs: &RuleSet, deriv: &mut Derivation) -> RuleSe
         }
     }
     done.reverse();
-    RuleSet::new(done)
+    Some(RuleSet::new(done))
 }
 
 fn unfold_literal(

@@ -3,7 +3,7 @@
 //! catalog, and concurrent readers against a writer.
 
 use inverda::workloads::{tasky, wikimedia};
-use inverda::{Inverda, Value, WritePath};
+use inverda::{CoreError, Inverda, Value, WritePath};
 
 fn tasky_db_with_data(n: usize) -> Inverda {
     let db = tasky::build();
@@ -79,6 +79,136 @@ fn drop_schema_version_keeps_shared_data() {
     assert_eq!(db.count("TasKy", "Task").unwrap(), 10);
     assert_eq!(db.count("TasKy2", "Task").unwrap(), 10);
     assert!(db.scan("Do!", "Todo").is_err());
+}
+
+/// Dropping the version that holds the materialized data used to return
+/// `Ok`, delete the physical table (and 7 of 20 rows with it), and leave
+/// the next read to panic. It is refused, typed, and changes nothing.
+#[test]
+fn drop_of_the_version_holding_the_data_is_refused() {
+    use inverda::catalog::CatalogError;
+    let db = tasky_db_with_data(20);
+    db.execute("MATERIALIZE 'Do!';").unwrap();
+    let before = full_snapshot(&db);
+    let physical = db.physical_tables();
+    let refused = db.execute("DROP SCHEMA VERSION Do!;").unwrap_err();
+    assert!(
+        matches!(
+            &refused,
+            CoreError::Catalog(CatalogError::VersionHoldsData { version, .. }) if version == "Do!"
+        ),
+        "{refused:?}"
+    );
+    assert!(refused.to_string().contains("MATERIALIZE another version"));
+    assert_eq!(db.versions(), ["Do!", "TasKy", "TasKy2"]);
+    assert_eq!(db.physical_tables(), physical);
+    assert_eq!(full_snapshot(&db), before);
+    assert_eq!(db.count("TasKy", "Task").unwrap(), 20);
+    assert_eq!(db.count("TasKy2", "Task").unwrap(), 20);
+    // The other leaf holds nothing and goes; once the data has moved away,
+    // so does this one.
+    db.execute("DROP SCHEMA VERSION TasKy2; MATERIALIZE 'TasKy'; DROP SCHEMA VERSION Do!;")
+        .unwrap();
+    assert_eq!(db.count("TasKy", "Task").unwrap(), 20);
+    assert_eq!(db.physical_tables().len(), 1, "{:?}", db.physical_tables());
+}
+
+/// A root version nobody evolved from owns its tables: dropping it deletes
+/// them.
+#[test]
+fn drop_of_a_root_version_deletes_its_own_tables() {
+    let db = tasky_db_with_data(5);
+    let physical = db.physical_tables();
+    db.execute("CREATE SCHEMA VERSION Solo WITH CREATE TABLE Z(a);")
+        .unwrap();
+    db.insert("Solo", "Z", vec![1.into()]).unwrap();
+    assert_eq!(db.physical_tables().len(), physical.len() + 1);
+    db.execute("DROP SCHEMA VERSION Solo;").unwrap();
+    assert_eq!(db.physical_tables(), physical);
+    assert!(db.scan("Solo", "Z").is_err());
+}
+
+/// A `CREATE SCHEMA VERSION` whose second SMO fails used to leave the first
+/// one registered without its aux table, and every later delete through the
+/// parent failed with `UnknownTable { table: "smo5_aux_Task_extra" }`.
+#[test]
+fn a_failed_create_changes_nothing() {
+    let db = tasky_db_with_data(10);
+    let twin = tasky_db_with_data(10);
+    let catalog = |db: &Inverda| {
+        db.with_genealogy(|g| {
+            let tables: Vec<_> = g.table_versions().map(|tv| tv.id).collect();
+            (tables, g.smo_ids())
+        })
+    };
+    let before = (catalog(&db), db.physical_tables(), full_snapshot(&db));
+    let failed = db.execute(
+        "CREATE SCHEMA VERSION Bad FROM TasKy WITH \
+           ADD COLUMN extra AS 0 INTO Task; DROP TABLE NoSuch;",
+    );
+    assert!(failed.is_err());
+    assert_eq!(db.versions(), ["Do!", "TasKy", "TasKy2"]);
+    let after = (catalog(&db), db.physical_tables(), full_snapshot(&db));
+    assert_eq!(after, before);
+    let key = db.scan("TasKy", "Task").unwrap().keys().next().unwrap();
+    db.delete("TasKy", "Task", key).unwrap();
+    assert_eq!(db.count("TasKy2", "Task").unwrap(), 9);
+    // The id counters did not move: the next CREATE gets the ids (and aux
+    // table names) it gets on a database that never saw the failure.
+    let next = "CREATE SCHEMA VERSION Good FROM TasKy WITH ADD COLUMN extra AS 0 INTO Task;";
+    db.execute(next).unwrap();
+    // (The twin reads where `db` read: reads of `TasKy2` mint author ids.)
+    full_snapshot(&twin);
+    twin.delete("TasKy", "Task", key).unwrap();
+    twin.execute(next).unwrap();
+    assert_eq!(catalog(&db), catalog(&twin));
+    assert_eq!(db.physical_tables(), twin.physical_tables());
+    assert_eq!(full_snapshot(&db), full_snapshot(&twin));
+}
+
+/// The catalog index is extended and trimmed in place by every DDL
+/// statement; in this (debug) build the engine checks it against a fresh
+/// build of the whole genealogy each time, so installing the 171-version
+/// Wikimedia history and evolving its head exercises that on every shape of
+/// SMO the history has.
+#[test]
+fn ddl_on_the_wikimedia_head_keeps_the_rest_of_the_history_warm() {
+    let db = wikimedia::install();
+    db.execute(&format!(
+        "MATERIALIZE '{}';",
+        wikimedia::version_name(wikimedia::LOAD_VERSION)
+    ))
+    .unwrap();
+    wikimedia::load_akan(&db, wikimedia::LOAD_VERSION, 0.001);
+    let head = wikimedia::version_name(171);
+    let pages = db.count(&head, "page").unwrap();
+    let links = db.scan(&head, "links").unwrap();
+    let sizes = |db: &Inverda| {
+        (
+            db.with_genealogy(|g| (g.table_version_count(), g.smo_ids().len())),
+            db.physical_tables().len(),
+        )
+    };
+    let start = sizes(&db);
+    for round in 0..3 {
+        db.execute(&format!(
+            "CREATE SCHEMA VERSION vtmp FROM {head} WITH ADD COLUMN extra AS 0 INTO page;"
+        ))
+        .unwrap();
+        // `links` is untouched by the evolution: the new version shares the
+        // head's table version, whose snapshot the CREATE kept.
+        let before = db.snapshot_stats();
+        let shared = db.scan("vtmp", "links").unwrap();
+        assert!(std::sync::Arc::ptr_eq(&shared, &links), "round {round}");
+        assert_eq!(db.snapshot_stats().misses, before.misses);
+        assert_eq!(db.count("vtmp", "page").unwrap(), pages);
+        db.execute("DROP SCHEMA VERSION vtmp;").unwrap();
+        assert_eq!(sizes(&db), start, "round {round}");
+    }
+    assert_eq!(
+        db.count(&wikimedia::version_name(1), "page").unwrap(),
+        pages
+    );
 }
 
 #[test]
