@@ -707,7 +707,8 @@ impl Inverda {
             &self.compiled,
         );
         let mut out = Vec::new();
-        for (name, stored) in self.snapshots.entry_names(&self.storage) {
+        for entry in self.snapshots.valid_virtual(&self.storage) {
+            let (name, stored) = (entry.relation, entry.rel);
             match edb.full(&name) {
                 Ok(cold) => {
                     if *cold != *stored {

@@ -26,7 +26,7 @@
 use crate::compiled::{CatalogIndex, CompiledStore, Direction, FusedChain};
 use crate::snapshot::SnapshotStore;
 use crate::Result;
-use inverda_catalog::{Genealogy, MaterializationSchema, StorageCase, TableVersionId};
+use inverda_catalog::{Genealogy, MaterializationSchema, SmoId, StorageCase, TableVersionId};
 use inverda_datalog::eval::{evaluate_compiled, EdbView, Evaluator, IdSource};
 use inverda_datalog::simplify::{apply_empty, Derivation};
 use inverda_datalog::{fusion, CompiledRuleSet, DatalogError, Literal, RuleSet};
@@ -130,10 +130,7 @@ impl<'a> VersionedEdb<'a> {
     /// The mapping that defines a virtual table version, together with the
     /// head name to extract: γ_src of the materialized outgoing SMO
     /// (forwards) or γ_tgt of the virtualized incoming SMO (backwards).
-    fn defining_rules(
-        &self,
-        tv: TableVersionId,
-    ) -> Option<(inverda_catalog::SmoId, Direction, &'a RuleSet)> {
+    fn defining_rules(&self, tv: TableVersionId) -> Option<(SmoId, Direction, &'a RuleSet)> {
         match self.materialization.storage_of(self.genealogy, tv) {
             StorageCase::Local => None,
             StorageCase::Forward(m) => {
@@ -147,7 +144,7 @@ impl<'a> VersionedEdb<'a> {
 
     /// The mapping direction and rule set that derive an aux table's side:
     /// γ_tgt for target-side aux, γ_src for source-side.
-    fn aux_rules(&self, smo: inverda_catalog::SmoId, tgt_side: bool) -> (Direction, &'a RuleSet) {
+    fn aux_rules(&self, smo: SmoId, tgt_side: bool) -> (Direction, &'a RuleSet) {
         let inst = self.genealogy.smo(smo);
         if tgt_side {
             (Direction::ToTgt, &inst.derived.to_tgt)
@@ -156,14 +153,14 @@ impl<'a> VersionedEdb<'a> {
         }
     }
 
-    /// The rule set whose evaluation materializes `relation` (a virtual
-    /// table version or a virtual aux table), if any.
-    fn resolving_rules(&self, relation: &str) -> Option<&'a RuleSet> {
+    /// The SMO and rule set whose evaluation materializes `relation` (a
+    /// virtual table version or a virtual aux table), if any.
+    fn resolving_mapping(&self, relation: &str) -> Option<(SmoId, &'a RuleSet)> {
         if let Some(tv) = self.catalog.rel_index.get(relation) {
-            return self.defining_rules(*tv).map(|(_, _, rules)| rules);
+            return self.defining_rules(*tv).map(|(smo, _, rules)| (smo, rules));
         }
         if let Some((smo, tgt_side)) = self.catalog.aux_index.get(relation).copied() {
-            return Some(self.aux_rules(smo, tgt_side).1);
+            return Some((smo, self.aux_rules(smo, tgt_side).1));
         }
         None
     }
@@ -175,45 +172,11 @@ impl<'a> VersionedEdb<'a> {
     /// evaluation's read set and is stable while the catalog is — exactly
     /// what the snapshot store needs for sound epoch invalidation.
     pub fn static_footprint(&self, relation: &str) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        let mut visited = BTreeSet::new();
-        self.collect_footprint(relation, &mut out, &mut visited);
-        out
-    }
-
-    fn collect_footprint(
-        &self,
-        relation: &str,
-        out: &mut BTreeSet<String>,
-        visited: &mut BTreeSet<String>,
-    ) {
-        if !visited.insert(relation.to_string()) {
-            return;
-        }
-        if self.storage.has_table(relation) {
-            out.insert(relation.to_string());
-            return;
-        }
-        let Some(rules) = self.resolving_rules(relation) else {
-            return;
-        };
-        // Heads of the same set (the `old`/`new` staging intermediates) are
-        // derived in place — their inputs are this set's other body atoms.
-        let heads: BTreeSet<&str> = rules
-            .rules
-            .iter()
-            .map(|r| r.head.relation.as_str())
-            .collect();
-        for rule in &rules.rules {
-            for lit in &rule.body {
-                if let Literal::Pos(atom) | Literal::Neg(atom) = lit {
-                    if heads.contains(atom.relation.as_str()) {
-                        continue;
-                    }
-                    self.collect_footprint(&atom.relation, out, visited);
-                }
-            }
-        }
+        // (The walk and its memo end with the statement: the set is ours.)
+        let footprint = ClosureWalk::new(self, &BTreeSet::new())
+            .closure(relation)
+            .footprint;
+        Arc::unwrap_or_clone(footprint)
     }
 
     /// Whether resolving `relation` right now could **evaluate id-minting
@@ -243,7 +206,7 @@ impl<'a> VersionedEdb<'a> {
                 return false;
             }
         }
-        let Some(rules) = self.resolving_rules(relation) else {
+        let Some((_, rules)) = self.resolving_mapping(relation) else {
             return false;
         };
         let heads: BTreeSet<&str> = rules
@@ -294,7 +257,7 @@ impl<'a> VersionedEdb<'a> {
     /// Compiled form of an SMO's rule set, via the database-wide store.
     fn compiled_rules(
         &self,
-        smo: inverda_catalog::SmoId,
+        smo: SmoId,
         direction: Direction,
         rules: &RuleSet,
     ) -> inverda_datalog::Result<Arc<CompiledRuleSet>> {
@@ -387,7 +350,7 @@ impl<'a> VersionedEdb<'a> {
     fn resolve_virtual_aux(
         &self,
         relation: &str,
-        smo: inverda_catalog::SmoId,
+        smo: SmoId,
         tgt_side: bool,
         stamp: Option<&BTreeMap<String, u64>>,
     ) -> Result<Arc<Relation>> {
@@ -695,6 +658,126 @@ impl<'a> VersionedEdb<'a> {
         }?;
         self.index_cache.put(relation, column, Arc::clone(&hit));
         Some(hit)
+    }
+}
+
+/// What the rule structure alone — no data, no caches — says about one
+/// relation's resolution closure: its defining rule set, expanded
+/// recursively through virtual relations down to storage.
+#[derive(Clone)]
+pub(crate) struct Closure {
+    /// The physical tables the resolution can possibly read (the static
+    /// footprint, see [`VersionedEdb::static_footprint`]).
+    pub(crate) footprint: Arc<BTreeSet<String>>,
+    /// The relation is a physical table (its own footprint).
+    physical: bool,
+    /// Physical, or virtual with defining rules such that no rule set in
+    /// the closure can mint an id and every SMO of the walk's `flipped` set
+    /// the closure resolves through is column-level ([`FUSABLE_KINDS`]).
+    exact: bool,
+}
+
+impl Closure {
+    /// Whether a snapshot of the relation taken before the `flipped` SMOs
+    /// flipped is its resolution after (the argument is written on
+    /// `Inverda::carry_snapshots`).
+    pub(crate) fn carriable(&self) -> bool {
+        self.exact && !self.physical
+    }
+}
+
+/// One memoized walk over resolution closures: footprint, mint-freedom and
+/// exactness across `flipped` come out of a single visit per relation,
+/// shared by every relation that resolves through it — the closures of a
+/// 170-version chain are each other's suffixes.
+pub(crate) struct ClosureWalk<'e, 'a> {
+    edb: &'e VersionedEdb<'a>,
+    /// SMOs whose materialization state the running `MATERIALIZE` flipped
+    /// (empty for a plain footprint computation).
+    flipped: &'e BTreeSet<SmoId>,
+    /// `None` marks a relation whose visit is in progress.
+    memo: HashMap<String, Option<Closure>>,
+}
+
+impl<'e, 'a> ClosureWalk<'e, 'a> {
+    pub(crate) fn new(edb: &'e VersionedEdb<'a>, flipped: &'e BTreeSet<SmoId>) -> Self {
+        ClosureWalk {
+            edb,
+            flipped,
+            memo: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn closure(&mut self, relation: &str) -> Closure {
+        let inexact = Closure {
+            footprint: Arc::default(),
+            physical: false,
+            exact: false,
+        };
+        match self.memo.get(relation) {
+            Some(Some(done)) => return done.clone(),
+            // A rule cycle: the relation contributes nothing more to the
+            // footprint of the visit that re-entered it (its tables are
+            // collected by the outer visit), and nothing reached through a
+            // cycle is carried.
+            Some(None) => return inexact,
+            None => {}
+        }
+        if self.edb.storage.has_table(relation) {
+            let physical = Closure {
+                footprint: Arc::new(BTreeSet::from([relation.to_string()])),
+                physical: true,
+                exact: true,
+            };
+            self.memo
+                .insert(relation.to_string(), Some(physical.clone()));
+            return physical;
+        }
+        let Some((smo, rules)) = self.edb.resolving_mapping(relation) else {
+            return inexact;
+        };
+        self.memo.insert(relation.to_string(), None);
+        let kind = self.edb.genealogy.smo(smo).derived.kind;
+        let mut exact = !self.flipped.contains(&smo) || FUSABLE_KINDS.contains(&kind);
+        // Heads of the same set (the `old`/`new` staging intermediates) are
+        // derived in place — their inputs are this set's other body atoms.
+        let heads: BTreeSet<&str> = rules
+            .rules
+            .iter()
+            .map(|r| r.head.relation.as_str())
+            .collect();
+        let mut inputs: Vec<Arc<BTreeSet<String>>> = Vec::new();
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        for lit in rules.rules.iter().flat_map(|rule| &rule.body) {
+            match lit {
+                Literal::Skolem { .. } => exact = false,
+                Literal::Pos(atom) | Literal::Neg(atom) => {
+                    let rel = atom.relation.as_str();
+                    if heads.contains(rel) || !seen.insert(rel) {
+                        continue;
+                    }
+                    let input = self.closure(rel);
+                    exact &= input.exact;
+                    inputs.push(input.footprint);
+                }
+                _ => {}
+            }
+        }
+        // A hop that adds no table of its own shares its input's set.
+        inputs.sort_by_key(|set| std::cmp::Reverse(set.len()));
+        let mut footprint = inputs.first().cloned().unwrap_or_default();
+        for set in inputs.iter().skip(1) {
+            if !set.is_subset(&footprint) {
+                Arc::make_mut(&mut footprint).extend(set.iter().cloned());
+            }
+        }
+        let done = Closure {
+            footprint,
+            physical: false,
+            exact,
+        };
+        self.memo.insert(relation.to_string(), Some(done.clone()));
+        done
     }
 }
 

@@ -9,14 +9,26 @@
 //! step. Thanks to bidirectionality every schema version exposes exactly the
 //! same logical state before and after — only the propagation distances
 //! change. "Not a single line of code is required from the developer."
+//!
+//! The engine takes that guarantee at its word: resolved snapshots are
+//! **carried** across the swap instead of dropped (see
+//! `Inverda::carry_snapshots` below for exactly which, and why), so the
+//! versions that were warm before a migration are warm after it. One
+//! reachable state is known to break the guarantee — an overlapping SPLIT,
+//! DESIGN.md "The auxiliary-table purge", known deviation — which is why
+//! nothing is carried across a flipped SPLIT / MERGE / DECOMPOSE / JOIN.
 
 use crate::compiled::Direction;
-use crate::database::Inverda;
+use crate::database::{Inverda, State};
+use crate::edb::{ClosureWalk, VersionedEdb};
 use crate::error::CoreError;
+use crate::snapshot::{Carried, SnapshotStore};
 use crate::Result;
-use inverda_catalog::MaterializationSchema;
+use inverda_catalog::{MaterializationSchema, SmoId};
 use inverda_datalog::eval::{evaluate_compiled, EdbView};
 use inverda_storage::Relation;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 impl Inverda {
     /// Execute a MATERIALIZE statement. Each target is either a schema
@@ -30,18 +42,18 @@ impl Inverda {
         let mut tvs = Vec::new();
         for target in targets {
             match target.split_once('.') {
-                Some((version, table)) => {
+                Some((version, table)) if !version.is_empty() && !table.is_empty() => {
                     tvs.push(state.genealogy.resolve(version, table)?);
                 }
-                None => {
+                None if !target.is_empty() => {
                     let v = state.genealogy.version(target)?;
                     tvs.extend(v.tables.values().copied());
                 }
-            }
-            if target.is_empty() {
-                return Err(CoreError::BadMaterializeTarget {
-                    target: target.clone(),
-                });
+                _ => {
+                    return Err(CoreError::BadMaterializeTarget {
+                        target: target.clone(),
+                    });
+                }
             }
         }
         let new_m = MaterializationSchema::for_table_versions(&state.genealogy, &tvs)?;
@@ -131,30 +143,34 @@ impl Inverda {
         new_m: MaterializationSchema,
     ) -> Result<()> {
         // ---- Plan the new physical state under the *current* mappings.
-        let mut creates: Vec<Relation> = Vec::new();
-        let mut replaces: Vec<Relation> = Vec::new();
+        let mut creates: Vec<Arc<Relation>> = Vec::new();
+        let mut replaces: Vec<Arc<Relation>> = Vec::new();
         let mut drops: Vec<String> = Vec::new();
+        // How many leading `drops` are table versions leaving `P` (the rest
+        // are aux tables), and the SMOs whose materialization state flips.
+        let leaving;
+        let mut flipped: BTreeSet<SmoId> = BTreeSet::new();
         {
             let g = &state.genealogy;
             let cur = &state.materialization;
             let ids = self.id_source();
             // Planning reads the *current* state: warm snapshots are valid
-            // until the swap below (which clears the store).
+            // until the swap below, and what planning resolves on top of
+            // them is carried across it like everything else.
             let edb = self.edb(state, &ids);
 
-            let old_p: std::collections::BTreeSet<_> = cur.physical_tables(g).into_iter().collect();
-            let new_p: std::collections::BTreeSet<_> =
-                new_m.physical_tables(g).into_iter().collect();
+            let old_p: BTreeSet<_> = cur.physical_tables(g).into_iter().collect();
+            let new_p: BTreeSet<_> = new_m.physical_tables(g).into_iter().collect();
 
-            // Data tables entering / leaving P.
+            // Data tables entering / leaving P. A table entering P *is* the
+            // snapshot planning resolved — shared, not copied.
             for tv in new_p.difference(&old_p) {
-                let t = g.table_version(*tv);
-                let rel = edb.full(&t.rel).map_err(CoreError::from)?;
-                creates.push((*rel).clone());
+                creates.push(edb.full(&g.table_version(*tv).rel)?);
             }
             for tv in old_p.difference(&new_p) {
                 drops.push(g.table_version(*tv).rel.clone());
             }
+            leaving = drops.len();
 
             // Auxiliary tables of SMOs whose state flips.
             for smo in g.smos().filter(|s| s.moves_data()) {
@@ -163,39 +179,36 @@ impl Inverda {
                 if was == will {
                     continue;
                 }
+                flipped.insert(smo.id);
                 let (direction, rules) = if will {
                     (Direction::ToTgt, &smo.derived.to_tgt)
                 } else {
                     (Direction::ToSrc, &smo.derived.to_src)
                 };
-                let crs = self
-                    .compiled
-                    .get_or_compile(smo.id, direction, rules)
-                    .map_err(CoreError::from)?;
-                let heads = evaluate_compiled(&crs, &edb, &ids, edb.head_columns())
-                    .map_err(CoreError::from)?;
+                let crs = self.compiled.get_or_compile(smo.id, direction, rules)?;
+                let mut heads = evaluate_compiled(&crs, &edb, &ids, edb.head_columns())?;
                 let (new_aux, old_aux) = if will {
                     (&smo.derived.tgt_aux, &smo.derived.src_aux)
                 } else {
                     (&smo.derived.src_aux, &smo.derived.tgt_aux)
                 };
                 for aux in new_aux {
-                    let contents = heads.get(&aux.rel).cloned().unwrap_or_else(|| {
+                    let contents = heads.remove(&aux.rel).unwrap_or_else(|| {
                         Relation::new(
                             inverda_storage::TableSchema::new(aux.rel.clone(), aux.columns.clone())
                                 .expect("valid aux schema"),
                         )
                     });
-                    creates.push(contents);
+                    creates.push(Arc::new(contents));
                 }
                 for aux in old_aux {
-                    drops.push(aux.rel.clone());
+                    if self.storage.has_table(&aux.rel) {
+                        drops.push(aux.rel.clone());
+                    }
                 }
                 for shared in &smo.derived.shared_aux {
-                    if let Some(contents) = heads.get(&shared.new_name) {
-                        let mut renamed = contents.clone();
-                        renamed = renamed.renamed(shared.table.rel.clone());
-                        replaces.push(renamed);
+                    if let Some(contents) = heads.remove(&shared.new_name) {
+                        replaces.push(Arc::new(contents.renamed(shared.table.rel.clone())));
                     }
                 }
                 // Re-seed the skolem registry from the relocated state:
@@ -214,33 +227,93 @@ impl Inverda {
             }
         }
 
-        // ---- Execute the swap.
-        for rel in creates {
-            self.storage.create_table_with(rel)?;
-        }
-        for rel in replaces {
-            self.storage.replace_table(rel)?;
-        }
-        for rel in drops {
-            if self.storage.has_table(&rel) {
-                self.storage.drop_table(&rel)?;
-            }
-        }
+        // ---- Execute the swap: all of it or none of it. Every resolved
+        // snapshot is valid up to this instant; the table versions leaving
+        // `P` join them as the resolutions of the relations they become.
+        let store = self.snapshot_store();
+        let mut candidates = store.map_or_else(Vec::new, |s| s.valid_virtual(&self.storage));
+        let dropped = self.storage.swap_tables(creates, replaces, &drops)?;
         state.materialization = new_m;
-        // The physical/virtual split changed: every defining rule set and
-        // static footprint may differ, so resolved snapshots are retired
-        // wholesale (unlike CREATE / DROP SCHEMA VERSION, which leave the
-        // split alone and invalidate only what they add or retire), and
-        // so is every fused γ-chain — its hop structure follows the
+        if let Some(store) = store {
+            candidates.extend(dropped.into_iter().take(leaving).map(Carried::unindexed));
+            self.carry_snapshots(store, state, &flipped, candidates);
+        }
+        // Every fused γ-chain is retired: its hop structure follows the
         // storage cases. The per-SMO compilations stay valid: MATERIALIZE
-        // does not touch the rule sets themselves. Both invalidations are
+        // does not touch the rule sets themselves. Both stores are
         // branch-scoped: `self.snapshots` and `self.compiled` belong to
         // this engine alone (branch forks get independent copies, see
         // `Inverda::fork_detached`), so a MATERIALIZE here cannot
         // cold-start a sibling branch's caches.
-        self.snapshots.clear();
         self.compiled.clear_fused();
         Ok(())
+    }
+
+    /// Replace the snapshot store's contents with the `candidates` that
+    /// survive the swap that just happened — **carry, then re-stamp**. A
+    /// migration changes no relation's contents (conditions 26/27; the
+    /// module docs) but every footprint: which tables a resolution reads
+    /// follows the physical/virtual split. So a candidate — a snapshot that
+    /// was valid the instant before the swap, or the final contents of a
+    /// table version that left `P` — is re-installed under its footprint in
+    /// the new split, stamped with the post-swap epochs, iff it is still
+    /// virtual and
+    ///
+    /// * its resolution closure **cannot mint**: planning re-seeds the
+    ///   skolem registry (`purge_generator` / `observe`), so what a minting
+    ///   resolution would produce now is not what it produced before; and
+    /// * **every SMO in that closure whose materialization state flipped is
+    ///   column-level** (ADD / DROP / RENAME COLUMN, RENAME TABLE).
+    ///
+    /// Why that suffices, by induction over the closure from storage
+    /// outward: a physical input is a table the swap left alone (an aux
+    /// table is read by its own SMO's rule sets only, and only flipped SMOs
+    /// have theirs created, replaced or dropped), or a table version that
+    /// entered `P` holding exactly its pre-swap resolution. A hop through
+    /// an SMO that did not flip keeps its direction — conditions (55)/(56)
+    /// leave a table version whose adjacent SMOs kept their state one
+    /// storage case — hence its rule set, and by induction its inputs, so
+    /// it derives what it derived. A hop through a flipped column-level SMO
+    /// reads the far side of a mapping whose round trip is exact by
+    /// construction (γ_src ∘ γ_tgt = id with the aux tables the planner
+    /// just computed). Anything resolving through a flipped SPLIT / MERGE /
+    /// DECOMPOSE / JOIN is dropped: those round trips are not exact for
+    /// every reachable state (the overlapping-SPLIT deviation pinned in
+    /// `tests/roundtrip_laws.rs`), and a cold resolution must win. Widen
+    /// the list kind by kind, with `snapshot_reuse_props` green — never per
+    /// instance.
+    ///
+    /// All verdicts are structural — the store is not consulted, so one
+    /// carried entry never vouches for another — and come out of one
+    /// memoized [`ClosureWalk`]. The statement holds the writer lock and
+    /// the state write lock: nothing moves between the verdicts, the
+    /// stamps and the install.
+    fn carry_snapshots(
+        &self,
+        store: &SnapshotStore,
+        state: &State,
+        flipped: &BTreeSet<SmoId>,
+        candidates: Vec<Carried>,
+    ) {
+        let ids = self.id_source();
+        let edb = VersionedEdb::new(
+            &state.genealogy,
+            &state.materialization,
+            &self.storage,
+            &ids,
+            &self.compiled,
+        );
+        let mut walk = ClosureWalk::new(&edb, flipped);
+        let survivors = candidates
+            .into_iter()
+            .filter_map(|candidate| {
+                let closure = walk.closure(&candidate.relation);
+                closure
+                    .carriable()
+                    .then_some((candidate, closure.footprint))
+            })
+            .collect();
+        store.reinstall(survivors, &self.storage);
     }
 }
 
@@ -352,6 +425,24 @@ mod tests {
             .unwrap();
         assert_eq!(db.storage_case("TasKy2", "Task").unwrap(), "local");
         assert_eq!(db.storage_case("TasKy2", "Author").unwrap(), "local");
+    }
+
+    #[test]
+    fn malformed_targets_are_rejected_before_name_resolution() {
+        let db = tasky_full();
+        for target in ["", ".Task", "TasKy2.", "."] {
+            let err = db.materialize(&[target.to_string()]).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::BadMaterializeTarget { target: t } if t == target),
+                "{target:?}: {err:?}"
+            );
+        }
+        let err = db.execute("MATERIALIZE '';").unwrap_err();
+        assert!(matches!(err, CoreError::BadMaterializeTarget { .. }));
+        // A well-formed target naming nothing is still a catalog error.
+        let err = db.materialize(&["Nope".to_string()]).unwrap_err();
+        assert!(matches!(err, CoreError::Catalog(_)), "{err:?}");
+        assert_eq!(db.storage_case("TasKy", "Task").unwrap(), "local");
     }
 
     #[test]

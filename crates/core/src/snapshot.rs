@@ -42,9 +42,16 @@
 //! reused and a new, virtualized SMO alters no existing relation's defining
 //! rule set or static footprint; `DROP SCHEMA VERSION`
 //! [`forget`](SnapshotStore::forget)s the entries and footprints of the
-//! relations it retires; `MATERIALIZE` and recovery, which move the
-//! physical/virtual split under every footprint, still
-//! [`clear`](SnapshotStore::clear) wholesale — mirroring [`CompiledStore`].
+//! relations it retires; `MATERIALIZE` moves the physical/virtual split
+//! under every footprint but changes no relation's *contents*, so it
+//! **carries** the store across its swap: the entries valid before it
+//! (`SnapshotStore::valid_virtual`) and the table versions
+//! leaving the physical schema are put back
+//! (`SnapshotStore::reinstall`) under their new footprints and
+//! the post-swap epochs — those whose resolution is mint-free and crosses no
+//! flipped SMO other than a column-level one; the decision and its argument
+//! live with the statement, in `migrate.rs`. Only recovery, which installs a
+//! whole new state, still [`clear`](SnapshotStore::clear)s wholesale.
 //!
 //! ## Epoch-versioned invalidation (the serving layer's contract)
 //!
@@ -69,7 +76,9 @@
 //! (aux-purge hits, unpatchable deltas, targeted
 //! [`invalidate`](SnapshotStore::invalidate)) drop the current version *for
 //! real* — those mark entries wrong for their stamps, not merely
-//! superseded — and `clear()` still empties everything.
+//! superseded — and `clear()` and `reinstall()` empty everything first, the
+//! retired versions included: an in-flight pin fork made after either
+//! simply starts cold.
 //!
 //! The warm/cold equivalence discipline (a warm read must be byte-identical
 //! to cold resolution, including skolem id minting) is enforced by the
@@ -192,6 +201,33 @@ pub struct SnapshotStats {
     /// and diffed it against the stored snapshots (recompute-vs-stored)
     /// instead of propagating the write's delta.
     pub recomputes: u64,
+    /// Entries a `MATERIALIZE` carried across its physical/virtual swap
+    /// (re-installed under the new footprints instead of dropped).
+    pub carried: u64,
+}
+
+/// A resolved snapshot on its way across a `MATERIALIZE` swap: the relation
+/// it resolves, its contents, and the indexes built over exactly that
+/// allocation (they are tied to it by pointer identity, so they stay right
+/// wherever the snapshot goes). Taken out of the store before the swap
+/// ([`SnapshotStore::valid_virtual`]) and put back after it
+/// ([`SnapshotStore::reinstall`]).
+pub(crate) struct Carried {
+    pub(crate) relation: String,
+    pub(crate) rel: Arc<Relation>,
+    indexes: HashMap<usize, Arc<ColumnIndex>>,
+}
+
+impl Carried {
+    /// A snapshot no read ever resolved: the final contents of a table that
+    /// just stopped being physical.
+    pub(crate) fn unindexed(rel: Arc<Relation>) -> Self {
+        Carried {
+            relation: rel.name().to_string(),
+            rel,
+            indexes: HashMap::new(),
+        }
+    }
 }
 
 /// Cross-statement store of resolved relation snapshots. Owned by
@@ -216,6 +252,7 @@ pub struct SnapshotStore {
     patches: AtomicU64,
     invalidations: AtomicU64,
     recomputes: AtomicU64,
+    carried: AtomicU64,
 }
 
 impl SnapshotStore {
@@ -583,8 +620,66 @@ impl SnapshotStore {
         }
     }
 
-    /// Drop everything — entries and cached footprints (the materialization
-    /// changed, recovery installed a new state, or reuse was switched off).
+    /// Every virtual snapshot that is valid against `storage` right now,
+    /// with its indexes — what a `MATERIALIZE` may carry across its swap,
+    /// and what the store audit re-resolves. Nothing is removed and no
+    /// counter moves.
+    pub(crate) fn valid_virtual(&self, storage: &Storage) -> Vec<Carried> {
+        if !self.serves(storage) {
+            return Vec::new();
+        }
+        let inner = self.inner.lock();
+        inner
+            .entries
+            .keys()
+            .filter_map(|name| {
+                let entry = inner.first_valid(name, storage)?;
+                Some(Carried {
+                    relation: name.clone(),
+                    rel: Arc::clone(entry.rel.as_ref()?),
+                    indexes: entry.indexes.clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// Replace the store's whole contents — entries (retired versions
+    /// included) and cached footprints — with `survivors`: each installed as
+    /// the only version of its relation, under its new static footprint
+    /// stamped with `storage`'s current epochs. The caller holds the writer
+    /// lock, so nothing moves between the stamps and the install. Installs
+    /// go through the same versioning path as
+    /// [`store_entry`](SnapshotStore::store_entry): they advance
+    /// [`installed`](SnapshotStore::installed), so a reader pinned before
+    /// the migration is never handed one.
+    pub(crate) fn reinstall(
+        &self,
+        survivors: Vec<(Carried, Arc<BTreeSet<String>>)>,
+        storage: &Storage,
+    ) {
+        let mut inner = self.inner.lock();
+        let retain = self.pins.load(Ordering::SeqCst) > 0;
+        inner.entries.clear();
+        inner.footprints.clear();
+        self.carried
+            .fetch_add(survivors.len() as u64, Ordering::Relaxed);
+        for (carried, footprint) in survivors {
+            let entry = Entry {
+                rel: Some(carried.rel),
+                footprint: footprint
+                    .iter()
+                    .map(|table| (table.clone(), storage.epoch_of(table)))
+                    .collect(),
+                indexes: carried.indexes,
+                seq: 0,
+            };
+            inner.push_version(&carried.relation, entry, retain);
+            inner.footprints.insert(carried.relation, footprint);
+        }
+    }
+
+    /// Drop everything — entries and cached footprints (recovery installed
+    /// a new state, or reuse was switched off).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.entries.clear();
@@ -601,20 +696,6 @@ impl SnapshotStore {
         self.len() == 0
     }
 
-    /// Names of virtual entries currently valid (diagnostics).
-    pub fn entry_names(&self, storage: &Storage) -> Vec<(String, Arc<Relation>)> {
-        let inner = self.inner.lock();
-        inner
-            .entries
-            .keys()
-            .filter_map(|name| {
-                let entry = inner.first_valid(name, storage)?;
-                let rel = entry.rel.as_ref()?;
-                Some((name.clone(), Arc::clone(rel)))
-            })
-            .collect()
-    }
-
     /// Counter snapshot (diagnostics and tests).
     pub fn stats(&self) -> SnapshotStats {
         SnapshotStats {
@@ -623,6 +704,7 @@ impl SnapshotStore {
             patches: self.patches.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             recomputes: self.recomputes.load(Ordering::Relaxed),
+            carried: self.carried.load(Ordering::Relaxed),
         }
     }
 
@@ -735,6 +817,7 @@ impl SnapshotStore {
             patches: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
+            carried: AtomicU64::new(0),
         }
     }
 }

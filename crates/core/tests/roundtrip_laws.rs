@@ -373,3 +373,46 @@ fn diverging_shared_payload_update_unshares_cleanly() {
     assert_eq!(db.get("V1", "T", k2).unwrap().unwrap()[1], Value::Int(9));
     assert_eq!(db.get("V1", "T", k1).unwrap().unwrap()[1], Value::Int(8));
 }
+
+/// **Known deviation from condition (27)**, pinned so that it cannot change
+/// unnoticed (DESIGN.md "The auxiliary-table purge", known deviation): a
+/// `MATERIALIZE` across an *overlapping* SPLIT loses a visible row. A row
+/// inserted through `S` inside the overlap gets no twin in `R` (`R⁻`
+/// records that); updating it through `T` to a value that matches `cR` only
+/// leaves it visible in `T` alone — `R⁻` still hides it from `R`, and `cS`
+/// no longer holds. Moving the data to `V2` then stores `R`, `S` and `T'`,
+/// and the row is in none of them: it matches `cR`, so `T'` does not keep
+/// it. Condition (27) — γ_src(γ_tgt(D_src)) = D_src, "every schema version
+/// exposes exactly the same logical state before and after" — fails for
+/// this reachable state. The SPLIT rules are not changed here (the
+/// Appendix-A proof in `formal` hangs on them); this is why a resolved
+/// snapshot is not carried across a flipped SPLIT
+/// (`Inverda::carry_snapshots`), and the first counterexample ROADMAP
+/// item 7's chain generator must rediscover. When the rules are fixed this
+/// test fails: flip the last assertion then.
+#[test]
+fn known_deviation_materialize_across_overlapping_split_loses_a_row() {
+    let db = Inverda::new();
+    db.execute(
+        "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b); \
+         CREATE SCHEMA VERSION V2 FROM V1 WITH \
+           SPLIT TABLE T INTO R WITH a < 5, S WITH a >= 3;",
+    )
+    .unwrap();
+    let k = db.insert("V2", "S", vec![3.into(), "b2".into()]).unwrap();
+    db.update("V1", "T", k, vec![2.into(), "b2".into()])
+        .unwrap();
+    assert_eq!(
+        db.get("V1", "T", k).unwrap(),
+        Some(vec![2.into(), "b2".into()])
+    );
+    assert_eq!(db.count("V2", "R").unwrap(), 0, "R⁻ hides the lost twin");
+    assert_eq!(db.count("V2", "S").unwrap(), 0, "a = 2 fails cS");
+
+    db.execute("MATERIALIZE 'V2';").unwrap();
+    assert_eq!(db.count("V2", "R").unwrap(), 0);
+    assert_eq!(db.count("V2", "S").unwrap(), 0);
+    // Law (27) demands the row still be there.
+    assert_eq!(db.get("V1", "T", k).unwrap(), None);
+    assert_eq!(db.count("V1", "T").unwrap(), 0);
+}

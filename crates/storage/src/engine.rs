@@ -432,24 +432,55 @@ impl Storage {
         Ok(())
     }
 
-    /// Replace a table's entire contents (used by migration when moving data
-    /// to a new physical schema).
-    pub fn replace_table(&self, rel: Relation) -> Result<()> {
+    /// The physical half of a migration, all or nothing: create `creates`,
+    /// overwrite the contents of `replaces`, and drop `drops`, returning the
+    /// dropped tables' final contents in `drops` order. Every name is
+    /// validated against the current table set *before* anything is
+    /// mutated (the shape [`Storage::apply`] has), and the whole swap
+    /// happens under one write lock, so a failing swap leaves storage
+    /// untouched and no reader ever sees half of it. Relations are taken by
+    /// `Arc`: a table that becomes physical shares its allocation with the
+    /// snapshot it was planned from. Created and replaced tables are
+    /// stamped with fresh epochs.
+    pub fn swap_tables(
+        &self,
+        creates: Vec<Arc<Relation>>,
+        replaces: Vec<Arc<Relation>>,
+        drops: &[String],
+    ) -> Result<Vec<Arc<Relation>>> {
         let mut tables = self.tables.write();
-        if !tables.contains_key(rel.name()) {
+        let mut created: BTreeSet<&str> = BTreeSet::new();
+        for rel in &creates {
+            if tables.contains_key(rel.name()) || !created.insert(rel.name()) {
+                return Err(StorageError::TableExists {
+                    table: rel.name().to_string(),
+                });
+            }
+        }
+        let mut dropped: BTreeSet<&str> = BTreeSet::new();
+        let missing = replaces
+            .iter()
+            .map(|rel| rel.name())
+            .find(|name| !tables.contains_key(*name))
+            .or_else(|| {
+                drops
+                    .iter()
+                    .map(String::as_str)
+                    .find(|name| !tables.contains_key(*name) || !dropped.insert(name))
+            });
+        if let Some(name) = missing {
             return Err(StorageError::UnknownTable {
-                table: rel.name().to_string(),
+                table: name.to_string(),
             });
         }
-        let epoch = self.next_epoch();
-        tables.insert(
-            rel.name().to_string(),
-            TableEntry {
-                rel: Arc::new(rel),
-                epoch,
-            },
-        );
-        Ok(())
+        for rel in creates.into_iter().chain(replaces) {
+            let epoch = self.next_epoch();
+            tables.insert(rel.name().to_string(), TableEntry { rel, epoch });
+        }
+        Ok(drops
+            .iter()
+            .map(|name| tables.remove(name).expect("validated").rel)
+            .collect())
     }
 
     /// Total number of rows across all tables (diagnostics).
@@ -576,17 +607,71 @@ mod tests {
         assert!(s.snapshot_many(&["T", "Nope"]).is_err());
     }
 
-    #[test]
-    fn replace_table_swaps_contents() {
-        let s = storage_with_t();
-        let mut new_rel = Relation::with_columns("T", ["a", "b"]);
-        new_rel
-            .insert(Key(42), vec![Value::Int(1), Value::Int(2)])
+    fn filled(name: &str, key: u64) -> Arc<Relation> {
+        let mut rel = Relation::with_columns(name, ["a", "b"]);
+        rel.insert(Key(key), vec![Value::Int(1), Value::Int(2)])
             .unwrap();
-        s.replace_table(new_rel).unwrap();
-        assert_eq!(s.row_count("T").unwrap(), 1);
-        let orphan = Relation::with_columns("Ghost", ["x"]);
-        assert!(s.replace_table(orphan).is_err());
+        Arc::new(rel)
+    }
+
+    #[test]
+    fn swap_tables_creates_replaces_and_drops() {
+        let s = storage_with_t();
+        s.create_table(TableSchema::new("Old", ["a", "b"]).unwrap())
+            .unwrap();
+        let new = filled("New", 7);
+        let dropped = s
+            .swap_tables(
+                vec![Arc::clone(&new)],
+                vec![filled("T", 42)],
+                &["Old".to_string()],
+            )
+            .unwrap();
+        assert_eq!(dropped.len(), 1);
+        assert_eq!(dropped[0].name(), "Old");
+        assert_eq!(s.table_names(), vec!["New", "T"]);
+        assert!(s.with_table("T", |r| r.contains_key(Key(42))).unwrap());
+        // Shared, not copied: the stored table is the allocation handed in.
+        assert!(Arc::ptr_eq(&s.snapshot("New").unwrap(), &new));
+    }
+
+    #[test]
+    fn swap_tables_is_all_or_nothing() {
+        let s = storage_with_t();
+        s.create_table(TableSchema::new("Old", ["a", "b"]).unwrap())
+            .unwrap();
+        let before = s.snapshot_all();
+        let untouched = |s: &Storage| {
+            let now = s.snapshot_all();
+            now.len() == before.len()
+                && now.iter().all(|(name, (rel, epoch))| {
+                    before
+                        .get(name)
+                        .is_some_and(|(r, e)| Arc::ptr_eq(r, rel) && e == epoch)
+                })
+        };
+        let old = ["Old".to_string()];
+        // The second create collides: the first must not have landed.
+        let err = s.swap_tables(vec![filled("New", 1), filled("T", 2)], vec![], &old);
+        assert!(matches!(err, Err(StorageError::TableExists { .. })));
+        assert!(untouched(&s));
+        // A create named twice.
+        let err = s.swap_tables(vec![filled("New", 1), filled("New", 2)], vec![], &[]);
+        assert!(matches!(err, Err(StorageError::TableExists { .. })));
+        assert!(untouched(&s));
+        // A replace of a missing table, after a valid create.
+        let err = s.swap_tables(vec![filled("New", 1)], vec![filled("Ghost", 2)], &old);
+        assert!(matches!(err, Err(StorageError::UnknownTable { .. })));
+        assert!(untouched(&s));
+        // A drop of a missing table, and one named twice.
+        for drops in [
+            vec!["Old".to_string(), "Ghost".to_string()],
+            vec!["Old".to_string(), "Old".to_string()],
+        ] {
+            let err = s.swap_tables(vec![filled("New", 1)], vec![filled("T", 2)], &drops);
+            assert!(matches!(err, Err(StorageError::UnknownTable { .. })));
+            assert!(untouched(&s));
+        }
     }
 
     #[test]
@@ -619,8 +704,12 @@ mod tests {
         assert_eq!(s.epoch_of("U"), eu);
 
         // Replace and re-create restamp; epochs are never reused.
-        s.replace_table(Relation::with_columns("T", ["a", "b"]))
-            .unwrap();
+        s.swap_tables(
+            vec![],
+            vec![Arc::new(Relation::with_columns("T", ["a", "b"]))],
+            &[],
+        )
+        .unwrap();
         let e3 = s.epoch_of("T");
         assert!(e3 > e1);
         s.drop_table("T").unwrap();

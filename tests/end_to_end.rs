@@ -252,6 +252,51 @@ fn wikimedia_chain_end_to_end() {
     assert_eq!(wikimedia::query_version(&db, 28), loaded);
 }
 
+/// `MATERIALIZE` carries resolved snapshots across its swap: on the
+/// stationary Wikimedia round trip v109 ⇄ v171 the eight counts the
+/// benchmark verifies each move with (`wiki_migrate`: four versions × two
+/// tables) never resolve anything, planning itself runs mostly on what the
+/// previous move left warm, and every carried entry equals its cold
+/// resolution.
+#[test]
+fn wikimedia_round_trips_keep_every_checked_version_warm() {
+    let db = wikimedia::install();
+    let data = wikimedia::version_name(wikimedia::LOAD_VERSION);
+    let head = wikimedia::version_name(171);
+    db.execute(&format!("MATERIALIZE '{data}';")).unwrap();
+    wikimedia::load_akan(&db, wikimedia::LOAD_VERSION, 0.002);
+    let checked = [1, 28, wikimedia::LOAD_VERSION, 171].map(wikimedia::version_name);
+    let counts = |db: &Inverda| -> Vec<usize> {
+        checked
+            .iter()
+            .flat_map(|v| ["page", "links"].map(|t| db.count(v, t).unwrap()))
+            .collect()
+    };
+    let expected = counts(&db);
+    assert!(expected.iter().all(|n| *n > 0));
+    for trip in 0..2 {
+        for target in [&head, &data] {
+            let before = db.snapshot_stats();
+            db.execute(&format!("MATERIALIZE '{target}';")).unwrap();
+            let planned = db.snapshot_stats();
+            assert!(planned.carried > before.carried, "trip {trip} → {target}");
+            if trip > 0 {
+                // Stationary: the previous moves resolved every intermediate.
+                assert!(
+                    planned.hits - before.hits >= 40,
+                    "trip {trip} → {target}: planning hit {} snapshots",
+                    planned.hits - before.hits
+                );
+            }
+            assert_eq!(counts(&db), expected, "trip {trip} → {target}");
+            let verified = db.snapshot_stats();
+            assert_eq!(verified.misses, planned.misses, "trip {trip} → {target}");
+            let audit = db.snapshot_store_audit();
+            assert!(audit.is_empty(), "trip {trip} → {target}: {audit:?}");
+        }
+    }
+}
+
 #[test]
 fn delta_and_recompute_paths_agree_end_to_end() {
     let run = |path: WritePath| {
