@@ -22,11 +22,21 @@
 //! resolutions stamp their footprint *before* evaluating, so a snapshot
 //! raced by a concurrent write can never be served (its stamp is already
 //! behind the table's epoch).
+//!
+//! Between warm and cold sits **read-time catch-up**
+//! (`VersionedEdb::catch_up`): a stale snapshot of a relation one hop from
+//! storage — left behind by a write through a sibling version — is brought
+//! up to the state the statement reads by replaying the physical tables'
+//! logged changes through the defining rule set, at the one point where a
+//! cold resolution would have evaluated it whole ([`EdbView::full`]). Key
+//! lookups and seeded probes never catch up: they push their binding down
+//! exactly as they do over a relation nobody ever resolved.
 
 use crate::compiled::{CatalogIndex, CompiledStore, Direction, FusedChain};
-use crate::snapshot::SnapshotStore;
+use crate::snapshot::{SnapshotStore, StaleHeads, StoredHeads};
 use crate::Result;
 use inverda_catalog::{Genealogy, MaterializationSchema, SmoId, StorageCase, TableVersionId};
+use inverda_datalog::delta::{propagate_vs_stored, Delta, DeltaMap};
 use inverda_datalog::eval::{evaluate_compiled, EdbView, Evaluator, IdSource};
 use inverda_datalog::simplify::{apply_empty, Derivation};
 use inverda_datalog::{fusion, CompiledRuleSet, DatalogError, Literal, RuleSet};
@@ -264,6 +274,15 @@ impl<'a> VersionedEdb<'a> {
         self.compiled.get_or_compile(smo, direction, rules)
     }
 
+    /// Whether a resolution keeps (caches and stores) this head of the rule
+    /// set it evaluated: a table version, or an aux table that is not
+    /// physical. Shared `@new` heads describe the next physical state, not
+    /// current state, and intermediate heads (Sn, Ro, …) are artifacts.
+    fn keeps_head(&self, head: &str) -> bool {
+        self.catalog.rel_index.contains_key(head)
+            || (self.catalog.aux_index.contains_key(head) && !self.storage.has_table(head))
+    }
+
     fn resolve_with(
         &self,
         relation: &str,
@@ -277,12 +296,8 @@ impl<'a> VersionedEdb<'a> {
         for (head, rel) in out {
             // Cache sibling heads too — one evaluation serves every output
             // of the defining SMO: the side's table versions and its
-            // (virtual) aux tables. Shared `@new` heads describe the next
-            // physical state, not current state, and intermediate heads
-            // (Sn, Ro, …) are artifacts — skip both.
-            if self.catalog.rel_index.contains_key(&head)
-                || (self.catalog.aux_index.contains_key(&head) && !self.storage.has_table(&head))
-            {
+            // (virtual) aux tables.
+            if self.keeps_head(&head) {
                 let shared = Arc::new(rel);
                 if head == relation {
                     requested = Some(Arc::clone(&shared));
@@ -389,15 +404,106 @@ impl<'a> VersionedEdb<'a> {
         if self.storage.has_table(relation) {
             return self.physical_full(relation).map(Some);
         }
-        if let Some(store) = self.snapshots {
-            if let Some(hit) = store.get(relation, self.storage) {
-                self.cache
-                    .lock()
-                    .insert(relation.to_string(), Arc::clone(&hit));
-                return Ok(Some(hit));
-            }
+        Ok(self.probe_store(relation))
+    }
+
+    /// The read paths' one probe of the snapshot store. A valid entry is
+    /// served, and pinned into the statement cache. A stale one stays in
+    /// the store iff [`catch_up`](VersionedEdb::catch_up) can still bring it
+    /// up to date — the relation is one hop from storage and the change log
+    /// still leads on from every stamp — and is dropped otherwise, before
+    /// the cold resolution that replaces it allocates its own.
+    fn probe_store(&self, relation: &str) -> Option<Arc<Relation>> {
+        let store = self.snapshots?;
+        let hit = store.get(relation, self.storage, |stamps| {
+            self.catch_up_rules(relation).is_some()
+                && stamps
+                    .iter()
+                    .all(|(table, epoch)| self.storage.log_reaches(table, *epoch))
+        })?;
+        self.cache
+            .lock()
+            .insert(relation.to_string(), Arc::clone(&hit));
+        Some(hit)
+    }
+
+    /// The rule set read-time catch-up replays for `relation`: its defining
+    /// rule set (unfused), if that is non-staged and reads nothing but
+    /// physical tables.
+    fn catch_up_rules(&self, relation: &str) -> Option<Arc<CompiledRuleSet>> {
+        let crs = self.defining_compiled(relation)?.ok()?;
+        let one_hop = !crs.staged()
+            && crs
+                .body_relations()
+                .iter()
+                .all(|rel| self.storage.has_table(rel));
+        one_hop.then_some(crs)
+    }
+
+    /// **Read-time catch-up**: bring the stale snapshots of `relation` and
+    /// of the sibling heads its defining rule set derives up to the state
+    /// this statement reads, from the physical tables' change logs, instead
+    /// of resolving them cold. `Some` (the head deltas applied, for whoever
+    /// maintains what reads these heads) means the statement cache now
+    /// holds every one of them; `None` means nothing happened and the
+    /// caller resolves cold — which then raises the canonical error or
+    /// mints canonically.
+    ///
+    /// Called from [`full`](EdbView::full) only, at the point where a
+    /// database without a store evaluates the rule set over the whole new
+    /// state: that single evaluation is what
+    /// [`propagate_vs_stored`]'s mint-order argument is stated against, so
+    /// the ids minted here are the ones it mints, in its order. Point
+    /// lookups and seeded probes evaluate *less* than that, and a catch-up
+    /// in their place would mint a new payload's id ahead of time (DESIGN.md
+    /// "Read-time catch-up").
+    fn catch_up(&self, relation: &str) -> Option<DeltaMap> {
+        let store = self.snapshots?;
+        let crs = self.catch_up_rules(relation)?;
+        let heads: Vec<&str> = crs
+            .head_names()
+            .filter(|head| self.keeps_head(head))
+            .collect();
+        if !heads.contains(&relation) {
+            return None;
         }
-        Ok(None)
+        let stale = store.stale_heads(&heads)?;
+        // The snapshots were derived over exactly what the rules read.
+        if !stale
+            .stamps
+            .keys()
+            .map(String::as_str)
+            .eq(BTreeSet::from_iter(crs.body_relations()))
+        {
+            return None;
+        }
+        // Per table: what happened between the epoch the snapshots were
+        // derived at and the epoch this statement reads it at.
+        let mut input = DeltaMap::new();
+        let mut seen = BTreeMap::new();
+        for (table, stamp) in &stale.stamps {
+            self.full(table).ok()?;
+            let epoch = self.seen_epochs.lock().get(table).copied()?;
+            let changes = self.storage.changes_between(table, *stamp, epoch)?;
+            if !changes.is_empty() {
+                input.insert(table.clone(), Delta::from(changes));
+            }
+            seen.insert(table.clone(), epoch);
+        }
+        let StaleHeads { rels, seqs, .. } = stale;
+        let stored = StoredHeads { store, rels };
+        if stored.outnumbered_by(&input) {
+            return None;
+        }
+        let deltas = propagate_vs_stored(&crs, self, &input, self.ids, &stored).ok()?;
+        // Let go of the snapshots: unshared, they are patched in place.
+        drop(stored);
+        let patched = store.catch_up(&seqs, &deltas, &seen)?;
+        let mut cache = self.cache.lock();
+        for (head, rel) in patched {
+            cache.insert(head.to_string(), rel);
+        }
+        Some(deltas)
     }
 
     /// Whether a **cold** read of `relation` can be answered by column-seeded
@@ -491,7 +597,7 @@ impl<'a> VersionedEdb<'a> {
         if empty.is_empty() {
             return rules;
         }
-        let simplified = apply_empty(&rules, &empty, &mut Derivation::new());
+        let simplified = apply_empty(&rules, &empty, &mut Derivation::silent());
         assumed.extend(empty);
         simplified
     }
@@ -600,7 +706,7 @@ impl<'a> VersionedEdb<'a> {
                 // assumptions: the intermediate version is empty, Lemma 2
                 // applies to its occurrences directly.
                 let e: BTreeSet<String> = [crel.clone()].into_iter().collect();
-                apply_empty(&fused, &e, &mut Derivation::new())
+                apply_empty(&fused, &e, &mut Derivation::silent())
             } else {
                 match fusion::inline_hop(&fused, &defs, &budget) {
                     Some(f) => f,
@@ -831,6 +937,12 @@ impl EdbView for VersionedEdb<'_> {
         if let Some(hit) = self.peek_resolved(relation)? {
             return Ok(hit);
         }
+        // A stale snapshot one hop from storage is patched, not replaced.
+        if self.catch_up(relation).is_some() {
+            if let Some(hit) = self.cache.lock().get(relation) {
+                return Ok(Arc::clone(hit));
+            }
+        }
         // Cold path: stamp the footprint, then resolve.
         let stamp = self.snapshots.map(|_| self.stamped_footprint(relation));
         let resolved = if let Some(tv) = self.catalog.rel_index.get(relation).copied() {
@@ -868,12 +980,8 @@ impl EdbView for VersionedEdb<'_> {
             return Ok(self.physical_full(relation)?.get(key).cloned());
         }
         // Warm path: serve the point lookup from a valid stored snapshot.
-        if let Some(store) = self.snapshots {
-            if let Some(hit) = store.get(relation, self.storage) {
-                let row = hit.get(key).cloned();
-                self.cache.lock().insert(relation.to_string(), hit);
-                return Ok(row);
-            }
+        if let Some(hit) = self.probe_store(relation) {
+            return Ok(hit.get(key).cloned());
         }
         let Some(tv) = self.catalog.rel_index.get(relation).copied() else {
             // Virtual aux tables resolve through their full state.

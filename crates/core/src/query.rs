@@ -644,9 +644,12 @@ impl<'a> Query<'a> {
         // Cold fallback: resolve fully (canonical order), then scan. No
         // index is built for a one-shot cold query — the resolution itself
         // already cost O(data), and the snapshot store keeps the resolved
-        // relation (and any later index) warm for the next one.
+        // relation (and any later index) warm for the next one. An index
+        // that is already there is probed: a stale snapshot caught up by
+        // `full` comes back with its indexes patched in lockstep.
         let rel = edb.full(relation).map_err(crate::CoreError::from)?;
-        self.select_from_snapshot(edb, relation, rel, bound, None, order, limit)
+        let pushed = pushed.filter(|p| edb.cached_index(relation, p.column).is_some());
+        self.select_from_snapshot(edb, relation, rel, bound, pushed, order, limit)
     }
 
     /// Selection over an at-hand snapshot: index probe for a pushed

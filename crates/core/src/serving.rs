@@ -169,6 +169,12 @@ impl PinnedView {
         self.ids.registry.dump()
     }
 
+    /// Counters of this view's private snapshot store: what its own reads
+    /// hit, missed and resolved (diagnostics).
+    pub fn snapshot_stats(&self) -> crate::snapshot::SnapshotStats {
+        self.store.stats()
+    }
+
     /// Names of all schema versions at the pinned epoch.
     pub fn versions(&self) -> Vec<String> {
         self.genealogy

@@ -33,8 +33,20 @@
 //!   variants) by **recompute-vs-stored**, a full evaluation of the new
 //!   state diffed against the snapshot ([`SnapshotStats::recomputes`]
 //!   counts those). Relations whose footprint intersects an aux-table
-//!   purge fall back to targeted invalidation; everything else the write
-//!   did not touch stays warm untouched.
+//!   purge fall back to targeted invalidation; relations whose footprint
+//!   the write did not touch stay valid as they are.
+//! * **Read-time catch-up**: a write maintains the snapshots *on its own
+//!   path* to the data. A version off that path — a sibling of the written
+//!   one — goes stale: its footprint tables moved on and nobody computed its
+//!   delta. Such an entry is not thrown away either. While the storage
+//!   change log ([`Storage::changes_between`]) still leads from its stamps
+//!   to the present and its relation is one hop from storage, it stays in
+//!   the store, unserved, until a statement reads the relation in full;
+//!   that statement patches it with delta-vs-stored over the logged changes
+//!   (`SnapshotStore::catch_up`, driven by `VersionedEdb::full`;
+//!   [`SnapshotStats::caught_up`]) instead of resolving it cold. Whether a
+//!   stale entry stays or goes is decided once, by the probing read
+//!   ([`SnapshotStore::get`]'s `keep_stale`).
 //!
 //! What a DDL statement does to the store follows from what it can change
 //! (the argument is written out at `Inverda::create_schema_version`):
@@ -57,9 +69,9 @@
 //!
 //! Invalidation is **versioned, not in-place**: each relation holds a short
 //! list of snapshot versions, oldest first, whose last element is *current*.
-//! Superseding a version (a commit-time patch, a fresh `store_entry`, an
-//! epoch-stale eviction) *retires* the old version — keeps it in the list —
-//! whenever epoch-pinned readers are outstanding
+//! Superseding a version (a commit-time patch, a read-time catch-up, a fresh
+//! `store_entry`, an epoch-stale eviction) *retires* the old version —
+//! keeps it in the list — whenever epoch-pinned readers are outstanding
 //! ([`acquire_pin`](SnapshotStore::acquire_pin)); with no pins it is dropped
 //! immediately, preserving the single-session memory profile. Every lookup
 //! scans versions newest-first for one whose **exact** footprint stamps
@@ -91,6 +103,8 @@
 
 use inverda_catalog::Retired;
 use inverda_datalog::delta::{Delta, DeltaMap};
+use inverda_datalog::eval::EdbView;
+use inverda_datalog::DatalogError;
 use inverda_storage::{ColumnIndex, Key, Relation, Storage};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -169,6 +183,49 @@ impl Inner {
         }
     }
 
+    /// Patch the current version of `relation` by `delta` into a new
+    /// current version whose footprint is stamped by `epoch_of`. The
+    /// pre-patch version is retired when `retain` is set (it stays servable
+    /// at its old stamps; its snapshot is then copied, not patched in
+    /// place). `false` — and the current version gone, a correctness
+    /// invalidation — if there is none or the delta does not apply.
+    fn patch_current(
+        &mut self,
+        relation: &str,
+        delta: &Delta,
+        retain: bool,
+        epoch_of: impl Fn(&str) -> u64,
+    ) -> bool {
+        let Some(versions) = self.entries.get_mut(relation) else {
+            return false;
+        };
+        let Some(old) = versions.pop() else {
+            return false;
+        };
+        let mut retired = None;
+        let mut entry = if retain {
+            let copy = (*old).clone();
+            retired = Some(old);
+            copy
+        } else {
+            Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone())
+        };
+        if !patch_entry(&mut entry, delta) {
+            // Retired copies, if any, stay.
+            if versions.is_empty() {
+                self.entries.remove(relation);
+            }
+            return false;
+        }
+        for (table, epoch) in entry.footprint.iter_mut() {
+            *epoch = epoch_of(table);
+        }
+        // (`push_version` drops it again if the stamps did not move.)
+        versions.extend(retired);
+        self.push_version(relation, entry, retain);
+        true
+    }
+
     /// Drop the current version of `relation` — a correctness invalidation,
     /// not a supersession, so it is never retired. Retired versions stay:
     /// their stamps are strictly older than the live epochs, so only
@@ -204,6 +261,9 @@ pub struct SnapshotStats {
     /// Entries a `MATERIALIZE` carried across its physical/virtual swap
     /// (re-installed under the new footprints instead of dropped).
     pub carried: u64,
+    /// Stale entries a read brought up to date from the storage change log
+    /// (read-time catch-up) instead of re-resolving them cold.
+    pub caught_up: u64,
 }
 
 /// A resolved snapshot on its way across a `MATERIALIZE` swap: the relation
@@ -253,6 +313,7 @@ pub struct SnapshotStore {
     invalidations: AtomicU64,
     recomputes: AtomicU64,
     carried: AtomicU64,
+    caught_up: AtomicU64,
 }
 
 impl SnapshotStore {
@@ -302,11 +363,19 @@ impl SnapshotStore {
 
     /// The cached snapshot of a virtual relation, if some version's whole
     /// footprint is at exactly the probing storage's epochs (newest version
-    /// wins). When every version is stale the line is dropped — unless
-    /// epoch-pinned readers are outstanding, in which case the versions are
-    /// retired in place so an in-flight fork can still copy them. Every
-    /// call counts exactly one hit or one miss.
-    pub fn get(&self, relation: &str, storage: &Storage) -> Option<Arc<Relation>> {
+    /// wins). When every version is stale, `keep_stale` — handed the current
+    /// version's stamps — decides whether the line stays for a reader to
+    /// catch up (`SnapshotStore::catch_up`) or is dropped now, before the
+    /// cold resolution that replaces it allocates its own; while
+    /// epoch-pinned readers are outstanding it stays either way, so an
+    /// in-flight fork can still copy its versions. Every call counts
+    /// exactly one hit or one miss.
+    pub fn get(
+        &self,
+        relation: &str,
+        storage: &Storage,
+        keep_stale: impl FnOnce(&BTreeMap<String, u64>) -> bool,
+    ) -> Option<Arc<Relation>> {
         if !self.serves(storage) {
             // A foreign branch's storage: its epochs live in a different
             // namespace, so an exact stamp match would be coincidence, not
@@ -315,30 +384,27 @@ impl SnapshotStore {
             return None;
         }
         let mut inner = self.inner.lock();
-        match inner.entries.get(relation) {
-            Some(versions) => {
-                if let Some(entry) = versions.iter().rev().find(|e| e.is_valid(storage)) {
-                    // A physical table's index carrier holds no snapshot to
-                    // serve: a miss like any other, so every probe counts.
-                    let Some(rel) = entry.rel.as_ref() else {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    };
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::clone(rel))
-                } else {
-                    if self.pins.load(Ordering::Relaxed) == 0 {
-                        inner.entries.remove(relation);
-                    }
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        // A physical table's index carrier holds no snapshot to serve: a
+        // miss like any other, so every probe counts.
+        let hit = inner
+            .first_valid(relation, storage)
+            .map(|entry| entry.rel.clone());
+        if let Some(Some(rel)) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(rel);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if hit.is_none() && self.pins.load(Ordering::Relaxed) == 0 {
+            let keep = inner
+                .entries
+                .get(relation)
+                .and_then(|versions| versions.last())
+                .is_some_and(|current| keep_stale(&current.footprint));
+            if !keep {
+                inner.entries.remove(relation);
             }
         }
+        None
     }
 
     /// The cached join index for a *virtual* relation, served only if the
@@ -521,9 +587,11 @@ impl SnapshotStore {
 
     /// Apply the maintenance plan a completed write produced: patch entries
     /// that have an exact delta and were valid before the write (refreshing
-    /// their footprint epochs from post-write storage), drop entries the
-    /// plan invalidates or whose footprint intersects an aux purge, and
-    /// leave everything else to lazy epoch validation.
+    /// their footprint epochs from post-write storage), and drop entries the
+    /// plan invalidates or whose footprint intersects an aux purge. Entries
+    /// the plan does not mention are left alone: untouched footprints stay
+    /// valid, and a sibling version's now-stale snapshot waits for its next
+    /// reader to catch it up (`SnapshotStore::catch_up`) or drop it.
     pub fn commit(
         &self,
         maint: &SnapshotMaintenance,
@@ -540,10 +608,7 @@ impl SnapshotStore {
             }
         }
         for (rel, delta) in &maint.patches {
-            let Some(versions) = inner.entries.get_mut(rel) else {
-                continue;
-            };
-            let Some(current) = versions.last() else {
+            let Some(current) = inner.entries.get(rel).and_then(|v| v.last()) else {
                 continue;
             };
             // A purge hit or a pre-write-stale entry marks the *current*
@@ -551,52 +616,87 @@ impl SnapshotStore {
             // is dropped for real, never retired.
             let purged = current.footprint.keys().any(|t| maint.purged.contains(t));
             if !valid_before.contains(rel) || purged {
-                versions.pop();
-                if versions.is_empty() {
-                    inner.entries.remove(rel);
-                }
+                inner.drop_current(rel);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             // Patch the current version into a new one; the pre-patch
-            // version is retired while pins are outstanding (it stays
-            // servable at its old stamps).
-            let old = versions.pop().expect("current version exists");
-            let mut entry;
-            let mut retired = None;
-            if retain {
-                entry = (*old).clone();
-                retired = Some(old);
-            } else {
-                entry = Arc::try_unwrap(old).unwrap_or_else(|arc| (*arc).clone());
-            }
-            if patch_entry(&mut entry, delta) {
-                for (table, epoch) in entry.footprint.iter_mut() {
-                    *epoch = storage.epoch_of(table);
-                }
-                inner.installed += 1;
-                entry.seq = inner.installed;
-                if let Some(old) = retired {
-                    // Identical stamps mean the patched version supersedes
-                    // the old one for every possible pin.
-                    if old.footprint != entry.footprint {
-                        versions.push(old);
-                    }
-                }
-                versions.push(Arc::new(entry));
-                if versions.len() > VERSION_CAP {
-                    versions.remove(0);
-                }
+            // version is retired while pins are outstanding. An unpatchable
+            // delta is a correctness invalidation of the current version.
+            if inner.patch_current(rel, delta, retain, |table| storage.epoch_of(table)) {
                 self.patches.fetch_add(1, Ordering::Relaxed);
             } else {
-                // Unpatchable delta: correctness invalidation of the
-                // current version (retired copies, if any, stay).
-                if versions.is_empty() {
-                    inner.entries.remove(rel);
-                }
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// The current snapshots of `heads` for a reader about to catch them
+    /// up: `Some` iff every one of them has a current version that holds a
+    /// snapshot, all under identical stamps (they were derived by one
+    /// evaluation, or maintained together ever since). No counter moves.
+    pub(crate) fn stale_heads<'r>(&self, heads: &[&'r str]) -> Option<StaleHeads<'r>> {
+        let inner = self.inner.lock();
+        let mut stale: Option<StaleHeads<'r>> = None;
+        for &head in heads {
+            let current = inner.entries.get(head)?.last()?;
+            let rel = Arc::clone(current.rel.as_ref()?);
+            let stale = stale.get_or_insert_with(|| StaleHeads {
+                stamps: current.footprint.clone(),
+                rels: BTreeMap::new(),
+                seqs: Vec::new(),
+            });
+            if stale.stamps != current.footprint {
+                return None;
+            }
+            stale.rels.insert(head, rel);
+            stale.seqs.push((head, current.seq));
+        }
+        stale
+    }
+
+    /// Read-time catch-up, the install: patch the current versions `seqs`
+    /// names (from [`stale_heads`](SnapshotStore::stale_heads)) by their
+    /// `deltas` — none recorded means unchanged — and stamp them `stamps`,
+    /// the epochs of the state the deltas lead to. Snapshots and indexes are
+    /// patched in lockstep, in place when nobody else holds them, and the
+    /// superseded versions are retired under pins, exactly as
+    /// [`commit`](SnapshotStore::commit) does. Returns the new snapshots —
+    /// or `None`, for the caller to resolve cold: nothing is touched if any
+    /// of the versions has been replaced since it was read (a racing writer
+    /// or reader got there first).
+    pub(crate) fn catch_up<'r>(
+        &self,
+        seqs: &[(&'r str, u64)],
+        deltas: &DeltaMap,
+        stamps: &BTreeMap<String, u64>,
+    ) -> Option<Vec<(&'r str, Arc<Relation>)>> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let retain = self.pins.load(Ordering::SeqCst) > 0;
+        let unreplaced = seqs.iter().all(|(head, seq)| {
+            let current = inner.entries.get(*head).and_then(|v| v.last());
+            current.is_some_and(|current| current.seq == *seq)
+        });
+        if !unreplaced {
+            return None;
+        }
+        let no_change = Delta::new();
+        let mut out = Vec::with_capacity(seqs.len());
+        for &(head, _) in seqs {
+            let delta = deltas.get(head).unwrap_or(&no_change);
+            // (A delta that does not fit its snapshot drops it; the heads
+            // patched before it are right on their own, and the cold
+            // resolution that follows replaces them all.)
+            if !inner.patch_current(head, delta, retain, |table| stamps[table]) {
+                return None;
+            }
+            self.caught_up.fetch_add(1, Ordering::Relaxed);
+            let patched = inner.entries[head].last().expect("just installed");
+            let rel = patched.rel.as_ref().expect("a snapshot, as read");
+            out.push((head, Arc::clone(rel)));
+        }
+        Some(out)
     }
 
     /// Drop the current version of one relation (targeted correctness
@@ -705,6 +805,7 @@ impl SnapshotStore {
             invalidations: self.invalidations.load(Ordering::Relaxed),
             recomputes: self.recomputes.load(Ordering::Relaxed),
             carried: self.carried.load(Ordering::Relaxed),
+            caught_up: self.caught_up.load(Ordering::Relaxed),
         }
     }
 
@@ -818,7 +919,75 @@ impl SnapshotStore {
             invalidations: AtomicU64::new(0),
             recomputes: AtomicU64::new(0),
             carried: AtomicU64::new(0),
+            caught_up: AtomicU64::new(0),
         }
+    }
+}
+
+/// What [`SnapshotStore::stale_heads`] hands a reader: the snapshots of one
+/// rule set's heads as last derived, the stamps they share, and the install
+/// positions that identify exactly these versions.
+pub(crate) struct StaleHeads<'r> {
+    pub(crate) stamps: BTreeMap<String, u64>,
+    pub(crate) rels: BTreeMap<&'r str, Arc<Relation>>,
+    pub(crate) seqs: Vec<(&'r str, u64)>,
+}
+
+/// Deltas up to this many rows are never *bulk* (see
+/// [`StoredHeads::outnumbered_by`]): on a table that small either way costs
+/// microseconds, and a statement-sized write then takes the same path on a
+/// ten-row database as on a ten-million-row one. Past it, a delta is bulk
+/// once it has more rows than the snapshots it maintains — the measured
+/// crossover on the TasKy2 FK DECOMPOSE at 10 000 tasks (10 200 stored
+/// rows): delta-vs-stored 5 / 16 / 31 / 75 ms at 1 500 / 4 100 / 8 200 /
+/// 16 400 delta rows, recompute-vs-stored 20 / 28 / 32 / 33 ms
+/// (EXPERIMENTS.md, "O(delta) maintenance through minting hops").
+const STATEMENT_ROWS: usize = 32;
+
+/// The stored snapshots of one rule set's heads, served to
+/// [`propagate_vs_stored`](inverda_datalog::delta::propagate_vs_stored) as
+/// the heads' old state straight out of the snapshot store: rows from the
+/// stored `Arc`s, payload-column probes through the store's own indexes
+/// (attached on first use, patched with their snapshot ever after).
+pub(crate) struct StoredHeads<'a> {
+    pub(crate) store: &'a SnapshotStore,
+    pub(crate) rels: BTreeMap<&'a str, Arc<Relation>>,
+}
+
+impl StoredHeads<'_> {
+    /// The bulk rule: whether `input` changes more rows than these
+    /// snapshots hold (and than a statement does) — where one evaluation of
+    /// the new state beats probing and replaying per changed tuple.
+    pub(crate) fn outnumbered_by(&self, input: &DeltaMap) -> bool {
+        let delta_rows: usize = input.values().map(Delta::len).sum();
+        let stored_rows: usize = self.rels.values().map(|rel| rel.len()).sum();
+        delta_rows > STATEMENT_ROWS && delta_rows > stored_rows
+    }
+}
+
+impl EdbView for StoredHeads<'_> {
+    fn full(&self, relation: &str) -> inverda_datalog::Result<Arc<Relation>> {
+        self.rels
+            .get(relation)
+            .cloned()
+            .ok_or_else(|| DatalogError::UnboundRelation {
+                relation: relation.to_string(),
+            })
+    }
+
+    fn contains(&self, relation: &str) -> bool {
+        self.rels.contains_key(relation)
+    }
+
+    fn index(&self, relation: &str, column: usize) -> inverda_datalog::Result<Arc<ColumnIndex>> {
+        let rel = self.full(relation)?;
+        if let Some(hit) = self.store.get_index_virtual(relation, column, &rel) {
+            return Ok(hit);
+        }
+        let built = Arc::new(rel.build_column_index(column));
+        self.store
+            .store_index_virtual(relation, column, Arc::clone(&built), &rel);
+        Ok(built)
     }
 }
 
@@ -937,10 +1106,10 @@ mod tests {
         let store = SnapshotStore::new();
         let fp = BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
         store.store_entry("V", rel_with("V", &[(1, 10)]), fp);
-        assert!(store.get("V", &storage).is_some());
+        assert!(store.get("V", &storage, |_| false).is_some());
         assert_eq!(store.stats().hits, 1);
         bump(&storage, "T", 7, 7);
-        assert!(store.get("V", &storage).is_none());
+        assert!(store.get("V", &storage, |_| false).is_none());
         assert!(store.is_empty(), "stale entry must be dropped");
     }
 
@@ -960,7 +1129,9 @@ mod tests {
         maint.record_patch("V", &d);
         store.commit(&maint, &valid, &storage);
 
-        let rel = store.get("V", &storage).expect("patched entry is warm");
+        let rel = store
+            .get("V", &storage, |_| false)
+            .expect("patched entry is warm");
         assert_eq!(rel.len(), 2);
         assert!(rel.get(Key(1)).is_none());
         assert_eq!(rel.get(Key(3)), Some(&vec![Value::Int(30)]));
@@ -992,9 +1163,12 @@ mod tests {
         maint.record_patch("W", &Delta::insert(Key(9), vec![Value::Int(9)]));
         maint.record_purge("Aux");
         store.commit(&maint, &valid, &storage);
-        assert!(store.get("V", &storage).is_none(), "invalidation wins");
         assert!(
-            store.get("W", &storage).is_none(),
+            store.get("V", &storage, |_| false).is_none(),
+            "invalidation wins"
+        );
+        assert!(
+            store.get("W", &storage, |_| false).is_none(),
             "purge in footprint forces invalidation"
         );
         assert_eq!(store.stats().invalidations, 2);
@@ -1028,7 +1202,9 @@ mod tests {
         );
         store.commit(&maint, &valid, &storage);
         assert!(store.get_index_virtual("V", 0, &snap).is_none());
-        let patched = store.get("V", &storage).expect("patched entry is warm");
+        let patched = store
+            .get("V", &storage, |_| false)
+            .expect("patched entry is warm");
         let idx = store
             .get_index_virtual("V", 0, &patched)
             .expect("still cached");
@@ -1070,7 +1246,7 @@ mod tests {
         )]);
         bump(&storage, "T", 7, 7);
         // Live probe misses but the stale version is retired, not dropped.
-        assert!(store.get("V", &storage).is_none());
+        assert!(store.get("V", &storage, |_| false).is_none());
         assert_eq!(store.len(), 1, "version retired while pinned");
         // A fresh store_entry supersedes: old version retained alongside.
         let fp_new = BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
@@ -1080,14 +1256,21 @@ mod tests {
         // A pinned storage view reproducing the old epochs is served the
         // retired version; live storage is served the current one.
         let pinned = Storage::from_pinned(pinned_tables, 1);
-        let old = store.get("V", &pinned).expect("retired version serves pin");
+        let old = store
+            .get("V", &pinned, |_| false)
+            .expect("retired version serves pin");
         assert_eq!(old.len(), 1);
-        let new = store.get("V", &storage).expect("current serves live");
+        let new = store
+            .get("V", &storage, |_| false)
+            .expect("current serves live");
         assert_eq!(new.len(), 2);
 
         store.release_pin();
         assert_eq!(store.retained_versions(), 0, "release prunes retirees");
-        assert!(store.get("V", &storage).is_some(), "current survives");
+        assert!(
+            store.get("V", &storage, |_| false).is_some(),
+            "current survives"
+        );
     }
 
     #[test]
@@ -1117,7 +1300,9 @@ mod tests {
         // The fork serves the pin's epochs even after the live store drops
         // every version.
         store.clear();
-        let rel = fork.get("V", &pinned).expect("fork serves pinned epoch");
+        let rel = fork
+            .get("V", &pinned, |_| false)
+            .expect("fork serves pinned epoch");
         assert_eq!(rel.len(), 1);
         // And writes into the fork never reach the live store.
         fork.store_entry(
@@ -1142,11 +1327,14 @@ mod tests {
         let pinned_at = store.installed();
         store.store_entry("W", rel_with("W", &[(2, 20)]), stamps());
         let fork = store.fork_for_pin(pinned_at);
-        assert!(fork.get("V", &storage).is_some());
-        assert!(fork.get("W", &storage).is_none(), "installed after the pin");
+        assert!(fork.get("V", &storage, |_| false).is_some());
+        assert!(
+            fork.get("W", &storage, |_| false).is_none(),
+            "installed after the pin"
+        );
         assert!(store
             .fork_for_pin(store.installed())
-            .get("W", &storage)
+            .get("W", &storage, |_| false)
             .is_some());
     }
 
@@ -1162,7 +1350,7 @@ mod tests {
         store.acquire_pin();
         store.invalidate("V");
         assert!(
-            store.get("V", &storage).is_none(),
+            store.get("V", &storage, |_| false).is_none(),
             "targeted invalidation is never retired"
         );
         assert!(store.is_empty());
@@ -1180,7 +1368,7 @@ mod tests {
             rel_with("V", &[(1, 10)]),
             BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]),
         );
-        assert!(store.get("V", &storage).is_some());
+        assert!(store.get("V", &storage, |_| false).is_some());
 
         // A fork reproduces the same epochs under a different tag — the
         // exact stamps match, but the store must refuse to serve it.
@@ -1189,15 +1377,15 @@ mod tests {
         assert!(store.peek_valid("V", &foreign).is_none());
         assert!(store.valid_rels(&foreign, [&"V".to_string()]).is_empty());
         let misses_before = store.stats().misses;
-        assert!(store.get("V", &foreign).is_none());
+        assert!(store.get("V", &foreign, |_| false).is_none());
         assert_eq!(store.stats().misses, misses_before + 1);
         // The refusal must not evict the entry the owner still wants.
-        assert!(store.get("V", &storage).is_some());
+        assert!(store.get("V", &storage, |_| false).is_some());
 
         // A branch fork of the store serves the branch storage warm.
         let branch_store = store.fork_for_branch(foreign.branch_tag());
-        assert!(branch_store.get("V", &foreign).is_some());
-        assert!(branch_store.get("V", &storage).is_none());
+        assert!(branch_store.get("V", &foreign, |_| false).is_some());
+        assert!(branch_store.get("V", &storage, |_| false).is_none());
 
         // A pin fork keeps the owner binding, serving a tag-inheriting
         // pinned view.
@@ -1207,7 +1395,7 @@ mod tests {
             storage.sequences().current_key(),
             storage.branch_tag(),
         );
-        assert!(pin_fork.get("V", &pinned).is_some());
+        assert!(pin_fork.get("V", &pinned, |_| false).is_some());
     }
 
     #[test]

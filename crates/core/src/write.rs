@@ -39,7 +39,7 @@ use crate::compiled::Direction;
 use crate::database::{Inverda, State, WritePath};
 use crate::edb::VersionedEdb;
 use crate::error::CoreError;
-use crate::snapshot::SnapshotMaintenance;
+use crate::snapshot::{SnapshotMaintenance, StoredHeads};
 use crate::Result;
 use inverda_catalog::{SmoId, StorageCase, TableVersionId};
 use inverda_datalog::delta::{
@@ -47,9 +47,9 @@ use inverda_datalog::delta::{
     Delta, DeltaMap, PatchedEdb,
 };
 use inverda_datalog::eval::{evaluate_compiled, EdbView, ReservingIds, NO_MINT_IDS};
-use inverda_datalog::{skolem, DatalogError};
+use inverda_datalog::skolem;
 use inverda_storage::codec::{Codec, Reader};
-use inverda_storage::{ColumnIndex, Key, Relation, Row, Value, WriteBatch};
+use inverda_storage::{Key, Row, Value, WriteBatch};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -140,52 +140,6 @@ impl MaintenancePlan {
                 self.landed.insert(rel.to_string(), delta.clone());
             }
         }
-    }
-}
-
-/// Deltas up to this many rows are never *bulk* (see
-/// [`maintain_against_stored`](Inverda::maintain_against_stored)): on a table
-/// that small either way costs microseconds, and a statement-sized write
-/// then takes the same path on a ten-row database as on a ten-million-row
-/// one. Past it, a delta is bulk once it has more rows than the snapshots
-/// it maintains — the measured crossover on the TasKy2 FK DECOMPOSE at
-/// 10 000 tasks (10 200 stored rows): delta-vs-stored 5 / 16 / 31 / 75 ms at
-/// 1 500 / 4 100 / 8 200 / 16 400 delta rows, recompute-vs-stored 20 / 28 /
-/// 32 / 33 ms (EXPERIMENTS.md, "O(delta) maintenance through minting hops").
-const STATEMENT_ROWS: usize = 32;
-
-/// The pre-write snapshots of a departed side, served to
-/// [`propagate_vs_stored`] straight out of the snapshot store: rows from the
-/// stored `Arc`s, payload-column probes through the store's own indexes
-/// (attached on first use, patched by every commit thereafter).
-struct StoredHeads<'a> {
-    store: &'a crate::snapshot::SnapshotStore,
-    rels: BTreeMap<&'a str, Arc<Relation>>,
-}
-
-impl EdbView for StoredHeads<'_> {
-    fn full(&self, relation: &str) -> inverda_datalog::Result<Arc<Relation>> {
-        self.rels
-            .get(relation)
-            .cloned()
-            .ok_or_else(|| DatalogError::UnboundRelation {
-                relation: relation.to_string(),
-            })
-    }
-
-    fn contains(&self, relation: &str) -> bool {
-        self.rels.contains_key(relation)
-    }
-
-    fn index(&self, relation: &str, column: usize) -> inverda_datalog::Result<Arc<ColumnIndex>> {
-        let rel = self.full(relation)?;
-        if let Some(hit) = self.store.get_index_virtual(relation, column, &rel) {
-            return Ok(hit);
-        }
-        let built = Arc::new(rel.build_column_index(column));
-        self.store
-            .store_index_virtual(relation, column, Arc::clone(&built), &rel);
-        Ok(built)
     }
 }
 
@@ -1128,9 +1082,9 @@ impl Inverda {
     ///   (the `old`/`new` intermediates) that no snapshot stores, so a
     ///   candidate row cannot be re-derived from stored state; for a side
     ///   only partly warm (a cold head's key conflicts would go unseen);
-    ///   and for bulk deltas — more changed rows than stored ones (and
-    ///   than [`STATEMENT_ROWS`]) — where one evaluation beats per-tuple
-    ///   probing.
+    ///   and for bulk deltas
+    ///   ([`StoredHeads::outnumbered_by`]) — where one evaluation beats
+    ///   per-tuple probing.
     fn maintain_against_stored(
         &self,
         edb: &VersionedEdb<'_>,
@@ -1154,12 +1108,9 @@ impl Inverda {
             .head_names()
             .filter(|head| dep_virtual.contains(head))
             .all(|head| stored.rels.contains_key(head));
-        let delta_rows: usize = input.values().map(Delta::len).sum();
-        let stored_rows: usize = stored.rels.values().map(|rel| rel.len()).sum();
-        let bulk = delta_rows > STATEMENT_ROWS && delta_rows > stored_rows;
-        let mut deltas = if crs.staged() || !derived_warm || bulk {
+        let patched = PatchedEdb::new(edb, input);
+        let mut deltas = if crs.staged() || !derived_warm || stored.outnumbered_by(input) {
             store.note_recompute();
-            let patched = PatchedEdb::new(edb, input);
             let mut new_out = evaluate_compiled(crs, &patched, ids, edb.head_columns()).ok()?;
             let mut deltas = DeltaMap::new();
             for (rel, old) in &stored.rels {
@@ -1172,7 +1123,7 @@ impl Inverda {
             }
             deltas
         } else {
-            propagate_vs_stored(crs, edb, input, ids, &stored).ok()?
+            propagate_vs_stored(crs, &patched, input, ids, &stored).ok()?
         };
         // Unchanged warm heads get an empty delta: it refreshes their stamps.
         for rel in stored.rels.keys() {

@@ -713,6 +713,38 @@ fn materialize_on_one_branch_keeps_sibling_caches_warm() {
     unpin_knobs();
 }
 
+/// A fork shares its origin's tables and snapshots but not its change
+/// logs: the snapshot a write on the origin left stale is patched by the
+/// origin's next read and resolved cold by the branch's.
+#[test]
+fn a_forked_branch_catches_nothing_up_from_before_the_fork() {
+    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let manager = BranchingInverda::new();
+    let main = manager.main();
+    main.execute(
+        "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio); \
+         CREATE SCHEMA VERSION Do! FROM TasKy WITH \
+           SPLIT TABLE Task INTO Todo WITH prio = 1; \
+           DROP COLUMN prio FROM Todo DEFAULT 1; \
+         CREATE SCHEMA VERSION TasKy2 FROM TasKy WITH \
+           DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author;",
+    )
+    .expect("tasky");
+    let todo = |text: &str| vec![Value::text("author0"), Value::text(text)];
+    main.insert("Do!", "Todo", todo("first")).expect("row");
+    main.scan("TasKy2", "Task").expect("warm");
+    main.insert("Do!", "Todo", todo("stale now"))
+        .expect("write");
+    let a = manager.branch("a").expect("fork");
+    let on_a = a.scan("TasKy2", "Task").expect("branch read");
+    let stats = a.engine().expect("engine").snapshot_stats();
+    assert_eq!(stats.caught_up, 0, "{stats:?}");
+    assert!(stats.misses > 0, "{stats:?}");
+    let on_main = main.scan("TasKy2", "Task").expect("origin read");
+    assert!(main.engine().expect("engine").snapshot_stats().caught_up > 0);
+    assert_eq!(*on_a, *on_main);
+}
+
 // ---------------------------------------------------------------------
 // Crash recovery: the branch log's valid prefix is the whole truth.
 // ---------------------------------------------------------------------

@@ -823,3 +823,42 @@ fn crash_under_concurrent_load_recovers_acknowledged_prefix() {
     drop(serving);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reopened database starts with an empty snapshot store and empty change
+/// logs: its first read of every version is cold, and read-time catch-up
+/// resumes with the first write after it.
+#[test]
+fn a_reopened_database_catches_nothing_up() {
+    let dir = fresh_dir("reopen-cold");
+    let opts = || DurabilityOptions {
+        mode: DurabilityMode::Commit,
+        group_size: 1,
+        checkpoint_every: None,
+    };
+    let todo = |text: &str| vec![Value::text("author0"), Value::text(text)];
+    {
+        let db = Inverda::open_in(&dir, opts()).expect("open");
+        db.execute(
+            "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio); \
+             CREATE SCHEMA VERSION Do! FROM TasKy WITH \
+               SPLIT TABLE Task INTO Todo WITH prio = 1; \
+               DROP COLUMN prio FROM Todo DEFAULT 1; \
+             CREATE SCHEMA VERSION TasKy2 FROM TasKy WITH \
+               DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author;",
+        )
+        .expect("setup");
+        db.insert("Do!", "Todo", todo("first")).expect("row");
+        db.scan("TasKy2", "Task").expect("warm");
+        db.insert("Do!", "Todo", todo("stale now")).expect("write");
+    }
+    let db = Inverda::open_in(&dir, opts()).expect("reopen");
+    assert_eq!(db.scan("TasKy2", "Task").expect("read").len(), 2);
+    let stats = db.snapshot_stats();
+    assert_eq!(stats.caught_up, 0, "{stats:?}");
+    assert!(stats.misses > 0, "{stats:?}");
+    db.insert("Do!", "Todo", todo("and on")).expect("write");
+    assert_eq!(db.scan("TasKy2", "Task").expect("read").len(), 3);
+    assert!(db.snapshot_stats().caught_up > 0);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -451,3 +451,33 @@ fn serving_oracle_width_2() {
 fn serving_oracle_width_4() {
     sweep(4);
 }
+
+/// Read-time catch-up belongs to the live database: a pin reads a `Storage`
+/// of its own, which carries no change log, so the stale snapshot the live
+/// store goes on to patch is resolved cold by the pin.
+#[test]
+fn a_fresh_pin_catches_nothing_up() {
+    let db = Arc::new(Inverda::new_in_memory());
+    for script in SETUP {
+        db.execute(script).expect("setup");
+    }
+    for i in 0..6 {
+        let row = vec![
+            Value::text(format!("author{}", i % 2)),
+            Value::text(format!("task{i}")),
+            Value::Int(1),
+        ];
+        db.insert("TasKy", "Task", row).expect("row");
+    }
+    db.scan("TasKy2", "Task").expect("warm");
+    db.insert("Do!", "Todo", vec!["author0".into(), "stale now".into()])
+        .expect("sibling write");
+    let pin = db.pin();
+    let pinned = pin.scan("TasKy2", "Task").expect("pinned read");
+    let stats = pin.snapshot_stats();
+    assert_eq!(stats.caught_up, 0, "{stats:?}");
+    assert!(stats.misses > 0, "{stats:?}");
+    let live = db.scan("TasKy2", "Task").expect("live read");
+    assert!(db.snapshot_stats().caught_up > 0);
+    assert_eq!(*pinned, *live);
+}

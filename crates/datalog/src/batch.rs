@@ -92,7 +92,7 @@ use inverda_storage::ColumnIndex;
 use inverda_storage::{Key, Relation, Row, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // The knob
@@ -105,16 +105,20 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// engagement counter the tests and benches read).
 static EXECS: AtomicUsize = AtomicUsize::new(0);
 
+/// `INVERDA_BATCH`, read once per process: [`enabled`] is asked per rule
+/// evaluation, and `std::env::var` takes the process-wide environment lock
+/// and allocates.
 fn env_enabled() -> bool {
-    match std::env::var("INVERDA_BATCH") {
+    static ENV: OnceLock<bool> = OnceLock::new();
+    *ENV.get_or_init(|| match std::env::var("INVERDA_BATCH") {
         Ok(v) => !matches!(v.trim(), "off" | "0" | "false" | "no"),
         Err(_) => true,
-    }
+    })
 }
 
 /// Whether batch execution is enabled: a [`set_enabled`] override, else the
-/// `INVERDA_BATCH` environment variable (`off`/`0`/`false`/`no` disable),
-/// else **on**. Disabled batch execution runs exactly the tuple-at-a-time
+/// `INVERDA_BATCH` environment variable as the process found it at first
+/// use (`off`/`0`/`false`/`no` disable), else **on**. Disabled batch execution runs exactly the tuple-at-a-time
 /// frame machine that existed before this module landed.
 pub fn enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {

@@ -452,13 +452,18 @@ pub fn propagate_by_recompute_compiled(
 }
 
 /// **Delta-vs-stored** propagation: the head deltas of a *non-staged* rule
-/// set when the heads' pre-write state is at hand (`stored`, e.g. the
-/// snapshot store's entries) — the O(delta) way to keep derived snapshots
-/// of an **id-minting** mapping current. `base` is the pre-write input
-/// state, `input_delta` the changes to it; `stored` serves the old state of
+/// set when the heads' old state is at hand (`stored`, e.g. the snapshot
+/// store's entries) — the O(delta) way to keep derived snapshots of an
+/// **id-minting** mapping current. `new_state` is the input state the heads
+/// are to be brought up to, `input_delta` the changes that led to it from
+/// the state `stored` was derived over — one write's, or the merged changes
+/// of several (the write path overlays its deltas on the pre-write view, a
+/// [`PatchedEdb`]; a reader catching a stale snapshot up passes the live
+/// view and the changes logged since). `stored` serves the old state of
 /// every head to maintain ([`EdbView::contains`] selects them; other heads
 /// are derived for their mints only) and must equal what evaluating `crs`
-/// over `base` with `ids` derives. Returns the non-empty head deltas.
+/// over the old input state with `ids` derived. Returns the non-empty head
+/// deltas.
 ///
 /// The old state is never evaluated. Only the **new** state is, and only
 /// around the changed tuples:
@@ -478,7 +483,7 @@ pub fn propagate_by_recompute_compiled(
 /// 4. a candidate's new row is the replayed one, or its stored row if some
 ///    rule still derives that very tuple (checked with all head variables
 ///    seeded and generators only *peeked*: nothing is ever minted for a
-///    payload that vanished in this write).
+///    payload that vanished since).
 ///
 /// **Mint order.** The ids minted are exactly those a full evaluation of
 /// the new state mints ([`evaluate_compiled`], what a cold read of the
@@ -492,7 +497,10 @@ pub fn propagate_by_recompute_compiled(
 /// evaluation's relative order — so it meets the same unknown arguments in
 /// the same order, and the commit epilogue mints them that way. (Ids are
 /// assumed fresh — the engine draws them from the key sequence — so a
-/// minted key never collides with a stored one.)
+/// minted key never collides with a stored one.) Nothing in the argument
+/// asks for `input_delta` to be a single statement's: it is stated against
+/// one evaluation of the whole new state, which is what whoever holds no
+/// `stored` performs at the same point.
 ///
 /// Rules without a keyed depth-0 scan are replayed whole, a changed tuple
 /// that shares no variable with its rule's scan atom selects every scan
@@ -503,19 +511,18 @@ pub fn propagate_by_recompute_compiled(
 /// included) are raised here too.
 pub fn propagate_vs_stored(
     crs: &CompiledRuleSet,
-    base: &dyn EdbView,
+    new_state: &dyn EdbView,
     input_delta: &DeltaMap,
     ids: &dyn IdSource,
     stored: &dyn EdbView,
 ) -> Result<DeltaMap> {
     debug_assert!(!crs.staged(), "staged sets consume their own heads");
-    let patched = PatchedEdb::new(base, input_delta);
 
     // ---- 1. Scan keys the changed tuples touch, per rule they occur in.
     let mut scan_keys: BTreeMap<usize, BTreeSet<Key>> = BTreeMap::new();
     {
         let scratch = ReservingIds::new(ids, skolem::SCOPE_CHUNK);
-        let ev = Evaluator::new(&patched, &scratch);
+        let ev = Evaluator::new(new_state, &scratch);
         for (rule_idx, rule) in crs.rules.iter().enumerate() {
             for (lit_idx, atom, positive) in crs.body_atoms(rule_idx) {
                 let Some(delta) = input_delta.get(&atom.relation) else {
@@ -535,7 +542,7 @@ pub fn propagate_vs_stored(
     let scope = ReservingIds::new(ids, skolem::SCOPE_EVAL);
     let mut fresh: BTreeMap<&str, BTreeMap<Key, Row>> = BTreeMap::new();
     {
-        let ev = Evaluator::new(&patched, &scope);
+        let ev = Evaluator::new(new_state, &scope);
         for (&rule_idx, keys) in &scan_keys {
             let rule = &crs.rules[rule_idx];
             let tuples = if rule.has_keyed_scan() {
@@ -563,7 +570,7 @@ pub fn propagate_vs_stored(
     }
 
     // ---- 3. + 4. Per maintained head: candidates, then old vs. new rows.
-    let survives = Evaluator::peeking(&patched, ids);
+    let survives = Evaluator::peeking(new_state, ids);
     let no_rows = BTreeMap::new();
     let mut out = DeltaMap::new();
     for head in crs.head_names() {

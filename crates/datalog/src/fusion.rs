@@ -151,7 +151,7 @@ pub fn inline_hop(outer: &RuleSet, defs: &RuleSet, budget: &FusionBudget) -> Opt
     unfold_within(
         outer,
         defs,
-        &mut Derivation::new(),
+        &mut Derivation::silent(),
         budget.max_rules,
         budget.max_body,
     )

@@ -41,16 +41,22 @@ fn available() -> usize {
     })
 }
 
+/// `INVERDA_THREADS`, read once per process: [`threads`] is asked at every
+/// parallelism gate, and `std::env::var` takes the process-wide environment
+/// lock and allocates.
 fn env_threads() -> Option<usize> {
-    std::env::var("INVERDA_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n >= 1)
+    static ENV: OnceLock<Option<usize>> = OnceLock::new();
+    *ENV.get_or_init(|| {
+        std::env::var("INVERDA_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|n| *n >= 1)
+    })
 }
 
 /// The configured logical parallelism: a [`set_threads`] override, else the
-/// `INVERDA_THREADS` environment variable, else the machine's available
-/// parallelism. `1` means "stay on the sequential paths".
+/// `INVERDA_THREADS` environment variable as the process found it at first
+/// use, else the machine's available parallelism. `1` means "stay on the sequential paths".
 pub fn threads() -> usize {
     let over = OVERRIDE.load(Ordering::Relaxed);
     if over >= 1 {

@@ -34,6 +34,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Derivation {
     /// Human-readable proof steps in application order.
     pub steps: Vec<String>,
+    /// Record nothing (see [`Derivation::silent`]).
+    silent: bool,
 }
 
 impl Derivation {
@@ -42,8 +44,21 @@ impl Derivation {
         Derivation::default()
     }
 
-    fn log(&mut self, step: impl Into<String>) {
-        self.steps.push(step.into());
+    /// A derivation that records no step — and never formats one: for the
+    /// engine's rule-set surgery (chain fusion, Lemma 2 over empty aux
+    /// tables), which throws the transcript away. The rewritten rule sets
+    /// are those a recording derivation yields.
+    pub fn silent() -> Self {
+        Derivation {
+            steps: Vec::new(),
+            silent: true,
+        }
+    }
+
+    fn log(&mut self, step: impl FnOnce() -> String) {
+        if !self.silent {
+            self.steps.push(step());
+        }
     }
 }
 
@@ -120,14 +135,16 @@ pub fn apply_empty(rules: &RuleSet, empty: &BTreeSet<String>, deriv: &mut Deriva
         for lit in &rule.body {
             match lit {
                 Literal::Pos(a) if empty.contains(&a.relation) => {
-                    deriv.log(format!(
-                        "Lemma 2: dropped rule (positive literal over empty '{}'): {rule}",
-                        a.relation
-                    ));
+                    deriv.log(|| {
+                        format!(
+                            "Lemma 2: dropped rule (positive literal over empty '{}'): {rule}",
+                            a.relation
+                        )
+                    });
                     continue 'rules;
                 }
                 Literal::Neg(a) if empty.contains(&a.relation) => {
-                    deriv.log(format!("Lemma 2: removed ¬{} from: {rule}", a.relation));
+                    deriv.log(|| format!("Lemma 2: removed ¬{} from: {rule}", a.relation));
                 }
                 other => body.push(other.clone()),
             }
@@ -199,10 +216,12 @@ fn unfold_literal(
             let mut out = Vec::new();
             for def in defs.rules_for(&atom.relation) {
                 if let Some(new_rule) = unfold_positive(rule, idx, atom, def, fresh) {
-                    deriv.log(format!(
-                        "Lemma 1 (positive): unfolded {} in: {rule}  using  {def}",
-                        atom
-                    ));
+                    deriv.log(|| {
+                        format!(
+                            "Lemma 1 (positive): unfolded {} in: {rule}  using  {def}",
+                            atom
+                        )
+                    });
                     out.push(new_rule);
                 }
             }
@@ -226,10 +245,12 @@ fn unfold_literal(
                 }
                 variants = next;
             }
-            deriv.log(format!(
-                "Lemma 1 (negative): unfolded ¬{atom} into {} variant(s) in: {rule}",
-                variants.len()
-            ));
+            deriv.log(|| {
+                format!(
+                    "Lemma 1 (negative): unfolded ¬{atom} into {} variant(s) in: {rule}",
+                    variants.len()
+                )
+            });
             variants
                 .into_iter()
                 .map(|extra| {
@@ -752,7 +773,7 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
             rule = substitute_terms(&rule, &subst);
             pass.changed = true;
             pass.deriv
-                .log(format!("null propagation {x} IS NULL in: {rule}"));
+                .log(|| format!("null propagation {x} IS NULL in: {rule}"));
         }
         // Equality propagation: a `{x = y}` condition between two variables
         // substitutes one for the other and disappears.
@@ -779,7 +800,7 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
             rule = substitute_terms(&rule, &subst);
             pass.changed = true;
             pass.deriv
-                .log(format!("equality propagation {x} = {y} in: {rule}"));
+                .log(|| format!("equality propagation {x} = {y} in: {rule}"));
         }
         // Lemma 5: unify positive atoms over the same relation and key term.
         loop {
@@ -821,7 +842,7 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
                             | (Term::Const(_), Term::Anon)
                             | (Term::Anon, Term::Anon) => {}
                             (Term::Const(x), Term::Const(y)) if x != y => {
-                                pass.deriv.log(format!(
+                                pass.deriv.log(|| format!(
                                     "Lemma 5+4: contradictory constants for one key, dropped: {rule}"
                                 ));
                                 pass.changed = true;
@@ -855,14 +876,14 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
             }
             if let Some(r2) = refined {
                 pass.deriv
-                    .log(format!("Lemma 5: merged same-key atoms in: {rule}"));
+                    .log(|| format!("Lemma 5: merged same-key atoms in: {rule}"));
                 pass.changed = true;
                 rule = r2;
                 continue;
             }
             if let Some(s) = subst {
                 pass.deriv
-                    .log(format!("Lemma 5: unified payload variables in: {rule}"));
+                    .log(|| format!("Lemma 5: unified payload variables in: {rule}"));
                 pass.changed = true;
                 rule = substitute_terms(&rule, &s);
                 continue;
@@ -877,7 +898,7 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
             } else {
                 pass.changed = true;
                 pass.deriv
-                    .log(format!("removed duplicate literal {l} in: {rule}"));
+                    .log(|| format!("removed duplicate literal {l} in: {rule}"));
             }
         }
         rule.body = deduped;
@@ -888,15 +909,17 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
                 match truth_value(e) {
                     Some(true) => {
                         pass.changed = true;
-                        pass.deriv.log(format!("folded true condition {{{e}}}"));
+                        pass.deriv.log(|| format!("folded true condition {{{e}}}"));
                         continue;
                     }
                     Some(false) => {
                         pass.changed = true;
-                        pass.deriv.log(format!(
-                            "Lemma 4: dropped rule with false condition {{{e}}}: {}",
-                            rule.head
-                        ));
+                        pass.deriv.log(|| {
+                            format!(
+                                "Lemma 4: dropped rule with false condition {{{e}}}: {}",
+                                rule.head
+                            )
+                        });
                         continue 'rules;
                     }
                     None => {}
@@ -910,10 +933,12 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
             for j in (i + 1)..rule.body.len() {
                 if literals_complementary(&rule.body[i], &rule.body[j]) {
                     pass.changed = true;
-                    pass.deriv.log(format!(
-                        "Lemma 4: dropped rule with contradictory literals {} / {}: {rule}",
-                        rule.body[i], rule.body[j]
-                    ));
+                    pass.deriv.log(|| {
+                        format!(
+                            "Lemma 4: dropped rule with contradictory literals {} / {}: {rule}",
+                            rule.body[i], rule.body[j]
+                        )
+                    });
                     continue 'rules;
                 }
             }
@@ -941,7 +966,7 @@ fn per_rule_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
         if rule.body.len() != before {
             pass.changed = true;
             pass.deriv
-                .log(format!("removed dead assignment(s) in: {rule}"));
+                .log(|| format!("removed dead assignment(s) in: {rule}"));
         }
         // Anonymize single-use variables not in the head (cleanup enabling
         // Lemma 3 matching on e.g. R_D(p, _)).
@@ -1007,7 +1032,7 @@ fn drop_duplicate_rules(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
         let canon = canonical_rule(&rule);
         if seen.contains(&canon) {
             pass.changed = true;
-            pass.deriv.log(format!("removed duplicate rule: {rule}"));
+            pass.deriv.log(|| format!("removed duplicate rule: {rule}"));
             continue;
         }
         seen.push(canon);
@@ -1049,9 +1074,8 @@ fn tautology_merge(rules: RuleSet, pass: &mut Pass<'_>, scope: MergeScope) -> Ru
             }
             if let Some(merged) = try_tautology_merge(&a, &b, scope) {
                 pass.changed = true;
-                pass.deriv.log(format!(
-                    "Lemma 3: merged\n    {a}\n    {b}\n  into\n    {merged}"
-                ));
+                pass.deriv
+                    .log(|| format!("Lemma 3: merged\n    {a}\n    {b}\n  into\n    {merged}"));
                 list[i] = Some(merged);
                 list[j] = None;
             }
@@ -1125,9 +1149,9 @@ fn twin_merge_pass(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
             };
             if let Some(merged) = try_twin_merge(&a, &b) {
                 pass.changed = true;
-                pass.deriv.log(format!(
-                    "Lemma 3 (twin merge): merged\n    {a}\n    {b}\n  into\n    {merged}"
-                ));
+                pass.deriv.log(|| {
+                    format!("Lemma 3 (twin merge): merged\n    {a}\n    {b}\n  into\n    {merged}")
+                });
                 list[i] = Some(merged);
                 list[j] = None;
             }
@@ -1275,9 +1299,9 @@ fn null_case_merge(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
                 });
                 if canonical_rule(&candidate) == canonical_rule(&b) {
                     pass.changed = true;
-                    pass.deriv.log(format!(
-                        "null-case merge:\n    {a}\n    {b}\n  into\n    {without}"
-                    ));
+                    pass.deriv.log(|| {
+                        format!("null-case merge:\n    {a}\n    {b}\n  into\n    {without}")
+                    });
                     list[i] = Some(without);
                     list[j] = None;
                     break;
@@ -1307,7 +1331,8 @@ fn subsumption(rules: RuleSet, pass: &mut Pass<'_>) -> RuleSet {
             {
                 keep[j] = false;
                 pass.changed = true;
-                pass.deriv.log(format!("subsumption: {r}  subsumes  {s}"));
+                pass.deriv
+                    .log(|| format!("subsumption: {r}  subsumes  {s}"));
             }
         }
     }
@@ -1385,6 +1410,35 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out.rules[0].body.len(), 1);
         assert_eq!(d.steps.len(), 2);
+    }
+
+    #[test]
+    fn silent_derivation_rewrites_identically_and_records_nothing() {
+        // outer: T(p,a) ← S(p,a), ¬R(p,_), ¬Empty(p,_)   def: R(p,a) ← TD(p,a), {a > 0}
+        let outer = RuleSet::new(vec![Rule::new(
+            atom("T", &["p", "a"]),
+            vec![
+                Literal::Pos(atom("S", &["p", "a"])),
+                Literal::Neg(Atom::new("R", vec![Term::var("p"), Term::Anon])),
+                Literal::Neg(Atom::new("Empty", vec![Term::var("p"), Term::Anon])),
+            ],
+        )]);
+        let defs = RuleSet::new(vec![Rule::new(
+            atom("R", &["p", "a"]),
+            vec![
+                Literal::Pos(atom("TD", &["p", "a"])),
+                Literal::Cond(Expr::col("a").gt(Expr::lit(0))),
+            ],
+        )]);
+        let empty: BTreeSet<String> = ["Empty".to_string()].into_iter().collect();
+        let run = |d: &mut Derivation| {
+            let unfolded = unfold(&apply_empty(&outer, &empty, d), &defs, d);
+            simplify_fixpoint(unfolded, d)
+        };
+        let (mut recording, mut silent) = (Derivation::new(), Derivation::silent());
+        assert_eq!(run(&mut recording), run(&mut silent));
+        assert!(recording.steps.len() >= 2, "Lemma 2 and Lemma 1 steps");
+        assert!(silent.steps.is_empty());
     }
 
     #[test]

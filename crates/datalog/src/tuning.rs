@@ -5,9 +5,9 @@
 //! places, and the delta engine's "is this write big enough to fan out"
 //! gate was a private constant — which made multi-core re-measurement
 //! (ROADMAP housekeeping) a code-editing exercise. Each threshold now has
-//! exactly one definition, an environment override so a bench sweep can
-//! vary it without recompiling, and a runtime override for in-process
-//! sweeps:
+//! exactly one definition, an environment override (read once per process,
+//! at first use) so a bench sweep can vary it without recompiling, and a
+//! runtime override for in-process sweeps:
 //!
 //! | Threshold | Default | Env override | Used by |
 //! |---|---|---|---|
@@ -21,39 +21,64 @@
 //! suites hold the engines to that), so sweeping these is always safe.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Sentinel meaning "no runtime override installed".
 const UNSET: usize = usize::MAX;
 
-static MIN_CHUNK: AtomicUsize = AtomicUsize::new(UNSET);
-static PAR_MIN_WORK: AtomicUsize = AtomicUsize::new(UNSET);
-static BATCH_MIN_KEYS: AtomicUsize = AtomicUsize::new(UNSET);
+/// One threshold: its runtime override and its environment-or-default
+/// value. The latter is resolved once per process — the gates are asked
+/// several times per statement, and `std::env::var` takes the process-wide
+/// environment lock and allocates.
+struct Threshold {
+    over: AtomicUsize,
+    env: OnceLock<usize>,
+    var: &'static str,
+    default: usize,
+}
 
-fn read(over: &AtomicUsize, env: &str, default: usize) -> usize {
-    let v = over.load(Ordering::Relaxed);
-    if v != UNSET {
-        return v;
+impl Threshold {
+    const fn new(var: &'static str, default: usize) -> Self {
+        Threshold {
+            over: AtomicUsize::new(UNSET),
+            env: OnceLock::new(),
+            var,
+            default,
+        }
     }
-    std::env::var(env)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(default)
+
+    fn read(&self) -> usize {
+        let v = self.over.load(Ordering::Relaxed);
+        if v != UNSET {
+            return v;
+        }
+        *self.env.get_or_init(|| {
+            std::env::var(self.var)
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .unwrap_or(self.default)
+        })
+    }
+
+    fn write(&self, value: Option<usize>) {
+        self.over.store(value.unwrap_or(UNSET), Ordering::Relaxed);
+    }
 }
 
-fn write(over: &AtomicUsize, value: Option<usize>) {
-    over.store(value.unwrap_or(UNSET), Ordering::Relaxed);
-}
+static MIN_CHUNK: Threshold = Threshold::new("INVERDA_MIN_CHUNK", 16);
+static PAR_MIN_WORK: Threshold = Threshold::new("INVERDA_PAR_MIN_WORK", 64);
+static BATCH_MIN_KEYS: Threshold = Threshold::new("INVERDA_BATCH_MIN_KEYS", 64);
 
 /// Minimum number of items per chunk when a scan is split across workers
 /// (`INVERDA_MIN_CHUNK`, default 16). Larger values mean fewer, coarser
 /// fragments; `1` splits as finely as the width allows.
 pub fn min_chunk() -> usize {
-    read(&MIN_CHUNK, "INVERDA_MIN_CHUNK", 16).max(1)
+    MIN_CHUNK.read().max(1)
 }
 
 /// Override [`min_chunk`] at runtime; `None` restores env/default behavior.
 pub fn set_min_chunk(value: Option<usize>) {
-    write(&MIN_CHUNK, value);
+    MIN_CHUNK.write(value);
 }
 
 /// Minimum probe-tuple / candidate-key count before a delta propagation
@@ -61,13 +86,13 @@ pub fn set_min_chunk(value: Option<usize>) {
 /// coordination overhead dwarfs the work: single-row OLTP writes stay on
 /// the sequential path at every width.
 pub fn par_min_work() -> usize {
-    read(&PAR_MIN_WORK, "INVERDA_PAR_MIN_WORK", 64)
+    PAR_MIN_WORK.read()
 }
 
 /// Override [`par_min_work`] at runtime; `None` restores env/default
 /// behavior.
 pub fn set_par_min_work(value: Option<usize>) {
-    write(&PAR_MIN_WORK, value);
+    PAR_MIN_WORK.write(value);
 }
 
 /// Minimum depth-0 candidate count before a rule runs on the batch
@@ -75,13 +100,13 @@ pub fn set_par_min_work(value: Option<usize>) {
 /// set-up cost cannot amortize and the tuple-at-a-time frame machine is
 /// cheaper — small delta recomputations stay where they are fastest.
 pub fn batch_min_keys() -> usize {
-    read(&BATCH_MIN_KEYS, "INVERDA_BATCH_MIN_KEYS", 64)
+    BATCH_MIN_KEYS.read()
 }
 
 /// Override [`batch_min_keys`] at runtime; `None` restores env/default
 /// behavior.
 pub fn set_batch_min_keys(value: Option<usize>) {
-    write(&BATCH_MIN_KEYS, value);
+    BATCH_MIN_KEYS.write(value);
 }
 
 #[cfg(test)]

@@ -459,21 +459,24 @@ fn exact_delta(state: &mut [Rows; 4], changes: &[Change]) -> DeltaMap {
             None => state[rel].remove(&key),
         };
     }
-    // A key changed and changed back nets to an update onto itself.
-    for delta in out.values_mut() {
-        let same: Vec<Key> = delta
-            .inserts
-            .iter()
-            .filter(|(k, row)| delta.deletes.get(k) == Some(row))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in same {
-            delta.inserts.remove(&k);
-            delta.deletes.remove(&k);
-        }
-    }
-    out.retain(|_, d| !d.is_empty());
+    drop_unchanged(&mut out);
     out
+}
+
+/// A key changed and changed back nets to an update onto itself: drop it,
+/// and the deltas left empty.
+fn drop_unchanged(deltas: &mut DeltaMap) {
+    for delta in deltas.values_mut() {
+        let Delta { deletes, inserts } = delta;
+        inserts.retain(|key, row| {
+            let unchanged = deletes.get(key) == Some(row);
+            if unchanged {
+                deletes.remove(key);
+            }
+            !unchanged
+        });
+    }
+    deltas.retain(|_, d| !d.is_empty());
 }
 
 fn mint_edb(state: &[Rows; 4]) -> MapEdb {
@@ -573,7 +576,13 @@ fn check_vs_stored(
         for rel in stored.values() {
             stored_edb.add_shared(rel.name().to_string(), Arc::new(rel.clone()));
         }
-        let fast = propagate_vs_stored(&crs, &old, &input, &ids, &stored_edb);
+        let fast = propagate_vs_stored(
+            &crs,
+            &PatchedEdb::new(&old, &input),
+            &input,
+            &ids,
+            &stored_edb,
+        );
         match (slow, fast) {
             (Ok((slow, new_heads)), Ok(fast)) => {
                 if slow != fast {
@@ -676,8 +685,153 @@ fn delta_vs_stored_mints_nothing_for_a_vanished_payload() {
     let input = exact_delta(&mut state, &[(0, 2, None)]);
     let mut stored_edb = MapEdb::new();
     stored_edb.add(stored["T"].clone());
-    let out = propagate_vs_stored(&crs, &old, &input, &ids, &stored_edb).unwrap();
+    let new_state = PatchedEdb::new(&old, &input);
+    let out = propagate_vs_stored(&crs, &new_state, &input, &ids, &stored_edb).unwrap();
     assert_eq!(out["T"].deletes.len(), 1);
     assert!(out["T"].inserts.is_empty());
     assert_eq!(ids.dump(), before);
+}
+
+// ---------------------------------------------------------------------------
+// Delta-vs-stored over the **merged delta of several statements against the
+// live new state** ≡ the diff of two full evaluations — what a reader does
+// when it catches a stale snapshot up from a change log: no overlay, no
+// intermediate state ever evaluated. Same rows, same registry, same
+// minted-id order; minting and mint-free sets.
+// ---------------------------------------------------------------------------
+
+/// Compose per-statement deltas the way a change log does: later changes
+/// win, and a key that ends where it started drops out.
+fn merge_statements(steps: impl IntoIterator<Item = DeltaMap>) -> DeltaMap {
+    let mut merged = DeltaMap::new();
+    for step in steps {
+        for (rel, delta) in step {
+            merged.entry(rel).or_default().merge(&delta);
+        }
+    }
+    drop_unchanged(&mut merged);
+    merged
+}
+
+/// `stored` = heads over `old`; then the heads over `live` two ways.
+/// `Ok(false)`: one of the two states conflicts and both paths refuse.
+fn check_merged_against_live(
+    crs: &CompiledRuleSet,
+    old: &MapEdb,
+    live: &MapEdb,
+    merged: &DeltaMap,
+) -> Result<bool, String> {
+    assert!(!crs.staged());
+    let ids = SeqIds::new();
+    let Ok(stored) = evaluate_compiled(crs, old, &ids, &BTreeMap::new()) else {
+        return Ok(false);
+    };
+    let slow_ids = ids.fork();
+    let slow = evaluate_compiled(crs, live, &slow_ids, &BTreeMap::new()).map(|new_out| {
+        let mut deltas = DeltaMap::new();
+        for (head, new_rel) in &new_out {
+            let delta = Delta::from(new_rel.diff(&stored[head]));
+            if !delta.is_empty() {
+                deltas.insert(head.clone(), delta);
+            }
+        }
+        deltas
+    });
+    let mut stored_edb = MapEdb::new();
+    for rel in stored.values() {
+        stored_edb.add(rel.clone());
+    }
+    let fast = propagate_vs_stored(crs, live, merged, &ids, &stored_edb);
+    match (slow, fast) {
+        (Ok(slow), Ok(fast)) => {
+            if slow != fast {
+                return Err(format!("deltas differ:\n{slow:#?}\nvs\n{fast:#?}"));
+            }
+            let (slow_reg, fast_reg) = (slow_ids.dump(), ids.dump());
+            if slow_reg != fast_reg {
+                return Err(format!("registries differ:\n{slow_reg}\nvs\n{fast_reg}"));
+            }
+            let (slow_seq, fast_seq) = (
+                slow_ids.next.load(Ordering::Relaxed),
+                ids.next.load(Ordering::Relaxed),
+            );
+            if slow_seq != fast_seq {
+                return Err(format!("id sequences differ: {slow_seq} vs {fast_seq}"));
+            }
+            Ok(true)
+        }
+        (Err(_), Err(_)) => Ok(false),
+        (slow, fast) => Err(format!(
+            "one path failed: full evaluation {slow:?}, delta {fast:?}"
+        )),
+    }
+}
+
+proptest! {
+    #[test]
+    fn merged_statements_against_the_live_state_equal_a_full_evaluation_minting(
+        spec in arb_mint_spec(),
+        start in arb_changes(0..24),
+        statements in prop::collection::vec(arb_changes(1..4), 2..7),
+    ) {
+        let crs = CompiledRuleSet::compile(&minting_set(&spec)).expect("safe rules");
+        prop_assert!(crs.mints_ids());
+        let mut state: [Rows; 4] = Default::default();
+        exact_delta(&mut state, &start);
+        let old = mint_edb(&state);
+        let merged = merge_statements(
+            statements.iter().map(|step| exact_delta(&mut state, step)),
+        );
+        if let Err(why) = check_merged_against_live(&crs, &old, &mint_edb(&state), &merged) {
+            prop_assert!(false, "{}\non:\n{}", why, minting_set(&spec));
+        }
+    }
+
+    #[test]
+    fn merged_statements_against_the_live_state_equal_a_full_evaluation_mint_free(
+        (t_rows, rminus_keys, splus_rows) in arb_state(),
+        // (relation, key, value; `None` deletes): T, Rminus, Splus.
+        statements in prop::collection::vec(
+            prop::collection::vec((0usize..3, 0u64..30, prop::option::of(0i64..10)), 1..4),
+            2..7,
+        ),
+    ) {
+        const RELS: [(&str, &[&str]); 3] = [("T", &["a"]), ("Rminus", &[]), ("Splus", &["a"])];
+        let crs = CompiledRuleSet::compile(&split_gamma_tgt()).expect("safe rules");
+        prop_assert!(!crs.mints_ids());
+        let mut state: [Rows; 3] = [
+            t_rows,
+            rminus_keys.into_iter().map(|k| (k, vec![])).collect(),
+            splus_rows,
+        ];
+        let edb_of = |state: &[Rows; 3]| {
+            let mut edb = MapEdb::new();
+            for ((name, cols), rows) in RELS.iter().zip(state) {
+                edb.add(keyed_rel(name, cols, rows));
+            }
+            edb.add(Relation::with_columns("Sminus", [] as [&str; 0]));
+            edb.add(Relation::with_columns("Rstar", [] as [&str; 0]));
+            edb
+        };
+        let old = edb_of(&state);
+        let mut per_statement = Vec::new();
+        for statement in &statements {
+            let mut step = DeltaMap::new();
+            for &(rel, key, value) in statement {
+                let new = value.map(|a| if rel == 1 { vec![] } else { vec![Value::Int(a)] });
+                let old_row = match &new {
+                    Some(row) => state[rel].insert(key, row.clone()),
+                    None => state[rel].remove(&key),
+                };
+                let mut change = Delta::new();
+                change.deletes.extend(old_row.map(|row| (Key(key), row)));
+                change.inserts.extend(new.map(|row| (Key(key), row)));
+                step.entry(RELS[rel].0.to_string()).or_default().merge(&change);
+            }
+            per_statement.push(step);
+        }
+        let merged = merge_statements(per_statement);
+        let checked = check_merged_against_live(&crs, &old, &edb_of(&state), &merged);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
 }

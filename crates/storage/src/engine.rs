@@ -15,15 +15,26 @@
 //! reusable iff every physical table in its resolution footprint still shows
 //! the epoch observed at resolution time. Epochs are never reused, so a
 //! table dropped and re-created can never satisfy a stale footprint.
+//!
+//! Every table also keeps a bounded **change log**: the row changes of its
+//! most recent [`Storage::apply`] batches, each tagged with the epoch it
+//! moved the table from and to. [`Storage::changes_between`] composes a
+//! contiguous run of them into the net change between two epochs — what
+//! lets a reader bring a derived snapshot stamped at an old epoch up to date
+//! in O(changed rows) instead of re-deriving it. Only `apply` logs; whatever
+//! else gives a table an epoch (creation, [`Storage::swap_tables`],
+//! [`Storage::fork`], [`Storage::from_pinned`]) starts it with an empty log,
+//! and because epochs are never reused no chain can lead across such a
+//! **gap**: the answer is `None` and the reader falls back to re-deriving.
 
 use crate::batch::{WriteBatch, WriteOp};
 use crate::error::StorageError;
-use crate::relation::Relation;
+use crate::relation::{Relation, RelationDelta, Row};
 use crate::schema::TableSchema;
 use crate::value::Key;
 use crate::Result;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,11 +96,81 @@ impl SequenceSet {
     }
 }
 
-/// One stored table: shared contents plus its current epoch.
+/// Most row changes one table's [`ChangeLog`] holds, and most one batch may
+/// bring to a table and still be logged. A chain is replayed per changed
+/// row through the delta engine (delta-vs-stored: ~3.5 µs a row on the
+/// TasKy2 FK DECOMPOSE, against ~2 µs per *stored* row for re-deriving the
+/// relation — EXPERIMENTS.md, "O(delta) maintenance through minting hops"),
+/// so a thousand logged changes are worth what re-deriving a
+/// two-thousand-row relation costs, a few milliseconds either way; a reader
+/// further behind than that re-derives. It also caps what a write pays to
+/// log (two row clones per change, none at all past the bound — bulk loads
+/// are not logged).
+const LOG_ROWS: usize = 1024;
+
+/// One row's change: the row before (`None`: inserted) and after (`None`:
+/// deleted).
+type RowChange = (Key, Option<Row>, Option<Row>);
+
+/// The row changes of one `apply` batch to one table.
+#[derive(Debug)]
+struct Link {
+    /// The table's epoch before the batch; its epoch after is the next
+    /// link's `before`, or the table's current epoch for the last link.
+    before: u64,
+    changes: Vec<RowChange>,
+}
+
+/// A table's recent history: a **contiguous** chain of links, oldest first,
+/// ending at the table's current epoch (see the module docs).
+#[derive(Debug, Default)]
+struct ChangeLog {
+    links: VecDeque<Link>,
+    /// Row changes held across all links (≤ [`LOG_ROWS`]).
+    rows: usize,
+}
+
+impl ChangeLog {
+    /// Append the changes that moved the table on from epoch `before`;
+    /// `None` (a batch past the bound) breaks the chain instead.
+    fn record(&mut self, before: u64, changes: Option<Vec<RowChange>>) {
+        let Some(changes) = changes else {
+            *self = ChangeLog::default();
+            return;
+        };
+        self.rows += changes.len();
+        self.links.push_back(Link { before, changes });
+        while self.rows > LOG_ROWS {
+            let oldest = self.links.pop_front().expect("rows are held by links");
+            self.rows -= oldest.changes.len();
+        }
+    }
+
+    /// Position of the link that moved the table on from epoch `from`.
+    fn link_from(&self, from: u64) -> Option<usize> {
+        // Epochs ascend along the chain.
+        self.links.binary_search_by_key(&from, |l| l.before).ok()
+    }
+}
+
+/// One stored table: shared contents, its current epoch and its recent
+/// history.
 #[derive(Debug)]
 struct TableEntry {
     rel: Arc<Relation>,
     epoch: u64,
+    log: ChangeLog,
+}
+
+impl TableEntry {
+    /// A table as it enters this storage: no history to offer.
+    fn new(rel: Arc<Relation>, epoch: u64) -> Self {
+        TableEntry {
+            rel,
+            epoch,
+            log: ChangeLog::default(),
+        }
+    }
 }
 
 /// Process-wide source of unique branch tags (see [`Storage::branch_tag`]).
@@ -147,7 +228,8 @@ impl Storage {
     /// the sequences resume at their current values, and the epoch counter
     /// continues from the same point — but under a **fresh** branch tag,
     /// because the fork and the origin will stamp overlapping epoch
-    /// numbers onto diverging states from here on.
+    /// numbers onto diverging states from here on. Change logs are not
+    /// copied: what the origin changed before the fork is a gap here.
     pub fn fork(&self) -> Storage {
         let tables = self.tables.read();
         let forked = tables
@@ -155,10 +237,7 @@ impl Storage {
             .map(|(name, entry)| {
                 (
                     name.clone(),
-                    TableEntry {
-                        rel: Arc::clone(&entry.rel),
-                        epoch: entry.epoch,
-                    },
+                    TableEntry::new(Arc::clone(&entry.rel), entry.epoch),
                 )
             })
             .collect();
@@ -195,10 +274,7 @@ impl Storage {
         let epoch = self.next_epoch();
         tables.insert(
             rel.name().to_string(),
-            TableEntry {
-                rel: Arc::new(rel),
-                epoch,
-            },
+            TableEntry::new(Arc::new(rel), epoch),
         );
         Ok(())
     }
@@ -297,7 +373,8 @@ impl Storage {
     /// over the pinned view mints exactly what a cold read at the pinned
     /// state would have minted. The epoch counter resumes past the largest
     /// pinned epoch (pinned views are never written, so this only keeps the
-    /// invariant that live epochs are unique).
+    /// invariant that live epochs are unique). The tables come without
+    /// change logs.
     pub fn from_pinned(tables: BTreeMap<String, (Arc<Relation>, u64)>, key_seq: u64) -> Self {
         Storage::from_pinned_tagged(tables, key_seq, next_branch_tag())
     }
@@ -313,7 +390,7 @@ impl Storage {
         let max_epoch = tables.values().map(|(_, e)| *e).max().unwrap_or(0);
         let tables = tables
             .into_iter()
-            .map(|(name, (rel, epoch))| (name, TableEntry { rel, epoch }))
+            .map(|(name, (rel, epoch))| (name, TableEntry::new(rel, epoch)))
             .collect();
         let sequences = SequenceSet::new();
         sequences.ensure_key_above(key_seq.saturating_sub(1));
@@ -346,7 +423,8 @@ impl Storage {
     /// so a failing batch leaves storage untouched without an undo log, and
     /// a succeeding one mutates tables copy-on-write (a deep copy happens
     /// only while an outstanding snapshot still shares the table). Each
-    /// touched table is restamped with a fresh epoch.
+    /// touched table is restamped with a fresh epoch, and its row changes go
+    /// to its change log.
     pub fn apply(&self, batch: &WriteBatch) -> Result<()> {
         let mut tables = self.tables.write();
         // ---- Phase 1: validate. `present` overlays the batch's own effects
@@ -398,38 +476,114 @@ impl Storage {
         // ---- Phase 2: apply (infallible after validation). No-op writes —
         // upserting an identical row, deleting an absent key — are skipped
         // before the copy-on-write, so they neither deep-copy a shared table
-        // nor move its epoch.
-        let mut touched: BTreeSet<&str> = BTreeSet::new();
+        // nor move its epoch. Every real change is collected for the
+        // table's change log, unless the batch brings the table more ops
+        // than the log holds: then none of its rows is cloned.
+        let mut ops_per_table: HashMap<&str, usize> = HashMap::new();
+        if batch.ops.len() > LOG_ROWS {
+            for op in &batch.ops {
+                *ops_per_table.entry(op.table()).or_default() += 1;
+            }
+        }
+        let mut touched: BTreeMap<&str, Option<Vec<RowChange>>> = BTreeMap::new();
         for op in &batch.ops {
             let entry = tables.get_mut(op.table()).expect("validated");
-            match op {
+            let change: RowChange = match op {
                 WriteOp::Insert { key, row, .. }
                 | WriteOp::Upsert { key, row, .. }
                 | WriteOp::Update { key, row, .. } => {
-                    if entry.rel.get(*key) == Some(row) {
-                        continue;
-                    }
-                    Arc::make_mut(&mut entry.rel)
-                        .upsert(*key, row.clone())
-                        .expect("validated arity");
+                    let exists = match entry.rel.get(*key) {
+                        Some(old) if old == row => continue,
+                        old => old.is_some(),
+                    };
+                    let rel = Arc::make_mut(&mut entry.rel);
+                    let old = if exists {
+                        Some(rel.update(*key, row.clone()).expect("validated arity"))
+                    } else {
+                        rel.insert(*key, row.clone()).expect("validated arity");
+                        None
+                    };
+                    (*key, old, Some(row.clone()))
                 }
                 WriteOp::Delete { key, .. } | WriteOp::DeleteIfPresent { key, .. } => {
                     if !entry.rel.contains_key(*key) {
                         continue;
                     }
-                    Arc::make_mut(&mut entry.rel).delete_if_present(*key);
+                    let old = Arc::make_mut(&mut entry.rel).delete_if_present(*key);
+                    (*key, old, None)
                 }
+            };
+            let changes = touched.entry(op.table()).or_insert_with(|| {
+                let logged = ops_per_table.get(op.table()).is_none_or(|n| *n <= LOG_ROWS);
+                logged.then(Vec::new)
+            });
+            if let Some(changes) = changes {
+                changes.push(change);
             }
-            touched.insert(op.table());
         }
-        // ---- Phase 3: restamp epochs of touched tables.
-        for name in touched {
+        // ---- Phase 3: restamp epochs of touched tables and log what moved
+        // them there.
+        for (name, changes) in touched {
             let epoch = self.next_epoch();
             if let Some(entry) = tables.get_mut(name) {
+                entry.log.record(entry.epoch, changes);
                 entry.epoch = epoch;
             }
         }
         Ok(())
+    }
+
+    /// The net row changes that took `table` from epoch `from` to epoch
+    /// `to`, composed from its change log: per key, the row at `from`
+    /// against the row at `to`, keys whose row ends up as it started left
+    /// out. `None` when the log does not hold a contiguous chain between
+    /// the two — the table does not exist, one of the epochs was never this
+    /// table's, the chain has been overwritten, or something other than
+    /// [`apply`](Storage::apply) moved the table in between (see the module
+    /// docs).
+    pub fn changes_between(&self, table: &str, from: u64, to: u64) -> Option<RelationDelta> {
+        let tables = self.tables.read();
+        let entry = tables.get(table)?;
+        if from == to {
+            return Some(RelationDelta::default());
+        }
+        let log = &entry.log;
+        let first = log.link_from(from)?;
+        let end = if to == entry.epoch {
+            log.links.len()
+        } else {
+            log.link_from(to)?
+        };
+        if end <= first {
+            return None;
+        }
+        // Per key: its row at `from` (the first change's old side) and at
+        // `to` (the last change's new side).
+        let mut net: BTreeMap<Key, (&Option<Row>, &Option<Row>)> = BTreeMap::new();
+        for (key, old, new) in log.links.range(first..end).flat_map(|l| &l.changes) {
+            net.entry(*key).or_insert((old, new)).1 = new;
+        }
+        let mut delta = RelationDelta::default();
+        for (key, ends) in net {
+            match ends {
+                (None, Some(new)) => delta.inserts.push((key, new.clone())),
+                (Some(old), None) => delta.deletes.push((key, old.clone())),
+                (Some(old), Some(new)) if old != new => {
+                    delta.updates.push((key, old.clone(), new.clone()));
+                }
+                _ => {}
+            }
+        }
+        Some(delta)
+    }
+
+    /// Whether [`changes_between`](Storage::changes_between) can still lead
+    /// from epoch `from` to `table`'s current epoch.
+    pub fn log_reaches(&self, table: &str, from: u64) -> bool {
+        self.tables
+            .read()
+            .get(table)
+            .is_some_and(|entry| from == entry.epoch || entry.log.link_from(from).is_some())
     }
 
     /// The physical half of a migration, all or nothing: create `creates`,
@@ -475,7 +629,7 @@ impl Storage {
         }
         for rel in creates.into_iter().chain(replaces) {
             let epoch = self.next_epoch();
-            tables.insert(rel.name().to_string(), TableEntry { rel, epoch });
+            tables.insert(rel.name().to_string(), TableEntry::new(rel, epoch));
         }
         Ok(drops
             .iter()
@@ -808,6 +962,196 @@ mod tests {
         assert_eq!(pin.branch_tag(), s.branch_tag());
         let other = Storage::from_pinned(f.snapshot_all(), f.sequences().current_key());
         assert_ne!(other.branch_tag(), f.branch_tag());
+    }
+
+    fn row(a: i64) -> Row {
+        vec![Value::Int(a), Value::Int(0)]
+    }
+
+    #[test]
+    fn change_log_composes_a_chain_to_its_net_change() {
+        let s = storage_with_t();
+        let e0 = s.epoch_of("T");
+        let mut b = WriteBatch::new();
+        b.insert("T", Key(1), row(1)).insert("T", Key(2), row(2));
+        s.apply(&b).unwrap();
+        let e1 = s.epoch_of("T");
+        let mut b = WriteBatch::new();
+        b.update("T", Key(1), row(10)).insert("T", Key(3), row(3));
+        s.apply(&b).unwrap();
+        let e2 = s.epoch_of("T");
+        // Twice in one batch, then gone; key 3 goes the way it came.
+        let mut b = WriteBatch::new();
+        b.update("T", Key(2), row(20))
+            .update("T", Key(2), row(21))
+            .delete("T", Key(3));
+        s.apply(&b).unwrap();
+        let e3 = s.epoch_of("T");
+        let mut b = WriteBatch::new();
+        b.delete("T", Key(2));
+        s.apply(&b).unwrap();
+        let e4 = s.epoch_of("T");
+
+        let whole = s.changes_between("T", e0, e4).unwrap();
+        assert_eq!(
+            whole,
+            s.snapshot("T")
+                .unwrap()
+                .diff(&Relation::with_columns("T", ["a", "b"]))
+        );
+        assert_eq!(whole.inserts, vec![(Key(1), row(10))]);
+        assert!(whole.deletes.is_empty() && whole.updates.is_empty());
+        let tail = s.changes_between("T", e1, e4).unwrap();
+        assert_eq!(tail.updates, vec![(Key(1), row(1), row(10))]);
+        assert_eq!(tail.deletes, vec![(Key(2), row(2))]);
+        assert!(tail.inserts.is_empty(), "key 3 was inserted and deleted");
+        let middle = s.changes_between("T", e1, e3).unwrap();
+        assert_eq!(
+            middle.updates,
+            vec![(Key(1), row(1), row(10)), (Key(2), row(2), row(21))]
+        );
+        assert!(middle.inserts.is_empty() && middle.deletes.is_empty());
+        assert!(s.changes_between("T", e2, e2).unwrap().is_empty());
+        // Backwards, or from an epoch that was never this table's: no chain.
+        assert!(s.changes_between("T", e3, e1).is_none());
+        assert!(s.changes_between("T", e4 + 100, e4).is_none());
+        assert!(s.changes_between("NoSuch", e0, e1).is_none());
+        assert!(s.log_reaches("T", e0) && s.log_reaches("T", e4));
+        assert!(!s.log_reaches("T", e4 + 100) && !s.log_reaches("NoSuch", e0));
+    }
+
+    #[test]
+    fn no_op_writes_log_nothing() {
+        let s = storage_with_t();
+        let mut b = WriteBatch::new();
+        b.insert("T", Key(1), row(1));
+        s.apply(&b).unwrap();
+        let e1 = s.epoch_of("T");
+        let mut noop = WriteBatch::new();
+        noop.upsert("T", Key(1), row(1))
+            .delete_if_present("T", Key(9));
+        s.apply(&noop).unwrap();
+        assert_eq!(s.epoch_of("T"), e1);
+        assert_eq!(s.tables.read()["T"].log.links.len(), 1);
+        // Mixed with a real change, only that one is logged.
+        noop.insert("T", Key(2), row(2));
+        s.apply(&noop).unwrap();
+        let delta = s.changes_between("T", e1, s.epoch_of("T")).unwrap();
+        assert_eq!(delta.inserts, vec![(Key(2), row(2))]);
+        assert_eq!(delta.len(), 1);
+    }
+
+    #[test]
+    fn everything_but_a_bounded_apply_is_a_gap() {
+        let s = storage_with_t();
+        let insert = |s: &Storage, key: u64| {
+            let mut b = WriteBatch::new();
+            b.insert("T", Key(key), row(key as i64));
+            s.apply(&b).unwrap();
+        };
+        insert(&s, 1);
+        let e1 = s.epoch_of("T");
+
+        // A batch past the bound is applied, not logged — and it takes the
+        // chain that led up to it along.
+        let mut bulk = WriteBatch::new();
+        for k in 0..=LOG_ROWS as u64 {
+            bulk.insert("T", Key(1000 + k), row(0));
+        }
+        s.apply(&bulk).unwrap();
+        let e2 = s.epoch_of("T");
+        assert!(s.changes_between("T", e1, e2).is_none());
+        assert!(!s.log_reaches("T", e1));
+        assert_eq!(s.tables.read()["T"].log.rows, 0);
+        // The bound is per table: a small table in the same batch is logged.
+        s.create_table(TableSchema::new("U", ["a", "b"]).unwrap())
+            .unwrap();
+        let (eu, mut bulk) = (s.epoch_of("U"), WriteBatch::new());
+        for k in 0..=LOG_ROWS as u64 {
+            bulk.insert("T", Key(5000 + k), row(0));
+        }
+        bulk.insert("U", Key(1), row(1));
+        s.apply(&bulk).unwrap();
+        assert_eq!(
+            s.changes_between("U", eu, s.epoch_of("U")).unwrap().len(),
+            1
+        );
+        let e2 = s.epoch_of("T");
+        insert(&s, 2);
+        assert_eq!(
+            s.changes_between("T", e2, s.epoch_of("T")).unwrap().len(),
+            1
+        );
+
+        // A fork and a pinned view know nothing of the origin's history,
+        // and log their own from where they start.
+        let e3 = s.epoch_of("T");
+        let fork = s.fork();
+        let pin = Storage::from_pinned(s.snapshot_all(), s.sequences().current_key());
+        for other in [&fork, &pin] {
+            assert_eq!(other.epoch_of("T"), e3);
+            assert!(other.changes_between("T", e2, e3).is_none());
+            assert!(!other.log_reaches("T", e2));
+        }
+        insert(&fork, 3);
+        assert_eq!(
+            fork.changes_between("T", e3, fork.epoch_of("T"))
+                .unwrap()
+                .len(),
+            1
+        );
+        assert!(fork.changes_between("T", e2, fork.epoch_of("T")).is_none());
+
+        // `swap_tables` replaces the contents without a row-level record.
+        s.swap_tables(vec![], vec![filled("T", 42)], &[]).unwrap();
+        let e4 = s.epoch_of("T");
+        assert!(s.changes_between("T", e3, e4).is_none());
+        insert(&s, 4);
+        assert!(s.changes_between("T", e3, s.epoch_of("T")).is_none());
+        assert_eq!(
+            s.changes_between("T", e4, s.epoch_of("T")).unwrap().len(),
+            1
+        );
+
+        // Drop and re-create: a new table under an old name.
+        let e5 = s.epoch_of("T");
+        s.drop_table("T").unwrap();
+        assert!(s.changes_between("T", e4, e5).is_none());
+        s.create_table(TableSchema::new("T", ["a", "b"]).unwrap())
+            .unwrap();
+        insert(&s, 5);
+        assert!(s.changes_between("T", e5, s.epoch_of("T")).is_none());
+        assert!(!s.log_reaches("T", e5));
+    }
+
+    #[test]
+    fn change_log_stays_bounded() {
+        let s = storage_with_t();
+        let mut epochs = vec![s.epoch_of("T")];
+        for i in 0..10_000u64 {
+            let mut b = WriteBatch::new();
+            b.upsert("T", Key(i % 50), row(i as i64));
+            if i % 7 == 0 {
+                b.upsert("T", Key(100 + i % 13), row(i as i64));
+            }
+            s.apply(&b).unwrap();
+            epochs.push(s.epoch_of("T"));
+        }
+        {
+            let tables = s.tables.read();
+            let log = &tables["T"].log;
+            assert!(log.rows <= LOG_ROWS && log.rows > LOG_ROWS - 2);
+            assert_eq!(
+                log.rows,
+                log.links.iter().map(|l| l.changes.len()).sum::<usize>()
+            );
+        }
+        // The recent past is still reachable, the distant past is not.
+        let now = *epochs.last().unwrap();
+        let recent = s.changes_between("T", epochs[epochs.len() - 100], now);
+        assert!(recent.is_some_and(|d| d.len() <= 63));
+        assert!(s.changes_between("T", epochs[0], now).is_none());
+        assert!(!s.log_reaches("T", epochs[5_000]));
     }
 
     #[test]

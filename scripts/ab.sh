@@ -12,8 +12,18 @@
 # result line must say `"correct": true` and `"failed": 0`. The summary is one
 # row per workload × end-to-end metric in the EXPERIMENTS.md table format:
 # both medians with their quartiles (as Python's statistics.quantiles), the
-# change of the median, and the pairs the working tree won (ties count for
-# neither side). `SEEDS="1 2"` shortens a trial run; a claim wants all ten.
+# change of the median, the pairs the working tree won (ties count for
+# neither side), and a verdict from BENCHMARK.json's `better` and `bound`:
+#
+#   gain        at least nine tenths of the pairs won, and the medians apart
+#               by more than the parent's q1–q3 distance
+#   worse       the median worse than the parent's by more than the bound
+#   unresolved  the parent's q1–q3 distance wider than the bound, and not
+#               every run of the working tree better than every parent run
+#   same        none of these
+#
+# The exit status is non-zero if any row is `worse`. `SEEDS="1 2"` shortens
+# a trial run; a claim wants all ten.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -78,15 +88,16 @@ for seed in $seeds; do
     done
 done
 
-# "<metric> <higher|lower>" lines of the end-to-end metrics, in their order.
-grep -o '{"name": "[a-z0-9_]*", "unit": "[^"]*", "better": "[a-z]*", "bound"' "$spec" |
-    cut -d'"' -f4,12 | tr '"' ' ' >"$tmp/metrics"
+# "<metric> <higher|lower> <bound>" lines of the end-to-end metrics, in their
+# order.
+grep -o '{"name": "[a-z0-9_]*", "unit": "[^"]*", "better": "[a-z]*", "bound": [0-9.]*' "$spec" |
+    sed 's/.*"name": "\([a-z0-9_]*\)".*"better": "\([a-z]*\)", "bound": \([0-9.]*\)$/\1 \2 \3/' >"$tmp/metrics"
 
-echo "| workload | metric | parent median (q1–q3) | change median (q1–q3) | change | pairs won |"
-echo "|---|---|---:|---:|---:|---:|"
+echo "| workload | metric | parent median (q1–q3) | change median (q1–q3) | change | pairs won | verdict |"
+echo "|---|---|---:|---:|---:|---:|---|"
 for workload in "${workloads[@]}"; do
-    while read -r metric better; do
-        awk -F'\t' -v w="$workload" -v m="$metric" -v better="$better" '
+    while read -r metric better bound; do
+        awk -F'\t' -v w="$workload" -v m="$metric" -v better="$better" -v bound="$bound" '
             function quantile(x, n, k,    pos, lo, frac) { # statistics.quantiles(n=4), exclusive
                 pos = (n + 1) * k / 4
                 if (pos < 1) pos = 1
@@ -114,7 +125,17 @@ for workload in "${workloads[@]}"; do
                 if (n == 0) exit
                 sort(a, n); sort(b, n)
                 pm = quantile(a, n, 2); cm = quantile(b, n, 2)
-                printf "| `%s` | `%s` | %s | %s | %+.1f %% | %d/%d |\n", w, m, cell(a, n), cell(b, n), (cm - pm) / pm * 100, won, n
+                spread = quantile(a, n, 3) - quantile(a, n, 1)
+                # By how much the working tree is better, and whether its
+                # worst run still beats the best run of the parent.
+                ahead = better == "higher" ? cm - pm : pm - cm
+                apart = better == "higher" ? b[1] > a[n] : b[n] < a[1]
+                if (won * 10 >= n * 9 && ahead > spread) verdict = "gain"
+                else if (-ahead > bound * pm) verdict = "worse"
+                else if (spread > bound * pm && !apart) verdict = "unresolved"
+                else verdict = "same"
+                printf "| `%s` | `%s` | %s | %s | %+.1f %% | %d/%d | %s |\n", w, m, cell(a, n), cell(b, n), (cm - pm) / pm * 100, won, n, verdict
             }' "$results"
     done <"$tmp/metrics"
-done
+done | tee "$tmp/table"
+! grep -q '| worse |$' "$tmp/table"

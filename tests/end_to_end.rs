@@ -297,6 +297,94 @@ fn wikimedia_round_trips_keep_every_checked_version_warm() {
     }
 }
 
+/// Read-time catch-up on the paper's example: after a write through `Do!`,
+/// the stale `TasKy2.Task` snapshot — one FK DECOMPOSE away from the data —
+/// is patched from the physical change log by the next full read, in place,
+/// with its index; what the log cannot bridge is resolved cold as before.
+#[test]
+fn a_foreign_write_is_caught_up_by_the_next_sibling_read() {
+    use inverda::core::LogicalWrite;
+    use inverda::Expr;
+    use std::sync::Arc;
+    let db = tasky_db_with_data(200);
+    let filter = |text: &str| {
+        db.query("TasKy2", "Task")
+            .filter(Expr::col("task").eq(Expr::lit(text)))
+    };
+    // Warm: the snapshot (first read) and its `task` index (second).
+    for _ in 0..2 {
+        assert_eq!(filter("task number 7").count().unwrap(), 1);
+    }
+    let allocation = |db: &Inverda| Arc::as_ptr(&db.scan("TasKy2", "Task").unwrap());
+    let snapshot = allocation(&db);
+
+    let caught_up = |db: &Inverda, what: &str, write: &dyn Fn() -> String| {
+        let before = db.snapshot_stats();
+        let text = write();
+        let plan = filter(&text).explain().unwrap();
+        assert!(plan.contains("index-probe(task = "), "{what}: {plan}");
+        let after = db.snapshot_stats();
+        assert!(after.caught_up > before.caught_up, "{what}: {after:?}");
+        assert_eq!(after.recomputes, before.recomputes, "{what}");
+        assert_eq!(allocation(db), snapshot, "{what}: patched in place");
+        assert!(db.snapshot_store_audit().is_empty(), "{what}");
+    };
+    let todo = std::cell::Cell::new(None);
+    caught_up(&db, "insert", &|| {
+        let row = vec!["author003".into(), "caught up".into()];
+        todo.set(Some(db.insert("Do!", "Todo", row).unwrap()));
+        "caught up".into()
+    });
+    let key = todo.get().unwrap();
+    assert_eq!(filter("caught up").count().unwrap(), 1);
+    caught_up(&db, "update", &|| {
+        let row = vec!["author003".into(), "caught up twice".into()];
+        db.update("Do!", "Todo", key, row).unwrap();
+        "caught up twice".into()
+    });
+    assert_eq!(filter("caught up").count().unwrap(), 0);
+    assert_eq!(filter("caught up twice").count().unwrap(), 1);
+    caught_up(&db, "new author", &|| {
+        let row = vec!["nobody yet".into(), "a first task".into()];
+        db.insert("Do!", "Todo", row).unwrap();
+        "a first task".into()
+    });
+    let authors = db.scan("TasKy2", "Author").unwrap();
+    assert!(authors.iter().any(|(_, row)| row[0] == "nobody yet".into()));
+    caught_up(&db, "delete", &|| {
+        db.delete("Do!", "Todo", key).unwrap();
+        "caught up twice".into()
+    });
+    assert_eq!(filter("caught up twice").count().unwrap(), 0);
+
+    // A batch the log does not hold, and a MATERIALIZE round trip (which
+    // swaps the tables under every footprint): gaps, read cold.
+    let cold = |db: &Inverda, what: &str| {
+        let before = db.snapshot_stats();
+        assert_eq!(filter("a first task").count().unwrap(), 1, "{what}");
+        let after = db.snapshot_stats();
+        assert_eq!(after.caught_up, before.caught_up, "{what}");
+        assert!(after.misses > before.misses, "{what}");
+        assert!(db.snapshot_store_audit().is_empty(), "{what}");
+    };
+    let bulk = (0..5_000)
+        .map(|i| LogicalWrite::Insert(vec!["author001".into(), format!("bulk {i}").into()]))
+        .collect();
+    db.apply_many("Do!", "Todo", bulk).unwrap();
+    cold(&db, "5 000-row batch");
+    db.insert("Do!", "Todo", vec!["author001".into(), "one more".into()])
+        .unwrap();
+    db.execute("MATERIALIZE 'TasKy2'; MATERIALIZE 'TasKy';")
+        .unwrap();
+    cold(&db, "MATERIALIZE round trip");
+    // ... and from there on the log leads on again.
+    let before = db.snapshot_stats().caught_up;
+    db.insert("Do!", "Todo", vec!["author001".into(), "and on".into()])
+        .unwrap();
+    assert_eq!(filter("and on").count().unwrap(), 1);
+    assert!(db.snapshot_stats().caught_up > before);
+}
+
 #[test]
 fn delta_and_recompute_paths_agree_end_to_end() {
     let run = |path: WritePath| {
