@@ -27,6 +27,14 @@
 //!   and replies are released only after that group fsync, so an
 //!   acknowledged write is crash-durable.
 //!
+//! Every epoch the pipeline publishes, and every pin taken from it, holds an
+//! `Arc` of every table and of the snapshot versions it reads, so the next
+//! write changes all of those copy-on-write. That stays O(change), not
+//! O(rows): a `Relation` keeps its rows in shared chunks, and a write copies
+//! the chunk pointers and only the chunks it touches (`relation.rs`,
+//! "Structural sharing") — a served write costs a write plus an fsync, with
+//! or without a pin outstanding.
+//!
 //! The linearizable commit order is the pipeline's drain order; the oracle
 //! in `tests/serving_props.rs` replays it single-threaded and asserts every
 //! concurrent read byte-identical to the sequential state at its pinned

@@ -186,9 +186,11 @@ impl Inner {
     /// Patch the current version of `relation` by `delta` into a new
     /// current version whose footprint is stamped by `epoch_of`. The
     /// pre-patch version is retired when `retain` is set (it stays servable
-    /// at its old stamps; its snapshot is then copied, not patched in
-    /// place). `false` — and the current version gone, a correctness
-    /// invalidation — if there is none or the delta does not apply.
+    /// at its old stamps; the new version then copies its snapshot's chunk
+    /// pointers and the row chunks the delta touches, sharing every other
+    /// chunk with the retired one). `false` — and the current version gone,
+    /// a correctness invalidation — if there is none or the delta does not
+    /// apply.
     fn patch_current(
         &mut self,
         relation: &str,
@@ -1271,6 +1273,66 @@ mod tests {
             store.get("V", &storage, |_| false).is_some(),
             "current survives"
         );
+    }
+
+    /// Chunks of `new` that `old` does not share, counted from outside
+    /// `inverda-storage`, which has no accessor for them: a shared chunk
+    /// hands both relations the same row addresses, and the rows of one
+    /// chunk sit one `(Key, Row)` apart, so every maximal run of adjacent
+    /// unshared rows is one chunk a copy-on-write made.
+    fn copied_chunks(new: &Relation, old: &Relation) -> usize {
+        let stride = std::mem::size_of::<(Key, inverda_storage::Row)>();
+        let mut runs = 0;
+        let mut last_copied: Option<usize> = None;
+        for (key, row) in new.iter() {
+            if old.get(key).is_some_and(|o| std::ptr::eq(o, row)) {
+                last_copied = None;
+                continue;
+            }
+            let at = row as *const _ as usize;
+            if last_copied.is_none_or(|prev| at != prev + stride) {
+                runs += 1;
+            }
+            last_copied = Some(at);
+        }
+        runs
+    }
+
+    #[test]
+    fn a_patch_under_a_pin_copies_only_the_touched_chunk() {
+        let storage = storage_with("T");
+        let store = SnapshotStore::new();
+        let pinned_epoch = storage.epoch_of("T");
+        let rows: Vec<(u64, i64)> = (0..2000).map(|k| (k, k as i64)).collect();
+        let fp = BTreeMap::from([("T".to_string(), pinned_epoch)]);
+        store.store_entry("V", rel_with("V", &rows), fp);
+
+        store.acquire_pin();
+        let pinned = Storage::from_pinned(
+            BTreeMap::from([(
+                "T".to_string(),
+                (storage.snapshot("T").unwrap(), pinned_epoch),
+            )]),
+            1,
+        );
+        let valid = store.valid_rels(&storage, [&"V".to_string()]);
+        bump(&storage, "T", 7, 7);
+        let mut maint = SnapshotMaintenance::new();
+        maint.record_patch(
+            "V",
+            &Delta::update(Key(1000), vec![Value::Int(1000)], vec![Value::Int(-1)]),
+        );
+        store.commit(&maint, &valid, &storage);
+        assert_eq!(store.retained_versions(), 1, "pre-patch version retired");
+
+        let retired = store.get("V", &pinned, |_| false).expect("serves the pin");
+        let current = store.get("V", &storage, |_| false).expect("patched");
+        assert_eq!(retired.get(Key(1000)), Some(&vec![Value::Int(1000)]));
+        assert_eq!(current.get(Key(1000)), Some(&vec![Value::Int(-1)]));
+        assert_eq!(copied_chunks(&current, &retired), 1);
+        // What the count would read for a deep copy.
+        assert!(copied_chunks(&rel_with("V", &rows), &retired) > 10);
+        store.release_pin();
     }
 
     #[test]

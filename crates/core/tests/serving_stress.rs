@@ -5,9 +5,10 @@
 //! `INVERDA_SOAK_MS` environment knob (e.g. `INVERDA_SOAK_MS=30000` for
 //! the full 30 s soak). Asserted invariants: no thread panics, no poisoned
 //! locks, published epochs are monotone (per thread and globally dense at
-//! the end), every pin is released, no retired snapshot versions leak, and
-//! a final snapshot-store audit comes back clean (every warm entry
-//! byte-identical to cold re-resolution).
+//! the end), a pinned relation scans byte-identically twice with the
+//! writers running in between, every pin is released, no retired snapshot
+//! versions leak, and a final snapshot-store audit comes back clean (every
+//! warm entry byte-identical to cold re-resolution).
 
 use inverda_core::{Inverda, LogicalWrite, ServingInverda, ServingOutcome};
 use inverda_storage::{Key, Value};
@@ -91,15 +92,24 @@ fn serving_soak_survives_concurrent_readers_writers_and_ddl() {
                     } else {
                         ("Do!", "Todo", 2)
                     };
-                    let mut writes = Vec::new();
-                    for _ in 0..=rng.below(3) {
+                    let row = |rng: &mut Rng| {
                         let mut row: Vec<Value> = (0..arity)
                             .map(|c| Value::text(format!("w{w}c{c}v{}", rng.below(50))))
                             .collect();
                         if table == "Task" {
                             row[2] = Value::Int((rng.below(3) + 1) as i64);
                         }
-                        writes.push(LogicalWrite::Insert(row));
+                        row
+                    };
+                    let mut writes = Vec::new();
+                    for _ in 0..=rng.below(3) {
+                        writes.push(LogicalWrite::Insert(row(&mut rng)));
+                    }
+                    // Updates rewrite a row where it sits, inside a chunk a
+                    // pin may share (fails when the key is not in `Do!`).
+                    if !keys.is_empty() && rng.below(2) == 0 {
+                        let key = keys[rng.below(keys.len() as u64) as usize];
+                        writes.push(LogicalWrite::Update(key, row(&mut rng)));
                     }
                     if !keys.is_empty() && rng.below(3) == 0 {
                         let key = keys[rng.below(keys.len() as u64) as usize];
@@ -153,8 +163,19 @@ fn serving_soak_survives_concurrent_readers_writers_and_ddl() {
                     // Errors are fine (Xtra comes and goes); panics and
                     // poisons are not.
                     match rng.below(3) {
+                        // A pinned relation never changes — not across a
+                        // yield that lets the pipeline commit, and not
+                        // behind the `Arc` held across it: a write that
+                        // mutated a chunk still shared with this pin would
+                        // show up in `first`.
                         0 => {
-                            let _ = pin.scan(version, table);
+                            if let Ok(first) = pin.scan(version, table) {
+                                let shown = first.to_string();
+                                std::thread::yield_now();
+                                let again = pin.scan(version, table).expect("pinned scan repeats");
+                                assert_eq!(first.to_string(), shown, "a pinned snapshot changed");
+                                assert_eq!(again.to_string(), shown, "a pinned re-scan differs");
+                            }
                         }
                         1 => {
                             let _ = pin.count(version, table);

@@ -7,8 +7,10 @@
 //!
 //! Tables are stored as `Arc<Relation>` and mutated copy-on-write, so
 //! [`Storage::snapshot`] is an O(1) reference-count bump: a statement that
-//! reads a table pays nothing for isolation, and a write batch deep-copies a
-//! table only while some snapshot of it is still alive. Every table carries
+//! reads a table pays nothing for isolation. While some snapshot of a table
+//! is still alive, a write batch copies the table's chunk pointers and then
+//! only the row chunks it changes — everything else stays shared with the
+//! snapshot (`relation.rs`, "Structural sharing"). Every table carries
 //! an **epoch** — a value drawn from one engine-wide monotonic counter,
 //! restamped on every mutation — which is the invalidation currency of the
 //! cross-statement snapshot store in `inverda-core`: a derived snapshot is
@@ -421,8 +423,9 @@ impl Storage {
     /// Apply a batch atomically: every operation is validated against the
     /// in-order simulated effect of the batch *before* anything is mutated,
     /// so a failing batch leaves storage untouched without an undo log, and
-    /// a succeeding one mutates tables copy-on-write (a deep copy happens
-    /// only while an outstanding snapshot still shares the table). Each
+    /// a succeeding one mutates tables copy-on-write (while an outstanding
+    /// snapshot still shares a table, only the row chunks the batch changes
+    /// are copied). Each
     /// touched table is restamped with a fresh epoch, and its row changes go
     /// to its change log.
     pub fn apply(&self, batch: &WriteBatch) -> Result<()> {
@@ -475,8 +478,8 @@ impl Storage {
         }
         // ---- Phase 2: apply (infallible after validation). No-op writes —
         // upserting an identical row, deleting an absent key — are skipped
-        // before the copy-on-write, so they neither deep-copy a shared table
-        // nor move its epoch. Every real change is collected for the
+        // before the copy-on-write, so they neither copy a shared chunk nor
+        // move the table's epoch. Every real change is collected for the
         // table's change log, unless the batch brings the table more ops
         // than the log holds: then none of its rows is cloned.
         let mut ops_per_table: HashMap<&str, usize> = HashMap::new();
@@ -749,6 +752,35 @@ mod tests {
         s.apply(&b2).unwrap();
         assert_eq!(snap.len(), 1);
         assert_eq!(s.row_count("T").unwrap(), 0);
+    }
+
+    #[test]
+    fn a_write_under_a_held_snapshot_copies_only_what_it_touches() {
+        let s = storage_with_t();
+        let mut load = WriteBatch::new();
+        for k in 0..2000 {
+            load.insert("T", Key(k), vec![Value::Int(k as i64), Value::Int(0)]);
+        }
+        s.apply(&load).unwrap();
+        let row = |v: i64| vec![Value::Int(v), Value::Int(v)];
+        let mut insert = WriteBatch::new();
+        insert.insert("T", Key(5000), row(1));
+        let mut update = WriteBatch::new();
+        update.update("T", Key(1000), row(2));
+        let mut delete = WriteBatch::new();
+        delete.delete("T", Key(7));
+        for batch in [insert, update, delete] {
+            let held = s.snapshot("T").unwrap();
+            let shown = held.to_string();
+            s.apply(&batch).unwrap();
+            let now = s.snapshot("T").unwrap();
+            assert!(
+                now.unshared_chunks(&held) <= 2,
+                "copied more than it touched"
+            );
+            assert_eq!(held.to_string(), shown, "the held snapshot saw the write");
+        }
+        assert_eq!(s.row_count("T").unwrap(), 2000);
     }
 
     #[test]
