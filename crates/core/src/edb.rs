@@ -24,13 +24,17 @@
 //! behind the table's epoch).
 //!
 //! Between warm and cold sits **read-time catch-up**
-//! (`VersionedEdb::catch_up`): a stale snapshot of a relation one hop from
-//! storage — left behind by a write through a sibling version — is brought
-//! up to the state the statement reads by replaying the physical tables'
-//! logged changes through the defining rule set, at the one point where a
-//! cold resolution would have evaluated it whole ([`EdbView::full`]). Key
-//! lookups and seeded probes never catch up: they push their binding down
-//! exactly as they do over a relation nobody ever resolved.
+//! (`VersionedEdb::catch_up`): a stale snapshot — left behind by a write
+//! through a sibling version — is brought up to the state the statement
+//! reads by replaying the physical tables' logged changes through its
+//! defining rule set, **hop by hop**: a body relation that is itself a
+//! stale snapshot is caught up first, and the head deltas it applied are
+//! this hop's input. Where its closure can mint ids this happens only at
+//! the one point where a cold resolution would have evaluated the relation
+//! whole ([`EdbView::full`]); key lookups and seeded probes then push their
+//! binding down exactly as over a relation nobody ever resolved. A
+//! mint-free closure has nothing to mint early, so it is caught up at its
+//! first touch, point lookups included.
 
 use crate::compiled::{CatalogIndex, CompiledStore, Direction, FusedChain};
 use crate::snapshot::{SnapshotStore, StaleHeads, StoredHeads};
@@ -49,6 +53,30 @@ use std::sync::Arc;
 /// levels so lookups probe with a **borrowed** value (no allocation on the
 /// hit or miss path).
 type ColumnRows = HashMap<usize, HashMap<Value, Vec<(Key, Row)>>>;
+
+/// Physical table → storage epoch: a snapshot's footprint stamps.
+type Stamps = BTreeMap<String, u64>;
+
+/// What the rule structure says about catching a relation's stale snapshot
+/// up (see [`VersionedEdb::replay`]).
+#[derive(Clone, Copy, Default)]
+struct Replay {
+    /// Every rule set of the unfused resolution closure exists and is
+    /// non-staged: a stale snapshot is worth keeping for a catch-up.
+    keep: bool,
+    /// None of them can mint an id either.
+    mint_free: bool,
+}
+
+/// What one [`VersionedEdb::catch_up`] did to a rule set's heads.
+struct CaughtUp {
+    /// The stamps the heads were stale at,
+    from: Stamps,
+    /// the stamps they were brought up to,
+    to: Stamps,
+    /// and the head deltas applied in between.
+    deltas: DeltaMap,
+}
 
 /// SMO kinds whose mappings may start or extend a fused γ-chain: the
 /// column-level SMOs, whose rule sets are linear in a single data relation
@@ -88,6 +116,10 @@ pub struct VersionedEdb<'a> {
     /// closure stays mint-free), so a memoized verdict can be conservative
     /// but never wrong.
     push_cache: Mutex<HashMap<String, bool>>,
+    /// Per-relation memo of [`replay`](VersionedEdb::replay): what the rule
+    /// structure says about catching a stale snapshot up. Asked under the
+    /// snapshot store's lock, so it is decided from the rules alone.
+    replay_cache: Mutex<HashMap<String, Replay>>,
     /// `rel → column → probe value → rows` memo for seeded pushdown.
     /// Load-bearing, not just a nicety: the rules of one γ mapping (and
     /// every recursion level above) probe the same lower relation with the
@@ -120,6 +152,7 @@ impl<'a> VersionedEdb<'a> {
             seen_epochs: Mutex::new(HashMap::new()),
             key_cache: Mutex::new(HashMap::new()),
             push_cache: Mutex::new(HashMap::new()),
+            replay_cache: Mutex::new(HashMap::new()),
             col_cache: Mutex::new(HashMap::new()),
             index_cache: IndexCache::new(),
         }
@@ -409,88 +442,187 @@ impl<'a> VersionedEdb<'a> {
 
     /// The read paths' one probe of the snapshot store. A valid entry is
     /// served, and pinned into the statement cache. A stale one stays in
-    /// the store iff [`catch_up`](VersionedEdb::catch_up) can still bring it
-    /// up to date — the relation is one hop from storage and the change log
-    /// still leads on from every stamp — and is dropped otherwise, before
-    /// the cold resolution that replaces it allocates its own.
+    /// the store iff [`catch_up`](VersionedEdb::catch_up) may still bring it
+    /// up to date — no rule set of its unfused resolution closure is staged
+    /// ([`replay`](VersionedEdb::replay)) and the change log still leads on
+    /// from every stamp of its physical footprint — and is dropped
+    /// otherwise, before the cold resolution that replaces it allocates its
+    /// own. A kept line whose closure mints nothing is caught up right here,
+    /// at its first touch, point lookups included: with no id to mint ahead
+    /// of time, the catch-up is invisible but for its speed. One that can
+    /// mint waits for [`full`](EdbView::full) — and so does every line while
+    /// epoch-pinned readers are outstanding, when the store keeps it without
+    /// asking.
     fn probe_store(&self, relation: &str) -> Option<Arc<Relation>> {
         let store = self.snapshots?;
+        let mut kept = None;
         let hit = store.get(relation, self.storage, |stamps| {
-            self.catch_up_rules(relation).is_some()
+            let replay = self.replay(relation);
+            let keep = replay.keep
                 && stamps
                     .iter()
-                    .all(|(table, epoch)| self.storage.log_reaches(table, *epoch))
-        })?;
-        self.cache
+                    .all(|(table, epoch)| self.storage.log_reaches(table, *epoch));
+            kept = keep.then_some(replay);
+            keep
+        });
+        if let Some(hit) = hit {
+            self.cache
+                .lock()
+                .insert(relation.to_string(), Arc::clone(&hit));
+            return Some(hit);
+        }
+        if kept.is_some_and(|replay| replay.mint_free) {
+            return self.caught_up(relation);
+        }
+        None
+    }
+
+    /// What the rule structure alone says about catching a stale snapshot
+    /// of `relation` up: whether every rule set of its unfused resolution
+    /// closure exists and is non-staged, and whether none of them can mint.
+    /// Decided without data, caches or the snapshot store — it is asked
+    /// under the store's lock — and memoized per statement like
+    /// [`pushable_cold`](VersionedEdb::pushable_cold). A rule cycle replays
+    /// nothing.
+    fn replay(&self, relation: &str) -> Replay {
+        if let Some(&hit) = self.replay_cache.lock().get(relation) {
+            return hit;
+        }
+        if self.storage.has_table(relation) {
+            return Replay {
+                keep: true,
+                mint_free: true,
+            };
+        }
+        // (Provisional while the closure is walked: a cycle reads it.)
+        self.replay_cache
             .lock()
-            .insert(relation.to_string(), Arc::clone(&hit));
-        Some(hit)
+            .insert(relation.to_string(), Replay::default());
+        let replay = match self.defining_compiled(relation) {
+            Some(Ok(crs)) if !crs.staged() => crs.body_relations().into_iter().fold(
+                Replay {
+                    keep: true,
+                    mint_free: !crs.mints_ids(),
+                },
+                |acc, input| {
+                    let input = self.replay(input);
+                    Replay {
+                        keep: acc.keep && input.keep,
+                        mint_free: acc.mint_free && input.mint_free,
+                    }
+                },
+            ),
+            _ => Replay::default(),
+        };
+        if let Some(memo) = self.replay_cache.lock().get_mut(relation) {
+            *memo = replay;
+        }
+        replay
     }
 
-    /// The rule set read-time catch-up replays for `relation`: its defining
-    /// rule set (unfused), if that is non-staged and reads nothing but
-    /// physical tables.
-    fn catch_up_rules(&self, relation: &str) -> Option<Arc<CompiledRuleSet>> {
-        let crs = self.defining_compiled(relation)?.ok()?;
-        let one_hop = !crs.staged()
-            && crs
-                .body_relations()
-                .iter()
-                .all(|rel| self.storage.has_table(rel));
-        one_hop.then_some(crs)
+    /// `relation` [caught up](VersionedEdb::catch_up) and pinned into the
+    /// statement cache, or `None`.
+    fn caught_up(&self, relation: &str) -> Option<Arc<Relation>> {
+        self.catch_up(relation)?;
+        self.cache.lock().get(relation).map(Arc::clone)
     }
 
-    /// **Read-time catch-up**: bring the stale snapshots of `relation` and
-    /// of the sibling heads its defining rule set derives up to the state
-    /// this statement reads, from the physical tables' change logs, instead
-    /// of resolving them cold. `Some` (the head deltas applied, for whoever
-    /// maintains what reads these heads) means the statement cache now
-    /// holds every one of them; `None` means nothing happened and the
-    /// caller resolves cold — which then raises the canonical error or
-    /// mints canonically.
+    /// **Read-time catch-up**: bring the stale snapshot of `relation` — and
+    /// those of the sibling heads its defining rule set derives, where they
+    /// sit under the same stamps — up to the state this statement reads,
+    /// from the physical tables' change logs, instead of resolving it cold.
+    /// `Some` means the statement cache now holds every head patched;
+    /// `None` means this hop is untouched and the caller does what a
+    /// database without a store does — which then raises the canonical
+    /// error or mints canonically. (An input hop may have been caught up on
+    /// its own before the failure: that is right by itself.)
     ///
-    /// Called from [`full`](EdbView::full) only, at the point where a
-    /// database without a store evaluates the rule set over the whole new
-    /// state: that single evaluation is what
-    /// [`propagate_vs_stored`]'s mint-order argument is stated against, so
-    /// the ids minted here are the ones it mints, in its order. Point
-    /// lookups and seeded probes evaluate *less* than that, and a catch-up
-    /// in their place would mint a new payload's id ahead of time (DESIGN.md
-    /// "Read-time catch-up").
-    fn catch_up(&self, relation: &str) -> Option<DeltaMap> {
+    /// The unfused defining rule set, non-staged, is replayed by
+    /// [`propagate_vs_stored`] — the one catch-up propagation — over one
+    /// input delta per body relation. A physical table's is composed from
+    /// its change log, from its stamp to the epoch this statement reads it
+    /// at. A virtual one's is what **its own catch-up** applied: the
+    /// recursion runs hop by hop, outward from the data, and each hop's head
+    /// deltas are the next one's input. That delta is only this hop's input
+    /// delta if it starts where this hop's snapshot was derived — **stamp
+    /// alignment**: the input's `from` stamps are ours, restricted to its
+    /// footprint. Snapshots resolved and caught up together always align.
+    /// An input brought up to date without this hop no longer does — a
+    /// write patched it on its own path (a write through `TasKy2.Task`
+    /// patches the DECOMPOSE's `Author` head, not the RENAME above it), or
+    /// its first touch caught it up where this hop's catch-up gave up — and
+    /// its delta would miss what changed before. That is not repaired:
+    /// `None`.
+    ///
+    /// Mint order: a closure that can mint is caught up from
+    /// [`full`](EdbView::full) only, where a database without a store
+    /// evaluates the rule set over the whole new state — resolving its
+    /// inputs first, each committing its own mints — and that evaluation is
+    /// what each hop's [`propagate_vs_stored`] mint-order argument is
+    /// stated against. A mint-free one is also caught up at its first touch
+    /// ([`probe_store`](VersionedEdb::probe_store)). DESIGN.md "Read-time
+    /// catch-up".
+    fn catch_up(&self, relation: &str) -> Option<CaughtUp> {
         let store = self.snapshots?;
-        let crs = self.catch_up_rules(relation)?;
-        let heads: Vec<&str> = crs
-            .head_names()
-            .filter(|head| self.keeps_head(head))
-            .collect();
-        if !heads.contains(&relation) {
+        let crs = self.defining_compiled(relation)?.ok()?;
+        if crs.staged() {
             return None;
         }
-        let stale = store.stale_heads(&heads)?;
-        // The snapshots were derived over exactly what the rules read.
-        if !stale
-            .stamps
-            .keys()
-            .map(String::as_str)
-            .eq(BTreeSet::from_iter(crs.body_relations()))
-        {
-            return None;
-        }
-        // Per table: what happened between the epoch the snapshots were
-        // derived at and the epoch this statement reads it at.
+        let heads = crs.head_names().filter(|head| self.keeps_head(head));
+        let stale = store.stale_heads(relation, heads, self.storage)?;
+        let inputs = crs.body_relations();
         let mut input = DeltaMap::new();
-        let mut seen = BTreeMap::new();
-        for (table, stamp) in &stale.stamps {
-            self.full(table).ok()?;
-            let epoch = self.seen_epochs.lock().get(table).copied()?;
-            let changes = self.storage.changes_between(table, *stamp, epoch)?;
-            if !changes.is_empty() {
-                input.insert(table.clone(), Delta::from(changes));
+        let mut to = Stamps::new();
+        for &table in &inputs {
+            let delta = if self.storage.has_table(table) {
+                // What happened between the epoch the snapshots were
+                // derived at and the epoch this statement reads it at.
+                let stamp = *stale.stamps.get(table)?;
+                self.full(table).ok()?;
+                let epoch = self.seen_epochs.lock().get(table).copied()?;
+                to.insert(table.to_string(), epoch);
+                Delta::from(self.storage.changes_between(table, stamp, epoch)?)
+            } else {
+                // Only a stale input has a delta to hand on, and
+                // `stale_heads` refuses a valid one. One this statement
+                // already holds was brought up to date without us, even if
+                // a concurrent write has made its line stale again since.
+                if self.cache.lock().contains_key(table) {
+                    return None;
+                }
+                // A database without a store resolves a sole input whole
+                // before this set mints anything: it is every rule's scan.
+                // Next to other inputs it may only be probed — by key,
+                // minting per key — so an input that can mint is caught up
+                // here only alone.
+                if inputs.len() > 1 && !self.replay(table).mint_free {
+                    return None;
+                }
+                let mut caught = self.catch_up(table)?;
+                let aligned = caught
+                    .from
+                    .iter()
+                    .all(|(t, epoch)| stale.stamps.get(t) == Some(epoch));
+                if !aligned {
+                    return None;
+                }
+                to.append(&mut caught.to);
+                caught.deltas.remove(table).unwrap_or_default()
+            };
+            if !delta.is_empty() {
+                input.insert(table.to_string(), delta);
             }
-            seen.insert(table.clone(), epoch);
         }
-        let StaleHeads { rels, seqs, .. } = stale;
+        // The inputs' footprints make up ours (the install restamps every
+        // table of it from `to`).
+        if !to.keys().eq(stale.stamps.keys()) {
+            return None;
+        }
+        let StaleHeads {
+            stamps: from,
+            rels,
+            seqs,
+        } = stale;
         let stored = StoredHeads { store, rels };
         if stored.outnumbered_by(&input) {
             return None;
@@ -498,12 +630,12 @@ impl<'a> VersionedEdb<'a> {
         let deltas = propagate_vs_stored(&crs, self, &input, self.ids, &stored).ok()?;
         // Let go of the snapshots: unshared, they are patched in place.
         drop(stored);
-        let patched = store.catch_up(&seqs, &deltas, &seen)?;
+        let patched = store.catch_up(&seqs, &deltas, &to)?;
         let mut cache = self.cache.lock();
         for (head, rel) in patched {
             cache.insert(head.to_string(), rel);
         }
-        Some(deltas)
+        Some(CaughtUp { from, to, deltas })
     }
 
     /// Whether a **cold** read of `relation` can be answered by column-seeded
@@ -937,11 +1069,12 @@ impl EdbView for VersionedEdb<'_> {
         if let Some(hit) = self.peek_resolved(relation)? {
             return Ok(hit);
         }
-        // A stale snapshot one hop from storage is patched, not replaced.
-        if self.catch_up(relation).is_some() {
-            if let Some(hit) = self.cache.lock().get(relation) {
-                return Ok(Arc::clone(hit));
-            }
+        // A stale snapshot is patched, not replaced: here, where a cold
+        // resolution would evaluate it whole, if its closure can mint. (A
+        // mint-free one was tried at its first touch, just above; a second
+        // try finds what the first one left.)
+        if let Some(hit) = self.caught_up(relation) {
+            return Ok(hit);
         }
         // Cold path: stamp the footprint, then resolve.
         let stamp = self.snapshots.map(|_| self.stamped_footprint(relation));

@@ -40,11 +40,14 @@
 //!   one — goes stale: its footprint tables moved on and nobody computed its
 //!   delta. Such an entry is not thrown away either. While the storage
 //!   change log ([`Storage::changes_between`]) still leads from its stamps
-//!   to the present and its relation is one hop from storage, it stays in
-//!   the store, unserved, until a statement reads the relation in full;
+//!   to the present and no rule set in its resolution closure is staged, it
+//!   stays in the store, unserved, until a statement reads the relation;
 //!   that statement patches it with delta-vs-stored over the logged changes
-//!   (`SnapshotStore::catch_up`, driven by `VersionedEdb::full`;
-//!   [`SnapshotStats::caught_up`]) instead of resolving it cold. Whether a
+//!   (`SnapshotStore::catch_up`, driven by `VersionedEdb::catch_up`;
+//!   [`SnapshotStats::caught_up`]) instead of resolving it cold — hop by
+//!   hop outward from the data, each hop's head deltas the next one's input.
+//!   A closure that mints nothing is caught up at its first touch, point
+//!   lookups included; one that can mint only when read in full. Whether a
 //!   stale entry stays or goes is decided once, by the probing read
 //!   ([`SnapshotStore::get`]'s `keep_stale`).
 //!
@@ -250,7 +253,9 @@ impl Inner {
 pub struct SnapshotStats {
     /// Warm reads served from a valid entry.
     pub hits: u64,
-    /// Reads that found no valid entry (cold resolution followed).
+    /// Reads that found no valid entry. What followed is a read-time
+    /// catch-up ([`caught_up`](SnapshotStats::caught_up)), a seeded probe
+    /// or a cold resolution.
     pub misses: u64,
     /// Entries updated in place by exact write deltas.
     pub patches: u64,
@@ -264,7 +269,8 @@ pub struct SnapshotStats {
     /// (re-installed under the new footprints instead of dropped).
     pub carried: u64,
     /// Stale entries a read brought up to date from the storage change log
-    /// (read-time catch-up) instead of re-resolving them cold.
+    /// (read-time catch-up) instead of re-resolving them cold, one per head
+    /// patched — a two-hop catch-up counts the heads of both hops.
     pub caught_up: u64,
 }
 
@@ -366,9 +372,10 @@ impl SnapshotStore {
     /// The cached snapshot of a virtual relation, if some version's whole
     /// footprint is at exactly the probing storage's epochs (newest version
     /// wins). When every version is stale, `keep_stale` — handed the current
-    /// version's stamps — decides whether the line stays for a reader to
-    /// catch up (`SnapshotStore::catch_up`) or is dropped now, before the
-    /// cold resolution that replaces it allocates its own; while
+    /// version's stamps, and called under the store lock, so it must not
+    /// call back into the store — decides whether the line stays for a
+    /// reader to catch up (`SnapshotStore::catch_up`) or is dropped now,
+    /// before the cold resolution that replaces it allocates its own; while
     /// epoch-pinned readers are outstanding it stays either way, so an
     /// in-flight fork can still copy its versions. Every call counts
     /// exactly one hit or one miss.
@@ -633,28 +640,45 @@ impl SnapshotStore {
         }
     }
 
-    /// The current snapshots of `heads` for a reader about to catch them
-    /// up: `Some` iff every one of them has a current version that holds a
-    /// snapshot, all under identical stamps (they were derived by one
-    /// evaluation, or maintained together ever since). No counter moves.
-    pub(crate) fn stale_heads<'r>(&self, heads: &[&'r str]) -> Option<StaleHeads<'r>> {
-        let inner = self.inner.lock();
-        let mut stale: Option<StaleHeads<'r>> = None;
-        for &head in heads {
-            let current = inner.entries.get(head)?.last()?;
-            let rel = Arc::clone(current.rel.as_ref()?);
-            let stale = stale.get_or_insert_with(|| StaleHeads {
-                stamps: current.footprint.clone(),
-                rels: BTreeMap::new(),
-                seqs: Vec::new(),
-            });
-            if stale.stamps != current.footprint {
-                return None;
-            }
-            stale.rels.insert(head, rel);
-            stale.seqs.push((head, current.seq));
+    /// The current snapshots of one rule set's heads for a reader about to
+    /// catch them up: `None` unless `relation`'s current version holds a
+    /// snapshot that is stale against `storage` (a valid one is read, not
+    /// caught up); with it, each of the `siblings` whose current version
+    /// holds a snapshot under the very same stamps (derived by the same
+    /// evaluation, or maintained together ever since). A sibling at other
+    /// stamps, or with none — a fused resolution stores only the head it
+    /// was asked for — is left as it is. No counter moves; a foreign
+    /// branch's storage gets `None`, as [`get`](SnapshotStore::get) serves
+    /// it nothing.
+    pub(crate) fn stale_heads<'r>(
+        &self,
+        relation: &'r str,
+        siblings: impl IntoIterator<Item = &'r str>,
+        storage: &Storage,
+    ) -> Option<StaleHeads<'r>> {
+        if !self.serves(storage) {
+            return None;
         }
-        stale
+        let inner = self.inner.lock();
+        let current = inner.entries.get(relation)?.last()?;
+        if current.is_valid(storage) {
+            return None;
+        }
+        let mut stale = StaleHeads {
+            stamps: current.footprint.clone(),
+            rels: BTreeMap::from([(relation, Arc::clone(current.rel.as_ref()?))]),
+            seqs: vec![(relation, current.seq)],
+        };
+        for head in siblings.into_iter().filter(|head| *head != relation) {
+            let Some(current) = inner.entries.get(head).and_then(|v| v.last()) else {
+                continue;
+            };
+            if let (Some(rel), true) = (&current.rel, current.footprint == stale.stamps) {
+                stale.rels.insert(head, Arc::clone(rel));
+                stale.seqs.push((head, current.seq));
+            }
+        }
+        Some(stale)
     }
 
     /// Read-time catch-up, the install: patch the current versions `seqs`

@@ -31,13 +31,14 @@
 //!   changes only what it adds or retires" — by equivalence and by counters.
 //!
 //! * TasKy **read through the siblings of the written version**: writes
-//!   through `TasKy` / `Do!` (several rows at once, new author names among
-//!   them, a batch too large for the storage change log now and then), point
-//!   lookups and filters through `TasKy2` in between, full reads of
-//!   everything at random points. The warm database brings its stale
-//!   `TasKy2` snapshots up to date from the change log at the first *full*
-//!   read (read-time catch-up) and must mint what the twin's cold
-//!   resolution mints, in its order.
+//!   through `TasKy` / `Do!` / `TasKy2` (several rows at once, new author
+//!   names or ω among them, a batch too large for the storage change log now
+//!   and then), point lookups and filters through the other versions in
+//!   between, full reads of everything at random points. The warm database
+//!   brings its stale snapshots up to date from the change log, hop by hop
+//!   (read-time catch-up): `Do!.Todo` at its first touch, `TasKy2` at the
+//!   first *full* read — where it must mint what the twin's cold resolution
+//!   mints, in its order.
 //!
 //! [`SnapshotStore`]: inverda_core::SnapshotStore
 
@@ -583,19 +584,21 @@ proptest! {
     }
 }
 
-/// A statement of the sibling-read stream: writes go through `TasKy` or
-/// `Do!`, never through `TasKy2`, whose snapshots are therefore only ever
-/// brought up to date by its own readers.
+/// A statement of the sibling-read stream: writes go through one version,
+/// and the snapshots of the others are brought up to date only by their
+/// own readers.
 #[derive(Debug, Clone)]
 enum SiblingOp {
-    /// One `apply_many` of one to three writes through `Do!` (else `TasKy`).
-    Write {
-        via_do: bool,
-        writes: Vec<SiblingWrite>,
-    },
+    /// One `apply_many` of one to three writes through one version.
+    Write { via: Via, writes: Vec<SiblingWrite> },
     /// More rows in one batch than the storage change log holds, followed —
     /// before anything is read — by one more write it does hold.
     Bulk,
+    /// One batch of prio-1 tasks through `TasKy`: more rows than the
+    /// `Do!.Todo` snapshots hold early on, fewer than the SPLIT's under
+    /// them. A catch-up of the two hops gets through the lower one and gives
+    /// up on the upper one as bulk, which leaves them stamped apart.
+    Burst,
     /// `get` by key through a sibling version (index into [`SIBLINGS`]).
     Get { sibling: usize, slot: usize },
     /// `task = …` counted through a sibling version.
@@ -604,9 +607,19 @@ enum SiblingOp {
     ReadAll,
 }
 
+/// The version a [`SiblingOp::Write`] goes through.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Via {
+    Tasky,
+    Do,
+    /// `TasKy2.Task`, whose rows name their author by key.
+    Tasky2,
+}
+
 #[derive(Debug, Clone)]
 enum SiblingWrite {
-    /// `author` ≥ 4 names an author nobody has had yet.
+    /// `author` ≥ 4 names an author nobody has had yet — through `TasKy2`,
+    /// where a task names its author by key, no author (ω).
     Insert {
         author: u8,
         text: u8,
@@ -649,9 +662,10 @@ fn sibling_op_strategy() -> impl Strategy<Value = SiblingOp> {
             (0usize..12).prop_map(|slot| SiblingWrite::Delete { slot }),
         ]
     };
+    let via = || prop_oneof![Just(Via::Tasky), Just(Via::Do), Just(Via::Tasky2)];
     let write_op = || {
-        (any::<bool>(), prop::collection::vec(write(), 1..4))
-            .prop_map(|(via_do, writes)| SiblingOp::Write { via_do, writes })
+        (via(), prop::collection::vec(write(), 1..4))
+            .prop_map(|(via, writes)| SiblingOp::Write { via, writes })
     };
     prop_oneof![
         write_op(),
@@ -662,23 +676,41 @@ fn sibling_op_strategy() -> impl Strategy<Value = SiblingOp> {
         (0usize..3, 0u8..6).prop_map(|(sibling, text)| SiblingOp::Filter { sibling, text }),
         Just(SiblingOp::ReadAll),
         Just(SiblingOp::ReadAll),
+        Just(SiblingOp::Burst),
     ]
 }
 
+/// What the sibling stream carries from one statement to the next.
+#[derive(Default)]
+struct Siblings {
+    /// New author names handed out so far.
+    fresh_authors: usize,
+    /// `TasKy2.Author`'s keys at the last full read, for the tasks written
+    /// through `TasKy2` to name.
+    authors: Vec<Key>,
+}
+
 impl Harness {
-    fn apply_sibling(&mut self, op: &SiblingOp, fresh_authors: &mut usize) {
+    fn apply_sibling(&mut self, op: &SiblingOp, s: &mut Siblings) {
         match op {
-            SiblingOp::Write { via_do, writes } => {
-                let mut author = |a: u8| {
-                    if a < 4 {
-                        return Value::text(format!("author{a}"));
-                    }
-                    *fresh_authors += 1;
-                    Value::text(format!("fresh{fresh_authors}"))
-                };
+            SiblingOp::Write { via, writes } => {
                 let mut row = |a: u8, text: u8, prio: i64| {
-                    let mut row = vec![author(a), Value::text(format!("task{text}"))];
-                    if !via_do {
+                    let text = Value::text(format!("task{text}"));
+                    if *via == Via::Tasky2 {
+                        let fk = match s.authors.len() {
+                            n if a < 4 && n > 0 => Value::Int(s.authors[a as usize % n].0 as i64),
+                            _ => Value::Null,
+                        };
+                        return vec![text, Value::Int(prio), fk];
+                    }
+                    let author = if a < 4 {
+                        Value::text(format!("author{a}"))
+                    } else {
+                        s.fresh_authors += 1;
+                        Value::text(format!("fresh{}", s.fresh_authors))
+                    };
+                    let mut row = vec![author, text];
+                    if *via == Via::Tasky {
                         row.push(Value::Int(prio));
                     }
                     row
@@ -704,13 +736,30 @@ impl Harness {
                         }
                     })
                     .collect();
-                let (version, table) = if *via_do {
-                    ("Do!", "Todo")
-                } else {
-                    ("TasKy", "Task")
+                let (version, table) = match via {
+                    Via::Tasky => ("TasKy", "Task"),
+                    Via::Do => ("Do!", "Todo"),
+                    Via::Tasky2 => ("TasKy2", "Task"),
                 };
                 let minted = self.both("write", |db| db.apply_many(version, table, batch.clone()));
                 self.keys.extend(minted.into_iter().flatten().flatten());
+            }
+            SiblingOp::Burst => {
+                // One row past the statement-sized bound: bulk against
+                // `Do!.Todo` and the DROP COLUMN's aux beside it (two rows
+                // per task at most) while they hold fewer than 17 tasks,
+                // never against the SPLIT's heads (every task, the filler's
+                // included).
+                let burst: Vec<LogicalWrite> = (0..33)
+                    .map(|i| {
+                        LogicalWrite::Insert(vec![
+                            Value::text(format!("author{}", i % 4)),
+                            Value::text(format!("burst{i}")),
+                            Value::Int(1),
+                        ])
+                    })
+                    .collect();
+                self.both("burst", |db| db.apply_many("TasKy", "Task", burst.clone()));
             }
             SiblingOp::Bulk => {
                 let bulk: Vec<LogicalWrite> = (0..1100)
@@ -746,55 +795,99 @@ impl Harness {
                     db.query(version, table).filter(probe.clone()).count()
                 });
             }
-            SiblingOp::ReadAll => self.check("a full read"),
+            SiblingOp::ReadAll => {
+                self.check("a full read");
+                // (Read in full just now: a hit, with nothing to mint.)
+                if let Ok(authors) = self.warm.scan("TasKy2", "Author") {
+                    s.authors = authors.keys().collect();
+                }
+            }
         }
     }
 }
 
 proptest! {
-    /// Writes through `TasKy` and `Do!`, reads through their siblings: the
-    /// warm database patches its stale `TasKy2` snapshots from the storage
-    /// change log when a statement first reads one in full, while point
-    /// lookups in between keep pushing their key down — and stays
-    /// byte-identical to the store-disabled twin on rows, registry and key
-    /// sequence after every statement, whatever order new authors' ids are
-    /// asked for in. Never by recompute, never with a wrong store entry.
-    /// (Fails with the contiguity check of `ChangeLog::link_from` removed —
-    /// a chain is then composed across the bulk batch's gap — and with a
-    /// catch-up added to `by_key`, which mints a batch's new authors in key
-    /// order where the twin mints the one whose task is looked up first.)
+    /// Writes through one version, reads through its siblings: the warm
+    /// database patches its stale snapshots from the storage change log,
+    /// hop by hop — `Do!.Todo` (DROP COLUMN over SPLIT) at its first touch,
+    /// point lookups included, and the minting `TasKy2` closures only when a
+    /// statement first reads one in full, while point lookups in between
+    /// keep pushing their key down. It stays byte-identical to the
+    /// store-disabled twin on rows, registry and key sequence after every
+    /// statement, whatever order new authors' ids are asked for in. Never by
+    /// recompute, never with a wrong store entry. Fails with each of:
+    /// (a) `ChangeLog::link_from` taking the first link on a miss — a chain
+    ///     is then composed across the bulk batch's gap;
+    /// (b) a first-touch catch-up through a *minting* closure (`by_key`
+    ///     catching `TasKy2.Task` up), which mints a batch's new authors in
+    ///     key order where the twin mints the one whose task is looked up
+    ///     first;
+    /// (c) the stamp-alignment check of `VersionedEdb::catch_up` dropped —
+    ///     an input hop is then brought up to date without the hop above
+    ///     it, and that hop's next catch-up takes the input's later delta
+    ///     for its whole gap. Two ways in: a write through `TasKy2.Task`
+    ///     patches the DECOMPOSE's `Author` head but not the RENAME above
+    ///     it, and after a burst a `Do!.Todo` lookup catches the SPLIT hop
+    ///     up while its own hop gives up as bulk.
     #[test]
     fn sibling_reads_catch_up_and_equal_cold_twin(
         ops in prop::collection::vec(sibling_op_strategy(), 1..30),
         // (Past the prologue, whose own catch-up the test counts on.)
-        bulk_at in prop::option::of(6usize..36),
+        bulk_at in prop::option::of(8usize..38),
         tsel in 0usize..3,
     ) {
         inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let mut h = Harness::new(TASKY_SCRIPT, vec![], vec![]);
-        let mut fresh_authors = 0;
+        let mut s = Siblings::default();
+        // Filler: tasks `Do!.Todo` does not show, whose keys no op picks —
+        // enough that a burst is never bulk against the SPLIT's heads.
+        let filler: Vec<LogicalWrite> = (0..32)
+            .map(|i| {
+                LogicalWrite::Insert(vec![
+                    Value::text(format!("author{}", i % 4)),
+                    Value::text(format!("filler{i}")),
+                    Value::Int(2 + i % 2),
+                ])
+            })
+            .collect();
+        h.both("filler", |db| db.apply_many("TasKy", "Task", filler.clone()));
         // Something to be stale about: data, warm snapshots with their
-        // `task` indexes, then a write through a sibling.
+        // `task` indexes, then a write through a sibling; then a write
+        // through `TasKy2` and a lookup in `Do!.Todo`, two hops away.
         let prologue = [
             SiblingOp::Write {
-                via_do: false,
+                via: Via::Tasky,
                 writes: (0..6).map(|i| SiblingWrite::Insert { author: i % 3, text: i, prio: 1 }).collect(),
             },
             SiblingOp::ReadAll,
             SiblingOp::Filter { sibling: 0, text: 0 },
             SiblingOp::Filter { sibling: 2, text: 0 },
             SiblingOp::Write {
-                via_do: true,
+                via: Via::Do,
                 writes: vec![SiblingWrite::Insert { author: 7, text: 1, prio: 1 }],
             },
             SiblingOp::ReadAll,
+            SiblingOp::Write {
+                via: Via::Tasky2,
+                writes: vec![SiblingWrite::Update { slot: 0, author: 1, text: 2, prio: 1 }],
+            },
+            SiblingOp::Get { sibling: 2, slot: 0 },
         ];
+        let two_hops = prologue.len() - 1;
         let ops = prologue.iter().chain(&ops);
         for (i, op) in ops.enumerate() {
             if bulk_at == Some(i) {
-                h.apply_sibling(&SiblingOp::Bulk, &mut fresh_authors);
+                h.apply_sibling(&SiblingOp::Bulk, &mut s);
             }
-            h.apply_sibling(op, &mut fresh_authors);
+            let before = h.warm.snapshot_stats();
+            h.apply_sibling(op, &mut s);
+            if i == two_hops {
+                let after = h.warm.snapshot_stats();
+                prop_assert!(
+                    after.caught_up >= before.caught_up + 2,
+                    "no two-hop catch-up: {:?} → {:?}", before, after
+                );
+            }
             prop_assert_eq!(
                 h.warm.debug_registry(),
                 h.cold.debug_registry(),

@@ -107,19 +107,18 @@ static EXECS: AtomicUsize = AtomicUsize::new(0);
 
 /// `INVERDA_BATCH`, read once per process: [`enabled`] is asked per rule
 /// evaluation, and `std::env::var` takes the process-wide environment lock
-/// and allocates.
+/// and allocates. Panics on an unknown spelling rather than letting a typo
+/// silently mean "on".
 fn env_enabled() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("INVERDA_BATCH") {
-        Ok(v) => !matches!(v.trim(), "off" | "0" | "false" | "no"),
-        Err(_) => true,
-    })
+    *ENV.get_or_init(|| crate::tuning::env_switch("INVERDA_BATCH", true))
 }
 
 /// Whether batch execution is enabled: a [`set_enabled`] override, else the
 /// `INVERDA_BATCH` environment variable as the process found it at first
-/// use (`off`/`0`/`false`/`no` disable), else **on**. Disabled batch execution runs exactly the tuple-at-a-time
-/// frame machine that existed before this module landed.
+/// use (`on`/`1`/`true`/`yes`, `off`/`0`/`false`/`no`), else **on**.
+/// Disabled batch execution runs exactly the tuple-at-a-time frame machine
+/// that existed before this module landed.
 pub fn enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => true,

@@ -34,27 +34,13 @@ use std::sync::OnceLock;
 /// Runtime override of the knob: 0 = not set, 1 = on, 2 = off.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// The meaning of one spelling of the knob, `None` for an unknown one.
-fn parse_knob(value: &str) -> Option<bool> {
-    match value.trim() {
-        "on" | "1" | "true" | "yes" => Some(true),
-        "off" | "0" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
-
 /// `INVERDA_FUSION`, read once per process: [`enabled`] is asked on every
 /// key lookup, seeded probe and cold resolution, and `std::env::var` takes
 /// the process-wide environment lock and allocates. Panics on an unknown
 /// spelling rather than letting a typo silently mean "on".
 fn env_enabled() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("INVERDA_FUSION") {
-        Ok(v) => parse_knob(&v).unwrap_or_else(|| {
-            panic!("INVERDA_FUSION: expected on/1/true/yes or off/0/false/no, got '{v}'")
-        }),
-        Err(_) => true,
-    })
+    *ENV.get_or_init(|| crate::tuning::env_switch("INVERDA_FUSION", true))
 }
 
 /// Whether γ-chain fusion is enabled: a [`set_enabled`] override, else the
@@ -164,19 +150,6 @@ mod tests {
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
         Atom::vars(rel, vars)
-    }
-
-    #[test]
-    fn knob_spellings() {
-        for on in ["on", "1", "true", "yes", " on "] {
-            assert_eq!(parse_knob(on), Some(true), "{on}");
-        }
-        for off in ["off", "0", "false", "no"] {
-            assert_eq!(parse_knob(off), Some(false), "{off}");
-        }
-        for unknown in ["", "ON", "of", "enabled", "2"] {
-            assert_eq!(parse_knob(unknown), None, "{unknown}");
-        }
     }
 
     #[test]

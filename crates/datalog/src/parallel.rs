@@ -43,15 +43,11 @@ fn available() -> usize {
 
 /// `INVERDA_THREADS`, read once per process: [`threads`] is asked at every
 /// parallelism gate, and `std::env::var` takes the process-wide environment
-/// lock and allocates.
+/// lock and allocates. Panics on anything but a positive integer rather than
+/// letting a typo silently mean the default.
 fn env_threads() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("INVERDA_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n >= 1)
-    })
+    *ENV.get_or_init(|| crate::tuning::env_width("INVERDA_THREADS"))
 }
 
 /// The configured logical parallelism: a [`set_threads`] override, else the

@@ -19,9 +19,47 @@
 //! split or which equivalent engine runs it* — never what is computed. Any
 //! value of any threshold produces byte-identical results (the differential
 //! suites hold the engines to that), so sweeping these is always safe.
+//!
+//! The engine's other environment knobs — the on/off switches
+//! `INVERDA_FUSION` and `INVERDA_BATCH`, the width `INVERDA_THREADS` — are
+//! read by their own modules through the parsers here (`env_switch`,
+//! `env_width`), which panic on a value they cannot read rather than let a
+//! typo silently mean the default.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// The meaning of one spelling of an on/off knob, `None` for an unknown one.
+fn parse_switch(value: &str) -> Option<bool> {
+    match value.trim() {
+        "on" | "1" | "true" | "yes" => Some(true),
+        "off" | "0" | "false" | "no" => Some(false),
+        _ => None,
+    }
+}
+
+/// A worker-pool width: a positive integer, `None` for anything else.
+fn parse_width(value: &str) -> Option<usize> {
+    value.trim().parse().ok().filter(|n| *n >= 1)
+}
+
+/// The on/off knob `var` as the environment has it: `default` when unset,
+/// a panic on an unknown spelling.
+pub(crate) fn env_switch(var: &str, default: bool) -> bool {
+    match std::env::var(var) {
+        Ok(v) => parse_switch(&v).unwrap_or_else(|| {
+            panic!("{var}: expected on/1/true/yes or off/0/false/no, got '{v}'")
+        }),
+        Err(_) => default,
+    }
+}
+
+/// The width knob `var` as the environment has it: `None` when unset, a
+/// panic on anything but a positive integer.
+pub(crate) fn env_width(var: &str) -> Option<usize> {
+    let v = std::env::var(var).ok()?;
+    Some(parse_width(&v).unwrap_or_else(|| panic!("{var}: expected a positive integer, got '{v}'")))
+}
 
 /// Sentinel meaning "no runtime override installed".
 const UNSET: usize = usize::MAX;
@@ -112,6 +150,29 @@ pub fn set_batch_min_keys(value: Option<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn switch_spellings() {
+        for on in ["on", "1", "true", "yes", " on "] {
+            assert_eq!(parse_switch(on), Some(true), "{on}");
+        }
+        for off in ["off", "0", "false", "no", "off\n"] {
+            assert_eq!(parse_switch(off), Some(false), "{off}");
+        }
+        for unknown in ["", "of", "ON", "enabled", "2"] {
+            assert_eq!(parse_switch(unknown), None, "{unknown}");
+        }
+    }
+
+    #[test]
+    fn width_spellings() {
+        for (value, width) in [("1", 1), ("4", 4), (" 8 ", 8)] {
+            assert_eq!(parse_width(value), Some(width), "{value}");
+        }
+        for unknown in ["", "0", "abc", "-2", "2.5", "four"] {
+            assert_eq!(parse_width(unknown), None, "{unknown}");
+        }
+    }
 
     /// One body for everything that toggles the process-global overrides —
     /// separate `#[test]` fns would race under libtest's parallel runner.

@@ -385,6 +385,142 @@ fn a_foreign_write_is_caught_up_by_the_next_sibling_read() {
     assert!(db.snapshot_stats().caught_up > before);
 }
 
+/// Read-time catch-up two hops out: after a write through `TasKy2`, the
+/// stale `Do!.Todo` snapshot — a DROP COLUMN over a SPLIT over the data —
+/// is patched at the very next point lookup, the SPLIT hop first and its
+/// head deltas then through the DROP COLUMN hop, in place, with its index.
+/// A point lookup through a minting closure still leaves its catch-up to
+/// the next full read, and what the log cannot bridge is resolved cold.
+#[test]
+fn a_foreign_write_is_caught_up_two_hops_out() {
+    use inverda::core::LogicalWrite;
+    use inverda::{Expr, Key};
+    use std::sync::Arc;
+    let db = tasky_db_with_data(200);
+    let filter = |version: &str, table: &str, text: &str| {
+        db.query(version, table)
+            .filter(Expr::col("task").eq(Expr::lit(text)))
+    };
+    let author = db.scan("TasKy2", "Author").unwrap().keys().next().unwrap();
+    let task = |text: &str, author: Option<Key>| {
+        let fk = author.map_or(Value::Null, |a| Value::Int(a.0 as i64));
+        vec![text.into(), 1.into(), fk]
+    };
+    // Warm: the snapshot (first read) and its `task` index (second).
+    for _ in 0..2 {
+        assert_eq!(filter("Do!", "Todo", "task number 6").count().unwrap(), 1);
+    }
+    let allocation = |db: &Inverda| Arc::as_ptr(&db.scan("Do!", "Todo").unwrap());
+    let snapshot = allocation(&db);
+    // What one catch-up patches: the SPLIT's `Todo` and its `Task'` aux,
+    // then `Do!.Todo` — and the DROP COLUMN's aux when the hops resolve one
+    // by one; a fused resolution stores only the head it was asked for.
+    let heads = if inverda::datalog::fusion::enabled() {
+        3
+    } else {
+        4
+    };
+
+    // `write` returns the key the next get asks `Do!.Todo` for.
+    let caught_up = |what: &str, task: Option<&str>, write: &dyn Fn() -> Key| {
+        let before = db.snapshot_stats();
+        let key = write();
+        let row = db.get("Do!", "Todo", key).unwrap();
+        assert_eq!(row.map(|r| r[1].clone()), task.map(Value::from), "{what}");
+        let after = db.snapshot_stats();
+        assert_eq!(
+            after.caught_up - before.caught_up,
+            heads,
+            "{what}: {after:?}"
+        );
+        assert_eq!(after.recomputes, before.recomputes, "{what}");
+        assert_eq!(allocation(&db), snapshot, "{what}: patched in place");
+        let plan = filter("Do!", "Todo", "any").explain().unwrap();
+        assert!(plan.contains("index-probe(task = "), "{what}: {plan}");
+        assert!(db.snapshot_store_audit().is_empty(), "{what}");
+        key
+    };
+    let key = caught_up("insert", Some("caught up"), &|| {
+        let row = task("caught up", Some(author));
+        db.insert("TasKy2", "Task", row).unwrap()
+    });
+    assert_eq!(filter("Do!", "Todo", "caught up").count().unwrap(), 1);
+    caught_up("update", Some("caught up twice"), &|| {
+        let row = task("caught up twice", Some(author));
+        db.update("TasKy2", "Task", key, row).unwrap();
+        key
+    });
+    assert_eq!(filter("Do!", "Todo", "caught up").count().unwrap(), 0);
+    // `TasKy2.Author`, a RENAME over the DECOMPOSE's `Author` head, is
+    // stale too, but the writes patched that head on their own path: the
+    // two are stamped apart, and the RENAME resolves cold.
+    let before = db.snapshot_stats();
+    assert!(db.scan("TasKy2", "Author").unwrap().len() > 1);
+    assert_eq!(db.snapshot_stats().caught_up, before.caught_up);
+    let newcomer = caught_up("new author", Some("a first task"), &|| {
+        let who = db
+            .insert("TasKy2", "Author", vec!["nobody yet".into()])
+            .unwrap();
+        let row = task("a first task", Some(who));
+        db.insert("TasKy2", "Task", row).unwrap()
+    });
+    assert_eq!(
+        db.get("Do!", "Todo", newcomer).unwrap().unwrap()[0],
+        "nobody yet".into()
+    );
+    caught_up("delete", None, &|| {
+        db.delete("TasKy2", "Task", key).unwrap();
+        key
+    });
+    assert_eq!(filter("Do!", "Todo", "caught up twice").count().unwrap(), 0);
+
+    // Through a minting closure a point lookup pushes its key down and the
+    // full read behind the next filter catches up.
+    for _ in 0..2 {
+        assert_eq!(
+            filter("TasKy2", "Task", "task number 7").count().unwrap(),
+            1
+        );
+    }
+    let before = db.snapshot_stats();
+    db.insert("Do!", "Todo", vec!["author003".into(), "via Do!".into()])
+        .unwrap();
+    assert!(db.get("TasKy2", "Task", newcomer).unwrap().is_some());
+    assert_eq!(db.snapshot_stats().caught_up, before.caught_up);
+    assert_eq!(filter("TasKy2", "Task", "via Do!").count().unwrap(), 1);
+    assert!(db.snapshot_stats().caught_up > before.caught_up);
+
+    // A batch the log does not hold, and a MATERIALIZE round trip (which
+    // swaps the tables under every footprint): gaps, read cold.
+    let cold = |db: &Inverda, what: &str| {
+        let before = db.snapshot_stats();
+        assert!(db.get("Do!", "Todo", newcomer).unwrap().is_some());
+        assert_eq!(filter("Do!", "Todo", "a first task").count().unwrap(), 1);
+        let after = db.snapshot_stats();
+        assert_eq!(after.caught_up, before.caught_up, "{what}");
+        assert!(after.misses > before.misses, "{what}");
+        assert!(db.snapshot_store_audit().is_empty(), "{what}");
+    };
+    let bulk = (0..1_100)
+        .map(|i| LogicalWrite::Insert(task(&format!("bulk {i}"), None)))
+        .collect();
+    db.apply_many("TasKy2", "Task", bulk).unwrap();
+    cold(&db, "1 100-row batch");
+    db.insert("TasKy2", "Task", task("one more", Some(author)))
+        .unwrap();
+    db.execute("MATERIALIZE 'TasKy2'; MATERIALIZE 'TasKy';")
+        .unwrap();
+    cold(&db, "MATERIALIZE round trip");
+    // ... and once a full read has resolved it again, the log leads on.
+    db.scan("Do!", "Todo").unwrap();
+    let before = db.snapshot_stats().caught_up;
+    let key = db
+        .insert("TasKy2", "Task", task("and on", Some(author)))
+        .unwrap();
+    assert!(db.get("Do!", "Todo", key).unwrap().is_some());
+    assert_eq!(db.snapshot_stats().caught_up - before, heads);
+}
+
 #[test]
 fn delta_and_recompute_paths_agree_end_to_end() {
     let run = |path: WritePath| {
