@@ -912,6 +912,7 @@ pub(crate) struct Closure {
     /// Physical, or virtual with defining rules such that no rule set in
     /// the closure can mint an id and every SMO of the walk's `flipped` set
     /// the closure resolves through is column-level ([`FUSABLE_KINDS`]).
+    /// A rule cycle or a relation nothing defines is never exact.
     exact: bool,
 }
 
@@ -921,6 +922,14 @@ impl Closure {
     /// `Inverda::carry_snapshots`).
     pub(crate) fn carriable(&self) -> bool {
         self.exact && !self.physical
+    }
+
+    /// Whether no resolution of the relation can mint an id: it is
+    /// physical, or its closure reaches storage through skolem-free rule
+    /// sets alone. Asked of a walk over no flipped SMOs, where exactness
+    /// means exactly that (`MATERIALIZE` planning's slice gate).
+    pub(crate) fn mint_free(&self) -> bool {
+        self.exact
     }
 }
 

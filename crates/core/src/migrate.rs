@@ -10,10 +10,21 @@
 //! same logical state before and after — only the propagation distances
 //! change. "Not a single line of code is required from the developer."
 //!
+//! Planning computes what it keeps and no more. The tables entering `P` are
+//! resolved through the current mappings; each flipped SMO then evaluates
+//! only the slice of its rule set toward the data's new side that derives
+//! the aux tables of that side and the shared `@new` heads — nothing at all
+//! for a forward ADD COLUMN, whose target side has no aux table. The whole
+//! set runs only where a rule outside the slice could mint
+//! (`Inverda::flip_heads`, where the minting and error arguments are
+//! written).
+//!
 //! The engine takes that guarantee at its word: resolved snapshots are
 //! **carried** across the swap instead of dropped (see
 //! `Inverda::carry_snapshots` below for exactly which, and why), so the
-//! versions that were warm before a migration are warm after it. One
+//! versions that were warm before a migration are warm after it. Planning
+//! warms nothing as a side effect: an intermediate version that no read and
+//! no slice resolved before the move may be cold after it. One
 //! reachable state is known to break the guarantee — an overlapping SPLIT,
 //! DESIGN.md "The auxiliary-table purge", known deviation — which is why
 //! nothing is carried across a flipped SPLIT / MERGE / DECOMPOSE / JOIN.
@@ -24,10 +35,11 @@ use crate::edb::{ClosureWalk, VersionedEdb};
 use crate::error::CoreError;
 use crate::snapshot::{Carried, SnapshotStore};
 use crate::Result;
-use inverda_catalog::{MaterializationSchema, SmoId};
+use inverda_catalog::{Genealogy, MaterializationSchema, SmoId, SmoInstance};
 use inverda_datalog::eval::{evaluate_compiled, EdbView};
+use inverda_datalog::{CompiledRuleSet, Literal, RuleSet};
 use inverda_storage::Relation;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 impl Inverda {
@@ -156,7 +168,8 @@ impl Inverda {
             let ids = self.id_source();
             // Planning reads the *current* state: warm snapshots are valid
             // until the swap below, and what planning resolves on top of
-            // them is carried across it like everything else.
+            // them — the tables entering `P`, whatever the flipped SMOs'
+            // slices read — is carried across it like everything else.
             let edb = self.edb(state, &ids);
 
             let old_p: BTreeSet<_> = cur.physical_tables(g).into_iter().collect();
@@ -173,20 +186,11 @@ impl Inverda {
             leaving = drops.len();
 
             // Auxiliary tables of SMOs whose state flips.
-            for smo in g.smos().filter(|s| s.moves_data()) {
-                let was = cur.is_materialized(g, smo.id);
-                let will = new_m.is_materialized(g, smo.id);
-                if was == will {
-                    continue;
-                }
+            let no_flips = BTreeSet::new();
+            let mut walk = ClosureWalk::new(&edb, &no_flips);
+            for (smo, will) in flips(g, cur, &new_m) {
                 flipped.insert(smo.id);
-                let (direction, rules) = if will {
-                    (Direction::ToTgt, &smo.derived.to_tgt)
-                } else {
-                    (Direction::ToSrc, &smo.derived.to_src)
-                };
-                let crs = self.compiled.get_or_compile(smo.id, direction, rules)?;
-                let mut heads = evaluate_compiled(&crs, &edb, &ids, edb.head_columns())?;
+                let (mut heads, _) = self.flip_heads(&edb, &mut walk, smo, will)?;
                 let (new_aux, old_aux) = if will {
                     (&smo.derived.tgt_aux, &smo.derived.src_aux)
                 } else {
@@ -211,19 +215,7 @@ impl Inverda {
                         replaces.push(Arc::new(contents.renamed(shared.table.rel.clone())));
                     }
                 }
-                // Re-seed the skolem registry from the relocated state:
-                // stale assignments are purged so payloads absent from the
-                // new physical tables mint fresh ids rather than colliding
-                // with repurposed ones.
-                for hint in &smo.derived.observe_hints {
-                    if let Ok(rel) = edb.full(&hint.relation) {
-                        let mut reg = self.ids.0.lock();
-                        reg.purge_generator(&hint.generator);
-                        for (key, row) in rel.iter() {
-                            reg.observe(&hint.generator, row, key.0);
-                        }
-                    }
-                }
+                self.reseed_registry(&edb, smo);
             }
         }
 
@@ -247,6 +239,98 @@ impl Inverda {
         // cold-start a sibling branch's caches.
         self.compiled.clear_fused();
         Ok(())
+    }
+
+    /// Planning's evaluation for one SMO whose state flips to `will`
+    /// (`true`: materialized): the heads it keeps — the aux tables of the
+    /// side the data moves to and the shared `@new` heads — by name, as the
+    /// SMO's rule set toward that side derives them from the current state
+    /// `edb` reads; a head the set derives nothing for is absent. The flag
+    /// says whether the whole set was evaluated.
+    ///
+    /// Only the [slice](RuleSet::slice) deriving those heads is evaluated —
+    /// nothing at all when it is empty, as for a forward ADD COLUMN, whose
+    /// target side has no aux table — **unless a rule left out could
+    /// mint**: it binds a skolem, or it reads an input (a relation the set
+    /// does not derive) whose resolution closure is not
+    /// [mint-free](crate::edb::Closure::mint_free) by `walk`, a walk over
+    /// no flipped SMOs. Then the whole set is evaluated.
+    ///
+    /// *Minting.* Every rule left out mints nothing and reads only heads of
+    /// the set and inputs no resolution of which mints — cold, fused or
+    /// caught up — so every input that can mint is read by kept rules only.
+    /// The slice keeps their order, hence the whole set's mints and their
+    /// order: the registry dump and the key sequence come out the same.
+    ///
+    /// *Errors.* The rules left out derive the set's data heads — the table
+    /// versions on the side the data moves to — and intermediates only they
+    /// read. Each of those table versions enters `P` or lies between the
+    /// old `P` and one that does (conditions 55/56), so the `creates` step
+    /// of planning has already resolved it, before any SMO's flip: from
+    /// these inputs through these rules, hop by hop or fused (fusion
+    /// inlines every literal, assignments included), or from a snapshot,
+    /// which by the store's invariant is what that resolution derives. Had
+    /// a rule left out failed on this state, the statement would have
+    /// failed there, with nothing swapped; so leaving it out hides no
+    /// error.
+    fn flip_heads(
+        &self,
+        edb: &VersionedEdb<'_>,
+        walk: &mut ClosureWalk<'_, '_>,
+        smo: &SmoInstance,
+        will: bool,
+    ) -> Result<(BTreeMap<String, Relation>, bool)> {
+        let (direction, rules, kept) = toward(smo, will);
+        let slice = rules.slice(kept.iter().copied());
+        let sliced: BTreeSet<&str> = slice
+            .rules
+            .iter()
+            .map(|r| r.head.relation.as_str())
+            .collect();
+        let heads: BTreeSet<&str> = rules
+            .rules
+            .iter()
+            .map(|r| r.head.relation.as_str())
+            .collect();
+        let whole = rules
+            .rules
+            .iter()
+            .filter(|rule| !sliced.contains(rule.head.relation.as_str()))
+            .flat_map(|rule| &rule.body)
+            .any(|lit| match lit {
+                Literal::Skolem { .. } => true,
+                Literal::Pos(atom) | Literal::Neg(atom) => {
+                    let rel = atom.relation.as_str();
+                    !heads.contains(rel) && !walk.closure(rel).mint_free()
+                }
+                _ => false,
+            });
+        let crs = if whole || slice.len() == rules.len() {
+            self.compiled.get_or_compile(smo.id, direction, rules)?
+        } else if slice.is_empty() {
+            return Ok((BTreeMap::new(), false));
+        } else {
+            Arc::new(CompiledRuleSet::compile(&slice)?)
+        };
+        let mut out = evaluate_compiled(&crs, edb, &self.id_source(), edb.head_columns())?;
+        out.retain(|head, _| kept.contains(head.as_str()));
+        Ok((out, whole))
+    }
+
+    /// Re-seed the skolem registry from the relocated state after `smo`'s
+    /// flip was planned: stale assignments are purged so payloads absent
+    /// from the new physical tables mint fresh ids rather than colliding
+    /// with repurposed ones.
+    fn reseed_registry(&self, edb: &VersionedEdb<'_>, smo: &SmoInstance) {
+        for hint in &smo.derived.observe_hints {
+            if let Ok(rel) = edb.full(&hint.relation) {
+                let mut reg = self.ids.0.lock();
+                reg.purge_generator(&hint.generator);
+                for (key, row) in rel.iter() {
+                    reg.observe(&hint.generator, row, key.0);
+                }
+            }
+        }
     }
 
     /// Replace the snapshot store's contents with the `candidates` that
@@ -316,6 +400,46 @@ impl Inverda {
         store.reinstall(survivors, &self.storage);
     }
 }
+
+/// The rule set toward the side a flipping SMO's data moves to (`will`:
+/// materialized, the target side) and the heads planning keeps from it:
+/// that side's aux tables and the shared `@new` heads.
+fn toward(smo: &SmoInstance, will: bool) -> (Direction, &RuleSet, BTreeSet<&str>) {
+    let derived = &smo.derived;
+    let (direction, rules, new_aux) = if will {
+        (Direction::ToTgt, &derived.to_tgt, &derived.tgt_aux)
+    } else {
+        (Direction::ToSrc, &derived.to_src, &derived.src_aux)
+    };
+    let kept = new_aux
+        .iter()
+        .map(|aux| aux.rel.as_str())
+        .chain(derived.shared_aux.iter().map(|s| s.new_name.as_str()))
+        .collect();
+    (direction, rules, kept)
+}
+
+/// The data-moving SMOs whose materialization state differs between `cur`
+/// and `new_m`, in genealogy order, each with its new state (`true`:
+/// materialized) — the order planning visits them in.
+fn flips<'g>(
+    g: &'g Genealogy,
+    cur: &MaterializationSchema,
+    new_m: &MaterializationSchema,
+) -> Vec<(&'g SmoInstance, bool)> {
+    g.smos()
+        .filter(|s| s.moves_data())
+        .map(|s| (s, new_m.is_materialized(g, s.id)))
+        .filter(|&(s, will)| cur.is_materialized(g, s.id) != will)
+        .collect()
+}
+
+/// The Wikimedia history and its Akan-shaped load, shared with the
+/// workloads crate (which depends on this one, so it cannot be a
+/// dev-dependency) for the planning oracle below.
+#[cfg(test)]
+#[path = "../../workloads/src/wikimedia/history.rs"]
+mod wikimedia;
 
 #[cfg(test)]
 mod tests {
@@ -491,5 +615,212 @@ mod tests {
             db.get("V2", "R", k).unwrap().unwrap()[1],
             Value::text("twin")
         );
+    }
+
+    /// The materialization schema `MATERIALIZE 'version'` moves to.
+    fn storing(db: &Inverda, version: &str) -> MaterializationSchema {
+        let state = db.state.read();
+        let g = &state.genealogy;
+        let tvs: Vec<_> = g
+            .version(version)
+            .unwrap()
+            .tables
+            .values()
+            .copied()
+            .collect();
+        MaterializationSchema::for_table_versions(g, &tvs).unwrap()
+    }
+
+    /// Every other valid materialization schema of `db`, each followed by
+    /// the one `db` is at: every flip, both ways.
+    fn there_and_back(db: &Inverda) -> Vec<MaterializationSchema> {
+        let state = db.state.read();
+        let home = &state.materialization;
+        MaterializationSchema::enumerate_valid(&state.genealogy)
+            .into_iter()
+            .filter(|m| m != home)
+            .flat_map(|m| [m, home.clone()])
+            .collect()
+    }
+
+    /// **Planning ≡ whole-set evaluation.** Two twins from `build` plan
+    /// each of `moves` as `apply_materialization_inner` does — the tables
+    /// entering `P`, then every flipped SMO in order, re-seeding the
+    /// registry after each — one through [`Inverda::flip_heads`], the other
+    /// by evaluating the SMO's stored whole rule set and keeping the same
+    /// heads. The kept heads, the registry dump and the key sequence must
+    /// agree after every SMO; then both twins make the move. Returns each
+    /// flip: its SMO kind, its new state and whether it took the whole-set
+    /// path.
+    fn planning_equals_whole_set(
+        build: impl Fn() -> Inverda,
+        moves: impl FnOnce(&Inverda) -> Vec<MaterializationSchema>,
+    ) -> Vec<(&'static str, bool, bool)> {
+        let (sliced, whole) = (build(), build());
+        let same = |what: &str| {
+            let dump = sliced.ids.0.lock().dump();
+            assert_eq!(dump, whole.ids.0.lock().dump(), "{what}");
+            let key = sliced.storage.sequences().current_key();
+            assert_eq!(key, whole.storage.sequences().current_key(), "{what}");
+        };
+        let mut flipped = Vec::new();
+        for new_m in moves(&sliced) {
+            {
+                let (a, b) = (sliced.state.read(), whole.state.read());
+                let (ids_a, ids_b) = (sliced.id_source(), whole.id_source());
+                let (edb_a, edb_b) = (sliced.edb(&a, &ids_a), whole.edb(&b, &ids_b));
+                let g = &a.genealogy;
+                let old_p = a.materialization.physical_tables(g);
+                for tv in new_m.physical_tables(g) {
+                    if !old_p.contains(&tv) {
+                        let rel = &g.table_version(tv).rel;
+                        assert_eq!(edb_a.full(rel).unwrap(), edb_b.full(rel).unwrap());
+                    }
+                }
+                let none = BTreeSet::new();
+                let mut walk = ClosureWalk::new(&edb_a, &none);
+                for (smo, will) in flips(g, &a.materialization, &new_m) {
+                    let what = format!("{} {:?} → {new_m:?}", smo.derived.kind, smo.id);
+                    let (heads, took_whole) =
+                        sliced.flip_heads(&edb_a, &mut walk, smo, will).unwrap();
+                    let (direction, rules, kept) = toward(smo, will);
+                    let crs = whole
+                        .compiled
+                        .get_or_compile(smo.id, direction, rules)
+                        .unwrap();
+                    let mut all =
+                        evaluate_compiled(&crs, &edb_b, &ids_b, edb_b.head_columns()).unwrap();
+                    all.retain(|head, _| kept.contains(head.as_str()));
+                    assert_eq!(heads, all, "{what}");
+                    same(&what);
+                    sliced.reseed_registry(&edb_a, smo);
+                    whole.reseed_registry(&edb_b, smo);
+                    same(&what);
+                    flipped.push((smo.derived.kind, will, took_whole));
+                }
+            }
+            sliced.materialize_exact(new_m.clone()).unwrap();
+            whole.materialize_exact(new_m).unwrap();
+            same("after the move");
+        }
+        flipped
+    }
+
+    #[test]
+    fn planning_equals_whole_set_on_tasky() {
+        let flipped = planning_equals_whole_set(tasky_full, there_and_back);
+        let whole = |kind: &str, will: bool| -> Vec<bool> {
+            flipped
+                .iter()
+                .filter(|f| f.0 == kind && f.1 == will)
+                .map(|f| f.2)
+                .collect()
+        };
+        // Toward `TasKy2`, the FK-DECOMPOSE derives no aux table, but its
+        // data rules mint `Author` ids: the whole set, on both moves there.
+        assert_eq!(whole("DECOMPOSE", true), [true, true], "{flipped:?}");
+        // Back, its source-side id table comes from a skolem-free slice
+        // over physical inputs; the rules left out mint nothing either.
+        assert_eq!(whole("DECOMPOSE", false), [false, false], "{flipped:?}");
+        // The RENAME above it reads `TasKy2.Author` through the minting
+        // DECOMPOSE while that is virtual: whole set there too.
+        assert!(whole("RENAME COLUMN", true).contains(&true), "{flipped:?}");
+        assert!(!whole("SPLIT", true).contains(&true), "{flipped:?}");
+    }
+
+    #[test]
+    fn planning_equals_whole_set_on_a_split_and_a_column_chain() {
+        let split = || {
+            let db = Inverda::new();
+            db.execute(
+                "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b); \
+                 CREATE SCHEMA VERSION V2 FROM V1 WITH \
+                   SPLIT TABLE T INTO R WITH a < 5, S WITH a >= 3;",
+            )
+            .unwrap();
+            for a in 0..8i64 {
+                db.insert("V1", "T", vec![a.into(), "b".into()]).unwrap();
+            }
+            db
+        };
+        let chain = || {
+            let db = Inverda::new();
+            db.execute(
+                "CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c); \
+                 CREATE SCHEMA VERSION G1 FROM G0 WITH ADD COLUMN x1 AS 0 INTO T0; \
+                 CREATE SCHEMA VERSION G2 FROM G1 WITH RENAME COLUMN x1 IN T0 TO x1r2; \
+                 CREATE SCHEMA VERSION G3 FROM G2 WITH RENAME TABLE T0 INTO T3; \
+                 CREATE SCHEMA VERSION G4 FROM G3 WITH ADD COLUMN x4 AS 0 INTO T3; \
+                 CREATE SCHEMA VERSION G5 FROM G4 WITH RENAME COLUMN x4 IN T3 TO x4r5;",
+            )
+            .unwrap();
+            for i in 0..20i64 {
+                let row = vec![i.into(), format!("b{}", i % 3).into(), "c".into()];
+                db.insert("G0", "T0", row).unwrap();
+            }
+            db
+        };
+        for flipped in [
+            planning_equals_whole_set(split, there_and_back),
+            planning_equals_whole_set(chain, there_and_back),
+        ] {
+            assert!(!flipped.is_empty());
+            assert!(flipped.iter().all(|f| !f.2), "{flipped:?}");
+        }
+    }
+
+    #[test]
+    fn planning_equals_whole_set_on_a_wikimedia_round_trip() {
+        let data = wikimedia::version_name(wikimedia::LOAD_VERSION);
+        let head = wikimedia::version_name(171);
+        let build = || {
+            let db = Inverda::new();
+            for script in wikimedia::history_scripts() {
+                db.execute(&script).unwrap();
+            }
+            db.execute(&format!("MATERIALIZE '{data}';")).unwrap();
+            wikimedia::load_akan(&db, wikimedia::LOAD_VERSION, 0.002);
+            db
+        };
+        let flipped =
+            planning_equals_whole_set(build, |db| vec![storing(db, &head), storing(db, &data)]);
+        // 50 of the 62 SMOs between the two versions move data; each
+        // flips once each way.
+        assert_eq!(flipped.iter().filter(|f| f.1).count(), 50);
+        assert_eq!(flipped.len(), 100);
+        assert!(flipped.iter().all(|f| !f.2), "{flipped:?}");
+    }
+
+    /// An error in a data rule surfaces where the tables entering `P` are
+    /// resolved, before any flipped SMO is planned, and nothing is swapped.
+    #[test]
+    fn a_failing_materialize_fails_before_the_flips_and_swaps_nothing() {
+        let db = Inverda::new();
+        db.execute(
+            "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b); \
+             CREATE SCHEMA VERSION V2 FROM V1 WITH ADD COLUMN c AS 1 / a INTO T;",
+        )
+        .unwrap();
+        for a in [2i64, 0, 1] {
+            db.insert("V1", "T", vec![a.into(), "b".into()]).unwrap();
+        }
+        let tables = db.storage.table_names();
+        let contents: Vec<_> = tables
+            .iter()
+            .map(|t| db.storage.snapshot(t).unwrap())
+            .collect();
+        let key = db.storage.sequences().current_key();
+        let err = db.execute("MATERIALIZE 'V2';").unwrap_err();
+        assert_eq!(
+            format!("{err:?}"),
+            r#"Datalog(Storage(Expression { message: "division by zero" }))"#
+        );
+        assert_eq!(db.storage_case("V1", "T").unwrap(), "local");
+        assert_eq!(db.storage.table_names(), tables);
+        for (table, before) in tables.iter().zip(&contents) {
+            assert_eq!(&db.storage.snapshot(table).unwrap(), before, "{table}");
+        }
+        assert_eq!(db.storage.sequences().current_key(), key);
+        assert_eq!(db.count("V1", "T").unwrap(), 3);
     }
 }

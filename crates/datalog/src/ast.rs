@@ -14,7 +14,7 @@
 //!   Appendix B.3/B.4/B.6.
 
 use inverda_storage::{Expr, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A term in an atom.
@@ -372,6 +372,49 @@ impl RuleSet {
         out
     }
 
+    /// The **slice** deriving `heads`: the rules of every head in the
+    /// backward dependency closure of `heads` within this set — the heads
+    /// themselves, plus every head of the set a kept rule reads, positively
+    /// or negatively — in their original order. Names the set does not
+    /// derive are ignored, so the slice of nothing the set derives is empty.
+    ///
+    /// Evaluated, the slice derives what the whole set derives for every
+    /// head it keeps: a kept rule reads only inputs and kept heads, a kept
+    /// head keeps all of its rules, and the order is unchanged, so each
+    /// staged read sees the same partial state it sees in the whole set.
+    /// What the rules left out would have *done* — mint ids, raise an
+    /// error — is the caller's argument to make.
+    pub fn slice<'h>(&self, heads: impl IntoIterator<Item = &'h str>) -> RuleSet {
+        let derived: BTreeSet<&str> = self
+            .rules
+            .iter()
+            .map(|r| r.head.relation.as_str())
+            .collect();
+        let mut kept: BTreeSet<&str> = heads
+            .into_iter()
+            .filter_map(|head| derived.get(head).copied())
+            .collect();
+        let mut pending: Vec<&str> = kept.iter().copied().collect();
+        while let Some(head) = pending.pop() {
+            for rule in self.rules.iter().filter(|r| r.head.relation == head) {
+                for rel in rule.body_relations() {
+                    if let Some(&read) = derived.get(rel) {
+                        if kept.insert(read) {
+                            pending.push(read);
+                        }
+                    }
+                }
+            }
+        }
+        RuleSet::new(
+            self.rules
+                .iter()
+                .filter(|r| kept.contains(r.head.relation.as_str()))
+                .cloned()
+                .collect(),
+        )
+    }
+
     /// Append all rules of another set.
     pub fn extend(&mut self, other: RuleSet) {
         self.rules.extend(other.rules);
@@ -456,6 +499,40 @@ mod tests {
         assert_eq!(rs.input_relations(), vec!["R", "S", "T'"]);
         assert_eq!(rs.rules_for("T").len(), 3);
         assert_eq!(rs.len(), 3);
+    }
+
+    #[test]
+    fn slice_keeps_the_backward_closure_in_rule_order() {
+        let pos = |rel: &str| Literal::Pos(Atom::vars(rel, &["p", "a"]));
+        let neg = |rel: &str| Literal::Neg(Atom::new(rel, vec![Term::var("p"), Term::Anon]));
+        let head = |rel: &str| Atom::vars(rel, &["p", "a"]);
+        // A staged set: `Sn` is an intermediate two heads read, `Aux` is
+        // derived twice and read negatively by `Z`.
+        let rs = RuleSet::new(vec![
+            Rule::new(head("Sn"), vec![pos("T")]),
+            Rule::new(head("R"), vec![pos("Sn"), neg("X")]),
+            Rule::new(head("Aux"), vec![pos("Sn"), pos("X")]),
+            Rule::new(head("Other"), vec![pos("R")]),
+            Rule::new(head("Aux"), vec![pos("Y")]),
+            Rule::new(head("Z"), vec![pos("T"), neg("Aux")]),
+        ]);
+        let picked = |heads: &[&str]| -> Vec<usize> {
+            let slice = rs.slice(heads.iter().copied());
+            slice
+                .rules
+                .iter()
+                .map(|r| rs.rules.iter().position(|o| o == r).unwrap())
+                .collect()
+        };
+        assert_eq!(picked(&["Aux"]), vec![0, 2, 4]);
+        assert_eq!(picked(&["Other"]), vec![0, 1, 3]);
+        assert_eq!(picked(&["Z"]), vec![0, 2, 4, 5]);
+        assert_eq!(picked(&["Aux", "R"]), vec![0, 1, 2, 4]);
+        assert_eq!(picked(&["Sn"]), vec![0]);
+        // Inputs and unknown names select nothing.
+        assert!(rs.slice(["T", "X", "nope"]).is_empty());
+        assert!(rs.slice([]).is_empty());
+        assert_eq!(rs.slice(rs.head_relations().iter().map(String::as_str)), rs);
     }
 
     #[test]

@@ -255,9 +255,10 @@ fn wikimedia_chain_end_to_end() {
 /// `MATERIALIZE` carries resolved snapshots across its swap: on the
 /// stationary Wikimedia round trip v109 ⇄ v171 the eight counts the
 /// benchmark verifies each move with (`wiki_migrate`: four versions × two
-/// tables) never resolve anything, planning itself runs mostly on what the
-/// previous move left warm, and every carried entry equals its cold
-/// resolution.
+/// tables) never resolve anything, and every carried entry equals its cold
+/// resolution. Planning evaluates only the slices that derive the flipped
+/// SMOs' aux tables, so a stationary move probes the snapshot store a
+/// handful of times, not once per intermediate version of the 62 hops.
 #[test]
 fn wikimedia_round_trips_keep_every_checked_version_warm() {
     let db = wikimedia::install();
@@ -279,13 +280,16 @@ fn wikimedia_round_trips_keep_every_checked_version_warm() {
             let before = db.snapshot_stats();
             db.execute(&format!("MATERIALIZE '{target}';")).unwrap();
             let planned = db.snapshot_stats();
+            let probes = planned.hits + planned.misses - before.hits - before.misses;
             assert!(planned.carried > before.carried, "trip {trip} → {target}");
             if trip > 0 {
-                // Stationary: the previous moves resolved every intermediate.
+                // Stationary. Moving to the head derives no aux table for
+                // its 30 ADD COLUMNs; moving back reads each one's target
+                // version to derive its source-side aux table.
+                let bound = if target == &head { 20 } else { 40 };
                 assert!(
-                    planned.hits - before.hits >= 40,
-                    "trip {trip} → {target}: planning hit {} snapshots",
-                    planned.hits - before.hits
+                    probes <= bound,
+                    "trip {trip} → {target}: planning probed {probes} snapshots"
                 );
             }
             assert_eq!(counts(&db), expected, "trip {trip} → {target}");
