@@ -978,7 +978,7 @@ struct ThreadScaling {
 /// DECOMPOSE mapping (plus the RENAME hop), and the staged γ_src
 /// maintenance keeps the virtualized source side warm — the workload the
 /// mint-free gate used to exclude from every parallel path. New authors
-/// appear throughout the round, so ids actually mint under fan-out.
+/// appear throughout the round, so ids actually mint on every write.
 fn bench_fk_decompose_round(tasks: usize, writes: usize) -> (f64, String) {
     let db = tasky::build();
     db.set_write_path(WritePath::Delta);
@@ -1038,7 +1038,8 @@ fn bench_fk_decompose_round(tasks: usize, writes: usize) -> (f64, String) {
 /// SPLIT mapping), `staged_materialize` migrates onto the **FK-DECOMPOSE**
 /// side and back (the id-minting staged evaluation, now fanned out through
 /// the reserve-then-commit cycle), `tasky_write_round` is the warm-snapshot
-/// write round (delta-probe fan-out), and `fk_decompose_write_round` is the
+/// write round (sequential propagation, chunk-parallel cold resolution),
+/// and `fk_decompose_write_round` is the
 /// staged write round of [`bench_fk_decompose_round`]. Results at every
 /// width are asserted equal to the width-1 run — scaling must never buy
 /// nondeterminism, minted ids included.

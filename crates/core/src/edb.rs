@@ -1035,31 +1035,13 @@ impl EdbView for VersionedEdb<'_> {
     /// it lazily from a worker — would mint ids at a different point than
     /// the width-1 path, which resolves lazily in first-touch order; warm
     /// snapshots and cached resolutions are pure reads and pass), otherwise
-    /// resolve everything **now** — distinct uncached virtual relations
-    /// cold-resolve in parallel on the pool (each such resolution is pure,
-    /// so racing duplicates are identical and harmless) — and report any
+    /// resolve everything **now**, in the order given, and report any
     /// resolution error as `Ok(false)` so the sequential path produces the
     /// canonical outcome.
     fn prepare_parallel(&self, relations: &[&str]) -> inverda_datalog::Result<bool> {
         let mut visited = BTreeSet::new();
         for rel in relations {
             if self.resolution_may_mint_cold(rel, &mut visited) {
-                return Ok(false);
-            }
-        }
-        let missing: Vec<&str> = {
-            let cache = self.cache.lock();
-            relations
-                .iter()
-                .copied()
-                .filter(|rel| !self.storage.has_table(rel) && !cache.contains_key(*rel))
-                .collect()
-        };
-        if missing.len() >= 2 && inverda_datalog::parallel::threads() > 1 {
-            let results = inverda_datalog::parallel::map_indexed(missing.len(), |i| {
-                self.full(missing[i]).map(|_| ())
-            });
-            if results.iter().any(|r| r.is_err()) {
                 return Ok(false);
             }
         }

@@ -20,19 +20,13 @@
 //! purge a separated twin recorded in `S⁺` would resurrect a tuple deleted
 //! through the side that physically stores it (see DESIGN.md).
 //!
-//! When several **independent** SMO hops are pending at once (diamond
-//! genealogies, multi-target SMOs), their propagations fan out on the
-//! shared pool — but only under a proof of non-interference: pairwise
-//! disjoint hop footprints (reachable SMOs/table versions, inputs, purge
-//! targets) and a view prepared for parallel sharing. Staged and
-//! id-minting mappings participate: each hop propagates against its own
-//! hop-scope reservation arena ([`ReservingIds`]), committed — minting
-//! real ids — in the sequential distribute epilogue. Inputs are popped and
-//! outputs distributed sequentially in pop order, and the post-commit
-//! reverse-maintenance pass likewise fans out only over
-//! simultaneously-ready (hence independent) hops — so the write path at
-//! any `INVERDA_THREADS` width is byte-identical to the sequential drain
-//! (DESIGN.md "Parallel evaluation & deterministic merge", "Deterministic
+//! The drain is sequential at every `INVERDA_THREADS` width: it takes the
+//! hop of the smallest pending table version, one hop at a time, and each
+//! hop's propagation mints through one reserve-then-commit scope
+//! ([`propagate_compiled`]). The post-commit reverse-maintenance pass walks
+//! the traversed hops in ready-set rounds, one hop at a time in ready
+//! order. The pool is left to the bulk evaluator, so the write path is
+//! byte-identical at any width by construction (DESIGN.md "Deterministic
 //! minting & reservation commit").
 
 use crate::compiled::Direction;
@@ -43,15 +37,13 @@ use crate::snapshot::{SnapshotMaintenance, StoredHeads};
 use crate::Result;
 use inverda_catalog::{SmoId, StorageCase, TableVersionId};
 use inverda_datalog::delta::{
-    patch_delta_map, propagate_by_recompute_compiled, propagate_compiled, propagate_vs_stored,
-    Delta, DeltaMap, PatchedEdb,
+    propagate_by_recompute_compiled, propagate_compiled, propagate_vs_stored, Delta, DeltaMap,
+    PatchedEdb,
 };
-use inverda_datalog::eval::{evaluate_compiled, EdbView, ReservingIds, NO_MINT_IDS};
-use inverda_datalog::skolem;
+use inverda_datalog::eval::{evaluate_compiled, EdbView};
 use inverda_storage::codec::{Codec, Reader};
 use inverda_storage::{Key, Row, Value, WriteBatch};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// One logical write against a schema version's table, for batched
 /// [`Inverda::apply_many`] application.
@@ -392,18 +384,8 @@ impl Inverda {
                     }
                     apply_delta_physically(&rel, &delta, batch);
                 }
-                StorageCase::Forward(_) | StorageCase::Backward(_) => {
-                    // Fan out independent SMO hops when several are pending
-                    // and provably non-interfering; otherwise process the
-                    // hop of the smallest pending table version, exactly as
-                    // a sequential drain would.
-                    if self.parallel_hop_round(state, edb, pending, batch, plan)? {
-                        continue;
-                    }
-                    let smo = match case {
-                        StorageCase::Forward(s) | StorageCase::Backward(s) => s,
-                        StorageCase::Local => unreachable!("handled above"),
-                    };
+                StorageCase::Forward(smo) | StorageCase::Backward(smo) => {
+                    // The hop of the smallest pending table version.
                     let forwards = matches!(case, StorageCase::Forward(_));
                     let input = self.pop_hop_inputs(state, smo, pending, batch, plan);
                     let inst = g.smo(smo);
@@ -437,8 +419,8 @@ impl Inverda {
     }
 
     /// Remove every pending delta departing through `smo` (purging sibling
-    /// aux tables as the sequential drain would) and return them keyed by
-    /// relation — the input of one hop's propagation.
+    /// aux tables) and return them keyed by relation — the input of one
+    /// hop's propagation.
     fn pop_hop_inputs(
         &self,
         state: &State,
@@ -529,218 +511,6 @@ impl Inverda {
         }
     }
 
-    /// Everything one hop's processing can transitively touch: the SMOs it
-    /// may traverse, the table versions its outputs may reach (down to
-    /// physical storage), its own input table versions, and the SMOs whose
-    /// aux tables a delete purge on an input could hit. Two pending hops
-    /// whose footprints are disjoint commute exactly — neither can feed,
-    /// purge, or converge with the other — which is the condition for
-    /// fanning them out in parallel without changing drain semantics.
-    fn hop_footprint(
-        &self,
-        state: &State,
-        smo: SmoId,
-        forwards: bool,
-        inputs: &[TableVersionId],
-    ) -> (BTreeSet<SmoId>, BTreeSet<TableVersionId>) {
-        let g = &state.genealogy;
-        let m = &state.materialization;
-        let mut smos: BTreeSet<SmoId> = BTreeSet::new();
-        let mut tvs: BTreeSet<TableVersionId> = BTreeSet::new();
-        smos.insert(smo);
-        fn reach(
-            g: &inverda_catalog::Genealogy,
-            m: &inverda_catalog::MaterializationSchema,
-            tv: TableVersionId,
-            smos: &mut BTreeSet<SmoId>,
-            tvs: &mut BTreeSet<TableVersionId>,
-        ) {
-            if !tvs.insert(tv) {
-                return;
-            }
-            match m.storage_of(g, tv) {
-                StorageCase::Local => {}
-                StorageCase::Forward(s) => {
-                    smos.insert(s);
-                    for t in g.smo(s).targets.clone() {
-                        reach(g, m, t, smos, tvs);
-                    }
-                }
-                StorageCase::Backward(s) => {
-                    smos.insert(s);
-                    for t in g.smo(s).sources.clone() {
-                        reach(g, m, t, smos, tvs);
-                    }
-                }
-            }
-        }
-        let dests = if forwards {
-            g.smo(smo).targets.clone()
-        } else {
-            g.smo(smo).sources.clone()
-        };
-        for t in dests {
-            reach(g, m, t, &mut smos, &mut tvs);
-        }
-        for &tv in inputs {
-            tvs.insert(tv);
-            // A pure delete purges aux tables of SMOs adjacent to the input.
-            smos.insert(g.incoming(tv));
-            smos.extend(g.outgoing(tv).iter().copied());
-        }
-        (smos, tvs)
-    }
-
-    /// One parallel fan-out round over pending SMO hops. Returns `true` if
-    /// a round ran (pending was advanced), `false` to fall back to the
-    /// sequential single-hop step.
-    ///
-    /// A round runs only when it is provably equivalent to the sequential
-    /// drain: no physical-case delta may be pending (local application
-    /// interleaves with hops by table-version order and syncs the skolem
-    /// registry), at least two hop groups must be selectable in pop order
-    /// with pairwise-disjoint [`footprints`](Inverda::hop_footprint) —
-    /// groups skipped over poison their footprint so no later group that
-    /// could interact with them is selected — and every selected hop's
-    /// propagation must run over a view prepared for parallel sharing.
-    /// Staged and id-minting hops participate too: each selected hop gets
-    /// its own hop-scope [`ReservingIds`], so workers reserve placeholder
-    /// ids instead of touching the registry or the key sequence, and the
-    /// sequential distribute epilogue commits each hop's reservations (in
-    /// pop order, which is the order the sequential drain would have minted
-    /// in) and patches the final ids through the hop's head deltas. The
-    /// propagations run on the pool; inputs were popped and outputs are
-    /// distributed sequentially in pop order, so the resulting pending map,
-    /// write batch, skolem registry, and maintenance plan are
-    /// byte-identical to the sequential drain's.
-    fn parallel_hop_round(
-        &self,
-        state: &State,
-        edb: &VersionedEdb<'_>,
-        pending: &mut BTreeMap<TableVersionId, (Delta, Option<SmoId>)>,
-        batch: &mut WriteBatch,
-        plan: &mut MaintenancePlan,
-    ) -> Result<bool> {
-        use inverda_datalog::parallel;
-        if parallel::threads() < 2 {
-            return Ok(false);
-        }
-        let g = &state.genealogy;
-        let m = &state.materialization;
-        // Hop groups in pop order (order of their smallest pending tv).
-        let mut groups: Vec<(SmoId, bool, Vec<TableVersionId>)> = Vec::new();
-        for (&tv, _) in pending.iter() {
-            match m.storage_of(g, tv) {
-                StorageCase::Local => return Ok(false),
-                StorageCase::Forward(s) | StorageCase::Backward(s) => {
-                    let forwards = matches!(m.storage_of(g, tv), StorageCase::Forward(_));
-                    match groups.iter_mut().find(|(smo, ..)| *smo == s) {
-                        Some((.., tvs)) => tvs.push(tv),
-                        None => groups.push((s, forwards, vec![tv])),
-                    }
-                }
-            }
-        }
-        if groups.len() < 2 {
-            return Ok(false);
-        }
-        // Select a maximal non-interfering prefix-respecting set.
-        let mut poisoned_smos: BTreeSet<SmoId> = BTreeSet::new();
-        let mut poisoned_tvs: BTreeSet<TableVersionId> = BTreeSet::new();
-        let mut selected: Vec<(SmoId, bool, Arc<inverda_datalog::CompiledRuleSet>)> = Vec::new();
-        for (smo, forwards, tvs) in &groups {
-            let (smos, tvs_reach) = self.hop_footprint(state, *smo, *forwards, tvs);
-            let disjoint = smos.is_disjoint(&poisoned_smos) && tvs_reach.is_disjoint(&poisoned_tvs);
-            if disjoint {
-                let inst = g.smo(*smo);
-                let (direction, rules) = if *forwards {
-                    (Direction::ToTgt, &inst.derived.to_tgt)
-                } else {
-                    (Direction::ToSrc, &inst.derived.to_src)
-                };
-                if let Ok(crs) = self.compiled.get_or_compile(*smo, direction, rules) {
-                    if matches!(edb.prepare_parallel(&crs.body_relations()), Ok(true)) {
-                        selected.push((*smo, *forwards, crs));
-                    }
-                }
-            }
-            poisoned_smos.extend(smos);
-            poisoned_tvs.extend(tvs_reach);
-        }
-        if selected.len() < 2 {
-            return Ok(false);
-        }
-        // Pop inputs (and run purges) sequentially in pop order.
-        let inputs: Vec<DeltaMap> = selected
-            .iter()
-            .map(|(smo, ..)| self.pop_hop_inputs(state, *smo, pending, batch, plan))
-            .collect();
-        // Propagate all selected hops on the pool. Workers are pure: the
-        // view was prepared, and any skolem call reserves into the hop's
-        // own arena (peeking, never mutating, the shared registry).
-        let write_path = state.write_path;
-        let head_columns = edb.head_columns();
-        let minter = self.id_source();
-        let hop_ids: Vec<ReservingIds<'_>> = selected
-            .iter()
-            .map(|_| ReservingIds::new(&minter, skolem::SCOPE_HOP))
-            .collect();
-        let results: Vec<inverda_datalog::Result<DeltaMap>> =
-            parallel::map_indexed(selected.len(), |i| {
-                let (_, _, crs) = &selected[i];
-                match write_path {
-                    WritePath::Delta => {
-                        propagate_compiled(crs, edb, &inputs[i], &hop_ids[i], head_columns)
-                    }
-                    WritePath::Recompute => propagate_by_recompute_compiled(
-                        crs,
-                        edb,
-                        &inputs[i],
-                        &hop_ids[i],
-                        head_columns,
-                    ),
-                }
-            });
-        // Distribute sequentially in pop order: commit each hop's
-        // reservations (minting now, in reservation order), patch the final
-        // ids through its deltas, then distribute — errors surface in the
-        // same order the sequential drain would raise them.
-        for (i, (((smo, forwards, crs), hop_ids), result)) in
-            selected.iter().zip(hop_ids).zip(results).enumerate()
-        {
-            let head_deltas = match result {
-                Ok(head_deltas) => {
-                    let patch = hop_ids.commit();
-                    patch_delta_map(head_deltas, &patch)
-                }
-                Err(_) => {
-                    // Reproduce the sequential error path exactly: the
-                    // worker run had no side effects (reservations are
-                    // discarded unminted), so re-running this hop against
-                    // the real id source performs precisely the mints the
-                    // sequential drain performs before failing — and raises
-                    // the canonical error.
-                    drop(hop_ids);
-                    let replay = match write_path {
-                        WritePath::Delta => {
-                            propagate_compiled(crs, edb, &inputs[i], &minter, head_columns)
-                        }
-                        WritePath::Recompute => propagate_by_recompute_compiled(
-                            crs,
-                            edb,
-                            &inputs[i],
-                            &minter,
-                            head_columns,
-                        ),
-                    };
-                    replay.map_err(CoreError::from)?
-                }
-            };
-            self.distribute_hop(state, *smo, *forwards, head_deltas, pending, batch, plan);
-        }
-        Ok(true)
-    }
-
     /// Walk the traversed hops **backward from physical storage**, deriving
     /// the true visible-state delta of every departed side by pushing the
     /// already-known deltas of the side closer to the data through the
@@ -799,11 +569,9 @@ impl Inverda {
             // A hop is ready once no unprocessed hop still has to derive the
             // delta of one of its destination data rels (i.e. every virtual
             // destination's defining SMO has been processed or was never
-            // traversed). All simultaneously-ready hops are mutually
-            // independent — a ready hop's inputs cannot be another *ready*
-            // hop's departed relations (those would make it non-ready) — so
-            // the whole ready set is processed per round and its pure
-            // propagations may run in parallel.
+            // traversed). Simultaneously-ready hops are mutually independent
+            // — a ready hop's inputs cannot be another *ready* hop's
+            // departed relations (those would make it non-ready).
             let mut ready: Vec<HopRecord> = Vec::new();
             let mut rest: Vec<HopRecord> = Vec::new();
             for h in remaining.drain(..) {
@@ -839,220 +607,131 @@ impl Inverda {
                 }
                 return;
             }
-            // What each ready hop needs done, decided sequentially (reads
-            // `known`/`unknown`, which no other ready hop can touch).
-            enum Action<'r> {
-                /// Departed side fully physical — nothing to maintain.
-                Skip,
-                /// Cannot be maintained purely; invalidate the departed side.
-                Invalidate,
-                /// Departed side certified unchanged (or patched): record
-                /// the deltas once available.
-                Patch {
-                    dep_virtual: Vec<&'r str>,
-                    propagate: Option<(Arc<inverda_datalog::CompiledRuleSet>, DeltaMap)>,
-                },
-                /// Staged or id-minting defining mapping: maintained
-                /// against the stored snapshots, inline at the hop's
-                /// canonical position (see
-                /// [`maintain_against_stored`](Inverda::maintain_against_stored)).
-                AgainstStored {
-                    dep_virtual: Vec<&'r str>,
-                    crs: Arc<inverda_datalog::CompiledRuleSet>,
-                    input: DeltaMap,
-                },
-            }
-            let mut actions: Vec<Action> = Vec::new();
+            // One hop at a time, in ready order: a hop maintained against
+            // the stored snapshots may mint, so it must run at its canonical
+            // position — innermost hop first, exactly the order a post-write
+            // cold read resolves (and therefore mints) in.
             for h in &ready {
-                let inst = g.smo(h.smo);
-                let (rev_direction, rev_rules, dep_data, dep_aux, dest_data, dest_aux) =
-                    if h.forwards {
-                        (
-                            Direction::ToSrc,
-                            &inst.derived.to_src,
-                            &inst.derived.src_data,
-                            &inst.derived.src_aux,
-                            &inst.derived.tgt_data,
-                            &inst.derived.tgt_aux,
-                        )
-                    } else {
-                        (
-                            Direction::ToTgt,
-                            &inst.derived.to_tgt,
-                            &inst.derived.tgt_data,
-                            &inst.derived.tgt_aux,
-                            &inst.derived.src_data,
-                            &inst.derived.src_aux,
-                        )
-                    };
-                let dep_virtual: Vec<&str> = dep_data
-                    .iter()
-                    .map(|t| t.rel.as_str())
-                    .chain(dep_aux.iter().map(|a| a.rel.as_str()))
-                    .filter(|rel| !self.storage.has_table(rel))
-                    .collect();
-                if dep_virtual.is_empty() {
-                    actions.push(Action::Skip);
-                    continue;
-                }
-                // Relations the defining mapping reads: destination data
-                // rels, the SMO's destination-side aux (physical by
-                // materialization invariant), and shared aux under their
-                // physical names.
-                let inputs: Vec<&str> = dest_data
-                    .iter()
-                    .map(|t| t.rel.as_str())
-                    .chain(dest_aux.iter().map(|a| a.rel.as_str()))
-                    .chain(inst.derived.shared_aux.iter().map(|s| s.table.rel.as_str()))
-                    .collect();
-                let rev_crs = match self
-                    .compiled
-                    .get_or_compile(h.smo, rev_direction, rev_rules)
-                {
-                    Ok(crs) => crs,
-                    Err(_) => {
-                        actions.push(Action::Invalidate);
-                        continue;
-                    }
-                };
-                if inputs.iter().any(|rel| unknown.contains(*rel)) {
-                    actions.push(Action::Invalidate);
-                    continue;
-                }
-                let mut rev_input = DeltaMap::new();
-                for rel in &inputs {
-                    if let Some(d) = known.get(*rel) {
-                        if !d.is_empty() {
-                            rev_input.insert((*rel).to_string(), d.clone());
-                        }
-                    }
-                }
-                if rev_input.is_empty() {
-                    // Nothing the mapping reads changed: the departed side
-                    // is certified unchanged (empty patches refresh stamps)
-                    // — staged and minting mappings included.
-                    actions.push(Action::Patch {
-                        dep_virtual,
-                        propagate: None,
-                    });
-                } else if rev_crs.staged() || rev_crs.mints_ids() {
-                    actions.push(Action::AgainstStored {
-                        dep_virtual,
-                        crs: rev_crs,
-                        input: rev_input,
-                    });
-                } else {
-                    actions.push(Action::Patch {
-                        dep_virtual,
-                        propagate: Some((rev_crs, rev_input)),
-                    });
+                self.maintain_hop(state, edb, h, ids, &mut known, &mut unknown, maint);
+            }
+        }
+    }
+
+    /// One ready hop of [`reverse_maintenance`](Inverda::reverse_maintenance):
+    /// push the known deltas of what the departed side's defining mapping
+    /// reads through that mapping, record the results as patches and as
+    /// known deltas — or invalidate the departed side when that cannot be
+    /// done.
+    #[allow(clippy::too_many_arguments)]
+    fn maintain_hop(
+        &self,
+        state: &State,
+        edb: &VersionedEdb<'_>,
+        h: &HopRecord,
+        ids: &dyn inverda_datalog::eval::IdSource,
+        known: &mut DeltaMap,
+        unknown: &mut BTreeSet<String>,
+        maint: &mut SnapshotMaintenance,
+    ) {
+        let inst = state.genealogy.smo(h.smo);
+        let (rev_direction, rev_rules, dep_data, dep_aux, dest_data, dest_aux) = if h.forwards {
+            (
+                Direction::ToSrc,
+                &inst.derived.to_src,
+                &inst.derived.src_data,
+                &inst.derived.src_aux,
+                &inst.derived.tgt_data,
+                &inst.derived.tgt_aux,
+            )
+        } else {
+            (
+                Direction::ToTgt,
+                &inst.derived.to_tgt,
+                &inst.derived.tgt_data,
+                &inst.derived.tgt_aux,
+                &inst.derived.src_data,
+                &inst.derived.src_aux,
+            )
+        };
+        let dep_virtual: Vec<&str> = dep_data
+            .iter()
+            .map(|t| t.rel.as_str())
+            .chain(dep_aux.iter().map(|a| a.rel.as_str()))
+            .filter(|rel| !self.storage.has_table(rel))
+            .collect();
+        if dep_virtual.is_empty() {
+            // Departed side fully physical — nothing to maintain.
+            return;
+        }
+        // Relations the defining mapping reads: destination data rels, the
+        // SMO's destination-side aux (physical by materialization
+        // invariant), and shared aux under their physical names.
+        let inputs: Vec<&str> = dest_data
+            .iter()
+            .map(|t| t.rel.as_str())
+            .chain(dest_aux.iter().map(|a| a.rel.as_str()))
+            .chain(inst.derived.shared_aux.iter().map(|s| s.table.rel.as_str()))
+            .collect();
+        let rev_crs = match self
+            .compiled
+            .get_or_compile(h.smo, rev_direction, rev_rules)
+        {
+            Ok(crs) if !inputs.iter().any(|rel| unknown.contains(*rel)) => crs,
+            _ => {
+                self.invalidate_departed(state, h, maint, unknown);
+                return;
+            }
+        };
+        let mut rev_input = DeltaMap::new();
+        for rel in &inputs {
+            if let Some(d) = known.get(*rel) {
+                if !d.is_empty() {
+                    rev_input.insert((*rel).to_string(), d.clone());
                 }
             }
-            // Run the propagations: pure ones (mint-free rules over a
-            // prepared view) fan out on the pool, the rest run inline.
-            let jobs: Vec<(usize, &Arc<inverda_datalog::CompiledRuleSet>, &DeltaMap)> = actions
-                .iter()
-                .enumerate()
-                .filter_map(|(i, a)| match a {
-                    Action::Patch {
-                        propagate: Some((crs, input)),
-                        ..
-                    } => Some((i, crs, input)),
-                    _ => None,
-                })
-                .collect();
-            let parallel_jobs = inverda_datalog::parallel::threads() > 1
-                && jobs.len() > 1
-                && jobs.iter().all(|(_, crs, _)| {
-                    crs.parallel_safe()
-                        && matches!(edb.prepare_parallel(&crs.body_relations()), Ok(true))
-                });
-            let mut results: BTreeMap<usize, inverda_datalog::Result<DeltaMap>> = BTreeMap::new();
-            if parallel_jobs {
-                let head_columns = edb.head_columns();
-                let outs = inverda_datalog::parallel::map_indexed(jobs.len(), |j| {
-                    let (_, crs, input) = &jobs[j];
-                    propagate_compiled(crs, edb, input, &NO_MINT_IDS, head_columns)
-                });
-                for ((i, ..), out) in jobs.iter().zip(outs) {
-                    results.insert(*i, out);
+        }
+        let against_stored = rev_crs.staged() || rev_crs.mints_ids();
+        let deltas = if rev_input.is_empty() {
+            // Nothing the mapping reads changed: the departed side is
+            // certified unchanged (empty patches refresh stamps) — staged
+            // and minting mappings included.
+            Some(DeltaMap::new())
+        } else if against_stored {
+            // Staged or id-minting defining mapping: maintained against the
+            // stored snapshots (see
+            // [`maintain_against_stored`](Inverda::maintain_against_stored)).
+            self.maintain_against_stored(edb, &dep_virtual, &rev_crs, &rev_input, ids)
+        } else {
+            propagate_compiled(&rev_crs, edb, &rev_input, ids, edb.head_columns()).ok()
+        };
+        let Some(mut deltas) = deltas else {
+            // Maintenance failures degrade to invalidation; they never fail
+            // the write.
+            self.invalidate_departed(state, h, maint, unknown);
+            return;
+        };
+        for rel in dep_virtual {
+            // A relation the propagation left out is unchanged; one that
+            // maintenance against the stored snapshots left out has no
+            // valid entry.
+            let delta = match deltas.remove(rel) {
+                Some(delta) => delta,
+                None if rev_input.is_empty() || !against_stored => Delta::new(),
+                None => {
+                    // Only an entry that was valid before this write may be
+                    // patched; anything else re-resolves cold on next read
+                    // (recording it as unknown poisons dependents, like an
+                    // invalidation would).
+                    maint.record_invalidate(rel);
+                    unknown.insert(rel.to_string());
+                    continue;
                 }
-            } else {
-                for (i, crs, input) in jobs {
-                    results.insert(
-                        i,
-                        propagate_compiled(crs, edb, input, ids, edb.head_columns()),
-                    );
-                }
-            }
-            // Record outcomes in ready order (deterministic and identical
-            // to processing the ready hops one at a time). AgainstStored
-            // actions evaluate *here*, inline and in ready order: their
-            // evaluations may mint (committing through the real id source),
-            // so they must run at their canonical sequential position —
-            // innermost hop first, exactly the order a post-write cold read
-            // resolves (and therefore mints) in.
-            for (i, (h, action)) in ready.iter().zip(actions.iter()).enumerate() {
-                match action {
-                    Action::Skip => {}
-                    Action::Invalidate => {
-                        self.invalidate_departed(state, h, maint, &mut unknown);
-                    }
-                    Action::AgainstStored {
-                        dep_virtual,
-                        crs,
-                        input,
-                    } => {
-                        let deltas =
-                            self.maintain_against_stored(edb, dep_virtual, crs, input, ids);
-                        let Some(mut deltas) = deltas else {
-                            self.invalidate_departed(state, h, maint, &mut unknown);
-                            continue;
-                        };
-                        for rel in dep_virtual {
-                            // Only an entry that was valid before this write
-                            // may be patched; anything else re-resolves cold
-                            // on next read (recording it as unknown poisons
-                            // dependents, like an invalidation would).
-                            let Some(delta) = deltas.remove(*rel) else {
-                                maint.record_invalidate(rel);
-                                unknown.insert((*rel).to_string());
-                                continue;
-                            };
-                            maint.record_patch(rel, &delta);
-                            match known.get_mut(*rel) {
-                                Some(existing) => existing.merge(&delta),
-                                None => {
-                                    known.insert((*rel).to_string(), delta);
-                                }
-                            }
-                        }
-                    }
-                    Action::Patch {
-                        dep_virtual,
-                        propagate,
-                    } => {
-                        let rev_deltas = match (propagate, results.remove(&i)) {
-                            (None, _) => DeltaMap::new(),
-                            (Some(_), Some(Ok(d))) => d,
-                            (Some(_), _) => {
-                                // Maintenance failures degrade to
-                                // invalidation; they never fail the write.
-                                self.invalidate_departed(state, h, maint, &mut unknown);
-                                continue;
-                            }
-                        };
-                        for rel in dep_virtual {
-                            let d = rev_deltas.get(*rel).cloned().unwrap_or_default();
-                            maint.record_patch(rel, &d);
-                            match known.get_mut(*rel) {
-                                Some(existing) => existing.merge(&d),
-                                None => {
-                                    known.insert((*rel).to_string(), d);
-                                }
-                            }
-                        }
-                    }
+            };
+            maint.record_patch(rel, &delta);
+            match known.get_mut(rel) {
+                Some(existing) => existing.merge(&delta),
+                None => {
+                    known.insert(rel.to_string(), delta);
                 }
             }
         }

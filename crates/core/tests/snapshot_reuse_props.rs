@@ -316,7 +316,7 @@ proptest! {
     /// through the source and the far end of the chain, with migrations
     /// relocating the data across all three frontiers. This drives the
     /// staged/minting mappings through every maintained path — two-phase
-    /// minting under fan-out (widths 1/2/4/8), hop-arena drains, and the
+    /// minting at widths 1/2/4/8, sequential drains, and the
     /// delta-vs-stored maintenance that *patches* the minting mapping's
     /// snapshots — and the visible states (which include the generated `U` keys) must
     /// stay byte-identical between the warm and cold databases after every
@@ -1431,4 +1431,106 @@ fn warm_path_is_exercised() {
         after.patches > before.patches,
         "no delta patches recorded: {before:?} -> {after:?}"
     );
+}
+
+/// A non-overlapping SPLIT with one column-level SMO on each side.
+const SPLIT_LEAVES_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b, c); \
+     CREATE SCHEMA VERSION V2 FROM V1 WITH \
+       SPLIT TABLE T INTO R WITH a < 3, S WITH a >= 3; \
+     CREATE SCHEMA VERSION V3 FROM V2 WITH \
+       ADD COLUMN d AS a INTO R; \
+       RENAME COLUMN b IN S TO bb;";
+
+/// The same shape over an FK DECOMPOSE, whose forward hop mints `U` ids.
+const DECOMPOSE_LEAVES_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b, c); \
+     CREATE SCHEMA VERSION V2 FROM V1 WITH \
+       DECOMPOSE TABLE T INTO T(a, b), U(c) ON FOREIGN KEY c; \
+     CREATE SCHEMA VERSION V3 FROM V2 WITH \
+       ADD COLUMN d AS a INTO T; \
+       RENAME COLUMN c IN U TO cc;";
+
+/// Rows, registry dump and key sequence after every statement of a fixed
+/// sequence of batches through `V1.T`, with the data materialized at both
+/// leaves of `V3`: every batch leaves the first hop with deltas on both of
+/// its destination tables, so the drain holds two independent hop groups
+/// at once, and reverse maintenance has two hops ready in one round.
+fn two_group_drain_states(script: &str, reuse: bool, width: usize) -> Vec<(String, String, u64)> {
+    inverda_core::set_threads(Some(width));
+    let db = Inverda::new();
+    db.execute(script).unwrap();
+    db.set_snapshot_reuse(reuse);
+    let row =
+        |a: i64, b: &str, c: i64| vec![Value::Int(a), Value::text(b), Value::text(format!("c{c}"))];
+    let mut keys = db
+        .insert_many(
+            "V1",
+            "T",
+            (0..6).map(|a| row(a, &format!("b{a}"), a % 2)).collect(),
+        )
+        .unwrap();
+    db.materialize(&["V3".to_string()]).unwrap();
+    let mut states = Vec::new();
+    let mut record = |db: &Inverda| {
+        states.push((
+            Harness::visible(db),
+            db.debug_registry(),
+            db.debug_key_seq(),
+        ));
+        let audit = db.snapshot_store_audit();
+        assert!(audit.is_empty(), "{}", audit.join("\n"));
+    };
+    record(&db);
+    let batches = [
+        // Inserts on both sides of the first hop.
+        vec![
+            LogicalWrite::Insert(row(1, "x", 2)),
+            LogicalWrite::Insert(row(4, "y", 3)),
+        ],
+        // Updates across the partition line and of the decomposed payload,
+        // deletes on both sides.
+        vec![
+            LogicalWrite::Update(keys[0], row(4, "b0", 0)),
+            LogicalWrite::Update(keys[4], row(1, "b4", 0)),
+            LogicalWrite::Update(keys[1], row(1, "b1", 5)),
+            LogicalWrite::Delete(keys[2]),
+            LogicalWrite::Delete(keys[5]),
+        ],
+        // Everything at once.
+        vec![
+            LogicalWrite::Insert(row(2, "z", 6)),
+            LogicalWrite::Update(keys[3], row(0, "b3", 1)),
+            LogicalWrite::Delete(keys[4]),
+            LogicalWrite::Insert(row(5, "w", 1)),
+        ],
+    ];
+    for batch in batches {
+        let minted = db.apply_many("V1", "T", batch).unwrap();
+        keys.extend(minted.into_iter().flatten());
+        record(&db);
+    }
+    inverda_core::set_threads(None);
+    states
+}
+
+/// The drain's multi-group case, deterministically: the suites above reach
+/// two independent hop groups pending at once only by chance. Over a SPLIT
+/// and over a minting FK DECOMPOSE, the warm database equals a
+/// store-disabled twin and a width-1 run after every statement.
+#[test]
+fn two_group_drains_equal_cold_twin_and_width_1() {
+    for script in [SPLIT_LEAVES_SCRIPT, DECOMPOSE_LEAVES_SCRIPT] {
+        let baseline = two_group_drain_states(script, true, 1);
+        for width in [2, 4] {
+            for reuse in [true, false] {
+                let states = two_group_drain_states(script, reuse, width);
+                for (i, (got, want)) in states.iter().zip(&baseline).enumerate() {
+                    assert_eq!(
+                        got, want,
+                        "statement {i} diverged (width {width}, reuse {reuse}):\n{script}"
+                    );
+                }
+                assert_eq!(states.len(), baseline.len());
+            }
+        }
+    }
 }

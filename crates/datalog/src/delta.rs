@@ -278,25 +278,15 @@ pub fn propagate(
 
 /// Propagate input deltas through a pre-compiled rule set.
 ///
-/// When the configured width exceeds 1 and the batch is large enough, the
-/// probe and re-derivation phases fan out over the shared pool: probes are
-/// independent pure joins whose candidate sets merge by set-union
-/// (order-independent), and per-key re-derivations are independent point
-/// evaluations merged by key — so the resulting delta is byte-identical to
-/// a sequential run at any width. Small writes (the common OLTP statement)
-/// stay sequential; fan-out pays off on bulk loads and whole-relation
-/// migrations.
-///
-/// **Minting rule sets participate** (the PR-4 "probe fan-out" leftover):
-/// a non-staged set that binds variables through skolem generators runs its
-/// whole propagation — sequential or fanned out — under an evaluation-scope
-/// [`ReservingIds`]. Probe and re-derivation workers reserve placeholders
-/// in chunk-local arenas which the merge absorbs in canonical job order
-/// (old phase, then rule, literal, tuple chunk; re-derivations in
-/// new-then-old pass and key order — exactly the sequential exploration
-/// order), and a final commit mints real ids in that order and patches them
-/// through the returned deltas via [`patch_delta_map`]. Staged sets (which
-/// consume their own heads) still take the recompute fallback.
+/// **Minting rule sets participate**: a non-staged set that binds variables
+/// through skolem generators runs its whole propagation under an
+/// evaluation-scope [`ReservingIds`]. The probes and re-derivations reserve
+/// placeholders in exploration order (old-state probes, new-state probes,
+/// then the new-state re-derivation of every candidate key, then the
+/// old-state one), and one commit at the end mints real ids in that order and
+/// patches them through the returned deltas via `patch_delta_map`. A
+/// propagation that fails returns before the commit, so it mints nothing.
+/// Staged sets (which consume their own heads) take the recompute fallback.
 pub fn propagate_compiled(
     crs: &CompiledRuleSet,
     base: &dyn EdbView,
@@ -308,90 +298,54 @@ pub fn propagate_compiled(
         return propagate_by_recompute_compiled(crs, base, input_delta, ids, head_columns);
     }
     if !crs.mints_ids() {
-        return propagate_unstaged(crs, base, input_delta, ids, None);
+        return propagate_unstaged(crs, base, input_delta, ids);
     }
-    // Mint-capable: reserve-then-commit, so the parallel phases never touch
-    // the shared registry and the sequential commit epilogue reproduces the
-    // width-1 minting order bit for bit.
+    // Reserve, then commit once: ids are minted in exploration order, and
+    // only by a propagation that succeeded.
     let reserving = ReservingIds::new(ids, skolem::SCOPE_EVAL);
-    let out = propagate_unstaged(crs, base, input_delta, &reserving, Some(&reserving))?;
+    let out = propagate_unstaged(crs, base, input_delta, &reserving)?;
     let patch = reserving.commit();
     Ok(patch_delta_map(out, &patch))
 }
 
 /// The shared body of [`propagate_compiled`] for non-staged rule sets.
-/// `scope` is the evaluation-scope reservation arena when the set can mint
-/// (workers then reserve into chunk-local arenas absorbed in job order);
-/// `None` for mint-free sets, whose workers run on [`NO_MINT_IDS`].
 fn propagate_unstaged(
     crs: &CompiledRuleSet,
     base: &dyn EdbView,
     input_delta: &DeltaMap,
     ids: &dyn IdSource,
-    scope: Option<&ReservingIds<'_>>,
 ) -> Result<DeltaMap> {
     let patched = PatchedEdb::new(base, input_delta);
-    let probe_work: usize = input_delta
-        .values()
-        .map(|d| d.deletes.len() + d.inserts.len())
-        .sum();
-    // Preparing the patched view also prepares (and pre-resolves) the base.
-    let par_min_work = crate::tuning::par_min_work();
-    let par = crate::parallel::threads() > 1
-        && probe_work >= par_min_work
-        && patched
-            .prepare_parallel(&crs.body_relations())
-            .unwrap_or(false);
 
     // ---- Phase 1 (old state): probe deletions at positive literals and
     // insertions at negative literals.
     // ---- Phase 2 (new state): probe insertions at positive literals and
     // deletions at negative literals.
     let mut candidates: BTreeMap<String, BTreeSet<Key>> = BTreeMap::new();
-    if par {
-        probe_rules_parallel(crs, base, &patched, input_delta, scope, &mut candidates)?;
-    } else {
+    {
         let old_ev = Evaluator::new(base, ids);
         probe_rules(crs, &old_ev, input_delta, ProbeState::Old, &mut candidates)?;
         let new_ev = Evaluator::new(&patched, ids);
         probe_rules(crs, &new_ev, input_delta, ProbeState::New, &mut candidates)?;
     }
 
-    // ---- Phase 3: resolve candidates exactly in both states.
-    let n_candidates: usize = candidates.values().map(BTreeSet::len).sum();
-    let (new_rows, old_rows) = if par && n_candidates >= par_min_work {
-        resolve_candidates_parallel(crs, base, &patched, &candidates, scope)?
-    } else {
-        let mut new_rows: BTreeMap<(String, Key), Option<Row>> = BTreeMap::new();
-        {
-            let mut new_ev = Evaluator::new(&patched, ids);
-            for (head, keys) in &candidates {
-                for key in keys {
-                    let row = new_ev.head_row_for_key(crs, head, *key)?;
-                    new_rows.insert((head.clone(), *key), row);
-                }
-            }
-        }
-        let mut old_rows: BTreeMap<(String, Key), Option<Row>> = BTreeMap::new();
-        {
-            let mut old_ev = Evaluator::new(base, ids);
-            for (head, keys) in &candidates {
-                for key in keys {
-                    let row = old_ev.head_row_for_key(crs, head, *key)?;
-                    old_rows.insert((head.clone(), *key), row);
-                }
-            }
-        }
-        (new_rows, old_rows)
-    };
-
-    let mut out: DeltaMap = DeltaMap::new();
+    // ---- Phase 3: resolve candidates exactly in both states — the whole
+    // new-state pass first, which is the reservation order.
+    let mut new_ev = Evaluator::new(&patched, ids);
+    let mut new_rows: Vec<Vec<Option<Row>>> = Vec::with_capacity(candidates.len());
     for (head, keys) in &candidates {
-        let delta = out.entry(head.clone()).or_default();
-        for key in keys {
-            let old = old_rows.get(&(head.clone(), *key)).cloned().flatten();
-            let new = new_rows.get(&(head.clone(), *key)).cloned().flatten();
-            match (old, new) {
+        let rows = keys
+            .iter()
+            .map(|key| new_ev.head_row_for_key(crs, head, *key))
+            .collect::<Result<_>>()?;
+        new_rows.push(rows);
+    }
+    let mut old_ev = Evaluator::new(base, ids);
+    let mut out: DeltaMap = DeltaMap::new();
+    for ((head, keys), new_rows) in candidates.iter().zip(new_rows) {
+        let mut delta = Delta::new();
+        for (key, new) in keys.iter().zip(new_rows) {
+            match (old_ev.head_row_for_key(crs, head, *key)?, new) {
                 (None, Some(row)) => {
                     delta.inserts.insert(*key, row);
                 }
@@ -405,8 +359,10 @@ fn propagate_unstaged(
                 _ => {}
             }
         }
+        if !delta.is_empty() {
+            out.insert(head.clone(), delta);
+        }
     }
-    out.retain(|_, d| !d.is_empty());
     Ok(out)
 }
 
@@ -661,10 +617,9 @@ fn stored_candidates(
 
 /// Rewrite a committed reservation patch through a delta map: placeholder
 /// keys and payload cells become the minted ids. A no-op (and
-/// allocation-free) when nothing was reserved. Shared by
-/// [`propagate_compiled`]'s commit epilogue and the write path's hop-scope
-/// commits (`inverda-core`), so both patch emitted deltas identically.
-pub fn patch_delta_map(deltas: DeltaMap, patch: &PlaceholderPatch) -> DeltaMap {
+/// allocation-free) when nothing was reserved. The commit epilogue of
+/// [`propagate_compiled`] and [`propagate_vs_stored`].
+fn patch_delta_map(deltas: DeltaMap, patch: &PlaceholderPatch) -> DeltaMap {
     if patch.is_empty() {
         return deltas;
     }
@@ -692,176 +647,6 @@ pub fn patch_delta_map(deltas: DeltaMap, patch: &PlaceholderPatch) -> DeltaMap {
 enum ProbeState {
     Old,
     New,
-}
-
-/// Parallel probe phases: every (state, rule, literal, tuple-chunk) is an
-/// independent pure join; fragments are candidate-key sets merged by union,
-/// which is order-independent — errors are reported in canonical job order
-/// (old phase first, then rule, literal, tuple), matching the sequential
-/// scan. With a reservation `scope` (minting rule sets), each job reserves
-/// into its own chunk arena; the merge absorbs arenas in job order — the
-/// sequential reservation order — and translates the job's candidate keys
-/// through the resulting patch, so a skolem-bound head key names the same
-/// reservation no matter which worker found it.
-fn probe_rules_parallel(
-    crs: &CompiledRuleSet,
-    base: &dyn EdbView,
-    patched: &PatchedEdb<'_>,
-    input_delta: &DeltaMap,
-    scope: Option<&ReservingIds<'_>>,
-    candidates: &mut BTreeMap<String, BTreeSet<Key>>,
-) -> Result<()> {
-    struct Job {
-        new_state: bool,
-        rule_idx: usize,
-        lit_idx: usize,
-        tuples: Arc<Vec<(Key, Row)>>,
-        range: (usize, usize),
-    }
-    let width = crate::parallel::threads();
-    // One shared tuple buffer per (relation, deletes|inserts): the same
-    // changed-tuple list is probed at every literal over that relation in
-    // both states, so copy it out of the delta maps once, not per job.
-    type TupleBuffers<'a> = BTreeMap<(&'a str, bool), Arc<Vec<(Key, Row)>>>;
-    let mut buffers: TupleBuffers = BTreeMap::new();
-    let mut jobs: Vec<Job> = Vec::new();
-    for state in [ProbeState::Old, ProbeState::New] {
-        for rule_idx in 0..crs.rules.len() {
-            for (lit_idx, atom, positive) in crs.body_atoms(rule_idx) {
-                let Some(delta) = input_delta.get(&atom.relation) else {
-                    continue;
-                };
-                let inserts = matches!(
-                    (state, positive),
-                    (ProbeState::Old, false) | (ProbeState::New, true)
-                );
-                let tuples = Arc::clone(
-                    buffers
-                        .entry((atom.relation.as_str(), inserts))
-                        .or_insert_with(|| {
-                            let side = if inserts {
-                                &delta.inserts
-                            } else {
-                                &delta.deletes
-                            };
-                            Arc::new(side.iter().map(|(k, r)| (*k, r.clone())).collect())
-                        }),
-                );
-                for range in crate::parallel::chunk_ranges(tuples.len(), width) {
-                    jobs.push(Job {
-                        new_state: state == ProbeState::New,
-                        rule_idx,
-                        lit_idx,
-                        tuples: Arc::clone(&tuples),
-                        range,
-                    });
-                }
-            }
-        }
-    }
-    type ProbeFragment = (BTreeSet<Key>, Option<crate::skolem::ReservationArena>);
-    let results: Vec<Result<ProbeFragment>> = crate::parallel::map_indexed(jobs.len(), |ji| {
-        let job = &jobs[ji];
-        let chunk_ids = scope.map(|s| ReservingIds::new(s, skolem::SCOPE_CHUNK));
-        let worker_ids: &dyn IdSource = match &chunk_ids {
-            Some(c) => c,
-            None => &crate::eval::NO_MINT_IDS,
-        };
-        let ev = if job.new_state {
-            Evaluator::new(patched, worker_ids)
-        } else {
-            Evaluator::new(base, worker_ids)
-        };
-        let mut keys = BTreeSet::new();
-        for (key, row) in &job.tuples[job.range.0..job.range.1] {
-            ev.probe_head_keys(crs, job.rule_idx, job.lit_idx, *key, row, &mut keys)?;
-        }
-        Ok((keys, chunk_ids.map(ReservingIds::into_arena)))
-    });
-    for (job, result) in jobs.iter().zip(results) {
-        let (keys, arena) = result?;
-        let keys = match (scope, arena) {
-            (Some(scope), Some(arena)) => {
-                let translation = scope.absorb(arena);
-                keys.into_iter()
-                    .map(|k| Key(translation.resolve_id(k.0)))
-                    .collect()
-            }
-            _ => keys,
-        };
-        let head = &crs.rules[job.rule_idx].head.relation;
-        candidates.entry(head.clone()).or_default().extend(keys);
-    }
-    candidates.retain(|_, keys| !keys.is_empty());
-    Ok(())
-}
-
-/// Parallel phase 3: re-derive every candidate key in both states on the
-/// pool, merging fragments by key. Each chunk gets its own evaluator (and
-/// memo); derivations are independent point evaluations, so the merged maps
-/// equal the sequential ones exactly. With a reservation `scope`, chunk
-/// workers reserve into their own arenas, absorbed in pass-then-range order
-/// (the sequential exploration order) with the derived rows translated
-/// through each absorption's patch.
-#[allow(clippy::type_complexity)]
-fn resolve_candidates_parallel(
-    crs: &CompiledRuleSet,
-    base: &dyn EdbView,
-    patched: &PatchedEdb<'_>,
-    candidates: &BTreeMap<String, BTreeSet<Key>>,
-    scope: Option<&ReservingIds<'_>>,
-) -> Result<(
-    BTreeMap<(String, Key), Option<Row>>,
-    BTreeMap<(String, Key), Option<Row>>,
-)> {
-    let pairs: Vec<(&str, Key)> = candidates
-        .iter()
-        .flat_map(|(head, keys)| keys.iter().map(move |k| (head.as_str(), *k)))
-        .collect();
-    let width = crate::parallel::threads();
-    let ranges = crate::parallel::chunk_ranges(pairs.len(), width);
-    // The new-state pass runs first, like the sequential code.
-    let mut maps: Vec<BTreeMap<(String, Key), Option<Row>>> = Vec::new();
-    for new_state in [true, false] {
-        type ResolveFragment = (Vec<Option<Row>>, Option<crate::skolem::ReservationArena>);
-        let results: Vec<Result<ResolveFragment>> =
-            crate::parallel::map_indexed(ranges.len(), |ci| {
-                let (start, end) = ranges[ci];
-                let chunk_ids = scope.map(|s| ReservingIds::new(s, skolem::SCOPE_CHUNK));
-                let worker_ids: &dyn IdSource = match &chunk_ids {
-                    Some(c) => c,
-                    None => &crate::eval::NO_MINT_IDS,
-                };
-                let mut ev = if new_state {
-                    Evaluator::new(patched, worker_ids)
-                } else {
-                    Evaluator::new(base, worker_ids)
-                };
-                let rows = pairs[start..end]
-                    .iter()
-                    .map(|(head, key)| ev.head_row_for_key(crs, head, *key))
-                    .collect::<Result<Vec<Option<Row>>>>()?;
-                Ok((rows, chunk_ids.map(ReservingIds::into_arena)))
-            });
-        let mut merged = BTreeMap::new();
-        for ((start, end), result) in ranges.iter().zip(results) {
-            let (rows, arena) = result?;
-            let translation = match (scope, arena) {
-                (Some(scope), Some(arena)) => Some(scope.absorb(arena)),
-                _ => None,
-            };
-            for ((head, key), mut row) in pairs[*start..*end].iter().zip(rows) {
-                if let (Some(tr), Some(row)) = (&translation, row.as_mut()) {
-                    tr.resolve_row(row);
-                }
-                merged.insert(((*head).to_string(), *key), row);
-            }
-        }
-        maps.push(merged);
-    }
-    let old_rows = maps.pop().expect("two passes");
-    let new_rows = maps.pop().expect("two passes");
-    Ok((new_rows, old_rows))
 }
 
 /// Seed every rule with changed tuples and collect candidate head keys.

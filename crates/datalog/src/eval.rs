@@ -187,11 +187,10 @@ impl IdSource for Mutex<SkolemRegistry> {
     }
 }
 
-/// The [`IdSource`] handed to parallel workers of **mint-free** fan-outs
-/// (delta probes and re-derivations, pure hop propagations). Those paths
-/// are gated to rule sets that cannot mint
+/// The [`IdSource`] handed to the chunk workers of **mint-free** parallel
+/// evaluations. Those are gated to rule sets that cannot mint
 /// ([`CompiledRuleSet::parallel_safe`]), so any call is an engine bug.
-/// Minting fan-outs use [`ReservingIds`] instead. Use the shared
+/// Minting evaluations use [`ReservingIds`] instead. Use the shared
 /// [`NO_MINT_IDS`] instance.
 pub struct NoMintIds;
 
@@ -224,10 +223,9 @@ pub struct ReservingIds<'a> {
 
 impl<'a> ReservingIds<'a> {
     /// A fresh reservation scope over `parent`, drawing placeholders from
-    /// `scope_base` (one of [`skolem::SCOPE_CHUNK`], [`skolem::SCOPE_EVAL`],
-    /// [`skolem::SCOPE_HOP`] — nested scopes must use distinct bases so a
-    /// placeholder peeked from the parent is never mistaken for a local
-    /// one).
+    /// `scope_base` ([`skolem::SCOPE_CHUNK`] or [`skolem::SCOPE_EVAL`] —
+    /// nested scopes must use distinct bases so a placeholder peeked from
+    /// the parent is never mistaken for a local one).
     pub fn new(parent: &'a dyn IdSource, scope_base: u64) -> Self {
         ReservingIds {
             parent,
@@ -579,9 +577,8 @@ impl CompiledRuleSet {
             .any(|r| r.body.iter().any(|lit| matches!(lit, CLit::Skolem { .. })))
     }
 
-    /// Whether the set is eligible for the **independent-rule** fan-out and
-    /// the other fully unordered parallel paths (delta probes, pure hop
-    /// propagations): rules must be **independent** (no rule consumes a head
+    /// Whether the set is eligible for the **independent-rule** fan-out:
+    /// rules must be **independent** (no rule consumes a head
     /// of the set — the staged `old`/`new` SMOs evaluate strictly in rule
     /// order) and **pure** (no skolem generators). Staged and minting sets
     /// are *also* evaluated in parallel, but through the ordered per-rule

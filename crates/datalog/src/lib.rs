@@ -18,8 +18,8 @@
 //!   oracle for differential testing of the compiled engine;
 //! * the engine's parallelism substrate ([`parallel`]): the
 //!   `INVERDA_THREADS` width knob and the shared work-stealing pool behind
-//!   every deterministic fan-out (chunked rule evaluation, delta-probe
-//!   batches, the write path's independent SMO hops);
+//!   the bulk evaluator's deterministic fan-out (independent rules and
+//!   chunked rule scans);
 //! * mechanical **update propagation** ([`delta`]) deriving minimal write
 //!   deltas through a rule set, the engine-side equivalent of the paper's
 //!   generated triggers (Section 6, Rules 52–54, citing Behrend et al.);

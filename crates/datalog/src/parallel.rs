@@ -1,10 +1,10 @@
 //! The engine's parallelism knob and shared thread pool.
 //!
-//! Every parallel fan-out in the engine — independent rules of one γ
-//! mapping, chunked join scans, delta-probe batches, independent SMO hops in
-//! the write path, cold resolution of distinct virtual relations — draws its
-//! workers from one process-wide [`ThreadPool`] (the vendored `workpool`
-//! crate) and its *logical width* from [`threads`]:
+//! The engine's one parallel fan-out — the bulk evaluator's independent
+//! rules of one γ mapping and chunked join scans ([`crate::eval`]) — draws
+//! its workers from one process-wide [`ThreadPool`] (the vendored
+//! `workpool` crate) and its *logical width* from [`threads`]. Write
+//! propagation is sequential at every width.
 //!
 //! * `INVERDA_THREADS=1` (or [`set_threads`]`(1)`) disables every parallel
 //!   path — the engine runs exactly the sequential code that existed before
@@ -13,10 +13,12 @@
 //! * unset, the width defaults to [`std::thread::available_parallelism`].
 //!
 //! **Determinism contract** (see DESIGN.md "Parallel evaluation &
-//! deterministic merge"): the width only decides how work is *split*; every
-//! parallel path in the engine merges its fragments in canonical task order
-//! and is gated to side-effect-free (non-id-minting) work, so results —
-//! including skolem id assignment — are byte-identical at every width.
+//! deterministic merge"): the width only decides how work is *split*. The
+//! bulk evaluator merges its fragments in canonical task order, and its
+//! workers mint only through reservation arenas committed in that order;
+//! write propagation and snapshot maintenance never run on the pool. So
+//! results — including skolem id assignment — are byte-identical at every
+//! width.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -445,11 +445,6 @@ pub const SCOPE_CHUNK: u64 = 5 << 60;
 /// [`naive::evaluate`](crate::naive::evaluate)'s commit epilogue).
 pub const SCOPE_EVAL: u64 = 6 << 60;
 
-/// Placeholder scope of one SMO-hop propagation in the write path's
-/// parallel hop fan-out (committed sequentially at distribute time, in hop
-/// pop order).
-pub const SCOPE_HOP: u64 = 7 << 60;
-
 /// Whether an id value is a placeholder of *some* reservation scope. Real
 /// identifiers come from the storage key sequence (or per-generator
 /// counters) and live far below `SCOPE_CHUNK`; every scope stays below
@@ -756,15 +751,14 @@ mod tests {
         assert_eq!(patch.resolve_id(SCOPE_EVAL + 1), 102);
         // Out-of-scope ids pass through.
         assert_eq!(patch.resolve_id(7), 7);
-        assert_eq!(patch.resolve_id(SCOPE_HOP), SCOPE_HOP);
+        assert_eq!(patch.resolve_id(SCOPE_CHUNK), SCOPE_CHUNK);
     }
 
     #[test]
     fn scopes_are_disjoint_and_fit_i64() {
         const {
             assert!(SCOPE_CHUNK + SCOPE_SPAN <= SCOPE_EVAL);
-            assert!(SCOPE_EVAL + SCOPE_SPAN <= SCOPE_HOP);
-            assert!(SCOPE_HOP + SCOPE_SPAN - 1 <= i64::MAX as u64);
+            assert!(SCOPE_EVAL + SCOPE_SPAN - 1 <= i64::MAX as u64);
         }
         assert!(!is_placeholder(SCOPE_CHUNK - 1));
     }

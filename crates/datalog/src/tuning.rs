@@ -1,25 +1,20 @@
-//! One home for the engine's parallelism **gate thresholds**.
+//! One home for the engine's parallelism **gate threshold** and the
+//! parsers of its environment knobs.
 //!
-//! Before this module the numbers lived scattered at their call sites — the
-//! minimum chunk size of every chunked scan was a literal `16` in four
-//! places, and the delta engine's "is this write big enough to fan out"
-//! gate was a private constant — which made multi-core re-measurement
-//! (ROADMAP housekeeping) a code-editing exercise. Each threshold now has
-//! exactly one definition, an environment override (read once per process,
-//! at first use) so a bench sweep can vary it without recompiling, and a
-//! runtime override for in-process sweeps:
+//! The threshold has exactly one definition, an environment override (read
+//! once per process, at first use) so a bench sweep can vary it without
+//! recompiling, and a runtime override for in-process sweeps:
 //!
 //! | Threshold | Default | Env override | Used by |
 //! |---|---|---|---|
-//! | [`min_chunk`] | 16 | `INVERDA_MIN_CHUNK` | every [`crate::parallel::chunk_ranges`] split: chunked rule scans ([`crate::eval`]) and delta-probe/candidate batches ([`crate::delta`]) |
-//! | [`par_min_work`] | 64 | `INVERDA_PAR_MIN_WORK` | the delta engine's fan-out gate: below this many probe tuples / candidate keys a write stays sequential |
+//! | [`min_chunk`] | 16 | `INVERDA_MIN_CHUNK` | every [`crate::parallel::chunk_ranges`] split of the chunked rule scans ([`crate::eval`]) |
 //!
-//! **Determinism contract:** every threshold only decides *how work is
-//! split* — never what is computed. Any value of any threshold produces
-//! byte-identical results (the differential suites hold the engine to
-//! that), so sweeping these is always safe.
+//! **Determinism contract:** the threshold only decides *how work is
+//! split* — never what is computed. Any value produces byte-identical
+//! results (the differential suites hold the engine to that), so sweeping
+//! it is always safe.
 //!
-//! Both thresholds, the on/off switch `INVERDA_FUSION` and the width
+//! The threshold, the on/off switch `INVERDA_FUSION` and the width
 //! `INVERDA_THREADS` are read through the parsers here (`parse_threshold`,
 //! `env_switch`, `env_width`), which panic on a value they cannot read
 //! rather than let a typo silently mean the default.
@@ -107,7 +102,6 @@ impl Threshold {
 }
 
 static MIN_CHUNK: Threshold = Threshold::new("INVERDA_MIN_CHUNK", 16);
-static PAR_MIN_WORK: Threshold = Threshold::new("INVERDA_PAR_MIN_WORK", 64);
 
 /// Minimum number of items per chunk when a scan is split across workers
 /// (`INVERDA_MIN_CHUNK`, default 16). Larger values mean fewer, coarser
@@ -119,20 +113,6 @@ pub fn min_chunk() -> usize {
 /// Override [`min_chunk`] at runtime; `None` restores env/default behavior.
 pub fn set_min_chunk(value: Option<usize>) {
     MIN_CHUNK.write(value);
-}
-
-/// Minimum probe-tuple / candidate-key count before a delta propagation
-/// fans out (`INVERDA_PAR_MIN_WORK`, default 64). Below it, the
-/// coordination overhead dwarfs the work: single-row OLTP writes stay on
-/// the sequential path at every width.
-pub fn par_min_work() -> usize {
-    PAR_MIN_WORK.read()
-}
-
-/// Override [`par_min_work`] at runtime; `None` restores env/default
-/// behavior.
-pub fn set_par_min_work(value: Option<usize>) {
-    PAR_MIN_WORK.write(value);
 }
 
 #[cfg(test)]
@@ -172,32 +152,22 @@ mod tests {
         }
     }
 
-    /// One body for everything that toggles the process-global overrides —
+    /// One body for everything that toggles the process-global override —
     /// separate `#[test]` fns would race under libtest's parallel runner.
     #[test]
     fn overrides_win_and_restore() {
-        let env_free = ["INVERDA_MIN_CHUNK", "INVERDA_PAR_MIN_WORK"]
-            .iter()
-            .all(|v| std::env::var(v).is_err());
+        let env_free = std::env::var("INVERDA_MIN_CHUNK").is_err();
         if env_free {
             assert_eq!(min_chunk(), 16);
-            assert_eq!(par_min_work(), 64);
         }
         set_min_chunk(Some(3));
-        set_par_min_work(Some(1));
         assert_eq!(min_chunk(), 3);
-        assert_eq!(par_min_work(), 1);
         // min_chunk of 0 would loop forever in chunk_ranges; clamped to 1.
         set_min_chunk(Some(0));
         assert_eq!(min_chunk(), 1);
-        // par_min_work of 0 is legal: every write may fan out.
-        set_par_min_work(Some(0));
-        assert_eq!(par_min_work(), 0);
         set_min_chunk(None);
-        set_par_min_work(None);
         if env_free {
             assert_eq!(min_chunk(), 16);
-            assert_eq!(par_min_work(), 64);
         }
     }
 }

@@ -499,8 +499,8 @@ proptest! {
 }
 
 /// Large-input differential check that actually crosses the parallel
-/// gates (the proptest cases above are small, so chunked scans and the
-/// delta fan-out may fall below their work thresholds): a multi-rule
+/// gates (the proptest cases above are small, so chunked scans may fall
+/// below their work thresholds): a multi-rule
 /// unbound join over a few thousand rows and a several-hundred-tuple
 /// delta, evaluated at widths 1/2/4/8, must be byte-identical — results,
 /// insertion order, and the naive oracle all agree.
@@ -538,7 +538,7 @@ fn parallel_widths_agree_on_large_inputs() {
     ]);
     let crs = CompiledRuleSet::compile(&rules).unwrap();
 
-    // A delta big enough to cross the propagation fan-out threshold.
+    // A several-hundred-tuple delta.
     let mut delta = Delta::new();
     for i in 0..400u64 {
         delta

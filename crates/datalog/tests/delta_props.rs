@@ -155,9 +155,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Minting (non-staged) rule sets: the probe fan-out admits them since the
-// chunk-arena lift — reservations are absorbed in canonical job order, so
-// minted ids are byte-identical at every width.
+// Minting (non-staged) rule sets: propagation reserves in exploration
+// order and commits once, so minted ids are byte-identical at every width.
 // ---------------------------------------------------------------------------
 
 /// Non-staged, id-minting rule set: `H(t, x) ← In(p, x), t = gen#H(x)` —
@@ -179,9 +178,8 @@ fn minting_rules() -> RuleSet {
 
 #[test]
 fn minting_probe_fanout_is_width_invariant() {
-    // Large enough to clear the parallel min-work threshold in both the
-    // probe phase (inserts + deletes) and the re-derivation phase
-    // (distinct candidate head keys).
+    // Hundreds of probe tuples (inserts + deletes) and distinct candidate
+    // head keys.
     let mut in_rel = Relation::with_columns("In", ["x"]);
     for i in 0..300u64 {
         in_rel
