@@ -502,8 +502,8 @@ fn bench_tasky_round_batched(tasks: usize, writes: usize) -> (f64, usize, String
 }
 
 /// Whole-database Wikimedia migration: bulk-load at the load version, then
-/// `MATERIALIZE` the head version (62 hops of chunked whole-relation
-/// evaluation) and migrate back. The paper's "relocate the physical schema"
+/// `MATERIALIZE` the head version (62 hops of whole-relation evaluation)
+/// and migrate back. The paper's "relocate the physical schema"
 /// story at workload scale — runnable at `INVERDA_WIKI_SCALE=1.0` (CI runs
 /// the smoke scale).
 struct WikiMaterialize {
@@ -963,157 +963,6 @@ fn bench_chain_fusion(scale: f64, reps: usize) -> ChainFusion {
     out
 }
 
-/// Timings of one thread-scaling sweep (indices align with `workers`).
-struct ThreadScaling {
-    workers: Vec<usize>,
-    join_ms: Vec<f64>,
-    mat_ms: Vec<f64>,
-    round_ms: Vec<f64>,
-    staged_mat_ms: Vec<f64>,
-    fk_round_ms: Vec<f64>,
-}
-
-/// Warm write round through `TasKy.Task` with the FK-DECOMPOSE branch
-/// materialized: every write drains *forward* through the id-minting
-/// DECOMPOSE mapping (plus the RENAME hop), and the staged γ_src
-/// maintenance keeps the virtualized source side warm — the workload the
-/// mint-free gate used to exclude from every parallel path. New authors
-/// appear throughout the round, so ids actually mint on every write.
-fn bench_fk_decompose_round(tasks: usize, writes: usize) -> (f64, String) {
-    let db = tasky::build();
-    db.set_write_path(WritePath::Delta);
-    tasky::load_tasks(&db, tasks);
-    db.materialize(&["TasKy2".to_string()])
-        .expect("materialize");
-    let round = median_time(1, || {
-        let mut keys = Vec::new();
-        for i in 0..writes {
-            if i % 2 == 0 {
-                let k = db
-                    .insert(
-                        "TasKy",
-                        "Task",
-                        vec![
-                            // Half the inserts reuse loaded authors, half
-                            // mint fresh ones.
-                            Value::text(format!("author{:03}", i % 400)),
-                            Value::text(format!("fk bench {i}")),
-                            Value::Int((i % 3 + 1) as i64),
-                        ],
-                    )
-                    .unwrap();
-                keys.push(k);
-            } else if let Some(k) = keys.last().copied() {
-                db.update(
-                    "TasKy",
-                    "Task",
-                    k,
-                    vec![
-                        Value::text(format!("author{:03}", (i + 1) % 400)),
-                        Value::text(format!("edited {i}")),
-                        Value::Int((i % 3 + 1) as i64),
-                    ],
-                )
-                .unwrap();
-            }
-        }
-        for k in keys {
-            db.delete("TasKy", "Task", k).unwrap();
-        }
-    });
-    let state = format!(
-        "{}{}{}{}",
-        db.scan("TasKy", "Task").unwrap(),
-        db.scan("Do!", "Todo").unwrap(),
-        db.scan("TasKy2", "Task").unwrap(),
-        db.scan("TasKy2", "Author").unwrap(),
-    );
-    (ms(round), state)
-}
-
-/// Thread-scaling sweep: the parallel-path workloads at 1/2/4/8 logical
-/// workers. `unbound_join` re-times [`bench_full_scan_join`]'s compiled
-/// side (chunked outer scan), `materialize` migrates the loaded TasKy
-/// database onto the `Do!` side (whole-relation evaluation through the
-/// SPLIT mapping), `staged_materialize` migrates onto the **FK-DECOMPOSE**
-/// side and back (the id-minting staged evaluation, now fanned out through
-/// the reserve-then-commit cycle), `tasky_write_round` is the warm-snapshot
-/// write round (sequential propagation, chunk-parallel cold resolution),
-/// and `fk_decompose_write_round` is the
-/// staged write round of [`bench_fk_decompose_round`]. Results at every
-/// width are asserted equal to the width-1 run — scaling must never buy
-/// nondeterminism, minted ids included.
-fn bench_thread_scaling(rows: usize, tasks: usize, writes: usize, reps: usize) -> ThreadScaling {
-    let workers = vec![1usize, 2, 4, 8];
-    let mut out = ThreadScaling {
-        workers: workers.clone(),
-        join_ms: Vec::new(),
-        mat_ms: Vec::new(),
-        round_ms: Vec::new(),
-        staged_mat_ms: Vec::new(),
-        fk_round_ms: Vec::new(),
-    };
-    let mut baseline: Option<String> = None;
-    let mut staged_baseline: Option<String> = None;
-    let mut fk_baseline: Option<String> = None;
-    for &w in &workers {
-        inverda_datalog::parallel::set_threads(Some(w));
-        let (_, compiled, _) = bench_full_scan_join(rows, reps);
-        out.join_ms.push(compiled);
-
-        let db = tasky::build();
-        tasky::load_tasks(&db, tasks);
-        let mat = median_time(1, || {
-            db.materialize(&["Do!".to_string()]).expect("materialize");
-            db.materialize(&["TasKy".to_string()]).expect("back");
-        });
-        out.mat_ms.push(ms(mat));
-        let state = format!(
-            "{}{}",
-            db.scan("Do!", "Todo").unwrap(),
-            db.scan("TasKy", "Task").unwrap()
-        );
-        match &baseline {
-            None => baseline = Some(state),
-            Some(b) => assert_eq!(b, &state, "width {w} changed the migrated state"),
-        }
-
-        let db = tasky::build();
-        tasky::load_tasks(&db, tasks);
-        let staged_mat = median_time(1, || {
-            db.materialize(&["TasKy2".to_string()])
-                .expect("materialize");
-            db.materialize(&["TasKy".to_string()]).expect("back");
-        });
-        out.staged_mat_ms.push(ms(staged_mat));
-        let state = format!(
-            "{}{}{}",
-            db.scan("TasKy2", "Task").unwrap(),
-            db.scan("TasKy2", "Author").unwrap(),
-            db.debug_registry(),
-        );
-        match &staged_baseline {
-            None => staged_baseline = Some(state),
-            Some(b) => assert_eq!(
-                b, &state,
-                "width {w} changed the staged migration (ids included)"
-            ),
-        }
-
-        let (_, round) = bench_tasky_round(tasks, writes, WritePath::Delta, true);
-        out.round_ms.push(round);
-
-        let (fk_round, fk_state) = bench_fk_decompose_round(tasks, writes);
-        out.fk_round_ms.push(fk_round);
-        match &fk_baseline {
-            None => fk_baseline = Some(fk_state),
-            Some(b) => assert_eq!(b, &fk_state, "width {w} changed the staged write round"),
-        }
-    }
-    inverda_datalog::parallel::set_threads(None);
-    out
-}
-
 fn main() {
     banner(
         "Evaluator hot path: compiled vs naive",
@@ -1267,44 +1116,12 @@ fn main() {
         branching.merge_ops, branching.merge_ms, branching.merge_applied
     );
 
-    println!("-- thread scaling (available_parallelism = {avail})");
-    let scaling = bench_thread_scaling(rows, tasks, writes, reps);
-    for (i, w) in scaling.workers.iter().enumerate() {
-        println!(
-            "   {w} worker(s): unbound join {:10.2} ms | materialize {:10.2} ms | staged materialize {:10.2} ms | warm round {:10.2} ms | fk round {:10.2} ms",
-            scaling.join_ms[i],
-            scaling.mat_ms[i],
-            scaling.staged_mat_ms[i],
-            scaling.round_ms[i],
-            scaling.fk_round_ms[i]
-        );
-    }
-    let join_speedup_4 = scaling.join_ms[0] / scaling.join_ms[2].max(f64::EPSILON);
-    let mat_speedup_4 = scaling.mat_ms[0] / scaling.mat_ms[2].max(f64::EPSILON);
-    let staged_mat_speedup_4 =
-        scaling.staged_mat_ms[0] / scaling.staged_mat_ms[2].max(f64::EPSILON);
-    println!(
-        "   speedup at 4 workers: join {join_speedup_4:.2}x, materialize {mat_speedup_4:.2}x, staged materialize {staged_mat_speedup_4:.2}x"
-    );
-
     let fmt_list = |xs: &[f64]| {
         xs.iter()
             .map(|x| format!("{x:.3}"))
             .collect::<Vec<_>>()
             .join(", ")
     };
-    let workers_list = scaling
-        .workers
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let join_list = fmt_list(&scaling.join_ms);
-    let mat_list = fmt_list(&scaling.mat_ms);
-    let round_list = fmt_list(&scaling.round_ms);
-    let staged_mat_list = fmt_list(&scaling.staged_mat_ms);
-    let fk_round_list = fmt_list(&scaling.fk_round_ms);
-
     let join_entries = |entries: &[PushdownEntry]| {
         entries
             .iter()
@@ -1333,7 +1150,6 @@ fn main() {
     let qet_unfused_list = fmt_list(&fusion.qet_unfused_ms);
     let probe_fused_list = fmt_list(&fusion.probe_fused_ms);
     let probe_unfused_list = fmt_list(&fusion.probe_unfused_ms);
-    let single_core = avail == 1;
 
     let serving_clients = serving
         .clients
@@ -1454,19 +1270,6 @@ fn main() {
     "merge_ops": {merge_ops},
     "merge_applied": {merge_applied},
     "merge_ms": {merge_ms:.3}
-  }},
-  "thread_scaling": {{
-    "available_parallelism": {avail},
-    "single_core": {single_core},
-    "workers": [{workers_list}],
-    "unbound_join_ms": [{join_list}],
-    "materialize_ms": [{mat_list}],
-    "staged_materialize_ms": [{staged_mat_list}],
-    "tasky_write_round_warm_ms": [{round_list}],
-    "fk_decompose_write_round_ms": [{fk_round_list}],
-    "unbound_join_speedup_at_4": {join_speedup_4:.2},
-    "materialize_speedup_at_4": {mat_speedup_4:.2},
-    "staged_materialize_speedup_at_4": {staged_mat_speedup_4:.2}
   }}
 }}
 "#

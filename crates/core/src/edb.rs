@@ -100,8 +100,8 @@ pub struct VersionedEdb<'a> {
     snapshots: Option<&'a SnapshotStore>,
     /// Name-keyed genealogy lookups, shared across statements.
     catalog: Arc<CatalogIndex>,
-    /// Caches are mutex-guarded (not `RefCell`) so the view is `Sync` and
-    /// one statement's view can be shared by parallel evaluation workers.
+    /// Caches are mutex-guarded (not `RefCell`) so the view is `Sync`, as
+    /// [`EdbView`] requires (see there for why the bound is kept).
     cache: Mutex<BTreeMap<String, Arc<Relation>>>,
     /// Physical table → epoch of the snapshot this statement reads (first
     /// access wins, so footprint stamps agree with the data actually read).
@@ -231,12 +231,10 @@ impl<'a> VersionedEdb<'a> {
     /// variable through a generator.
     ///
     /// Cold minting resolutions have side effects whose order matters — a
-    /// width-1 evaluation triggers them lazily, in first-touch order — so
-    /// the parallel preparation refuses to front-load them and falls back
-    /// to the sequential path, which performs (and commits) the mints at
-    /// their canonical position. Once committed, re-serving the relation
-    /// warm or from cache is a pure read, so subsequent statements take the
-    /// parallel path.
+    /// full evaluation triggers them lazily, in first-touch order — so
+    /// column-seeded pushdown ([`pushable_cold`](VersionedEdb::pushable_cold))
+    /// refuses such relations and leaves them to full resolution, which
+    /// performs (and commits) the mints at their canonical position.
     fn resolution_may_mint_cold(&self, relation: &str, visited: &mut BTreeSet<String>) -> bool {
         if !visited.insert(relation.to_string()) {
             return false;
@@ -1029,30 +1027,6 @@ impl<'e, 'a> ClosureWalk<'e, 'a> {
 }
 
 impl EdbView for VersionedEdb<'_> {
-    /// Make the view shareable by parallel workers: refuse (`Ok(false)`)
-    /// when any requested relation would have to **evaluate id-minting
-    /// rules cold** (front-loading such a resolution — or worse, triggering
-    /// it lazily from a worker — would mint ids at a different point than
-    /// the width-1 path, which resolves lazily in first-touch order; warm
-    /// snapshots and cached resolutions are pure reads and pass), otherwise
-    /// resolve everything **now**, in the order given, and report any
-    /// resolution error as `Ok(false)` so the sequential path produces the
-    /// canonical outcome.
-    fn prepare_parallel(&self, relations: &[&str]) -> inverda_datalog::Result<bool> {
-        let mut visited = BTreeSet::new();
-        for rel in relations {
-            if self.resolution_may_mint_cold(rel, &mut visited) {
-                return Ok(false);
-            }
-        }
-        for rel in relations {
-            if self.full(rel).is_err() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     fn full(&self, relation: &str) -> inverda_datalog::Result<Arc<Relation>> {
         // Statement cache, physical tables, and warm snapshot-store entries
         // (byte-identical to what cold resolution would produce) — one

@@ -60,7 +60,6 @@ pub use branch::{
 pub use database::{ExecutionOutcome, Inverda, WritePath};
 pub use durability::{DurabilityMode, DurabilityOptions};
 pub use error::CoreError;
-pub use inverda_datalog::parallel::{set_threads, threads};
 pub use query::{AccessPath, Query, QueryPlan, RowIter};
 pub use serving::{
     Client, PinnedView, Reader, ServingInverda, ServingOp, ServingOutcome, ServingReply,

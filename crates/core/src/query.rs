@@ -49,9 +49,8 @@
 //! rows stream out of a [`RowIter`] without cloning the full relation, and
 //! `count`/`exists` never clone rows at all. Determinism: plans never mint
 //! skolem ids off the canonical resolution order (minting closures fall
-//! back to full resolution), and results are byte-identical at every
-//! `INVERDA_THREADS` width and warm/cold store state — enforced by
-//! `tests/query_pushdown_props.rs`. (One caveat on *error* paths: a state
+//! back to full resolution), and results are byte-identical warm or cold
+//! — enforced by `tests/query_pushdown_props.rs`. (One caveat on *error* paths: a state
 //! violating the mappings' functional-head invariant — two rules deriving
 //! different rows for one key, which the write path never produces — makes
 //! a full resolution raise `KeyConflict`, while a seeded plan only detects

@@ -560,8 +560,8 @@ impl SnapshotStore {
     /// The stored snapshot of a virtual relation if its entry is valid
     /// right now — with **no** counter updates and no stale-entry eviction.
     /// Used by reverse maintenance (which probes entries mid-write, before
-    /// the batch commits) and by the parallel-preparation mint gate: both
-    /// must not perturb the hit/miss statistics or evict state a later
+    /// the batch commits) and by the cold-minting gate of query pushdown:
+    /// both must not perturb the hit/miss statistics or evict state a later
     /// read would have served.
     pub fn peek_valid(&self, relation: &str, storage: &Storage) -> Option<Arc<Relation>> {
         if !self.serves(storage) {

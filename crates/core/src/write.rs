@@ -20,14 +20,12 @@
 //! purge a separated twin recorded in `S⁺` would resurrect a tuple deleted
 //! through the side that physically stores it (see DESIGN.md).
 //!
-//! The drain is sequential at every `INVERDA_THREADS` width: it takes the
-//! hop of the smallest pending table version, one hop at a time, and each
-//! hop's propagation mints through one reserve-then-commit scope
-//! ([`propagate_compiled`]). The post-commit reverse-maintenance pass walks
-//! the traversed hops in ready-set rounds, one hop at a time in ready
-//! order. The pool is left to the bulk evaluator, so the write path is
-//! byte-identical at any width by construction (DESIGN.md "Deterministic
-//! minting & reservation commit").
+//! The drain is sequential: it takes the hop of the smallest pending table
+//! version, one hop at a time, and each hop's propagation mints through one
+//! reserve-then-commit scope ([`propagate_compiled`]). The post-commit
+//! reverse-maintenance pass walks the traversed hops in ready-set rounds,
+//! one hop at a time in ready order (DESIGN.md "Deterministic minting &
+//! reservation commit").
 
 use crate::compiled::Direction;
 use crate::database::{Inverda, State, WritePath};

@@ -13,9 +13,8 @@
 //! proof.
 //!
 //! Covered here:
-//! * random fork trees with per-branch write/DDL interleavings, at
-//!   parallel widths {1, 2, 4}, warm and cold, fusion on/off —
-//!   every branch ≡ its history replayed;
+//! * random fork trees with per-branch write/DDL interleavings, warm and
+//!   cold, fusion on/off — every branch ≡ its history replayed;
 //! * random **disjoint** divergent writes on two forks merged back into
 //!   `main` — the merge must commit, union the content, and leave `main`
 //!   ≡ its (canonical linear order) history;
@@ -23,8 +22,8 @@
 //!   regression: `MATERIALIZE` on one branch must not cold-start a
 //!   sibling's fused chains or snapshot entries.
 //!
-//! The worker width / fusion knobs are process-global, so every
-//! case serializes on one mutex (same idiom as `fusion_props.rs`).
+//! The fusion knob is process-global, so every case serializes on one
+//! mutex (same idiom as `fusion_props.rs`).
 
 use inverda_core::branch::BranchOp;
 use inverda_core::{Branch, BranchingInverda, CoreError, HistoryEntry, Inverda, MAIN_BRANCH};
@@ -34,16 +33,6 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
-
-/// Pin the process-global evaluation knobs for one case.
-fn pin_knobs(tsel: usize, fused: bool) {
-    inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
-    fusion::set_enabled(Some(fused));
-}
-
-fn unpin_knobs() {
-    fusion::set_enabled(None);
-}
 
 /// Visible state plus id-minting state of one engine, as text (the byte
 /// equality oracle of every test here). Reachable corners of minting
@@ -330,16 +319,15 @@ proptest! {
 
     /// Random fork trees + per-branch write/DDL interleavings: every
     /// branch stays byte-identical to a fresh engine replaying its
-    /// history, across widths, warm/cold, fusion on/off.
+    /// history, warm/cold, fusion on/off.
     #[test]
     fn every_branch_equals_its_history_replay(
         actions in prop::collection::vec(action_strategy(), 1..14),
-        tsel in 0usize..3,
         cold in any::<bool>(),
         fused in any::<bool>(),
     ) {
         let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        pin_knobs(tsel, fused);
+        fusion::set_enabled(Some(fused));
         let manager = BranchingInverda::new();
         let main = manager.main();
         main.execute("CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c);")
@@ -358,7 +346,7 @@ proptest! {
         for m in &models {
             assert_branch_equals_replay(&m.branch, cold, "after all actions");
         }
-        unpin_knobs();
+        fusion::set_enabled(None);
     }
 
     /// Two branches fork off `main`, each makes disjoint writes (own
@@ -371,11 +359,10 @@ proptest! {
         a_ops in prop::collection::vec((0u8..4, prop::collection::vec(0i64..6, 3..4)), 1..6),
         b_ops in prop::collection::vec((0u8..4, prop::collection::vec(0i64..6, 3..4)), 1..6),
         main_rows in 0usize..3,
-        tsel in 0usize..3,
         fused in any::<bool>(),
     ) {
         let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        pin_knobs(tsel, fused);
+        fusion::set_enabled(Some(fused));
         let manager = BranchingInverda::new();
         let main = manager.main();
         main.execute("CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c);")
@@ -437,7 +424,7 @@ proptest! {
                 "payload {payload} missing after merge:\n{rendered}"
             );
         }
-        unpin_knobs();
+        fusion::set_enabled(None);
     }
 }
 
@@ -654,7 +641,7 @@ fn branch_create_is_metadata_only_and_isolated() {
 #[test]
 fn materialize_on_one_branch_keeps_sibling_caches_warm() {
     let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    pin_knobs(0, true);
+    fusion::set_enabled(Some(true));
     let manager = BranchingInverda::new();
     let main = manager.main();
     main.execute(
@@ -705,7 +692,7 @@ fn materialize_on_one_branch_keeps_sibling_caches_warm() {
         warm_after.invalidations, warm_before.invalidations,
         "no invalidation landed on b"
     );
-    unpin_knobs();
+    fusion::set_enabled(None);
 }
 
 /// A fork shares its origin's tables and snapshots but not its change
@@ -797,7 +784,7 @@ fn snapshot_all(manager: &BranchingInverda) -> Vec<(String, String)> {
 #[test]
 fn crash_at_any_boundary_recovers_the_prefix_state() {
     let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    pin_knobs(0, true);
+    fusion::set_enabled(Some(true));
     let dir = fresh_dir("live");
     let manager =
         BranchingInverda::open_in(&dir, inverda_core::DurabilityOptions::default()).expect("open");
@@ -904,5 +891,5 @@ fn crash_at_any_boundary_recovers_the_prefix_state() {
     assert_branch_equals_replay(&rmain, false, "after recovery + write");
     drop(recovered);
     std::fs::remove_dir_all(&scratch).ok();
-    unpin_knobs();
+    fusion::set_enabled(None);
 }

@@ -19,11 +19,10 @@
 //! the skolem registry, which returns the same id whenever the payload did
 //! not actually change. This test asserts the repro now succeeds with the
 //! correct decomposition — and that the outcome stays byte-identical across
-//! parallel widths, write paths, the snapshot store, and the naive
-//! reference interpreter (the old test pinned the *failure* to be equally
-//! stable).
+//! write paths, the snapshot store, and the naive reference interpreter
+//! (the old test pinned the *failure* to be equally stable).
 
-use inverda_core::{set_threads, Inverda, WritePath};
+use inverda_core::{Inverda, WritePath};
 use inverda_datalog::eval::MapEdb;
 use inverda_datalog::naive;
 use inverda_storage::Value;
@@ -88,10 +87,9 @@ fn visible(db: &Inverda) -> String {
 
 #[test]
 fn twin_separated_fk_decompose_resolves_identically_everywhere() {
-    // Sequential baseline: the repro must now succeed, with the updated
+    // Baseline: the repro must now succeed, with the updated
     // row re-pointed at a *fresh* author id and the surviving twin keeping
     // the original one.
-    set_threads(Some(1));
     let db = replay(WritePath::Delta, true);
     let baseline = visible(&db);
     assert!(
@@ -118,22 +116,11 @@ fn twin_separated_fk_decompose_resolves_identically_everywhere() {
         );
     }
 
-    // Parallel evaluation at every width must produce the identical state.
-    for width in [2usize, 4, 8] {
-        set_threads(Some(width));
-        let parallel = visible(&replay(WritePath::Delta, true));
-        assert_eq!(baseline, parallel, "diverged at width {width}");
-    }
-
     // Cold resolution (no snapshot store) and the recompute reference
-    // write path must agree too, at both extremes of the width knob.
-    for width in [1usize, 4] {
-        set_threads(Some(width));
-        assert_eq!(baseline, visible(&replay(WritePath::Delta, false)));
-        assert_eq!(baseline, visible(&replay(WritePath::Recompute, true)));
-        assert_eq!(baseline, visible(&replay(WritePath::Recompute, false)));
-    }
-    set_threads(None);
+    // write path must agree too.
+    assert_eq!(baseline, visible(&replay(WritePath::Delta, false)));
+    assert_eq!(baseline, visible(&replay(WritePath::Recompute, true)));
+    assert_eq!(baseline, visible(&replay(WritePath::Recompute, false)));
 }
 
 /// The same separation written **through the decompose's target version**
@@ -164,7 +151,6 @@ fn replay_through_target(path: WritePath, snapshot_reuse: bool) -> (Inverda, u64
 
 #[test]
 fn twin_separation_through_the_decompose_target_resolves_identically_everywhere() {
-    set_threads(Some(1));
     let (db, patched) = replay_through_target(WritePath::Delta, true);
     // The separating update patched both TasKy2 snapshots by delta, not by
     // re-evaluating the decompose over the whole relation...
@@ -194,22 +180,18 @@ fn twin_separation_through_the_decompose_target_resolves_identically_everywhere(
     let tasky = db.scan("TasKy", "Task").unwrap().to_string();
     assert!(tasky.contains("a1") && tasky.contains("a0"), "{tasky}");
 
-    for width in [1usize, 2, 4, 8] {
-        set_threads(Some(width));
-        for (path, reuse) in [
-            (WritePath::Delta, true),
-            (WritePath::Delta, false),
-            (WritePath::Recompute, true),
-            (WritePath::Recompute, false),
-        ] {
-            assert_eq!(
-                baseline,
-                visible(&replay_through_target(path, reuse).0),
-                "diverged at width {width}, {path:?}, snapshot reuse {reuse}"
-            );
-        }
+    for (path, reuse) in [
+        (WritePath::Delta, true),
+        (WritePath::Delta, false),
+        (WritePath::Recompute, true),
+        (WritePath::Recompute, false),
+    ] {
+        assert_eq!(
+            baseline,
+            visible(&replay_through_target(path, reuse).0),
+            "diverged at {path:?}, snapshot reuse {reuse}"
+        );
     }
-    set_threads(None);
 }
 
 #[test]
@@ -217,7 +199,6 @@ fn twin_separated_fk_decompose_matches_naive_interpreter() {
     // Rebuild the formerly-failing state, then re-derive the FK-DECOMPOSE
     // target side with the *naive* reference interpreter straight from the
     // physical tables: it must derive exactly the engine's state.
-    set_threads(Some(1));
     let db = replay(WritePath::Delta, true);
     let task2 = db.scan("TasKy2", "Task").unwrap();
 
@@ -262,5 +243,4 @@ fn twin_separated_fk_decompose_matches_naive_interpreter() {
         task2.to_string(),
         "naive re-derivation disagrees with the engine"
     );
-    set_threads(None);
 }

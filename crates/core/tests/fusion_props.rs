@@ -19,10 +19,9 @@
 //! * a **fixed JOIN-barrier genealogy** (fusable run, JOIN of two
 //!   tables, fusable run on the joined result).
 //!
-//! Both run warm and cold (snapshot reuse toggled per case) at parallel
-//! widths {1, 2, 4}, with occasional `MATERIALIZE` relocations (which
-//! must drop cached fused chains — their hop structure follows the
-//! storage cases).
+//! Both run warm and cold (snapshot reuse toggled per case), with
+//! occasional `MATERIALIZE` relocations (which must drop cached fused
+//! chains — their hop structure follows the storage cases).
 //!
 //! The fusion knob is process-global, so every case serializes on one
 //! mutex and scopes the knob around each database's operations.
@@ -34,7 +33,7 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 
 /// Serializes cases across the (parallel) test harness threads: the
-/// fusion knob and the worker width are process-global.
+/// fusion knob is process-global.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
 /// Run `f` with the fusion override pinned to `on`, restoring the
@@ -357,16 +356,14 @@ proptest! {
     /// Random genealogy chains (fusable runs broken by SPLIT and
     /// FK-DECOMPOSE barriers), random writes/queries through the source
     /// and the chain head, occasional migrations — fused ≡ unfused after
-    /// every op, warm and cold, at widths {1, 2, 4}.
+    /// every op, warm and cold.
     #[test]
     fn fused_equals_hop_by_hop_random_chains(
         hops in prop::collection::vec(0u8..6, 2..8),
         ops in prop::collection::vec(op_strategy(), 1..12),
-        tsel in 0usize..3,
         cold in any::<bool>(),
     ) {
         let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let (script, versions, head) = build_chain(&hops);
         let source = ("G0".to_string(), "T0".to_string());
         let mut h = Harness::new(&script, versions, source, head, cold);
@@ -381,11 +378,9 @@ proptest! {
     #[test]
     fn fused_equals_hop_by_hop_join_barrier(
         ops in prop::collection::vec(op_strategy(), 1..12),
-        tsel in 0usize..3,
         cold in any::<bool>(),
     ) {
         let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let versions = (0..6).map(|i| format!("G{i}")).collect();
         let mut h = Harness::new(
             JOIN_SCRIPT,

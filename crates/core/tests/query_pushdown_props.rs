@@ -17,10 +17,9 @@
 //! All three must agree exactly — row bytes, key order, counts — on a
 //! **warm** database (snapshot reuse on) and a **cold** one (reuse off,
 //! every statement re-resolves), whose results must also equal each other,
-//! skolem registries included, at parallel widths {1, 2, 4, 8}. Queries run
-//! *before* the oracle scan, so cold runs genuinely exercise the seeded
-//! pushdown path rather than being served from the statement the oracle
-//! warmed.
+//! skolem registries included. Queries run *before* the oracle scan, so
+//! cold runs genuinely exercise the seeded pushdown path rather than being
+//! served from the statement the oracle warmed.
 
 use inverda_core::Inverda;
 use inverda_storage::{Expr, Key, NamedRow, Relation, Row, Value};
@@ -461,9 +460,7 @@ proptest! {
     #[test]
     fn query_pushdown_equals_scan_filter_tasky(
         ops in prop::collection::vec(op_strategy(2, 3), 1..18),
-        tsel in 0usize..4,
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4, 8][tsel]));
         run(
             TASKY_SCRIPT,
             vec![("TasKy", "Task"), ("Do!", "Todo")],
@@ -477,9 +474,7 @@ proptest! {
     #[test]
     fn query_pushdown_equals_scan_filter_overlapping_split(
         ops in prop::collection::vec(op_strategy(3, 2), 1..18),
-        tsel in 0usize..4,
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4, 8][tsel]));
         run(
             SPLIT_SCRIPT,
             vec![("V1", "T"), ("V2", "R"), ("V2", "S")],
@@ -495,9 +490,7 @@ proptest! {
     #[test]
     fn query_pushdown_equals_scan_filter_minting_chain(
         ops in prop::collection::vec(op_strategy(2, 3), 1..18),
-        tsel in 0usize..4,
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4, 8][tsel]));
         run(
             MINT_CHAIN_SCRIPT,
             vec![("V1", "D"), ("V3", "W")],

@@ -19,9 +19,9 @@
 //! keys of *rejected* statements must survive a crash exactly as they
 //! survive in memory.
 //!
-//! Randomized over parallel widths {1, 2, 4}, warm/cold snapshot stores,
-//! and per-record vs. group commit; checkpoints rotate the log mid-run so
-//! cuts also land in post-rotation logs.
+//! Randomized over warm/cold snapshot stores and per-record vs. group
+//! commit; checkpoints rotate the log mid-run so cuts also land in
+//! post-rotation logs.
 
 use inverda_core::{DurabilityMode, DurabilityOptions, Inverda};
 use inverda_storage::{Key, Value};
@@ -462,13 +462,11 @@ proptest! {
     #[test]
     fn recovery_matches_surviving_prefix_oracle_tasky(
         ops in prop::collection::vec(op_strategy(2, 3, 2), 1..14),
-        tsel in 0usize..3,
         cold in 0usize..2,
         msel in 0usize..2,
         ckpt_at in 0usize..24,
         cut_seed in any::<u64>(),
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let opts = DurabilityOptions {
             mode: [DurabilityMode::Commit, DurabilityMode::Group][msel],
             group_size: 3,
@@ -489,13 +487,11 @@ proptest! {
     #[test]
     fn recovery_matches_surviving_prefix_oracle_minting_chain(
         ops in prop::collection::vec(op_strategy(2, 3, 2), 1..14),
-        tsel in 0usize..3,
         cold in 0usize..2,
         msel in 0usize..2,
         ckpt_at in 0usize..24,
         cut_seed in any::<u64>(),
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let opts = DurabilityOptions {
             mode: [DurabilityMode::Commit, DurabilityMode::Group][msel],
             group_size: 3,
@@ -517,7 +513,6 @@ proptest! {
 /// the prefix is intact.
 #[test]
 fn bit_flip_mid_log_recovers_the_intact_prefix() {
-    inverda_core::set_threads(Some(1));
     let opts = DurabilityOptions {
         mode: DurabilityMode::Commit,
         group_size: 1,
@@ -550,7 +545,6 @@ fn bit_flip_mid_log_recovers_the_intact_prefix() {
 /// missing file reads as an empty log, not an error.
 #[test]
 fn wal_loss_after_checkpoint_recovers_checkpoint_state() {
-    inverda_core::set_threads(Some(1));
     let opts = DurabilityOptions {
         mode: DurabilityMode::Commit,
         group_size: 1,
@@ -583,7 +577,6 @@ fn wal_loss_after_checkpoint_recovers_checkpoint_state() {
 /// the live database.
 #[test]
 fn auto_checkpoint_rotates_prunes_and_recovers() {
-    inverda_core::set_threads(Some(1));
     let dir = fresh_dir("autockpt");
     let opts = DurabilityOptions {
         mode: DurabilityMode::Commit,
@@ -660,7 +653,6 @@ fn crash_under_concurrent_load_recovers_acknowledged_prefix() {
     use inverda_core::{LogicalWrite, ServingInverda, ServingOp};
     use std::sync::Mutex;
 
-    inverda_core::set_threads(Some(2));
     let dir = fresh_dir("serving");
     let opts = DurabilityOptions {
         mode: DurabilityMode::Group,

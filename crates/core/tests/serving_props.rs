@@ -23,9 +23,10 @@
 //!   pin's reads replayed in the pin's own order (read-path scratch mints
 //!   are deterministic per pin history).
 //!
-//! Histories are swept deterministically over parallel widths {1, 2, 4} ×
-//! durability {off, group} × 43 seeds = 258 histories (the three width
-//! sweeps run as separate tests so `cargo test` parallelizes them).
+//! Histories are swept deterministically over serving width (concurrent
+//! writer clients) {1, 2, 4} × durability {off, group} × 43 seeds = 258
+//! histories (the three width sweeps run as separate tests so `cargo test`
+//! parallelizes them).
 
 use inverda_core::{
     DurabilityMode, DurabilityOptions, Inverda, LogicalWrite, PinnedView, ServingInverda,
@@ -38,7 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SEEDS_PER_CONFIG: u64 = 43;
-const WRITERS: usize = 2;
 const READERS: usize = 2;
 const OPS_PER_WRITER: usize = 8;
 const MAX_PINS_PER_READER: usize = 12;
@@ -316,10 +316,10 @@ fn check_pins(oracle: &Arc<Inverda>, pins: &BTreeMap<u64, Vec<PinRec>>, epoch: u
     }
 }
 
-/// One full history: concurrent run, then single-threaded oracle replay.
-fn run_history(width: usize, group: bool, seed: u64) {
-    inverda_core::set_threads(Some(width));
-    let ctx = format!("width {width}, group {group}, seed {seed}");
+/// One full history: concurrent run with `writers` writer clients, then
+/// single-threaded oracle replay.
+fn run_history(writers: usize, group: bool, seed: u64) {
+    let ctx = format!("writers {writers}, group {group}, seed {seed}");
 
     let (db, dir) = if group {
         let dir = fresh_dir("db");
@@ -344,7 +344,7 @@ fn run_history(width: usize, group: bool, seed: u64) {
     let done = Arc::new(AtomicBool::new(false));
     let (writer_recs, pin_recs) = std::thread::scope(|scope| {
         let mut writer_handles = Vec::new();
-        for w in 0..WRITERS {
+        for w in 0..writers {
             let client = serving.client();
             writer_handles.push(scope.spawn(move || writer_ops(&client, seed, w as u64)));
         }
@@ -381,7 +381,7 @@ fn run_history(width: usize, group: bool, seed: u64) {
     // dense sequence 1..=total, no slot lost or duplicated.
     let mut writer_recs = writer_recs;
     writer_recs.sort_by_key(|r| r.epoch);
-    let total = WRITERS * OPS_PER_WRITER;
+    let total = writers * OPS_PER_WRITER;
     assert_eq!(
         writer_recs.len(),
         total,
@@ -429,10 +429,10 @@ fn run_history(width: usize, group: bool, seed: u64) {
     }
 }
 
-fn sweep(width: usize) {
+fn sweep(writers: usize) {
     for seed in 0..SEEDS_PER_CONFIG {
         for group in [false, true] {
-            run_history(width, group, seed);
+            run_history(writers, group, seed);
         }
     }
 }

@@ -21,8 +21,7 @@
 //!   (DESIGN.md) — purges bypass delta propagation and must force
 //!   invalidation, not patching;
 //! * an id-minting SMO *chain* (FK-DECOMPOSE with a SPLIT stacked on top),
-//!   driving two-phase minting, hop arenas, and minting-hop maintenance
-//!   at widths {1, 2, 4, 8};
+//!   driving two-phase minting and minting-hop maintenance;
 //! * TasKy **under DDL**: leaves created on and dropped from every version
 //!   (column-level SMOs, SPLIT, a two-hop leaf, leaves over the FK-DECOMPOSE
 //!   targets, leaves over leaves) between the writes and migrations. The
@@ -276,12 +275,7 @@ proptest! {
     #[test]
     fn warm_reads_equal_cold_resolution_tasky(
         ops in prop::collection::vec(op_strategy(2, 3), 1..25),
-        tsel in 0usize..3,
     ) {
-        // Randomize the parallel width: warm ≡ cold must hold — including
-        // skolem id assignment — whether the engine evaluates sequentially
-        // or fans out on the pool.
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let mut h = Harness::new(
             TASKY_SCRIPT,
             vec![("TasKy", "Task"), ("Do!", "Todo")],
@@ -298,9 +292,7 @@ proptest! {
     #[test]
     fn warm_reads_equal_cold_resolution_overlapping_split(
         ops in prop::collection::vec(op_strategy(3, 2), 1..25),
-        tsel in 0usize..3,
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let mut h = Harness::new(
             SPLIT_SCRIPT,
             vec![("V1", "T"), ("V2", "R"), ("V2", "S")],
@@ -316,7 +308,7 @@ proptest! {
     /// through the source and the far end of the chain, with migrations
     /// relocating the data across all three frontiers. This drives the
     /// staged/minting mappings through every maintained path — two-phase
-    /// minting at widths 1/2/4/8, sequential drains, and the
+    /// minting, sequential drains, and the
     /// delta-vs-stored maintenance that *patches* the minting mapping's
     /// snapshots — and the visible states (which include the generated `U` keys) must
     /// stay byte-identical between the warm and cold databases after every
@@ -324,9 +316,7 @@ proptest! {
     #[test]
     fn warm_reads_equal_cold_resolution_minting_chain(
         ops in prop::collection::vec(op_strategy(2, 3), 1..25),
-        tsel in 0usize..4,
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4, 8][tsel]));
         let mut h = Harness::new(
             MINT_CHAIN_SCRIPT,
             vec![("V1", "D"), ("V3", "W")],
@@ -551,9 +541,7 @@ proptest! {
     #[test]
     fn warm_writes_through_fk_decompose_equal_cold_twin(
         ops in prop::collection::vec(tasky2_op_strategy(), 1..30),
-        tsel in 0usize..3,
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let mut h = Harness::new(TASKY_SCRIPT, vec![], vec![]);
         for (i, op) in ops.iter().enumerate() {
             h.apply_tasky2(op);
@@ -824,9 +812,7 @@ proptest! {
         ops in prop::collection::vec(sibling_op_strategy(), 1..30),
         // (Past the prologue, whose own catch-up the test counts on.)
         bulk_at in prop::option::of(8usize..38),
-        tsel in 0usize..3,
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         let mut h = Harness::new(TASKY_SCRIPT, vec![], vec![]);
         let mut s = Siblings::default();
         // Filler: tasks `Do!.Todo` does not show, whose keys no op picks —
@@ -1245,10 +1231,8 @@ proptest! {
     #[test]
     fn warm_database_under_ddl_equals_cold_twin(
         ops in prop::collection::vec(ddl_op_strategy(), 1..30),
-        tsel in 0usize..3,
         fused in any::<bool>(),
     ) {
-        inverda_core::set_threads(Some([1usize, 2, 4][tsel]));
         inverda_datalog::fusion::set_enabled(Some(fused));
         let mut d = DdlHarness::new();
         for (i, op) in ops.iter().enumerate() {
@@ -1454,8 +1438,7 @@ const DECOMPOSE_LEAVES_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABL
 /// leaves of `V3`: every batch leaves the first hop with deltas on both of
 /// its destination tables, so the drain holds two independent hop groups
 /// at once, and reverse maintenance has two hops ready in one round.
-fn two_group_drain_states(script: &str, reuse: bool, width: usize) -> Vec<(String, String, u64)> {
-    inverda_core::set_threads(Some(width));
+fn two_group_drain_states(script: &str, reuse: bool) -> Vec<(String, String, u64)> {
     let db = Inverda::new();
     db.execute(script).unwrap();
     db.set_snapshot_reuse(reuse);
@@ -1508,29 +1491,21 @@ fn two_group_drain_states(script: &str, reuse: bool, width: usize) -> Vec<(Strin
         keys.extend(minted.into_iter().flatten());
         record(&db);
     }
-    inverda_core::set_threads(None);
     states
 }
 
 /// The drain's multi-group case, deterministically: the suites above reach
 /// two independent hop groups pending at once only by chance. Over a SPLIT
 /// and over a minting FK DECOMPOSE, the warm database equals a
-/// store-disabled twin and a width-1 run after every statement.
+/// store-disabled twin after every statement.
 #[test]
-fn two_group_drains_equal_cold_twin_and_width_1() {
+fn two_group_drains_equal_cold_twin() {
     for script in [SPLIT_LEAVES_SCRIPT, DECOMPOSE_LEAVES_SCRIPT] {
-        let baseline = two_group_drain_states(script, true, 1);
-        for width in [2, 4] {
-            for reuse in [true, false] {
-                let states = two_group_drain_states(script, reuse, width);
-                for (i, (got, want)) in states.iter().zip(&baseline).enumerate() {
-                    assert_eq!(
-                        got, want,
-                        "statement {i} diverged (width {width}, reuse {reuse}):\n{script}"
-                    );
-                }
-                assert_eq!(states.len(), baseline.len());
-            }
+        let warm = two_group_drain_states(script, true);
+        let cold = two_group_drain_states(script, false);
+        for (i, (got, want)) in warm.iter().zip(&cold).enumerate() {
+            assert_eq!(got, want, "statement {i} diverged:\n{script}");
         }
+        assert_eq!(warm.len(), cold.len());
     }
 }

@@ -197,22 +197,6 @@ impl EdbView for PatchedEdb<'_> {
         Ok(out)
     }
 
-    fn prepare_parallel(&self, relations: &[&str]) -> Result<bool> {
-        // The base must be shareable first; patching itself is pure, but
-        // pre-patch every requested relation sequentially so workers only
-        // hit the cache.
-        if !self.base.prepare_parallel(relations)? {
-            return Ok(false);
-        }
-        for rel in relations {
-            if self.full(rel).is_err() {
-                // Let the sequential path produce the canonical outcome.
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     fn by_key(&self, relation: &str, key: Key) -> Result<Option<Row>> {
         if let Some(delta) = self.patches.get(relation) {
             if let Some(row) = delta.inserts.get(&key) {

@@ -39,26 +39,12 @@
 //!   (the engine-side analogue of a DBMS optimizer pushing a key predicate
 //!   into a generated view).
 //!
-//! Full evaluation additionally **fans out** on the shared pool
-//! ([`crate::parallel`]) when the configured width exceeds 1, over a view
-//! that passed [`EdbView::prepare_parallel`]:
-//!
-//! * [`CompiledRuleSet::parallel_safe`] sets (non-staged, mint-free) run
-//!   independent rules in parallel and split each rule's depth-0 scan into
-//!   key-range chunks, with a sequential epilogue merging fragments in rule
-//!   order then chunk order;
-//! * staged and/or id-minting sets evaluate rules strictly in order but
-//!   still chunk each rule's depth-0 scan; skolem generators hand out
-//!   **reservation placeholders** from per-worker arenas, which the merge
-//!   renumbers in rule-then-chunk order and a sequential commit epilogue
-//!   exchanges for real ids in exactly the order a width-1 run would have
-//!   minted them (see [`crate::skolem`] and DESIGN.md "Deterministic
-//!   minting & reservation commit").
-//!
-//! Either way, worker threads perform no observable side effects, so
-//! results — including skolem id assignment and error precedence — are
-//! byte-identical at any width (DESIGN.md "Parallel evaluation &
-//! deterministic merge").
+//! Evaluation is sequential. Full evaluation runs the rules one after
+//! another on the calling thread; an id-minting set does so behind one
+//! **reservation scope** ([`ReservingIds`]) whose reservations are committed
+//! in exploration order once every rule succeeded, so a failed evaluation
+//! mints nothing (see [`crate::skolem`] and DESIGN.md "Deterministic
+//! minting & reservation commit").
 
 use crate::ast::{Literal, Rule, RuleSet, Term};
 use crate::delta::Delta;
@@ -84,31 +70,12 @@ use std::sync::Arc;
 /// on a virtual relation need not materialize the whole relation. Relations
 /// are returned as `Arc` so repeated `full` calls stay cheap.
 ///
-/// Views are `Sync`: the parallel evaluation paths share one view across
-/// worker threads, so interior caches must be lock-guarded (they all go
-/// through the mutex-based [`IndexCache`] / lock-guarded maps). Laziness is
-/// the one thing that is *not* thread-transparent — a lazy resolution can
-/// mint skolem ids — which is what [`EdbView::prepare_parallel`] gates.
+/// Views are `Sync` and their interior caches lock-guarded (the mutex-based
+/// [`IndexCache`] and lock-guarded maps). Evaluation itself is sequential;
+/// whether any caller still needs the bound is unverified.
 pub trait EdbView: Sync {
     /// Full state of the relation.
     fn full(&self, relation: &str) -> Result<Arc<Relation>>;
-
-    /// Make the view safe to share with parallel evaluation workers for
-    /// the given relations: materialize any lazy state whose resolution has
-    /// side effects (id minting) **now, sequentially**, so worker threads
-    /// only ever perform pure reads.
-    ///
-    /// Returns `Ok(false)` if that cannot be guaranteed — the caller must
-    /// then stay on the sequential path (which is always correct).
-    /// Implementations must *never* error for conditions the sequential
-    /// path would handle differently: report such relations via `Ok(false)`
-    /// and let sequential evaluation produce the canonical outcome. The
-    /// default implementation declares the view pure (true for plain
-    /// map-backed views such as [`MapEdb`]).
-    fn prepare_parallel(&self, relations: &[&str]) -> Result<bool> {
-        let _ = relations;
-        Ok(true)
-    }
 
     /// The row stored under `key`, if any.
     fn by_key(&self, relation: &str, key: Key) -> Result<Option<Row>> {
@@ -163,11 +130,10 @@ pub trait EdbView: Sync {
 /// (rule evaluation happens on read paths too, which may mint fresh ids for
 /// new payloads).
 ///
-/// Sources are `Sync`: evaluation fans out onto worker threads which must
-/// at least be able to [`peek`](IdSource::peek) already-assigned ids.
-/// Reservation-backed sources ([`ReservingIds`]) defer actual minting to a
-/// sequential commit epilogue, so `generate` from a worker never touches
-/// shared minting state.
+/// Sources are `Sync`, like [`EdbView`] and for the same unverified
+/// reason: evaluation is sequential. Reservation-backed sources
+/// ([`ReservingIds`]) defer actual minting to a commit after evaluation
+/// succeeded.
 pub trait IdSource: Sync {
     /// The id for `(generator, args)`, minted (or reserved) on first use.
     fn generate(&self, generator: &str, args: &[Value]) -> u64;
@@ -187,35 +153,13 @@ impl IdSource for Mutex<SkolemRegistry> {
     }
 }
 
-/// The [`IdSource`] handed to the chunk workers of **mint-free** parallel
-/// evaluations. Those are gated to rule sets that cannot mint
-/// ([`CompiledRuleSet::parallel_safe`]), so any call is an engine bug.
-/// Minting evaluations use [`ReservingIds`] instead. Use the shared
-/// [`NO_MINT_IDS`] instance.
-pub struct NoMintIds;
-
-/// The canonical [`NoMintIds`] instance.
-pub static NO_MINT_IDS: NoMintIds = NoMintIds;
-
-impl IdSource for NoMintIds {
-    fn generate(&self, generator: &str, _args: &[Value]) -> u64 {
-        unreachable!("parallel paths are gated to mint-free rule sets (generator {generator})")
-    }
-
-    fn peek(&self, _generator: &str, _args: &[Value]) -> Option<u64> {
-        None
-    }
-}
-
 /// The reserve half of the engine's two-phase minting (see
 /// [`crate::skolem`]): `generate` first peeks the parent source (the
 /// durable registry, or an enclosing reservation scope) and only then
-/// reserves a scope-local placeholder. `commit` / [`absorb`] replay the
-/// reservations against the parent in reservation order — the sequential
-/// epilogue that makes id assignment independent of how evaluation work was
-/// split across threads.
-///
-/// [`absorb`]: ReservingIds::absorb
+/// reserves a scope-local placeholder. `commit` replays the reservations
+/// against the parent in reservation order, once the evaluation behind the
+/// scope has succeeded — a failed evaluation drops the scope and mints
+/// nothing.
 pub struct ReservingIds<'a> {
     parent: &'a dyn IdSource,
     arena: Mutex<ReservationArena>,
@@ -231,23 +175,6 @@ impl<'a> ReservingIds<'a> {
             parent,
             arena: Mutex::new(ReservationArena::new(scope_base)),
         }
-    }
-
-    /// Consume the scope, returning the raw arena (parallel chunk workers
-    /// ship their arena back to the merge epilogue this way).
-    pub fn into_arena(self) -> ReservationArena {
-        self.arena.into_inner()
-    }
-
-    /// Fold a worker-local arena into this scope **in the worker's
-    /// reservation order**, translating placeholder references inside
-    /// argument tuples through the assignments made so far. Returns the
-    /// patch mapping the local placeholders to this scope's values (which
-    /// may themselves be placeholders of this scope, or committed ids the
-    /// parent already knew). This *is* an arena commit — just one whose
-    /// "mint" reserves at the enclosing scope instead of minting for real.
-    pub fn absorb(&self, local: ReservationArena) -> PlaceholderPatch {
-        local.commit(|generator, args| self.generate(generator, args))
     }
 
     /// Commit every reservation against the parent source in reservation
@@ -577,23 +504,11 @@ impl CompiledRuleSet {
             .any(|r| r.body.iter().any(|lit| matches!(lit, CLit::Skolem { .. })))
     }
 
-    /// Whether the set is eligible for the **independent-rule** fan-out:
-    /// rules must be **independent** (no rule consumes a head
-    /// of the set — the staged `old`/`new` SMOs evaluate strictly in rule
-    /// order) and **pure** (no skolem generators). Staged and minting sets
-    /// are *also* evaluated in parallel, but through the ordered per-rule
-    /// fan-out with reservation arenas (see [`evaluate_compiled`]), which
-    /// preserves staging and the deterministic minting order.
-    pub fn parallel_safe(&self) -> bool {
-        !self.staged && !self.mints_ids()
-    }
-
     /// Names of every **external** relation the rule bodies read, in the
     /// order the scheduled sequential evaluation would first touch them
     /// (rule order, then scheduled-literal order). Heads of the set itself
     /// (the staged `old`/`new` intermediates) are derived in place and
-    /// excluded. This is what a view must prepare before the set is
-    /// evaluated on worker threads.
+    /// excluded.
     pub fn body_relations(&self) -> Vec<&str> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
@@ -932,51 +847,31 @@ pub fn evaluate(
     evaluate_compiled(&CompiledRuleSet::compile(rules)?, edb, ids, head_columns)
 }
 
-/// Evaluate a pre-compiled rule set bottom-up against an EDB.
+/// Evaluate a pre-compiled rule set bottom-up against an EDB: rules
+/// strictly in order, each rule's head tuples emitted in exploration order.
 ///
-/// When the configured width ([`crate::parallel::threads`]) exceeds 1,
-/// evaluation fans out over the shared thread pool and re-assembles the
-/// fragments in a deterministic sequential epilogue (rule order, then chunk
-/// order), so the derived relations, the tuple insertion order, any
-/// key-conflict error, and the skolem registry state are byte-identical to
-/// a `threads = 1` run:
-///
-/// * [`CompiledRuleSet::parallel_safe`] sets (non-staged, mint-free) fan
-///   out independent rules *and* chunk each rule's depth-0 scan;
-/// * staged and/or id-minting sets evaluate rules strictly in order but
-///   still chunk each rule's depth-0 scan, with skolem calls going through
-///   a **reserve-then-commit** cycle ([`ReservingIds`]): workers hand out
-///   scope-local placeholder ids, the merge epilogue renumbers them in
-///   rule-then-chunk order (exactly the sequential reservation order), and
-///   a final commit mints real ids in that order and patches them through
-///   the derived relations.
+/// Skolem calls go through a **reserve-then-commit** cycle
+/// ([`ReservingIds`]): the evaluation hands out scope-local placeholder
+/// ids in exploration order, and only once every rule succeeded are they
+/// committed — minted for real, in that order — and patched through the
+/// derived relations. A failed evaluation mints nothing; a mint-free set
+/// never reserves, so its commit is empty and its output untouched.
 pub fn evaluate_compiled(
     crs: &CompiledRuleSet,
     edb: &dyn EdbView,
     ids: &dyn IdSource,
     head_columns: &BTreeMap<String, Vec<String>>,
 ) -> Result<BTreeMap<String, Relation>> {
-    if crs.parallel_safe() {
-        // Chunk-parallel at width ≥ 2 over a view that can be shared with
-        // workers; `None` falls through to the sequential frame machine.
-        if let Some(out) = try_evaluate_parallel(crs, edb, head_columns)? {
-            return Ok(out);
-        }
-        let mut ev = Evaluator::new(edb, ids);
-        for rule in &crs.rules {
-            ev.ensure_head(&rule.head.relation, rule.head.terms.len() - 1, head_columns);
-            let tuples = ev.rule_head_tuples(rule, &rule.base_order, None)?;
-            for (key, row) in tuples {
-                ev.emit(&rule.head.relation, key, row)?;
-            }
-        }
-        return Ok(ev.into_derived());
-    }
-    // Staged and/or minting: evaluate rules strictly in order behind a
-    // reservation scope; commit reservations (in reservation order — the
-    // same at every width) and patch the final ids through the output.
     let reserving = ReservingIds::new(ids, skolem::SCOPE_EVAL);
-    let derived = evaluate_ordered(crs, edb, &reserving, head_columns)?;
+    let mut ev = Evaluator::new(edb, &reserving);
+    for rule in &crs.rules {
+        ev.ensure_head(&rule.head.relation, rule.head.terms.len() - 1, head_columns);
+        let tuples = ev.rule_head_tuples(rule, &rule.base_order, None)?;
+        for (key, row) in tuples {
+            ev.emit(&rule.head.relation, key, row)?;
+        }
+    }
+    let derived = ev.into_derived();
     let patch = reserving.commit();
     if patch.is_empty() {
         return Ok(derived);
@@ -985,205 +880,6 @@ pub fn evaluate_compiled(
         .into_iter()
         .map(|(name, rel)| patch_relation(rel, &patch).map(|rel| (name, rel)))
         .collect()
-}
-
-/// Rule-order-preserving evaluation of a staged and/or minting set, with an
-/// optional per-rule chunked fan-out of each rule's depth-0 scan. Skolem
-/// calls reserve placeholders: directly on `reserving` when a rule runs
-/// inline, via a worker-local chunk arena (translated into `reserving` at
-/// merge time, in chunk order) when it fans out — either way the scope's
-/// reservation order equals the sequential exploration order exactly.
-fn evaluate_ordered(
-    crs: &CompiledRuleSet,
-    edb: &dyn EdbView,
-    reserving: &ReservingIds<'_>,
-    head_columns: &BTreeMap<String, Vec<String>>,
-) -> Result<BTreeMap<String, Relation>> {
-    let width = crate::parallel::threads();
-    let par = width >= 2 && edb.prepare_parallel(&crs.body_relations())?;
-    let mut ev = Evaluator::new(edb, reserving);
-    for rule in &crs.rules {
-        ev.ensure_head(&rule.head.relation, rule.head.terms.len() - 1, head_columns);
-        // Planning failures (unbound relation, arity mismatch) fall back to
-        // the inline join, which raises the canonical sequential error.
-        let plan = if par {
-            ev.plan_chunk_scan(rule).unwrap_or(None)
-        } else {
-            None
-        };
-        let ranges = plan
-            .as_ref()
-            .map(|(_, _, keys)| crate::parallel::chunk_ranges(keys.len(), width))
-            .unwrap_or_default();
-        if ranges.len() < 2 {
-            let tuples = ev.rule_head_tuples(rule, &rule.base_order, None)?;
-            for (key, row) in tuples {
-                ev.emit(&rule.head.relation, key, row)?;
-            }
-            continue;
-        }
-        let (lit, rel, keys) = plan.expect("ranges imply a plan");
-        // Workers share the EDB plus a read-only snapshot of the heads
-        // derived so far (staged rules read earlier heads); each gets its
-        // own reservation arena so placeholder numbering never depends on
-        // scheduling.
-        let derived = ev.derived.clone();
-        type Fragment = (Vec<(Key, Row)>, ReservationArena);
-        let results: Vec<Result<Fragment>> = crate::parallel::map_indexed(ranges.len(), |ci| {
-            let chunk_ids = ReservingIds::new(reserving, skolem::SCOPE_CHUNK);
-            let wev = Evaluator::with_derived(edb, &chunk_ids, derived.clone());
-            let (start, end) = ranges[ci];
-            let tuples = wev.chunk_head_tuples(rule, lit, &rel, &keys[start..end])?;
-            Ok((tuples, chunk_ids.into_arena()))
-        });
-        // The workers are done with the snapshot; release it so the merge's
-        // emits don't see a second strong reference on the heads (which
-        // would force `Arc::make_mut` to deep-copy each one once per rule).
-        drop(derived);
-        // Surface the rule's first chunk *error* (in chunk order) before
-        // emitting anything: the width-1 path computes the whole rule's
-        // tuples before its first emit, so a join error anywhere in the
-        // rule must take precedence over an emit-time KeyConflict of an
-        // earlier fragment.
-        let fragments: Vec<Fragment> = results.into_iter().collect::<Result<_>>()?;
-        // Merge in chunk order: absorb each chunk's reservations into the
-        // evaluation scope and rewrite its fragment through the resulting
-        // translation before emitting.
-        for (tuples, arena) in fragments {
-            let translation = reserving.absorb(arena);
-            for (key, mut row) in tuples {
-                let key = Key(translation.resolve_id(key.0));
-                translation.resolve_row(&mut row);
-                ev.emit(&rule.head.relation, key, row)?;
-            }
-        }
-    }
-    Ok(ev.into_derived())
-}
-
-/// One unit of parallel evaluation work.
-enum ParTask {
-    /// Evaluate the whole rule on one worker (depth-0 literal not
-    /// chunkable, or planning hit an error the sequential join must
-    /// reproduce in canonical order).
-    Whole(usize),
-    /// Evaluate one contiguous chunk of the rule's depth-0 candidate keys.
-    Chunk {
-        rule: usize,
-        lit: usize,
-        rel: Arc<Relation>,
-        keys: Arc<Vec<Key>>,
-        range: (usize, usize),
-    },
-}
-
-impl ParTask {
-    fn rule(&self) -> usize {
-        match self {
-            ParTask::Whole(rule) | ParTask::Chunk { rule, .. } => *rule,
-        }
-    }
-}
-
-/// The parallel fast path of [`evaluate_compiled`]; `None` means "stay
-/// sequential" (width 1, unsafe rule set, or a view that cannot be shared).
-fn try_evaluate_parallel(
-    crs: &CompiledRuleSet,
-    edb: &dyn EdbView,
-    head_columns: &BTreeMap<String, Vec<String>>,
-) -> Result<Option<BTreeMap<String, Relation>>> {
-    let width = crate::parallel::threads();
-    if width < 2 || !crs.parallel_safe() {
-        return Ok(None);
-    }
-    if !edb.prepare_parallel(&crs.body_relations())? {
-        return Ok(None);
-    }
-
-    // ---- Plan: one task per rule, or per chunk of the rule's depth-0
-    // scan. Planning failures (unbound relation, arity mismatch) fall back
-    // to a Whole task so the worker's sequential join raises the exact
-    // error a `threads = 1` run would, at the same canonical position.
-    let mut tasks: Vec<ParTask> = Vec::new();
-    for ri in 0..crs.rules.len() {
-        match plan_rule_chunks(crs, edb, ri, width).unwrap_or(None) {
-            Some(chunks) => tasks.extend(chunks),
-            None => tasks.push(ParTask::Whole(ri)),
-        }
-    }
-
-    // ---- Fan out. Workers are pure: they share the prepared view, mint
-    // nothing (`NO_MINT_IDS`), and each produces an ordered fragment of one
-    // rule's head tuples.
-    let results: Vec<Result<Vec<(Key, Row)>>> = crate::parallel::map_indexed(tasks.len(), |ti| {
-        let ev = Evaluator::new(edb, &NO_MINT_IDS);
-        match &tasks[ti] {
-            ParTask::Whole(ri) => {
-                let rule = &crs.rules[*ri];
-                ev.rule_head_tuples(rule, &rule.base_order, None)
-            }
-            ParTask::Chunk {
-                rule,
-                lit,
-                rel,
-                keys,
-                range,
-            } => ev.chunk_head_tuples(&crs.rules[*rule], *lit, rel, &keys[range.0..range.1]),
-        }
-    });
-
-    // ---- Deterministic epilogue: merge fragments and emit head tuples in
-    // rule order then chunk order — exactly the sequential insertion order,
-    // so key-conflict detection and error precedence are reproduced. Each
-    // rule's fragment errors are drained (in task order) before any of its
-    // fragments is emitted: the sequential engine computes a whole rule's
-    // tuples before its first emit, so a join error anywhere in a rule
-    // precedes an emit-time KeyConflict of that rule's earlier fragments.
-    let mut ev = Evaluator::new(edb, &NO_MINT_IDS);
-    let mut results = results.into_iter();
-    let mut ti = 0;
-    for (ri, rule) in crs.rules.iter().enumerate() {
-        ev.ensure_head(&rule.head.relation, rule.head.terms.len() - 1, head_columns);
-        let mut fragments: Vec<Vec<(Key, Row)>> = Vec::new();
-        while ti < tasks.len() && tasks[ti].rule() == ri {
-            fragments.push(results.next().expect("one result per task")?);
-            ti += 1;
-        }
-        for tuples in fragments {
-            for (key, row) in tuples {
-                ev.emit(&rule.head.relation, key, row)?;
-            }
-        }
-    }
-    Ok(Some(ev.into_derived()))
-}
-
-/// Chunk one rule's depth-0 scan: only a positive atom whose key term is
-/// unbound at depth 0 enumerates multiple candidates worth splitting.
-/// `Ok(None)` / `Err` mean "evaluate the rule as one sequential task".
-fn plan_rule_chunks(
-    crs: &CompiledRuleSet,
-    edb: &dyn EdbView,
-    ri: usize,
-    width: usize,
-) -> Result<Option<Vec<ParTask>>> {
-    // A throwaway evaluator with no derived heads resolves exactly like the
-    // raw view (this path plans before any rule ran).
-    let ev = Evaluator::new(edb, &NO_MINT_IDS);
-    let Some((lit, rel, keys)) = ev.plan_chunk_scan(&crs.rules[ri])? else {
-        return Ok(None);
-    };
-    let chunks = crate::parallel::chunk_ranges(keys.len(), width)
-        .into_iter()
-        .map(|range| ParTask::Chunk {
-            rule: ri,
-            lit,
-            rel: Arc::clone(&rel),
-            keys: Arc::clone(&keys),
-            range,
-        })
-        .collect();
-    Ok(Some(chunks))
 }
 
 /// The compiled evaluation engine. Holds derived heads (which shadow the
@@ -1296,111 +992,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluator pre-seeded with already-derived heads — the read-only
-    /// snapshot a parallel chunk worker of a *staged* rule set evaluates
-    /// against (earlier rules' heads shadow the EDB exactly as they do for
-    /// the merging evaluator; the worker itself never emits).
-    fn with_derived(
-        edb: &'a dyn EdbView,
-        ids: &'a dyn IdSource,
-        derived: BTreeMap<String, Arc<Relation>>,
-    ) -> Self {
-        Evaluator {
-            edb,
-            ids,
-            derived,
-            by_key_memo: HashMap::new(),
-            derived_indexes: IndexCache::new(),
-            peek_only: false,
-        }
-    }
-
-    /// Plan the chunked fan-out of one rule's depth-0 scan: only a positive
-    /// atom whose key term is unbound at depth 0 enumerates multiple
-    /// candidates worth splitting. Candidates mirror the sequential
-    /// enumeration exactly — index probe on the first bound payload column,
-    /// else a full scan, both in ascending key order — and resolve through
-    /// this evaluator, so derived heads (staged sets) chunk just like EDB
-    /// relations. `Ok(None)` / `Err` mean "evaluate the rule inline".
-    #[allow(clippy::type_complexity)]
-    fn plan_chunk_scan(
-        &self,
-        rule: &CompiledRule,
-    ) -> Result<Option<(usize, Arc<Relation>, Arc<Vec<Key>>)>> {
-        let Some(&first) = rule.base_order.first() else {
-            return Ok(None);
-        };
-        let CLit::Pos(atom) = &rule.body[first] else {
-            return Ok(None);
-        };
-        let empty: Frame = vec![None; rule.n_vars];
-        if atom.terms[0].resolved(&empty).is_some() {
-            // Key-bound depth 0 is a single point lookup — nothing to chunk.
-            return Ok(None);
-        }
-        let rel = self.relation_full(&atom.relation)?;
-        check_arity(atom, rel.schema().arity() + 1)?;
-        let keys: Vec<Key> = match atom.bound_payload(&empty) {
-            Some((col, value)) => {
-                let value = value.clone();
-                self.index_for(&atom.relation, col)?
-                    .keys_for(&value)
-                    .to_vec()
-            }
-            None => rel.keys().collect(),
-        };
-        Ok(Some((first, rel, Arc::new(keys))))
-    }
-
-    /// Evaluate one contiguous chunk of a rule's depth-0 candidates,
-    /// returning the head tuples in candidate order (the fragment a merge
-    /// epilogue emits in chunk order).
-    fn chunk_head_tuples(
-        &self,
-        rule: &CompiledRule,
-        lit: usize,
-        rel: &Relation,
-        keys: &[Key],
-    ) -> Result<Vec<(Key, Row)>> {
-        let CLit::Pos(atom) = &rule.body[lit] else {
-            unreachable!("chunk tasks are planned on positive atoms only")
-        };
-        let mut frame: Frame = vec![None; rule.n_vars];
-        let mut trail = Vec::with_capacity(rule.n_vars);
-        let mut out = Vec::new();
-        // `select_rows` walks dense ascending chunks by one in-order merge
-        // instead of per-key tree probes; visit order (and thus tuple and
-        // error order) is identical to the per-key loop it replaced.
-        let mut first_err: Option<DatalogError> = None;
-        rel.select_rows(keys, |key, row| {
-            if first_err.is_some() {
-                return;
-            }
-            let mark = trail.len();
-            if unify_atom(atom, key, row, &mut frame, &mut trail) {
-                let joined = self.join(
-                    rule,
-                    &rule.base_order,
-                    1,
-                    &mut frame,
-                    &mut trail,
-                    &mut |frame| {
-                        out.push(head_tuple(rule, frame)?);
-                        Ok(())
-                    },
-                );
-                if let Err(e) = joined {
-                    first_err = Some(e);
-                }
-            }
-            undo(&mut frame, &mut trail, mark);
-        });
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
     /// Consume the evaluator, unwrapping the derived heads.
     fn into_derived(self) -> BTreeMap<String, Relation> {
         self.derived
@@ -1454,16 +1045,8 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Resolve a relation for matching: derived heads shadow the EDB.
-    fn relation_full(&self, name: &str) -> Result<Arc<Relation>> {
-        if let Some(rel) = self.derived.get(name) {
-            return Ok(Arc::clone(rel));
-        }
-        self.edb.full(name)
-    }
-
-    /// [`relation_full`](Evaluator::relation_full) for the sequential
-    /// join, which can read an overlaid relation without materializing it.
+    /// Resolve a relation for matching: derived heads shadow the EDB, and
+    /// an overlaid EDB relation is read without materializing it.
     fn relation_view(&self, name: &str) -> Result<RelView<'a>> {
         if let Some(rel) = self.derived.get(name) {
             return Ok(RelView::Whole(Arc::clone(rel)));
@@ -1790,9 +1373,9 @@ impl<'a> Evaluator<'a> {
     /// evaluate fully and are filtered, so the result never contains a
     /// tuple violating the predicate and never misses one.
     ///
-    /// Determinism contract: seeded evaluation is sequential at every
-    /// `INVERDA_THREADS` width and explores only matching bindings, so its
-    /// result is a pure function of the EDB. That selectivity is also why
+    /// Determinism contract: seeded evaluation explores only matching
+    /// bindings, so its result is a pure function of the EDB. That
+    /// selectivity is also why
     /// **minting rule sets are the caller's responsibility**: a skolem
     /// generator reached during the seeded join mints (or reserves, under a
     /// [`ReservingIds`] scope) in seeded exploration order, which differs

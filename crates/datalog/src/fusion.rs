@@ -40,7 +40,21 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// spelling rather than letting a typo silently mean "on".
 fn env_enabled() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| crate::tuning::env_switch("INVERDA_FUSION", true))
+    *ENV.get_or_init(|| match std::env::var("INVERDA_FUSION") {
+        Ok(v) => parse_switch(&v).unwrap_or_else(|| {
+            panic!("INVERDA_FUSION: expected on/1/true/yes or off/0/false/no, got '{v}'")
+        }),
+        Err(_) => true,
+    })
+}
+
+/// The meaning of one spelling of an on/off knob, `None` for an unknown one.
+fn parse_switch(value: &str) -> Option<bool> {
+    match value.trim() {
+        "on" | "1" | "true" | "yes" => Some(true),
+        "off" | "0" | "false" | "no" => Some(false),
+        _ => None,
+    }
 }
 
 /// Whether γ-chain fusion is enabled: a [`set_enabled`] override, else the
@@ -150,6 +164,19 @@ mod tests {
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
         Atom::vars(rel, vars)
+    }
+
+    #[test]
+    fn switch_spellings() {
+        for on in ["on", "1", "true", "yes", " on "] {
+            assert_eq!(parse_switch(on), Some(true), "{on}");
+        }
+        for off in ["off", "0", "false", "no", "off\n"] {
+            assert_eq!(parse_switch(off), Some(false), "{off}");
+        }
+        for unknown in ["", "of", "ON", "enabled", "2"] {
+            assert_eq!(parse_switch(unknown), None, "{unknown}");
+        }
     }
 
     #[test]

@@ -16,10 +16,6 @@
 //!   heads (the paper's `old`/`new` sequencing);
 //! * the original naive interpreter ([`naive`]), kept as the reference
 //!   oracle for differential testing of the compiled engine;
-//! * the engine's parallelism substrate ([`parallel`]): the
-//!   `INVERDA_THREADS` width knob and the shared work-stealing pool behind
-//!   the bulk evaluator's deterministic fan-out (independent rules and
-//!   chunked rule scans);
 //! * mechanical **update propagation** ([`delta`]) deriving minimal write
 //!   deltas through a rule set, the engine-side equivalent of the paper's
 //!   generated triggers (Section 6, Rules 52–54, citing Behrend et al.);
@@ -29,9 +25,10 @@
 //! * **γ-chain fusion** ([`fusion`]): the `INVERDA_FUSION` knob, the
 //!   structural fusability gate, and budgeted Lemma-1 inlining, with which
 //!   the core crate statically composes runs of adjacent column-level
-//!   mappings into single fused rule sets;
-//! * one home for the engine's parallelism gate thresholds ([`tuning`]) with
-//!   env and runtime overrides.
+//!   mappings into single fused rule sets.
+//!
+//! Evaluation is sequential: one rule after another, in rule order, on the
+//! calling thread.
 
 #![warn(missing_docs)]
 
@@ -41,10 +38,8 @@ pub mod error;
 pub mod eval;
 pub mod fusion;
 pub mod naive;
-pub mod parallel;
 pub mod simplify;
 pub mod skolem;
-pub mod tuning;
 
 pub use ast::{Atom, Literal, Rule, RuleSet, Term};
 pub use delta::{Delta, DeltaMap, PatchedEdb};

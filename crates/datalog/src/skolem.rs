@@ -19,13 +19,11 @@
 //!   of a `(generator, args)` pair receives a **placeholder** id from a
 //!   scope-disjoint range far above any real identifier; placeholders are
 //!   perfectly usable as join keys and head keys *within* the evaluation
-//!   (the memoized pair always yields the same placeholder). A sequential
-//!   commit epilogue then assigns final ids in reservation order — which
-//!   every engine (naive, compiled sequential, compiled parallel merge)
-//!   produces identically — and a [`PlaceholderPatch`] rewrites the
-//!   placeholders out of the emitted fragments. That is what lets id-minting
-//!   rule sets fan out across worker threads without making id assignment
-//!   depend on thread scheduling.
+//!   (the memoized pair always yields the same placeholder). Once the
+//!   evaluation succeeded, a commit assigns final ids in reservation order —
+//!   which both engines (naive and compiled) produce identically — and a
+//!   [`PlaceholderPatch`] rewrites the placeholders out of the derived
+//!   relations. A failed evaluation drops its arena and mints nothing.
 
 use inverda_storage::codec::{Codec, Reader};
 use inverda_storage::{StorageError, Value};
@@ -435,9 +433,11 @@ impl Codec for SkolemRegistry {
 /// Width of each placeholder scope (indices are asserted to stay below it).
 const SCOPE_SPAN: u64 = 1 << 60;
 
-/// Placeholder scope of worker-local (per evaluation chunk) reservations.
-/// Chunk placeholders are translated into the owning evaluation's scope when
-/// the chunk's fragment is merged, in chunk order.
+/// Placeholder scope of throwaway reservations: the delta engine's probe
+/// phase ([`crate::delta::propagate_vs_stored`]) reserves here while it
+/// collects scan keys, drops the arena unused, and replays under
+/// [`SCOPE_EVAL`]. It is also the lowest scope, so it bounds
+/// [`is_placeholder`].
 pub const SCOPE_CHUNK: u64 = 5 << 60;
 
 /// Placeholder scope of one full rule-set evaluation (the reservations
@@ -540,8 +540,7 @@ impl ReservationArena {
 
 /// The commit half: maps one scope's placeholders (`base + i`) to their
 /// assigned final values. Values of other scopes — and real ids — pass
-/// through untouched, which is what lets a chunk-scope patch run over rows
-/// that also carry evaluation-scope placeholders.
+/// through untouched.
 #[derive(Debug)]
 pub struct PlaceholderPatch {
     base: u64,

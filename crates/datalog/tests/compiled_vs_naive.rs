@@ -14,7 +14,7 @@
 //! skolem-generated head keys (the non-pushable fallback of
 //! `head_row_for_key`), plus multi-rule staging where later rules read
 //! earlier heads. Errors must be canonical too: the first error in
-//! sequential exploration order wins at every width.
+//! sequential exploration order wins.
 
 use inverda_datalog::ast::{Atom, Literal, Rule, RuleSet, Term};
 use inverda_datalog::delta::{propagate, Delta, DeltaMap, PatchedEdb};
@@ -287,13 +287,9 @@ proptest! {
     fn full_evaluation_matches_naive(
         specs in prop::collection::vec(arb_rule_spec(), 1..4),
         (t0, t1) in arb_edb(),
-        tsel in 0usize..4,
     ) {
-        // Parallel ≡ sequential ≡ naive: the compiled engine must produce
-        // byte-identical output (including skolem id order) at any width —
-        // staged and id-minting rule sets included, now that minting goes
-        // through the reserve-then-commit cycle.
-        inverda_datalog::parallel::set_threads(Some([1usize, 2, 4, 8][tsel]));
+        // The compiled engine must produce byte-identical output (including
+        // skolem id order) — staged and id-minting rule sets included.
         let rules = build_rule_set(&specs);
         let edb = build_edb(&t0, &t1);
         let naive_ids = registry();
@@ -361,9 +357,7 @@ proptest! {
         inserts in prop::collection::btree_map(12u64..18, 0i64..6, 0..3),
         deletes in prop::collection::vec(0u64..12, 0..3),
         updates in prop::collection::btree_map(0u64..12, 0i64..6, 0..3),
-        tsel in 0usize..4,
     ) {
-        inverda_datalog::parallel::set_threads(Some([1usize, 2, 4, 8][tsel]));
         let specs: Vec<RuleSpec> = specs
             .into_iter()
             .map(|mut s| {
@@ -403,33 +397,9 @@ proptest! {
         let ids = registry();
         let fast = propagate(&rules, &edb, &input, &ids, &BTreeMap::new());
 
-        // Oracle: naive two-state evaluation and diff.
-        let oracle_ids = registry();
-        let old_out = naive::evaluate(&rules, &edb, &oracle_ids, &BTreeMap::new());
-        let patched = PatchedEdb::new(&edb, &input);
-        let oracle_ids2 = registry();
-        let new_out = naive::evaluate(&rules, &patched, &oracle_ids2, &BTreeMap::new());
-        let (Ok(fast), Ok(old_out), Ok(new_out)) = (fast, old_out, new_out) else {
+        let (Ok(fast), Some(slow)) = (fast, naive_two_state_diff(&rules, &edb, &input)) else {
             return Ok(());
         };
-        let mut slow = DeltaMap::new();
-        for (head, new_rel) in &new_out {
-            let d = new_rel.diff(&old_out[head]);
-            let mut delta = Delta::new();
-            for (k, row) in d.deletes {
-                delta.deletes.insert(k, row);
-            }
-            for (k, row) in d.inserts {
-                delta.inserts.insert(k, row);
-            }
-            for (k, old_row, new_row) in d.updates {
-                delta.deletes.insert(k, old_row);
-                delta.inserts.insert(k, new_row);
-            }
-            if !delta.is_empty() {
-                slow.insert(head.clone(), delta);
-            }
-        }
         let fast: DeltaMap = fast.into_iter().filter(|(_, d)| !d.is_empty()).collect();
         prop_assert_eq!(fast, slow, "diverged on:\n{}", rules);
     }
@@ -437,8 +407,8 @@ proptest! {
     /// A rule set's **slice** (`RuleSet::slice`) for a random non-empty
     /// head subset, wherever the rules it leaves out are skolem-free: if
     /// the whole set evaluates, so does the slice, to the whole result on
-    /// the kept heads — rows in order, registry dump and minting sequence —
-    /// at widths 1, 2 and 4; a slice fails only where the whole set fails.
+    /// the kept heads — rows in order, registry dump and minting sequence;
+    /// a slice fails only where the whole set fails.
     #[test]
     fn slice_evaluation_matches_whole_set(
         specs in prop::collection::vec(arb_rule_spec(), 1..5),
@@ -464,48 +434,85 @@ proptest! {
             return Ok(());
         }
         let edb = build_edb(&t0, &t1);
-        for width in [1usize, 2, 4] {
-            inverda_datalog::parallel::set_threads(Some(width));
-            let run = |rules: &RuleSet| {
-                let ids = Recording::default();
-                let out = CompiledRuleSet::compile(rules)
-                    .and_then(|crs| evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()));
-                (out, ids.finish())
-            };
-            let (whole, whole_ids) = run(&rules);
-            let (part, part_ids) = run(&slice);
-            match (whole, part) {
-                (Ok(whole), Ok(part)) => {
-                    let kept = |out: &BTreeMap<String, Relation>| -> Vec<(String, Vec<_>)> {
-                        out.iter()
-                            .filter(|(head, _)| picked.contains(&head.as_str()))
-                            .map(|(head, rel)| {
-                                let rows = rel.iter().map(|(k, row)| (k, row.clone()));
-                                (head.clone(), rows.collect())
-                            })
-                            .collect()
-                    };
-                    prop_assert_eq!(kept(&whole), kept(&part), "width {} on:\n{}", width, rules);
-                    prop_assert_eq!(&whole_ids, &part_ids, "width {} on:\n{}", width, rules);
-                }
-                (Err(_), _) => {}
-                (Ok(_), Err(e)) => prop_assert!(
-                    false, "only the slice failed at width {}: {:?} on:\n{}", width, e, rules
-                ),
+        let run = |rules: &RuleSet| {
+            let ids = Recording::default();
+            let out = CompiledRuleSet::compile(rules)
+                .and_then(|crs| evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()));
+            (out, ids.finish())
+        };
+        let (whole, whole_ids) = run(&rules);
+        let (part, part_ids) = run(&slice);
+        match (whole, part) {
+            (Ok(whole), Ok(part)) => {
+                let kept = |out: &BTreeMap<String, Relation>| -> Vec<(String, Vec<_>)> {
+                    out.iter()
+                        .filter(|(head, _)| picked.contains(&head.as_str()))
+                        .map(|(head, rel)| {
+                            let rows = rel.iter().map(|(k, row)| (k, row.clone()));
+                            (head.clone(), rows.collect())
+                        })
+                        .collect()
+                };
+                prop_assert_eq!(kept(&whole), kept(&part), "on:\n{}", rules);
+                prop_assert_eq!(&whole_ids, &part_ids, "on:\n{}", rules);
             }
+            (Err(_), _) => {}
+            (Ok(_), Err(e)) => prop_assert!(
+                false, "only the slice failed: {:?} on:\n{}", e, rules
+            ),
         }
-        inverda_datalog::parallel::set_threads(None);
     }
 }
 
-/// Large-input differential check that actually crosses the parallel
-/// gates (the proptest cases above are small, so chunked scans may fall
-/// below their work thresholds): a multi-rule
-/// unbound join over a few thousand rows and a several-hundred-tuple
-/// delta, evaluated at widths 1/2/4/8, must be byte-identical — results,
-/// insertion order, and the naive oracle all agree.
+/// The delta a naive oracle derives for `input`: evaluate the old and the
+/// patched state with the naive engine and diff every head. `None` if
+/// either evaluation fails.
+fn naive_two_state_diff(rules: &RuleSet, edb: &MapEdb, input: &DeltaMap) -> Option<DeltaMap> {
+    let old_out = naive::evaluate(rules, edb, &registry(), &BTreeMap::new()).ok()?;
+    let patched = PatchedEdb::new(edb, input);
+    let new_out = naive::evaluate(rules, &patched, &registry(), &BTreeMap::new()).ok()?;
+    let mut slow = DeltaMap::new();
+    for (head, new_rel) in &new_out {
+        let d = new_rel.diff(&old_out[head]);
+        let mut delta = Delta::new();
+        for (k, row) in d.deletes {
+            delta.deletes.insert(k, row);
+        }
+        for (k, row) in d.inserts {
+            delta.inserts.insert(k, row);
+        }
+        for (k, old_row, new_row) in d.updates {
+            delta.deletes.insert(k, old_row);
+            delta.inserts.insert(k, new_row);
+        }
+        if !delta.is_empty() {
+            slow.insert(head.clone(), delta);
+        }
+    }
+    Some(slow)
+}
+
+/// Derived heads as `(name, [(key, row)…])`.
+type HeadRows = Vec<(String, Vec<(Key, Vec<Value>)>)>;
+
+/// Every derived head in the relation's own iteration order, so a
+/// comparison also sees tuple order.
+fn rows_in_order(out: &BTreeMap<String, Relation>) -> HeadRows {
+    out.iter()
+        .map(|(head, rel)| {
+            let rows = rel.iter().map(|(k, row)| (k, row.clone()));
+            (head.clone(), rows.collect())
+        })
+        .collect()
+}
+
+/// Large-input differential check (the proptest cases above are small): a
+/// multi-rule unbound join over a few thousand rows and a
+/// several-hundred-tuple delta. Compiled evaluation must equal the naive
+/// oracle byte for byte — rows, tuple order and registry dump — and
+/// propagation must equal the naive two-state diff.
 #[test]
-fn parallel_widths_agree_on_large_inputs() {
+fn compiled_matches_naive_on_large_inputs() {
     use inverda_datalog::ast::Atom;
     use inverda_storage::Expr;
 
@@ -518,8 +525,8 @@ fn parallel_widths_agree_on_large_inputs() {
     }
     let mut edb = MapEdb::new();
     edb.add(a).add(b);
-    // Two independent rules: an unbound join (chunked scan + index probe)
-    // and a filter (chunked scan).
+    // Two independent rules: an unbound join (scan + index probe) and a
+    // filter (scan).
     let rules = RuleSet::new(vec![
         Rule::new(
             Atom::vars("H0", &["q", "n"]),
@@ -553,37 +560,31 @@ fn parallel_widths_agree_on_large_inputs() {
     let mut input = DeltaMap::new();
     input.insert("B".to_string(), delta);
 
-    let mut eval_outputs = Vec::new();
-    let mut prop_outputs = Vec::new();
-    for width in [1usize, 2, 4, 8] {
-        inverda_datalog::parallel::set_threads(Some(width));
-        let ids = registry();
-        eval_outputs.push(evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()).unwrap());
-        let ids2 = registry();
-        prop_outputs.push(propagate(&rules, &edb, &input, &ids2, &BTreeMap::new()).unwrap());
-    }
-    inverda_datalog::parallel::set_threads(None);
+    let ids = registry();
+    let out = evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()).unwrap();
     let naive_ids = registry();
     let oracle = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new()).unwrap();
-    for (out, prop_out) in eval_outputs.iter().zip(&prop_outputs) {
-        assert_eq!(out, &eval_outputs[0], "evaluation diverged across widths");
-        assert_eq!(out, &oracle, "parallel evaluation diverged from naive");
-        assert_eq!(
-            prop_out, &prop_outputs[0],
-            "propagation diverged across widths"
-        );
-    }
+    assert!(!oracle["H0"].is_empty() && !oracle["H1"].is_empty());
+    assert_eq!(rows_in_order(&out), rows_in_order(&oracle));
+    assert_eq!(ids.lock().dump(), naive_ids.lock().dump());
+    let propagated = propagate(&rules, &edb, &input, &registry(), &BTreeMap::new()).unwrap();
+    let oracle_delta = naive_two_state_diff(&rules, &edb, &input).unwrap();
+    assert!(!oracle_delta.is_empty());
+    let propagated: DeltaMap = propagated
+        .into_iter()
+        .filter(|(_, d)| !d.is_empty())
+        .collect();
+    assert_eq!(propagated, oracle_delta, "propagation diverged from naive");
 }
 
-/// The staged/minting analogue of [`parallel_widths_agree_on_large_inputs`]:
-/// a rule set that mints skolem ids (including as head keys), stages a later
-/// rule over the minted head, and is large enough to cross the chunked
-/// fan-out thresholds. At widths 1/2/4/8 the derived relations *and* the
-/// final skolem registry (assignment order included — the dump is
-/// order-sensitive through the id values) must be byte-identical to each
-/// other and to the naive oracle.
+/// The staged/minting analogue of [`compiled_matches_naive_on_large_inputs`]:
+/// a rule set that mints skolem ids (including as head keys) and stages a
+/// later rule over the minted head, over a few thousand rows. The derived
+/// relations (tuple order included) *and* the final skolem registry
+/// (assignment order included — the dump is order-sensitive through the id
+/// values) must be byte-identical to the naive oracle.
 #[test]
-fn staged_minting_widths_agree_on_large_inputs() {
+fn staged_minting_matches_naive_on_large_inputs() {
     use inverda_datalog::ast::Atom;
     use inverda_storage::Expr;
 
@@ -619,8 +620,8 @@ fn staged_minting_widths_agree_on_large_inputs() {
                 },
             ],
         ),
-        // Staged: scans the minted head (its chunked depth-0 scan runs over
-        // a placeholder-keyed derived relation).
+        // Staged: scans the minted head (its depth-0 scan runs over a
+        // placeholder-keyed derived relation).
         Rule::new(
             Atom::vars("J", &["s", "n"]),
             vec![
@@ -632,37 +633,31 @@ fn staged_minting_widths_agree_on_large_inputs() {
     let crs = CompiledRuleSet::compile(&rules).unwrap();
     assert!(crs.staged() && crs.mints_ids());
 
-    let mut outputs = Vec::new();
-    for width in [1usize, 2, 4, 8] {
-        inverda_datalog::parallel::set_threads(Some(width));
-        let ids = registry();
-        let out = evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()).unwrap();
-        outputs.push((out, ids.lock().dump()));
-    }
-    inverda_datalog::parallel::set_threads(None);
+    let ids = registry();
+    let out = evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()).unwrap();
     let naive_ids = registry();
     let oracle = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new()).unwrap();
-    let oracle_dump = naive_ids.lock().dump();
     assert_eq!(oracle["Author"].len(), 37);
     assert_eq!(oracle["H"].len(), 3_000);
-    for (out, dump) in &outputs {
-        assert_eq!(
-            out, &outputs[0].0,
-            "minting evaluation diverged across widths"
-        );
-        assert_eq!(out, &oracle, "minting evaluation diverged from naive");
-        assert_eq!(dump, &oracle_dump, "skolem assignment diverged");
-    }
+    assert_eq!(
+        rows_in_order(&out),
+        rows_in_order(&oracle),
+        "minting evaluation diverged from naive"
+    );
+    assert_eq!(
+        ids.lock().dump(),
+        naive_ids.lock().dump(),
+        "skolem assignment diverged"
+    );
 }
 
-/// Error precedence is canonical at every width: a rule whose assignment
-/// fails on *some* rows of a large, chunked scan (every 7th row holds text,
-/// first at `Key(0)`) must report the byte-identical error (`Debug` form)
-/// at widths 1/2/4/8 and agree with the naive oracle — the parallel merge
-/// drains each rule's fragment errors in chunk order, so the first error in
-/// sequential exploration order wins regardless of chunking.
+/// Error precedence is canonical: a rule whose assignment fails on *some*
+/// rows of a large scan (every 7th row holds text, first at `Key(0)`) must
+/// report the byte-identical error (`Debug` form) the naive oracle reports
+/// — the first error in exploration order — and leave the registry as the
+/// oracle leaves it.
 #[test]
-fn error_precedence_is_canonical_across_widths() {
+fn error_precedence_matches_naive_on_large_inputs() {
     let mut a = Relation::with_columns("A", ["n"]);
     for i in 0..2_000u64 {
         let v = if i % 7 == 0 {
@@ -689,19 +684,10 @@ fn error_precedence_is_canonical_across_widths() {
         ],
     )]);
     let crs = CompiledRuleSet::compile(&rules).unwrap();
-    let mut errors = Vec::new();
-    for width in [1usize, 2, 4, 8] {
-        inverda_datalog::parallel::set_threads(Some(width));
-        let ids = registry();
-        let err = evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()).unwrap_err();
-        errors.push((width, format!("{err:?}")));
-    }
-    inverda_datalog::parallel::set_threads(None);
+    let ids = registry();
+    let err = evaluate_compiled(&crs, &edb, &ids, &BTreeMap::new()).unwrap_err();
     let naive_ids = registry();
     let oracle = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new()).unwrap_err();
-    let oracle = format!("{oracle:?}");
-    for (width, err) in &errors {
-        assert_eq!(err, &errors[0].1, "error diverged at width {width}");
-        assert_eq!(err, &oracle, "error diverged from naive at width {width}");
-    }
+    assert_eq!(format!("{err:?}"), format!("{oracle:?}"));
+    assert_eq!(ids.lock().dump(), naive_ids.lock().dump());
 }

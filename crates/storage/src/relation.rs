@@ -280,7 +280,7 @@ impl Relation {
     /// ascending and covering at least half the relation — is served by one
     /// in-order merge against the rows instead of a lookup per key; the
     /// visit order is identical either way. This is the fetch primitive
-    /// behind chunked scans (datalog) and multi-key query reads (core).
+    /// behind multi-key query reads (core).
     pub fn select_rows(&self, keys: &[Key], mut f: impl FnMut(Key, &Row)) {
         let dense = keys.len() >= self.len() / 2 && keys.windows(2).all(|w| w[0] < w[1]);
         if dense {
@@ -642,8 +642,8 @@ impl ColumnIndex {
 /// [`IndexCache::invalidate`] drops the relation's entries.
 ///
 /// The cache is mutex-guarded (not `RefCell`), so every EDB view holding
-/// one is `Sync` and can be shared by the parallel evaluation workers.
-/// Concurrent `get_or_build` calls on a missing entry may build the same
+/// one is `Sync` (whether any caller still shares a view across threads
+/// is unverified). Concurrent `get_or_build` calls on a missing entry may build the same
 /// index twice — the index is a pure function of an immutable snapshot, so
 /// both builds are identical and the duplicate is simply dropped; the lock
 /// is never held across a build.
