@@ -33,8 +33,27 @@
 //! place: [`CompiledStore::extend_catalog`] on CREATE,
 //! [`CompiledStore::forget`] on DROP.
 //!
+//! Last, the store caches one **resolution record** per relation
+//! (`edb::Resolution`: footprint, physical, replayable, mint-free, minting
+//! relations, restructuring SMOs), walked by `VersionedEdb::resolution` on
+//! first use. A record depends on the genealogy *and* on where the data
+//! lives, so it sits here next to the fused chains rather than in the
+//! genealogy-only index, and is dropped when they are:
+//!
+//! | cached | CREATE | DROP | MATERIALIZE | recovery |
+//! |---|---|---|---|---|
+//! | compilations | kept | retired SMOs' forgotten | kept | cleared |
+//! | fused chains | kept | retired versions' forgotten | cleared | cleared |
+//! | catalog index | extended | retired entries removed | kept | cleared |
+//! | resolution records | kept | retired relations' forgotten | cleared at the swap | cleared |
+//!
+//! A branch fork shares all four ([`CompiledStore::fork`]); every pinned
+//! catalog of the serving layer starts a fresh store. Debug builds assert
+//! after every catalog change that each cached record equals a fresh walk.
+//!
 //! [`Inverda`]: crate::Inverda
 
+use crate::edb::Resolution;
 use inverda_catalog::{
     EvolutionOutcome, Genealogy, Retired, SmoId, SmoInstance, TableVersion, TableVersionId,
 };
@@ -178,12 +197,14 @@ pub struct FusedChain {
 }
 
 /// Cache of compiled rule sets keyed by `(SMO instance, direction)`, plus
-/// the fused-chain cache keyed by source table version.
+/// the fused-chain cache keyed by source table version and the resolution
+/// records keyed by relation name.
 #[derive(Debug, Default)]
 pub struct CompiledStore {
     map: Mutex<HashMap<(SmoId, Direction), Arc<CompiledRuleSet>>>,
     fused: Mutex<HashMap<TableVersionId, Arc<FusedChain>>>,
     catalog: Mutex<Option<Arc<CatalogIndex>>>,
+    resolutions: Mutex<HashMap<String, Arc<Resolution>>>,
 }
 
 impl CompiledStore {
@@ -240,10 +261,11 @@ impl CompiledStore {
 
     /// Forget what one `DROP SCHEMA VERSION` retired from `genealogy`: the
     /// compiled rule sets of its SMOs, the fused chains resolving its table
-    /// versions, and their catalog-index entries. Everything else stays —
-    /// no surviving chain or rule set mentions a retired relation (a
-    /// retired table version had no outgoing SMO left, and no remaining
-    /// version resolves through a virtualized SMO toward its targets).
+    /// versions, their catalog-index entries, and the resolution records of
+    /// its relations. Everything else stays — no surviving chain, rule set
+    /// or closure mentions a retired relation (a retired table version had
+    /// no outgoing SMO left, and no remaining version resolves through a
+    /// virtualized SMO toward its targets).
     pub fn forget(&self, retired: &Retired, genealogy: &Genealogy) {
         {
             let mut map = self.map.lock();
@@ -256,6 +278,12 @@ impl CompiledStore {
             let mut fused = self.fused.lock();
             for tv in &retired.tables {
                 fused.remove(&tv.id);
+            }
+        }
+        {
+            let mut resolutions = self.resolutions.lock();
+            for rel in retired.relations() {
+                resolutions.remove(rel);
             }
         }
         if let Some(index) = self.catalog.lock().as_mut().map(Arc::make_mut) {
@@ -290,40 +318,67 @@ impl CompiledStore {
         self.fused.lock().remove(&source);
     }
 
-    /// Drop every fused chain but keep the per-SMO compilations (called on
-    /// `MATERIALIZE`: moving the data changes which mapping defines each
-    /// version — and therefore every chain's hop structure — while the
-    /// SMO rule sets themselves are untouched).
+    /// The cached resolution record of `relation`, if any.
+    pub(crate) fn resolution(&self, relation: &str) -> Option<Arc<Resolution>> {
+        self.resolutions.lock().get(relation).map(Arc::clone)
+    }
+
+    /// Cache resolution records walked over this store's current catalog.
+    pub(crate) fn cache_resolutions(
+        &self,
+        records: impl IntoIterator<Item = (String, Arc<Resolution>)>,
+    ) {
+        self.resolutions.lock().extend(records);
+    }
+
+    /// Every cached resolution record (the debug oracle's input).
+    pub(crate) fn resolutions(&self) -> Vec<(String, Arc<Resolution>)> {
+        let resolutions = self.resolutions.lock();
+        resolutions
+            .iter()
+            .map(|(rel, done)| (rel.clone(), Arc::clone(done)))
+            .collect()
+    }
+
+    /// Drop every fused chain and every resolution record but keep the
+    /// per-SMO compilations (called at `MATERIALIZE`'s swap: moving the
+    /// data changes which mapping defines each version — and therefore
+    /// every chain's hop structure and every closure — while the SMO rule
+    /// sets themselves are untouched).
     ///
     /// Invalidation scope is **this store**, i.e. one branch: every branch
     /// engine owns a private `CompiledStore` (see
     /// [`CompiledStore::fork`]), so a `MATERIALIZE` on one branch can
     /// never cold-start a sibling's fused chains.
-    pub fn clear_fused(&self) {
+    pub(crate) fn clear_placement(&self) {
         self.fused.lock().clear();
+        self.resolutions.lock().clear();
     }
 
-    /// An independent copy sharing every cached compilation and fused
-    /// chain by `Arc` — the warm start of a branch fork. Compiled rule
-    /// sets are pure functions of the genealogy's rules (which the fork
-    /// clones id-stably), and fused chains revalidate their emptiness
-    /// assumptions against the *probing branch's* storage on every hit, so
-    /// sharing at fork time is sound; afterwards each store invalidates
-    /// independently (a branch-scoped `MATERIALIZE` clears only its own
-    /// chains).
+    /// An independent copy sharing every cached compilation, fused chain
+    /// and resolution record by `Arc` — the warm start of a branch fork.
+    /// Compiled rule sets are pure functions of the genealogy's rules
+    /// (which the fork clones id-stably), records of the genealogy and the
+    /// materialization (cloned too), and fused chains revalidate their
+    /// emptiness assumptions against the *probing branch's* storage on
+    /// every hit, so sharing at fork time is sound; afterwards each store
+    /// invalidates independently (a branch-scoped `MATERIALIZE` clears only
+    /// its own chains and records).
     pub fn fork(&self) -> CompiledStore {
         CompiledStore {
             map: Mutex::new(self.map.lock().clone()),
             fused: Mutex::new(self.fused.lock().clone()),
             catalog: Mutex::new(self.catalog.lock().clone()),
+            resolutions: Mutex::new(self.resolutions.lock().clone()),
         }
     }
 
-    /// Drop every cached compilation, every fused chain and the catalog
-    /// index (recovery installs a whole new catalog state).
+    /// Drop every cached compilation, every fused chain, every resolution
+    /// record and the catalog index (recovery installs a whole new catalog
+    /// state).
     pub fn clear(&self) {
         self.map.lock().clear();
-        self.fused.lock().clear();
+        self.clear_placement();
         *self.catalog.lock() = None;
     }
 
@@ -341,6 +396,7 @@ impl CompiledStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Inverda;
     use inverda_bidel::{parse_script, Statement};
     use inverda_catalog::MaterializationSchema;
 
@@ -418,6 +474,68 @@ mod tests {
         assert_ne!(by_a, by_b);
         run(&mut g, &store, "DROP SCHEMA VERSION A;");
         assert_eq!(hinted(&store, &g), None);
+    }
+
+    /// After every statement — CREATE, DROP, MATERIALIZE — and again after
+    /// reads that fill the cache, every cached resolution record equals a
+    /// fresh walk over the current catalog. TasKy2's FK-DECOMPOSE gives
+    /// records a non-empty `minting`; the second script is the overlapping
+    /// SPLIT.
+    #[test]
+    fn the_resolution_records_follow_creates_drops_and_materialize() {
+        let tasky = [
+            "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio);",
+            "CREATE SCHEMA VERSION Do! FROM TasKy WITH \
+               SPLIT TABLE Task INTO Todo WITH prio = 1; \
+               DROP COLUMN prio FROM Todo DEFAULT 1;",
+            "CREATE SCHEMA VERSION TasKy2 FROM TasKy WITH \
+               DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author; \
+               RENAME COLUMN author IN Author TO name;",
+            "MATERIALIZE 'TasKy2';",
+            "CREATE SCHEMA VERSION TasKy3 FROM TasKy2 WITH ADD COLUMN done AS 0 INTO Task;",
+            "MATERIALIZE 'Do!';",
+            "DROP SCHEMA VERSION TasKy3;",
+            "DROP SCHEMA VERSION TasKy2;",
+            "MATERIALIZE 'TasKy';",
+        ];
+        let split = [
+            "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b);",
+            "CREATE SCHEMA VERSION V2 FROM V1 WITH \
+               SPLIT TABLE T INTO R WITH a < 5, S WITH a >= 3;",
+            "MATERIALIZE 'V2';",
+            "MATERIALIZE 'V1';",
+            "DROP SCHEMA VERSION V2;",
+        ];
+        let stale = |db: &Inverda| db.stale_resolutions(&db.state.read());
+        let mut minting = false;
+        for script in [&tasky[..], &split[..]] {
+            let db = Inverda::new_in_memory();
+            for (i, statement) in script.iter().enumerate() {
+                db.execute(statement).unwrap();
+                assert_eq!(stale(&db), Vec::<String>::new(), "{statement}");
+                if i == 0 {
+                    let version = &db.versions()[0];
+                    let table = &db.tables_of(version).unwrap()[0];
+                    let width = db.columns_of(version, table).unwrap().len();
+                    for a in 0..6i64 {
+                        let row = [a.into(), format!("t{}", a % 3).into(), (a % 2).into()];
+                        db.insert(version, table, row[..width].to_vec()).unwrap();
+                    }
+                }
+                for version in db.versions() {
+                    for table in db.tables_of(&version).unwrap() {
+                        db.scan(&version, &table).unwrap();
+                    }
+                }
+                assert_eq!(stale(&db), Vec::<String>::new(), "{statement}, read");
+                minting |= db
+                    .compiled
+                    .resolutions()
+                    .iter()
+                    .any(|(_, r)| !r.minting.is_empty());
+            }
+        }
+        assert!(minting);
     }
 
     #[test]

@@ -140,6 +140,33 @@ impl Inverda {
         }
     }
 
+    /// The relations whose cached resolution record differs from a fresh
+    /// walk over the catalog `state` and storage are at now — none, unless
+    /// the compiled store missed a catalog change.
+    pub(crate) fn stale_resolutions(&self, state: &State) -> Vec<String> {
+        let (ids, fresh) = (self.id_source(), CompiledStore::new());
+        let edb = VersionedEdb::new(
+            &state.genealogy,
+            &state.materialization,
+            &self.storage,
+            &ids,
+            &fresh,
+        );
+        self.compiled
+            .resolutions()
+            .into_iter()
+            .filter(|(relation, record)| edb.resolution(relation) != *record)
+            .map(|(relation, _)| relation)
+            .collect()
+    }
+
+    /// Debug builds assert after every catalog change — CREATE, DROP,
+    /// MATERIALIZE and recovery — that no cached resolution record is
+    /// stale, as `CompiledStore::extend_catalog` does for its index.
+    pub(crate) fn debug_assert_resolutions(&self, state: &State) {
+        debug_assert_eq!(self.stale_resolutions(state), Vec::<String>::new());
+    }
+
     /// Fresh, empty database. Purely in-memory — unless the
     /// `INVERDA_DURABILITY` environment knob is `commit` or `group`, in
     /// which case the instance is backed by a process-private temporary
@@ -466,6 +493,7 @@ impl Inverda {
                 }
             }
         }
+        self.debug_assert_resolutions(state);
         Ok(())
     }
 
@@ -532,6 +560,7 @@ impl Inverda {
         }
         self.compiled.forget(&retired, &state.genealogy);
         self.snapshots.forget(&retired);
+        self.debug_assert_resolutions(state);
         Ok(())
     }
 
@@ -869,21 +898,25 @@ mod tests {
     /// every later statement.)
     #[test]
     fn create_use_drop_cycles_leave_state_bounded() {
-        let db = tasky_db();
-        db.execute(
-            "CREATE SCHEMA VERSION Do! FROM TasKy WITH \
-             SPLIT TABLE Task INTO Todo WITH prio = 1; \
-             DROP COLUMN prio FROM Todo DEFAULT 1;",
-        )
-        .unwrap();
-        for i in 0..20i64 {
-            let row = vec![
-                Value::text("ann"),
-                Value::text(format!("t{i}")),
-                (i % 3).into(),
-            ];
-            db.insert("TasKy", "Task", row).unwrap();
-        }
+        let build = || {
+            let db = tasky_db();
+            db.execute(
+                "CREATE SCHEMA VERSION Do! FROM TasKy WITH \
+                 SPLIT TABLE Task INTO Todo WITH prio = 1; \
+                 DROP COLUMN prio FROM Todo DEFAULT 1;",
+            )
+            .unwrap();
+            for i in 0..20i64 {
+                let row = vec![
+                    Value::text("ann"),
+                    Value::text(format!("t{i}")),
+                    (i % 3).into(),
+                ];
+                db.insert("TasKy", "Task", row).unwrap();
+            }
+            db
+        };
+        let db = build();
         let sizes = |db: &Inverda| {
             let state = db.state.read();
             (
@@ -893,6 +926,7 @@ mod tests {
                 db.compiled.len(),
                 db.compiled.fused_stats().0,
                 db.snapshots.len(),
+                db.compiled.resolutions().len(),
             )
         };
         let cycle = |db: &Inverda| {
@@ -919,5 +953,16 @@ mod tests {
         }
         assert_eq!(sizes(&db), start);
         assert!(db.snapshot_store_audit().is_empty());
+        // A MATERIALIZE there and back leaves no more resolution records
+        // than it leaves on a database that never churned.
+        let fresh = build();
+        cycle(&fresh);
+        for db in [&db, &fresh] {
+            db.execute("MATERIALIZE 'Do!'; MATERIALIZE 'TasKy';")
+                .unwrap();
+        }
+        let records = |db: &Inverda| db.compiled.resolutions().len();
+        assert!(records(&db) > 0);
+        assert!(records(&db) <= records(&fresh));
     }
 }

@@ -54,6 +54,7 @@ pub(crate) fn open(dir: &Path, options: DurabilityOptions) -> Result<Inverda> {
     }
     .map_err(CoreError::Storage)?;
     remove_stale_wals(dir, generation).map_err(CoreError::Storage)?;
+    db.debug_assert_resolutions(&db.state.read());
     db.ids.0.lock().set_journaling(true);
     let mut db = db;
     db.durability = Some(Durability::new(

@@ -12,7 +12,13 @@
 //! predicate into a view.
 //!
 //! Mappings are evaluated in their **compiled** form, served by the
-//! database-wide [`CompiledStore`]. Resolved relations, per-key rows, and
+//! database-wide [`CompiledStore`]. So is what the rule structure alone
+//! says about a relation's resolution closure: one `Resolution` record —
+//! static footprint, physical or not, replayable, mint-free, the minting
+//! relations and the restructuring SMOs on the way — walked once per
+//! catalog state and read by every gate below (keep-or-evict, catch-up,
+//! seeded pushdown, footprint stamping, and `MATERIALIZE`'s slice gate and
+//! carry). Resolved relations, per-key rows, and
 //! secondary join indexes are cached for the lifetime of the view (one
 //! statement / one propagation step) — and, when the view is bound to the
 //! database's [`SnapshotStore`], resolved snapshots outlive the statement:
@@ -57,17 +63,6 @@ type ColumnRows = HashMap<usize, HashMap<Value, Vec<(Key, Row)>>>;
 /// Physical table → storage epoch: a snapshot's footprint stamps.
 type Stamps = BTreeMap<String, u64>;
 
-/// What the rule structure says about catching a relation's stale snapshot
-/// up (see [`VersionedEdb::replay`]).
-#[derive(Clone, Copy, Default)]
-struct Replay {
-    /// Every rule set of the unfused resolution closure exists and is
-    /// non-staged: a stale snapshot is worth keeping for a catch-up.
-    keep: bool,
-    /// None of them can mint an id either.
-    mint_free: bool,
-}
-
 /// What one [`VersionedEdb::catch_up`] did to a rule set's heads.
 struct CaughtUp {
     /// The stamps the heads were stale at,
@@ -101,7 +96,8 @@ pub struct VersionedEdb<'a> {
     /// Name-keyed genealogy lookups, shared across statements.
     catalog: Arc<CatalogIndex>,
     /// Caches are mutex-guarded (not `RefCell`) so the view is `Sync`, as
-    /// [`EdbView`] requires (see there for why the bound is kept).
+    /// [`EdbView`] requires. No caller shares a view across threads (see
+    /// there), so nothing but that bound keeps the locks.
     cache: Mutex<BTreeMap<String, Arc<Relation>>>,
     /// Physical table → epoch of the snapshot this statement reads (first
     /// access wins, so footprint stamps agree with the data actually read).
@@ -109,17 +105,6 @@ pub struct VersionedEdb<'a> {
     /// Two-level `rel → key → row` cache: lookups are by `&str`, so the hot
     /// path allocates nothing.
     key_cache: Mutex<HashMap<String, HashMap<Key, Option<Row>>>>,
-    /// Per-relation memo of [`pushable_cold`](VersionedEdb::pushable_cold):
-    /// the check walks the whole resolution closure, and a seeded probe
-    /// re-asks it at every recursion level of an N-hop chain. Pushability
-    /// only ever *improves* as this statement's caches warm (a mint-free
-    /// closure stays mint-free), so a memoized verdict can be conservative
-    /// but never wrong.
-    push_cache: Mutex<HashMap<String, bool>>,
-    /// Per-relation memo of [`replay`](VersionedEdb::replay): what the rule
-    /// structure says about catching a stale snapshot up. Asked under the
-    /// snapshot store's lock, so it is decided from the rules alone.
-    replay_cache: Mutex<HashMap<String, Replay>>,
     /// `rel → column → probe value → rows` memo for seeded pushdown.
     /// Load-bearing, not just a nicety: the rules of one γ mapping (and
     /// every recursion level above) probe the same lower relation with the
@@ -151,8 +136,6 @@ impl<'a> VersionedEdb<'a> {
             cache: Mutex::new(BTreeMap::new()),
             seen_epochs: Mutex::new(HashMap::new()),
             key_cache: Mutex::new(HashMap::new()),
-            push_cache: Mutex::new(HashMap::new()),
-            replay_cache: Mutex::new(HashMap::new()),
             col_cache: Mutex::new(HashMap::new()),
             index_cache: IndexCache::new(),
         }
@@ -208,70 +191,37 @@ impl<'a> VersionedEdb<'a> {
         None
     }
 
-    /// The set of physical tables `relation`'s resolution can possibly read:
-    /// the body relations of its defining rule set, expanded recursively
-    /// through virtual relations down to storage. Computed over the rule
-    /// *structure* (not the data), so it over-approximates any concrete
-    /// evaluation's read set and is stable while the catalog is — exactly
-    /// what the snapshot store needs for sound epoch invalidation.
-    pub fn static_footprint(&self, relation: &str) -> BTreeSet<String> {
-        // (The walk and its memo end with the statement: the set is ours.)
-        let footprint = ClosureWalk::new(self, &BTreeSet::new())
-            .closure(relation)
-            .footprint;
-        Arc::unwrap_or_clone(footprint)
+    /// `relation`'s [`Resolution`]: served from the [`CompiledStore`], or
+    /// walked and cached there. A walk that meets a rule cycle or a relation
+    /// nothing defines caches nothing (see [`Walk::unstable`]).
+    pub(crate) fn resolution(&self, relation: &str) -> Arc<Resolution> {
+        if let Some(hit) = self.compiled.resolution(relation) {
+            return hit;
+        }
+        let mut walk = Walk {
+            edb: self,
+            memo: HashMap::new(),
+            unstable: false,
+        };
+        let done = walk.visit(relation);
+        if !walk.unstable {
+            self.compiled.cache_resolutions(
+                walk.memo
+                    .into_iter()
+                    .filter_map(|(rel, done)| Some((rel, done?))),
+            );
+        }
+        done
     }
 
-    /// Whether resolving `relation` right now could **evaluate id-minting
-    /// rules cold**: true if the relation is neither physical, nor already
-    /// resolved in this statement's cache, nor servable warm from the
-    /// snapshot store, *and* some rule set in its resolution closure
-    /// (defining rule sets expanded recursively through virtual relations,
-    /// like [`static_footprint`](VersionedEdb::static_footprint)) binds a
-    /// variable through a generator.
-    ///
-    /// Cold minting resolutions have side effects whose order matters — a
-    /// full evaluation triggers them lazily, in first-touch order — so
-    /// column-seeded pushdown ([`pushable_cold`](VersionedEdb::pushable_cold))
-    /// refuses such relations and leaves them to full resolution, which
-    /// performs (and commits) the mints at their canonical position.
-    fn resolution_may_mint_cold(&self, relation: &str, visited: &mut BTreeSet<String>) -> bool {
-        if !visited.insert(relation.to_string()) {
-            return false;
-        }
-        if self.storage.has_table(relation) || self.cache.lock().contains_key(relation) {
-            return false;
-        }
-        if let Some(store) = self.snapshots {
-            if store.peek_valid(relation, self.storage).is_some() {
-                return false;
-            }
-        }
-        let Some((_, rules)) = self.resolving_mapping(relation) else {
-            return false;
-        };
-        let heads: BTreeSet<&str> = rules
-            .rules
-            .iter()
-            .map(|r| r.head.relation.as_str())
-            .collect();
-        for rule in &rules.rules {
-            for lit in &rule.body {
-                match lit {
-                    Literal::Skolem { .. } => return true,
-                    Literal::Pos(atom) | Literal::Neg(atom) => {
-                        if heads.contains(atom.relation.as_str()) {
-                            continue;
-                        }
-                        if self.resolution_may_mint_cold(&atom.relation, visited) {
-                            return true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        false
+    /// Whether `relation` is answered without a cold evaluation: physical,
+    /// resolved in this statement, or valid in the snapshot store.
+    fn is_warm(&self, relation: &str) -> bool {
+        self.storage.has_table(relation)
+            || self.cache.lock().contains_key(relation)
+            || self
+                .snapshots
+                .is_some_and(|store| store.peek_valid(relation, self.storage).is_some())
     }
 
     /// Footprint of `relation` stamped with the epochs this statement's
@@ -280,10 +230,10 @@ impl<'a> VersionedEdb<'a> {
     /// resolution, so a write racing the resolution leaves the stamp behind
     /// the restamped epoch and the entry is simply never served.
     fn stamped_footprint(&self, relation: &str) -> BTreeMap<String, u64> {
-        let store = self.snapshots.expect("stamping requires a store");
-        let footprint = store.footprint_of(relation, || self.static_footprint(relation));
+        let resolution = self.resolution(relation);
         let seen = self.seen_epochs.lock();
-        footprint
+        resolution
+            .footprint
             .iter()
             .map(|table| {
                 let epoch = seen
@@ -441,26 +391,25 @@ impl<'a> VersionedEdb<'a> {
     /// The read paths' one probe of the snapshot store. A valid entry is
     /// served, and pinned into the statement cache. A stale one stays in
     /// the store iff [`catch_up`](VersionedEdb::catch_up) may still bring it
-    /// up to date — no rule set of its unfused resolution closure is staged
-    /// ([`replay`](VersionedEdb::replay)) and the change log still leads on
-    /// from every stamp of its physical footprint — and is dropped
-    /// otherwise, before the cold resolution that replaces it allocates its
-    /// own. A kept line whose closure mints nothing is caught up right here,
-    /// at its first touch, point lookups included: with no id to mint ahead
-    /// of time, the catch-up is invisible but for its speed. One that can
-    /// mint waits for [`full`](EdbView::full) — and so does every line while
-    /// epoch-pinned readers are outstanding, when the store keeps it without
-    /// asking.
+    /// up to date — its [`Resolution`] is `replayable` and the change log
+    /// still leads on from every stamp of its physical footprint — and is
+    /// dropped otherwise, before the cold resolution that replaces it
+    /// allocates its own. A kept line whose closure mints nothing is caught
+    /// up right here, at its first touch, point lookups included: with no id
+    /// to mint ahead of time, the catch-up is invisible but for its speed.
+    /// One that can mint waits for [`full`](EdbView::full) — and so does
+    /// every line while epoch-pinned readers are outstanding, when the store
+    /// keeps it without asking.
     fn probe_store(&self, relation: &str) -> Option<Arc<Relation>> {
         let store = self.snapshots?;
         let mut kept = None;
         let hit = store.get(relation, self.storage, |stamps| {
-            let replay = self.replay(relation);
-            let keep = replay.keep
+            let resolution = self.resolution(relation);
+            let keep = resolution.replayable
                 && stamps
                     .iter()
                     .all(|(table, epoch)| self.storage.log_reaches(table, *epoch));
-            kept = keep.then_some(replay);
+            kept = keep.then_some(resolution);
             keep
         });
         if let Some(hit) = hit {
@@ -469,53 +418,10 @@ impl<'a> VersionedEdb<'a> {
                 .insert(relation.to_string(), Arc::clone(&hit));
             return Some(hit);
         }
-        if kept.is_some_and(|replay| replay.mint_free) {
+        if kept.is_some_and(|resolution| resolution.mint_free) {
             return self.caught_up(relation);
         }
         None
-    }
-
-    /// What the rule structure alone says about catching a stale snapshot
-    /// of `relation` up: whether every rule set of its unfused resolution
-    /// closure exists and is non-staged, and whether none of them can mint.
-    /// Decided without data, caches or the snapshot store — it is asked
-    /// under the store's lock — and memoized per statement like
-    /// [`pushable_cold`](VersionedEdb::pushable_cold). A rule cycle replays
-    /// nothing.
-    fn replay(&self, relation: &str) -> Replay {
-        if let Some(&hit) = self.replay_cache.lock().get(relation) {
-            return hit;
-        }
-        if self.storage.has_table(relation) {
-            return Replay {
-                keep: true,
-                mint_free: true,
-            };
-        }
-        // (Provisional while the closure is walked: a cycle reads it.)
-        self.replay_cache
-            .lock()
-            .insert(relation.to_string(), Replay::default());
-        let replay = match self.defining_compiled(relation) {
-            Some(Ok(crs)) if !crs.staged() => crs.body_relations().into_iter().fold(
-                Replay {
-                    keep: true,
-                    mint_free: !crs.mints_ids(),
-                },
-                |acc, input| {
-                    let input = self.replay(input);
-                    Replay {
-                        keep: acc.keep && input.keep,
-                        mint_free: acc.mint_free && input.mint_free,
-                    }
-                },
-            ),
-            _ => Replay::default(),
-        };
-        if let Some(memo) = self.replay_cache.lock().get_mut(relation) {
-            *memo = replay;
-        }
-        replay
     }
 
     /// `relation` [caught up](VersionedEdb::catch_up) and pinned into the
@@ -593,7 +499,8 @@ impl<'a> VersionedEdb<'a> {
                 // Next to other inputs it may only be probed — by key,
                 // minting per key — so an input that can mint is caught up
                 // here only alone.
-                if inputs.len() > 1 && !self.replay(table).mint_free {
+                let resolution = self.resolution(table);
+                if inputs.len() > 1 && !(resolution.replayable && resolution.mint_free) {
                     return None;
                 }
                 let mut caught = self.catch_up(table)?;
@@ -640,24 +547,23 @@ impl<'a> VersionedEdb<'a> {
     /// evaluation instead of materializing: defining rules exist, are not
     /// staged (staged sets consume their own intermediate heads, which are
     /// not resolvable relations), and nothing in the resolution closure
-    /// could mint skolem ids cold (seeded evaluation explores only matching
-    /// bindings, so letting it mint would assign ids in a different order
-    /// than the canonical full resolution — see
-    /// [`Evaluator::head_rows_by_column`]).
+    /// could mint skolem ids cold: it is mint-free, or every relation of it
+    /// whose defining rule set mints is physical, resolved in this
+    /// statement or valid in the snapshot store. (Seeded evaluation explores
+    /// only matching bindings, so letting it mint would assign ids in a
+    /// different order than the canonical full resolution — see
+    /// [`Evaluator::head_rows_by_column`]. A cold minting relation behind a
+    /// warm one is refused too, although no seeded probe would reach it:
+    /// the full resolution that answers instead mints nothing either.)
     pub fn pushable_cold(&self, relation: &str) -> bool {
-        if let Some(&hit) = self.push_cache.lock().get(relation) {
-            return hit;
-        }
-        let pushable = match self.defining_compiled(relation) {
-            Some(Ok(crs)) => {
-                !crs.staged() && !self.resolution_may_mint_cold(relation, &mut BTreeSet::new())
-            }
-            _ => false,
+        let Some(Ok(crs)) = self.defining_compiled(relation) else {
+            return false;
         };
-        self.push_cache
-            .lock()
-            .insert(relation.to_string(), pushable);
-        pushable
+        if crs.staged() {
+            return false;
+        }
+        let resolution = self.resolution(relation);
+        resolution.mint_free || resolution.minting.iter().all(|rel| self.is_warm(rel))
     }
 
     /// Serve a physical table: O(1) shared snapshot, with the epoch recorded
@@ -899,91 +805,90 @@ impl<'a> VersionedEdb<'a> {
 
 /// What the rule structure alone — no data, no caches — says about one
 /// relation's resolution closure: its defining rule set, expanded
-/// recursively through virtual relations down to storage.
-#[derive(Clone)]
-pub(crate) struct Closure {
-    /// The physical tables the resolution can possibly read (the static
-    /// footprint, see [`VersionedEdb::static_footprint`]).
+/// recursively through virtual relations down to storage. Which rule set
+/// defines a relation is decided by the genealogy and the materialization
+/// schema, so the record changes only when they do: it is walked once per
+/// catalog state ([`VersionedEdb::resolution`]), cached in the
+/// [`CompiledStore`], and every gate that asks about a closure reads it. A
+/// rule cycle or a relation nothing defines gives the default record, which
+/// is neither physical, replayable nor mint-free.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Resolution {
+    /// The physical tables the resolution can possibly read — its static
+    /// footprint. Computed over the rule *structure*, so it over-approximates
+    /// any concrete evaluation's read set and is stable while the catalog
+    /// is: what the snapshot store stamps for sound epoch invalidation.
     pub(crate) footprint: Arc<BTreeSet<String>>,
     /// The relation is a physical table (its own footprint).
-    physical: bool,
-    /// Physical, or virtual with defining rules such that no rule set in
-    /// the closure can mint an id and every SMO of the walk's `flipped` set
-    /// the closure resolves through is column-level ([`FUSABLE_KINDS`]).
-    /// A rule cycle or a relation nothing defines is never exact.
-    exact: bool,
+    pub(crate) physical: bool,
+    /// Every rule set of the unfused closure exists and is non-staged: a
+    /// stale snapshot may be caught up ([`VersionedEdb::catch_up`]).
+    pub(crate) replayable: bool,
+    /// Every rule set of the closure exists and binds no skolem: no
+    /// resolution of the relation — cold, fused or caught up — can mint.
+    pub(crate) mint_free: bool,
+    /// The virtual relations of the closure whose defining rule set binds a
+    /// skolem.
+    pub(crate) minting: Arc<BTreeSet<String>>,
+    /// The SMOs the closure resolves through that restructure rows across
+    /// relations — every kind outside [`FUSABLE_KINDS`].
+    pub(crate) restructuring: Arc<BTreeSet<SmoId>>,
 }
 
-impl Closure {
-    /// Whether a snapshot of the relation taken before the `flipped` SMOs
-    /// flipped is its resolution after (the argument is written on
-    /// `Inverda::carry_snapshots`).
-    pub(crate) fn carriable(&self) -> bool {
-        self.exact && !self.physical
-    }
-
-    /// Whether no resolution of the relation can mint an id: it is
-    /// physical, or its closure reaches storage through skolem-free rule
-    /// sets alone. Asked of a walk over no flipped SMOs, where exactness
-    /// means exactly that (`MATERIALIZE` planning's slice gate).
-    pub(crate) fn mint_free(&self) -> bool {
-        self.exact
-    }
-}
-
-/// One memoized walk over resolution closures: footprint, mint-freedom and
-/// exactness across `flipped` come out of a single visit per relation,
-/// shared by every relation that resolves through it — the closures of a
+/// One memoized walk over resolution closures: every field of a
+/// [`Resolution`] comes out of a single visit per relation, and a hop that
+/// adds nothing of its own shares its input's sets — the closures of a
 /// 170-version chain are each other's suffixes.
-pub(crate) struct ClosureWalk<'e, 'a> {
+struct Walk<'e, 'a> {
     edb: &'e VersionedEdb<'a>,
-    /// SMOs whose materialization state the running `MATERIALIZE` flipped
-    /// (empty for a plain footprint computation).
-    flipped: &'e BTreeSet<SmoId>,
-    /// `None` marks a relation whose visit is in progress.
-    memo: HashMap<String, Option<Closure>>,
+    /// What this walk computed; `None` marks a visit in progress.
+    memo: HashMap<String, Option<Arc<Resolution>>>,
+    /// The walk met a rule cycle or a relation nothing defines. What it
+    /// computed may then depend on where it started, so none of it is
+    /// cached: a cached record is always what a fresh walk computes.
+    unstable: bool,
 }
 
-impl<'e, 'a> ClosureWalk<'e, 'a> {
-    pub(crate) fn new(edb: &'e VersionedEdb<'a>, flipped: &'e BTreeSet<SmoId>) -> Self {
-        ClosureWalk {
-            edb,
-            flipped,
-            memo: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn closure(&mut self, relation: &str) -> Closure {
-        let inexact = Closure {
-            footprint: Arc::default(),
-            physical: false,
-            exact: false,
-        };
+impl<'e, 'a> Walk<'e, 'a> {
+    fn visit(&mut self, relation: &str) -> Arc<Resolution> {
         match self.memo.get(relation) {
-            Some(Some(done)) => return done.clone(),
+            Some(Some(done)) => return Arc::clone(done),
             // A rule cycle: the relation contributes nothing more to the
-            // footprint of the visit that re-entered it (its tables are
-            // collected by the outer visit), and nothing reached through a
-            // cycle is carried.
-            Some(None) => return inexact,
+            // visit that re-entered it (its tables are collected by the
+            // outer visit), and nothing reached through it is mint-free.
+            Some(None) => {
+                self.unstable = true;
+                return Arc::default();
+            }
             None => {}
         }
-        if self.edb.storage.has_table(relation) {
-            let physical = Closure {
+        if let Some(hit) = self.edb.compiled.resolution(relation) {
+            return hit;
+        }
+        let done = if self.edb.storage.has_table(relation) {
+            Resolution {
                 footprint: Arc::new(BTreeSet::from([relation.to_string()])),
                 physical: true,
-                exact: true,
-            };
-            self.memo
-                .insert(relation.to_string(), Some(physical.clone()));
-            return physical;
-        }
-        let Some((smo, rules)) = self.edb.resolving_mapping(relation) else {
-            return inexact;
+                replayable: true,
+                mint_free: true,
+                ..Resolution::default()
+            }
+        } else if let Some((smo, rules)) = self.edb.resolving_mapping(relation) {
+            self.memo.insert(relation.to_string(), None);
+            self.through(relation, smo, rules)
+        } else {
+            self.unstable = true;
+            Resolution::default()
         };
-        self.memo.insert(relation.to_string(), None);
-        let kind = self.edb.genealogy.smo(smo).derived.kind;
-        let mut exact = !self.flipped.contains(&smo) || FUSABLE_KINDS.contains(&kind);
+        let done = Arc::new(done);
+        self.memo
+            .insert(relation.to_string(), Some(Arc::clone(&done)));
+        done
+    }
+
+    /// The record of a virtual relation whose defining rule set is `rules`,
+    /// of `smo`.
+    fn through(&mut self, relation: &str, smo: SmoId, rules: &RuleSet) -> Resolution {
         // Heads of the same set (the `old`/`new` staging intermediates) are
         // derived in place — their inputs are this set's other body atoms.
         let heads: BTreeSet<&str> = rules
@@ -991,39 +896,59 @@ impl<'e, 'a> ClosureWalk<'e, 'a> {
             .iter()
             .map(|r| r.head.relation.as_str())
             .collect();
-        let mut inputs: Vec<Arc<BTreeSet<String>>> = Vec::new();
+        let (mut staged, mut mints) = (false, false);
+        let mut inputs = Vec::new();
         let mut seen: BTreeSet<&str> = BTreeSet::new();
         for lit in rules.rules.iter().flat_map(|rule| &rule.body) {
             match lit {
-                Literal::Skolem { .. } => exact = false,
+                Literal::Skolem { .. } => mints = true,
                 Literal::Pos(atom) | Literal::Neg(atom) => {
                     let rel = atom.relation.as_str();
-                    if heads.contains(rel) || !seen.insert(rel) {
-                        continue;
+                    if heads.contains(rel) {
+                        staged = true;
+                    } else if seen.insert(rel) {
+                        inputs.push(self.visit(rel));
                     }
-                    let input = self.closure(rel);
-                    exact &= input.exact;
-                    inputs.push(input.footprint);
                 }
                 _ => {}
             }
         }
-        // A hop that adds no table of its own shares its input's set.
-        inputs.sort_by_key(|set| std::cmp::Reverse(set.len()));
-        let mut footprint = inputs.first().cloned().unwrap_or_default();
-        for set in inputs.iter().skip(1) {
-            if !set.is_subset(&footprint) {
-                Arc::make_mut(&mut footprint).extend(set.iter().cloned());
-            }
-        }
-        let done = Closure {
-            footprint,
+        let kind = self.edb.genealogy.smo(smo).derived.kind;
+        Resolution {
+            footprint: union(inputs.iter().map(|i| &i.footprint), None),
             physical: false,
-            exact,
-        };
-        self.memo.insert(relation.to_string(), Some(done.clone()));
-        done
+            replayable: !staged && inputs.iter().all(|i| i.replayable),
+            mint_free: !mints && inputs.iter().all(|i| i.mint_free),
+            minting: union(
+                inputs.iter().map(|i| &i.minting),
+                mints.then(|| relation.to_string()),
+            ),
+            restructuring: union(
+                inputs.iter().map(|i| &i.restructuring),
+                (!FUSABLE_KINDS.contains(&kind)).then_some(smo),
+            ),
+        }
     }
+}
+
+/// The union of `sets` and `own`. It shares the largest set when that one
+/// covers the rest, as it does for a hop that adds nothing of its own.
+fn union<'s, T: Ord + Clone + 's>(
+    sets: impl Iterator<Item = &'s Arc<BTreeSet<T>>>,
+    own: Option<T>,
+) -> Arc<BTreeSet<T>> {
+    let mut sets: Vec<_> = sets.collect();
+    sets.sort_by_key(|set| std::cmp::Reverse(set.len()));
+    let mut out = sets.first().map(|set| Arc::clone(set)).unwrap_or_default();
+    for set in sets.iter().skip(1) {
+        if !set.is_subset(&out) {
+            Arc::make_mut(&mut out).extend(set.iter().cloned());
+        }
+    }
+    if let Some(own) = own.filter(|own| !out.contains(own)) {
+        Arc::make_mut(&mut out).insert(own);
+    }
+    out
 }
 
 impl EdbView for VersionedEdb<'_> {

@@ -31,7 +31,7 @@
 
 use crate::compiled::Direction;
 use crate::database::{Inverda, State};
-use crate::edb::{ClosureWalk, VersionedEdb};
+use crate::edb::VersionedEdb;
 use crate::error::CoreError;
 use crate::snapshot::{Carried, SnapshotStore};
 use crate::Result;
@@ -186,11 +186,9 @@ impl Inverda {
             leaving = drops.len();
 
             // Auxiliary tables of SMOs whose state flips.
-            let no_flips = BTreeSet::new();
-            let mut walk = ClosureWalk::new(&edb, &no_flips);
             for (smo, will) in flips(g, cur, &new_m) {
                 flipped.insert(smo.id);
-                let (mut heads, _) = self.flip_heads(&edb, &mut walk, smo, will)?;
+                let (mut heads, _) = self.flip_heads(&edb, smo, will)?;
                 let (new_aux, old_aux) = if will {
                     (&smo.derived.tgt_aux, &smo.derived.src_aux)
                 } else {
@@ -226,18 +224,20 @@ impl Inverda {
         let mut candidates = store.map_or_else(Vec::new, |s| s.valid_virtual(&self.storage));
         let dropped = self.storage.swap_tables(creates, replaces, &drops)?;
         state.materialization = new_m;
-        if let Some(store) = store {
-            candidates.extend(dropped.into_iter().take(leaving).map(Carried::unindexed));
-            self.carry_snapshots(store, state, &flipped, candidates);
-        }
-        // Every fused γ-chain is retired: its hop structure follows the
+        // Every fused γ-chain and resolution record is retired here, before
+        // the carry reads records under the new split: both follow the
         // storage cases. The per-SMO compilations stay valid: MATERIALIZE
         // does not touch the rule sets themselves. Both stores are
         // branch-scoped: `self.snapshots` and `self.compiled` belong to
         // this engine alone (branch forks get independent copies, see
         // `Inverda::fork_detached`), so a MATERIALIZE here cannot
         // cold-start a sibling branch's caches.
-        self.compiled.clear_fused();
+        self.compiled.clear_placement();
+        if let Some(store) = store {
+            candidates.extend(dropped.into_iter().take(leaving).map(Carried::unindexed));
+            self.carry_snapshots(store, state, &flipped, candidates);
+        }
+        self.debug_assert_resolutions(state);
         Ok(())
     }
 
@@ -252,9 +252,8 @@ impl Inverda {
     /// nothing at all when it is empty, as for a forward ADD COLUMN, whose
     /// target side has no aux table — **unless a rule left out could
     /// mint**: it binds a skolem, or it reads an input (a relation the set
-    /// does not derive) whose resolution closure is not
-    /// [mint-free](crate::edb::Closure::mint_free) by `walk`, a walk over
-    /// no flipped SMOs. Then the whole set is evaluated.
+    /// does not derive) whose [resolution](crate::edb::Resolution) is not
+    /// `mint_free`. Then the whole set is evaluated.
     ///
     /// *Minting.* Every rule left out mints nothing and reads only heads of
     /// the set and inputs no resolution of which mints — cold, fused or
@@ -276,7 +275,6 @@ impl Inverda {
     fn flip_heads(
         &self,
         edb: &VersionedEdb<'_>,
-        walk: &mut ClosureWalk<'_, '_>,
         smo: &SmoInstance,
         will: bool,
     ) -> Result<(BTreeMap<String, Relation>, bool)> {
@@ -301,7 +299,7 @@ impl Inverda {
                 Literal::Skolem { .. } => true,
                 Literal::Pos(atom) | Literal::Neg(atom) => {
                     let rel = atom.relation.as_str();
-                    !heads.contains(rel) && !walk.closure(rel).mint_free()
+                    !heads.contains(rel) && !edb.resolution(rel).mint_free
                 }
                 _ => false,
             });
@@ -368,10 +366,11 @@ impl Inverda {
     /// instance.
     ///
     /// All verdicts are structural — the store is not consulted, so one
-    /// carried entry never vouches for another — and come out of one
-    /// memoized [`ClosureWalk`]. The statement holds the writer lock and
-    /// the state write lock: nothing moves between the verdicts, the
-    /// stamps and the install.
+    /// carried entry never vouches for another — and read each candidate's
+    /// [`Resolution`](crate::edb::Resolution) under the new split: not
+    /// `physical`, `mint_free`, and no `restructuring` SMO flipped. The
+    /// statement holds the writer lock and the state write lock: nothing
+    /// moves between the verdicts, the stamps and the install.
     fn carry_snapshots(
         &self,
         store: &SnapshotStore,
@@ -387,14 +386,14 @@ impl Inverda {
             &ids,
             &self.compiled,
         );
-        let mut walk = ClosureWalk::new(&edb, flipped);
         let survivors = candidates
             .into_iter()
             .filter_map(|candidate| {
-                let closure = walk.closure(&candidate.relation);
-                closure
-                    .carriable()
-                    .then_some((candidate, closure.footprint))
+                let resolution = edb.resolution(&candidate.relation);
+                let carriable = !resolution.physical
+                    && resolution.mint_free
+                    && resolution.restructuring.is_disjoint(flipped);
+                carriable.then(|| (candidate, Arc::clone(&resolution.footprint)))
             })
             .collect();
         store.reinstall(survivors, &self.storage);
@@ -677,12 +676,9 @@ mod tests {
                         assert_eq!(edb_a.full(rel).unwrap(), edb_b.full(rel).unwrap());
                     }
                 }
-                let none = BTreeSet::new();
-                let mut walk = ClosureWalk::new(&edb_a, &none);
                 for (smo, will) in flips(g, &a.materialization, &new_m) {
                     let what = format!("{} {:?} → {new_m:?}", smo.derived.kind, smo.id);
-                    let (heads, took_whole) =
-                        sliced.flip_heads(&edb_a, &mut walk, smo, will).unwrap();
+                    let (heads, took_whole) = sliced.flip_heads(&edb_a, smo, will).unwrap();
                     let (direction, rules, kept) = toward(smo, will);
                     let crs = whole
                         .compiled

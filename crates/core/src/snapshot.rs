@@ -13,7 +13,9 @@
 //! * **Validity** is decided by the entry's *footprint*: the set of physical
 //!   tables the relation's defining mappings can read (computed statically
 //!   over the rule sets, so it is a superset of any data-dependent read set
-//!   and stable under patching), each stamped with the [`Storage`] epoch
+//!   and stable under patching; it is part of the relation's resolution
+//!   record, which the [`CompiledStore`] caches per catalog state, not this
+//!   store), each stamped with the [`Storage`] epoch
 //!   observed when the snapshot was taken. An entry is served only while
 //!   every footprint table still shows its stamped epoch; epochs are never
 //!   reused, so staleness detection is exact even across table re-creation.
@@ -56,8 +58,8 @@
 //! `CREATE SCHEMA VERSION` touches nothing — relation names are never
 //! reused and a new, virtualized SMO alters no existing relation's defining
 //! rule set or static footprint; `DROP SCHEMA VERSION`
-//! [`forget`](SnapshotStore::forget)s the entries and footprints of the
-//! relations it retires; `MATERIALIZE` moves the physical/virtual split
+//! [`forget`](SnapshotStore::forget)s the entries of the relations it
+//! retires; `MATERIALIZE` moves the physical/virtual split
 //! under every footprint but changes no relation's *contents*, so it
 //! **carries** the store across its swap: the entries valid before it
 //! (`SnapshotStore::valid_virtual`) and the table versions
@@ -151,9 +153,6 @@ struct Inner {
     /// epoch-versioned invalidation). The list is never left empty — a
     /// relation with no versions has no map entry.
     entries: HashMap<String, Vec<Arc<Entry>>>,
-    /// Static resolution footprints per relation (data-independent, so they
-    /// are computed once per catalog state and survive patching).
-    footprints: HashMap<String, Arc<BTreeSet<String>>>,
     /// Snapshot versions installed so far (stored or patched).
     installed: u64,
 }
@@ -347,26 +346,6 @@ impl SnapshotStore {
     fn serves(&self, storage: &Storage) -> bool {
         let owner = self.owner_tag.load(Ordering::Relaxed);
         owner == 0 || owner == storage.branch_tag()
-    }
-
-    /// The static footprint of `relation`, computing it with `compute` on
-    /// first use (cached until [`clear`](SnapshotStore::clear) or until the
-    /// relation is [`forgotten`](SnapshotStore::forget)).
-    pub fn footprint_of(
-        &self,
-        relation: &str,
-        compute: impl FnOnce() -> BTreeSet<String>,
-    ) -> Arc<BTreeSet<String>> {
-        if let Some(hit) = self.inner.lock().footprints.get(relation) {
-            return Arc::clone(hit);
-        }
-        let built = Arc::new(compute());
-        self.inner
-            .lock()
-            .footprints
-            .entry(relation.to_string())
-            .or_insert_with(|| Arc::clone(&built))
-            .clone()
     }
 
     /// The cached snapshot of a virtual relation, if some version's whole
@@ -733,8 +712,8 @@ impl SnapshotStore {
         }
     }
 
-    /// Drop the entries (every version, retired ones included) and cached
-    /// footprints of the relations a `DROP SCHEMA VERSION` retired: its
+    /// Drop the entries (every version, retired ones included) of the
+    /// relations a `DROP SCHEMA VERSION` retired: its
     /// table versions and the aux tables of its SMOs. No surviving entry
     /// reads one of them — they were reachable through the dropped version
     /// only — so everything else stays warm.
@@ -742,7 +721,6 @@ impl SnapshotStore {
         let mut inner = self.inner.lock();
         for rel in retired.relations() {
             inner.entries.remove(rel);
-            inner.footprints.remove(rel);
         }
     }
 
@@ -769,8 +747,8 @@ impl SnapshotStore {
             .collect()
     }
 
-    /// Replace the store's whole contents — entries (retired versions
-    /// included) and cached footprints — with `survivors`: each installed as
+    /// Replace the store's whole contents — entries, retired versions
+    /// included — with `survivors`: each installed as
     /// the only version of its relation, under its new static footprint
     /// stamped with `storage`'s current epochs. The caller holds the writer
     /// lock, so nothing moves between the stamps and the install. Installs
@@ -786,7 +764,6 @@ impl SnapshotStore {
         let mut inner = self.inner.lock();
         let retain = self.pins.load(Ordering::SeqCst) > 0;
         inner.entries.clear();
-        inner.footprints.clear();
         self.carried
             .fetch_add(survivors.len() as u64, Ordering::Relaxed);
         for (carried, footprint) in survivors {
@@ -800,16 +777,13 @@ impl SnapshotStore {
                 seq: 0,
             };
             inner.push_version(&carried.relation, entry, retain);
-            inner.footprints.insert(carried.relation, footprint);
         }
     }
 
-    /// Drop everything — entries and cached footprints (recovery installed
-    /// a new state, or reuse was switched off).
+    /// Drop every entry (recovery installed a new state, or reuse was
+    /// switched off).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.footprints.clear();
+        self.inner.lock().entries.clear();
     }
 
     /// Number of live entries (diagnostics).
@@ -888,7 +862,7 @@ impl SnapshotStore {
     }
 
     /// A private copy of this store for an epoch-pinned reader: shares the
-    /// snapshot versions (`Arc`) and cached footprints at fork time, but is
+    /// snapshot versions (`Arc`) at fork time, but is
     /// fully isolated afterwards — the pin's cold resolutions (which may
     /// mint scratch skolem ids deterministic only for that pin's own read
     /// history) never flow back, and later live-store maintenance never
@@ -908,7 +882,7 @@ impl SnapshotStore {
     }
 
     /// A private copy of this store for a **branch** fork: shares entries
-    /// and footprints like [`fork_for_pin`](SnapshotStore::fork_for_pin)
+    /// like [`fork_for_pin`](SnapshotStore::fork_for_pin)
     /// (the branch storage reproduces the fork-point epochs exactly, so
     /// every warm entry stays servable), but bound to the branch storage's
     /// fresh tag — after divergence, neither branch's entries can be
@@ -934,7 +908,6 @@ impl SnapshotStore {
         SnapshotStore {
             inner: Mutex::new(Inner {
                 entries,
-                footprints: inner.footprints.clone(),
                 installed: inner.installed,
             }),
             pins: AtomicU64::new(0),
@@ -1488,8 +1461,6 @@ mod tests {
     fn clear_empties_everything() {
         let storage = storage_with("T");
         let store = SnapshotStore::new();
-        let fp = store.footprint_of("V", || BTreeSet::from(["T".to_string()]));
-        assert_eq!(fp.len(), 1);
         store.store_entry(
             "V",
             rel_with("V", &[(1, 1)]),
@@ -1497,8 +1468,5 @@ mod tests {
         );
         store.clear();
         assert!(store.is_empty());
-        // Footprint cache cleared too: recomputed on next ask.
-        let fp2 = store.footprint_of("V", BTreeSet::new);
-        assert!(fp2.is_empty());
     }
 }

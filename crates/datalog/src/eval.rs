@@ -71,8 +71,13 @@ use std::sync::Arc;
 /// are returned as `Arc` so repeated `full` calls stay cheap.
 ///
 /// Views are `Sync` and their interior caches lock-guarded (the mutex-based
-/// [`IndexCache`] and lock-guarded maps). Evaluation itself is sequential;
-/// whether any caller still needs the bound is unverified.
+/// [`IndexCache`] and lock-guarded maps). Evaluation itself is sequential,
+/// and no caller needs the bound: with `: Sync` dropped from this trait and
+/// from [`IdSource`], every target of the workspace and of the benchmark
+/// still compiles, and so it does with `core::edb::VersionedEdb` made
+/// `!Sync` on top (`PatchedEdb` already is, then). No view is shared across
+/// threads, so the locks could become `RefCell`s; what that saves is not
+/// measured yet.
 pub trait EdbView: Sync {
     /// Full state of the relation.
     fn full(&self, relation: &str) -> Result<Arc<Relation>>;
@@ -130,8 +135,8 @@ pub trait EdbView: Sync {
 /// (rule evaluation happens on read paths too, which may mint fresh ids for
 /// new payloads).
 ///
-/// Sources are `Sync`, like [`EdbView`] and for the same unverified
-/// reason: evaluation is sequential. Reservation-backed sources
+/// Sources are `Sync`, like [`EdbView`], and no caller needs that bound
+/// either (see there). Reservation-backed sources
 /// ([`ReservingIds`]) defer actual minting to a commit after evaluation
 /// succeeded.
 pub trait IdSource: Sync {
