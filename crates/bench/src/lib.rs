@@ -17,30 +17,39 @@
 //! | `gen_latency` | Section 8.1 — delta-code generation latency |
 //! | `formal`      | Section 5 / Appendix A — mechanical bidirectionality proofs |
 //!
-//! Scale knobs (environment): `INVERDA_TASKS` (default 10 000; paper
-//! 100 000), `INVERDA_SLICES`, `INVERDA_OPS`, `INVERDA_WIKI_SCALE`
-//! (default 0.01; paper 1.0). Absolute times differ from the paper's
-//! PostgreSQL setup; the *shapes* (who wins, crossovers, asymmetries) are
-//! the reproduction target — see EXPERIMENTS.md.
+//! Scale knobs (environment): `INVERDA_TASKS` (default 10 000 or 5 000;
+//! paper 100 000), `INVERDA_WRITES`, `INVERDA_SLICES`, `INVERDA_OPS`,
+//! `INVERDA_PAIR_ROWS`, `INVERDA_WIKI_SCALE` (default 0.1; paper 1.0). A
+//! value that does not parse panics rather than run at the default scale.
+//! Absolute times differ from the paper's PostgreSQL setup; the *shapes*
+//! (who wins, crossovers, asymmetries) are the reproduction target — see
+//! EXPERIMENTS.md. The engine's performance is measured by the benchmark
+//! of record in `benchmark/`, not here.
 
 #![warn(missing_docs)]
 
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-/// Read an environment scale knob.
+/// Read an environment scale knob: `default` when unset. Panics on a value
+/// that does not parse rather than letting a typo silently mean "default".
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_parse(name, default)
 }
 
-/// Read a float environment knob.
+/// Read a float environment knob, as [`env_usize`] does.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_parse(name, default)
+}
+
+fn env_parse<T: FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Ok(v) => v
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}: expected a number, got '{v}'")),
+        Err(_) => default,
+    }
 }
 
 /// Time a closure, returning (duration, result).
@@ -86,6 +95,20 @@ mod tests {
     fn env_knobs_default() {
         assert_eq!(env_usize("INVERDA_NO_SUCH_VAR", 7), 7);
         assert_eq!(env_f64("INVERDA_NO_SUCH_VAR", 0.5), 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "INVERDA_TEST_TASKS_TYPO: expected a number, got '10k'")]
+    fn env_usize_rejects_a_typo() {
+        std::env::set_var("INVERDA_TEST_TASKS_TYPO", "10k");
+        env_usize("INVERDA_TEST_TASKS_TYPO", 10_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "INVERDA_TEST_SCALE_TYPO: expected a number, got '0,002'")]
+    fn env_f64_rejects_a_typo() {
+        std::env::set_var("INVERDA_TEST_SCALE_TYPO", "0,002");
+        env_f64("INVERDA_TEST_SCALE_TYPO", 0.1);
     }
 
     #[test]

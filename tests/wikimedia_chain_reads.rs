@@ -1,0 +1,147 @@
+//! The two byte-equality checks on the 171-version Wikimedia genealogy that
+//! no differential suite makes at this depth: γ-chain fusion against
+//! hop-by-hop evaluation, cold, at versions up to 62 hops above the data;
+//! and the query layer's pushed-down title probe against scan + filter on
+//! the head version.
+//!
+//! This is its own test binary, and so its own process: the fusion override
+//! is process-global, and `end_to_end` reads [`fusion::enabled`] to pick the
+//! counts it expects, so flipping the override there would race it.
+
+use inverda::datalog::fusion;
+use inverda::storage::BoundExpr;
+use inverda::workloads::wikimedia;
+use inverda::{AccessPath, Expr, Inverda, Relation, Value};
+
+/// The Wikimedia genealogy with its data loaded at the load version, at the
+/// scale of the paper bins' smoke runs.
+fn wiki_db() -> Inverda {
+    let db = wikimedia::install();
+    db.execute(&format!(
+        "MATERIALIZE '{}';",
+        wikimedia::version_name(wikimedia::LOAD_VERSION)
+    ))
+    .unwrap();
+    wikimedia::load_akan(&db, wikimedia::LOAD_VERSION, 0.002);
+    db
+}
+
+/// Cold resolution with fusion on and off must produce the same rows at
+/// every depth of the ADD/DROP/RENAME run above the load version (the
+/// Figure 12 reads plus the pushed-down title probe), and the same skolem
+/// registry and key sequence afterwards: first on the freshly loaded
+/// database, where every aux table above the data is empty and the fused
+/// chains are built on that assumption, then after a write through the
+/// head has filled the aux tables of its ADD COLUMN hops.
+#[test]
+fn fused_chains_resolve_the_same_bytes_as_hop_by_hop() {
+    let db = wiki_db();
+    db.set_snapshot_reuse(false);
+    let fingerprint = |on: bool| -> String {
+        fusion::set_enabled(Some(on));
+        let mut s = String::new();
+        for v in [115, 130, 145, 160, 171] {
+            let name = wikimedia::version_name(v);
+            for table in ["page", "links"] {
+                s.push_str(&format!(
+                    "{name}.{table}:\n{}",
+                    db.scan(&name, table).unwrap()
+                ));
+            }
+            s.push_str(&format!(
+                "probe {v}: {}\n",
+                wikimedia::probe_version(&db, v)
+            ));
+        }
+        s.push_str(&db.debug_registry());
+        s.push_str(&format!("key_seq={}", db.debug_key_seq()));
+        fusion::set_enabled(None);
+        s
+    };
+    let fused = fingerprint(true);
+    let (chains, deepest) = db.fused_chain_stats();
+    assert!(
+        deepest > 1,
+        "no chain fused: {chains} chains, deepest run {deepest} hops"
+    );
+    assert!(fused.contains(&format!("Page_{}", wikimedia::PROBE_TITLE_I)));
+    assert_eq!(
+        fused,
+        fingerprint(false),
+        "fused ≠ hop-by-hop on the loaded data"
+    );
+
+    let head = wikimedia::version_name(171);
+    let row: Vec<Value> = db
+        .columns_of(&head, "page")
+        .unwrap()
+        .iter()
+        .enumerate()
+        .map(|(i, c)| match c.as_str() {
+            "title" => Value::text(format!("Page_{}", wikimedia::PROBE_TITLE_I)),
+            "text" => Value::text("written through the head"),
+            _ => Value::Int(1_000 + i as i64),
+        })
+        .collect();
+    db.insert(&head, "page", row).unwrap();
+    let fused = fingerprint(true);
+    assert!(fused.contains("written through the head"));
+    assert_eq!(
+        fused,
+        fingerprint(false),
+        "fused ≠ hop-by-hop after a head write"
+    );
+}
+
+/// `title = 'Page_7'` on the head version, 62 hops above the data: the
+/// query layer pushes the equality down the mapping chain when cold and
+/// probes the cached snapshot's index when warm; both must return exactly
+/// the rows, tuple ids included, that a full scan filtered by the client
+/// returns.
+#[test]
+fn the_head_title_probe_equals_scan_and_filter() {
+    let db = wiki_db();
+    let version = wikimedia::version_name(171);
+    let filter = Expr::col("title").eq(Expr::lit(format!("Page_{}", wikimedia::PROBE_TITLE_I)));
+    let columns = db.columns_of(&version, "page").unwrap();
+    let bound = BoundExpr::bind(&filter, "page", &columns).unwrap();
+    for warm in [false, true] {
+        db.set_snapshot_reuse(warm);
+        if warm {
+            db.scan(&version, "page").unwrap();
+        }
+        let pushed = db
+            .query(&version, "page")
+            .filter(filter.clone())
+            .collect()
+            .unwrap();
+        let access = db
+            .query(&version, "page")
+            .filter(filter.clone())
+            .plan()
+            .unwrap()
+            .access;
+        assert!(
+            matches!(
+                (warm, &access),
+                (false, AccessPath::SeededPushdown { .. }) | (true, AccessPath::IndexProbe { .. })
+            ),
+            "warm {warm}: {access}"
+        );
+        let scanned = db.scan(&version, "page").unwrap();
+        let mut filtered = Relation::new(scanned.schema().clone());
+        for (k, row) in scanned.iter() {
+            if bound.matches(row).unwrap() {
+                filtered.upsert(k, row.clone()).unwrap();
+            }
+        }
+        assert!(
+            !filtered.is_empty(),
+            "warm {warm}: the probe title is missing"
+        );
+        assert_eq!(pushed.len(), filtered.len(), "warm {warm}");
+        for (k, row) in filtered.iter() {
+            assert_eq!(pushed.get(k), Some(row), "warm {warm}: row {k}");
+        }
+    }
+}
