@@ -43,7 +43,7 @@
 
 use crate::database::{ExecutionOutcome, Inverda};
 use crate::durability::wal::{scan_log, WalWriter};
-use crate::durability::{DurabilityMode, DurabilityOptions};
+use crate::durability::DurabilityOptions;
 use crate::error::CoreError;
 use crate::serving::PinnedView;
 use crate::write::LogicalWrite;
@@ -55,7 +55,6 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Name of the branch every manager starts with.
@@ -443,7 +442,7 @@ enum OpReturn {
 fn fresh_branch(durable: bool) -> BranchState {
     let db = Inverda::new_in_memory();
     if durable {
-        db.ids.0.lock().set_journaling(true);
+        db.ids.lock().set_journaling(true);
     }
     BranchState {
         db: Arc::new(db),
@@ -462,7 +461,7 @@ fn unknown(name: &str) -> CoreError {
 /// record) into a `Residue` record. Must precede any action record of the
 /// same branch, or replay would re-drive the action without the mints.
 fn log_residue(log: &mut WalWriter, name: &str, db: &Inverda) -> Result<()> {
-    let reg_ops = db.ids.0.lock().take_journal();
+    let reg_ops = db.ids.lock().take_journal();
     if reg_ops.is_empty() {
         return Ok(());
     }
@@ -564,7 +563,7 @@ impl BranchCore {
         }
         let db = parent.db.fork_detached();
         if durable {
-            db.ids.0.lock().set_journaling(true);
+            db.ids.lock().set_journaling(true);
         }
         let state = BranchState {
             db: Arc::new(db),
@@ -613,7 +612,7 @@ impl BranchCore {
         if durable {
             // The op's own mints are re-derived by re-driving it on
             // replay; discard them so they are not double-applied.
-            state.db.ids.0.lock().take_journal();
+            state.db.ids.lock().take_journal();
         }
         let (ok, minted, created) = match &result {
             Ok(OpReturn::Executed(outcome)) => (true, Vec::new(), outcome.created_versions.clone()),
@@ -676,7 +675,7 @@ impl BranchCore {
         // dst has nothing of its own: advancing it is re-forking src.
         let db = src.db.fork_detached();
         if durable {
-            db.ids.0.lock().set_journaling(true);
+            db.ids.lock().set_journaling(true);
         }
         let history = src.history.clone();
         let integrated = src.integrated.clone();
@@ -865,7 +864,7 @@ impl BranchCore {
         if durable {
             // Replay re-derives the merge's own mints by re-driving the
             // Merge record; journal from here on.
-            let mut reg = scratch.ids.0.lock();
+            let mut reg = scratch.ids.lock();
             reg.set_journaling(true);
         }
 
@@ -925,7 +924,7 @@ impl BranchCore {
                 key_seq,
             } => {
                 if let Some(state) = inner.branches.get(&branch) {
-                    let mut reg = state.db.ids.0.lock();
+                    let mut reg = state.db.ids.lock();
                     for op in &reg_ops {
                         reg.apply_op(op);
                     }
@@ -1000,34 +999,19 @@ impl BranchingInverda {
     /// `group`, in which case the branch log lives in a process-private
     /// temporary directory (removed on drop), mirroring [`Inverda::new`].
     pub fn new() -> Self {
-        match DurabilityMode::from_env() {
-            DurabilityMode::Off => BranchingInverda::new_in_memory(),
-            mode => {
-                static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-                let dir = std::env::temp_dir().join(format!(
-                    "inverda-branch-{}-{}",
-                    std::process::id(),
-                    TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                let mut manager = BranchingInverda::open_in(
-                    &dir,
-                    DurabilityOptions {
-                        mode,
-                        ..DurabilityOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "INVERDA_DURABILITY: cannot open branch tempdir {}: {e}",
-                        dir.display()
-                    )
-                });
-                Arc::get_mut(&mut manager.core)
-                    .expect("sole owner at construction")
-                    .temp_dir = true;
-                manager
-            }
-        }
+        let Some((dir, options)) = crate::durability::env_temp_dir("inverda-branch") else {
+            return BranchingInverda::new_in_memory();
+        };
+        let mut manager = BranchingInverda::open_in(&dir, options).unwrap_or_else(|e| {
+            panic!(
+                "INVERDA_DURABILITY: cannot open branch tempdir {}: {e}",
+                dir.display()
+            )
+        });
+        Arc::get_mut(&mut manager.core)
+            .expect("sole owner at construction")
+            .temp_dir = true;
+        manager
     }
 
     /// Fresh in-memory manager with one empty `main` branch, ignoring the

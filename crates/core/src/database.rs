@@ -14,7 +14,7 @@ use inverda_datalog::SkolemRegistry;
 use inverda_storage::{Key, Relation, Row, Storage, TableSchema, Value};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// How logical writes are propagated to physical storage.
@@ -25,8 +25,8 @@ pub enum WritePath {
     #[default]
     Delta,
     /// Reference implementation: recompute both full side states per SMO
-    /// hop and diff. Exact but `O(data)` per write; used for the ablation
-    /// benchmark and as the oracle in equivalence tests.
+    /// hop and diff. Exact but `O(data)` per write; the oracle of the
+    /// equivalence tests.
     Recompute,
 }
 
@@ -44,13 +44,10 @@ pub struct State {
     pub ddl_history: Vec<String>,
 }
 
-/// Shared skolem-id registry (usable from read paths). Fresh identifiers
-/// are minted from the storage engine's global key sequence so generated
-/// ids never collide with tuple identifiers — the id-generating SMOs key
-/// rows by them (Appendix B.3, Rules 149/152).
-pub struct SharedIds(pub Mutex<SkolemRegistry>);
-
 /// Per-call [`IdSource`] adapter binding the registry to the key sequence.
+/// Fresh identifiers are minted from the storage engine's global key
+/// sequence so generated ids never collide with tuple identifiers — the
+/// id-generating SMOs key rows by them (Appendix B.3, Rules 149/152).
 pub struct IdMinter<'a> {
     registry: &'a Mutex<SkolemRegistry>,
     sequences: &'a inverda_storage::SequenceSet,
@@ -83,7 +80,7 @@ pub struct ExecutionOutcome {
 pub struct Inverda {
     pub(crate) storage: Storage,
     pub(crate) state: RwLock<State>,
-    pub(crate) ids: SharedIds,
+    pub(crate) ids: Mutex<SkolemRegistry>,
     /// Serializes logical writes and migrations.
     pub(crate) write_lock: Mutex<()>,
     /// Compiled SMO rule sets, fused chains and the catalog index, reused
@@ -110,7 +107,7 @@ impl Inverda {
     /// The id source bound to this database's key sequence.
     pub(crate) fn id_source(&self) -> IdMinter<'_> {
         IdMinter {
-            registry: &self.ids.0,
+            registry: &self.ids,
             sequences: self.storage.sequences(),
         }
     }
@@ -171,38 +168,24 @@ impl Inverda {
     /// `INVERDA_DURABILITY` environment knob is `commit` or `group`, in
     /// which case the instance is backed by a process-private temporary
     /// directory (removed on drop) so the *entire* test suite exercises
-    /// the durable write path. Panics if that directory cannot be set up;
+    /// the durable write path. Panics on any other value of the knob but
+    /// `off` (or unset, or empty) and if that directory cannot be set up;
     /// use [`Inverda::new_in_memory`] for an instance that ignores the
     /// knob (e.g. the in-memory oracle of a recovery test).
     pub fn new() -> Self {
-        match DurabilityMode::from_env() {
-            DurabilityMode::Off => Inverda::new_in_memory(),
-            mode => {
-                static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-                let dir = std::env::temp_dir().join(format!(
-                    "inverda-{}-{}",
-                    std::process::id(),
-                    TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                let mut db = Inverda::open_in(
-                    &dir,
-                    DurabilityOptions {
-                        mode,
-                        ..DurabilityOptions::default()
-                    },
-                )
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "INVERDA_DURABILITY: cannot open durable tempdir {}: {e}",
-                        dir.display()
-                    )
-                });
-                if let Some(d) = &mut db.durability {
-                    d.temp = true;
-                }
-                db
-            }
+        let Some((dir, options)) = crate::durability::env_temp_dir("inverda") else {
+            return Inverda::new_in_memory();
+        };
+        let mut db = Inverda::open_in(&dir, options).unwrap_or_else(|e| {
+            panic!(
+                "INVERDA_DURABILITY: cannot open durable tempdir {}: {e}",
+                dir.display()
+            )
+        });
+        if let Some(d) = &mut db.durability {
+            d.temp = true;
         }
+        db
     }
 
     /// Fresh, empty, purely in-memory database — [`Inverda::new`] without
@@ -222,7 +205,7 @@ impl Inverda {
                 write_path: WritePath::default(),
                 ddl_history: Vec::new(),
             }),
-            ids: SharedIds(Mutex::new(SkolemRegistry::new())),
+            ids: Mutex::new(SkolemRegistry::new()),
             write_lock: Mutex::new(()),
             compiled: CompiledStore::new(),
             snapshots,
@@ -247,7 +230,7 @@ impl Inverda {
         let storage = self.storage.fork();
         let snapshots = self.snapshots.fork_for_branch(storage.branch_tag());
         let registry = {
-            let mut reg = self.ids.0.lock().clone();
+            let mut reg = self.ids.lock().clone();
             reg.set_journaling(false);
             reg
         };
@@ -259,7 +242,7 @@ impl Inverda {
                 write_path: state.write_path,
                 ddl_history: state.ddl_history.clone(),
             }),
-            ids: SharedIds(Mutex::new(registry)),
+            ids: Mutex::new(registry),
             write_lock: Mutex::new(()),
             compiled: self.compiled.fork(),
             snapshot_reuse: AtomicBool::new(self.snapshot_reuse.load(Ordering::Relaxed)),
@@ -306,7 +289,7 @@ impl Inverda {
         // not replayed — harmlessly but pointlessly — on top of the
         // checkpoint they are already part of.
         let registry = {
-            let mut reg = self.ids.0.lock();
+            let mut reg = self.ids.lock();
             let _ = reg.take_journal();
             reg.clone()
         };
@@ -354,7 +337,7 @@ impl Inverda {
         if self.durability.is_none() {
             return Ok(());
         }
-        let reg_ops = self.ids.0.lock().take_journal();
+        let reg_ops = self.ids.lock().take_journal();
         if reg_ops.is_empty() {
             return Ok(());
         }
@@ -508,7 +491,7 @@ impl Inverda {
                 if self.durability.is_none() {
                     return Ok(());
                 }
-                let reg_ops = self.ids.0.lock().take_journal();
+                let reg_ops = self.ids.lock().take_journal();
                 let key_seq = self.storage.sequences().current_key();
                 self.wal_append(
                     state,
@@ -630,7 +613,8 @@ impl Inverda {
         self.query(version, table).exists()
     }
 
-    /// Switch the write-propagation implementation (ablation control).
+    /// Switch the write-propagation implementation (equivalence tests run
+    /// the recompute oracle through it).
     pub fn set_write_path(&self, path: WritePath) {
         self.state.write().write_path = path;
     }
@@ -698,7 +682,7 @@ impl Inverda {
 
     /// Debug dump of the skolem registry (diagnostics).
     pub fn debug_registry(&self) -> String {
-        self.ids.0.lock().dump()
+        self.ids.lock().dump()
     }
 
     /// Clone of the current skolem registry — test oracles re-deriving
@@ -706,7 +690,7 @@ impl Inverda {
     /// assignments (after an update purge of a physical `ID` memo,
     /// repeatable reads rest on the registry).
     pub fn registry_snapshot(&self) -> SkolemRegistry {
-        self.ids.0.lock().clone()
+        self.ids.lock().clone()
     }
 
     /// Audit the snapshot store: re-resolve every valid virtual entry cold
@@ -714,20 +698,9 @@ impl Inverda {
     /// whose stored contents differ (diagnostics).
     pub fn snapshot_store_audit(&self) -> Vec<String> {
         use inverda_datalog::eval::EdbView;
-        /// Throwaway `Sync` id source over a cloned registry (audits must
-        /// not perturb the database's skolem state).
-        struct AuditIds(Mutex<SkolemRegistry>);
-        impl IdSource for AuditIds {
-            fn generate(&self, generator: &str, args: &[Value]) -> u64 {
-                self.0.lock().get_or_create(generator, args)
-            }
-
-            fn peek(&self, generator: &str, args: &[Value]) -> Option<u64> {
-                self.0.lock().peek(generator, args)
-            }
-        }
         let state = self.state.read();
-        let reg = AuditIds(Mutex::new(self.ids.0.lock().clone()));
+        // A throwaway copy: audits must not perturb the skolem state.
+        let reg = std::cell::RefCell::new(self.ids.lock().clone());
         let edb = VersionedEdb::new(
             &state.genealogy,
             &state.materialization,
@@ -816,7 +789,7 @@ impl Inverda {
     pub fn observe_ids(&self, generator: &str, assignments: &[(Vec<Value>, u64)]) -> Result<()> {
         let _guard = self.write_lock.lock();
         {
-            let mut reg = self.ids.0.lock();
+            let mut reg = self.ids.lock();
             for (args, id) in assignments {
                 reg.observe(generator, args, *id);
             }

@@ -55,7 +55,7 @@ pub(crate) fn open(dir: &Path, options: DurabilityOptions) -> Result<Inverda> {
     .map_err(CoreError::Storage)?;
     remove_stale_wals(dir, generation).map_err(CoreError::Storage)?;
     db.debug_assert_resolutions(&db.state.read());
-    db.ids.0.lock().set_journaling(true);
+    db.ids.lock().set_journaling(true);
     let mut db = db;
     db.durability = Some(Durability::new(
         dir.to_path_buf(),
@@ -85,7 +85,7 @@ fn restore(db: &Inverda, ckpt: Checkpoint) -> Result<()> {
             .create_table_with(rel)
             .map_err(CoreError::Storage)?;
     }
-    *db.ids.0.lock() = ckpt.registry;
+    *db.ids.lock() = ckpt.registry;
     db.storage
         .sequences()
         .ensure_key_above(ckpt.key_seq.saturating_sub(1));
@@ -99,7 +99,7 @@ fn restore(db: &Inverda, ckpt: Checkpoint) -> Result<()> {
 /// them in.
 fn replay(db: &Inverda, record: &Record) -> Result<()> {
     {
-        let mut reg = db.ids.0.lock();
+        let mut reg = db.ids.lock();
         for op in &record.reg_ops {
             reg.apply_op(op);
         }

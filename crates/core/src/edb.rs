@@ -51,7 +51,7 @@ use inverda_datalog::eval::{evaluate_compiled, EdbView, Evaluator, IdSource};
 use inverda_datalog::simplify::{apply_empty, Derivation};
 use inverda_datalog::{fusion, CompiledRuleSet, DatalogError, Literal, RuleSet};
 use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, Row, Storage, Value};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -89,28 +89,25 @@ pub struct VersionedEdb<'a> {
     genealogy: &'a Genealogy,
     materialization: &'a MaterializationSchema,
     storage: &'a Storage,
-    ids: &'a (dyn IdSource + Sync),
+    ids: &'a dyn IdSource,
     compiled: &'a CompiledStore,
     /// Cross-statement snapshot store, when reuse is enabled.
     snapshots: Option<&'a SnapshotStore>,
     /// Name-keyed genealogy lookups, shared across statements.
     catalog: Arc<CatalogIndex>,
-    /// Caches are mutex-guarded (not `RefCell`) so the view is `Sync`, as
-    /// [`EdbView`] requires. No caller shares a view across threads (see
-    /// there), so nothing but that bound keeps the locks.
-    cache: Mutex<BTreeMap<String, Arc<Relation>>>,
+    cache: RefCell<BTreeMap<String, Arc<Relation>>>,
     /// Physical table → epoch of the snapshot this statement reads (first
     /// access wins, so footprint stamps agree with the data actually read).
-    seen_epochs: Mutex<HashMap<String, u64>>,
+    seen_epochs: RefCell<HashMap<String, u64>>,
     /// Two-level `rel → key → row` cache: lookups are by `&str`, so the hot
     /// path allocates nothing.
-    key_cache: Mutex<HashMap<String, HashMap<Key, Option<Row>>>>,
+    key_cache: RefCell<HashMap<String, HashMap<Key, Option<Row>>>>,
     /// `rel → column → probe value → rows` memo for seeded pushdown.
     /// Load-bearing, not just a nicety: the rules of one γ mapping (and
     /// every recursion level above) probe the same lower relation with the
     /// same binding, so without the memo an N-hop chain whose mappings have
     /// k rules fans out into k^N recursive probes.
-    col_cache: Mutex<HashMap<String, ColumnRows>>,
+    col_cache: RefCell<HashMap<String, ColumnRows>>,
     /// Secondary join indexes per `(rel, column)`, shared with every
     /// evaluator that probes through this view.
     index_cache: IndexCache,
@@ -122,7 +119,7 @@ impl<'a> VersionedEdb<'a> {
         genealogy: &'a Genealogy,
         materialization: &'a MaterializationSchema,
         storage: &'a Storage,
-        ids: &'a (dyn IdSource + Sync),
+        ids: &'a dyn IdSource,
         compiled: &'a CompiledStore,
     ) -> Self {
         VersionedEdb {
@@ -133,10 +130,10 @@ impl<'a> VersionedEdb<'a> {
             compiled,
             snapshots: None,
             catalog: compiled.catalog_index(genealogy),
-            cache: Mutex::new(BTreeMap::new()),
-            seen_epochs: Mutex::new(HashMap::new()),
-            key_cache: Mutex::new(HashMap::new()),
-            col_cache: Mutex::new(HashMap::new()),
+            cache: RefCell::new(BTreeMap::new()),
+            seen_epochs: RefCell::new(HashMap::new()),
+            key_cache: RefCell::new(HashMap::new()),
+            col_cache: RefCell::new(HashMap::new()),
             index_cache: IndexCache::new(),
         }
     }
@@ -218,7 +215,7 @@ impl<'a> VersionedEdb<'a> {
     /// resolved in this statement, or valid in the snapshot store.
     fn is_warm(&self, relation: &str) -> bool {
         self.storage.has_table(relation)
-            || self.cache.lock().contains_key(relation)
+            || self.cache.borrow().contains_key(relation)
             || self
                 .snapshots
                 .is_some_and(|store| store.peek_valid(relation, self.storage).is_some())
@@ -231,7 +228,7 @@ impl<'a> VersionedEdb<'a> {
     /// the restamped epoch and the entry is simply never served.
     fn stamped_footprint(&self, relation: &str) -> BTreeMap<String, u64> {
         let resolution = self.resolution(relation);
-        let seen = self.seen_epochs.lock();
+        let seen = self.seen_epochs.borrow();
         resolution
             .footprint
             .iter()
@@ -272,7 +269,7 @@ impl<'a> VersionedEdb<'a> {
     ) -> Result<Arc<Relation>> {
         let out = evaluate_compiled(crs, self, self.ids, &self.catalog.head_columns)
             .map_err(crate::CoreError::from)?;
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.borrow_mut();
         let mut requested = None;
         for (head, rel) in out {
             // Cache sibling heads too — one evaluation serves every output
@@ -379,7 +376,7 @@ impl<'a> VersionedEdb<'a> {
     /// entry. `None` means only a cold evaluation could answer — the query
     /// planner then chooses between seeded pushdown and a full scan.
     pub fn peek_resolved(&self, relation: &str) -> inverda_datalog::Result<Option<Arc<Relation>>> {
-        if let Some(hit) = self.cache.lock().get(relation) {
+        if let Some(hit) = self.cache.borrow().get(relation) {
             return Ok(Some(Arc::clone(hit)));
         }
         if self.storage.has_table(relation) {
@@ -414,7 +411,7 @@ impl<'a> VersionedEdb<'a> {
         });
         if let Some(hit) = hit {
             self.cache
-                .lock()
+                .borrow_mut()
                 .insert(relation.to_string(), Arc::clone(&hit));
             return Some(hit);
         }
@@ -428,7 +425,7 @@ impl<'a> VersionedEdb<'a> {
     /// statement cache, or `None`.
     fn caught_up(&self, relation: &str) -> Option<Arc<Relation>> {
         self.catch_up(relation)?;
-        self.cache.lock().get(relation).map(Arc::clone)
+        self.cache.borrow().get(relation).map(Arc::clone)
     }
 
     /// **Read-time catch-up**: bring the stale snapshot of `relation` — and
@@ -483,7 +480,7 @@ impl<'a> VersionedEdb<'a> {
                 // derived at and the epoch this statement reads it at.
                 let stamp = *stale.stamps.get(table)?;
                 self.full(table).ok()?;
-                let epoch = self.seen_epochs.lock().get(table).copied()?;
+                let epoch = self.seen_epochs.borrow().get(table).copied()?;
                 to.insert(table.to_string(), epoch);
                 Delta::from(self.storage.changes_between(table, stamp, epoch)?)
             } else {
@@ -491,7 +488,7 @@ impl<'a> VersionedEdb<'a> {
                 // `stale_heads` refuses a valid one. One this statement
                 // already holds was brought up to date without us, even if
                 // a concurrent write has made its line stale again since.
-                if self.cache.lock().contains_key(table) {
+                if self.cache.borrow().contains_key(table) {
                     return None;
                 }
                 // A database without a store resolves a sole input whole
@@ -536,7 +533,7 @@ impl<'a> VersionedEdb<'a> {
         // Let go of the snapshots: unshared, they are patched in place.
         drop(stored);
         let patched = store.catch_up(&seqs, &deltas, &to)?;
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.borrow_mut();
         for (head, rel) in patched {
             cache.insert(head.to_string(), rel);
         }
@@ -574,11 +571,11 @@ impl<'a> VersionedEdb<'a> {
             .snapshot_with_epoch(relation)
             .map_err(DatalogError::Storage)?;
         self.seen_epochs
-            .lock()
+            .borrow_mut()
             .entry(relation.to_string())
             .or_insert(epoch);
         self.cache
-            .lock()
+            .borrow_mut()
             .insert(relation.to_string(), Arc::clone(&shared));
         Ok(shared)
     }
@@ -672,7 +669,7 @@ impl<'a> VersionedEdb<'a> {
     /// for a snapshot, that the write path keeps patched).
     fn is_resolved_state(&self, rel: &str, tv: TableVersionId) -> bool {
         self.compiled.fused_get(tv).is_some()
-            || self.cache.lock().contains_key(rel)
+            || self.cache.borrow().contains_key(rel)
             || self
                 .snapshots
                 .is_some_and(|store| store.peek_valid(rel, self.storage).is_some())
@@ -792,10 +789,10 @@ impl<'a> VersionedEdb<'a> {
         }
         let store = self.snapshots?;
         let hit = if self.storage.has_table(relation) {
-            let epoch = self.seen_epochs.lock().get(relation).copied()?;
+            let epoch = self.seen_epochs.borrow().get(relation).copied()?;
             store.get_index_physical(relation, column, epoch)
         } else {
-            let rel = self.cache.lock().get(relation).map(Arc::clone)?;
+            let rel = self.cache.borrow().get(relation).map(Arc::clone)?;
             store.get_index_virtual(relation, column, &rel)
         }?;
         self.index_cache.put(relation, column, Arc::clone(&hit));
@@ -986,12 +983,12 @@ impl EdbView for VersionedEdb<'_> {
     }
 
     fn by_key(&self, relation: &str, key: Key) -> inverda_datalog::Result<Option<Row>> {
-        if let Some(hit) = self.cache.lock().get(relation) {
+        if let Some(hit) = self.cache.borrow().get(relation) {
             return Ok(hit.get(key).cloned());
         }
         if let Some(hit) = self
             .key_cache
-            .lock()
+            .borrow()
             .get(relation)
             .and_then(|m| m.get(&key))
         {
@@ -1033,7 +1030,7 @@ impl EdbView for VersionedEdb<'_> {
         let mut ev = Evaluator::new(self, self.ids);
         let row = ev.head_row_for_key(&crs, relation, key)?;
         self.key_cache
-            .lock()
+            .borrow_mut()
             .entry(relation.to_string())
             .or_default()
             .insert(key, row.clone());
@@ -1063,7 +1060,7 @@ impl EdbView for VersionedEdb<'_> {
     ) -> inverda_datalog::Result<Vec<(Key, Row)>> {
         if let Some(hit) = self
             .col_cache
-            .lock()
+            .borrow()
             .get(relation)
             .and_then(|m| m.get(&column))
             .and_then(|m| m.get(value))
@@ -1095,7 +1092,7 @@ impl EdbView for VersionedEdb<'_> {
             ev.head_rows_by_column(&crs, relation, column, value)?
         };
         self.col_cache
-            .lock()
+            .borrow_mut()
             .entry(relation.to_string())
             .or_default()
             .entry(column)
@@ -1118,7 +1115,7 @@ impl EdbView for VersionedEdb<'_> {
         if let Some(store) = self.snapshots {
             let hit = if self.storage.has_table(relation) {
                 self.seen_epochs
-                    .lock()
+                    .borrow()
                     .get(relation)
                     .and_then(|epoch| store.get_index_physical(relation, column, *epoch))
             } else {
@@ -1133,7 +1130,7 @@ impl EdbView for VersionedEdb<'_> {
         self.index_cache.put(relation, column, Arc::clone(&built));
         if let Some(store) = self.snapshots {
             if self.storage.has_table(relation) {
-                if let Some(epoch) = self.seen_epochs.lock().get(relation).copied() {
+                if let Some(epoch) = self.seen_epochs.borrow().get(relation).copied() {
                     store.store_index_physical(relation, column, Arc::clone(&built), epoch);
                 }
             } else {

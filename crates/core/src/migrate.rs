@@ -108,7 +108,7 @@ impl Inverda {
         let durable = self.durability.is_some();
         let (pending, key_seq_before) = if durable {
             (
-                self.ids.0.lock().take_journal(),
+                self.ids.lock().take_journal(),
                 self.storage.sequences().current_key(),
             )
         } else {
@@ -119,7 +119,7 @@ impl Inverda {
         if durable {
             match &result {
                 Ok(()) => {
-                    let _ = self.ids.0.lock().take_journal();
+                    let _ = self.ids.lock().take_journal();
                     self.wal_append(
                         state,
                         crate::durability::Record {
@@ -131,7 +131,7 @@ impl Inverda {
                 }
                 Err(_) => {
                     let mut reg_ops = pending;
-                    reg_ops.extend(self.ids.0.lock().take_journal());
+                    reg_ops.extend(self.ids.lock().take_journal());
                     if !reg_ops.is_empty() {
                         let key_seq = self.storage.sequences().current_key();
                         self.wal_append(
@@ -322,7 +322,7 @@ impl Inverda {
     fn reseed_registry(&self, edb: &VersionedEdb<'_>, smo: &SmoInstance) {
         for hint in &smo.derived.observe_hints {
             if let Ok(rel) = edb.full(&hint.relation) {
-                let mut reg = self.ids.0.lock();
+                let mut reg = self.ids.lock();
                 reg.purge_generator(&hint.generator);
                 for (key, row) in rel.iter() {
                     reg.observe(&hint.generator, row, key.0);
@@ -657,8 +657,8 @@ mod tests {
     ) -> Vec<(&'static str, bool, bool)> {
         let (sliced, whole) = (build(), build());
         let same = |what: &str| {
-            let dump = sliced.ids.0.lock().dump();
-            assert_eq!(dump, whole.ids.0.lock().dump(), "{what}");
+            let dump = sliced.ids.lock().dump();
+            assert_eq!(dump, whole.ids.lock().dump(), "{what}");
             let key = sliced.storage.sequences().current_key();
             assert_eq!(key, whole.storage.sequences().current_key(), "{what}");
         };

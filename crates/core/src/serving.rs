@@ -244,7 +244,7 @@ impl Inverda {
         self.snapshots.acquire_pin();
         let tables = self.storage.snapshot_all();
         let key_seq = self.storage.sequences().current_key();
-        let registry = Arc::new(self.ids.0.lock().clone());
+        let registry = Arc::new(self.ids.lock().clone());
         PinnedView::build(
             Arc::clone(self),
             Arc::new(state.genealogy.clone()),
@@ -571,7 +571,7 @@ struct PipelineCatalog {
 impl PipelineCatalog {
     fn capture(db: &Inverda) -> PipelineCatalog {
         let state = db.state.read();
-        let reg = db.ids.0.lock();
+        let reg = db.ids.lock();
         PipelineCatalog {
             genealogy: Arc::new(state.genealogy.clone()),
             materialization: Arc::new(state.materialization.clone()),
@@ -589,7 +589,7 @@ impl PipelineCatalog {
     }
 
     fn refresh_registry(&mut self, db: &Inverda) {
-        let reg = db.ids.0.lock();
+        let reg = db.ids.lock();
         if reg.revision() != self.revision {
             self.revision = reg.revision();
             self.registry = Arc::new(reg.clone());

@@ -195,7 +195,7 @@ impl Inverda {
         // path logs a record whenever the sequence advanced, keeping
         // recovered key minting in lockstep with the in-memory process.
         if self.durability.is_some() {
-            let reg_ops = self.ids.0.lock().take_journal();
+            let reg_ops = self.ids.lock().take_journal();
             let key_seq = self.storage.sequences().current_key();
             if !reg_ops.is_empty() || (result.is_err() && key_seq != key_seq_before) {
                 self.wal_append(
@@ -329,7 +329,7 @@ impl Inverda {
         // the batch directly — no rule re-evaluation — so the key-sequence
         // stamp is the post-statement value.
         if self.durability.is_some() {
-            let reg_ops = self.ids.0.lock().take_journal();
+            let reg_ops = self.ids.lock().take_journal();
             let key_seq = self.storage.sequences().current_key();
             self.wal_append(
                 state,
@@ -839,7 +839,7 @@ impl Inverda {
     /// Keep the skolem registry consistent with a physical id-bearing
     /// relation: replaced payloads are forgotten, new payloads recorded.
     fn sync_registry(&self, generator: &str, delta: &Delta) {
-        let mut reg = self.ids.0.lock();
+        let mut reg = self.ids.lock();
         for row in delta.deletes.values() {
             reg.unobserve(generator, row);
         }

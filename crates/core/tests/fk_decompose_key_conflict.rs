@@ -26,7 +26,7 @@ use inverda_core::{Inverda, WritePath};
 use inverda_datalog::eval::MapEdb;
 use inverda_datalog::naive;
 use inverda_storage::Value;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 const SCRIPT: &str = "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio); \
@@ -235,7 +235,7 @@ fn twin_separated_fk_decompose_matches_naive_interpreter() {
         let rel = db.physical_snapshot(&table).unwrap();
         edb.add_shared(table, rel);
     }
-    let ids = Mutex::new(db.registry_snapshot());
+    let ids = RefCell::new(db.registry_snapshot());
     let naive_out = naive::evaluate(&rules, &edb, &ids, &head_columns)
         .expect("the naive interpreter must accept the separated state too");
     assert_eq!(

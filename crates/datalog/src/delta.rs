@@ -33,7 +33,7 @@ use crate::eval::{
 use crate::skolem::{self, PlaceholderPatch};
 use crate::Result;
 use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, RelationDelta, Row, Value};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -160,7 +160,7 @@ pub struct PatchedEdb<'a> {
     pub base: &'a dyn EdbView,
     /// Changes to overlay.
     pub patches: &'a DeltaMap,
-    cache: Mutex<BTreeMap<String, Arc<Relation>>>,
+    cache: RefCell<BTreeMap<String, Arc<Relation>>>,
     indexes: IndexCache,
 }
 
@@ -170,7 +170,7 @@ impl<'a> PatchedEdb<'a> {
         PatchedEdb {
             base,
             patches,
-            cache: Mutex::new(BTreeMap::new()),
+            cache: RefCell::new(BTreeMap::new()),
             indexes: IndexCache::new(),
         }
     }
@@ -178,7 +178,7 @@ impl<'a> PatchedEdb<'a> {
 
 impl EdbView for PatchedEdb<'_> {
     fn full(&self, relation: &str) -> Result<Arc<Relation>> {
-        if let Some(cached) = self.cache.lock().get(relation) {
+        if let Some(cached) = self.cache.borrow().get(relation) {
             return Ok(Arc::clone(cached));
         }
         let base = self.base.full(relation)?;
@@ -192,7 +192,7 @@ impl EdbView for PatchedEdb<'_> {
             }
         };
         self.cache
-            .lock()
+            .borrow_mut()
             .insert(relation.to_string(), Arc::clone(&out));
         Ok(out)
     }
@@ -676,8 +676,8 @@ mod tests {
     use crate::skolem::SkolemRegistry;
     use inverda_storage::{Expr, Value};
 
-    fn ids() -> Mutex<SkolemRegistry> {
-        Mutex::new(SkolemRegistry::new())
+    fn ids() -> RefCell<SkolemRegistry> {
+        RefCell::new(SkolemRegistry::new())
     }
 
     /// γtgt of a materialized SPLIT on prio (simplified clean-state shape).

@@ -54,7 +54,7 @@ use crate::Result;
 use inverda_storage::{
     ColumnIndex, IndexCache, Key, Relation, Row, RowContext, TableSchema, Value,
 };
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -69,16 +69,7 @@ use std::sync::Arc;
 /// *virtual* table versions through SMO mappings on demand, so a key lookup
 /// on a virtual relation need not materialize the whole relation. Relations
 /// are returned as `Arc` so repeated `full` calls stay cheap.
-///
-/// Views are `Sync` and their interior caches lock-guarded (the mutex-based
-/// [`IndexCache`] and lock-guarded maps). Evaluation itself is sequential,
-/// and no caller needs the bound: with `: Sync` dropped from this trait and
-/// from [`IdSource`], every target of the workspace and of the benchmark
-/// still compiles, and so it does with `core::edb::VersionedEdb` made
-/// `!Sync` on top (`PatchedEdb` already is, then). No view is shared across
-/// threads, so the locks could become `RefCell`s; what that saves is not
-/// measured yet.
-pub trait EdbView: Sync {
+pub trait EdbView {
     /// Full state of the relation.
     fn full(&self, relation: &str) -> Result<Arc<Relation>>;
 
@@ -135,11 +126,9 @@ pub trait EdbView: Sync {
 /// (rule evaluation happens on read paths too, which may mint fresh ids for
 /// new payloads).
 ///
-/// Sources are `Sync`, like [`EdbView`], and no caller needs that bound
-/// either (see there). Reservation-backed sources
-/// ([`ReservingIds`]) defer actual minting to a commit after evaluation
-/// succeeded.
-pub trait IdSource: Sync {
+/// Reservation-backed sources ([`ReservingIds`]) defer actual minting to a
+/// commit after evaluation succeeded.
+pub trait IdSource {
     /// The id for `(generator, args)`, minted (or reserved) on first use.
     fn generate(&self, generator: &str, args: &[Value]) -> u64;
 
@@ -148,13 +137,13 @@ pub trait IdSource: Sync {
     fn peek(&self, generator: &str, args: &[Value]) -> Option<u64>;
 }
 
-impl IdSource for Mutex<SkolemRegistry> {
+impl IdSource for RefCell<SkolemRegistry> {
     fn generate(&self, generator: &str, args: &[Value]) -> u64 {
-        self.lock().get_or_create(generator, args)
+        self.borrow_mut().get_or_create(generator, args)
     }
 
     fn peek(&self, generator: &str, args: &[Value]) -> Option<u64> {
-        self.lock().peek(generator, args)
+        self.borrow().peek(generator, args)
     }
 }
 
@@ -167,7 +156,7 @@ impl IdSource for Mutex<SkolemRegistry> {
 /// nothing.
 pub struct ReservingIds<'a> {
     parent: &'a dyn IdSource,
-    arena: Mutex<ReservationArena>,
+    arena: RefCell<ReservationArena>,
 }
 
 impl<'a> ReservingIds<'a> {
@@ -178,7 +167,7 @@ impl<'a> ReservingIds<'a> {
     pub fn new(parent: &'a dyn IdSource, scope_base: u64) -> Self {
         ReservingIds {
             parent,
-            arena: Mutex::new(ReservationArena::new(scope_base)),
+            arena: RefCell::new(ReservationArena::new(scope_base)),
         }
     }
 
@@ -199,13 +188,13 @@ impl IdSource for ReservingIds<'_> {
         if let Some(id) = self.parent.peek(generator, args) {
             return id;
         }
-        self.arena.lock().reserve(generator, args)
+        self.arena.borrow_mut().reserve(generator, args)
     }
 
     fn peek(&self, generator: &str, args: &[Value]) -> Option<u64> {
         self.parent
             .peek(generator, args)
-            .or_else(|| self.arena.lock().peek(generator, args))
+            .or_else(|| self.arena.borrow().peek(generator, args))
     }
 }
 
@@ -1800,8 +1789,8 @@ mod tests {
     use crate::ast::{Atom, Rule};
     use inverda_storage::Expr;
 
-    fn ids() -> Mutex<SkolemRegistry> {
-        Mutex::new(SkolemRegistry::new())
+    fn ids() -> RefCell<SkolemRegistry> {
+        RefCell::new(SkolemRegistry::new())
     }
 
     fn edb_task() -> MapEdb {

@@ -70,9 +70,9 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Override the knob at runtime (benchmarks toggle it per measurement; the
-/// differential property tests run both settings over one scenario). `None`
-/// restores the `INVERDA_FUSION` / default-on behavior.
+/// Override the knob at runtime (the differential property tests run both
+/// settings over one scenario). `None` restores the `INVERDA_FUSION` /
+/// default-on behavior.
 pub fn set_enabled(on: Option<bool>) {
     OVERRIDE.store(
         match on {

@@ -559,10 +559,10 @@ mod tests {
     use super::*;
     use crate::eval::MapEdb;
     use crate::skolem::SkolemRegistry;
-    use parking_lot::Mutex;
+    use std::cell::RefCell;
 
-    fn ids() -> Mutex<SkolemRegistry> {
-        Mutex::new(SkolemRegistry::new())
+    fn ids() -> RefCell<SkolemRegistry> {
+        RefCell::new(SkolemRegistry::new())
     }
 
     #[test]

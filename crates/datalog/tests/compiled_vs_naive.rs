@@ -21,8 +21,8 @@ use inverda_datalog::delta::{propagate, Delta, DeltaMap, PatchedEdb};
 use inverda_datalog::eval::{evaluate_compiled, CompiledRuleSet, Evaluator, IdSource, MapEdb};
 use inverda_datalog::{naive, SkolemRegistry};
 use inverda_storage::{BinaryOp, Expr, Key, Relation, Value};
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 use std::collections::BTreeMap;
 
@@ -244,8 +244,8 @@ fn build_edb(t0: &T0Rows, t1: &T1Rows) -> MapEdb {
     edb
 }
 
-fn registry() -> Mutex<SkolemRegistry> {
-    Mutex::new(SkolemRegistry::new())
+fn registry() -> RefCell<SkolemRegistry> {
+    RefCell::new(SkolemRegistry::new())
 }
 
 /// One mint: generator, arguments, id.
@@ -253,7 +253,7 @@ type Mint = (String, Vec<Value>, u64);
 
 /// A registry that also records every mint, in minting order.
 #[derive(Default)]
-struct Recording(Mutex<(SkolemRegistry, Vec<Mint>)>);
+struct Recording(RefCell<(SkolemRegistry, Vec<Mint>)>);
 
 impl Recording {
     /// The registry dump and the minting sequence.
@@ -265,7 +265,7 @@ impl Recording {
 
 impl IdSource for Recording {
     fn generate(&self, generator: &str, args: &[Value]) -> u64 {
-        let mut guard = self.0.lock();
+        let mut guard = self.0.borrow_mut();
         let (registry, minted) = &mut *guard;
         if let Some(id) = registry.peek(generator, args) {
             return id;
@@ -276,7 +276,7 @@ impl IdSource for Recording {
     }
 
     fn peek(&self, generator: &str, args: &[Value]) -> Option<u64> {
-        self.0.lock().0.peek(generator, args)
+        self.0.borrow().0.peek(generator, args)
     }
 }
 
@@ -566,7 +566,7 @@ fn compiled_matches_naive_on_large_inputs() {
     let oracle = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new()).unwrap();
     assert!(!oracle["H0"].is_empty() && !oracle["H1"].is_empty());
     assert_eq!(rows_in_order(&out), rows_in_order(&oracle));
-    assert_eq!(ids.lock().dump(), naive_ids.lock().dump());
+    assert_eq!(ids.borrow().dump(), naive_ids.borrow().dump());
     let propagated = propagate(&rules, &edb, &input, &registry(), &BTreeMap::new()).unwrap();
     let oracle_delta = naive_two_state_diff(&rules, &edb, &input).unwrap();
     assert!(!oracle_delta.is_empty());
@@ -645,8 +645,8 @@ fn staged_minting_matches_naive_on_large_inputs() {
         "minting evaluation diverged from naive"
     );
     assert_eq!(
-        ids.lock().dump(),
-        naive_ids.lock().dump(),
+        ids.borrow().dump(),
+        naive_ids.borrow().dump(),
         "skolem assignment diverged"
     );
 }
@@ -689,5 +689,5 @@ fn error_precedence_matches_naive_on_large_inputs() {
     let naive_ids = registry();
     let oracle = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new()).unwrap_err();
     assert_eq!(format!("{err:?}"), format!("{oracle:?}"));
-    assert_eq!(ids.lock().dump(), naive_ids.lock().dump());
+    assert_eq!(ids.borrow().dump(), naive_ids.borrow().dump());
 }

@@ -6,8 +6,8 @@ use inverda_datalog::delta::{propagate, propagate_by_recompute, Delta, DeltaMap}
 use inverda_datalog::eval::MapEdb;
 use inverda_datalog::SkolemRegistry;
 use inverda_storage::{Expr, Key, Relation, Value};
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 use std::collections::BTreeMap;
 
@@ -143,9 +143,9 @@ proptest! {
         input.insert("T".to_string(), delta);
 
         let rules = split_gamma_tgt();
-        let ids1 = Mutex::new(SkolemRegistry::new());
+        let ids1 = RefCell::new(SkolemRegistry::new());
         let fast = propagate(&rules, &edb, &input, &ids1, &BTreeMap::new()).unwrap();
-        let ids2 = Mutex::new(SkolemRegistry::new());
+        let ids2 = RefCell::new(SkolemRegistry::new());
         let slow =
             propagate_by_recompute(&rules, &edb, &input, &ids2, &BTreeMap::new()).unwrap();
         let slow: DeltaMap = slow.into_iter().filter(|(_, d)| !d.is_empty()).collect();
@@ -206,9 +206,9 @@ fn large_minting_propagation_agrees_with_recompute() {
     input.insert("In".into(), delta);
     let rules = minting_rules();
     let seeded = || {
-        let sk = Mutex::new(SkolemRegistry::new());
+        let sk = RefCell::new(SkolemRegistry::new());
         for i in 0..300u64 {
-            sk.lock()
+            sk.borrow_mut()
                 .get_or_create("gen#H", &[Value::text(format!("x{i}"))]);
         }
         sk
@@ -217,9 +217,9 @@ fn large_minting_propagation_agrees_with_recompute() {
     let fast = propagate(&rules, &edb, &input, &ids1, &BTreeMap::new()).unwrap();
     let ids2 = seeded();
     let slow = propagate_by_recompute(&rules, &edb, &input, &ids2, &BTreeMap::new()).unwrap();
-    let dump = ids1.lock().dump();
+    let dump = ids1.borrow().dump();
     assert!(dump.contains("fresh99"), "the workload must actually mint");
-    assert_eq!(dump, ids2.lock().dump(), "minted ids diverged");
+    assert_eq!(dump, ids2.borrow().dump(), "minted ids diverged");
     let slow: DeltaMap = slow.into_iter().filter(|(_, d)| !d.is_empty()).collect();
     let fast: DeltaMap = fast.into_iter().filter(|(_, d)| !d.is_empty()).collect();
     assert_eq!(fast, slow);
@@ -250,9 +250,9 @@ fn minting_propagation_agrees_with_recompute() {
     input.insert("In".into(), delta);
     let rules = minting_rules();
     let seeded = || {
-        let sk = Mutex::new(SkolemRegistry::new());
+        let sk = RefCell::new(SkolemRegistry::new());
         {
-            let mut reg = sk.lock();
+            let mut reg = sk.borrow_mut();
             for i in 0..40u64 {
                 reg.observe("gen#H", &[Value::text(format!("x{i}"))], 500 + i);
             }
@@ -269,7 +269,7 @@ fn minting_propagation_agrees_with_recompute() {
     let fast: DeltaMap = fast.into_iter().filter(|(_, d)| !d.is_empty()).collect();
     assert_eq!(fast, slow);
     assert!(!fast.is_empty(), "the write must be visible in H");
-    assert_eq!(ids1.lock().dump(), ids2.lock().dump());
+    assert_eq!(ids1.borrow().dump(), ids2.borrow().dump());
 }
 
 // ---------------------------------------------------------------------------
@@ -491,41 +491,41 @@ fn mint_edb(state: &[Rows; 4]) -> MapEdb {
 /// sequence (so the order of mints *across* generators and rules shows in
 /// the registry), starting far above the row keys (so a minted id is fresh).
 struct SeqIds {
-    registry: Mutex<SkolemRegistry>,
+    registry: RefCell<SkolemRegistry>,
     next: AtomicU64,
 }
 
 impl SeqIds {
     fn new() -> SeqIds {
         SeqIds {
-            registry: Mutex::new(SkolemRegistry::new()),
+            registry: RefCell::new(SkolemRegistry::new()),
             next: AtomicU64::new(1000),
         }
     }
 
     fn fork(&self) -> SeqIds {
         SeqIds {
-            registry: Mutex::new(self.registry.lock().clone()),
+            registry: RefCell::new(self.registry.borrow().clone()),
             next: AtomicU64::new(self.next.load(Ordering::Relaxed)),
         }
     }
 
     fn dump(&self) -> String {
-        self.registry.lock().dump()
+        self.registry.borrow().dump()
     }
 }
 
 impl IdSource for SeqIds {
     fn generate(&self, generator: &str, args: &[Value]) -> u64 {
         self.registry
-            .lock()
+            .borrow_mut()
             .get_or_create_with(generator, args, || {
                 self.next.fetch_add(1, Ordering::Relaxed)
             })
     }
 
     fn peek(&self, generator: &str, args: &[Value]) -> Option<u64> {
-        self.registry.lock().peek(generator, args)
+        self.registry.borrow().peek(generator, args)
     }
 }
 
@@ -680,7 +680,9 @@ fn delta_vs_stored_mints_nothing_for_a_vanished_payload() {
     let ids = SeqIds::new();
     let old = mint_edb(&state);
     let stored = evaluate_compiled(&crs, &old, &ids, &BTreeMap::new()).unwrap();
-    ids.registry.lock().unobserve("gen#T", &[Value::Int(2)]);
+    ids.registry
+        .borrow_mut()
+        .unobserve("gen#T", &[Value::Int(2)]);
     let before = ids.dump();
     let input = exact_delta(&mut state, &[(0, 2, None)]);
     let mut stored_edb = MapEdb::new();

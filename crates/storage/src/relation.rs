@@ -34,7 +34,7 @@ use crate::error::StorageError;
 use crate::schema::TableSchema;
 use crate::value::{Key, Value};
 use crate::Result;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -641,14 +641,11 @@ impl ColumnIndex {
 /// `(relation, column)` pair is built at most once until
 /// [`IndexCache::invalidate`] drops the relation's entries.
 ///
-/// The cache is mutex-guarded (not `RefCell`), so every EDB view holding
-/// one is `Sync` (whether any caller still shares a view across threads
-/// is unverified). Concurrent `get_or_build` calls on a missing entry may build the same
-/// index twice — the index is a pure function of an immutable snapshot, so
-/// both builds are identical and the duplicate is simply dropped; the lock
-/// is never held across a build.
+/// No borrow of the map is held across `build`, so a build may itself read
+/// and fill the cache (a view resolving one relation's index through
+/// another's).
 #[derive(Debug, Default)]
-pub struct IndexCache(Mutex<HashMap<String, HashMap<usize, Arc<ColumnIndex>>>>);
+pub struct IndexCache(RefCell<HashMap<String, HashMap<usize, Arc<ColumnIndex>>>>);
 
 impl IndexCache {
     /// Empty cache.
@@ -665,27 +662,18 @@ impl IndexCache {
         column: usize,
         build: impl FnOnce() -> std::result::Result<ColumnIndex, E>,
     ) -> std::result::Result<Arc<ColumnIndex>, E> {
-        if let Some(hit) = self
-            .0
-            .lock()
-            .get(relation)
-            .and_then(|cols| cols.get(&column))
-        {
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.get(relation, column) {
+            return Ok(hit);
         }
         let built = Arc::new(build()?);
-        self.0
-            .lock()
-            .entry(relation.to_string())
-            .or_default()
-            .insert(column, Arc::clone(&built));
+        self.put(relation, column, Arc::clone(&built));
         Ok(built)
     }
 
     /// The cached index for `(relation, column)`, if any.
     pub fn get(&self, relation: &str, column: usize) -> Option<Arc<ColumnIndex>> {
         self.0
-            .lock()
+            .borrow()
             .get(relation)
             .and_then(|cols| cols.get(&column))
             .map(Arc::clone)
@@ -695,7 +683,7 @@ impl IndexCache {
     /// column)`, replacing any previous one.
     pub fn put(&self, relation: &str, column: usize, index: Arc<ColumnIndex>) {
         self.0
-            .lock()
+            .borrow_mut()
             .entry(relation.to_string())
             .or_default()
             .insert(column, index);
@@ -703,7 +691,7 @@ impl IndexCache {
 
     /// Drop every cached index of `relation` (its snapshot changed).
     pub fn invalidate(&self, relation: &str) {
-        self.0.lock().remove(relation);
+        self.0.borrow_mut().remove(relation);
     }
 
     /// Patch every cached index of `relation` for one row change instead of
@@ -711,7 +699,7 @@ impl IndexCache {
     /// `new` the payload now stored under `key` (None for a delete). Indexes
     /// of other relations and uncached columns are unaffected.
     pub fn patch_row(&self, relation: &str, key: Key, old: Option<&Row>, new: Option<&Row>) {
-        let mut cache = self.0.lock();
+        let mut cache = self.0.borrow_mut();
         let Some(cols) = cache.get_mut(relation) else {
             return;
         };
@@ -1021,6 +1009,27 @@ mod tests {
             .get_or_build::<()>("T", 0, || panic!("must be cached"))
             .unwrap();
         assert_eq!(idx2.keys_for(&Value::text("y")), &[Key(2)]);
+    }
+
+    #[test]
+    fn index_cache_build_may_read_and_fill_the_cache() {
+        let r = rel();
+        let cache = IndexCache::new();
+        // A build that reads and fills the same cache, as a view resolving
+        // one relation's index through another's does: it panics if a
+        // borrow is held across `build`.
+        let idx = cache
+            .get_or_build::<()>("Task", 0, || {
+                assert!(cache.get("Other", 2).is_none());
+                cache.put("Other", 2, Arc::new(r.build_column_index(2)));
+                Ok(r.build_column_index(0))
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&idx, &cache.get("Task", 0).unwrap()));
+        assert_eq!(
+            cache.get("Other", 2).unwrap().keys_for(&Value::Int(2)),
+            &[Key(2)]
+        );
     }
 
     #[test]
