@@ -1312,7 +1312,7 @@ impl Branch {
     /// A pinned, immutable MVCC view of this branch
     /// ([`Inverda::pin`](crate::serving::PinnedView)).
     pub fn pin(&self) -> Result<PinnedView> {
-        self.with_db_arc(|db| db.pin())
+        self.with_db(|db| db.pin())
     }
 
     /// This branch's stamped operation history (a clone).
@@ -1339,15 +1339,6 @@ impl Branch {
     }
 
     fn with_db<T>(&self, f: impl FnOnce(&Inverda) -> T) -> Result<T> {
-        let inner = self.core.inner.lock();
-        let state = inner
-            .branches
-            .get(&self.name)
-            .ok_or_else(|| unknown(&self.name))?;
-        Ok(f(&state.db))
-    }
-
-    fn with_db_arc<T>(&self, f: impl FnOnce(&Arc<Inverda>) -> T) -> Result<T> {
         let inner = self.core.inner.lock();
         let state = inner
             .branches

@@ -228,7 +228,7 @@ impl Inverda {
         let _guard = self.write_lock.lock();
         let state = self.state.read();
         let storage = self.storage.fork();
-        let snapshots = self.snapshots.fork_for_branch(storage.branch_tag());
+        let snapshots = self.snapshots.fork(storage.branch_tag());
         let registry = {
             let mut reg = self.ids.lock().clone();
             reg.set_journaling(false);
@@ -643,18 +643,6 @@ impl Inverda {
     /// Snapshot-store hit/miss/maintenance counters (diagnostics).
     pub fn snapshot_stats(&self) -> SnapshotStats {
         self.snapshots.stats()
-    }
-
-    /// Outstanding epoch-pinned readers on the snapshot store
-    /// (diagnostics; see [`Inverda::pin`]).
-    pub fn snapshot_pin_count(&self) -> u64 {
-        self.snapshots.pin_count()
-    }
-
-    /// Retired (non-current) snapshot versions held for epoch-pinned
-    /// readers (diagnostics; must be 0 when no pins are outstanding).
-    pub fn snapshot_retained_versions(&self) -> usize {
-        self.snapshots.retained_versions()
     }
 
     /// Display form of the current materialization schema.

@@ -7,11 +7,15 @@
 //! on top:
 //!
 //! * **Readers** ([`Reader::pin`] / [`ServingInverda::pin`]) take an
-//!   **epoch-pinned** [`PinnedView`]: an `Arc` copy of every table at one
-//!   commit epoch (O(tables) pointer clones via
+//!   **epoch-pinned** [`PinnedView`] of the latest published epoch. One rule
+//!   decides what that holds: *whatever a published epoch can serve, it
+//!   holds* — an `Arc` copy of every table (O(tables) pointer clones via
 //!   [`Storage::snapshot_all`]), the committed skolem registry and key
-//!   sequence at that epoch, and a private fork of the snapshot store
-//!   ([`SnapshotStore::fork_for_pin`](crate::snapshot::SnapshotStore::fork_for_pin)). All subsequent reads run entirely
+//!   sequence, and a fork of the snapshot store
+//!   ([`SnapshotStore::fork`](crate::snapshot::SnapshotStore::fork)), taken
+//!   before the registry and the key sequence so that every id a forked
+//!   entry holds is one the registry assigns. A pin copies the table map
+//!   and forks that fork again. All subsequent reads run entirely
 //!   against pin-private state — they never take the writer lock and never
 //!   block (or are blocked by) the commit pipeline. Reads on the pin are
 //!   byte-identical to a single-session database stopped at that epoch,
@@ -28,7 +32,7 @@
 //!   acknowledged write is crash-durable.
 //!
 //! Every epoch the pipeline publishes, and every pin taken from it, holds an
-//! `Arc` of every table and of the snapshot versions it reads, so the next
+//! `Arc` of every table and of every snapshot in the store, so the next
 //! write changes all of those copy-on-write. That stays O(change), not
 //! O(rows): a `Relation` keeps its rows in shared chunks, and a write copies
 //! the chunk pointers and only the chunks it touches (`relation.rs`,
@@ -43,6 +47,7 @@
 use crate::compiled::CompiledStore;
 use crate::database::ExecutionOutcome;
 use crate::durability::DurabilityMode;
+use crate::snapshot::SnapshotStore;
 use crate::write::LogicalWrite;
 use crate::{CoreError, Inverda, Result};
 use inverda_catalog::{Genealogy, MaterializationSchema};
@@ -92,55 +97,35 @@ impl IdSource for PinIds {
 /// An epoch-consistent read view over every schema version, detached from
 /// the live database: reads here never block writers and are never
 /// invalidated by them. Obtained from [`Inverda::pin`] (current state) or
-/// [`Reader::pin`] (latest published serving epoch). Dropping the view
-/// releases its retirement hold on the origin's snapshot store.
+/// [`Reader::pin`] (latest published serving epoch).
 pub struct PinnedView {
     genealogy: Arc<Genealogy>,
     materialization: Arc<MaterializationSchema>,
     storage: Arc<Storage>,
-    store: crate::snapshot::SnapshotStore,
+    store: SnapshotStore,
     compiled: Arc<CompiledStore>,
     ids: PinIds,
     epoch: u64,
     key_seq: u64,
-    origin: Arc<Inverda>,
 }
 
 impl PinnedView {
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        origin: Arc<Inverda>,
-        genealogy: Arc<Genealogy>,
-        materialization: Arc<MaterializationSchema>,
-        tables: BTreeMap<String, (Arc<Relation>, u64)>,
-        key_seq: u64,
-        registry: Arc<SkolemRegistry>,
-        compiled: Arc<CompiledStore>,
-        epoch: u64,
-        store_seq: u64,
-    ) -> PinnedView {
-        let store = origin.snapshots.fork_for_pin(store_seq);
-        // The pinned view reproduces the origin's epochs, so it inherits
-        // the origin's branch tag — the forked store keeps serving it.
-        let storage = Arc::new(Storage::from_pinned_tagged(
-            tables,
-            key_seq,
-            origin.storage.branch_tag(),
-        ));
+    /// A view of the state `p` holds.
+    fn build(p: Published) -> PinnedView {
+        let storage = Arc::new(Storage::from_pinned(p.tables, p.key_seq, p.branch_tag));
         PinnedView {
-            genealogy,
-            materialization,
+            genealogy: p.genealogy,
+            materialization: p.materialization,
             ids: PinIds {
                 storage: Arc::clone(&storage),
-                registry,
+                registry: p.registry,
                 scratch: Mutex::new(SkolemRegistry::new()),
             },
             storage,
-            store,
-            compiled,
-            epoch,
-            key_seq,
-            origin,
+            store: p.store,
+            compiled: p.compiled,
+            epoch: p.epoch,
+            key_seq: p.key_seq,
         }
     }
 
@@ -221,12 +206,6 @@ impl PinnedView {
     }
 }
 
-impl Drop for PinnedView {
-    fn drop(&mut self) {
-        self.origin.snapshots.release_pin();
-    }
-}
-
 impl Inverda {
     /// Pin the current committed state into a [`PinnedView`]: an
     /// epoch-consistent snapshot of every table, the skolem registry, and
@@ -235,27 +214,26 @@ impl Inverda {
     ///
     /// Inside a serving pipeline prefer [`Reader::pin`], which pins the
     /// latest *published* epoch without taking the writer lock.
-    pub fn pin(self: &Arc<Self>) -> PinnedView {
+    pub fn pin(&self) -> PinnedView {
         let _guard = self.write_lock.lock();
         let state = self.state.read();
-        // Order matters: the pin hold must be registered before the store
-        // fork inside `build`, so concurrent maintenance retires (rather
-        // than drops) versions the fork still wants.
-        self.snapshots.acquire_pin();
-        let tables = self.storage.snapshot_all();
-        let key_seq = self.storage.sequences().current_key();
+        // The store first: reads run beside the writer lock and can mint,
+        // so only a fork taken before the registry clone and the key
+        // sequence read is sure to hold no id the pin does not know.
+        let branch_tag = self.storage.branch_tag();
+        let store = self.snapshots.fork(branch_tag);
         let registry = Arc::new(self.ids.lock().clone());
-        PinnedView::build(
-            Arc::clone(self),
-            Arc::new(state.genealogy.clone()),
-            Arc::new(state.materialization.clone()),
-            tables,
-            key_seq,
+        PinnedView::build(Published {
+            epoch: 0,
+            tables: self.storage.snapshot_all(),
+            key_seq: self.storage.sequences().current_key(),
+            genealogy: Arc::new(state.genealogy.clone()),
+            materialization: Arc::new(state.materialization.clone()),
             registry,
-            Arc::new(CompiledStore::new()),
-            0,
-            self.snapshots.installed(),
-        )
+            compiled: Arc::new(CompiledStore::new()),
+            store,
+            branch_tag,
+        })
     }
 }
 
@@ -314,7 +292,7 @@ struct Request {
 
 /// Everything a [`PinnedView`] needs, captured at one commit epoch. The
 /// pipeline publishes a fresh `Published` after every operation; readers
-/// grab the `Arc` and go.
+/// grab the `Arc` and take a copy of their own ([`Published::fork`]).
 struct Published {
     epoch: u64,
     tables: BTreeMap<String, (Arc<Relation>, u64)>,
@@ -327,9 +305,30 @@ struct Published {
     /// catalog; SMO ids are never reused, and fused-chain revalidation
     /// checks each pin's own storage).
     compiled: Arc<CompiledStore>,
-    /// The snapshot store's install position at this epoch: a pin forks
-    /// the store later and takes nothing installed past it.
-    store_seq: u64,
+    /// The snapshot store as it stood at this epoch, forked before the
+    /// registry and the key sequence were captured (see the module docs).
+    store: SnapshotStore,
+    /// The origin storage's epoch namespace. A pinned storage reproduces
+    /// the origin's epochs, so it stamps in the same one, and the store
+    /// fork stays bound to it.
+    branch_tag: u64,
+}
+
+impl Published {
+    /// A pin's copy: the same tables and catalog, its own store fork.
+    fn fork(&self) -> Published {
+        Published {
+            epoch: self.epoch,
+            tables: self.tables.clone(),
+            key_seq: self.key_seq,
+            genealogy: Arc::clone(&self.genealogy),
+            materialization: Arc::clone(&self.materialization),
+            registry: Arc::clone(&self.registry),
+            compiled: Arc::clone(&self.compiled),
+            store: self.store.fork(self.branch_tag),
+            branch_tag: self.branch_tag,
+        }
+    }
 }
 
 /// Shared state between the façade, its readers, and the pipeline thread.
@@ -351,23 +350,8 @@ impl Reader {
     /// Pin the latest published epoch. Never takes the writer lock; the
     /// pipeline is never blocked by this call.
     pub fn pin(&self) -> PinnedView {
-        let db = &self.shared.db;
-        // Pin hold first, then read the published head: a fork taken after
-        // the head advanced still finds the head's versions retired (never
-        // dropped) in the shared store.
-        db.snapshots.acquire_pin();
         let p = Arc::clone(&self.shared.published.read());
-        PinnedView::build(
-            Arc::clone(db),
-            Arc::clone(&p.genealogy),
-            Arc::clone(&p.materialization),
-            p.tables.clone(),
-            p.key_seq,
-            Arc::clone(&p.registry),
-            Arc::clone(&p.compiled),
-            p.epoch,
-            p.store_seq,
-        )
+        PinnedView::build(p.fork())
     }
 
     /// The latest published commit epoch.
@@ -448,17 +432,10 @@ impl ServingInverda {
                 d.set_group_override(u64::MAX);
             }
         }
+        // The store before the registry: see `PipelineCatalog::publish`.
+        let store = db.snapshots.fork(db.storage.branch_tag());
         let catalog = PipelineCatalog::capture(&db);
-        let published = Published {
-            epoch: 0,
-            tables: db.storage.snapshot_all(),
-            key_seq: db.storage.sequences().current_key(),
-            genealogy: Arc::clone(&catalog.genealogy),
-            materialization: Arc::clone(&catalog.materialization),
-            registry: Arc::clone(&catalog.registry),
-            compiled: Arc::clone(&catalog.compiled),
-            store_seq: db.snapshots.installed(),
-        };
+        let published = catalog.publish(&db, 0, store);
         let shared = Arc::new(Shared {
             db,
             published: RwLock::new(Arc::new(published)),
@@ -595,6 +572,24 @@ impl PipelineCatalog {
             self.registry = Arc::new(reg.clone());
         }
     }
+
+    /// The epoch to publish: this catalog, `db`'s tables and key sequence,
+    /// and `store`, a fork of `db`'s snapshot store taken before the
+    /// registry was captured, so every id a forked entry holds is in the
+    /// published registry and below the key sequence read here.
+    fn publish(&self, db: &Inverda, epoch: u64, store: SnapshotStore) -> Published {
+        Published {
+            epoch,
+            tables: db.storage.snapshot_all(),
+            key_seq: db.storage.sequences().current_key(),
+            genealogy: Arc::clone(&self.genealogy),
+            materialization: Arc::clone(&self.materialization),
+            registry: Arc::clone(&self.registry),
+            compiled: Arc::clone(&self.compiled),
+            store,
+            branch_tag: db.storage.branch_tag(),
+        }
+    }
 }
 
 /// The commit pipeline: drain the admission queue in groups, execute each
@@ -630,6 +625,7 @@ fn run_pipeline(shared: Arc<Shared>, mut catalog: PipelineCatalog, rx: mpsc::Rec
                 ServingOp::Execute(script) => db.execute(&script).map(ServingOutcome::Executed),
                 ServingOp::Checkpoint => db.checkpoint().map(|()| ServingOutcome::Checkpointed),
             };
+            let store = db.snapshots.fork(db.storage.branch_tag());
             // A failed script can still have committed a statement prefix,
             // so the catalog is re-captured on every Execute.
             if catalog_op {
@@ -637,16 +633,7 @@ fn run_pipeline(shared: Arc<Shared>, mut catalog: PipelineCatalog, rx: mpsc::Rec
             }
             catalog.refresh_registry(db);
             let wal_len = db.wal_len();
-            let published = Published {
-                epoch,
-                tables: db.storage.snapshot_all(),
-                key_seq: db.storage.sequences().current_key(),
-                genealogy: Arc::clone(&catalog.genealogy),
-                materialization: Arc::clone(&catalog.materialization),
-                registry: Arc::clone(&catalog.registry),
-                compiled: Arc::clone(&catalog.compiled),
-                store_seq: db.snapshots.installed(),
-            };
+            let published = catalog.publish(db, epoch, store);
             *shared.published.write() = Arc::new(published);
             shared.max_epoch.fetch_max(epoch, Ordering::Relaxed);
             pending.push((
@@ -702,8 +689,6 @@ mod tests {
         let pin2 = serving.pin();
         assert_eq!(pin2.epoch(), 2);
         assert_eq!(pin2.count("TasKy", "Task").unwrap(), 2);
-        drop((pin, pin2));
-        assert_eq!(serving.db().snapshots.pin_count(), 0);
     }
 
     #[test]
@@ -759,7 +744,5 @@ mod tests {
         assert_eq!(pin.count("TasKy", "Task").unwrap(), 1);
         assert_eq!(db.count("TasKy", "Task").unwrap(), 2);
         assert_eq!(pin.epoch(), 0);
-        drop(pin);
-        assert_eq!(db.snapshots.retained_versions(), 0);
     }
 }

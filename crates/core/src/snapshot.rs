@@ -1,10 +1,10 @@
 //! Cross-statement snapshot store: resolved virtual relations, kept alive
 //! and **delta-maintained** across statements.
 //!
-//! Before this store existed, every statement built a fresh [`VersionedEdb`]
-//! and re-resolved each virtual relation from scratch — per-write cost was
-//! dominated by O(data) view expansion (the `tasky_write_round` section of
-//! `BENCH_eval.json`). The store lifts that state out of the statement:
+//! Without it, every statement would build a fresh [`VersionedEdb`] and
+//! re-resolve each virtual relation from scratch, and per-write cost would
+//! be dominated by O(data) view expansion. The store lifts that state out
+//! of the statement:
 //!
 //! * **Entries** are keyed by relation name and hold the resolved
 //!   `Arc<Relation>` snapshot (`None` for physical relations, which are
@@ -70,32 +70,23 @@
 //! live with the statement, in `migrate.rs`. Only recovery, which installs a
 //! whole new state, still [`clear`](SnapshotStore::clear)s wholesale.
 //!
-//! ## Epoch-versioned invalidation (the serving layer's contract)
+//! ## Published epochs hold their own fork (the serving layer's contract)
 //!
-//! Invalidation is **versioned, not in-place**: each relation holds a short
-//! list of snapshot versions, oldest first, whose last element is *current*.
-//! Superseding a version (a commit-time patch, a read-time catch-up, a fresh
-//! `store_entry`, an epoch-stale eviction) *retires* the old version —
-//! keeps it in the list — whenever epoch-pinned readers are outstanding
-//! ([`acquire_pin`](SnapshotStore::acquire_pin)); with no pins it is dropped
-//! immediately, preserving the single-session memory profile. Every lookup
-//! scans versions newest-first for one whose **exact** footprint stamps
-//! match the probing [`Storage`] — live storage only ever matches the
-//! current version (epochs are monotonic), while a reader that pinned table
-//! epochs `E` (its [`Storage::from_pinned`] view reproduces `E`) matches
-//! whichever version was resolved at `E`.
-//! [`fork_for_pin`](SnapshotStore::fork_for_pin) hands such a reader a
-//! private store of
-//! `Arc`-shared versions — those installed up to the position the reader
-//! pinned the store at — so a pin taken from a store the commit pipeline
-//! has already advanced still starts warm at its own epochs, and its cold
-//! resolutions never touch the shared store. Correctness invalidations
-//! (aux-purge hits, unpatchable deltas, targeted
-//! [`invalidate`](SnapshotStore::invalidate)) drop the current version *for
-//! real* — those mark entries wrong for their stamps, not merely
-//! superseded — and `clear()` and `reinstall()` empty everything first, the
-//! retired versions included: an in-flight pin fork made after either
-//! simply starts cold.
+//! The store keeps **one** entry per relation: superseding it (a
+//! commit-time patch, a read-time catch-up, a fresh `store_entry`, an
+//! epoch-stale eviction) replaces it, and a correctness invalidation
+//! (aux-purge hit, unpatchable delta, targeted
+//! [`invalidate`](SnapshotStore::invalidate)) removes it. A reader that must
+//! keep serving an older state does not ask the live store to keep it;
+//! it holds it. [`fork`](SnapshotStore::fork) hands out a private store of
+//! `Arc`-shared entries, fully isolated afterwards, and every serving epoch
+//! the commit pipeline publishes carries such a fork, taken before the
+//! registry and the key sequence it publishes, so every id a forked entry
+//! holds is one the published registry already assigns. A pin forks the
+//! published fork: it starts warm at its own epochs, its cold resolutions
+//! never reach the live store, and the live store's later patches copy the
+//! entries it shares, chunk by touched chunk (`relation.rs`, "Structural
+//! sharing"), exactly as the live tables do.
 //!
 //! The warm/cold equivalence discipline (a warm read must be byte-identical
 //! to cold resolution, including skolem id minting) is enforced by the
@@ -116,7 +107,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One cached snapshot version (see the module docs).
+/// One cached snapshot (see the module docs).
 #[derive(Clone)]
 struct Entry {
     /// Resolved contents for virtual relations; `None` for physical
@@ -127,9 +118,8 @@ struct Entry {
     /// Join indexes over this snapshot, patched in lockstep with it.
     indexes: HashMap<usize, Arc<ColumnIndex>>,
     /// Position in the store's install order (`Inner::installed` when this
-    /// version was stored or patched): a reader pinned at an earlier
-    /// position must not be served it, see
-    /// [`fork_for_pin`](SnapshotStore::fork_for_pin).
+    /// entry was stored or patched): how a read-time catch-up tells that
+    /// the entry it read has not been replaced since.
     seq: u64,
 }
 
@@ -141,109 +131,66 @@ impl Entry {
     }
 }
 
-/// Most versions one relation retains (current + retired). Retired versions
-/// only accumulate while epoch-pinned readers are outstanding; the cap
-/// bounds memory under a permanently pinned soak.
-const VERSION_CAP: usize = 5;
-
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Inner {
-    /// Relation → snapshot versions, oldest first; the **last** element is
-    /// current, everything before it is retired (see the module docs on
-    /// epoch-versioned invalidation). The list is never left empty — a
-    /// relation with no versions has no map entry.
-    entries: HashMap<String, Vec<Arc<Entry>>>,
-    /// Snapshot versions installed so far (stored or patched).
+    /// Relation → its one cached snapshot.
+    entries: HashMap<String, Arc<Entry>>,
+    /// Entries installed so far (stored or patched).
     installed: u64,
 }
 
 impl Inner {
-    fn first_valid<'a>(&'a self, relation: &str, storage: &Storage) -> Option<&'a Arc<Entry>> {
+    fn valid(&self, relation: &str, storage: &Storage) -> Option<&Arc<Entry>> {
         self.entries
-            .get(relation)?
-            .iter()
-            .rev()
-            .find(|e| e.is_valid(storage))
+            .get(relation)
+            .filter(|entry| entry.is_valid(storage))
     }
 
-    /// Install `entry` as the new current version of `relation`. The
-    /// previous current is retired when `retain` is set and its stamps
-    /// differ (identical stamps mean the new version supersedes it for
-    /// every possible pin); otherwise it is dropped.
-    fn push_version(&mut self, relation: &str, mut entry: Entry, retain: bool) {
+    /// Install `entry` as `relation`'s snapshot, replacing any other.
+    fn install(&mut self, relation: &str, mut entry: Entry) {
         self.installed += 1;
         entry.seq = self.installed;
-        let versions = self.entries.entry(relation.to_string()).or_default();
-        if let Some(last) = versions.last() {
-            if !retain || last.footprint == entry.footprint {
-                versions.pop();
-            }
-        }
-        versions.push(Arc::new(entry));
-        if versions.len() > VERSION_CAP {
-            versions.remove(0);
-        }
+        self.entries.insert(relation.to_string(), Arc::new(entry));
     }
 
-    /// Patch the current version of `relation` by `delta` into a new
-    /// current version whose footprint is stamped by `epoch_of`. The
-    /// pre-patch version is retired when `retain` is set (it stays servable
-    /// at its old stamps; the new version then copies its snapshot's chunk
-    /// pointers and the row chunks the delta touches, sharing every other
-    /// chunk with the retired one). `false` — and the current version gone,
+    /// Patch the entry of `relation` by `delta` into a new one whose
+    /// footprint is stamped by `epoch_of`. An entry a fork still shares is
+    /// copied first; the copy takes its snapshot's chunk pointers and copies
+    /// only the row chunks the delta touches. `false` — and the entry gone,
     /// a correctness invalidation — if there is none or the delta does not
     /// apply.
-    fn patch_current(
-        &mut self,
-        relation: &str,
-        delta: &Delta,
-        retain: bool,
-        epoch_of: impl Fn(&str) -> u64,
-    ) -> bool {
-        let Some(versions) = self.entries.get_mut(relation) else {
+    fn patch(&mut self, relation: &str, delta: &Delta, epoch_of: impl Fn(&str) -> u64) -> bool {
+        let Some(old) = self.entries.remove(relation) else {
             return false;
         };
-        let Some(old) = versions.pop() else {
-            return false;
-        };
-        let mut retired = None;
-        let mut entry = if retain {
-            let copy = (*old).clone();
-            retired = Some(old);
-            copy
-        } else {
-            Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone())
-        };
+        let mut entry = Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone());
         if !patch_entry(&mut entry, delta) {
-            // Retired copies, if any, stay.
-            if versions.is_empty() {
-                self.entries.remove(relation);
-            }
             return false;
         }
         for (table, epoch) in entry.footprint.iter_mut() {
             *epoch = epoch_of(table);
         }
-        // (`push_version` drops it again if the stamps did not move.)
-        versions.extend(retired);
-        self.push_version(relation, entry, retain);
+        self.install(relation, entry);
         true
     }
 
-    /// Drop the current version of `relation` — a correctness invalidation,
-    /// not a supersession, so it is never retired. Retired versions stay:
-    /// their stamps are strictly older than the live epochs, so only
-    /// in-flight epoch-pinned forks can still match them. Returns whether a
-    /// version was dropped.
-    fn drop_current(&mut self, relation: &str) -> bool {
-        let Some(versions) = self.entries.get_mut(relation) else {
-            return false;
-        };
-        let dropped = versions.pop().is_some();
-        if versions.is_empty() {
-            self.entries.remove(relation);
+    /// Attach `index` to the entry of `relation` if `matches` accepts it —
+    /// the same snapshot with one more index, so its install position stays.
+    /// Returns whether it was attached.
+    fn attach(
+        &mut self,
+        relation: &str,
+        column: usize,
+        index: Arc<ColumnIndex>,
+        matches: impl FnOnce(&Entry) -> bool,
+    ) -> bool {
+        match self.entries.get_mut(relation) {
+            Some(entry) if matches(entry) => {
+                Arc::make_mut(entry).indexes.insert(column, index);
+                true
+            }
+            _ => false,
         }
-        dropped
     }
 }
 
@@ -302,10 +249,6 @@ impl Carried {
 #[derive(Default)]
 pub struct SnapshotStore {
     inner: Mutex<Inner>,
-    /// Outstanding epoch-pinned reader forks. While non-zero, superseded
-    /// snapshot versions are retired (kept servable at their old stamps)
-    /// instead of dropped.
-    pins: AtomicU64,
     /// The [`Storage::branch_tag`] this store's footprint stamps belong
     /// to; 0 = unbound (serve any storage — standalone stores in tests).
     /// Epoch numbers are only comparable within one branch's epoch
@@ -336,11 +279,6 @@ impl SnapshotStore {
         self.owner_tag.store(branch_tag, Ordering::Relaxed);
     }
 
-    /// The bound owner tag (0 = unbound; diagnostics and tests).
-    pub fn owner_tag(&self) -> u64 {
-        self.owner_tag.load(Ordering::Relaxed)
-    }
-
     /// Whether `storage` belongs to the epoch namespace this store stamps
     /// in — the cross-branch footprint-validation guard.
     fn serves(&self, storage: &Storage) -> bool {
@@ -348,16 +286,13 @@ impl SnapshotStore {
         owner == 0 || owner == storage.branch_tag()
     }
 
-    /// The cached snapshot of a virtual relation, if some version's whole
-    /// footprint is at exactly the probing storage's epochs (newest version
-    /// wins). When every version is stale, `keep_stale` — handed the current
-    /// version's stamps, and called under the store lock, so it must not
-    /// call back into the store — decides whether the line stays for a
-    /// reader to catch up (`SnapshotStore::catch_up`) or is dropped now,
-    /// before the cold resolution that replaces it allocates its own; while
-    /// epoch-pinned readers are outstanding it stays either way, so an
-    /// in-flight fork can still copy its versions. Every call counts
-    /// exactly one hit or one miss.
+    /// The cached snapshot of a virtual relation, if its whole footprint is
+    /// at exactly the probing storage's epochs. When the entry is stale,
+    /// `keep_stale` — handed its stamps, and called under the store lock,
+    /// so it must not call back into the store — decides whether it stays
+    /// for a reader to catch up (`SnapshotStore::catch_up`) or is dropped
+    /// now, before the cold resolution that replaces it allocates its own.
+    /// Every call counts exactly one hit or one miss.
     pub fn get(
         &self,
         relation: &str,
@@ -375,19 +310,18 @@ impl SnapshotStore {
         // A physical table's index carrier holds no snapshot to serve: a
         // miss like any other, so every probe counts.
         let hit = inner
-            .first_valid(relation, storage)
+            .valid(relation, storage)
             .map(|entry| entry.rel.clone());
         if let Some(Some(rel)) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(rel);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if hit.is_none() && self.pins.load(Ordering::Relaxed) == 0 {
+        if hit.is_none() {
             let keep = inner
                 .entries
                 .get(relation)
-                .and_then(|versions| versions.last())
-                .is_some_and(|current| keep_stale(&current.footprint));
+                .is_some_and(|stale| keep_stale(&stale.footprint));
             if !keep {
                 inner.entries.remove(relation);
             }
@@ -409,14 +343,11 @@ impl SnapshotStore {
         based_on: &Arc<Relation>,
     ) -> Option<Arc<ColumnIndex>> {
         let inner = self.inner.lock();
-        inner.entries.get(relation)?.iter().rev().find_map(|entry| {
-            let rel = entry.rel.as_ref()?;
-            if Arc::ptr_eq(rel, based_on) {
-                entry.indexes.get(&column).map(Arc::clone)
-            } else {
-                None
-            }
-        })
+        let entry = inner.entries.get(relation)?;
+        if !Arc::ptr_eq(entry.rel.as_ref()?, based_on) {
+            return None;
+        }
+        entry.indexes.get(&column).map(Arc::clone)
     }
 
     /// The cached join index for a *physical* table, served only if the
@@ -431,31 +362,23 @@ impl SnapshotStore {
         epoch: u64,
     ) -> Option<Arc<ColumnIndex>> {
         let inner = self.inner.lock();
-        inner.entries.get(relation)?.iter().rev().find_map(|entry| {
-            if entry.rel.is_none() && entry.footprint.get(relation) == Some(&epoch) {
-                entry.indexes.get(&column).map(Arc::clone)
-            } else {
-                None
-            }
-        })
+        let entry = inner.entries.get(relation)?;
+        if entry.rel.is_some() || entry.footprint.get(relation) != Some(&epoch) {
+            return None;
+        }
+        entry.indexes.get(&column).map(Arc::clone)
     }
 
-    /// Store a freshly resolved virtual snapshot with its stamped footprint
-    /// as the new current version. The previous current (and its indexes —
-    /// they described the old snapshot) is retired or dropped per the
-    /// versioning policy.
+    /// Store a freshly resolved virtual snapshot with its stamped footprint,
+    /// replacing the relation's entry (and its indexes — they described the
+    /// old snapshot).
     pub fn store_entry(
         &self,
         relation: &str,
         rel: Arc<Relation>,
         footprint: BTreeMap<String, u64>,
     ) {
-        // Read the pin count under the lock `release_pin` prunes under: a
-        // version retired on a count read earlier could land after the last
-        // pin's prune and stay behind.
-        let mut inner = self.inner.lock();
-        let retain = self.pins.load(Ordering::SeqCst) > 0;
-        inner.push_version(
+        self.inner.lock().install(
             relation,
             Entry {
                 rel: Some(rel),
@@ -463,7 +386,6 @@ impl SnapshotStore {
                 indexes: HashMap::new(),
                 seq: 0,
             },
-            retain,
         );
     }
 
@@ -478,19 +400,9 @@ impl SnapshotStore {
         index: Arc<ColumnIndex>,
         based_on: &Arc<Relation>,
     ) {
-        let mut inner = self.inner.lock();
-        if let Some(versions) = inner.entries.get_mut(relation) {
-            let pos = versions
-                .iter()
-                .position(|e| e.rel.as_ref().is_some_and(|r| Arc::ptr_eq(r, based_on)));
-            if let Some(pos) = pos {
-                // Same logical version with one more index — an in-place
-                // `Arc` swap, not a supersession, so nothing is retired.
-                let mut entry = (*versions[pos]).clone();
-                entry.indexes.insert(column, index);
-                versions[pos] = Arc::new(entry);
-            }
-        }
+        self.inner.lock().attach(relation, column, index, |entry| {
+            entry.rel.as_ref().is_some_and(|r| Arc::ptr_eq(r, based_on))
+        });
     }
 
     /// Attach an index built over a *physical* table snapshot taken at
@@ -504,27 +416,19 @@ impl SnapshotStore {
         epoch: u64,
     ) {
         let mut inner = self.inner.lock();
-        let retain = self.pins.load(Ordering::SeqCst) > 0;
-        if let Some(versions) = inner.entries.get_mut(relation) {
-            let pos = versions
-                .iter()
-                .position(|e| e.rel.is_none() && e.footprint.get(relation) == Some(&epoch));
-            if let Some(pos) = pos {
-                // Extend the existing carrier at this exact epoch in place.
-                let mut entry = (*versions[pos]).clone();
-                entry.indexes.insert(column, index);
-                versions[pos] = Arc::new(entry);
-                return;
-            }
-            // Refuse to supersede a virtual snapshot line or a carrier that
-            // already moved past this epoch with an older-epoch carrier.
-            if versions.last().is_some_and(|cur| {
-                cur.rel.is_some() || cur.footprint.get(relation).is_some_and(|e| *e > epoch)
-            }) {
-                return;
-            }
+        let carrier_at =
+            |entry: &Entry| entry.rel.is_none() && entry.footprint.get(relation) == Some(&epoch);
+        if inner.attach(relation, column, Arc::clone(&index), carrier_at) {
+            return;
         }
-        inner.push_version(
+        // Refuse to replace a virtual snapshot or a carrier that already
+        // moved past this epoch with an older-epoch carrier.
+        if inner.entries.get(relation).is_some_and(|cur| {
+            cur.rel.is_some() || cur.footprint.get(relation).is_some_and(|e| *e > epoch)
+        }) {
+            return;
+        }
+        inner.install(
             relation,
             Entry {
                 rel: None,
@@ -532,7 +436,6 @@ impl SnapshotStore {
                 indexes: HashMap::from([(column, index)]),
                 seq: 0,
             },
-            retain,
         );
     }
 
@@ -547,11 +450,7 @@ impl SnapshotStore {
             return None;
         }
         let inner = self.inner.lock();
-        inner
-            .first_valid(relation, storage)?
-            .rel
-            .as_ref()
-            .map(Arc::clone)
+        inner.valid(relation, storage)?.rel.as_ref().map(Arc::clone)
     }
 
     /// Which of `rels` have an entry that is valid *right now* — captured by
@@ -568,7 +467,7 @@ impl SnapshotStore {
         }
         let inner = self.inner.lock();
         rels.into_iter()
-            .filter(|rel| inner.first_valid(rel, storage).is_some())
+            .filter(|rel| inner.valid(rel, storage).is_some())
             .cloned()
             .collect()
     }
@@ -586,32 +485,26 @@ impl SnapshotStore {
         valid_before: &BTreeSet<String>,
         storage: &Storage,
     ) {
-        let mut guard = self.inner.lock();
-        // (A plain `&mut Inner`: its fields borrow independently below.)
-        let inner = &mut *guard;
-        let retain = self.pins.load(Ordering::SeqCst) > 0;
+        let mut inner = self.inner.lock();
         for rel in &maint.invalidate {
-            if inner.drop_current(rel) {
+            if inner.entries.remove(rel).is_some() {
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
         }
         for (rel, delta) in &maint.patches {
-            let Some(current) = inner.entries.get(rel).and_then(|v| v.last()) else {
+            let Some(entry) = inner.entries.get(rel) else {
                 continue;
             };
-            // A purge hit or a pre-write-stale entry marks the *current*
-            // version wrong/unpatchable — a correctness invalidation, so it
-            // is dropped for real, never retired.
-            let purged = current.footprint.keys().any(|t| maint.purged.contains(t));
+            // A purge hit or a pre-write-stale entry is wrong or
+            // unpatchable: dropped.
+            let purged = entry.footprint.keys().any(|t| maint.purged.contains(t));
             if !valid_before.contains(rel) || purged {
-                inner.drop_current(rel);
+                inner.entries.remove(rel);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            // Patch the current version into a new one; the pre-patch
-            // version is retired while pins are outstanding. An unpatchable
-            // delta is a correctness invalidation of the current version.
-            if inner.patch_current(rel, delta, retain, |table| storage.epoch_of(table)) {
+            // An unpatchable delta drops the entry too.
+            if inner.patch(rel, delta, |table| storage.epoch_of(table)) {
                 self.patches.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -619,16 +512,15 @@ impl SnapshotStore {
         }
     }
 
-    /// The current snapshots of one rule set's heads for a reader about to
-    /// catch them up: `None` unless `relation`'s current version holds a
-    /// snapshot that is stale against `storage` (a valid one is read, not
-    /// caught up); with it, each of the `siblings` whose current version
-    /// holds a snapshot under the very same stamps (derived by the same
-    /// evaluation, or maintained together ever since). A sibling at other
-    /// stamps, or with none — a fused resolution stores only the head it
-    /// was asked for — is left as it is. No counter moves; a foreign
-    /// branch's storage gets `None`, as [`get`](SnapshotStore::get) serves
-    /// it nothing.
+    /// The snapshots of one rule set's heads for a reader about to catch
+    /// them up: `None` unless `relation`'s entry holds a snapshot that is
+    /// stale against `storage` (a valid one is read, not caught up); with
+    /// it, each of the `siblings` whose entry holds a snapshot under the
+    /// very same stamps (derived by the same evaluation, or maintained
+    /// together ever since). A sibling at other stamps, or with none — a
+    /// fused resolution stores only the head it was asked for — is left as
+    /// it is. No counter moves; a foreign branch's storage gets `None`, as
+    /// [`get`](SnapshotStore::get) serves it nothing.
     pub(crate) fn stale_heads<'r>(
         &self,
         relation: &'r str,
@@ -639,36 +531,35 @@ impl SnapshotStore {
             return None;
         }
         let inner = self.inner.lock();
-        let current = inner.entries.get(relation)?.last()?;
-        if current.is_valid(storage) {
+        let entry = inner.entries.get(relation)?;
+        if entry.is_valid(storage) {
             return None;
         }
         let mut stale = StaleHeads {
-            stamps: current.footprint.clone(),
-            rels: BTreeMap::from([(relation, Arc::clone(current.rel.as_ref()?))]),
-            seqs: vec![(relation, current.seq)],
+            stamps: entry.footprint.clone(),
+            rels: BTreeMap::from([(relation, Arc::clone(entry.rel.as_ref()?))]),
+            seqs: vec![(relation, entry.seq)],
         };
         for head in siblings.into_iter().filter(|head| *head != relation) {
-            let Some(current) = inner.entries.get(head).and_then(|v| v.last()) else {
+            let Some(entry) = inner.entries.get(head) else {
                 continue;
             };
-            if let (Some(rel), true) = (&current.rel, current.footprint == stale.stamps) {
+            if let (Some(rel), true) = (&entry.rel, entry.footprint == stale.stamps) {
                 stale.rels.insert(head, Arc::clone(rel));
-                stale.seqs.push((head, current.seq));
+                stale.seqs.push((head, entry.seq));
             }
         }
         Some(stale)
     }
 
-    /// Read-time catch-up, the install: patch the current versions `seqs`
-    /// names (from [`stale_heads`](SnapshotStore::stale_heads)) by their
-    /// `deltas` — none recorded means unchanged — and stamp them `stamps`,
-    /// the epochs of the state the deltas lead to. Snapshots and indexes are
-    /// patched in lockstep, in place when nobody else holds them, and the
-    /// superseded versions are retired under pins, exactly as
+    /// Read-time catch-up, the install: patch the entries `seqs` names
+    /// (from [`stale_heads`](SnapshotStore::stale_heads)) by their `deltas`
+    /// — none recorded means unchanged — and stamp them `stamps`, the
+    /// epochs of the state the deltas lead to. Snapshots and indexes are
+    /// patched in lockstep, in place when nobody else holds them, exactly as
     /// [`commit`](SnapshotStore::commit) does. Returns the new snapshots —
     /// or `None`, for the caller to resolve cold: nothing is touched if any
-    /// of the versions has been replaced since it was read (a racing writer
+    /// of the entries has been replaced since it was read (a racing writer
     /// or reader got there first).
     pub(crate) fn catch_up<'r>(
         &self,
@@ -676,13 +567,10 @@ impl SnapshotStore {
         deltas: &DeltaMap,
         stamps: &BTreeMap<String, u64>,
     ) -> Option<Vec<(&'r str, Arc<Relation>)>> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let retain = self.pins.load(Ordering::SeqCst) > 0;
-        let unreplaced = seqs.iter().all(|(head, seq)| {
-            let current = inner.entries.get(*head).and_then(|v| v.last());
-            current.is_some_and(|current| current.seq == *seq)
-        });
+        let mut inner = self.inner.lock();
+        let unreplaced = seqs
+            .iter()
+            .all(|(head, seq)| inner.entries.get(*head).is_some_and(|e| e.seq == *seq));
         if !unreplaced {
             return None;
         }
@@ -693,28 +581,28 @@ impl SnapshotStore {
             // (A delta that does not fit its snapshot drops it; the heads
             // patched before it are right on their own, and the cold
             // resolution that follows replaces them all.)
-            if !inner.patch_current(head, delta, retain, |table| stamps[table]) {
+            if !inner.patch(head, delta, |table| stamps[table]) {
                 return None;
             }
             self.caught_up.fetch_add(1, Ordering::Relaxed);
-            let patched = inner.entries[head].last().expect("just installed");
-            let rel = patched.rel.as_ref().expect("a snapshot, as read");
+            let rel = inner.entries[head]
+                .rel
+                .as_ref()
+                .expect("a snapshot, as read");
             out.push((head, Arc::clone(rel)));
         }
         Some(out)
     }
 
-    /// Drop the current version of one relation (targeted correctness
-    /// invalidation — never retired).
+    /// Drop the entry of one relation (targeted correctness invalidation).
     pub fn invalidate(&self, relation: &str) {
-        if self.inner.lock().drop_current(relation) {
+        if self.inner.lock().entries.remove(relation).is_some() {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drop the entries (every version, retired ones included) of the
-    /// relations a `DROP SCHEMA VERSION` retired: its
-    /// table versions and the aux tables of its SMOs. No surviving entry
+    /// Drop the entries of the relations a `DROP SCHEMA VERSION` retired:
+    /// its table versions and the aux tables of its SMOs. No surviving entry
     /// reads one of them — they were reachable through the dropped version
     /// only — so everything else stays warm.
     pub fn forget(&self, retired: &Retired) {
@@ -735,9 +623,9 @@ impl SnapshotStore {
         let inner = self.inner.lock();
         inner
             .entries
-            .keys()
-            .filter_map(|name| {
-                let entry = inner.first_valid(name, storage)?;
+            .iter()
+            .filter(|(_, entry)| entry.is_valid(storage))
+            .filter_map(|(name, entry)| {
                 Some(Carried {
                     relation: name.clone(),
                     rel: Arc::clone(entry.rel.as_ref()?),
@@ -747,22 +635,16 @@ impl SnapshotStore {
             .collect()
     }
 
-    /// Replace the store's whole contents — entries, retired versions
-    /// included — with `survivors`: each installed as
-    /// the only version of its relation, under its new static footprint
-    /// stamped with `storage`'s current epochs. The caller holds the writer
-    /// lock, so nothing moves between the stamps and the install. Installs
-    /// go through the same versioning path as
-    /// [`store_entry`](SnapshotStore::store_entry): they advance
-    /// [`installed`](SnapshotStore::installed), so a reader pinned before
-    /// the migration is never handed one.
+    /// Replace the store's whole contents with `survivors`, each under its
+    /// new static footprint stamped with `storage`'s current epochs. The
+    /// caller holds the writer lock, so nothing moves between the stamps
+    /// and the install.
     pub(crate) fn reinstall(
         &self,
         survivors: Vec<(Carried, Arc<BTreeSet<String>>)>,
         storage: &Storage,
     ) {
         let mut inner = self.inner.lock();
-        let retain = self.pins.load(Ordering::SeqCst) > 0;
         inner.entries.clear();
         self.carried
             .fetch_add(survivors.len() as u64, Ordering::Relaxed);
@@ -776,7 +658,7 @@ impl SnapshotStore {
                 indexes: carried.indexes,
                 seq: 0,
             };
-            inner.push_version(&carried.relation, entry, retain);
+            inner.install(&carried.relation, entry);
         }
     }
 
@@ -815,117 +697,30 @@ impl SnapshotStore {
         self.recomputes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Register an epoch-pinned reader. While any pin is outstanding,
-    /// superseded snapshot versions are retired instead of dropped, so a
-    /// fork taken a beat later can still copy the version matching its
-    /// pinned epochs. Must be called **before** capturing the epochs the
-    /// pin will read at; paired with [`release_pin`](SnapshotStore::release_pin).
-    pub fn acquire_pin(&self) {
-        self.pins.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Release an epoch-pinned reader. When the last pin goes away all
-    /// retired versions are pruned — only the current version of each
-    /// relation survives.
-    pub fn release_pin(&self) {
-        if self.pins.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let mut inner = self.inner.lock();
-            for versions in inner.entries.values_mut() {
-                if versions.len() > 1 {
-                    versions.drain(..versions.len() - 1);
-                }
-            }
-        }
-    }
-
-    /// Number of outstanding epoch-pinned readers.
-    pub fn pin_count(&self) -> u64 {
-        self.pins.load(Ordering::Relaxed)
-    }
-
-    /// Total retired (non-current) versions held across all relations
-    /// (diagnostics: must be 0 when no pins are outstanding).
-    pub fn retained_versions(&self) -> usize {
-        self.inner
-            .lock()
-            .entries
-            .values()
-            .map(|v| v.len().saturating_sub(1))
-            .sum()
-    }
-
-    /// How many snapshot versions this store has installed (stored or
-    /// patched) so far — the position a reader pins the store at, captured
-    /// together with the rest of the state it will read.
-    pub fn installed(&self) -> u64 {
-        self.inner.lock().installed
-    }
-
-    /// A private copy of this store for an epoch-pinned reader: shares the
-    /// snapshot versions (`Arc`) at fork time, but is
-    /// fully isolated afterwards — the pin's cold resolutions (which may
-    /// mint scratch skolem ids deterministic only for that pin's own read
-    /// history) never flow back, and later live-store maintenance never
-    /// touches the fork. The fork starts with zero pins and zero counters.
+    /// A private copy of this store bound to `owner_tag`: it shares the
+    /// entries (`Arc`) at fork time but is fully isolated afterwards — its
+    /// own resolutions (a pin's may mint scratch skolem ids deterministic
+    /// only for that pin's own read history) never flow back, and later
+    /// maintenance here never touches it. It starts with zero counters.
     ///
-    /// Only versions installed up to `upto` — the store's
-    /// [`installed`](SnapshotStore::installed) count when the pinned state
-    /// was captured — are taken. The fork may be made a beat after that
-    /// capture, and a later statement's reads, which run before its write
-    /// lands, install versions stamped with the very epochs the pin reads
-    /// at; those can hold skolem ids minted after the pin's registry was
-    /// captured, which the pin would otherwise serve while minting its own.
-    pub fn fork_for_pin(&self, upto: u64) -> SnapshotStore {
-        // A pinned view's storage reproduces the origin's epochs and
-        // inherits its branch tag, so the fork keeps the owner binding.
-        self.fork_owned_by(self.owner_tag.load(Ordering::Relaxed), upto)
-    }
-
-    /// A private copy of this store for a **branch** fork: shares entries
-    /// like [`fork_for_pin`](SnapshotStore::fork_for_pin)
-    /// (the branch storage reproduces the fork-point epochs exactly, so
-    /// every warm entry stays servable), but bound to the branch storage's
-    /// fresh tag — after divergence, neither branch's entries can be
-    /// mistaken for the other's.
-    pub fn fork_for_branch(&self, branch_tag: u64) -> SnapshotStore {
-        self.fork_owned_by(branch_tag, u64::MAX)
-    }
-
-    fn fork_owned_by(&self, owner_tag: u64, upto: u64) -> SnapshotStore {
-        let inner = self.inner.lock();
-        let entries = inner
-            .entries
-            .iter()
-            .filter_map(|(name, versions)| {
-                let taken: Vec<Arc<Entry>> = versions
-                    .iter()
-                    .filter(|e| e.seq <= upto)
-                    .map(Arc::clone)
-                    .collect();
-                (!taken.is_empty()).then(|| (name.clone(), taken))
-            })
-            .collect();
-        SnapshotStore {
-            inner: Mutex::new(Inner {
-                entries,
-                installed: inner.installed,
-            }),
-            pins: AtomicU64::new(0),
-            owner_tag: AtomicU64::new(owner_tag),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            patches: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            recomputes: AtomicU64::new(0),
-            carried: AtomicU64::new(0),
-            caught_up: AtomicU64::new(0),
-        }
+    /// A **branch** passes its storage's fresh tag: the branch storage
+    /// reproduces the fork-point epochs exactly, so every warm entry stays
+    /// servable, and after divergence neither side's entries can be
+    /// mistaken for the other's. A **published epoch** or a **pin** passes
+    /// the origin's tag, which its pinned storage inherits.
+    pub fn fork(&self, owner_tag: u64) -> SnapshotStore {
+        let store = SnapshotStore {
+            inner: Mutex::new(self.inner.lock().clone()),
+            ..SnapshotStore::default()
+        };
+        store.bind_owner(owner_tag);
+        store
     }
 }
 
 /// What [`SnapshotStore::stale_heads`] hands a reader: the snapshots of one
 /// rule set's heads as last derived, the stamps they share, and the install
-/// positions that identify exactly these versions.
+/// positions that identify exactly these entries.
 pub(crate) struct StaleHeads<'r> {
     pub(crate) stamps: BTreeMap<String, u64>,
     pub(crate) rels: BTreeMap<&'r str, Arc<Relation>>,
@@ -1229,49 +1024,6 @@ mod tests {
         assert!(store.get_index_physical("T", 0, now).is_none());
     }
 
-    #[test]
-    fn pins_retire_superseded_versions_and_release_prunes() {
-        let storage = storage_with("T");
-        let store = SnapshotStore::new();
-        let pinned_epoch = storage.epoch_of("T");
-        let fp = BTreeMap::from([("T".to_string(), pinned_epoch)]);
-        store.store_entry("V", rel_with("V", &[(1, 10)]), fp);
-
-        store.acquire_pin();
-        // A reader pins the current table epochs before the table moves.
-        let pinned_tables = BTreeMap::from([(
-            "T".to_string(),
-            (storage.snapshot("T").unwrap(), pinned_epoch),
-        )]);
-        bump(&storage, "T", 7, 7);
-        // Live probe misses but the stale version is retired, not dropped.
-        assert!(store.get("V", &storage, |_| false).is_none());
-        assert_eq!(store.len(), 1, "version retired while pinned");
-        // A fresh store_entry supersedes: old version retained alongside.
-        let fp_new = BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
-        store.store_entry("V", rel_with("V", &[(1, 10), (7, 7)]), fp_new);
-        assert_eq!(store.retained_versions(), 1);
-
-        // A pinned storage view reproducing the old epochs is served the
-        // retired version; live storage is served the current one.
-        let pinned = Storage::from_pinned(pinned_tables, 1);
-        let old = store
-            .get("V", &pinned, |_| false)
-            .expect("retired version serves pin");
-        assert_eq!(old.len(), 1);
-        let new = store
-            .get("V", &storage, |_| false)
-            .expect("current serves live");
-        assert_eq!(new.len(), 2);
-
-        store.release_pin();
-        assert_eq!(store.retained_versions(), 0, "release prunes retirees");
-        assert!(
-            store.get("V", &storage, |_| false).is_some(),
-            "current survives"
-        );
-    }
-
     /// Chunks of `new` that `old` does not share, counted from outside
     /// `inverda-storage`, which has no accessor for them: a shared chunk
     /// hands both relations the same row addresses, and the rows of one
@@ -1295,23 +1047,26 @@ mod tests {
         runs
     }
 
+    /// What a pin reads: the storage's tables at their current epochs.
+    fn pinned_view(storage: &Storage) -> Storage {
+        Storage::from_pinned(
+            storage.snapshot_all(),
+            storage.sequences().current_key(),
+            storage.branch_tag(),
+        )
+    }
+
     #[test]
     fn a_patch_under_a_pin_copies_only_the_touched_chunk() {
         let storage = storage_with("T");
         let store = SnapshotStore::new();
-        let pinned_epoch = storage.epoch_of("T");
         let rows: Vec<(u64, i64)> = (0..2000).map(|k| (k, k as i64)).collect();
-        let fp = BTreeMap::from([("T".to_string(), pinned_epoch)]);
+        let fp = BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
         store.store_entry("V", rel_with("V", &rows), fp);
 
-        store.acquire_pin();
-        let pinned = Storage::from_pinned(
-            BTreeMap::from([(
-                "T".to_string(),
-                (storage.snapshot("T").unwrap(), pinned_epoch),
-            )]),
-            1,
-        );
+        // A pin holds a fork of the store over its own pinned storage.
+        let pinned = pinned_view(&storage);
+        let fork = store.fork(0);
         let valid = store.valid_rels(&storage, [&"V".to_string()]);
         bump(&storage, "T", 7, 7);
         let mut maint = SnapshotMaintenance::new();
@@ -1320,44 +1075,36 @@ mod tests {
             &Delta::update(Key(1000), vec![Value::Int(1000)], vec![Value::Int(-1)]),
         );
         store.commit(&maint, &valid, &storage);
-        assert_eq!(store.retained_versions(), 1, "pre-patch version retired");
+        assert_eq!(store.len(), 1, "one entry per relation");
 
-        let retired = store.get("V", &pinned, |_| false).expect("serves the pin");
+        let held = fork.get("V", &pinned, |_| false).expect("serves the pin");
         let current = store.get("V", &storage, |_| false).expect("patched");
-        assert_eq!(retired.get(Key(1000)), Some(&vec![Value::Int(1000)]));
+        assert_eq!(held.get(Key(1000)), Some(&vec![Value::Int(1000)]));
         assert_eq!(current.get(Key(1000)), Some(&vec![Value::Int(-1)]));
-        assert_eq!(copied_chunks(&current, &retired), 1);
+        assert_eq!(copied_chunks(&current, &held), 1);
         // What the count would read for a deep copy.
-        assert!(copied_chunks(&rel_with("V", &rows), &retired) > 10);
-        store.release_pin();
+        assert!(copied_chunks(&rel_with("V", &rows), &held) > 10);
     }
 
     #[test]
-    fn fork_for_pin_is_isolated_from_live_store() {
+    fn fork_is_isolated_from_live_store() {
         let storage = storage_with("T");
         let store = SnapshotStore::new();
-        let pinned_epoch = storage.epoch_of("T");
         store.store_entry(
             "V",
             rel_with("V", &[(1, 10)]),
-            BTreeMap::from([("T".to_string(), pinned_epoch)]),
+            BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]),
         );
-        store.acquire_pin();
-        let pinned_tables = BTreeMap::from([(
-            "T".to_string(),
-            (storage.snapshot("T").unwrap(), pinned_epoch),
-        )]);
+        let pinned = pinned_view(&storage);
+        let fork = store.fork(0);
         bump(&storage, "T", 7, 7);
         store.store_entry(
             "V",
             rel_with("V", &[(1, 10), (7, 7)]),
             BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]),
         );
-
-        let fork = store.fork_for_pin(store.installed());
-        let pinned = Storage::from_pinned(pinned_tables, 1);
-        // The fork serves the pin's epochs even after the live store drops
-        // every version.
+        // The fork serves the pin's epochs even after the live store
+        // replaced its entry and then dropped everything.
         store.clear();
         let rel = fork
             .get("V", &pinned, |_| false)
@@ -1370,51 +1117,27 @@ mod tests {
             BTreeMap::from([("T".to_string(), pinned.epoch_of("T"))]),
         );
         assert!(store.is_empty());
-        store.release_pin();
     }
 
     /// A statement's reads run before its write lands, so what they
     /// resolve is stamped with the epochs a reader pinned one statement
-    /// earlier reads at — but may hold skolem ids minted since. A fork made
-    /// for that reader must leave it out.
+    /// earlier reads at — but may hold skolem ids minted since. The fork
+    /// that reader holds was taken with the rest of its state, so it holds
+    /// none of it.
     #[test]
-    fn fork_for_pin_takes_nothing_installed_after_the_pinned_position() {
+    fn fork_takes_nothing_installed_after_it() {
         let storage = storage_with("T");
         let store = SnapshotStore::new();
         let stamps = || BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
         store.store_entry("V", rel_with("V", &[(1, 10)]), stamps());
-        let pinned_at = store.installed();
+        let fork = store.fork(0);
         store.store_entry("W", rel_with("W", &[(2, 20)]), stamps());
-        let fork = store.fork_for_pin(pinned_at);
         assert!(fork.get("V", &storage, |_| false).is_some());
         assert!(
             fork.get("W", &storage, |_| false).is_none(),
-            "installed after the pin"
+            "installed after the fork"
         );
-        assert!(store
-            .fork_for_pin(store.installed())
-            .get("W", &storage, |_| false)
-            .is_some());
-    }
-
-    #[test]
-    fn correctness_invalidation_drops_even_under_pin() {
-        let storage = storage_with("T");
-        let store = SnapshotStore::new();
-        store.store_entry(
-            "V",
-            rel_with("V", &[(1, 10)]),
-            BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]),
-        );
-        store.acquire_pin();
-        store.invalidate("V");
-        assert!(
-            store.get("V", &storage, |_| false).is_none(),
-            "targeted invalidation is never retired"
-        );
-        assert!(store.is_empty());
-        assert_eq!(store.stats().invalidations, 1);
-        store.release_pin();
+        assert!(store.fork(0).get("W", &storage, |_| false).is_some());
     }
 
     #[test]
@@ -1442,19 +1165,16 @@ mod tests {
         assert!(store.get("V", &storage, |_| false).is_some());
 
         // A branch fork of the store serves the branch storage warm.
-        let branch_store = store.fork_for_branch(foreign.branch_tag());
+        let branch_store = store.fork(foreign.branch_tag());
         assert!(branch_store.get("V", &foreign, |_| false).is_some());
         assert!(branch_store.get("V", &storage, |_| false).is_none());
 
         // A pin fork keeps the owner binding, serving a tag-inheriting
         // pinned view.
-        let pin_fork = store.fork_for_pin(store.installed());
-        let pinned = Storage::from_pinned_tagged(
-            storage.snapshot_all(),
-            storage.sequences().current_key(),
-            storage.branch_tag(),
-        );
-        assert!(pin_fork.get("V", &pinned, |_| false).is_some());
+        let pin_fork = store.fork(storage.branch_tag());
+        assert!(pin_fork
+            .get("V", &pinned_view(&storage), |_| false)
+            .is_some());
     }
 
     #[test]

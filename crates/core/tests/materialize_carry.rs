@@ -229,7 +229,5 @@ fn pinned_reader_survives_a_served_materialize() {
 
     drop(before);
     drop(after);
-    assert_eq!(db.snapshot_pin_count(), 0);
-    assert_eq!(db.snapshot_retained_versions(), 0);
     assert!(db.snapshot_store_audit().is_empty());
 }

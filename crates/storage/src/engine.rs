@@ -195,7 +195,7 @@ pub struct Storage {
     /// resume the same epoch counter, so after divergence the same epoch
     /// number can describe different table states on each side; the tag
     /// disambiguates. A fresh or [`fork`](Storage::fork)ed storage gets a
-    /// process-unique tag; a [`from_pinned`](Storage::from_pinned_tagged)
+    /// process-unique tag; a [`from_pinned`](Storage::from_pinned)
     /// view inherits its origin's tag (its epochs *are* the origin's).
     branch_tag: u64,
 }
@@ -302,11 +302,6 @@ impl Storage {
         self.tables.read().keys().cloned().collect()
     }
 
-    /// Schema of a physical table.
-    pub fn schema_of(&self, name: &str) -> Result<TableSchema> {
-        self.with_table(name, |rel| rel.schema().clone())
-    }
-
     /// Number of rows in a physical table.
     pub fn row_count(&self, name: &str) -> Result<usize> {
         self.with_table(name, |rel| rel.len())
@@ -376,15 +371,10 @@ impl Storage {
     /// state would have minted. The epoch counter resumes past the largest
     /// pinned epoch (pinned views are never written, so this only keeps the
     /// invariant that live epochs are unique). The tables come without
-    /// change logs.
-    pub fn from_pinned(tables: BTreeMap<String, (Arc<Relation>, u64)>, key_seq: u64) -> Self {
-        Storage::from_pinned_tagged(tables, key_seq, next_branch_tag())
-    }
-
-    /// [`Storage::from_pinned`] inheriting the origin storage's branch
-    /// tag: the pinned view reproduces the origin's epochs, so tag-guarded
-    /// caches forked from the origin must keep serving it.
-    pub fn from_pinned_tagged(
+    /// change logs. The view stamps in `branch_tag`, its origin's: it
+    /// reproduces the origin's epochs, so tag-guarded caches forked from
+    /// the origin must keep serving it.
+    pub fn from_pinned(
         tables: BTreeMap<String, (Arc<Relation>, u64)>,
         key_seq: u64,
         branch_tag: u64,
@@ -638,11 +628,6 @@ impl Storage {
             .iter()
             .map(|name| tables.remove(name).expect("validated").rel)
             .collect())
-    }
-
-    /// Total number of rows across all tables (diagnostics).
-    pub fn total_rows(&self) -> usize {
-        self.tables.read().values().map(|e| e.rel.len()).sum()
     }
 }
 
@@ -935,7 +920,7 @@ mod tests {
 
         let pinned_tables = s.snapshot_all();
         let key_seq = s.sequences().current_key();
-        let pin = Storage::from_pinned(pinned_tables, key_seq);
+        let pin = Storage::from_pinned(pinned_tables, key_seq, s.branch_tag());
         assert_eq!(pin.table_names(), s.table_names());
         assert_eq!(pin.epoch_of("T"), s.epoch_of("T"));
         assert_eq!(pin.epoch_of("U"), s.epoch_of("U"));
@@ -985,15 +970,13 @@ mod tests {
         assert!(s.with_table("T", |r| r.get(Key(200)).is_none()).unwrap());
         assert!(f.with_table("T", |r| r.get(Key(100)).is_none()).unwrap());
 
-        // A pinned view inherits the origin's tag; a plain pin does not.
-        let pin = Storage::from_pinned_tagged(
+        // A pinned view inherits the origin's tag.
+        let pin = Storage::from_pinned(
             s.snapshot_all(),
             s.sequences().current_key(),
             s.branch_tag(),
         );
         assert_eq!(pin.branch_tag(), s.branch_tag());
-        let other = Storage::from_pinned(f.snapshot_all(), f.sequences().current_key());
-        assert_ne!(other.branch_tag(), f.branch_tag());
     }
 
     fn row(a: i64) -> Row {
@@ -1119,7 +1102,11 @@ mod tests {
         // and log their own from where they start.
         let e3 = s.epoch_of("T");
         let fork = s.fork();
-        let pin = Storage::from_pinned(s.snapshot_all(), s.sequences().current_key());
+        let pin = Storage::from_pinned(
+            s.snapshot_all(),
+            s.sequences().current_key(),
+            s.branch_tag(),
+        );
         for other in [&fork, &pin] {
             assert_eq!(other.epoch_of("T"), e3);
             assert!(other.changes_between("T", e2, e3).is_none());
