@@ -22,38 +22,17 @@
 //!   regression: `MATERIALIZE` on one branch must not cold-start a
 //!   sibling's fused chains or snapshot entries.
 //!
-//! The fusion knob is process-global, so every case serializes on one
-//! mutex (same idiom as `fusion_props.rs`).
+//! The fusion knob is process-global, so every case holds
+//! `common::fusion_override`'s guard, which serializes the cases and
+//! restores the knob when a case ends, failed ones included.
 
+mod common;
+
+use common::{fusion_override, state};
 use inverda_core::branch::BranchOp;
 use inverda_core::{Branch, BranchingInverda, CoreError, HistoryEntry, Inverda, MAIN_BRANCH};
-use inverda_datalog::fusion;
 use inverda_storage::{Key, Value};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-/// Visible state plus id-minting state of one engine, as text (the byte
-/// equality oracle of every test here). Reachable corners of minting
-/// genealogies can fail a scan with a clean error — recorded as text, so
-/// both sides must fail alike.
-fn state(db: &Inverda) -> String {
-    let mut out = String::new();
-    for v in db.versions() {
-        let mut tables = db.tables_of(&v).expect("tables");
-        tables.sort();
-        for t in tables {
-            match db.scan(&v, &t) {
-                Ok(rel) => out.push_str(&format!("{v}.{t}:\n{rel}")),
-                Err(e) => out.push_str(&format!("{v}.{t}: error {e:?}\n")),
-            }
-        }
-    }
-    out.push_str(&db.debug_registry());
-    out.push_str(&format!("key_seq={}", db.debug_key_seq()));
-    out
-}
 
 /// The oracle: a fresh single-branch engine replaying `history` — each
 /// entry's outcome must match what the live branch recorded.
@@ -326,8 +305,7 @@ proptest! {
         cold in any::<bool>(),
         fused in any::<bool>(),
     ) {
-        let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        fusion::set_enabled(Some(fused));
+        let _fusion = fusion_override(Some(fused));
         let manager = BranchingInverda::new();
         let main = manager.main();
         main.execute("CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c);")
@@ -346,7 +324,6 @@ proptest! {
         for m in &models {
             assert_branch_equals_replay(&m.branch, cold, "after all actions");
         }
-        fusion::set_enabled(None);
     }
 
     /// Two branches fork off `main`, each makes disjoint writes (own
@@ -361,8 +338,7 @@ proptest! {
         main_rows in 0usize..3,
         fused in any::<bool>(),
     ) {
-        let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        fusion::set_enabled(Some(fused));
+        let _fusion = fusion_override(Some(fused));
         let manager = BranchingInverda::new();
         let main = manager.main();
         main.execute("CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c);")
@@ -424,7 +400,6 @@ proptest! {
                 "payload {payload} missing after merge:\n{rendered}"
             );
         }
-        fusion::set_enabled(None);
     }
 }
 
@@ -449,7 +424,7 @@ fn base_manager() -> (BranchingInverda, Branch, Key) {
 
 #[test]
 fn conflicting_writes_surface_as_typed_report_and_leave_dst_untouched() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _fusion = fusion_override(None);
     let (manager, main, key) = base_manager();
     let a = manager.branch("a").expect("fork a");
     let b = manager.branch("b").expect("fork b");
@@ -499,7 +474,7 @@ fn conflicting_writes_surface_as_typed_report_and_leave_dst_untouched() {
 
 #[test]
 fn same_version_created_on_both_sides_is_a_conflict() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _fusion = fusion_override(None);
     let (manager, _main, _key) = base_manager();
     let a = manager.branch("a").expect("fork a");
     let b = manager.branch("b").expect("fork b");
@@ -524,7 +499,7 @@ fn same_version_created_on_both_sides_is_a_conflict() {
 
 #[test]
 fn fast_forward_advances_only_undiverged_branches() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _fusion = fusion_override(None);
     let (manager, main, _key) = base_manager();
     let feature = manager.branch("feature").expect("fork");
     feature
@@ -568,7 +543,7 @@ fn fast_forward_advances_only_undiverged_branches() {
 
 #[test]
 fn diff_reports_row_genealogy_and_registry_divergence() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _fusion = fusion_override(None);
     let (manager, main, key) = base_manager();
     let a = manager.branch("a").expect("fork");
     assert!(manager.diff("a", MAIN_BRANCH).expect("diff").is_empty());
@@ -606,7 +581,7 @@ fn diff_reports_row_genealogy_and_registry_divergence() {
 
 #[test]
 fn branch_create_is_metadata_only_and_isolated() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _fusion = fusion_override(None);
     let (manager, main, key) = base_manager();
     let a = manager.branch("a").expect("fork");
     // Fork shares the physical tables copy-on-write: no rows were copied
@@ -640,8 +615,7 @@ fn branch_create_is_metadata_only_and_isolated() {
 /// visible state is untouched.
 #[test]
 fn materialize_on_one_branch_keeps_sibling_caches_warm() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    fusion::set_enabled(Some(true));
+    let _fusion = fusion_override(Some(true));
     let manager = BranchingInverda::new();
     let main = manager.main();
     main.execute(
@@ -692,7 +666,6 @@ fn materialize_on_one_branch_keeps_sibling_caches_warm() {
         warm_after.invalidations, warm_before.invalidations,
         "no invalidation landed on b"
     );
-    fusion::set_enabled(None);
 }
 
 /// A fork shares its origin's tables and snapshots but not its change
@@ -700,7 +673,7 @@ fn materialize_on_one_branch_keeps_sibling_caches_warm() {
 /// origin's next read and resolved cold by the branch's.
 #[test]
 fn a_forked_branch_catches_nothing_up_from_before_the_fork() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _fusion = fusion_override(None);
     let manager = BranchingInverda::new();
     let main = manager.main();
     main.execute(
@@ -783,8 +756,7 @@ fn snapshot_all(manager: &BranchingInverda) -> Vec<(String, String)> {
 /// the surviving prefix.
 #[test]
 fn crash_at_any_boundary_recovers_the_prefix_state() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    fusion::set_enabled(Some(true));
+    let _fusion = fusion_override(Some(true));
     let dir = fresh_dir("live");
     let manager =
         BranchingInverda::open_in(&dir, inverda_core::DurabilityOptions::default()).expect("open");
@@ -891,5 +863,4 @@ fn crash_at_any_boundary_recovers_the_prefix_state() {
     assert_branch_equals_replay(&rmain, false, "after recovery + write");
     drop(recovered);
     std::fs::remove_dir_all(&scratch).ok();
-    fusion::set_enabled(None);
 }

@@ -22,6 +22,9 @@
 //! write paths, the snapshot store, and the naive reference interpreter
 //! (the old test pinned the *failure* to be equally stable).
 
+mod common;
+
+use common::visible;
 use inverda_core::{Inverda, WritePath};
 use inverda_datalog::eval::MapEdb;
 use inverda_datalog::naive;
@@ -65,24 +68,6 @@ fn replay(path: WritePath, snapshot_reuse: bool) -> Inverda {
     db.update("Do!", "Todo", k, vec![Value::text("a1"), Value::text("v")])
         .unwrap();
     db
-}
-
-/// Every version's visible state as text (scan errors recorded, so a
-/// regression to the old conflict shows up as a diff against the asserted
-/// success).
-fn visible(db: &Inverda) -> String {
-    let mut out = String::new();
-    for v in db.versions() {
-        let mut tables = db.tables_of(&v).unwrap();
-        tables.sort();
-        for t in tables {
-            match db.scan(&v, &t) {
-                Ok(rel) => out.push_str(&format!("{v}.{t}:\n{rel}")),
-                Err(e) => out.push_str(&format!("{v}.{t}: error {e:?}\n")),
-            }
-        }
-    }
-    out
 }
 
 #[test]

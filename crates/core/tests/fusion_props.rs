@@ -23,79 +23,53 @@
 //! occasional `MATERIALIZE` relocations (which must drop cached fused
 //! chains — their hop structure follows the storage cases).
 //!
-//! The fusion knob is process-global, so every case serializes on one
-//! mutex and scopes the knob around each database's operations.
+//! The twin harness — genealogy, generated writes, lockstep apply, the
+//! `state` dump — is `common`'s; each side of the twin carries its own
+//! fusion override, set before every call on it. The knob is
+//! process-global, so every case holds `common::fusion_override`'s guard.
+//! What is this file's own: the chain generator, the JOIN genealogy, the
+//! seeded `Probe` query and the check that fusion engages at all.
 
+mod common;
+
+use common::{delete, fusion_override, insert, materialize, state, update, Genealogy, Side, Twin};
 use inverda_core::Inverda;
-use inverda_datalog::fusion;
-use inverda_storage::{Expr, Key, Value};
+use inverda_storage::{Expr, Value};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Serializes cases across the (parallel) test harness threads: the
-/// fusion knob is process-global.
-static GLOBAL: Mutex<()> = Mutex::new(());
-
-/// Run `f` with the fusion override pinned to `on`, restoring the
-/// environment-driven default afterwards.
-fn with_fusion<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    fusion::set_enabled(Some(on));
-    let out = f();
-    fusion::set_enabled(None);
-    out
+/// Column-seeded point query (`col = value`) through write target `target`
+/// — drives the seeded pushdown probe through the fused chain when cold.
+#[derive(Debug, Clone)]
+struct Probe {
+    target: usize,
+    col: usize,
+    val: i64,
 }
 
-/// A randomly generated logical statement. `head` selects between the
-/// chain's source version and its newest version.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert {
-        head: bool,
-        vals: Vec<i64>,
-    },
-    Update {
-        head: bool,
-        slot: usize,
-        vals: Vec<i64>,
-    },
-    Delete {
-        head: bool,
-        slot: usize,
-    },
-    /// Column-seeded point query (`col = value`) — drives the seeded
-    /// pushdown probe through the fused chain when cold.
-    Query {
-        head: bool,
-        col: usize,
-        val: i64,
-    },
-    Materialize {
-        version: usize,
-    },
+type Op = common::Op<Probe>;
+
+/// A write target drawn by coin flip: the chain's source version (0) or its
+/// newest version (1).
+fn end() -> impl Strategy<Value = usize> {
+    any::<bool>().prop_map(usize::from)
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<bool>(), prop::collection::vec(0i64..6, 4..5))
-            .prop_map(|(head, vals)| Op::Insert { head, vals }),
-        (
-            any::<bool>(),
-            0usize..12,
-            prop::collection::vec(0i64..6, 4..5)
-        )
-            .prop_map(|(head, slot, vals)| Op::Update { head, slot, vals }),
-        (any::<bool>(), 0usize..12).prop_map(|(head, slot)| Op::Delete { head, slot }),
-        (any::<bool>(), 0usize..4, 0i64..6).prop_map(|(head, col, val)| Op::Query {
-            head,
+        insert(end()),
+        update(end()),
+        delete(end()),
+        (end(), 0usize..4, 0i64..6).prop_map(|(target, col, val)| Op::Query(Probe {
+            target,
             col,
             val
-        }),
-        (0usize..8).prop_map(|version| Op::Materialize { version }),
+        })),
+        materialize(0usize..8),
     ]
 }
 
-/// Build a random genealogy chain from hop selectors. Returns the BiDEL
-/// script, the version names, and the (version, table) write targets.
+/// Build a random genealogy chain from hop selectors, written through its
+/// source `G0.T0` and its head.
 ///
 /// The chain starts at `G0.T0(a, b, c)` and applies one SMO per hop:
 /// fusable column-level hops (ADD/DROP/RENAME COLUMN, RENAME TABLE) mixed
@@ -103,7 +77,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// touches the *last* column, so `a` (the split-condition column) always
 /// survives, and decomposing the last column keeps the visible column
 /// order unchanged (the engine re-exposes the fk column at the end).
-fn build_chain(hops: &[u8]) -> (String, Vec<String>, (String, String)) {
+fn build_chain(hops: &[u8]) -> Genealogy {
     let mut script = String::from("CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c);");
     let mut versions = vec!["G0".to_string()];
     let mut table = "T0".to_string();
@@ -157,7 +131,30 @@ fn build_chain(hops: &[u8]) -> (String, Vec<String>, (String, String)) {
         versions.push(v);
     }
     let head = (versions.last().expect("non-empty").clone(), table);
-    (script, versions, head)
+    Genealogy {
+        script,
+        targets: vec![("G0".to_string(), "T0".to_string()), head],
+        versions,
+        row: chain_row,
+    }
+}
+
+/// Build a row for `version.table` from the generated values, sized to the
+/// table's current arity. Column 0 (`a`, the split-condition column)
+/// carries a small integer; the rest carry few-valued text so FK-DECOMPOSE
+/// generators deduplicate and reuse minted ids.
+fn chain_row(db: &Inverda, version: &str, table: &str, vals: &[i64]) -> Vec<Value> {
+    let cols = db.columns_of(version, table).expect("columns");
+    (0..cols.len())
+        .map(|j| {
+            let v = vals[j % vals.len()];
+            if j == 0 {
+                Value::Int(v)
+            } else {
+                Value::text(format!("p{j}v{}", v % 3))
+            }
+        })
+        .collect()
 }
 
 /// A fusable run, a JOIN barrier, then another fusable run on the joined
@@ -170,186 +167,47 @@ const JOIN_SCRIPT: &str = "CREATE SCHEMA VERSION G0 WITH \
      CREATE SCHEMA VERSION G4 FROM G3 WITH ADD COLUMN z AS 0 INTO R; \
      CREATE SCHEMA VERSION G5 FROM G4 WITH RENAME TABLE R INTO Rx;";
 
-/// One database pair under a fixed script: `fused` evaluates with chain
-/// fusion on, `plain` with fusion off; every op runs on both in lockstep.
-struct Harness {
-    fused: Inverda,
-    plain: Inverda,
-    versions: Vec<String>,
-    source: (String, String),
-    head: (String, String),
-    /// Keys minted so far (identical in both databases by construction).
-    keys: Vec<Key>,
-}
-
-impl Harness {
-    fn new(
-        script: &str,
-        versions: Vec<String>,
-        source: (String, String),
-        head: (String, String),
-        cold: bool,
-    ) -> Self {
-        let fused = with_fusion(true, || {
-            let db = Inverda::new();
-            db.execute(script).expect("script");
-            db
-        });
-        let plain = with_fusion(false, || {
-            let db = Inverda::new();
-            db.execute(script).expect("script");
-            db
-        });
-        fused.set_snapshot_reuse(!cold);
-        plain.set_snapshot_reuse(!cold);
-        Harness {
-            fused,
-            plain,
-            versions,
-            source,
-            head,
-            keys: Vec::new(),
+/// Every op against a fused database and its hop-by-hop twin, each under
+/// its own fusion override, compared after each one — rows, registry and
+/// key sequence.
+fn run(genealogy: Genealogy, cold: bool, ops: &[Op]) {
+    let side = |fused| Side {
+        reuse: !cold,
+        fusion: Some(fused),
+    };
+    let mut h = Twin::new(genealogy, side(true), side(false));
+    for (i, op) in ops.iter().enumerate() {
+        if let Some(probe) = h.apply(op) {
+            query(&h, probe);
         }
-    }
-
-    fn target(&self, head: bool) -> (&str, &str) {
-        let (v, t) = if head { &self.head } else { &self.source };
-        (v, t)
-    }
-
-    /// Build a row for `version.table` from the generated values, sized to
-    /// the table's current arity. Column 0 (`a`, the split-condition
-    /// column) carries a small integer; the rest carry few-valued text so
-    /// FK-DECOMPOSE generators deduplicate and reuse minted ids.
-    fn row(&self, version: &str, table: &str, vals: &[i64]) -> Vec<Value> {
-        let cols = self.fused.columns_of(version, table).expect("columns");
-        (0..cols.len())
-            .map(|j| {
-                let v = vals[j % vals.len()];
-                if j == 0 {
-                    Value::Int(v)
-                } else {
-                    Value::text(format!("p{j}v{}", v % 3))
-                }
-            })
-            .collect()
-    }
-
-    /// Visible state plus id-minting state of one database, as text.
-    /// Reachable corners of minting genealogies can fail a scan with a
-    /// clean error — recorded as text, so both sides must fail alike.
-    fn state(db: &Inverda) -> String {
-        let mut out = String::new();
-        for v in db.versions() {
-            let mut tables = db.tables_of(&v).expect("tables");
-            tables.sort();
-            for t in tables {
-                match db.scan(&v, &t) {
-                    Ok(rel) => out.push_str(&format!("{v}.{t}:\n{rel}")),
-                    Err(e) => out.push_str(&format!("{v}.{t}: error {e:?}\n")),
-                }
-            }
-        }
-        out.push_str(&db.debug_registry());
-        out.push_str(&format!("key_seq={}", db.debug_key_seq()));
-        out
-    }
-
-    fn apply(&mut self, op: &Op) {
-        match op {
-            Op::Insert { head, vals } => {
-                let (v, t) = self.target(*head);
-                let row = self.row(v, t, vals);
-                let rf = with_fusion(true, || self.fused.insert(v, t, row.clone()));
-                let rp = with_fusion(false, || self.plain.insert(v, t, row));
-                match (rf, rp) {
-                    (Ok(kf), Ok(kp)) => {
-                        assert_eq!(kf, kp, "key sequences must stay in lockstep");
-                        self.keys.push(kf);
-                    }
-                    (rf, rp) => assert_eq!(
-                        rf.is_ok(),
-                        rp.is_ok(),
-                        "insert outcome diverged: {rf:?} vs {rp:?}"
-                    ),
-                }
-            }
-            Op::Update { head, slot, vals } => {
-                if self.keys.is_empty() {
-                    return;
-                }
-                let key = self.keys[slot % self.keys.len()];
-                let (v, t) = self.target(*head);
-                let row = self.row(v, t, vals);
-                let rf = with_fusion(true, || self.fused.update(v, t, key, row.clone()));
-                let rp = with_fusion(false, || self.plain.update(v, t, key, row));
-                assert_eq!(
-                    rf.is_ok(),
-                    rp.is_ok(),
-                    "update outcome diverged: {rf:?} vs {rp:?}"
-                );
-            }
-            Op::Delete { head, slot } => {
-                if self.keys.is_empty() {
-                    return;
-                }
-                let key = self.keys[slot % self.keys.len()];
-                let (v, t) = self.target(*head);
-                let rf = with_fusion(true, || self.fused.delete(v, t, key));
-                let rp = with_fusion(false, || self.plain.delete(v, t, key));
-                assert_eq!(
-                    rf.is_ok(),
-                    rp.is_ok(),
-                    "delete outcome diverged: {rf:?} vs {rp:?}"
-                );
-            }
-            Op::Query { head, col, val } => {
-                let (v, t) = self.target(*head);
-                let cols = self.fused.columns_of(v, t).expect("columns");
-                let idx = *col % cols.len();
-                let col = &cols[idx];
-                let probe = if idx == 0 {
-                    Expr::lit(*val)
-                } else {
-                    // Matches the text payload written into position `idx`
-                    // (for a third of the generated values).
-                    Expr::lit(format!("p{idx}v{}", val % 3))
-                };
-                let filter = Expr::col(col.as_str()).eq(probe);
-                let run = |db: &Inverda| {
-                    db.query(v, t)
-                        .filter(filter.clone())
-                        .collect()
-                        .map(|rel| rel.to_string())
-                };
-                let rf = with_fusion(true, || run(&self.fused));
-                let rp = with_fusion(false, || run(&self.plain));
-                assert_eq!(rf, rp, "seeded query diverged on {v}.{t} {col}");
-            }
-            Op::Materialize { version } => {
-                // Reachable corners can fail a migration with a clean
-                // KeyConflict; both sides must agree, and a failed
-                // migration leaves both databases untouched.
-                let v = &self.versions[*version % self.versions.len()];
-                let rf = with_fusion(true, || self.fused.materialize(&[v.to_string()]));
-                let rp = with_fusion(false, || self.plain.materialize(&[v.to_string()]));
-                assert_eq!(
-                    rf.is_ok(),
-                    rp.is_ok(),
-                    "materialize outcome diverged: {rf:?} vs {rp:?}"
-                );
-            }
-        }
-    }
-
-    fn check(&self, context: &str) {
-        let fused = with_fusion(true, || Self::state(&self.fused));
-        let plain = with_fusion(false, || Self::state(&self.plain));
+        let (fused, plain) = h.each(state);
         assert_eq!(
             fused, plain,
-            "fused evaluation diverged from hop-by-hop after {context}"
+            "fused evaluation diverged from hop-by-hop after op {i}: {op:?}"
         );
     }
+}
+
+fn query(h: &Twin, probe: &Probe) {
+    let (v, t) = h.target(probe.target);
+    let cols = h.subject.columns_of(v, t).expect("columns");
+    let idx = probe.col % cols.len();
+    let col = &cols[idx];
+    let lit = if idx == 0 {
+        Expr::lit(probe.val)
+    } else {
+        // Matches the text payload written into position `idx` (for a
+        // third of the generated values).
+        Expr::lit(format!("p{idx}v{}", probe.val % 3))
+    };
+    let filter = Expr::col(col.as_str()).eq(lit);
+    let (fused, plain) = h.each(|db| {
+        db.query(v, t)
+            .filter(filter.clone())
+            .collect()
+            .map(|rel| rel.to_string())
+    });
+    assert_eq!(fused, plain, "seeded query diverged on {v}.{t} {col}");
 }
 
 proptest! {
@@ -363,14 +221,8 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..12),
         cold in any::<bool>(),
     ) {
-        let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let (script, versions, head) = build_chain(&hops);
-        let source = ("G0".to_string(), "T0".to_string());
-        let mut h = Harness::new(&script, versions, source, head, cold);
-        for (i, op) in ops.iter().enumerate() {
-            h.apply(op);
-            h.check(&format!("op {i}: {op:?}"));
-        }
+        let _fusion = fusion_override(None);
+        run(build_chain(&hops), cold, &ops);
     }
 
     /// The JOIN-barrier genealogy: fused segments must stop at the JOIN
@@ -380,19 +232,14 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..12),
         cold in any::<bool>(),
     ) {
-        let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let versions = (0..6).map(|i| format!("G{i}")).collect();
-        let mut h = Harness::new(
-            JOIN_SCRIPT,
-            versions,
-            ("G0".to_string(), "T0".to_string()),
-            ("G5".to_string(), "Rx".to_string()),
-            cold,
-        );
-        for (i, op) in ops.iter().enumerate() {
-            h.apply(op);
-            h.check(&format!("op {i}: {op:?}"));
-        }
+        let _fusion = fusion_override(None);
+        let join = Genealogy {
+            script: JOIN_SCRIPT.to_string(),
+            targets: vec![("G0".into(), "T0".into()), ("G5".into(), "Rx".into())],
+            versions: (0..6).map(|i| format!("G{i}")).collect(),
+            row: chain_row,
+        };
+        run(join, cold, &ops);
     }
 }
 
@@ -403,31 +250,30 @@ proptest! {
 /// storage cases).
 #[test]
 fn fusion_engages_and_materialize_invalidates() {
-    let _serial = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    with_fusion(true, || {
-        let (script, _, (head_v, head_t)) = build_chain(&[0, 2, 3, 0, 2]);
-        let db = Inverda::new();
-        db.execute(&script).unwrap();
-        db.insert(
-            "G0",
-            "T0",
-            vec![Value::Int(1), Value::text("b0"), Value::text("c0")],
-        )
-        .unwrap();
-        assert_eq!(db.fused_chain_stats(), (0, 0), "no reads yet");
-        let rel = db.scan(&head_v, &head_t).unwrap();
-        assert_eq!(rel.len(), 1);
-        let (chains, deepest) = db.fused_chain_stats();
-        assert!(chains >= 1, "no fused chain was cached");
-        assert!(
-            deepest >= 4,
-            "chain was not fused across the hops: {deepest}"
-        );
-        db.execute(&format!("MATERIALIZE '{head_v}';")).unwrap();
-        assert_eq!(
-            db.fused_chain_stats(),
-            (0, 0),
-            "MATERIALIZE must drop cached fused chains"
-        );
-    });
+    let _fusion = fusion_override(Some(true));
+    let chain = build_chain(&[0, 2, 3, 0, 2]);
+    let (head_v, head_t) = &chain.targets[1];
+    let db = Inverda::new();
+    db.execute(&chain.script).unwrap();
+    db.insert(
+        "G0",
+        "T0",
+        vec![Value::Int(1), Value::text("b0"), Value::text("c0")],
+    )
+    .unwrap();
+    assert_eq!(db.fused_chain_stats(), (0, 0), "no reads yet");
+    let rel = db.scan(head_v, head_t).unwrap();
+    assert_eq!(rel.len(), 1);
+    let (chains, deepest) = db.fused_chain_stats();
+    assert!(chains >= 1, "no fused chain was cached");
+    assert!(
+        deepest >= 4,
+        "chain was not fused across the hops: {deepest}"
+    );
+    db.execute(&format!("MATERIALIZE '{head_v}';")).unwrap();
+    assert_eq!(
+        db.fused_chain_stats(),
+        (0, 0),
+        "MATERIALIZE must drop cached fused chains"
+    );
 }

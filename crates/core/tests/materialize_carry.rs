@@ -9,6 +9,9 @@
 //! what is carried, what is not, and that indexes and pinned readers come
 //! through.
 
+mod common;
+
+use common::{SPLIT_SCRIPT, TASKY_SCRIPT};
 use inverda_core::{Inverda, ServingInverda};
 use inverda_storage::{Expr, Value};
 
@@ -21,19 +24,6 @@ const COLUMN_CHAIN: &str = "CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, 
      CREATE SCHEMA VERSION G3 FROM G2 WITH RENAME TABLE T0 INTO T3; \
      CREATE SCHEMA VERSION G4 FROM G3 WITH ADD COLUMN x4 AS 0 INTO T3; \
      CREATE SCHEMA VERSION G5 FROM G4 WITH RENAME COLUMN x4 IN T3 TO x4r5;";
-
-const SPLIT_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b); \
-     CREATE SCHEMA VERSION V2 FROM V1 WITH \
-       SPLIT TABLE T INTO R WITH a < 5, S WITH a >= 3;";
-
-const TASKY_SCRIPT: &str =
-    "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio); \
-     CREATE SCHEMA VERSION Do! FROM TasKy WITH \
-       SPLIT TABLE Task INTO Todo WITH prio = 1; \
-       DROP COLUMN prio FROM Todo DEFAULT 1; \
-     CREATE SCHEMA VERSION TasKy2 FROM TasKy WITH \
-       DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author; \
-       RENAME COLUMN author IN Author TO name;";
 
 fn column_chain() -> Inverda {
     let db = Inverda::new();

@@ -20,32 +20,23 @@
 //! skolem registries included. Queries run *before* the oracle scan, so
 //! cold runs genuinely exercise the seeded pushdown path rather than being
 //! served from the statement the oracle warmed.
+//!
+//! The genealogies, the generated writes and their lockstep apply are the
+//! twin harness in `common`; this file adds the query op and its three-way
+//! check.
 
+mod common;
+
+use common::{
+    delete, insert, materialize, mint_chain, split, tables, tasky, update, Genealogy, Twin, COLD,
+    WARM,
+};
 use inverda_core::Inverda;
 use inverda_storage::{Expr, Key, NamedRow, Relation, Row, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert {
-        target: usize,
-        vals: Vec<i64>,
-    },
-    Update {
-        target: usize,
-        slot: usize,
-        vals: Vec<i64>,
-    },
-    Delete {
-        target: usize,
-        slot: usize,
-    },
-    Materialize {
-        version: usize,
-    },
-    Query(QuerySpec),
-}
+type Op = common::Op<QuerySpec>;
 
 /// A structurally random query, interpreted against whatever target it
 /// lands on at runtime (column/value selectors wrap around the actual
@@ -117,144 +108,30 @@ fn query_strategy() -> impl Strategy<Value = QuerySpec> {
 
 fn op_strategy(n_targets: usize, n_versions: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..n_targets, prop::collection::vec(0i64..6, 4..5))
-            .prop_map(|(target, vals)| Op::Insert { target, vals }),
-        (0..n_targets, prop::collection::vec(0i64..6, 4..5))
-            .prop_map(|(target, vals)| Op::Insert { target, vals }),
-        (
-            0..n_targets,
-            0usize..12,
-            prop::collection::vec(0i64..6, 4..5)
-        )
-            .prop_map(|(target, slot, vals)| Op::Update { target, slot, vals }),
-        (0..n_targets, 0usize..12).prop_map(|(target, slot)| Op::Delete { target, slot }),
-        (0..n_versions).prop_map(|version| Op::Materialize { version }),
+        insert(0..n_targets),
+        insert(0..n_targets),
+        update(0..n_targets),
+        delete(0..n_targets),
+        materialize(0..n_versions),
         query_strategy().prop_map(Op::Query),
         query_strategy().prop_map(Op::Query),
         query_strategy().prop_map(Op::Query),
     ]
 }
 
-struct Harness {
-    warm: Inverda,
-    cold: Inverda,
-    targets: Vec<(&'static str, &'static str)>,
-    versions: Vec<&'static str>,
-    keys: Vec<Key>,
-}
-
-impl Harness {
-    fn new(
-        script: &str,
-        targets: Vec<(&'static str, &'static str)>,
-        versions: Vec<&'static str>,
-    ) -> Self {
-        let warm = Inverda::new();
-        warm.execute(script).expect("script");
-        let cold = Inverda::new();
-        cold.execute(script).expect("script");
-        cold.set_snapshot_reuse(false);
-        Harness {
-            warm,
-            cold,
-            targets,
-            versions,
-            keys: Vec::new(),
-        }
-    }
-
-    fn row(&self, target: usize, vals: &[i64]) -> Vec<Value> {
-        let (_, table) = self.targets[target];
-        match table {
-            "Task" => vec![
-                Value::text(format!("author{}", vals[0])),
-                Value::text(format!("task{}", vals[1])),
-                Value::Int(vals[2] % 3 + 1),
-            ],
-            "Todo" => vec![
-                Value::text(format!("author{}", vals[0])),
-                Value::text(format!("todo{}", vals[1])),
-            ],
-            "D" | "W" => vec![
-                Value::Int(vals[0] % 5),
-                Value::text(format!("b{}", vals[1])),
-                Value::text(format!("c{}", vals[2] % 3)),
-            ],
-            _ => vec![Value::Int(vals[0]), Value::text(format!("b{}", vals[1]))],
-        }
-    }
-
-    fn apply_write(&mut self, op: &Op) {
-        match op {
-            Op::Insert { target, vals } => {
-                let (v, t) = self.targets[*target];
-                let row = self.row(*target, vals);
-                let rw = self.warm.insert(v, t, row.clone());
-                let rc = self.cold.insert(v, t, row);
-                match (rw, rc) {
-                    (Ok(kw), Ok(kc)) => {
-                        assert_eq!(kw, kc, "key sequences diverged");
-                        self.keys.push(kw);
-                    }
-                    (rw, rc) => assert_eq!(rw.is_ok(), rc.is_ok(), "{rw:?} vs {rc:?}"),
-                }
-            }
-            Op::Update { target, slot, vals } => {
-                if self.keys.is_empty() {
-                    return;
-                }
-                let key = self.keys[slot % self.keys.len()];
-                let (v, t) = self.targets[*target];
-                let row = self.row(*target, vals);
-                let rw = self.warm.update(v, t, key, row.clone());
-                let rc = self.cold.update(v, t, key, row);
-                assert_eq!(rw.is_ok(), rc.is_ok(), "{rw:?} vs {rc:?}");
-            }
-            Op::Delete { target, slot } => {
-                if self.keys.is_empty() {
-                    return;
-                }
-                let key = self.keys[slot % self.keys.len()];
-                let (v, t) = self.targets[*target];
-                let rw = self.warm.delete(v, t, key);
-                let rc = self.cold.delete(v, t, key);
-                assert_eq!(rw.is_ok(), rc.is_ok(), "{rw:?} vs {rc:?}");
-            }
-            Op::Materialize { version } => {
-                let v = self.versions[*version];
-                let rw = self.warm.materialize(&[v.to_string()]);
-                let rc = self.cold.materialize(&[v.to_string()]);
-                assert_eq!(rw.is_ok(), rc.is_ok(), "{rw:?} vs {rc:?}");
-            }
-            Op::Query(_) => unreachable!("queries are checked, not applied"),
-        }
-    }
-
-    /// Flattened, deterministic (version, table) enumeration — identical in
-    /// both databases by construction.
-    fn query_targets(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for v in self.warm.versions() {
-            let mut tables = self.warm.tables_of(&v).unwrap();
-            tables.sort();
-            for t in tables {
-                out.push((v.clone(), t));
-            }
-        }
-        out
-    }
-
+impl Twin {
     fn check_query(&self, spec: &QuerySpec, context: &str) {
-        let targets = self.query_targets();
+        // Identical in both databases by construction.
+        let targets = tables(&self.subject);
         let (version, table) = &targets[spec.target % targets.len()];
-        for (name, db) in [("warm", &self.warm), ("cold", &self.cold)] {
+        for (name, db) in [("warm", &self.subject), ("cold", &self.reference)] {
             check_one(db, version, table, spec, &format!("{context} [{name}]"));
         }
         // Queries are reads: they must never make the two databases' skolem
         // registries drift (pushdown may not mint off the canonical order).
         assert_eq!(
-            self.warm.debug_registry(),
-            self.cold.debug_registry(),
+            self.subject.debug_registry(),
+            self.reference.debug_registry(),
             "registries diverged after {context}"
         );
     }
@@ -419,36 +296,11 @@ fn projection(columns: &[String], mask: usize) -> Option<Vec<String>> {
     }
 }
 
-const TASKY_SCRIPT: &str =
-    "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio); \
-     CREATE SCHEMA VERSION Do! FROM TasKy WITH \
-       SPLIT TABLE Task INTO Todo WITH prio = 1; \
-       DROP COLUMN prio FROM Todo DEFAULT 1; \
-     CREATE SCHEMA VERSION TasKy2 FROM TasKy WITH \
-       DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author; \
-       RENAME COLUMN author IN Author TO name;";
-
-const SPLIT_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b); \
-     CREATE SCHEMA VERSION V2 FROM V1 WITH \
-       SPLIT TABLE T INTO R WITH a < 5, S WITH a >= 3;";
-
-const MINT_CHAIN_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE D(a, b, c); \
-     CREATE SCHEMA VERSION V2 FROM V1 WITH \
-       DECOMPOSE TABLE D INTO D(a, b), U(c) ON FOREIGN KEY c; \
-     CREATE SCHEMA VERSION V3 FROM V2 WITH \
-       SPLIT TABLE D INTO W WITH a < 3;";
-
-fn run(
-    script: &str,
-    targets: Vec<(&'static str, &'static str)>,
-    versions: Vec<&'static str>,
-    ops: &[Op],
-) {
-    let mut h = Harness::new(script, targets, versions);
+fn run(genealogy: Genealogy, ops: &[Op]) {
+    let mut h = Twin::new(genealogy, WARM, COLD);
     for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Query(spec) => h.check_query(spec, &format!("op {i}: {spec:?}")),
-            write => h.apply_write(write),
+        if let Some(spec) = h.apply(op) {
+            h.check_query(spec, &format!("op {i}: {spec:?}"));
         }
     }
 }
@@ -461,12 +313,7 @@ proptest! {
     fn query_pushdown_equals_scan_filter_tasky(
         ops in prop::collection::vec(op_strategy(2, 3), 1..18),
     ) {
-        run(
-            TASKY_SCRIPT,
-            vec![("TasKy", "Task"), ("Do!", "Todo")],
-            vec!["TasKy", "Do!", "TasKy2"],
-            &ops,
-        );
+        run(tasky(), &ops);
     }
 
     /// Overlapping two-arm SPLIT: twins, separations, aux guards — the
@@ -475,12 +322,7 @@ proptest! {
     fn query_pushdown_equals_scan_filter_overlapping_split(
         ops in prop::collection::vec(op_strategy(3, 2), 1..18),
     ) {
-        run(
-            SPLIT_SCRIPT,
-            vec![("V1", "T"), ("V2", "R"), ("V2", "S")],
-            vec!["V1", "V2"],
-            &ops,
-        );
+        run(split(), &ops);
     }
 
     /// FK-DECOMPOSE + stacked SPLIT minting chain: queries across the
@@ -491,11 +333,6 @@ proptest! {
     fn query_pushdown_equals_scan_filter_minting_chain(
         ops in prop::collection::vec(op_strategy(2, 3), 1..18),
     ) {
-        run(
-            MINT_CHAIN_SCRIPT,
-            vec![("V1", "D"), ("V3", "W")],
-            vec!["V1", "V2", "V3"],
-            &ops,
-        );
+        run(mint_chain(), &ops);
     }
 }

@@ -23,6 +23,9 @@
 //! commit; checkpoints rotate the log mid-run so cuts also land in
 //! post-rotation logs.
 
+mod common;
+
+use common::visible;
 use inverda_core::{DurabilityMode, DurabilityOptions, Inverda};
 use inverda_storage::{Key, Value};
 use proptest::prelude::*;
@@ -235,23 +238,6 @@ fn apply_event(db: &Inverda, keys: &mut Vec<Key>, g: &Genealogy, event: &Event) 
             Op::Ddl { .. } => unreachable!("resolved to Event::Stmt by the harness"),
         },
     }
-}
-
-/// Visible state of every version.table, as text (errors included: a
-/// recovered database must fail exactly where the oracle fails).
-fn visible(db: &Inverda) -> String {
-    let mut out = String::new();
-    for v in db.versions() {
-        let mut tables = db.tables_of(&v).unwrap();
-        tables.sort();
-        for t in tables {
-            match db.scan(&v, &t) {
-                Ok(rel) => out.push_str(&format!("{v}.{t}:\n{rel}")),
-                Err(e) => out.push_str(&format!("{v}.{t}: error {e:?}\n")),
-            }
-        }
-    }
-    out
 }
 
 /// Every physical table, sorted by name, as text.

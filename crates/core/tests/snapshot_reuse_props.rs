@@ -39,232 +39,69 @@
 //!   first *full* read — where it must mint what the twin's cold resolution
 //!   mints, in its order.
 //!
+//! The warm/cold pair, the first three genealogies, the generated writes
+//! and the `visible` dump are the twin harness in `common`; this file adds
+//! the store audit, the `TasKy2`, sibling and DDL streams and the counter
+//! tests. The fusion override is process-global: the DDL stream sets it, and
+//! every test asserting a snapshot or fused-chain counter holds
+//! `common::fusion_override`'s guard.
+//!
 //! [`SnapshotStore`]: inverda_core::SnapshotStore
 
+mod common;
+
+use common::{
+    delete, fusion_override, insert, materialize, mint_chain, split, tasky, update, visible,
+    Genealogy, Op, Twin, COLD, TASKY_SCRIPT, WARM,
+};
 use inverda_core::{Inverda, LogicalWrite};
 use inverda_storage::{Expr, Key, Value};
 use proptest::prelude::*;
 
-/// A randomly generated logical statement against a named version.table.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert {
-        target: usize,
-        vals: Vec<i64>,
-    },
-    Update {
-        target: usize,
-        slot: usize,
-        vals: Vec<i64>,
-    },
-    Delete {
-        target: usize,
-        slot: usize,
-    },
-    Materialize {
-        version: usize,
-    },
-}
-
 fn op_strategy(n_targets: usize, n_versions: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..n_targets, prop::collection::vec(0i64..6, 4..5))
-            .prop_map(|(target, vals)| Op::Insert { target, vals }),
-        (
-            0..n_targets,
-            0usize..12,
-            prop::collection::vec(0i64..6, 4..5)
-        )
-            .prop_map(|(target, slot, vals)| Op::Update { target, slot, vals }),
-        (0..n_targets, 0usize..12).prop_map(|(target, slot)| Op::Delete { target, slot }),
-        (0..n_versions).prop_map(|version| Op::Materialize { version }),
+        insert(0..n_targets),
+        update(0..n_targets),
+        delete(0..n_targets),
+        materialize(0..n_versions),
     ]
 }
 
-/// One database pair under a fixed genealogy and target list.
-struct Harness {
-    warm: Inverda,
-    cold: Inverda,
-    /// (version, table, row builder) — how to write each target.
-    targets: Vec<(&'static str, &'static str)>,
-    versions: Vec<&'static str>,
-    /// Keys minted so far (identical in both databases by construction).
-    keys: Vec<Key>,
-}
-
-impl Harness {
-    fn new(
-        script: &str,
-        targets: Vec<(&'static str, &'static str)>,
-        versions: Vec<&'static str>,
-    ) -> Self {
-        let warm = Inverda::new();
-        warm.execute(script).expect("script");
-        assert!(warm.snapshot_reuse());
-        let cold = Inverda::new();
-        cold.execute(script).expect("script");
-        cold.set_snapshot_reuse(false);
-        Harness {
-            warm,
-            cold,
-            targets,
-            versions,
-            keys: Vec::new(),
-        }
-    }
-
-    /// Visible state of every version.table of the genealogy, as text. A
-    /// scan that fails (reachable twin-separated corners can make the
-    /// id-generating mappings report a clean KeyConflict — pre-existing
-    /// engine behavior) is recorded as its error text, so warm and cold
-    /// must fail identically too.
-    fn visible(db: &Inverda) -> String {
-        let mut out = String::new();
-        for v in db.versions() {
-            let mut tables = db.tables_of(&v).unwrap();
-            tables.sort();
-            for t in tables {
-                match db.scan(&v, &t) {
-                    Ok(rel) => out.push_str(&format!("{v}.{t}:\n{rel}")),
-                    Err(e) => out.push_str(&format!("{v}.{t}: error {e:?}\n")),
-                }
-            }
-        }
-        out
-    }
-
-    /// Build a row for `table` from the generated values.
-    fn row(&self, target: usize, vals: &[i64]) -> Vec<Value> {
-        let (_, table) = self.targets[target];
-        match table {
-            // TasKy genealogy rows.
-            "Task" => vec![
-                Value::text(format!("author{}", vals[0])),
-                Value::text(format!("task{}", vals[1])),
-                Value::Int(vals[2] % 3 + 1),
-            ],
-            "Todo" => vec![
-                Value::text(format!("author{}", vals[0])),
-                Value::text(format!("todo{}", vals[1])),
-            ],
-            // Minting-chain genealogy rows: D/W carry (a, b, c) where c is
-            // the to-be-decomposed payload — few distinct values, so the
-            // generated ids deduplicate and get reused across writes.
-            "D" | "W" => vec![
-                Value::Int(vals[0] % 5),
-                Value::text(format!("b{}", vals[1])),
-                Value::text(format!("c{}", vals[2] % 3)),
-            ],
-            // Overlapping-split genealogy rows: R/S carry (a, b).
-            _ => vec![Value::Int(vals[0]), Value::text(format!("b{}", vals[1]))],
-        }
-    }
-
-    fn apply(&mut self, op: &Op) {
-        match op {
-            Op::Insert { target, vals } => {
-                let (v, t) = self.targets[*target];
-                let row = self.row(*target, vals);
-                let rw = self.warm.insert(v, t, row.clone());
-                let rc = self.cold.insert(v, t, row);
-                match (rw, rc) {
-                    (Ok(kw), Ok(kc)) => {
-                        assert_eq!(kw, kc, "key sequences must stay in lockstep");
-                        self.keys.push(kw);
-                    }
-                    (rw, rc) => assert_eq!(
-                        rw.is_ok(),
-                        rc.is_ok(),
-                        "insert outcome diverged: {rw:?} vs {rc:?}"
-                    ),
-                }
-            }
-            Op::Update { target, slot, vals } => {
-                if self.keys.is_empty() {
-                    return;
-                }
-                let key = self.keys[slot % self.keys.len()];
-                let (v, t) = self.targets[*target];
-                let row = self.row(*target, vals);
-                let rw = self.warm.update(v, t, key, row.clone());
-                let rc = self.cold.update(v, t, key, row);
-                assert_eq!(
-                    rw.is_ok(),
-                    rc.is_ok(),
-                    "update outcome diverged: {rw:?} vs {rc:?}"
-                );
-            }
-            Op::Delete { target, slot } => {
-                if self.keys.is_empty() {
-                    return;
-                }
-                let key = self.keys[slot % self.keys.len()];
-                let (v, t) = self.targets[*target];
-                let rw = self.warm.delete(v, t, key);
-                let rc = self.cold.delete(v, t, key);
-                assert_eq!(
-                    rw.is_ok(),
-                    rc.is_ok(),
-                    "delete outcome diverged: {rw:?} vs {rc:?}"
-                );
-            }
-            Op::Materialize { version } => {
-                // Some reachable twin-separated states make a migration
-                // fail with a clean KeyConflict (a pre-existing engine
-                // limit, identical since the seed); warm and cold must
-                // agree on the outcome, and a failed migration leaves both
-                // databases untouched.
-                let v = self.versions[*version];
-                let rw = self.warm.materialize(&[v.to_string()]);
-                let rc = self.cold.materialize(&[v.to_string()]);
-                assert_eq!(
-                    rw.is_ok(),
-                    rc.is_ok(),
-                    "materialize outcome diverged: {rw:?} vs {rc:?}"
-                );
-            }
-        }
-    }
-
+impl Twin {
     fn check(&self, context: &str) {
+        let (warm, cold) = self.each(visible);
         assert_eq!(
-            Self::visible(&self.warm),
-            Self::visible(&self.cold),
+            warm, cold,
             "warm snapshot store diverged from cold resolution after {context}"
         );
         // Stronger than the visible-state check: every valid store entry —
         // including intermediate table versions and virtual aux tables that
         // no scan reads directly — must equal its cold resolution.
-        let audit = self.warm.snapshot_store_audit();
+        let audit = self.subject.snapshot_store_audit();
         assert!(
             audit.is_empty(),
             "snapshot store entries diverged after {context}:\n{}",
             audit.join("\n")
         );
     }
+
+    /// The skolem registries and key sequences must agree too.
+    fn check_ids(&self, context: &str) {
+        let (warm, cold) = self.each(|db| (db.debug_registry(), db.debug_key_seq()));
+        assert_eq!(warm.0, cold.0, "registries diverged after {context}");
+        assert_eq!(warm.1, cold.1, "key sequences diverged after {context}");
+    }
 }
 
-const TASKY_SCRIPT: &str =
-    "CREATE SCHEMA VERSION TasKy WITH CREATE TABLE Task(author, task, prio); \
-     CREATE SCHEMA VERSION Do! FROM TasKy WITH \
-       SPLIT TABLE Task INTO Todo WITH prio = 1; \
-       DROP COLUMN prio FROM Todo DEFAULT 1; \
-     CREATE SCHEMA VERSION TasKy2 FROM TasKy WITH \
-       DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) ON FOREIGN KEY author; \
-       RENAME COLUMN author IN Author TO name;";
-
-const SPLIT_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b); \
-     CREATE SCHEMA VERSION V2 FROM V1 WITH \
-       SPLIT TABLE T INTO R WITH a < 5, S WITH a >= 3;";
-
-/// An id-minting SMO *chain*: FK-DECOMPOSE (the generator) with a SPLIT
-/// stacked on the decomposed side, so staged/minting mappings sit in the
-/// middle of multi-hop drains and of the backward maintenance walk.
-const MINT_CHAIN_SCRIPT: &str = "CREATE SCHEMA VERSION V1 WITH CREATE TABLE D(a, b, c); \
-     CREATE SCHEMA VERSION V2 FROM V1 WITH \
-       DECOMPOSE TABLE D INTO D(a, b), U(c) ON FOREIGN KEY c; \
-     CREATE SCHEMA VERSION V3 FROM V2 WITH \
-       SPLIT TABLE D INTO W WITH a < 3;";
+/// Every op against a warm database and its store-disabled twin, checked
+/// after each one.
+fn run(genealogy: Genealogy, ops: &[Op]) {
+    let mut h = Twin::new(genealogy, WARM, COLD);
+    for (i, op) in ops.iter().enumerate() {
+        h.apply(op);
+        h.check(&format!("op {i}: {op:?}"));
+    }
+}
 
 proptest! {
     /// TasKy: random writes through all three versions, with occasional
@@ -276,15 +113,7 @@ proptest! {
     fn warm_reads_equal_cold_resolution_tasky(
         ops in prop::collection::vec(op_strategy(2, 3), 1..25),
     ) {
-        let mut h = Harness::new(
-            TASKY_SCRIPT,
-            vec![("TasKy", "Task"), ("Do!", "Todo")],
-            vec!["TasKy", "Do!", "TasKy2"],
-        );
-        for (i, op) in ops.iter().enumerate() {
-            h.apply(op);
-            h.check(&format!("op {i}: {op:?}"));
-        }
+        run(tasky(), &ops);
     }
 
     /// Overlapping SPLIT: twins, separated twins (one-sided updates), and
@@ -293,15 +122,7 @@ proptest! {
     fn warm_reads_equal_cold_resolution_overlapping_split(
         ops in prop::collection::vec(op_strategy(3, 2), 1..25),
     ) {
-        let mut h = Harness::new(
-            SPLIT_SCRIPT,
-            vec![("V1", "T"), ("V2", "R"), ("V2", "S")],
-            vec!["V1", "V2"],
-        );
-        for (i, op) in ops.iter().enumerate() {
-            h.apply(op);
-            h.check(&format!("op {i}: {op:?}"));
-        }
+        run(split(), &ops);
     }
 
     /// Id-minting SMO chain (FK-DECOMPOSE + stacked SPLIT): random writes
@@ -317,15 +138,7 @@ proptest! {
     fn warm_reads_equal_cold_resolution_minting_chain(
         ops in prop::collection::vec(op_strategy(2, 3), 1..25),
     ) {
-        let mut h = Harness::new(
-            MINT_CHAIN_SCRIPT,
-            vec![("V1", "D"), ("V3", "W")],
-            vec!["V1", "V2", "V3"],
-        );
-        for (i, op) in ops.iter().enumerate() {
-            h.apply(op);
-            h.check(&format!("op {i}: {op:?}"));
-        }
+        run(mint_chain(), &ops);
     }
 }
 
@@ -422,34 +235,11 @@ fn tasky2_op_strategy() -> impl Strategy<Value = Tasky2Op> {
     ]
 }
 
-impl Harness {
-    /// Run `f` on both databases; the outcomes — and the results, a minted
-    /// key for one — must agree.
-    fn both<T: std::fmt::Debug + PartialEq>(
-        &self,
-        what: &str,
-        f: impl Fn(&Inverda) -> inverda_core::Result<T>,
-    ) -> Option<T> {
-        match (f(&self.warm), f(&self.cold)) {
-            (Ok(w), Ok(c)) => {
-                assert_eq!(w, c, "{what}: results diverged");
-                Some(w)
-            }
-            (rw, rc) => {
-                assert_eq!(
-                    rw.is_ok(),
-                    rc.is_ok(),
-                    "{what}: outcome diverged: {rw:?} vs {rc:?}"
-                );
-                None
-            }
-        }
-    }
-
+impl Twin {
     /// Run one statement against both databases; outcomes (including the
     /// minted key of an insert) must agree.
     fn apply_tasky2(&mut self, op: &Tasky2Op) {
-        let authors: Vec<Key> = match self.warm.scan("TasKy2", "Author") {
+        let authors: Vec<Key> = match self.subject.scan("TasKy2", "Author") {
             Ok(rel) => rel.keys().collect(),
             Err(_) => Vec::new(),
         };
@@ -467,8 +257,6 @@ impl Harness {
             ]
         };
         let name = |n: u8| Value::text(format!("author{n}"));
-        let slot_key =
-            |slot: usize| (!self.keys.is_empty()).then(|| self.keys[slot % self.keys.len()]);
         let author_key = |slot: usize| (!authors.is_empty()).then(|| authors[slot % authors.len()]);
         let both = |f: &dyn Fn(&Inverda) -> inverda_core::Result<Option<Key>>| {
             self.both("statement", f).flatten()
@@ -483,13 +271,14 @@ impl Harness {
                 text,
                 prio,
                 fk,
-            } => slot_key(*slot).and_then(|key| {
+            } => self.slot_key(*slot).and_then(|key| {
                 both(&|db| {
                     db.update("TasKy2", "Task", key, task(*text, *prio, fk))
                         .map(|()| None)
                 })
             }),
-            Tasky2Op::DeleteTask { slot } => slot_key(*slot)
+            Tasky2Op::DeleteTask { slot } => self
+                .slot_key(*slot)
                 .and_then(|key| both(&|db| db.delete("TasKy2", "Task", key).map(|()| None))),
             Tasky2Op::InsertAuthor { name: n } => {
                 both(&|db| db.insert("TasKy2", "Author", vec![name(*n)]).map(Some))
@@ -518,7 +307,7 @@ impl Harness {
                 slot,
                 name: n,
                 text,
-            } => slot_key(*slot).and_then(|key| {
+            } => self.slot_key(*slot).and_then(|key| {
                 both(&|db| {
                     let row = vec![name(*n), Value::text(format!("todo{text}"))];
                     db.update("Do!", "Todo", key, row).map(|()| None)
@@ -542,22 +331,15 @@ proptest! {
     fn warm_writes_through_fk_decompose_equal_cold_twin(
         ops in prop::collection::vec(tasky2_op_strategy(), 1..30),
     ) {
-        let mut h = Harness::new(TASKY_SCRIPT, vec![], vec![]);
+        let _fusion = fusion_override(None);
+        let mut h = Twin::new(tasky(), WARM, COLD);
         for (i, op) in ops.iter().enumerate() {
             h.apply_tasky2(op);
-            h.check(&format!("op {i}: {op:?}"));
-            prop_assert_eq!(
-                h.warm.debug_registry(),
-                h.cold.debug_registry(),
-                "registries diverged after op {}: {:?}", i, op
-            );
-            prop_assert_eq!(
-                h.warm.debug_key_seq(),
-                h.cold.debug_key_seq(),
-                "key sequences diverged after op {}: {:?}", i, op
-            );
+            let context = format!("op {i}: {op:?}");
+            h.check(&context);
+            h.check_ids(&context);
         }
-        let stats = h.warm.snapshot_stats();
+        let stats = h.subject.snapshot_stats();
         prop_assert_eq!(stats.recomputes, 0, "recompute fallback taken: {:?}", stats);
     }
 }
@@ -668,7 +450,7 @@ struct Siblings {
     authors: Vec<Key>,
 }
 
-impl Harness {
+impl Twin {
     fn apply_sibling(&mut self, op: &SiblingOp, s: &mut Siblings) {
         match op {
             SiblingOp::Write { via, writes } => {
@@ -693,7 +475,6 @@ impl Harness {
                     }
                     row
                 };
-                let slot_key = |slot: usize| self.keys.get(slot % self.keys.len().max(1)).copied();
                 let batch: Vec<LogicalWrite> = writes
                     .iter()
                     .filter_map(|w| match w {
@@ -706,11 +487,11 @@ impl Harness {
                             text,
                             prio,
                         } => Some(LogicalWrite::Update(
-                            slot_key(*slot)?,
+                            self.slot_key(*slot)?,
                             row(*author, *text, *prio),
                         )),
                         SiblingWrite::Delete { slot } => {
-                            Some(LogicalWrite::Delete(slot_key(*slot)?))
+                            Some(LogicalWrite::Delete(self.slot_key(*slot)?))
                         }
                     })
                     .collect();
@@ -755,10 +536,8 @@ impl Harness {
                 self.keys.extend(key);
             }
             SiblingOp::Get { sibling, slot } => {
-                let (Some(key), (version, table)) = (
-                    self.keys.get(slot % self.keys.len().max(1)).copied(),
-                    SIBLINGS[*sibling],
-                ) else {
+                let (Some(key), (version, table)) = (self.slot_key(*slot), SIBLINGS[*sibling])
+                else {
                     return;
                 };
                 self.both("get", |db| db.get(version, table, key));
@@ -776,7 +555,7 @@ impl Harness {
             SiblingOp::ReadAll => {
                 self.check("a full read");
                 // (Read in full just now: a hit, with nothing to mint.)
-                if let Ok(authors) = self.warm.scan("TasKy2", "Author") {
+                if let Ok(authors) = self.subject.scan("TasKy2", "Author") {
                     s.authors = authors.keys().collect();
                 }
             }
@@ -813,7 +592,8 @@ proptest! {
         // (Past the prologue, whose own catch-up the test counts on.)
         bulk_at in prop::option::of(8usize..38),
     ) {
-        let mut h = Harness::new(TASKY_SCRIPT, vec![], vec![]);
+        let _fusion = fusion_override(None);
+        let mut h = Twin::new(tasky(), WARM, COLD);
         let mut s = Siblings::default();
         // Filler: tasks `Do!.Todo` does not show, whose keys no op picks —
         // enough that a burst is never bulk against the SPLIT's heads.
@@ -855,28 +635,19 @@ proptest! {
             if bulk_at == Some(i) {
                 h.apply_sibling(&SiblingOp::Bulk, &mut s);
             }
-            let before = h.warm.snapshot_stats();
+            let before = h.subject.snapshot_stats();
             h.apply_sibling(op, &mut s);
             if i == two_hops {
-                let after = h.warm.snapshot_stats();
+                let after = h.subject.snapshot_stats();
                 prop_assert!(
                     after.caught_up >= before.caught_up + 2,
                     "no two-hop catch-up: {:?} → {:?}", before, after
                 );
             }
-            prop_assert_eq!(
-                h.warm.debug_registry(),
-                h.cold.debug_registry(),
-                "registries diverged after op {}: {:?}", i, op
-            );
-            prop_assert_eq!(
-                h.warm.debug_key_seq(),
-                h.cold.debug_key_seq(),
-                "key sequences diverged after op {}: {:?}", i, op
-            );
+            h.check_ids(&format!("op {i}: {op:?}"));
         }
         h.check("the last statement");
-        let stats = h.warm.snapshot_stats();
+        let stats = h.subject.snapshot_stats();
         prop_assert_eq!(stats.recomputes, 0, "recompute fallback taken: {:?}", stats);
         prop_assert!(stats.caught_up > 0, "nothing was caught up: {:?}", stats);
     }
@@ -1022,7 +793,7 @@ fn leaf_over(parent: &Target, version: String, shape: u8, n: usize) -> (String, 
 
 /// The warm/cold pair plus the stream's view of what is writable.
 struct DdlHarness {
-    h: Harness,
+    h: Twin,
     targets: Vec<Target>,
     created: usize,
 }
@@ -1035,7 +806,7 @@ impl DdlHarness {
             cols: cols.iter().map(|(n, k)| (n.to_string(), *k)).collect(),
         };
         DdlHarness {
-            h: Harness::new(TASKY_SCRIPT, vec![], vec![]),
+            h: Twin::new(tasky(), WARM, COLD),
             targets: vec![
                 target(
                     "TasKy",
@@ -1067,7 +838,7 @@ impl DdlHarness {
     }
 
     fn row(&self, target: &Target, vals: &[i64]) -> Vec<Value> {
-        let authors: Vec<Key> = match self.h.warm.scan("TasKy2", "Author") {
+        let authors: Vec<Key> = match self.h.subject.scan("TasKy2", "Author") {
             Ok(rel) => rel.keys().collect(),
             Err(_) => Vec::new(),
         };
@@ -1093,10 +864,10 @@ impl DdlHarness {
     /// databases, which leaves each of them warm in the warm one.
     fn readable(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        for v in self.h.warm.versions() {
-            for t in self.h.warm.tables_of(&v).unwrap() {
-                let ok = self.h.warm.scan(&v, &t).is_ok();
-                let _ = self.h.cold.scan(&v, &t);
+        for v in self.h.subject.versions() {
+            for t in self.h.subject.tables_of(&v).unwrap() {
+                let ok = self.h.subject.scan(&v, &t).is_ok();
+                let _ = self.h.reference.scan(&v, &t);
                 if ok {
                     out.push((v.clone(), t));
                 }
@@ -1108,14 +879,14 @@ impl DdlHarness {
     /// Re-read `pairs` (warm before the DDL statement that just ran): every
     /// one of them must be served from the store it was left in.
     fn assert_still_warm(&self, pairs: &[(String, String)], after: &str) {
-        let before = self.h.warm.snapshot_stats();
+        let before = self.h.subject.snapshot_stats();
         for (v, t) in pairs {
-            if self.h.warm.tables_of(v).is_ok_and(|ts| ts.contains(t)) {
-                self.h.warm.scan(v, t).unwrap();
-                let _ = self.h.cold.scan(v, t);
+            if self.h.subject.tables_of(v).is_ok_and(|ts| ts.contains(t)) {
+                self.h.subject.scan(v, t).unwrap();
+                let _ = self.h.reference.scan(v, t);
             }
         }
-        let now = self.h.warm.snapshot_stats();
+        let now = self.h.subject.snapshot_stats();
         assert_eq!(
             now.misses, before.misses,
             "a version that was warm went cold across {after}"
@@ -1124,8 +895,6 @@ impl DdlHarness {
 
     fn apply(&mut self, op: &DdlOp) {
         let pick = |i: usize| self.targets[i % self.targets.len()].clone();
-        let slot_key =
-            |slot: usize| (!self.h.keys.is_empty()).then(|| self.h.keys[slot % self.h.keys.len()]);
         match op {
             DdlOp::Insert { target, vals } => {
                 let t = pick(*target);
@@ -1136,7 +905,7 @@ impl DdlHarness {
                 self.h.keys.extend(key);
             }
             DdlOp::Update { target, slot, vals } => {
-                let (t, Some(key)) = (pick(*target), slot_key(*slot)) else {
+                let (t, Some(key)) = (pick(*target), self.h.slot_key(*slot)) else {
                     return;
                 };
                 let row = self.row(&t, vals);
@@ -1145,7 +914,7 @@ impl DdlHarness {
                 });
             }
             DdlOp::Delete { target, slot } => {
-                let (t, Some(key)) = (pick(*target), slot_key(*slot)) else {
+                let (t, Some(key)) = (pick(*target), self.h.slot_key(*slot)) else {
                     return;
                 };
                 self.h
@@ -1173,7 +942,7 @@ impl DdlHarness {
                 // Warm *snapshot*: a physical parent has none to end a run at.
                 let parent_warm = self
                     .h
-                    .warm
+                    .subject
                     .storage_case(&parent.version, &parent.table)
                     .is_ok_and(|case| case != "local")
                     && warm_before.contains(&(parent.version.clone(), parent.table));
@@ -1186,12 +955,12 @@ impl DdlHarness {
                 }
                 self.assert_still_warm(&warm_before, &script);
                 // The new version over a warm parent: one hop, no chain.
-                let chains = self.h.warm.fused_chain_stats().0;
-                let read = self.h.warm.scan(&leaf.version, &leaf.table);
-                let _ = self.h.cold.scan(&leaf.version, &leaf.table);
+                let chains = self.h.subject.fused_chain_stats().0;
+                let read = self.h.subject.scan(&leaf.version, &leaf.table);
+                let _ = self.h.reference.scan(&leaf.version, &leaf.table);
                 if single_hop && parent_warm && read.is_ok() {
                     assert_eq!(
-                        self.h.warm.fused_chain_stats().0,
+                        self.h.subject.fused_chain_stats().0,
                         chains,
                         "a fused chain was built over a warm parent by {script}"
                     );
@@ -1233,23 +1002,14 @@ proptest! {
         ops in prop::collection::vec(ddl_op_strategy(), 1..30),
         fused in any::<bool>(),
     ) {
-        inverda_datalog::fusion::set_enabled(Some(fused));
+        let _fusion = fusion_override(Some(fused));
         let mut d = DdlHarness::new();
         for (i, op) in ops.iter().enumerate() {
             d.apply(op);
-            d.h.check(&format!("op {i}: {op:?}"));
-            prop_assert_eq!(
-                d.h.warm.debug_registry(),
-                d.h.cold.debug_registry(),
-                "registries diverged after op {}: {:?}", i, op
-            );
-            prop_assert_eq!(
-                d.h.warm.debug_key_seq(),
-                d.h.cold.debug_key_seq(),
-                "key sequences diverged after op {}: {:?}", i, op
-            );
+            let context = format!("op {i}: {op:?}");
+            d.h.check(&context);
+            d.h.check_ids(&context);
         }
-        inverda_datalog::fusion::set_enabled(None);
     }
 }
 
@@ -1261,6 +1021,7 @@ proptest! {
 /// re-resolution (store audit).
 #[test]
 fn staged_mappings_are_maintained_not_invalidated() {
+    let _fusion = fusion_override(None);
     let db = Inverda::new();
     db.execute(TASKY_SCRIPT).unwrap();
     let mut keys = Vec::new();
@@ -1330,6 +1091,7 @@ fn staged_mappings_are_maintained_not_invalidated() {
 /// `TasKy2.Task` is served warm.
 #[test]
 fn fk_decompose_target_writes_are_delta_maintained() {
+    let _fusion = fusion_override(None);
     let db = Inverda::new();
     db.execute(TASKY_SCRIPT).unwrap();
     for i in 0..40 {
@@ -1378,6 +1140,7 @@ fn fk_decompose_target_writes_are_delta_maintained() {
 /// otherwise the differential tests above prove nothing.
 #[test]
 fn warm_path_is_exercised() {
+    let _fusion = fusion_override(None);
     let db = Inverda::new();
     db.execute(TASKY_SCRIPT).unwrap();
     for i in 0..20 {
@@ -1454,11 +1217,7 @@ fn two_group_drain_states(script: &str, reuse: bool) -> Vec<(String, String, u64
     db.materialize(&["V3".to_string()]).unwrap();
     let mut states = Vec::new();
     let mut record = |db: &Inverda| {
-        states.push((
-            Harness::visible(db),
-            db.debug_registry(),
-            db.debug_key_seq(),
-        ));
+        states.push((visible(db), db.debug_registry(), db.debug_key_seq()));
         let audit = db.snapshot_store_audit();
         assert!(audit.is_empty(), "{}", audit.join("\n"));
     };
