@@ -13,6 +13,10 @@
 //! * rule variables are interned into numeric **slots**, so a set of bindings
 //!   is a flat [`Frame`] (`Vec<Option<Value>>`) mutated in place with a
 //!   backtracking trail instead of a `BTreeMap` cloned at every join depth;
+//! * a payload variable of a positive atom that occurs nowhere else in the
+//!   rule compiles to `_`, and matching a row visits only the atom's **live
+//!   columns** (key and non-`_` payload), so a scan clones only what the
+//!   rule reads;
 //! * safe evaluation orders (base, key-seeded, and one per probe literal for
 //!   the delta engine) are **scheduled at compile time** over slot bitsets;
 //! * positive and negated atoms whose key term is unbound probe an on-demand
@@ -343,6 +347,14 @@ pub enum CTerm {
 }
 
 impl CTerm {
+    /// The frame slot of a variable.
+    fn slot(&self) -> Option<usize> {
+        match self {
+            CTerm::Var(s) => Some(*s),
+            _ => None,
+        }
+    }
+
     /// The value this term resolves to under `frame`, if fully resolved.
     fn resolved<'a>(&'a self, frame: &'a [Option<Value>]) -> Option<&'a Value> {
         match self {
@@ -360,9 +372,24 @@ pub struct CAtom {
     pub relation: String,
     /// Terms; index 0 is the key position.
     pub terms: Vec<CTerm>,
+    /// The **live** payload columns, ascending: those whose term is not
+    /// `_`. Matching a row visits only these.
+    live: Vec<usize>,
 }
 
 impl CAtom {
+    fn new(relation: String, terms: Vec<CTerm>) -> CAtom {
+        let live = (1..terms.len())
+            .filter(|&i| !matches!(terms[i], CTerm::Anon))
+            .map(|i| i - 1)
+            .collect();
+        CAtom {
+            relation,
+            terms,
+            live,
+        }
+    }
+
     /// The first payload column whose term resolves under `frame`, as
     /// `(column, value)` — the probe column for an index lookup.
     fn bound_payload<'a>(&'a self, frame: &'a Frame) -> Option<(usize, &'a Value)> {
@@ -602,10 +629,8 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         Term::Const(c) => CTerm::Const(c.clone()),
         Term::Anon => CTerm::Anon,
     };
-    let catom = |a: &crate::ast::Atom| CAtom {
-        relation: a.relation.clone(),
-        terms: a.terms.iter().map(cterm).collect(),
-    };
+    let catom =
+        |a: &crate::ast::Atom| CAtom::new(a.relation.clone(), a.terms.iter().map(cterm).collect());
     let expr_cols = |e: &inverda_storage::Expr| -> Vec<(String, usize)> {
         e.referenced_columns()
             .into_iter()
@@ -705,6 +730,9 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         }
     }
 
+    let head = catom(&rule.head);
+    drop_singletons(&head, &mut body, n_vars);
+
     let display = rule.to_string();
     let empty = SlotSet::new(n_vars);
     let base_order = schedule_slots(&meta, None, &empty, &display)?;
@@ -757,7 +785,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         .collect();
 
     Ok(CompiledRule {
-        head: catom(&rule.head),
+        head,
         body,
         n_vars,
         var_names,
@@ -770,6 +798,45 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         seedable,
         display,
     })
+}
+
+/// Turn every payload variable of a positive atom that occurs nowhere else
+/// in the rule — head and body, expressions included — into `_`, so a scan
+/// neither visits nor clones that column. Its slot is never read, and
+/// scheduling (computed from the source rule) is unaffected. Key positions
+/// and negated atoms keep their variables: a negation's variables must stay
+/// bound by other literals for the rule to be safe. A variable repeated in
+/// one atom occurs twice, so it stays.
+fn drop_singletons(head: &CAtom, body: &mut [CLit], n_vars: usize) {
+    let mut uses = vec![0u32; n_vars];
+    let mut add = |slot: usize| uses[slot] += 1;
+    head.terms.iter().filter_map(CTerm::slot).for_each(&mut add);
+    for lit in body.iter() {
+        match lit {
+            CLit::Pos(a) | CLit::Neg(a) => {
+                a.terms.iter().filter_map(CTerm::slot).for_each(&mut add)
+            }
+            CLit::Cond { cols, .. } => cols.iter().for_each(|(_, s)| add(*s)),
+            CLit::Assign { slot, cols, .. } => {
+                add(*slot);
+                cols.iter().for_each(|(_, s)| add(*s));
+            }
+            CLit::Skolem { slot, args, .. } => {
+                add(*slot);
+                args.iter().filter_map(CTerm::slot).for_each(&mut add);
+            }
+        }
+    }
+    for lit in body.iter_mut() {
+        let CLit::Pos(atom) = lit else { continue };
+        for t in &mut atom.terms[1..] {
+            if matches!(t, CTerm::Var(s) if uses[*s] == 1) {
+                *t = CTerm::Anon;
+            }
+        }
+        atom.live
+            .retain(|&col| !matches!(atom.terms[col + 1], CTerm::Anon));
+    }
 }
 
 /// Compile-time scheduling over slot bitsets. Mirrors the naive
@@ -842,7 +909,12 @@ pub fn evaluate(
 }
 
 /// Evaluate a pre-compiled rule set bottom-up against an EDB: rules
-/// strictly in order, each rule's head tuples emitted in exploration order.
+/// strictly in order, each rule's head tuples emitted in exploration order,
+/// straight into the head as the join finds them. Errors rank as in the
+/// naive interpreter, which joins a rule fully before emitting any of its
+/// tuples: a join error of a rule wins over a head-tuple error or key
+/// conflict of the same rule found earlier; among those, the first in
+/// exploration order wins.
 ///
 /// Skolem calls go through a **reserve-then-commit** cycle
 /// ([`ReservingIds`]): the evaluation hands out scope-local placeholder
@@ -859,11 +931,7 @@ pub fn evaluate_compiled(
     let reserving = ReservingIds::new(ids, skolem::SCOPE_EVAL);
     let mut ev = Evaluator::new(edb, &reserving);
     for rule in &crs.rules {
-        ev.ensure_head(&rule.head.relation, rule.head.terms.len() - 1, head_columns);
-        let tuples = ev.rule_head_tuples(rule, &rule.base_order, None)?;
-        for (key, row) in tuples {
-            ev.emit(&rule.head.relation, key, row)?;
-        }
+        ev.derive_rule(rule, head_columns)?;
     }
     let derived = ev.into_derived();
     let patch = reserving.commit();
@@ -1014,29 +1082,49 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Add a derived head tuple, detecting key conflicts.
-    fn emit(&mut self, head: &str, key: Key, row: Row) -> Result<()> {
-        let rel = self
-            .derived
-            .get_mut(head)
-            .expect("head relation pre-created");
-        match rel.get(key) {
-            Some(existing) if *existing == row => Ok(()),
-            Some(_) => Err(DatalogError::KeyConflict {
-                relation: head.to_string(),
-                key: key.0,
-            }),
-            None => {
-                // A head only ever *grows* (conflicting emits error out
-                // above), so cached indexes are patched for the appended
-                // row instead of being dropped and rebuilt at O(n).
-                self.derived_indexes.patch_row(head, key, None, Some(&row));
-                Arc::make_mut(rel)
-                    .upsert(key, row)
-                    .map_err(DatalogError::from)?;
+    /// Full evaluation of one rule: every head tuple it derives goes into
+    /// its head the moment the join finds it. A head-tuple error or key
+    /// conflict is deferred while the join runs on: a later join error
+    /// wins (see [`evaluate_compiled`]).
+    ///
+    /// No rule the engine builds reads its own head, but one that does sees
+    /// the head as it stood before the rule, as in the naive interpreter:
+    /// the rule fills a copy of the head (chunks shared, not rows) that
+    /// replaces it once the join is done. The head's cached indexes are
+    /// patched as it grows, so an index probe may return a key the body's
+    /// view lacks, which it skips; and a firing that emits has passed every
+    /// literal, so each index of the head the rule probes was built before
+    /// the rule's first emission.
+    fn derive_rule(
+        &mut self,
+        rule: &CompiledRule,
+        head_columns: &BTreeMap<String, Vec<String>>,
+    ) -> Result<()> {
+        let name = rule.head.relation.as_str();
+        self.ensure_head(name, rule.head.terms.len() - 1, head_columns);
+        let mut head = Relation::clone(&self.derived[name]);
+        let indexes = &self.derived_indexes;
+        let mut deferred = None;
+        let mut frame = vec![None; rule.n_vars];
+        let mut trail = Vec::with_capacity(rule.n_vars);
+        let joined = self.join(
+            rule,
+            &rule.base_order,
+            0,
+            &mut frame,
+            &mut trail,
+            &mut |frame| {
+                if deferred.is_none() {
+                    deferred = head_tuple(rule, frame)
+                        .and_then(|(key, row)| emit(&mut head, name, indexes, key, row))
+                        .err();
+                }
                 Ok(())
-            }
-        }
+            },
+        );
+        first_error(joined, deferred)?;
+        *self.derived.get_mut(name).expect("head created above") = Arc::new(head);
+        Ok(())
     }
 
     /// Resolve a relation for matching: derived heads shadow the EDB, and
@@ -1070,7 +1158,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// All head tuples the rule derives, with `seed` pre-bound (callers pass
-    /// the precomputed order matching the seed shape).
+    /// the precomputed order matching the seed shape). Errors rank as in
+    /// [`evaluate_compiled`].
     pub(crate) fn rule_head_tuples(
         &self,
         rule: &CompiledRule,
@@ -1083,10 +1172,12 @@ impl<'a> Evaluator<'a> {
         };
         let mut trail = Vec::with_capacity(rule.n_vars);
         let mut out = Vec::new();
-        self.join(rule, order, 0, &mut frame, &mut trail, &mut |frame| {
-            out.push(head_tuple(rule, frame)?);
+        let mut deferred = None;
+        let joined = self.join(rule, order, 0, &mut frame, &mut trail, &mut |frame| {
+            collect_head_tuple(rule, frame, &mut out, &mut deferred);
             Ok(())
-        })?;
+        });
+        first_error(joined, deferred)?;
         Ok(out)
     }
 
@@ -1457,16 +1548,18 @@ impl<'a> Evaluator<'a> {
                 };
                 let candidates = self.relation_by_column(&atom.relation, col, value)?;
                 let mut out = Vec::new();
+                let mut deferred = None;
                 for (key, row) in &candidates {
                     let Some(mut frame) = seed_frame(rule, atom, *key, row) else {
                         continue;
                     };
                     let mut trail = Vec::with_capacity(rule.n_vars);
                     self.join(rule, order, 0, &mut frame, &mut trail, &mut |frame| {
-                        out.push(head_tuple(rule, frame)?);
+                        collect_head_tuple(rule, frame, &mut out, &mut deferred);
                         Ok(())
                     })?;
                 }
+                first_error(Ok(()), deferred)?;
                 return Ok(out);
             }
         }
@@ -1584,6 +1677,7 @@ impl<'a> Evaluator<'a> {
         let mut frame: Frame = vec![None; rule.n_vars];
         let mut trail = Vec::with_capacity(rule.n_vars);
         let mut out = Vec::new();
+        let mut deferred = None;
         for &key in keys {
             let Some(row) = self.relation_by_key(&atom.relation, key)? else {
                 continue;
@@ -1593,12 +1687,13 @@ impl<'a> Evaluator<'a> {
             if unify_atom(atom, key, &row, &mut frame, &mut trail) {
                 let order = &rule.base_order;
                 self.join(rule, order, 1, &mut frame, &mut trail, &mut |frame| {
-                    out.push(head_tuple(rule, frame)?);
+                    collect_head_tuple(rule, frame, &mut out, &mut deferred);
                     Ok(())
                 })?;
             }
             undo(&mut frame, &mut trail, mark);
         }
+        first_error(Ok(()), deferred)?;
         Ok(out)
     }
 
@@ -1647,30 +1742,61 @@ impl RowContext for FrameCtx<'_> {
     }
 }
 
-/// Build the head tuple from a complete frame.
+/// Build the head tuple from a complete frame: the payload in one
+/// allocation, the key read in place. An unresolvable term anywhere in the
+/// head ranks before a key that is no key, as in the naive interpreter.
 fn head_tuple(rule: &CompiledRule, frame: &[Option<Value>]) -> Result<(Key, Row)> {
     let head = &rule.head;
-    let mut values = Vec::with_capacity(head.terms.len());
-    for t in &head.terms {
-        match t {
-            CTerm::Var(s) => match &frame[*s] {
-                Some(v) => values.push(v.clone()),
-                None => {
-                    return Err(DatalogError::UnsafeRule {
-                        rule: rule.display.clone(),
-                    })
-                }
-            },
-            CTerm::Const(c) => values.push(c.clone()),
-            CTerm::Anon => {
-                return Err(DatalogError::UnsafeRule {
-                    rule: rule.display.clone(),
-                })
-            }
+    let unsafe_rule = || DatalogError::UnsafeRule {
+        rule: rule.display.clone(),
+    };
+    let key = head.terms[0].resolved(frame).ok_or_else(unsafe_rule)?;
+    let mut row = Vec::with_capacity(head.terms.len() - 1);
+    for t in &head.terms[1..] {
+        row.push(t.resolved(frame).ok_or_else(unsafe_rule)?.clone());
+    }
+    Ok((value_key(&head.relation, key)?, row))
+}
+
+/// Add a derived tuple to `rel`, the head `name`, detecting key conflicts.
+/// A head only ever *grows* (a conflicting emit is an error), so cached
+/// indexes are patched for the appended row instead of being dropped and
+/// rebuilt at O(n).
+fn emit(rel: &mut Relation, name: &str, indexes: &IndexCache, key: Key, row: Row) -> Result<()> {
+    match rel.insert_vacant(key, row)? {
+        Ok(stored) => indexes.patch_row(name, key, None, Some(stored)),
+        Err((existing, row)) if *existing == row => {}
+        Err(_) => {
+            return Err(DatalogError::KeyConflict {
+                relation: name.to_string(),
+                key: key.0,
+            })
         }
     }
-    let key = value_key(&head.relation, &values[0])?;
-    Ok((key, values[1..].to_vec()))
+    Ok(())
+}
+
+/// Push the head tuple of one firing onto `out`, or keep its error in
+/// `deferred` if none is kept yet (tuples after it are not needed).
+fn collect_head_tuple(
+    rule: &CompiledRule,
+    frame: &[Option<Value>],
+    out: &mut Vec<(Key, Row)>,
+    deferred: &mut Option<DatalogError>,
+) {
+    if deferred.is_none() {
+        match head_tuple(rule, frame) {
+            Ok(tuple) => out.push(tuple),
+            Err(e) => *deferred = Some(e),
+        }
+    }
+}
+
+/// The naive interpreter's error order for one rule: its join error, else
+/// the first head-tuple or emission error its firings deferred.
+fn first_error(joined: Result<()>, deferred: Option<DatalogError>) -> Result<()> {
+    joined?;
+    deferred.map_or(Ok(()), Err)
 }
 
 /// The head key under a (complete-enough) frame, if determinable.
@@ -1724,8 +1850,9 @@ pub(crate) fn head_cells_bound_by(
     )
 }
 
-/// Try to extend the frame so the atom matches `(key, row)`; newly bound
-/// slots are pushed on `trail`.
+/// Try to extend the frame so the atom matches `(key, row)`, visiting the
+/// key and the live payload columns only; newly bound slots are pushed on
+/// `trail`.
 fn unify_atom(
     atom: &CAtom,
     key: Key,
@@ -1733,12 +1860,14 @@ fn unify_atom(
     frame: &mut [Option<Value>],
     trail: &mut Vec<usize>,
 ) -> bool {
-    let kv = key_value(key);
-    if !unify_term(&atom.terms[0], &kv, frame, trail) {
+    if !unify_term(&atom.terms[0], &key_value(key), frame, trail) {
         return false;
     }
-    for (t, v) in atom.terms[1..].iter().zip(row.iter()) {
-        if !unify_term(t, v, frame, trail) {
+    for &col in &atom.live {
+        // Like a pairwise walk of terms and row, a short row (possible only
+        // where no arity check ran) is compared on the columns it has.
+        let Some(v) = row.get(col) else { break };
+        if !unify_term(&atom.terms[col + 1], v, frame, trail) {
             return false;
         }
     }
@@ -2057,6 +2186,115 @@ mod tests {
         let sk = ids();
         let out = evaluate(&rules, &edb, &sk, &BTreeMap::new()).unwrap();
         assert!(out["H"].is_empty());
+    }
+
+    /// The body atom at `lit` of a one-rule set's compiled rule.
+    fn compiled_atom(rule: Rule, lit: usize) -> CAtom {
+        let crs = CompiledRuleSet::compile(&RuleSet::new(vec![rule])).unwrap();
+        let (_, atom, _) = crs.body_atoms(0).nth(lit).unwrap();
+        atom.clone()
+    }
+
+    #[test]
+    fn scans_bind_only_the_columns_the_rule_reads() {
+        // B(p, b) ← T(p, x, y, b): x and y occur once, so the scan binds
+        // only p and b.
+        let rule = Rule::new(
+            Atom::vars("B", &["p", "b"]),
+            vec![Literal::Pos(Atom::vars("T", &["p", "x", "y", "b"]))],
+        );
+        let atom = compiled_atom(rule.clone(), 0);
+        assert_eq!(
+            atom.terms,
+            vec![CTerm::Var(0), CTerm::Anon, CTerm::Anon, CTerm::Var(1)]
+        );
+        assert_eq!(atom.live, vec![2]);
+        let mut t = Relation::with_columns("T", ["x", "y", "b"]);
+        t.insert(Key(4), vec![1.into(), 2.into(), 3.into()])
+            .unwrap();
+        let mut edb = MapEdb::new();
+        edb.add(t);
+        let out = evaluate(&RuleSet::new(vec![rule]), &edb, &ids(), &BTreeMap::new()).unwrap();
+        assert_eq!(out["B"].get(Key(4)), Some(&vec![Value::Int(3)]));
+    }
+
+    #[test]
+    fn a_variable_repeated_in_one_atom_stays_bound() {
+        // H(p) ← T(p, a, a): `a` occurs nowhere else, but twice here.
+        let rule = Rule::new(
+            Atom::vars("H", &["p"]),
+            vec![Literal::Pos(Atom::vars("T", &["p", "a", "a"]))],
+        );
+        let atom = compiled_atom(rule, 0);
+        assert_eq!(
+            atom.terms,
+            vec![CTerm::Var(0), CTerm::Var(1), CTerm::Var(1)]
+        );
+        assert_eq!(atom.live, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_singleton_under_negation_keeps_the_rule_unsafe() {
+        // H(p) ← S(p), ¬T(p, x): `x` is bound by no positive literal, so
+        // the negation can never be scheduled; dropping it would make the
+        // rule safe.
+        let rule = Rule::new(
+            Atom::vars("H", &["p"]),
+            vec![
+                Literal::Pos(Atom::vars("S", &["p"])),
+                Literal::Neg(Atom::vars("T", &["p", "x"])),
+            ],
+        );
+        assert!(matches!(
+            CompiledRuleSet::compile(&RuleSet::new(vec![rule])),
+            Err(DatalogError::UnsafeRule { .. })
+        ));
+    }
+
+    #[test]
+    fn a_rule_reading_its_own_head_sees_it_as_before_the_rule() {
+        // Rule 2 probes its own head by payload while it grows it: B's
+        // row 6 would match the tuple rule 2 derives from row 5, but the
+        // naive interpreter joins a rule fully before emitting, so it must
+        // not. Rule 3 then probes the grown head.
+        let rules = RuleSet::new(vec![
+            Rule::new(
+                Atom::vars("H", &["p", "n"]),
+                vec![Literal::Pos(Atom::vars("A", &["p", "n"]))],
+            ),
+            Rule::new(
+                Atom::vars("H", &["q", "m"]),
+                vec![
+                    Literal::Pos(Atom::vars("B", &["q", "n", "m"])),
+                    Literal::Pos(Atom::new("H", vec![Term::Anon, Term::var("n")])),
+                ],
+            ),
+            Rule::new(
+                Atom::vars("J", &["q", "n"]),
+                vec![
+                    Literal::Pos(Atom::vars("C", &["q", "n"])),
+                    Literal::Pos(Atom::new("H", vec![Term::Anon, Term::var("n")])),
+                ],
+            ),
+        ]);
+        let mut a = Relation::with_columns("A", ["n"]);
+        a.insert(Key(1), vec![Value::Int(10)]).unwrap();
+        let mut b = Relation::with_columns("B", ["n", "m"]);
+        b.insert(Key(5), vec![Value::Int(10), Value::Int(20)])
+            .unwrap();
+        b.insert(Key(6), vec![Value::Int(20), Value::Int(30)])
+            .unwrap();
+        let mut c = Relation::with_columns("C", ["n"]);
+        for (k, n) in [(7, 20), (8, 30)] {
+            c.insert(Key(k), vec![Value::Int(n)]).unwrap();
+        }
+        let mut edb = MapEdb::new();
+        edb.add(a).add(b).add(c);
+        let out = evaluate(&rules, &edb, &ids(), &BTreeMap::new()).unwrap();
+        let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new()).unwrap();
+        assert_eq!(out, naive);
+        assert_eq!(out["H"].keys().collect::<Vec<_>>(), [Key(1), Key(5)]);
+        assert_eq!(out["J"].keys().collect::<Vec<_>>(), [Key(7)]);
     }
 
     #[test]

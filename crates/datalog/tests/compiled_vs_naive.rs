@@ -13,8 +13,11 @@
 //! fresh variable and re-checking a bound one, skolem generators, and
 //! skolem-generated head keys (the non-pushable fallback of
 //! `head_row_for_key`), plus multi-rule staging where later rules read
-//! earlier heads. Errors must be canonical too: the first error in
-//! sequential exploration order wins.
+//! earlier heads. Errors must be canonical too. The naive interpreter joins
+//! a rule fully before it builds any head tuple, so a rule's first join
+//! error wins; failing that, its first head-tuple error (`BadKey`) or key
+//! conflict in exploration order. Full evaluation draws its inputs from a
+//! wider strategy that produces all three.
 
 use inverda_datalog::ast::{Atom, Literal, Rule, RuleSet, Term};
 use inverda_datalog::delta::{propagate, Delta, DeltaMap, PatchedEdb};
@@ -41,13 +44,18 @@ struct RuleSpec {
     /// Condition on `a`: 0 = a < t, 1 = a >= t, 2 = a ≠ t.
     cond: Option<(u8, i64)>,
     /// Assignment: 0 = none, 1 = `d = a + 1` (binds `d`, usable in the head
-    /// payload), 2 = `a = a + 0` (an equality check on the bound `a`).
+    /// payload), 2 = `a = a + 0` (an equality check on the bound `a`),
+    /// 3 = `d = 6 / a` (fails where `a` is 0).
     assign: u8,
     /// Skolem `s = gen(a)`; when `keyed` the head key becomes `s`
     /// (non-pushable — exercises the full-eval fallback).
     skolem: Option<SkolemSpec>,
     /// Head payload variable choice.
     payload: u8,
+    /// Head key variable choice among the bound variables, payload ones
+    /// included (a negative value is no key; equal values can conflict);
+    /// `None` keys by `p`, or by `s` when the skolem is keyed.
+    key: Option<u8>,
     /// For rules after the first: read the previous rule's head instead of
     /// T0/T1 (staged rule set).
     use_prev_head: bool,
@@ -83,9 +91,20 @@ fn arb_rule_spec() -> impl Strategy<Value = RuleSpec> {
                 assign,
                 skolem: skolem.map(|(keyed, two_args)| SkolemSpec { keyed, two_args }),
                 payload,
+                key: None,
                 use_prev_head,
             },
         )
+}
+
+/// [`arb_rule_spec`] widened to rules that can fail: a head key drawn from
+/// the bound variables, and the assignment that divides by `a`.
+fn arb_failing_rule_spec() -> impl Strategy<Value = RuleSpec> {
+    (arb_rule_spec(), prop::option::of(0u8..6), 0u8..4).prop_map(|(spec, key, assign)| RuleSpec {
+        key,
+        assign,
+        ..spec
+    })
 }
 
 /// Build the concrete rule for a spec. `prev_head` is the head of the
@@ -184,6 +203,17 @@ fn build_rule(spec: &RuleSpec, head: &str, prev_head: Option<&str>) -> Rule {
                     Box::new(Expr::lit(0)),
                 ),
             }),
+            3 => {
+                body.push(Literal::Assign {
+                    var: "d".into(),
+                    expr: Expr::Binary(
+                        Box::new(Expr::lit(6)),
+                        BinaryOp::Div,
+                        Box::new(Expr::col("a")),
+                    ),
+                });
+                avail.push("d");
+            }
             _ => {}
         }
         if let Some(sk) = &spec.skolem {
@@ -199,8 +229,9 @@ fn build_rule(spec: &RuleSpec, head: &str, prev_head: Option<&str>) -> Rule {
             avail.push("s");
         }
     }
-    let key_var = match &spec.skolem {
-        Some(sk) if sk.keyed && avail.contains(&"s") => "s",
+    let key_var = match (&spec.key, &spec.skolem) {
+        (Some(key), _) => avail[*key as usize % avail.len()],
+        (None, Some(sk)) if sk.keyed && avail.contains(&"s") => "s",
         _ => "p",
     };
     let payload_var = avail[spec.payload as usize % avail.len()];
@@ -226,6 +257,14 @@ fn arb_edb() -> impl Strategy<Value = (T0Rows, T1Rows)> {
     (
         prop::collection::btree_map(0u64..12, (0i64..6, 0i64..6), 0..10),
         prop::collection::btree_map(0u64..12, 0i64..6, 0..8),
+    )
+}
+
+/// [`arb_edb`] with negative values, which are no keys.
+fn arb_failing_edb() -> impl Strategy<Value = (T0Rows, T1Rows)> {
+    (
+        prop::collection::btree_map(0u64..12, (-3i64..6, -3i64..6), 0..10),
+        prop::collection::btree_map(0u64..12, -3i64..6, 0..8),
     )
 }
 
@@ -282,11 +321,13 @@ impl IdSource for Recording {
 
 proptest! {
     /// Full bottom-up evaluation: identical derived relations (and identical
-    /// skolem id assignment), or both engines reject the rule set.
+    /// skolem id assignment), or the identical error. A set the compiled
+    /// engine rejects as unsafe at compile time only has to fail in the
+    /// naive one, which may meet an earlier rule's error first.
     #[test]
     fn full_evaluation_matches_naive(
-        specs in prop::collection::vec(arb_rule_spec(), 1..4),
-        (t0, t1) in arb_edb(),
+        specs in prop::collection::vec(arb_failing_rule_spec(), 1..4),
+        (t0, t1) in arb_failing_edb(),
     ) {
         // The compiled engine must produce byte-identical output (including
         // skolem id order) — staged and id-minting rule sets included.
@@ -295,18 +336,25 @@ proptest! {
         let naive_ids = registry();
         let naive_out = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new());
         let compiled_ids = registry();
-        let compiled_out = CompiledRuleSet::compile(&rules).and_then(|crs| {
-            evaluate_compiled(&crs, &edb, &compiled_ids, &BTreeMap::new())
-        });
+        let compiled_out = match CompiledRuleSet::compile(&rules) {
+            Ok(crs) => evaluate_compiled(&crs, &edb, &compiled_ids, &BTreeMap::new()),
+            Err(_) => {
+                prop_assert!(naive_out.is_err(), "only the compiled engine failed on:\n{}", rules);
+                return Ok(());
+            }
+        };
         match (naive_out, compiled_out) {
             (Ok(n), Ok(c)) => prop_assert_eq!(n, c, "diverged on:\n{}", rules),
-            (Err(_), Err(_)) => {}
+            (Err(n), Err(c)) => prop_assert_eq!(
+                format!("{n:?}"), format!("{c:?}"), "errors diverged on:\n{}", rules
+            ),
             (n, c) => prop_assert!(
                 false,
                 "one engine failed on:\n{}\nnaive: {:?}\ncompiled: {:?}",
                 rules, n.err(), c.err()
             ),
         }
+        prop_assert_eq!(naive_ids.borrow().dump(), compiled_ids.borrow().dump());
     }
 
     /// Key-seeded evaluation (`head_row_for_key`): identical per-key rows
@@ -654,8 +702,8 @@ fn staged_minting_matches_naive_on_large_inputs() {
 /// Error precedence is canonical: a rule whose assignment fails on *some*
 /// rows of a large scan (every 7th row holds text, first at `Key(0)`) must
 /// report the byte-identical error (`Debug` form) the naive oracle reports
-/// — the first error in exploration order — and leave the registry as the
-/// oracle leaves it.
+/// — the first join error in exploration order — and leave the registry
+/// as the oracle leaves it.
 #[test]
 fn error_precedence_matches_naive_on_large_inputs() {
     let mut a = Relation::with_columns("A", ["n"]);
@@ -690,4 +738,59 @@ fn error_precedence_matches_naive_on_large_inputs() {
     let oracle = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new()).unwrap_err();
     assert_eq!(format!("{err:?}"), format!("{oracle:?}"));
     assert_eq!(ids.borrow().dump(), naive_ids.borrow().dump());
+}
+
+/// `H(k, d) ← A(p, n, k), d = n + 1` over `rows`: the full evaluation's
+/// error from both engines, in `Debug` form.
+fn errors_on(rows: &[(u64, Value, Value)]) -> (String, String) {
+    let mut a = Relation::with_columns("A", ["n", "k"]);
+    for (key, n, k) in rows {
+        a.insert(Key(*key), vec![n.clone(), k.clone()]).unwrap();
+    }
+    let mut edb = MapEdb::new();
+    edb.add(a);
+    let rules = RuleSet::new(vec![Rule::new(
+        Atom::vars("H", &["k", "d"]),
+        vec![
+            Literal::Pos(Atom::vars("A", &["p", "n", "k"])),
+            Literal::Assign {
+                var: "d".into(),
+                expr: Expr::Binary(
+                    Box::new(Expr::col("n")),
+                    BinaryOp::Add,
+                    Box::new(Expr::lit(1)),
+                ),
+            },
+        ],
+    )]);
+    let crs = CompiledRuleSet::compile(&rules).unwrap();
+    let compiled = evaluate_compiled(&crs, &edb, &registry(), &BTreeMap::new()).unwrap_err();
+    let naive = naive::evaluate(&rules, &edb, &registry(), &BTreeMap::new()).unwrap_err();
+    (format!("{compiled:?}"), format!("{naive:?}"))
+}
+
+/// Row 1 derives a head tuple keyed by text, row 2 fails the assignment:
+/// the join error of row 2 wins, as the naive interpreter finishes the
+/// join before it builds a head tuple.
+#[test]
+fn head_key_error_ranks_behind_a_later_join_error() {
+    let (compiled, naive) = errors_on(&[
+        (1, Value::Int(1), Value::text("notakey")),
+        (2, Value::text("x"), Value::Int(5)),
+    ]);
+    assert!(naive.contains("cannot apply +"), "{naive}");
+    assert_eq!(compiled, naive);
+}
+
+/// Rows 1 and 2 derive different tuples under key 7, row 3 fails the
+/// assignment: the join error wins over the earlier conflict.
+#[test]
+fn key_conflict_ranks_behind_a_later_join_error() {
+    let (compiled, naive) = errors_on(&[
+        (1, Value::Int(1), Value::Int(7)),
+        (2, Value::Int(2), Value::Int(7)),
+        (3, Value::text("x"), Value::Int(5)),
+    ]);
+    assert!(naive.contains("cannot apply +"), "{naive}");
+    assert_eq!(compiled, naive);
 }

@@ -63,10 +63,13 @@ struct Rows {
 impl Rows {
     /// The chunk `key` belongs in — the last one starting at or below it,
     /// the first one for a key below them all — and its slot there (`Err`:
-    /// where it would be inserted). `None` iff there are no rows.
+    /// where it would be inserted). `None` iff there are no rows. A key past
+    /// the last one is answered without a search: ascending appends (a
+    /// derived head filling in scan order) are the common case.
     fn locate(&self, key: Key) -> Option<(usize, std::result::Result<usize, usize>)> {
-        if self.chunks.is_empty() {
-            return None;
+        let last = self.chunks.last()?;
+        if last[last.len() - 1].0 < key {
+            return Some((self.chunks.len() - 1, Err(last.len())));
         }
         let c = self
             .firsts
@@ -97,6 +100,18 @@ impl Rows {
             let chunk = Arc::make_mut(&mut self.chunks[c]);
             return Some(std::mem::replace(&mut chunk[slot].1, row));
         }
+        self.insert_vacant(located, key, row);
+        None
+    }
+
+    /// Store `row` under a vacant `key`, where [`locate`](Rows::locate)
+    /// placed it, and return the row as stored.
+    fn insert_vacant(
+        &mut self,
+        located: Option<(usize, std::result::Result<usize, usize>)>,
+        key: Key,
+        row: Row,
+    ) -> &Row {
         self.len += 1;
         match located {
             // Anything but an append at the end of a full last chunk.
@@ -108,10 +123,15 @@ impl Rows {
                 if slot == 0 {
                     self.firsts[c] = key;
                 }
-                if chunk.len() >= 2 * CHUNK {
-                    let tail = chunk.split_off(CHUNK);
-                    self.firsts.insert(c + 1, tail[0].0);
-                    self.chunks.insert(c + 1, Arc::new(tail));
+                if chunk.len() < 2 * CHUNK {
+                    return &self.chunks[c][slot].1;
+                }
+                let tail = chunk.split_off(CHUNK);
+                self.firsts.insert(c + 1, tail[0].0);
+                self.chunks.insert(c + 1, Arc::new(tail));
+                match slot.checked_sub(CHUNK) {
+                    Some(slot) => &self.chunks[c + 1][slot].1,
+                    None => &self.chunks[c][slot].1,
                 }
             }
             // No rows yet, or an ascending append past a full last chunk,
@@ -119,9 +139,9 @@ impl Rows {
             _ => {
                 self.chunks.push(Arc::new(vec![(key, row)]));
                 self.firsts.push(key);
+                &self.chunks[self.chunks.len() - 1][0].1
             }
         }
-        None
     }
 
     /// Remove the row under `key`, dropping its chunk if that empties it.
@@ -219,6 +239,24 @@ impl Relation {
         }
         self.rows.insert(key, row);
         Ok(())
+    }
+
+    /// Insert `row` under `key` unless the key is taken, with one search
+    /// (none for a key past the last one). `Ok(stored)`: the row as now
+    /// stored. `Err((existing, row))`: the key holds `existing`, which is
+    /// left in place, and `row` is handed back. Arity is checked only when
+    /// the key is vacant.
+    pub fn insert_vacant(
+        &mut self,
+        key: Key,
+        row: Row,
+    ) -> Result<std::result::Result<&Row, (&Row, Row)>> {
+        let located = self.rows.locate(key);
+        if let Some((c, Ok(slot))) = located {
+            return Ok(Err((&self.rows.chunks[c][slot].1, row)));
+        }
+        self.check_arity(&row)?;
+        Ok(Ok(self.rows.insert_vacant(located, key, row)))
     }
 
     /// Insert or replace a row under `key`.
@@ -700,6 +738,9 @@ impl IndexCache {
     /// of other relations and uncached columns are unaffected.
     pub fn patch_row(&self, relation: &str, key: Key, old: Option<&Row>, new: Option<&Row>) {
         let mut cache = self.0.borrow_mut();
+        if cache.is_empty() {
+            return;
+        }
         let Some(cols) = cache.get_mut(relation) else {
             return;
         };
@@ -1060,6 +1101,32 @@ mod tests {
             keys.windows(2).all(|w| w[0] < w[1]),
             "not strictly ascending"
         );
+    }
+
+    #[test]
+    fn insert_vacant_inserts_once_and_hands_back_a_taken_key() {
+        // Ascending appends past full chunks, then keys between them that
+        // split chunks: every insert returns the row as stored.
+        let mut rel = Relation::with_columns("T", ["a"]);
+        let mut model = BTreeMap::new();
+        let keys = (0..3 * CHUNK as u64)
+            .map(|k| 2 * k)
+            .chain((0..2 * CHUNK as u64).map(|k| 2 * k + 1));
+        for k in keys {
+            let stored = rel.insert_vacant(Key(k), int_row(k as i64)).unwrap();
+            assert_eq!(stored, Ok(&int_row(k as i64)));
+            model.insert(Key(k), int_row(k as i64));
+            check_layout(&rel);
+        }
+        assert!(rel.iter().map(|(k, r)| (k, r.clone())).eq(model));
+        // A taken key keeps its row, even under a row of the wrong arity.
+        let taken = rel.insert_vacant(Key(4), vec![Value::Null, Value::Null]);
+        assert_eq!(
+            taken.unwrap(),
+            Err((&int_row(4), vec![Value::Null, Value::Null]))
+        );
+        assert!(rel.insert_vacant(Key(9999), vec![]).is_err());
+        assert_eq!(rel.len(), 5 * CHUNK);
     }
 
     #[test]
