@@ -34,8 +34,8 @@
 //! [`CompiledStore::forget`] on DROP.
 //!
 //! Last, the store caches one **resolution record** per relation
-//! (`edb::Resolution`: footprint, physical, replayable, mint-free, minting
-//! relations, restructuring SMOs), walked by `VersionedEdb::resolution` on
+//! (`edb::Resolution`: footprint, physical, replayable, mint-free,
+//! restructuring SMOs), walked by `VersionedEdb::resolution` on
 //! first use. A record depends on the genealogy *and* on where the data
 //! lives, so it sits here next to the fused chains rather than in the
 //! genealogy-only index, and is dropped when they are:
@@ -479,7 +479,7 @@ mod tests {
     /// After every statement — CREATE, DROP, MATERIALIZE — and again after
     /// reads that fill the cache, every cached resolution record equals a
     /// fresh walk over the current catalog. TasKy2's FK-DECOMPOSE gives
-    /// records a non-empty `minting`; the second script is the overlapping
+    /// records that are not mint-free; the second script is the overlapping
     /// SPLIT.
     #[test]
     fn the_resolution_records_follow_creates_drops_and_materialize() {
@@ -528,11 +528,7 @@ mod tests {
                     }
                 }
                 assert_eq!(stale(&db), Vec::<String>::new(), "{statement}, read");
-                minting |= db
-                    .compiled
-                    .resolutions()
-                    .iter()
-                    .any(|(_, r)| !r.minting.is_empty());
+                minting |= db.compiled.resolutions().iter().any(|(_, r)| !r.mint_free);
             }
         }
         assert!(minting);

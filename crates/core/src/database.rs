@@ -578,8 +578,8 @@ impl Inverda {
     }
 
     /// Start building a read query against `version.table` — the logical
-    /// query layer with predicate/projection/limit pushdown through version
-    /// resolution (see [`crate::query`]). Name resolution and column
+    /// query layer with index-backed selection, projection and limit over
+    /// the resolved version (see [`crate::query`]). Name resolution and column
     /// validation happen when a terminal method executes the query.
     pub fn query(&self, version: &str, table: &str) -> crate::query::Query<'_> {
         crate::query::Query::new(self, version, table)

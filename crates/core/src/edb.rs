@@ -14,13 +14,12 @@
 //! Mappings are evaluated in their **compiled** form, served by the
 //! database-wide [`CompiledStore`]. So is what the rule structure alone
 //! says about a relation's resolution closure: one `Resolution` record —
-//! static footprint, physical or not, replayable, mint-free, the minting
-//! relations and the restructuring SMOs on the way — walked once per
-//! catalog state and read by every gate below (keep-or-evict, catch-up,
-//! seeded pushdown, footprint stamping, and `MATERIALIZE`'s slice gate and
-//! carry). Resolved relations, per-key rows, and
-//! secondary join indexes are cached for the lifetime of the view (one
-//! statement / one propagation step) — and, when the view is bound to the
+//! static footprint, physical or not, replayable, mint-free, and the
+//! restructuring SMOs on the way — walked once per catalog state and read
+//! by every gate below (keep-or-evict, catch-up, footprint stamping, and
+//! `MATERIALIZE`'s slice gate and carry). Resolved relations, per-key
+//! rows, and secondary join indexes are cached for the lifetime of the view
+//! (one statement / one propagation step) — and, when the view is bound to the
 //! database's [`SnapshotStore`], resolved snapshots outlive the statement:
 //! a warm read reuses the stored `Arc<Relation>` (and its indexes) as long
 //! as every physical table in the relation's static resolution footprint
@@ -37,10 +36,10 @@
 //! stale snapshot is caught up first, and the head deltas it applied are
 //! this hop's input. Where its closure can mint ids this happens only at
 //! the one point where a cold resolution would have evaluated the relation
-//! whole ([`EdbView::full`]); key lookups and seeded probes then push their
-//! binding down exactly as over a relation nobody ever resolved. A
-//! mint-free closure has nothing to mint early, so it is caught up at its
-//! first touch, point lookups included.
+//! whole ([`EdbView::full`]); key lookups then push their key down exactly
+//! as over a relation nobody ever resolved. A mint-free closure has nothing
+//! to mint early, so it is caught up at its first touch, point lookups
+//! included.
 
 use crate::compiled::{CatalogIndex, CompiledStore, Direction, FusedChain};
 use crate::snapshot::{SnapshotStore, StaleHeads, StoredHeads};
@@ -50,15 +49,10 @@ use inverda_datalog::delta::{propagate_vs_stored, Delta, DeltaMap};
 use inverda_datalog::eval::{evaluate_compiled, EdbView, Evaluator, IdSource};
 use inverda_datalog::simplify::{apply_empty, Derivation};
 use inverda_datalog::{fusion, CompiledRuleSet, DatalogError, Literal, RuleSet};
-use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, Row, Storage, Value};
+use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, Row, Storage};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-
-/// One relation's seeded-probe memo: `column → probe value → rows`. Two
-/// levels so lookups probe with a **borrowed** value (no allocation on the
-/// hit or miss path).
-type ColumnRows = HashMap<usize, HashMap<Value, Vec<(Key, Row)>>>;
 
 /// Physical table → storage epoch: a snapshot's footprint stamps.
 type Stamps = BTreeMap<String, u64>;
@@ -102,12 +96,6 @@ pub struct VersionedEdb<'a> {
     /// Two-level `rel → key → row` cache: lookups are by `&str`, so the hot
     /// path allocates nothing.
     key_cache: RefCell<HashMap<String, HashMap<Key, Option<Row>>>>,
-    /// `rel → column → probe value → rows` memo for seeded pushdown.
-    /// Load-bearing, not just a nicety: the rules of one γ mapping (and
-    /// every recursion level above) probe the same lower relation with the
-    /// same binding, so without the memo an N-hop chain whose mappings have
-    /// k rules fans out into k^N recursive probes.
-    col_cache: RefCell<HashMap<String, ColumnRows>>,
     /// Secondary join indexes per `(rel, column)`, shared with every
     /// evaluator that probes through this view.
     index_cache: IndexCache,
@@ -133,7 +121,6 @@ impl<'a> VersionedEdb<'a> {
             cache: RefCell::new(BTreeMap::new()),
             seen_epochs: RefCell::new(HashMap::new()),
             key_cache: RefCell::new(HashMap::new()),
-            col_cache: RefCell::new(HashMap::new()),
             index_cache: IndexCache::new(),
         }
     }
@@ -209,16 +196,6 @@ impl<'a> VersionedEdb<'a> {
             );
         }
         done
-    }
-
-    /// Whether `relation` is answered without a cold evaluation: physical,
-    /// resolved in this statement, or valid in the snapshot store.
-    fn is_warm(&self, relation: &str) -> bool {
-        self.storage.has_table(relation)
-            || self.cache.borrow().contains_key(relation)
-            || self
-                .snapshots
-                .is_some_and(|store| store.peek_valid(relation, self.storage).is_some())
     }
 
     /// Footprint of `relation` stamped with the epochs this statement's
@@ -374,7 +351,7 @@ impl<'a> VersionedEdb<'a> {
     /// The relation's state **without forcing a cold resolution**: served
     /// from the statement cache, physical storage, or a valid snapshot-store
     /// entry. `None` means only a cold evaluation could answer — the query
-    /// planner then chooses between seeded pushdown and a full scan.
+    /// planner then resolves the relation through [`EdbView::full`].
     pub fn peek_resolved(&self, relation: &str) -> inverda_datalog::Result<Option<Arc<Relation>>> {
         if let Some(hit) = self.cache.borrow().get(relation) {
             return Ok(Some(Arc::clone(hit)));
@@ -538,29 +515,6 @@ impl<'a> VersionedEdb<'a> {
             cache.insert(head.to_string(), rel);
         }
         Some(CaughtUp { from, to, deltas })
-    }
-
-    /// Whether a **cold** read of `relation` can be answered by column-seeded
-    /// evaluation instead of materializing: defining rules exist, are not
-    /// staged (staged sets consume their own intermediate heads, which are
-    /// not resolvable relations), and nothing in the resolution closure
-    /// could mint skolem ids cold: it is mint-free, or every relation of it
-    /// whose defining rule set mints is physical, resolved in this
-    /// statement or valid in the snapshot store. (Seeded evaluation explores
-    /// only matching bindings, so letting it mint would assign ids in a
-    /// different order than the canonical full resolution — see
-    /// [`Evaluator::head_rows_by_column`]. A cold minting relation behind a
-    /// warm one is refused too, although no seeded probe would reach it:
-    /// the full resolution that answers instead mints nothing either.)
-    pub fn pushable_cold(&self, relation: &str) -> bool {
-        let Some(Ok(crs)) = self.defining_compiled(relation) else {
-            return false;
-        };
-        if crs.staged() {
-            return false;
-        }
-        let resolution = self.resolution(relation);
-        resolution.mint_free || resolution.minting.iter().all(|rel| self.is_warm(rel))
     }
 
     /// Serve a physical table: O(1) shared snapshot, with the epoch recorded
@@ -771,9 +725,9 @@ impl<'a> VersionedEdb<'a> {
     }
 
     /// The fused chain's compiled rule set for `relation`, if one applies —
-    /// the seeded-probe paths (`by_key` / `by_column`) evaluate it in place
-    /// of the single defining mapping, pushing the binding through the
-    /// whole run at once.
+    /// the key-seeded path ([`EdbView::by_key`]) evaluates it in place of
+    /// the single defining mapping, pushing the key through the whole run
+    /// at once.
     fn fused_for(&self, relation: &str) -> Option<Arc<CompiledRuleSet>> {
         let tv = self.catalog.rel_index.get(relation).copied()?;
         self.fused_chain(relation, tv).map(|c| Arc::clone(&c.crs))
@@ -824,9 +778,6 @@ pub(crate) struct Resolution {
     /// Every rule set of the closure exists and binds no skolem: no
     /// resolution of the relation — cold, fused or caught up — can mint.
     pub(crate) mint_free: bool,
-    /// The virtual relations of the closure whose defining rule set binds a
-    /// skolem.
-    pub(crate) minting: Arc<BTreeSet<String>>,
     /// The SMOs the closure resolves through that restructure rows across
     /// relations — every kind outside [`FUSABLE_KINDS`].
     pub(crate) restructuring: Arc<BTreeSet<SmoId>>,
@@ -872,7 +823,7 @@ impl<'e, 'a> Walk<'e, 'a> {
             }
         } else if let Some((smo, rules)) = self.edb.resolving_mapping(relation) {
             self.memo.insert(relation.to_string(), None);
-            self.through(relation, smo, rules)
+            self.through(smo, rules)
         } else {
             self.unstable = true;
             Resolution::default()
@@ -885,7 +836,7 @@ impl<'e, 'a> Walk<'e, 'a> {
 
     /// The record of a virtual relation whose defining rule set is `rules`,
     /// of `smo`.
-    fn through(&mut self, relation: &str, smo: SmoId, rules: &RuleSet) -> Resolution {
+    fn through(&mut self, smo: SmoId, rules: &RuleSet) -> Resolution {
         // Heads of the same set (the `old`/`new` staging intermediates) are
         // derived in place — their inputs are this set's other body atoms.
         let heads: BTreeSet<&str> = rules
@@ -916,10 +867,6 @@ impl<'e, 'a> Walk<'e, 'a> {
             physical: false,
             replayable: !staged && inputs.iter().all(|i| i.replayable),
             mint_free: !mints && inputs.iter().all(|i| i.mint_free),
-            minting: union(
-                inputs.iter().map(|i| &i.minting),
-                mints.then(|| relation.to_string()),
-            ),
             restructuring: union(
                 inputs.iter().map(|i| &i.restructuring),
                 (!FUSABLE_KINDS.contains(&kind)).then_some(smo),
@@ -1039,66 +986,6 @@ impl EdbView for VersionedEdb<'_> {
 
     fn contains(&self, relation: &str) -> bool {
         self.storage.has_table(relation) || self.catalog.rel_index.contains_key(relation)
-    }
-
-    /// Column-equality rows, with **predicate pushdown through the γ
-    /// mappings**: a relation that is already materialized (statement
-    /// cache, physical table, warm snapshot) answers with an index probe
-    /// over its snapshot; a cold virtual relation whose resolution is
-    /// non-staged and provably mint-free pushes the binding into its
-    /// defining rule set via column-seeded evaluation — whose depth-0
-    /// candidate fetch calls `by_column` again one mapping closer to the
-    /// data, so the predicate recurses down the whole chain touching only
-    /// matching rows. Everything else (staged mappings, possibly-minting
-    /// closures) materializes first, preserving the canonical resolution
-    /// and minting order, then probes.
-    fn by_column(
-        &self,
-        relation: &str,
-        column: usize,
-        value: &Value,
-    ) -> inverda_datalog::Result<Vec<(Key, Row)>> {
-        if let Some(hit) = self
-            .col_cache
-            .borrow()
-            .get(relation)
-            .and_then(|m| m.get(&column))
-            .and_then(|m| m.get(value))
-        {
-            return Ok(hit.clone());
-        }
-        let resolved = match self.peek_resolved(relation)? {
-            Some(rel) => Some(rel),
-            None if !self.pushable_cold(relation) => Some(self.full(relation)?),
-            None => None,
-        };
-        let rows = if let Some(rel) = resolved {
-            if column >= rel.schema().arity() {
-                Vec::new()
-            } else {
-                self.index(relation, column)?.rows_for(&rel, value)
-            }
-        } else {
-            // Seed through the fused run when the chain fuses: the probe
-            // recurses into `by_column` of the chain's *terminal* relation
-            // instead of the adjacent hop, skipping the intermediates.
-            let crs = match self.fused_for(relation) {
-                Some(fused) => fused,
-                None => self
-                    .defining_compiled(relation)
-                    .expect("pushable implies defining rules")?,
-            };
-            let mut ev = Evaluator::new(self, self.ids);
-            ev.head_rows_by_column(&crs, relation, column, value)?
-        };
-        self.col_cache
-            .borrow_mut()
-            .entry(relation.to_string())
-            .or_default()
-            .entry(column)
-            .or_default()
-            .insert(value.clone(), rows.clone());
-        Ok(rows)
     }
 
     fn index(&self, relation: &str, column: usize) -> inverda_datalog::Result<Arc<ColumnIndex>> {

@@ -1,9 +1,9 @@
-//! The first-class query layer: logical plans with predicate, projection,
-//! and limit pushdown through version resolution.
+//! The first-class query layer: logical plans with index-backed selection,
+//! projection, and limit over a resolved schema version.
 //!
 //! Every schema version is a full-fledged read interface (Section 2 of the
-//! paper), but a *filtered* read must not pay for the whole virtual
-//! relation. A [`Query`] is built fluently —
+//! paper), and a *filtered* read should not rescan the whole virtual
+//! relation each time it runs. A [`Query`] is built fluently —
 //!
 //! ```
 //! use inverda_core::Inverda;
@@ -23,45 +23,37 @@
 //! assert_eq!(hot.count(), 1);
 //! ```
 //!
-//! — and compiles against the genealogy into a plan that **pushes the
-//! predicate toward the data** instead of materializing:
+//! — and picks its access path when it runs:
 //!
 //! * **Warm / physical** — the relation is already at hand (statement
 //!   cache, physical table, valid [`SnapshotStore`] entry): an eq/range
 //!   conjunct probes a cached [`ColumnIndex`]
 //!   ([`ColumnIndex::keys_where`]), everything else scans the snapshot.
-//! * **Cold virtual** — an equality conjunct whose resolution is non-staged
-//!   and provably mint-free becomes a **column-seeded evaluation**
-//!   ([`Evaluator::head_rows_by_column`]): the binding enters the defining
-//!   rule set's body, and the depth-0 candidate fetch recurses through
-//!   [`EdbView::by_column`] one mapping closer to the data — a selective
-//!   predicate walks an entire ADD-COLUMN chain touching only matching
-//!   rows, PRISM-style query rewriting instead of view materialization.
+//! * **Cold virtual** — the relation is resolved exactly as a scan
+//!   resolves it ([`EdbView::full`]: one canonical evaluation through the
+//!   γ mappings, or the catch-up of a stale snapshot), and the snapshot
+//!   store keeps it, so the next filtered read is warm. No index is built
+//!   for the cold read itself: one already cached is probed, otherwise the
+//!   rows are scanned.
 //! * **Key** — [`Query::with_key`] takes the existing key-seeded path
 //!   ([`EdbView::by_key`]), the engine's 3.4× point-lookup fast path.
 //!
 //! The **entire** original filter is re-evaluated on every candidate row
 //! (as a position-bound [`BoundExpr`], borrowed-row evaluation), so the
-//! pushed conjunct only *prunes* — pushdown ≡ scan-plus-filter holds
+//! probed conjunct only *prunes* — an index probe ≡ scan-plus-filter holds
 //! byte-for-byte, including the numeric-folding corner where `Int(1)`
 //! matches a `Float(1.0)` probe but the emitted row keeps the stored bytes.
 //! Residual predicates, projections, and limits apply during emission:
 //! rows stream out of a [`RowIter`] without cloning the full relation, and
-//! `count`/`exists` never clone rows at all. Determinism: plans never mint
-//! skolem ids off the canonical resolution order (minting closures fall
-//! back to full resolution), and results are byte-identical warm or cold
-//! — enforced by `tests/query_pushdown_props.rs`. (One caveat on *error* paths: a state
-//! violating the mappings' functional-head invariant — two rules deriving
-//! different rows for one key, which the write path never produces — makes
-//! a full resolution raise `KeyConflict`, while a seeded plan only detects
-//! the conflict if both tuples match the seed; see
-//! [`Evaluator::head_rows_by_column`].)
+//! `count`/`exists` never clone rows at all. Determinism: a cold plan
+//! resolves what a scan resolves, so it mints skolem ids in the canonical
+//! order and fails exactly where a scan fails; results are byte-identical
+//! warm or cold — enforced by `tests/query_pushdown_props.rs`.
 //!
 //! [`SnapshotStore`]: crate::snapshot::SnapshotStore
 //! [`ColumnIndex`]: inverda_storage::ColumnIndex
 //! [`ColumnIndex::keys_where`]: inverda_storage::ColumnIndex::keys_where
-//! [`Evaluator::head_rows_by_column`]: inverda_datalog::eval::Evaluator::head_rows_by_column
-//! [`EdbView::by_column`]: inverda_datalog::eval::EdbView::by_column
+//! [`EdbView::full`]: inverda_datalog::eval::EdbView::full
 //! [`EdbView::by_key`]: inverda_datalog::eval::EdbView::by_key
 //! [`BoundExpr`]: inverda_storage::BoundExpr
 
@@ -100,12 +92,6 @@ pub enum AccessPath {
         /// SQL spelling of the comparison.
         op: &'static str,
     },
-    /// Cold virtual relation: equality seed pushed through the γ mappings
-    /// by column-seeded evaluation (no materialization).
-    SeededPushdown {
-        /// Seeded column.
-        column: String,
-    },
     /// Scan of the resolved relation with residual filtering.
     Scan,
 }
@@ -115,7 +101,6 @@ impl fmt::Display for AccessPath {
         match self {
             AccessPath::KeySeek => write!(f, "key-seek"),
             AccessPath::IndexProbe { column, op } => write!(f, "index-probe({column} {op} …)"),
-            AccessPath::SeededPushdown { column } => write!(f, "seeded-pushdown({column} = …)"),
             AccessPath::Scan => write!(f, "scan"),
         }
     }
@@ -162,7 +147,7 @@ impl fmt::Display for QueryPlan {
 }
 
 /// Selected rows before projection: either a whole shared snapshot, a key
-/// list over a shared snapshot, or owned tuples (cold seeded results).
+/// list over a shared snapshot, or owned tuples (key-seek results).
 enum Selected {
     /// The entire relation qualifies (no filter/order/limit).
     All(Arc<Relation>),
@@ -586,9 +571,8 @@ impl<'a> Query<'a> {
             return Ok((AccessPath::KeySeek, Selected::Owned(rows)));
         }
 
-        // Prefer an equality conjunct: it is the only shape the cold seeded
-        // path can push, and warm it is an O(1) hash probe where a range
-        // probe costs O(distinct values).
+        // Prefer an equality conjunct: it is an O(1) hash probe where a
+        // range probe costs O(distinct values).
         let pushed: Option<PushedPred> = self.filter.as_ref().and_then(|f| {
             let candidates: Vec<PushedPred> = conjuncts(f)
                 .into_iter()
@@ -610,37 +594,7 @@ impl<'a> Query<'a> {
             return self.select_from_snapshot(edb, relation, rel, bound, pushed, order, limit);
         }
 
-        // Cold virtual + equality seed + pushable resolution: seeded
-        // evaluation streams only matching rows out of the mapping chain.
-        if let Some(p) = &pushed {
-            if matches!(p.op, CmpOp::Eq) && edb.pushable_cold(relation) {
-                let candidates = edb
-                    .by_column(relation, p.column, &p.value)
-                    .map_err(crate::CoreError::from)?;
-                let mut rows = Vec::new();
-                let early = order.is_none().then_some(limit).flatten();
-                for (key, row) in candidates {
-                    if match bound {
-                        Some(pred) => pred.matches(&row).map_err(crate::CoreError::from)?,
-                        None => true,
-                    } {
-                        rows.push((key, row));
-                        if early.is_some_and(|n| rows.len() >= n) {
-                            break;
-                        }
-                    }
-                }
-                let rows = order_and_limit_owned(rows, order, limit);
-                return Ok((
-                    AccessPath::SeededPushdown {
-                        column: columns[p.column].clone(),
-                    },
-                    Selected::Owned(rows),
-                ));
-            }
-        }
-
-        // Cold fallback: resolve fully (canonical order), then scan. No
+        // Cold: resolve fully (canonical order), then scan. No
         // index is built for a one-shot cold query — the resolution itself
         // already cost O(data), and the snapshot store keeps the resolved
         // relation (and any later index) warm for the next one. An index
@@ -892,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn cold_selective_query_takes_seeded_pushdown() {
+    fn cold_selective_query_plans_a_scan() {
         let db = tasky_db();
         db.set_snapshot_reuse(false); // every statement is cold
         let plan = db
@@ -900,29 +854,47 @@ mod tests {
             .filter(Expr::col("author").eq(Expr::lit("author1")))
             .plan()
             .unwrap();
-        assert!(
-            matches!(plan.access, AccessPath::SeededPushdown { ref column } if column == "author"),
-            "{plan}"
-        );
+        assert_eq!(plan.access, AccessPath::Scan, "{plan}");
+    }
+
+    #[test]
+    fn a_cold_equality_query_leaves_its_relation_warm() {
+        let db = tasky_db();
+        assert!(db.snapshot_reuse());
+        let todo = {
+            let state = db.state.read();
+            let tv = state.genealogy.resolve("Do!", "Todo").unwrap();
+            state.genealogy.table_version(tv).rel.clone()
+        };
+        assert!(db.snapshots.peek_valid(&todo, &db.storage).is_none());
+        let author1 = || {
+            db.query("Do!", "Todo")
+                .filter(Expr::col("author").eq(Expr::lit("author1")))
+        };
+        let before = db.snapshot_stats();
+        assert_eq!(author1().count().unwrap(), 1);
+        let cold = db.snapshot_stats();
+        assert_eq!(cold.hits, before.hits, "the first read found no entry");
+        assert!(cold.misses > before.misses);
+
+        // The cold query resolved `Do!.Todo` whole, and the store kept it.
+        db.scan("Do!", "Todo").unwrap();
+        let scanned = db.snapshot_stats();
+        assert_eq!(scanned.hits, cold.hits + 1);
+        assert_eq!(scanned.misses, cold.misses);
+        let plan = author1().plan().unwrap();
+        assert_eq!(plan.access.to_string(), "index-probe(author = …)", "{plan}");
     }
 
     #[test]
     fn planner_prefers_equality_over_leading_range_conjunct() {
-        // `range AND eq` must still take the seeded path cold (only the
-        // equality is pushable through the mappings) and the eq hash probe
-        // warm.
+        // `range AND eq` probes the equality's hash index warm, not the
+        // range.
         let db = tasky_db();
-        db.set_snapshot_reuse(false);
         let filter = Expr::col("task")
             .ge(Expr::lit("task"))
             .and(Expr::col("author").eq(Expr::lit("author1")));
         let q = db.query("Do!", "Todo").filter(filter);
-        let plan = q.plan().unwrap();
-        assert!(
-            matches!(plan.access, AccessPath::SeededPushdown { ref column } if column == "author"),
-            "{plan}"
-        );
-        db.set_snapshot_reuse(true);
         db.scan("Do!", "Todo").unwrap();
         let plan = q.plan().unwrap();
         assert!(

@@ -200,8 +200,8 @@ pub struct SnapshotStats {
     /// Warm reads served from a valid entry.
     pub hits: u64,
     /// Reads that found no valid entry. What followed is a read-time
-    /// catch-up ([`caught_up`](SnapshotStats::caught_up)), a seeded probe
-    /// or a cold resolution.
+    /// catch-up ([`caught_up`](SnapshotStats::caught_up)), a key-seeded
+    /// lookup or a cold resolution.
     pub misses: u64,
     /// Entries updated in place by exact write deltas.
     pub patches: u64,
@@ -442,9 +442,9 @@ impl SnapshotStore {
     /// The stored snapshot of a virtual relation if its entry is valid
     /// right now — with **no** counter updates and no stale-entry eviction.
     /// Used by reverse maintenance (which probes entries mid-write, before
-    /// the batch commits) and by the cold-minting gate of query pushdown:
-    /// both must not perturb the hit/miss statistics or evict state a later
-    /// read would have served.
+    /// the batch commits) and by the fused-chain barrier test
+    /// (`VersionedEdb::is_resolved_state`): neither may perturb the hit/miss
+    /// statistics or evict state a later read would have served.
     pub fn peek_valid(&self, relation: &str, storage: &Storage) -> Option<Arc<Relation>> {
         if !self.serves(storage) {
             return None;

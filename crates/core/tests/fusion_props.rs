@@ -28,7 +28,7 @@
 //! fusion override, set before every call on it. The knob is
 //! process-global, so every case holds `common::fusion_override`'s guard.
 //! What is this file's own: the chain generator, the JOIN genealogy, the
-//! seeded `Probe` query and the check that fusion engages at all.
+//! `Probe` query and the check that fusion engages at all.
 
 mod common;
 
@@ -37,8 +37,9 @@ use inverda_core::Inverda;
 use inverda_storage::{Expr, Value};
 use proptest::prelude::*;
 
-/// Column-seeded point query (`col = value`) through write target `target`
-/// — drives the seeded pushdown probe through the fused chain when cold.
+/// Equality point query (`col = value`) through write target `target` —
+/// cold, it resolves the version through the fused chain and scans it;
+/// warm, it probes the stored snapshot's index.
 #[derive(Debug, Clone)]
 struct Probe {
     target: usize,

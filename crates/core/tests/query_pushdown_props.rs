@@ -7,7 +7,7 @@
 //! projections, orderings, limits — are then executed three ways:
 //!
 //! 1. **pushdown** — `db.query(...)` through the plan layer (index probes,
-//!    cold seeded evaluation, scans — whatever the planner picks);
+//!    key seeks, scans — whatever the planner picks);
 //! 2. **scan + filter** — `db.scan(...)` followed by the engine-side
 //!    [`Relation::filter`];
 //! 3. **naive** — a hand-rolled Rust loop over the scanned rows evaluating
@@ -18,8 +18,8 @@
 //! **warm** database (snapshot reuse on) and a **cold** one (reuse off,
 //! every statement re-resolves), whose results must also equal each other,
 //! skolem registries included. Queries run *before* the oracle scan, so
-//! cold runs genuinely exercise the seeded pushdown path rather than being
-//! served from the statement the oracle warmed.
+//! cold runs genuinely resolve the relation in the query's own statement
+//! rather than being served from the statement the oracle warmed.
 //!
 //! The genealogies, the generated writes and their lockstep apply are the
 //! twin harness in `common`; this file adds the query op and its three-way
@@ -317,7 +317,7 @@ proptest! {
     }
 
     /// Overlapping two-arm SPLIT: twins, separations, aux guards — the
-    /// union-with-negation γ mappings the seeded path must reproduce.
+    /// union-with-negation γ mappings every access path must reproduce.
     #[test]
     fn query_pushdown_equals_scan_filter_overlapping_split(
         ops in prop::collection::vec(op_strategy(3, 2), 1..18),

@@ -589,7 +589,12 @@ fn stored_candidates(
     match fixed.first() {
         None => out.extend(stored.full(head)?.keys()),
         Some(&(col, value)) => {
-            for (key, row) in stored.by_column(head, col, value)? {
+            let rel = stored.full(head)?;
+            if col >= rel.schema().arity() {
+                return Ok(());
+            }
+            for &key in stored.index(head, col)?.keys_for(value) {
+                let Some(row) = rel.get(key) else { continue };
                 if fixed.iter().all(|&(c, v)| row.get(c) == Some(v)) {
                     out.insert(key);
                 }

@@ -104,26 +104,6 @@ pub trait EdbView {
     fn index(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
         Ok(Arc::new(self.full(relation)?.build_column_index(column)))
     }
-
-    /// The rows whose payload column `column` equals `value` (the same
-    /// numeric-folding [`Value`] equality an index probe or a scan uses),
-    /// in ascending key order. A `column` beyond the relation's arity
-    /// matches nothing.
-    ///
-    /// This is the depth-0 candidate fetch of **column-seeded evaluation**
-    /// ([`Evaluator::head_rows_by_column`]). The default materializes the
-    /// relation and probes its index; a lazy view (`VersionedEdb` in
-    /// `inverda-core`) overrides it to push the binding through the
-    /// relation's defining mapping instead — which is what lets an equality
-    /// predicate recurse down a whole mapping chain touching only matching
-    /// rows.
-    fn by_column(&self, relation: &str, column: usize, value: &Value) -> Result<Vec<(Key, Row)>> {
-        let rel = self.full(relation)?;
-        if column >= rel.schema().arity() {
-            return Ok(Vec::new());
-        }
-        Ok(self.index(relation, column)?.rows_for(&rel, value))
-    }
 }
 
 /// A source of memoized skolem identifiers usable behind a shared reference
@@ -1432,164 +1412,6 @@ impl<'a> Evaluator<'a> {
             .insert(key, row);
     }
 
-    /// **Column-seeded evaluation** — the generalization of
-    /// [`head_row_for_key`](Evaluator::head_row_for_key) from key seeds to
-    /// arbitrary bound payload columns: every tuple `head` derives whose
-    /// payload column `column` equals `value` (numeric-folding equality),
-    /// returned in ascending key order.
-    ///
-    /// Cross-rule key conflicts are detected **among the explored tuples**:
-    /// two rules deriving different rows for one key both matching the seed
-    /// raise the canonical [`DatalogError::KeyConflict`]. A conflict whose
-    /// other tuple does *not* match the seed is outside the explored space
-    /// and goes undetected — a full evaluation of the same state would
-    /// error. Such states violate the mappings' functional-head invariant
-    /// (the engine's write path never produces them since the FK-DECOMPOSE
-    /// twin-separation fix); callers needing the canonical error behavior
-    /// on arbitrary states must resolve fully.
-    ///
-    /// Per rule, the binding is pushed into the body: the first positive
-    /// atom (in scheduled order) carrying the seeded head variable becomes
-    /// the probe literal, its candidates come from [`EdbView::by_column`]
-    /// — which a lazy view can answer by pushing the binding one defining
-    /// mapping further down — and the rest of the body joins under the
-    /// literal's precompiled probe order. Rules whose seeded column is not
-    /// a pushable variable (constant heads, columns bound by assignment)
-    /// evaluate fully and are filtered, so the result never contains a
-    /// tuple violating the predicate and never misses one.
-    ///
-    /// Determinism contract: seeded evaluation explores only matching
-    /// bindings, so its result is a pure function of the EDB. That
-    /// selectivity is also why
-    /// **minting rule sets are the caller's responsibility**: a skolem
-    /// generator reached during the seeded join mints (or reserves, under a
-    /// [`ReservingIds`] scope) in seeded exploration order, which differs
-    /// from a full evaluation's canonical order — the InVerDa core routes
-    /// only mint-free, non-staged resolutions here and falls back to full
-    /// resolution otherwise (staged sets consume their own intermediate
-    /// heads, which are not resolvable relations).
-    pub fn head_rows_by_column(
-        &mut self,
-        crs: &CompiledRuleSet,
-        head: &str,
-        column: usize,
-        value: &Value,
-    ) -> Result<Vec<(Key, Row)>> {
-        // Already fully derived: probe the head itself.
-        if let Some(rel) = self.derived.get(head) {
-            if column >= rel.schema().arity() {
-                return Ok(Vec::new());
-            }
-            let rel = Arc::clone(rel);
-            return Ok(self.index_for(head, column)?.rows_for(&rel, value));
-        }
-        let mut out: BTreeMap<Key, Row> = BTreeMap::new();
-        for &idx in crs.rules_for(head) {
-            let rule = &crs.rules[idx];
-            for (key, row) in self.rule_tuples_for_column(rule, column, value)? {
-                // Enforce the seed uniformly — pushed rules already satisfy
-                // it, fallback-evaluated rules are filtered here.
-                if row.get(column).is_none_or(|v| v != value) {
-                    continue;
-                }
-                match out.get(&key) {
-                    Some(existing) if *existing == row => {}
-                    Some(_) => {
-                        return Err(DatalogError::KeyConflict {
-                            relation: head.to_string(),
-                            key: key.0,
-                        })
-                    }
-                    None => {
-                        out.insert(key, row);
-                    }
-                }
-            }
-        }
-        Ok(out.into_iter().collect())
-    }
-
-    /// One rule's contribution to [`head_rows_by_column`]: pushed through a
-    /// probe literal when the seeded column is a pushable head variable,
-    /// full evaluation otherwise (the caller filters either way).
-    ///
-    /// [`head_rows_by_column`]: Evaluator::head_rows_by_column
-    fn rule_tuples_for_column(
-        &self,
-        rule: &CompiledRule,
-        column: usize,
-        value: &Value,
-    ) -> Result<Vec<(Key, Row)>> {
-        let slot = match rule.head.terms.get(column + 1) {
-            // A constant head cell that cannot equal the seed: no tuple of
-            // this rule survives the filter, so skip its evaluation.
-            Some(CTerm::Const(c)) if c != value => return Ok(Vec::new()),
-            Some(CTerm::Var(s)) => Some(*s),
-            // Constant-equal, anonymous (errors at head_tuple like a full
-            // evaluation would), or out-of-arity heads: evaluate fully.
-            _ => None,
-        };
-        if let Some(slot) = slot {
-            // The probe literal: first positive atom (in scheduled order)
-            // binding the seeded variable in a payload position, with a
-            // precompiled probe order for the rest of the body.
-            for &li in &rule.base_order {
-                let CLit::Pos(atom) = &rule.body[li] else {
-                    continue;
-                };
-                let Some(col) = atom.terms[1..]
-                    .iter()
-                    .position(|t| matches!(t, CTerm::Var(s) if *s == slot))
-                else {
-                    continue;
-                };
-                let Some(order) = rule.probe_orders[li].as_ref() else {
-                    continue;
-                };
-                let candidates = self.relation_by_column(&atom.relation, col, value)?;
-                let mut out = Vec::new();
-                let mut deferred = None;
-                for (key, row) in &candidates {
-                    let Some(mut frame) = seed_frame(rule, atom, *key, row) else {
-                        continue;
-                    };
-                    let mut trail = Vec::with_capacity(rule.n_vars);
-                    self.join(rule, order, 0, &mut frame, &mut trail, &mut |frame| {
-                        collect_head_tuple(rule, frame, &mut out, &mut deferred);
-                        Ok(())
-                    })?;
-                }
-                first_error(Ok(()), deferred)?;
-                return Ok(out);
-            }
-        }
-        self.rule_head_tuples(rule, &rule.base_order, None)
-    }
-
-    /// Rows of `name` whose payload column equals `value`: derived heads
-    /// shadow the EDB (probed through the evaluator-local index cache), the
-    /// EDB answers via [`EdbView::by_column`] (lazily pushable).
-    fn relation_by_column(
-        &self,
-        name: &str,
-        column: usize,
-        value: &Value,
-    ) -> Result<Vec<(Key, Row)>> {
-        if let Some(rel) = self.derived.get(name) {
-            if column >= rel.schema().arity() {
-                return Ok(Vec::new());
-            }
-            let rel = Arc::clone(rel);
-            let index =
-                self.derived_indexes
-                    .get_or_build::<DatalogError>(name, column, || {
-                        Ok(rel.build_column_index(column))
-                    })?;
-            return Ok(index.rows_for(&rel, value));
-        }
-        self.edb.by_column(name, column, value)
-    }
-
     /// Delta-engine probe: bind one body atom to a concrete `(key, row)`
     /// tuple, evaluate the rest of the rule, and collect the head keys of
     /// every satisfying frame into `out`. Returns `Ok(())` without effect if
@@ -2431,143 +2253,6 @@ mod tests {
         let sk2 = ids();
         let naive = crate::naive::evaluate(&rules, &edb, &sk2, &BTreeMap::new()).unwrap();
         assert_eq!(compiled, naive);
-    }
-
-    /// Full-evaluation oracle for the column-seeded entry point.
-    fn seeded_oracle(
-        rules: &RuleSet,
-        edb: &MapEdb,
-        head: &str,
-        column: usize,
-        value: &Value,
-    ) -> Vec<(Key, Row)> {
-        let sk = ids();
-        let full = evaluate(rules, edb, &sk, &BTreeMap::new()).unwrap();
-        full[head]
-            .iter()
-            .filter(|(_, row)| row.get(column) == Some(value))
-            .map(|(k, row)| (k, row.clone()))
-            .collect()
-    }
-
-    #[test]
-    fn head_rows_by_column_matches_full_eval_filter() {
-        let edb = edb_task();
-        let rules = split_rules();
-        let crs = CompiledRuleSet::compile(&rules).unwrap();
-        for (head, col, value) in [
-            ("R", 2, Value::Int(1)),
-            ("S", 0, Value::text("Ann")),
-            ("S", 0, Value::text("Nobody")),
-            ("T2", 1, Value::text("Clean room")),
-        ] {
-            let sk = ids();
-            let mut ev = Evaluator::new(&edb, &sk);
-            let seeded = ev.head_rows_by_column(&crs, head, col, &value).unwrap();
-            assert_eq!(
-                seeded,
-                seeded_oracle(&rules, &edb, head, col, &value),
-                "{head}[{col}] = {value}"
-            );
-        }
-    }
-
-    #[test]
-    fn head_rows_by_column_keeps_stored_bytes_under_numeric_folding() {
-        // Stored Int(1), probed with Float(1.0): the numeric fold must find
-        // the row, and the emitted tuple must carry the *stored* Int — the
-        // bytes a scan-and-filter would produce.
-        let edb = edb_task();
-        let rules = split_rules();
-        let crs = CompiledRuleSet::compile(&rules).unwrap();
-        let sk = ids();
-        let mut ev = Evaluator::new(&edb, &sk);
-        let seeded = ev
-            .head_rows_by_column(&crs, "R", 2, &Value::Float(1.0))
-            .unwrap();
-        assert_eq!(seeded.len(), 2);
-        for (_, row) in &seeded {
-            assert!(
-                matches!(row[2], Value::Int(1)),
-                "seeded output must keep stored bytes, got {:?}",
-                row[2]
-            );
-        }
-        assert_eq!(
-            seeded,
-            seeded_oracle(&rules, &edb, "R", 2, &Value::Float(1.0))
-        );
-    }
-
-    #[test]
-    fn head_rows_by_column_falls_back_for_computed_columns() {
-        // Column b is bound by an assignment, not a positive atom: the rule
-        // cannot be pushed and must evaluate fully, then filter.
-        let rules = RuleSet::new(vec![Rule::new(
-            Atom::vars("Rp", &["p", "a", "b"]),
-            vec![
-                Literal::Pos(Atom::vars("R", &["p", "a"])),
-                Literal::Assign {
-                    var: "b".into(),
-                    expr: inverda_storage::Expr::Binary(
-                        Box::new(Expr::col("a")),
-                        inverda_storage::BinaryOp::Mul,
-                        Box::new(Expr::lit(2)),
-                    ),
-                },
-            ],
-        )]);
-        let mut r = Relation::with_columns("R", ["a"]);
-        r.insert(Key(1), vec![Value::Int(21)]).unwrap();
-        r.insert(Key(2), vec![Value::Int(5)]).unwrap();
-        let mut edb = MapEdb::new();
-        edb.add(r);
-        let crs = CompiledRuleSet::compile(&rules).unwrap();
-        let sk = ids();
-        let mut ev = Evaluator::new(&edb, &sk);
-        let seeded = ev
-            .head_rows_by_column(&crs, "Rp", 1, &Value::Int(42))
-            .unwrap();
-        assert_eq!(seeded, vec![(Key(1), vec![Value::Int(21), Value::Int(42)])]);
-    }
-
-    #[test]
-    fn head_rows_by_column_handles_negation_and_union_heads() {
-        // γsrc-of-SPLIT shape (union + negation): seeded results must agree
-        // with full evaluation on every branch.
-        let vars = ["p", "a"];
-        let rules = RuleSet::new(vec![
-            Rule::new(
-                Atom::vars("T", &vars),
-                vec![Literal::Pos(Atom::vars("R", &vars))],
-            ),
-            Rule::new(
-                Atom::vars("T", &vars),
-                vec![
-                    Literal::Pos(Atom::vars("S", &vars)),
-                    Literal::Neg(Atom::new("R", vec![Term::var("p"), Term::Anon])),
-                ],
-            ),
-        ]);
-        let mut r = Relation::with_columns("R", ["a"]);
-        r.insert(Key(1), vec![Value::Int(10)]).unwrap();
-        r.insert(Key(2), vec![Value::Int(20)]).unwrap();
-        let mut s = Relation::with_columns("S", ["a"]);
-        s.insert(Key(1), vec![Value::Int(10)]).unwrap();
-        s.insert(Key(5), vec![Value::Int(10)]).unwrap();
-        let mut edb = MapEdb::new();
-        edb.add(r).add(s);
-        let crs = CompiledRuleSet::compile(&rules).unwrap();
-        for probe in [Value::Int(10), Value::Int(20), Value::Int(99)] {
-            let sk = ids();
-            let mut ev = Evaluator::new(&edb, &sk);
-            let seeded = ev.head_rows_by_column(&crs, "T", 0, &probe).unwrap();
-            assert_eq!(
-                seeded,
-                seeded_oracle(&rules, &edb, "T", 0, &probe),
-                "{probe}"
-            );
-        }
     }
 
     #[test]

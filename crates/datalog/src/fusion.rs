@@ -35,7 +35,7 @@ use std::sync::OnceLock;
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// `INVERDA_FUSION`, read once per process: [`enabled`] is asked on every
-/// key lookup, seeded probe and cold resolution, and `std::env::var` takes
+/// key lookup and cold resolution, and `std::env::var` takes
 /// the process-wide environment lock and allocates. Panics on an unknown
 /// spelling rather than letting a typo silently mean "on".
 fn env_enabled() -> bool {

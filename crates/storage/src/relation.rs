@@ -599,17 +599,6 @@ impl ColumnIndex {
         count
     }
 
-    /// The `(key, row)` pairs of `rel` whose indexed column equals `value`,
-    /// in ascending key order — the probe-then-fetch step shared by every
-    /// `by_column` implementation (rows are cloned out of the snapshot;
-    /// keys the index knows but the relation no longer holds are skipped).
-    pub fn rows_for(&self, rel: &Relation, value: &Value) -> Vec<(Key, Row)> {
-        self.keys_for(value)
-            .iter()
-            .filter_map(|&k| rel.get(k).map(|row| (k, row.clone())))
-            .collect()
-    }
-
     /// Number of distinct values indexed.
     pub fn distinct_values(&self) -> usize {
         if self.base.is_none() {

@@ -75,9 +75,9 @@ pub fn query_version(db: &Inverda, version: usize) -> usize {
 pub const PROBE_TITLE_I: usize = 7;
 
 /// A selective per-version point probe issued **through the query API**:
-/// count the pages of `version` whose title equals `Page_7`. On a virtual
-/// version this pushes the equality through the whole ADD/DROP/RENAME
-/// mapping chain (seeded evaluation) instead of materializing it.
+/// count the pages of `version` whose title equals `Page_7`. A cold
+/// virtual version is resolved whole, as a scan resolves it, and kept in
+/// the snapshot store; a warm one answers from an index probe.
 pub fn probe_version(db: &Inverda, version: usize) -> usize {
     let v = version_name(version);
     db.query(&v, "page")

@@ -1,10 +1,11 @@
-//! Filtered reads through the query layer: predicates, projections, and
-//! limits pushed through version resolution instead of materializing the
-//! virtual relation.
+//! Filtered reads through the query layer: predicates answered by an index
+//! probe over a resolved schema version, projections and limits applied
+//! while rows stream out. The example asserts the access path each read
+//! takes, so running it checks the planner.
 //!
 //! Run with: `cargo run --release --example filtered_reads`
 
-use inverda::Expr;
+use inverda::{AccessPath, Expr};
 use inverda_workloads::tasky;
 
 fn main() {
@@ -13,32 +14,28 @@ fn main() {
     tasky::load_tasks(&db, 2_000);
 
     // `Do!` is a *virtual* version (SPLIT + DROP COLUMN away from the
-    // data). A filtered read pushes the predicate through those mappings:
-    let ann = db
+    // data). The plan shows the access path the engine chose. The first
+    // filtered read resolves `Do!.Todo` the way a scan would — one
+    // canonical evaluation through those mappings — and scans it:
+    let author007 = db
         .query("Do!", "Todo")
-        .filter(Expr::col("author").eq(Expr::lit("author007")))
-        .rows()
-        .unwrap();
-    println!("author007's todos in Do! ({} rows):", ann.len());
+        .filter(Expr::col("author").eq(Expr::lit("author007")));
+    let plan = author007.plan().unwrap();
+    println!("cold plan:  {plan}");
+    assert_eq!(plan.access, AccessPath::Scan, "{plan}");
+    // The snapshot store kept the resolved relation, so the same query now
+    // probes the warm snapshot's index.
+    let plan = author007.plan().unwrap();
+    println!("warm plan:  {plan}");
+    assert!(
+        matches!(plan.access, AccessPath::IndexProbe { ref column, op: "=" } if column == "author"),
+        "{plan}"
+    );
+    let ann = author007.rows().unwrap();
+    println!("\nauthor007's todos in Do! ({} rows):", ann.len());
     for (key, row) in ann {
         println!("  {key}: {row:?}");
     }
-
-    // The plan shows the access path the engine chose. Pushdown never
-    // materializes the virtual relation, so repeating the query stays on
-    // the seeded path — the whole point is that the store stays cold:
-    let filter = Expr::col("author").eq(Expr::lit("author007"));
-    let plan = db
-        .query("Do!", "Todo")
-        .filter(filter.clone())
-        .plan()
-        .unwrap();
-    println!("\ncold plan:  {plan}");
-    // After something *does* resolve the relation (a scan, a migration
-    // pre-read, …), the same query probes the warm snapshot's index.
-    db.scan("Do!", "Todo").unwrap();
-    let plan = db.query("Do!", "Todo").filter(filter).plan().unwrap();
-    println!("warm plan:  {plan}");
 
     // Projections and limits apply during emission; order_by sorts by a
     // column (ties break by tuple id).
@@ -70,18 +67,14 @@ fn main() {
             .unwrap()
     );
 
-    // Pushdown is byte-for-byte equivalent to scan + filter — the query
-    // layer only changes *how* rows are found, never *which*.
+    // An index probe is byte-for-byte equivalent to scan + filter — the
+    // query layer only changes *how* rows are found, never *which*.
     let scanned = db.scan("Do!", "Todo").unwrap();
     let by_hand = scanned
         .iter()
         .filter(|(_, row)| row[0] == "author007".into())
         .count();
-    let pushed = db
-        .query("Do!", "Todo")
-        .filter(Expr::col("author").eq(Expr::lit("author007")))
-        .count()
-        .unwrap();
-    assert_eq!(by_hand, pushed);
-    println!("\npushdown == scan+filter: {pushed} rows either way");
+    let probed = author007.count().unwrap();
+    assert_eq!(by_hand, probed);
+    println!("\nindex probe == scan+filter: {probed} rows either way");
 }

@@ -94,8 +94,8 @@ fn fused_chains_resolve_the_same_bytes_as_hop_by_hop() {
 }
 
 /// `title = 'Page_7'` on the head version, 62 hops above the data: the
-/// query layer pushes the equality down the mapping chain when cold and
-/// probes the cached snapshot's index when warm; both must return exactly
+/// query layer resolves the version and scans it when cold and probes the
+/// cached snapshot's index when warm; both must return exactly
 /// the rows, tuple ids included, that a full scan filtered by the client
 /// returns.
 #[test]
@@ -124,7 +124,7 @@ fn the_head_title_probe_equals_scan_and_filter() {
         assert!(
             matches!(
                 (warm, &access),
-                (false, AccessPath::SeededPushdown { .. }) | (true, AccessPath::IndexProbe { .. })
+                (false, AccessPath::Scan) | (true, AccessPath::IndexProbe { .. })
             ),
             "warm {warm}: {access}"
         );
