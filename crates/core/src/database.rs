@@ -683,7 +683,9 @@ impl Inverda {
 
     /// Audit the snapshot store: re-resolve every valid virtual entry cold
     /// (against a throwaway copy of the skolem registry) and report any
-    /// whose stored contents differ (diagnostics).
+    /// whose stored contents differ, and any column index — of an entry or
+    /// of a physical table — that differs from a rebuild over the rows it
+    /// sits with (diagnostics).
     pub fn snapshot_store_audit(&self) -> Vec<String> {
         use inverda_datalog::eval::EdbView;
         let state = self.state.read();
@@ -697,8 +699,22 @@ impl Inverda {
             &self.compiled,
         );
         let mut out = Vec::new();
-        for entry in self.snapshots.valid_virtual(&self.storage) {
-            let (name, stored) = (entry.relation, entry.rel);
+        let entries = self.snapshots.valid_virtual(&self.storage);
+        let tables = self.storage.snapshot_all().into_iter();
+        let tables = tables.map(|(name, (rel, _))| (name, rel));
+        for (name, rel) in tables.chain(entries.iter().cloned()) {
+            for column in 0..rel.schema().arity() {
+                if rel
+                    .built_index(column)
+                    .is_some_and(|index| *index != rel.build_column_index(column))
+                {
+                    out.push(format!(
+                        "{name}: index over column {column} differs from its rows"
+                    ));
+                }
+            }
+        }
+        for (name, stored) in entries {
             match edb.full(&name) {
                 Ok(cold) => {
                     if *cold != *stored {

@@ -17,9 +17,10 @@
 //! static footprint, physical or not, replayable, mint-free, and the
 //! restructuring SMOs on the way — walked once per catalog state and read
 //! by every gate below (keep-or-evict, catch-up, footprint stamping, and
-//! `MATERIALIZE`'s slice gate and carry). Resolved relations, per-key
-//! rows, and secondary join indexes are cached for the lifetime of the view
-//! (one statement / one propagation step) — and, when the view is bound to the
+//! `MATERIALIZE`'s slice gate and carry). Resolved relations and per-key
+//! rows are cached for the lifetime of the view (one statement / one
+//! propagation step); a relation's join indexes live in the relation itself
+//! ([`Relation::index`]) — and, when the view is bound to the
 //! database's [`SnapshotStore`], resolved snapshots outlive the statement:
 //! a warm read reuses the stored `Arc<Relation>` (and its indexes) as long
 //! as every physical table in the relation's static resolution footprint
@@ -49,7 +50,7 @@ use inverda_datalog::delta::{propagate_vs_stored, Delta, DeltaMap};
 use inverda_datalog::eval::{evaluate_compiled, EdbView, Evaluator, IdSource};
 use inverda_datalog::simplify::{apply_empty, Derivation};
 use inverda_datalog::{fusion, CompiledRuleSet, DatalogError, Literal, RuleSet};
-use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, Row, Storage};
+use inverda_storage::{Key, Relation, Row, Storage};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -75,8 +76,8 @@ struct CaughtUp {
 const FUSABLE_KINDS: [&str; 4] = ["ADD COLUMN", "DROP COLUMN", "RENAME COLUMN", "RENAME TABLE"];
 
 /// Read view over the whole versioned database under one materialization
-/// schema. Caches resolved relations, key lookups, and join indexes for the
-/// lifetime of the view (one statement / one propagation step); bound to a
+/// schema. Caches resolved relations and key lookups for the lifetime of the
+/// view (one statement / one propagation step); bound to a
 /// [`SnapshotStore`], it additionally reuses and replenishes cross-statement
 /// snapshots.
 pub struct VersionedEdb<'a> {
@@ -96,9 +97,6 @@ pub struct VersionedEdb<'a> {
     /// Two-level `rel → key → row` cache: lookups are by `&str`, so the hot
     /// path allocates nothing.
     key_cache: RefCell<HashMap<String, HashMap<Key, Option<Row>>>>,
-    /// Secondary join indexes per `(rel, column)`, shared with every
-    /// evaluator that probes through this view.
-    index_cache: IndexCache,
 }
 
 impl<'a> VersionedEdb<'a> {
@@ -121,7 +119,6 @@ impl<'a> VersionedEdb<'a> {
             cache: RefCell::new(BTreeMap::new()),
             seen_epochs: RefCell::new(HashMap::new()),
             key_cache: RefCell::new(HashMap::new()),
-            index_cache: IndexCache::new(),
         }
     }
 
@@ -502,7 +499,7 @@ impl<'a> VersionedEdb<'a> {
             rels,
             seqs,
         } = stale;
-        let stored = StoredHeads { store, rels };
+        let stored = StoredHeads { rels };
         if stored.outnumbered_by(&input) {
             return None;
         }
@@ -731,26 +728,6 @@ impl<'a> VersionedEdb<'a> {
     fn fused_for(&self, relation: &str) -> Option<Arc<CompiledRuleSet>> {
         let tv = self.catalog.rel_index.get(relation).copied()?;
         self.fused_chain(relation, tv).map(|c| Arc::clone(&c.crs))
-    }
-
-    /// An already-materialized column index for `relation` — statement
-    /// cache or snapshot store — **without building one**. The query
-    /// planner's range path uses this to distinguish a free probe from one
-    /// that would pay an O(n) index build.
-    pub fn cached_index(&self, relation: &str, column: usize) -> Option<Arc<ColumnIndex>> {
-        if let Some(hit) = self.index_cache.get(relation, column) {
-            return Some(hit);
-        }
-        let store = self.snapshots?;
-        let hit = if self.storage.has_table(relation) {
-            let epoch = self.seen_epochs.borrow().get(relation).copied()?;
-            store.get_index_physical(relation, column, epoch)
-        } else {
-            let rel = self.cache.borrow().get(relation).map(Arc::clone)?;
-            store.get_index_virtual(relation, column, &rel)
-        }?;
-        self.index_cache.put(relation, column, Arc::clone(&hit));
-        Some(hit)
     }
 }
 
@@ -986,44 +963,5 @@ impl EdbView for VersionedEdb<'_> {
 
     fn contains(&self, relation: &str) -> bool {
         self.storage.has_table(relation) || self.catalog.rel_index.contains_key(relation)
-    }
-
-    fn index(&self, relation: &str, column: usize) -> inverda_datalog::Result<Arc<ColumnIndex>> {
-        if let Some(hit) = self.index_cache.get(relation, column) {
-            return Ok(hit);
-        }
-        // Pin the statement's snapshot of the relation *first*: warm index
-        // reuse and attachment are both guarded against exactly this
-        // snapshot (pointer identity for virtual relations, the observed
-        // epoch for physical tables), so an index can never describe a
-        // different snapshot generation than the data this statement joins
-        // over — even with a writer patching the store concurrently.
-        let rel = self.full(relation)?;
-        if let Some(store) = self.snapshots {
-            let hit = if self.storage.has_table(relation) {
-                self.seen_epochs
-                    .borrow()
-                    .get(relation)
-                    .and_then(|epoch| store.get_index_physical(relation, column, *epoch))
-            } else {
-                store.get_index_virtual(relation, column, &rel)
-            };
-            if let Some(hit) = hit {
-                self.index_cache.put(relation, column, Arc::clone(&hit));
-                return Ok(hit);
-            }
-        }
-        let built = Arc::new(rel.build_column_index(column));
-        self.index_cache.put(relation, column, Arc::clone(&built));
-        if let Some(store) = self.snapshots {
-            if self.storage.has_table(relation) {
-                if let Some(epoch) = self.seen_epochs.borrow().get(relation).copied() {
-                    store.store_index_physical(relation, column, Arc::clone(&built), epoch);
-                }
-            } else {
-                store.store_index_virtual(relation, column, Arc::clone(&built), &rel);
-            }
-        }
-        Ok(built)
     }
 }

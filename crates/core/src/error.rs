@@ -57,6 +57,8 @@ pub enum CoreError {
     },
     /// `merge(src, dst)` found conflicting changes; nothing was applied.
     MergeConflicts(crate::branch::MergeConflicts),
+    /// A request reached a serving pipeline that has been shut down.
+    ShutDown,
 }
 
 impl fmt::Display for CoreError {
@@ -90,6 +92,7 @@ impl fmt::Display for CoreError {
                 write!(f, "branch '{name}' is protected and cannot be dropped")
             }
             CoreError::MergeConflicts(report) => write!(f, "{report}"),
+            CoreError::ShutDown => write!(f, "the serving pipeline has shut down"),
         }
     }
 }

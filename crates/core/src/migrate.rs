@@ -234,7 +234,12 @@ impl Inverda {
         // cold-start a sibling branch's caches.
         self.compiled.clear_placement();
         if let Some(store) = store {
-            candidates.extend(dropped.into_iter().take(leaving).map(Carried::unindexed));
+            candidates.extend(
+                dropped
+                    .into_iter()
+                    .take(leaving)
+                    .map(|rel| (rel.name().to_string(), rel)),
+            );
             self.carry_snapshots(store, state, &flipped, candidates);
         }
         self.debug_assert_resolutions(state);
@@ -389,7 +394,8 @@ impl Inverda {
         let survivors = candidates
             .into_iter()
             .filter_map(|candidate| {
-                let resolution = edb.resolution(&candidate.relation);
+                let (relation, _) = &candidate;
+                let resolution = edb.resolution(relation);
                 let carriable = !resolution.physical
                     && resolution.mint_free
                     && resolution.restructuring.is_disjoint(flipped);

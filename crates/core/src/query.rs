@@ -27,14 +27,14 @@
 //!
 //! * **Warm / physical** — the relation is already at hand (statement
 //!   cache, physical table, valid [`SnapshotStore`] entry): an eq/range
-//!   conjunct probes a cached [`ColumnIndex`]
+//!   conjunct probes the relation's own [`ColumnIndex`]
 //!   ([`ColumnIndex::keys_where`]), everything else scans the snapshot.
 //! * **Cold virtual** — the relation is resolved exactly as a scan
 //!   resolves it ([`EdbView::full`]: one canonical evaluation through the
 //!   γ mappings, or the catch-up of a stale snapshot), and the snapshot
 //!   store keeps it, so the next filtered read is warm. No index is built
-//!   for the cold read itself: one already cached is probed, otherwise the
-//!   rows are scanned.
+//!   for the cold read itself: one the relation already has is probed,
+//!   otherwise the rows are scanned.
 //! * **Key** — [`Query::with_key`] takes the existing key-seeded path
 //!   ([`EdbView::by_key`]), the engine's 3.4× point-lookup fast path.
 //!
@@ -591,7 +591,7 @@ impl<'a> Query<'a> {
             .peek_resolved(relation)
             .map_err(crate::CoreError::from)?
         {
-            return self.select_from_snapshot(edb, relation, rel, bound, pushed, order, limit);
+            return self.select_from_snapshot(rel, bound, pushed, order, limit);
         }
 
         // Cold: resolve fully (canonical order), then scan. No
@@ -599,20 +599,17 @@ impl<'a> Query<'a> {
         // already cost O(data), and the snapshot store keeps the resolved
         // relation (and any later index) warm for the next one. An index
         // that is already there is probed: a stale snapshot caught up by
-        // `full` comes back with its indexes patched in lockstep.
+        // `full` comes back with its indexes patched with its rows.
         let rel = edb.full(relation).map_err(crate::CoreError::from)?;
-        let pushed = pushed.filter(|p| edb.cached_index(relation, p.column).is_some());
-        self.select_from_snapshot(edb, relation, rel, bound, pushed, order, limit)
+        let pushed = pushed.filter(|p| rel.built_index(p.column).is_some());
+        self.select_from_snapshot(rel, bound, pushed, order, limit)
     }
 
     /// Selection over an at-hand snapshot: index probe for a pushed
     /// conjunct, scan otherwise; residual filter per candidate; order and
     /// limit applied on the selected keys (no row is cloned here).
-    #[allow(clippy::too_many_arguments)]
     fn select_from_snapshot(
         &self,
-        edb: &crate::edb::VersionedEdb<'_>,
-        relation: &str,
         rel: Arc<Relation>,
         bound: Option<&BoundExpr>,
         pushed: Option<PushedPred>,
@@ -638,9 +635,7 @@ impl<'a> Query<'a> {
             Some(p) if p.column < rel.schema().arity() && matches!(p.op, CmpOp::Eq) => {
                 // Equality: an O(1) hash probe after the (amortized,
                 // store-cached) index build — always worth it.
-                let index = edb
-                    .index(relation, p.column)
-                    .map_err(crate::CoreError::from)?;
+                let index = rel.index(p.column);
                 Some((
                     AccessPath::IndexProbe {
                         column: rel.schema().columns[p.column].clone(),
@@ -658,7 +653,7 @@ impl<'a> Query<'a> {
                 // it replaces — fall back. Both paths yield ascending-key
                 // candidates rechecked against the full predicate, so the
                 // selected rows are byte-identical either way.
-                edb.cached_index(relation, p.column)
+                rel.built_index(p.column)
                     .and_then(|index| {
                         (index.count_where(p.op, &p.value) <= rel.len() / 2)
                             .then(|| index.keys_where(p.op, &p.value))

@@ -290,6 +290,10 @@ struct Request {
     reply: mpsc::Sender<ServingReply>,
 }
 
+/// What the admission queue carries: a request, or `None`, which asks the
+/// pipeline to stop once everything admitted before it is done.
+type Admission = Option<Request>;
+
 /// Everything a [`PinnedView`] needs, captured at one commit epoch. The
 /// pipeline publishes a fresh `Published` after every operation; readers
 /// grab the `Arc` and take a copy of their own ([`Published::fork`]).
@@ -365,21 +369,23 @@ impl Reader {
 /// move into writer threads.
 #[derive(Clone)]
 pub struct Client {
-    sender: mpsc::Sender<Request>,
+    sender: mpsc::Sender<Admission>,
 }
 
 impl Client {
     /// Submit one request and wait for its committed (and, in group mode,
-    /// durable) acknowledgement.
-    ///
-    /// # Panics
-    /// Panics if the serving pipeline has been shut down.
+    /// durable) acknowledgement. A request the pipeline never admits,
+    /// because it has been [shut down](ServingInverda::shutdown), is
+    /// answered with [`CoreError::ShutDown`] at epoch 0.
     pub fn submit(&self, op: ServingOp) -> ServingReply {
         let (tx, rx) = mpsc::channel();
-        self.sender
-            .send(Request { op, reply: tx })
-            .expect("serving pipeline has shut down");
-        rx.recv().expect("serving pipeline has shut down")
+        // A refused request drops its reply sender, so `recv` fails.
+        let _ = self.sender.send(Some(Request { op, reply: tx }));
+        rx.recv().unwrap_or(ServingReply {
+            epoch: 0,
+            wal_len: None,
+            outcome: Err(CoreError::ShutDown),
+        })
     }
 
     /// [`ServingOp::Apply`] convenience.
@@ -417,7 +423,7 @@ impl Client {
 /// docs.
 pub struct ServingInverda {
     shared: Arc<Shared>,
-    sender: Mutex<Option<mpsc::Sender<Request>>>,
+    sender: mpsc::Sender<Admission>,
     pipeline: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -449,7 +455,7 @@ impl ServingInverda {
             .expect("spawn serving pipeline");
         ServingInverda {
             shared,
-            sender: Mutex::new(Some(tx)),
+            sender: tx,
             pipeline: Mutex::new(Some(handle)),
         }
     }
@@ -466,18 +472,12 @@ impl ServingInverda {
         }
     }
 
-    /// A write-side handle (cloneable, thread-safe).
-    ///
-    /// # Panics
-    /// Panics after [`shutdown`](ServingInverda::shutdown).
+    /// A write-side handle (cloneable, thread-safe). After
+    /// [`shutdown`](ServingInverda::shutdown) its requests are refused
+    /// ([`Client::submit`]).
     pub fn client(&self) -> Client {
         Client {
-            sender: self
-                .sender
-                .lock()
-                .as_ref()
-                .expect("serving pipeline has shut down")
-                .clone(),
+            sender: self.sender.clone(),
         }
     }
 
@@ -518,10 +518,10 @@ impl ServingInverda {
     }
 
     /// Drain and stop the pipeline, then wait for it to exit. Requests
-    /// already admitted are still committed and acknowledged. Blocks until
-    /// every outstanding [`Client`] clone has been dropped.
+    /// admitted before the call are still committed and acknowledged; later
+    /// ones are refused, whatever [`Client`]s are still outstanding.
     pub fn shutdown(&self) {
-        drop(self.sender.lock().take());
+        let _ = self.sender.send(None);
         if let Some(handle) = self.pipeline.lock().take() {
             let _ = handle.join();
         }
@@ -595,18 +595,26 @@ impl PipelineCatalog {
 /// The commit pipeline: drain the admission queue in groups, execute each
 /// request as its own statement, publish after every commit, fsync once per
 /// group, acknowledge after the fsync.
-fn run_pipeline(shared: Arc<Shared>, mut catalog: PipelineCatalog, rx: mpsc::Receiver<Request>) {
+fn run_pipeline(shared: Arc<Shared>, mut catalog: PipelineCatalog, rx: mpsc::Receiver<Admission>) {
     let db = &shared.db;
     let group_mode = db
         .durability
         .as_ref()
         .is_some_and(|d| d.mode() == DurabilityMode::Group);
     let mut epoch = shared.published.read().epoch;
-    while let Ok(first) = rx.recv() {
+    let mut stopping = false;
+    while !stopping {
+        let Ok(Some(first)) = rx.recv() else {
+            break;
+        };
         let mut batch = vec![first];
         while batch.len() < GROUP_CAP {
             match rx.try_recv() {
-                Ok(req) => batch.push(req),
+                Ok(Some(req)) => batch.push(req),
+                Ok(None) => {
+                    stopping = true;
+                    break;
+                }
                 Err(_) => break,
             }
         }
@@ -673,6 +681,33 @@ mod tests {
 
     fn row(author: &str, task: &str, prio: i64) -> Row {
         vec![Value::text(author), Value::text(task), Value::Int(prio)]
+    }
+
+    /// `shutdown` (and so `Drop`) returns while a `Client` is still alive,
+    /// and that client's later requests are refused, not left hanging.
+    /// Run under a watchdog: a hang fails the test instead of the suite.
+    #[test]
+    fn shutdown_returns_with_a_client_outstanding() {
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let serving = tasky_serving();
+            let client = serving.client();
+            let admitted = client.insert("TasKy", "Task", row("ann", "write", 1));
+            assert_eq!(admitted.epoch, 1);
+            serving.shutdown();
+            let refused = client.insert("TasKy", "Task", row("bob", "review", 2));
+            assert!(matches!(refused.outcome, Err(CoreError::ShutDown)));
+            assert!(serving
+                .execute("DROP SCHEMA VERSION TasKy;")
+                .outcome
+                .is_err());
+            drop(serving);
+            assert_eq!(client.checkpoint().epoch, 0);
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("shutdown hung (or failed) with a client outstanding");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! of the statement:
 //!
 //! * **Entries** are keyed by relation name and hold the resolved
-//!   `Arc<Relation>` snapshot (`None` for physical relations, which are
-//!   served straight from [`Storage`] — their entries exist only to carry
-//!   join indexes) plus any [`ColumnIndex`]es built over that snapshot.
+//!   `Arc<Relation>` snapshot of a virtual relation (physical tables are
+//!   served straight from [`Storage`]). A snapshot carries its own column
+//!   indexes ([`Relation::index`]): built by whoever probes it first, patched
+//!   with its rows, and kept wherever the snapshot goes.
 //! * **Validity** is decided by the entry's *footprint*: the set of physical
 //!   tables the relation's defining mappings can read (computed statically
 //!   over the rule sets, so it is a superset of any data-dependent read set
@@ -23,7 +24,7 @@
 //!   [`drain`] pushes a logical delta toward physical storage it records the
 //!   exact per-relation head deltas it already computed; after the batch
 //!   commits, [`SnapshotStore::commit`] applies those deltas to the cached
-//!   snapshots copy-on-write (and to their indexes, incrementally) and
+//!   snapshots copy-on-write (which patches their indexes too) and
 //!   restamps their footprints — O(delta) instead of O(data). Hops whose
 //!   defining mapping can mint ids are maintained **against the stored
 //!   snapshot**, which stands in for the old state so that only the new
@@ -101,7 +102,7 @@ use inverda_catalog::Retired;
 use inverda_datalog::delta::{Delta, DeltaMap};
 use inverda_datalog::eval::EdbView;
 use inverda_datalog::DatalogError;
-use inverda_storage::{ColumnIndex, Key, Relation, Storage};
+use inverda_storage::{Relation, Storage};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,13 +111,10 @@ use std::sync::Arc;
 /// One cached snapshot (see the module docs).
 #[derive(Clone)]
 struct Entry {
-    /// Resolved contents for virtual relations; `None` for physical
-    /// relations (served from storage — the entry only carries indexes).
-    rel: Option<Arc<Relation>>,
+    /// The resolved contents, with their indexes.
+    rel: Arc<Relation>,
     /// Physical table → storage epoch observed at resolution time.
     footprint: BTreeMap<String, u64>,
-    /// Join indexes over this snapshot, patched in lockstep with it.
-    indexes: HashMap<usize, Arc<ColumnIndex>>,
     /// Position in the store's install order (`Inner::installed` when this
     /// entry was stored or patched): how a read-time catch-up tells that
     /// the entry it read has not been replaced since.
@@ -156,7 +154,8 @@ impl Inner {
     /// Patch the entry of `relation` by `delta` into a new one whose
     /// footprint is stamped by `epoch_of`. An entry a fork still shares is
     /// copied first; the copy takes its snapshot's chunk pointers and copies
-    /// only the row chunks the delta touches. `false` — and the entry gone,
+    /// only the row chunks the delta touches (and the indexes a holder of
+    /// the old snapshot still shares). `false` — and the entry gone,
     /// a correctness invalidation — if there is none or the delta does not
     /// apply.
     fn patch(&mut self, relation: &str, delta: &Delta, epoch_of: impl Fn(&str) -> u64) -> bool {
@@ -164,33 +163,22 @@ impl Inner {
             return false;
         };
         let mut entry = Arc::try_unwrap(old).unwrap_or_else(|shared| (*shared).clone());
-        if !patch_entry(&mut entry, delta) {
-            return false;
+        let rel = Arc::make_mut(&mut entry.rel);
+        for key in delta.deletes.keys() {
+            if !delta.inserts.contains_key(key) {
+                rel.delete_if_present(*key);
+            }
+        }
+        for (key, row) in &delta.inserts {
+            if rel.upsert(*key, row.clone()).is_err() {
+                return false;
+            }
         }
         for (table, epoch) in entry.footprint.iter_mut() {
             *epoch = epoch_of(table);
         }
         self.install(relation, entry);
         true
-    }
-
-    /// Attach `index` to the entry of `relation` if `matches` accepts it —
-    /// the same snapshot with one more index, so its install position stays.
-    /// Returns whether it was attached.
-    fn attach(
-        &mut self,
-        relation: &str,
-        column: usize,
-        index: Arc<ColumnIndex>,
-        matches: impl FnOnce(&Entry) -> bool,
-    ) -> bool {
-        match self.entries.get_mut(relation) {
-            Some(entry) if matches(entry) => {
-                Arc::make_mut(entry).indexes.insert(column, index);
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -221,28 +209,10 @@ pub struct SnapshotStats {
 }
 
 /// A resolved snapshot on its way across a `MATERIALIZE` swap: the relation
-/// it resolves, its contents, and the indexes built over exactly that
-/// allocation (they are tied to it by pointer identity, so they stay right
-/// wherever the snapshot goes). Taken out of the store before the swap
-/// ([`SnapshotStore::valid_virtual`]) and put back after it
+/// it resolves and its contents (with their indexes). Taken out of the store
+/// before the swap ([`SnapshotStore::valid_virtual`]) and put back after it
 /// ([`SnapshotStore::reinstall`]).
-pub(crate) struct Carried {
-    pub(crate) relation: String,
-    pub(crate) rel: Arc<Relation>,
-    indexes: HashMap<usize, Arc<ColumnIndex>>,
-}
-
-impl Carried {
-    /// A snapshot no read ever resolved: the final contents of a table that
-    /// just stopped being physical.
-    pub(crate) fn unindexed(rel: Arc<Relation>) -> Self {
-        Carried {
-            relation: rel.name().to_string(),
-            rel,
-            indexes: HashMap::new(),
-        }
-    }
-}
+pub(crate) type Carried = (String, Arc<Relation>);
 
 /// Cross-statement store of resolved relation snapshots. Owned by
 /// [`Inverda`](crate::Inverda); see the module docs.
@@ -307,71 +277,23 @@ impl SnapshotStore {
             return None;
         }
         let mut inner = self.inner.lock();
-        // A physical table's index carrier holds no snapshot to serve: a
-        // miss like any other, so every probe counts.
-        let hit = inner
-            .valid(relation, storage)
-            .map(|entry| entry.rel.clone());
-        if let Some(Some(rel)) = hit {
+        if let Some(entry) = inner.valid(relation, storage) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(rel);
+            return Some(Arc::clone(&entry.rel));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if hit.is_none() {
-            let keep = inner
-                .entries
-                .get(relation)
-                .is_some_and(|stale| keep_stale(&stale.footprint));
-            if !keep {
-                inner.entries.remove(relation);
-            }
+        let keep = inner
+            .entries
+            .get(relation)
+            .is_some_and(|stale| keep_stale(&stale.footprint));
+        if !keep {
+            inner.entries.remove(relation);
         }
         None
     }
 
-    /// The cached join index for a *virtual* relation, served only if the
-    /// entry's snapshot is pointer-identical to `based_on` — the snapshot
-    /// the calling statement already reads. Epoch validity alone is not
-    /// enough: a concurrent writer may have patched the entry to a newer
-    /// generation (with refreshed epochs) after this statement cached its
-    /// snapshot, and an index from that generation would disagree with the
-    /// data the statement joins over.
-    pub fn get_index_virtual(
-        &self,
-        relation: &str,
-        column: usize,
-        based_on: &Arc<Relation>,
-    ) -> Option<Arc<ColumnIndex>> {
-        let inner = self.inner.lock();
-        let entry = inner.entries.get(relation)?;
-        if !Arc::ptr_eq(entry.rel.as_ref()?, based_on) {
-            return None;
-        }
-        entry.indexes.get(&column).map(Arc::clone)
-    }
-
-    /// The cached join index for a *physical* table, served only if the
-    /// carrier entry still describes exactly `epoch` — the epoch of the
-    /// snapshot the calling statement reads (see
-    /// [`get_index_virtual`](SnapshotStore::get_index_virtual) for why a
-    /// current-validity check is insufficient).
-    pub fn get_index_physical(
-        &self,
-        relation: &str,
-        column: usize,
-        epoch: u64,
-    ) -> Option<Arc<ColumnIndex>> {
-        let inner = self.inner.lock();
-        let entry = inner.entries.get(relation)?;
-        if entry.rel.is_some() || entry.footprint.get(relation) != Some(&epoch) {
-            return None;
-        }
-        entry.indexes.get(&column).map(Arc::clone)
-    }
-
     /// Store a freshly resolved virtual snapshot with its stamped footprint,
-    /// replacing the relation's entry (and its indexes — they described the
-    /// old snapshot).
+    /// replacing the relation's entry.
     pub fn store_entry(
         &self,
         relation: &str,
@@ -381,59 +303,8 @@ impl SnapshotStore {
         self.inner.lock().install(
             relation,
             Entry {
-                rel: Some(rel),
+                rel,
                 footprint,
-                indexes: HashMap::new(),
-                seq: 0,
-            },
-        );
-    }
-
-    /// Attach an index built over a *virtual* entry's current snapshot. The
-    /// caller passes the `Arc` it built the index from; the attach is
-    /// skipped if the entry has been replaced or patched since (pointer
-    /// identity), so a racing reader can never poison a newer snapshot.
-    pub fn store_index_virtual(
-        &self,
-        relation: &str,
-        column: usize,
-        index: Arc<ColumnIndex>,
-        based_on: &Arc<Relation>,
-    ) {
-        self.inner.lock().attach(relation, column, index, |entry| {
-            entry.rel.as_ref().is_some_and(|r| Arc::ptr_eq(r, based_on))
-        });
-    }
-
-    /// Attach an index built over a *physical* table snapshot taken at
-    /// `epoch`, creating the carrier entry on first use. Skipped if the
-    /// table has moved past that epoch.
-    pub fn store_index_physical(
-        &self,
-        relation: &str,
-        column: usize,
-        index: Arc<ColumnIndex>,
-        epoch: u64,
-    ) {
-        let mut inner = self.inner.lock();
-        let carrier_at =
-            |entry: &Entry| entry.rel.is_none() && entry.footprint.get(relation) == Some(&epoch);
-        if inner.attach(relation, column, Arc::clone(&index), carrier_at) {
-            return;
-        }
-        // Refuse to replace a virtual snapshot or a carrier that already
-        // moved past this epoch with an older-epoch carrier.
-        if inner.entries.get(relation).is_some_and(|cur| {
-            cur.rel.is_some() || cur.footprint.get(relation).is_some_and(|e| *e > epoch)
-        }) {
-            return;
-        }
-        inner.install(
-            relation,
-            Entry {
-                rel: None,
-                footprint: BTreeMap::from([(relation.to_string(), epoch)]),
-                indexes: HashMap::from([(column, index)]),
                 seq: 0,
             },
         );
@@ -450,7 +321,9 @@ impl SnapshotStore {
             return None;
         }
         let inner = self.inner.lock();
-        inner.valid(relation, storage)?.rel.as_ref().map(Arc::clone)
+        inner
+            .valid(relation, storage)
+            .map(|entry| Arc::clone(&entry.rel))
     }
 
     /// Which of `rels` have an entry that is valid *right now* — captured by
@@ -537,15 +410,15 @@ impl SnapshotStore {
         }
         let mut stale = StaleHeads {
             stamps: entry.footprint.clone(),
-            rels: BTreeMap::from([(relation, Arc::clone(entry.rel.as_ref()?))]),
+            rels: BTreeMap::from([(relation, Arc::clone(&entry.rel))]),
             seqs: vec![(relation, entry.seq)],
         };
         for head in siblings.into_iter().filter(|head| *head != relation) {
             let Some(entry) = inner.entries.get(head) else {
                 continue;
             };
-            if let (Some(rel), true) = (&entry.rel, entry.footprint == stale.stamps) {
-                stale.rels.insert(head, Arc::clone(rel));
+            if entry.footprint == stale.stamps {
+                stale.rels.insert(head, Arc::clone(&entry.rel));
                 stale.seqs.push((head, entry.seq));
             }
         }
@@ -555,8 +428,8 @@ impl SnapshotStore {
     /// Read-time catch-up, the install: patch the entries `seqs` names
     /// (from [`stale_heads`](SnapshotStore::stale_heads)) by their `deltas`
     /// — none recorded means unchanged — and stamp them `stamps`, the
-    /// epochs of the state the deltas lead to. Snapshots and indexes are
-    /// patched in lockstep, in place when nobody else holds them, exactly as
+    /// epochs of the state the deltas lead to. Snapshots are patched (with
+    /// their indexes) in place when nobody else holds them, exactly as
     /// [`commit`](SnapshotStore::commit) does. Returns the new snapshots —
     /// or `None`, for the caller to resolve cold: nothing is touched if any
     /// of the entries has been replaced since it was read (a racing writer
@@ -585,11 +458,7 @@ impl SnapshotStore {
                 return None;
             }
             self.caught_up.fetch_add(1, Ordering::Relaxed);
-            let rel = inner.entries[head]
-                .rel
-                .as_ref()
-                .expect("a snapshot, as read");
-            out.push((head, Arc::clone(rel)));
+            out.push((head, Arc::clone(&inner.entries[head].rel)));
         }
         Some(out)
     }
@@ -612,8 +481,8 @@ impl SnapshotStore {
         }
     }
 
-    /// Every virtual snapshot that is valid against `storage` right now,
-    /// with its indexes — what a `MATERIALIZE` may carry across its swap,
+    /// Every virtual snapshot that is valid against `storage` right now —
+    /// what a `MATERIALIZE` may carry across its swap,
     /// and what the store audit re-resolves. Nothing is removed and no
     /// counter moves.
     pub(crate) fn valid_virtual(&self, storage: &Storage) -> Vec<Carried> {
@@ -625,13 +494,7 @@ impl SnapshotStore {
             .entries
             .iter()
             .filter(|(_, entry)| entry.is_valid(storage))
-            .filter_map(|(name, entry)| {
-                Some(Carried {
-                    relation: name.clone(),
-                    rel: Arc::clone(entry.rel.as_ref()?),
-                    indexes: entry.indexes.clone(),
-                })
-            })
+            .map(|(name, entry)| (name.clone(), Arc::clone(&entry.rel)))
             .collect()
     }
 
@@ -648,17 +511,16 @@ impl SnapshotStore {
         inner.entries.clear();
         self.carried
             .fetch_add(survivors.len() as u64, Ordering::Relaxed);
-        for (carried, footprint) in survivors {
+        for ((relation, rel), footprint) in survivors {
             let entry = Entry {
-                rel: Some(carried.rel),
+                rel,
                 footprint: footprint
                     .iter()
                     .map(|table| (table.clone(), storage.epoch_of(table)))
                     .collect(),
-                indexes: carried.indexes,
                 seq: 0,
             };
-            inner.install(&carried.relation, entry);
+            inner.install(&relation, entry);
         }
     }
 
@@ -740,11 +602,10 @@ const STATEMENT_ROWS: usize = 32;
 
 /// The stored snapshots of one rule set's heads, served to
 /// [`propagate_vs_stored`](inverda_datalog::delta::propagate_vs_stored) as
-/// the heads' old state straight out of the snapshot store: rows from the
-/// stored `Arc`s, payload-column probes through the store's own indexes
-/// (attached on first use, patched with their snapshot ever after).
+/// the heads' old state straight out of the snapshot store: rows and
+/// payload-column probes from the stored `Arc`s, whose indexes stay with
+/// them in the store.
 pub(crate) struct StoredHeads<'a> {
-    pub(crate) store: &'a SnapshotStore,
     pub(crate) rels: BTreeMap<&'a str, Arc<Relation>>,
 }
 
@@ -772,52 +633,6 @@ impl EdbView for StoredHeads<'_> {
     fn contains(&self, relation: &str) -> bool {
         self.rels.contains_key(relation)
     }
-
-    fn index(&self, relation: &str, column: usize) -> inverda_datalog::Result<Arc<ColumnIndex>> {
-        let rel = self.full(relation)?;
-        if let Some(hit) = self.store.get_index_virtual(relation, column, &rel) {
-            return Ok(hit);
-        }
-        let built = Arc::new(rel.build_column_index(column));
-        self.store
-            .store_index_virtual(relation, column, Arc::clone(&built), &rel);
-        Ok(built)
-    }
-}
-
-/// Apply an exact delta to an entry's snapshot (copy-on-write) and patch its
-/// indexes in place. Returns `false` if the delta cannot be applied (the
-/// entry is then dropped by the caller).
-fn patch_entry(entry: &mut Entry, delta: &Delta) -> bool {
-    if let Some(rel) = entry.rel.as_mut() {
-        let rel = Arc::make_mut(rel);
-        for key in delta.deletes.keys() {
-            if !delta.inserts.contains_key(key) {
-                rel.delete_if_present(*key);
-            }
-        }
-        for (key, row) in &delta.inserts {
-            if rel.upsert(*key, row.clone()).is_err() {
-                return false;
-            }
-        }
-    }
-    if !entry.indexes.is_empty() {
-        let keys: BTreeSet<Key> = delta
-            .deletes
-            .keys()
-            .chain(delta.inserts.keys())
-            .copied()
-            .collect();
-        for key in keys {
-            let old = delta.deletes.get(&key);
-            let new = delta.inserts.get(&key);
-            for (col, index) in entry.indexes.iter_mut() {
-                Arc::make_mut(index).apply_row_change(*col, key, old, new);
-            }
-        }
-    }
-    true
 }
 
 /// The maintenance plan one logical write accumulates while draining: which
@@ -871,7 +686,7 @@ impl SnapshotMaintenance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inverda_storage::{TableSchema, Value, WriteBatch};
+    use inverda_storage::{Key, TableSchema, Value, WriteBatch};
 
     fn storage_with(name: &str) -> Storage {
         let s = Storage::new();
@@ -975,18 +790,11 @@ mod tests {
         let fp = BTreeMap::from([("T".to_string(), storage.epoch_of("T"))]);
         let snap = rel_with("V", &[(1, 10), (2, 10)]);
         store.store_entry("V", Arc::clone(&snap), fp);
-        let idx = Arc::new(snap.build_column_index(0));
-        store.store_index_virtual("V", 0, idx, &snap);
-        assert!(store.get_index_virtual("V", 0, &snap).is_some());
-        // Attach against a replaced snapshot is refused.
-        let other = rel_with("V", &[(5, 50)]);
-        store.store_index_virtual("V", 1, Arc::new(other.build_column_index(0)), &other);
-        assert!(store.get_index_virtual("V", 1, &snap).is_none());
-        // And serving is snapshot-identity-guarded too.
-        assert!(store.get_index_virtual("V", 0, &other).is_none());
+        let served = store.get("V", &storage, |_| false).expect("warm");
+        assert_eq!(served.index(0).keys_for(&Value::Int(10)), &[Key(1), Key(2)]);
 
-        // Patch keeps the index in sync — and replaces the snapshot Arc,
-        // so a statement still holding the old snapshot no longer matches.
+        // A patch keeps the stored snapshot's index in sync, and leaves the
+        // index of the snapshot a statement still holds as it was.
         let valid = store.valid_rels(&storage, [&"V".to_string()]);
         bump(&storage, "T", 9, 9);
         let mut maint = SnapshotMaintenance::new();
@@ -995,33 +803,31 @@ mod tests {
             &Delta::update(Key(2), vec![Value::Int(10)], vec![Value::Int(33)]),
         );
         store.commit(&maint, &valid, &storage);
-        assert!(store.get_index_virtual("V", 0, &snap).is_none());
+        assert_eq!(snap.index(0).keys_for(&Value::Int(10)), &[Key(1), Key(2)]);
         let patched = store
             .get("V", &storage, |_| false)
             .expect("patched entry is warm");
-        let idx = store
-            .get_index_virtual("V", 0, &patched)
-            .expect("still cached");
+        let idx = patched.built_index(0).expect("kept with its snapshot");
         assert_eq!(idx.keys_for(&Value::Int(10)), &[Key(1)]);
         assert_eq!(idx.keys_for(&Value::Int(33)), &[Key(2)]);
     }
 
+    /// A physical table's index lives with the table: a statement that read
+    /// the table at one epoch keeps that epoch's index, and the table's next
+    /// version carries it on, patched by the write.
     #[test]
     fn physical_index_entries_guard_on_epoch() {
         let storage = storage_with("T");
         bump(&storage, "T", 1, 10);
-        let store = SnapshotStore::new();
         let (snap, epoch) = storage.snapshot_with_epoch("T").unwrap();
-        let idx = Arc::new(snap.build_column_index(0));
-        store.store_index_physical("T", 0, Arc::clone(&idx), epoch);
-        assert!(store.get_index_physical("T", 0, epoch).is_some());
-        // After the table moves, a statement reading the *new* epoch must
-        // not be served the old index (and a stale re-attach is refused).
-        bump(&storage, "T", 2, 20);
-        let now = storage.epoch_of("T");
-        assert!(store.get_index_physical("T", 0, now).is_none());
-        store.store_index_physical("T", 0, idx, epoch);
-        assert!(store.get_index_physical("T", 0, now).is_none());
+        let idx = snap.index(0);
+        bump(&storage, "T", 2, 10);
+        assert_ne!(storage.epoch_of("T"), epoch);
+        assert!(Arc::ptr_eq(&idx, &snap.index(0)));
+        assert_eq!(idx.keys_for(&Value::Int(10)), &[Key(1)]);
+        let now = storage.snapshot("T").unwrap();
+        let kept = now.built_index(0).expect("kept through the write");
+        assert_eq!(kept.keys_for(&Value::Int(10)), &[Key(1), Key(2)]);
     }
 
     /// Chunks of `new` that `old` does not share, counted from outside

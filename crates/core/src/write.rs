@@ -374,10 +374,7 @@ impl Inverda {
                         self.sync_registry(generator, &delta);
                     }
                     if plan.track {
-                        // Physical rel: its store entry only carries join
-                        // indexes, which the patch keeps in sync; the landed
-                        // delta also seeds the reverse passes.
-                        plan.maint.record_patch(&rel, &delta);
+                        // The landed delta seeds the reverse passes.
                         plan.landed_merge(&rel, &delta);
                     }
                     apply_delta_physically(&rel, &delta, batch);
@@ -493,7 +490,6 @@ impl Inverda {
             }
             if let Some(shared) = inst.derived.shared_aux.iter().find(|s| s.new_name == rel) {
                 if plan.track {
-                    plan.maint.record_patch(&shared.table.rel, &d);
                     plan.landed_merge(&shared.table.rel, &d);
                 }
                 apply_delta_physically(&shared.table.rel, &d, batch);
@@ -501,7 +497,6 @@ impl Inverda {
             }
             if aux_side.iter().any(|a| a.rel == rel) {
                 if plan.track {
-                    plan.maint.record_patch(&rel, &d);
                     plan.landed_merge(&rel, &d);
                 }
                 apply_delta_physically(&rel, &d, batch);
@@ -772,7 +767,6 @@ impl Inverda {
     ) -> Option<DeltaMap> {
         let store = self.snapshot_store()?;
         let stored = StoredHeads {
-            store,
             rels: dep_virtual
                 .iter()
                 .filter_map(|rel| Some((*rel, store.peek_valid(rel, &self.storage)?)))

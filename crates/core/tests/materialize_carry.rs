@@ -171,8 +171,8 @@ fn nothing_is_carried_across_a_flipped_or_minting_decompose() {
     assert!(db.snapshot_store_audit().is_empty());
 }
 
-/// A carried entry keeps its column indexes: they are tied to the snapshot
-/// by pointer identity, and the snapshot is the same allocation. A *range*
+/// A carried entry keeps its column indexes: they live in the snapshot,
+/// and the snapshot is the same allocation. A *range*
 /// conjunct never builds an index — it probes only one that is already at
 /// hand — so `index-probe` after the move proves the index came along.
 #[test]
@@ -186,7 +186,7 @@ fn carried_entry_keeps_its_column_index() {
         .filter(Expr::col("b").lt(Expr::lit("b1")));
     db.scan("G3", "T3").unwrap();
     assert!(range.explain().unwrap().contains("scan"), "no index yet");
-    assert_eq!(by_b.count().unwrap(), 7); // builds and attaches the index
+    assert_eq!(by_b.count().unwrap(), 7); // builds the index
     let probe = range.explain().unwrap();
     assert!(probe.contains("index-probe(b <"), "{probe}");
 
@@ -194,6 +194,37 @@ fn carried_entry_keeps_its_column_index() {
     assert_eq!(range.explain().unwrap(), probe);
     assert_eq!(by_b.count().unwrap(), 7);
     assert_eq!(range.count().unwrap(), 7);
+}
+
+/// A physical table's column index lives with the table in storage, so a
+/// `MATERIALIZE` that leaves the table physical keeps it: a range conjunct,
+/// which probes only an index already at hand, still plans `index-probe`
+/// right after the move.
+#[test]
+fn an_index_outlives_a_materialize() {
+    let db = Inverda::new();
+    db.execute(
+        "CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b); CREATE TABLE U(n, tag); \
+         CREATE SCHEMA VERSION G1 FROM G0 WITH ADD COLUMN x AS 0 INTO T0;",
+    )
+    .unwrap();
+    for i in 0..20i64 {
+        db.insert("G0", "U", vec![Value::Int(i), Value::text("u")])
+            .unwrap();
+        db.insert("G0", "T0", vec![Value::Int(i), Value::text("t")])
+            .unwrap();
+    }
+    let by_n = db.query("G1", "U").filter(Expr::col("n").eq(Expr::lit(3)));
+    let range = db.query("G1", "U").filter(Expr::col("n").lt(Expr::lit(5)));
+    assert!(range.explain().unwrap().contains("scan"), "no index yet");
+    assert_eq!(by_n.count().unwrap(), 1); // builds the index
+    let probe = range.explain().unwrap();
+    assert!(probe.contains("index-probe(n <"), "{probe}");
+
+    db.execute("MATERIALIZE 'G1';").unwrap();
+    assert_eq!(range.explain().unwrap(), probe);
+    assert_eq!(range.count().unwrap(), 5);
+    assert!(db.snapshot_store_audit().is_empty());
 }
 
 /// A reader pinned before a served `MATERIALIZE` keeps reading its own

@@ -32,7 +32,7 @@ use crate::eval::{
 };
 use crate::skolem::{self, PlaceholderPatch};
 use crate::Result;
-use inverda_storage::{ColumnIndex, IndexCache, Key, Relation, RelationDelta, Row, Value};
+use inverda_storage::{ColumnIndex, Key, Relation, RelationDelta, Row, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -161,7 +161,8 @@ pub struct PatchedEdb<'a> {
     /// Changes to overlay.
     pub patches: &'a DeltaMap,
     cache: RefCell<BTreeMap<String, Arc<Relation>>>,
-    indexes: IndexCache,
+    /// Overlay indexes of the patched relations, by relation and column.
+    indexes: RefCell<BTreeMap<String, BTreeMap<usize, Arc<ColumnIndex>>>>,
 }
 
 impl<'a> PatchedEdb<'a> {
@@ -171,7 +172,7 @@ impl<'a> PatchedEdb<'a> {
             base,
             patches,
             cache: RefCell::new(BTreeMap::new()),
-            indexes: IndexCache::new(),
+            indexes: RefCell::new(BTreeMap::new()),
         }
     }
 }
@@ -186,7 +187,7 @@ impl EdbView for PatchedEdb<'_> {
             None => base,
             Some(delta) if delta.is_empty() => base,
             Some(delta) => {
-                let mut rel = (*base).clone();
+                let mut rel = base.clone_rows();
                 delta.apply_to(&mut rel)?;
                 Arc::new(rel)
             }
@@ -220,24 +221,37 @@ impl EdbView for PatchedEdb<'_> {
         }
     }
 
-    /// The base view's (cached) index under an overlay of the patched rows'
-    /// changes — O(delta), where materializing the patched relation and
-    /// indexing it again would be O(relation) per statement.
+    /// The base view's index under an overlay of the patched rows' changes
+    /// — O(delta), where materializing the patched relation and indexing it
+    /// again would be O(relation) per statement. Built once per view: the
+    /// state it describes is never materialized, so no relation keeps it.
     fn index(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
         let delta = match self.patches.get(relation) {
             Some(delta) if !delta.is_empty() => delta,
             _ => return self.base.index(relation, column),
         };
-        self.indexes.get_or_build(relation, column, || {
-            let mut index = ColumnIndex::overlay(self.base.index(relation, column)?);
-            for (key, old) in &delta.deletes {
-                index.apply_row_change(column, *key, Some(old), None);
-            }
-            for (key, new) in &delta.inserts {
-                index.apply_row_change(column, *key, None, Some(new));
-            }
-            Ok(index)
-        })
+        let built = self
+            .indexes
+            .borrow()
+            .get(relation)
+            .and_then(|cols| cols.get(&column).cloned());
+        if let Some(index) = built {
+            return Ok(index);
+        }
+        let mut index = ColumnIndex::overlay(self.base.index(relation, column)?);
+        for (key, old) in &delta.deletes {
+            index.apply_row_change(column, *key, Some(old), None);
+        }
+        for (key, new) in &delta.inserts {
+            index.apply_row_change(column, *key, None, Some(new));
+        }
+        let index = Arc::new(index);
+        self.indexes
+            .borrow_mut()
+            .entry(relation.to_string())
+            .or_default()
+            .insert(column, Arc::clone(&index));
+        Ok(index)
     }
 }
 

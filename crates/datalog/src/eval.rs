@@ -22,8 +22,8 @@
 //! * positive and negated atoms whose key term is unbound probe an on-demand
 //!   **secondary join index** ([`ColumnIndex`]) on the first bound payload
 //!   column instead of scanning the relation — O(1) per probe after a single
-//!   O(n) build, cached per evaluation (and across statements by the
-//!   `VersionedEdb` in `inverda-core`);
+//!   O(n) build, which the relation keeps ([`Relation::index`]) for as long
+//!   as anyone keeps its rows;
 //! * the per-(head, key) memo is a two-level map keyed by `&str` then `Key`,
 //!   so lookups allocate nothing.
 //!
@@ -55,9 +55,7 @@ use crate::delta::Delta;
 use crate::error::DatalogError;
 use crate::skolem::{self, PlaceholderPatch, ReservationArena, SkolemRegistry};
 use crate::Result;
-use inverda_storage::{
-    ColumnIndex, IndexCache, Key, Relation, Row, RowContext, TableSchema, Value,
-};
+use inverda_storage::{ColumnIndex, Key, Relation, Row, RowContext, TableSchema, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
@@ -98,11 +96,11 @@ pub trait EdbView {
     }
 
     /// A secondary join index over one payload column of the relation's
-    /// current state. The default builds it on the spot; caching
-    /// implementations (`MapEdb` here, `VersionedEdb` in `inverda-core`)
-    /// build each `(relation, column)` index once per snapshot.
+    /// current state: the relation's own ([`Relation::index`]), built on
+    /// first use and kept with its rows. Only a view that serves a state
+    /// nobody materializes overrides it ([`PatchedEdb`](crate::delta::PatchedEdb)).
     fn index(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
-        Ok(Arc::new(self.full(relation)?.build_column_index(column)))
+        Ok(self.full(relation)?.index(column))
     }
 }
 
@@ -224,20 +222,10 @@ pub fn patch_relation(rel: Relation, patch: &PlaceholderPatch) -> Result<Relatio
     Ok(out)
 }
 
-/// A plain map-backed EDB with a per-snapshot join-index cache.
-#[derive(Debug, Default)]
+/// A plain map-backed EDB.
+#[derive(Debug, Default, Clone)]
 pub struct MapEdb {
     rels: BTreeMap<String, Arc<Relation>>,
-    indexes: IndexCache,
-}
-
-impl Clone for MapEdb {
-    fn clone(&self) -> Self {
-        MapEdb {
-            rels: self.rels.clone(),
-            indexes: IndexCache::new(),
-        }
-    }
 }
 
 impl MapEdb {
@@ -248,16 +236,13 @@ impl MapEdb {
 
     /// Insert a relation under its own name.
     pub fn add(&mut self, rel: Relation) -> &mut Self {
-        self.indexes.invalidate(rel.name());
         self.rels.insert(rel.name().to_string(), Arc::new(rel));
         self
     }
 
     /// Insert a shared relation under the given name.
     pub fn add_shared(&mut self, name: impl Into<String>, rel: Arc<Relation>) -> &mut Self {
-        let name = name.into();
-        self.indexes.invalidate(&name);
-        self.rels.insert(name, rel);
+        self.rels.insert(name.into(), rel);
         self
     }
 }
@@ -283,12 +268,6 @@ impl EdbView for MapEdb {
 
     fn contains(&self, relation: &str) -> bool {
         self.rels.contains_key(relation)
-    }
-
-    fn index(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
-        self.indexes.get_or_build(relation, column, || {
-            Ok(self.full(relation)?.build_column_index(column))
-        })
     }
 }
 
@@ -925,8 +904,7 @@ pub fn evaluate_compiled(
 }
 
 /// The compiled evaluation engine. Holds derived heads (which shadow the
-/// EDB), per-evaluation join indexes for derived heads, and an
-/// allocation-free memo for key-seeded head evaluation.
+/// EDB) and an allocation-free memo for key-seeded head evaluation.
 pub struct Evaluator<'a> {
     edb: &'a dyn EdbView,
     ids: &'a dyn IdSource,
@@ -935,10 +913,6 @@ pub struct Evaluator<'a> {
     pub derived: BTreeMap<String, Arc<Relation>>,
     /// `head → key → row` memo; outer lookups are by `&str` (no allocation).
     by_key_memo: HashMap<String, HashMap<Key, Option<Row>>>,
-    /// Join indexes over *derived* heads, patched incrementally as heads
-    /// grow (heads are append-only: a conflicting emit is an error).
-    /// (EDB relations are indexed and cached by the [`EdbView`] itself.)
-    derived_indexes: IndexCache,
     /// Skolem literals only [`peek`](IdSource::peek): arguments without an
     /// assigned id end the branch instead of reserving one (see
     /// [`Evaluator::peeking`]).
@@ -1016,7 +990,6 @@ impl<'a> Evaluator<'a> {
             ids,
             derived: BTreeMap::new(),
             by_key_memo: HashMap::new(),
-            derived_indexes: IndexCache::new(),
             peek_only: false,
         }
     }
@@ -1069,12 +1042,10 @@ impl<'a> Evaluator<'a> {
     ///
     /// No rule the engine builds reads its own head, but one that does sees
     /// the head as it stood before the rule, as in the naive interpreter:
-    /// the rule fills a copy of the head (chunks shared, not rows) that
-    /// replaces it once the join is done. The head's cached indexes are
-    /// patched as it grows, so an index probe may return a key the body's
-    /// view lacks, which it skips; and a firing that emits has passed every
-    /// literal, so each index of the head the rule probes was built before
-    /// the rule's first emission.
+    /// the rule fills a copy of the head (chunks shared, not rows, and no
+    /// index: it derives a different state) that replaces it once the join
+    /// is done. A probe of the head reads the index of the head the join
+    /// reads.
     fn derive_rule(
         &mut self,
         rule: &CompiledRule,
@@ -1082,8 +1053,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<()> {
         let name = rule.head.relation.as_str();
         self.ensure_head(name, rule.head.terms.len() - 1, head_columns);
-        let mut head = Relation::clone(&self.derived[name]);
-        let indexes = &self.derived_indexes;
+        let mut head = self.derived[name].clone_rows();
         let mut deferred = None;
         let mut frame = vec![None; rule.n_vars];
         let mut trail = Vec::with_capacity(rule.n_vars);
@@ -1096,7 +1066,7 @@ impl<'a> Evaluator<'a> {
             &mut |frame| {
                 if deferred.is_none() {
                     deferred = head_tuple(rule, frame)
-                        .and_then(|(key, row)| emit(&mut head, name, indexes, key, row))
+                        .and_then(|(key, row)| emit(&mut head, name, key, row))
                         .err();
                 }
                 Ok(())
@@ -1126,15 +1096,19 @@ impl<'a> Evaluator<'a> {
         self.edb.by_key(name, key)
     }
 
-    /// The join index for `(relation, column)`: served from the EDB's cache
-    /// for EDB relations, from the evaluator-local cache for derived heads.
-    fn index_for(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
-        if let Some(rel) = self.derived.get(relation) {
-            return self
-                .derived_indexes
-                .get_or_build(relation, column, || Ok(rel.build_column_index(column)));
+    /// The join index over `column` of `rel`, the view of `relation` the
+    /// join reads: a materialized state's own, or the EDB's index of its
+    /// write overlay.
+    fn index_for(
+        &self,
+        relation: &str,
+        rel: &RelView<'_>,
+        column: usize,
+    ) -> Result<Arc<ColumnIndex>> {
+        match rel {
+            RelView::Whole(rel) => Ok(rel.index(column)),
+            RelView::Patched(..) => self.edb.index(relation, column),
         }
-        self.edb.index(relation, column)
     }
 
     /// All head tuples the rule derives, with `seed` pre-bound (callers pass
@@ -1199,7 +1173,7 @@ impl<'a> Evaluator<'a> {
                 // Index path: probe the first bound payload column.
                 if let Some((col, value)) = atom.bound_payload(frame) {
                     let value = value.clone();
-                    let index = self.index_for(&atom.relation, col)?;
+                    let index = self.index_for(&atom.relation, &rel, col)?;
                     for &key in index.keys_for(&value) {
                         let Some(row) = rel.get(key) else { continue };
                         let mark = trail.len();
@@ -1323,7 +1297,7 @@ impl<'a> Evaluator<'a> {
         check_arity(atom, rel.arity() + 1)?;
         if let Some((col, value)) = atom.bound_payload(frame) {
             let value = value.clone();
-            let index = self.index_for(&atom.relation, col)?;
+            let index = self.index_for(&atom.relation, &rel, col)?;
             for &key in index.keys_for(&value) {
                 let Some(row) = rel.get(key) else { continue };
                 let mark = trail.len();
@@ -1581,21 +1555,14 @@ fn head_tuple(rule: &CompiledRule, frame: &[Option<Value>]) -> Result<(Key, Row)
 }
 
 /// Add a derived tuple to `rel`, the head `name`, detecting key conflicts.
-/// A head only ever *grows* (a conflicting emit is an error), so cached
-/// indexes are patched for the appended row instead of being dropped and
-/// rebuilt at O(n).
-fn emit(rel: &mut Relation, name: &str, indexes: &IndexCache, key: Key, row: Row) -> Result<()> {
+fn emit(rel: &mut Relation, name: &str, key: Key, row: Row) -> Result<()> {
     match rel.insert_vacant(key, row)? {
-        Ok(stored) => indexes.patch_row(name, key, None, Some(stored)),
-        Err((existing, row)) if *existing == row => {}
-        Err(_) => {
-            return Err(DatalogError::KeyConflict {
-                relation: name.to_string(),
-                key: key.0,
-            })
-        }
+        Err((existing, row)) if *existing != row => Err(DatalogError::KeyConflict {
+            relation: name.to_string(),
+            key: key.0,
+        }),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Push the head tuple of one firing onto `out`, or keep its error in
@@ -2209,9 +2176,9 @@ mod tests {
     #[test]
     fn derived_head_index_follows_incremental_growth() {
         // Rule 2 probes head H by payload (unbound key -> index path), then
-        // rule 3 grows H, then rule 4 probes it again: the cached index must
-        // reflect the appended rows without a rebuild, and results must
-        // match the naive engine exactly.
+        // rule 3 grows H, then rule 4 probes it again: the index it probes
+        // must reflect the appended rows, and results must match the naive
+        // engine exactly.
         let rules = RuleSet::new(vec![
             Rule::new(
                 Atom::vars("H", &["p", "n"]),

@@ -36,7 +36,7 @@ pub use codec::{crc32, read_frame, write_frame, Codec, FrameScan, Reader};
 pub use engine::{SequenceSet, Storage};
 pub use error::StorageError;
 pub use expr::{BinaryOp, BoundExpr, CmpOp, Expr, NamedRow, RowContext};
-pub use relation::{ColumnIndex, IndexCache, Relation, RelationDelta, Row};
+pub use relation::{ColumnIndex, Relation, RelationDelta, Row};
 pub use schema::{resolve_column, TableSchema};
 pub use value::{Key, Value};
 

@@ -29,15 +29,29 @@
 //!
 //! Nothing observable depends on where chunk boundaries fall: equality,
 //! `Debug` and `Display` are defined over the rows in key order.
+//!
+//! ## Column indexes
+//!
+//! A relation owns the secondary indexes built over it.
+//! [`Relation::index`] builds one on first use, through `&self`, and keeps
+//! it; every mutator patches the indexes already built, and a clone shares
+//! them as it shares row chunks (an index is an `Arc`, copied by the first
+//! patch that lands while another holder still reads it). So an index
+//! always describes exactly the rows of the relation it sits in: storage
+//! tables, epoch pins, branch forks and snapshot-store entries keep theirs
+//! for as long as they keep the rows, with no staleness check anywhere. A
+//! copy that goes on to derive a *different* state starts without them
+//! ([`Relation::clone_rows`]), so its first change copies no index the
+//! original still holds. Indexes are not part of a relation's value:
+//! equality, `Debug` and `Display` do not see them.
 
 use crate::error::StorageError;
 use crate::schema::TableSchema;
 use crate::value::{Key, Value};
 use crate::Result;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One row's payload (the key is stored separately, beside it).
 pub type Row = Vec<Value>;
@@ -174,11 +188,45 @@ impl fmt::Debug for Rows {
     }
 }
 
+/// The column indexes of a [`Relation`]: one slot per payload column,
+/// allocated with the first index built.
+#[derive(Clone, Default)]
+struct Indexes(OnceLock<Box<[OnceLock<Arc<ColumnIndex>>]>>);
+
+impl Indexes {
+    /// Patch every built index for one row change: `old` is the row that
+    /// was stored under `key`, `new` the row stored there now.
+    fn patch(&mut self, key: Key, old: Option<&Row>, new: Option<&Row>) {
+        let Some(slots) = self.0.get_mut() else {
+            return;
+        };
+        for (column, slot) in slots.iter_mut().enumerate() {
+            if let Some(index) = slot.get_mut() {
+                Arc::make_mut(index).apply_row_change(column, key, old, new);
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.get().is_none()
+    }
+}
+
 /// A named, keyed relation.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Relation {
     schema: TableSchema,
     rows: Rows,
+    indexes: Indexes,
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
+    }
 }
 
 /// Equal schema and equal rows, whatever the chunk layout.
@@ -196,6 +244,18 @@ impl Relation {
         Relation {
             schema,
             rows: Rows::default(),
+            indexes: Indexes::default(),
+        }
+    }
+
+    /// A copy sharing this relation's rows but none of its indexes: for a
+    /// copy that will derive a different state, whose first change would
+    /// otherwise copy every index the original still holds.
+    pub fn clone_rows(&self) -> Relation {
+        Relation {
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            indexes: Indexes::default(),
         }
     }
 
@@ -238,6 +298,7 @@ impl Relation {
             });
         }
         self.rows.insert(key, row);
+        self.patch_indexes(key, None);
         Ok(())
     }
 
@@ -256,20 +317,22 @@ impl Relation {
             return Ok(Err((&self.rows.chunks[c][slot].1, row)));
         }
         self.check_arity(&row)?;
-        Ok(Ok(self.rows.insert_vacant(located, key, row)))
+        let stored = self.rows.insert_vacant(located, key, row);
+        self.indexes.patch(key, None, Some(stored));
+        Ok(Ok(stored))
     }
 
     /// Insert or replace a row under `key`.
     pub fn upsert(&mut self, key: Key, row: Row) -> Result<()> {
         self.check_arity(&row)?;
-        self.rows.insert(key, row);
+        let old = self.rows.insert(key, row);
+        self.patch_indexes(key, old.as_ref());
         Ok(())
     }
 
     /// Remove the row under `key`, returning it.
     pub fn delete(&mut self, key: Key) -> Result<Row> {
-        self.rows
-            .remove(key)
+        self.delete_if_present(key)
             .ok_or_else(|| StorageError::MissingKey {
                 table: self.schema.name.clone(),
                 key: key.0,
@@ -278,18 +341,32 @@ impl Relation {
 
     /// Remove the row under `key` if present.
     pub fn delete_if_present(&mut self, key: Key) -> Option<Row> {
-        self.rows.remove(key)
+        let old = self.rows.remove(key)?;
+        self.indexes.patch(key, Some(&old), None);
+        Some(old)
     }
 
     /// Replace the row under `key`. Fails if absent.
     pub fn update(&mut self, key: Key, row: Row) -> Result<Row> {
         self.check_arity(&row)?;
         match self.rows.get_mut(key) {
-            Some(slot) => Ok(std::mem::replace(slot, row)),
+            Some(slot) => {
+                let old = std::mem::replace(slot, row);
+                self.patch_indexes(key, Some(&old));
+                Ok(old)
+            }
             None => Err(StorageError::MissingKey {
                 table: self.schema.name.clone(),
                 key: key.0,
             }),
+        }
+    }
+
+    /// Patch the built indexes for a change at `key` from `old` to the row
+    /// stored there now.
+    fn patch_indexes(&mut self, key: Key, old: Option<&Row>) {
+        if !self.indexes.is_empty() {
+            self.indexes.patch(key, old, self.rows.get(key));
         }
     }
 
@@ -442,15 +519,45 @@ impl Relation {
         delta
     }
 
-    /// Remove every row. Keeps the schema.
+    /// Remove every row. Keeps the schema, and every built index, empty.
     pub fn clear(&mut self) {
         self.rows = Rows::default();
+        if let Some(slots) = self.indexes.0.get_mut() {
+            for index in slots.iter_mut().filter_map(OnceLock::get_mut) {
+                *index = Arc::default();
+            }
+        }
+    }
+
+    /// The index over payload column `column`, built on first use and kept
+    /// with the rows (module docs, "Column indexes"). A column past the
+    /// payload columns is not kept: it is built each time, as
+    /// [`build_column_index`] builds it.
+    ///
+    /// [`build_column_index`]: Relation::build_column_index
+    pub fn index(&self, column: usize) -> Arc<ColumnIndex> {
+        let slots = self
+            .indexes
+            .0
+            .get_or_init(|| (0..self.schema.arity()).map(|_| OnceLock::new()).collect());
+        let build = || Arc::new(self.build_column_index(column));
+        match slots.get(column) {
+            Some(slot) => Arc::clone(slot.get_or_init(build)),
+            None => build(),
+        }
+    }
+
+    /// The index over payload column `column` if one has been built,
+    /// without building it.
+    pub fn built_index(&self, column: usize) -> Option<Arc<ColumnIndex>> {
+        self.indexes.0.get()?.get(column)?.get().map(Arc::clone)
     }
 
     /// Build a secondary index over one payload column (`0` is the first
-    /// payload column, i.e. *not* the key). Keys per value are in ascending
-    /// key order, so an index probe enumerates matches in the same order a
-    /// full scan would — evaluation results are identical either way.
+    /// payload column, i.e. *not* the key), without keeping it. Keys per
+    /// value are in ascending key order, so an index probe enumerates
+    /// matches in the same order a full scan would — evaluation results are
+    /// identical either way.
     pub fn build_column_index(&self, column: usize) -> ColumnIndex {
         let mut map: HashMap<Value, Vec<Key>> = HashMap::new();
         for (key, row) in self.iter() {
@@ -495,14 +602,13 @@ impl fmt::Display for Relation {
 }
 
 /// A hash index `column value → keys` over one payload column of a
-/// [`Relation`] snapshot, built on demand by [`Relation::build_column_index`].
+/// [`Relation`], built on demand and kept by the relation itself
+/// ([`Relation::index`]; module docs, "Column indexes").
 ///
 /// This is the join accelerator of the compiled rule evaluator: probing a
-/// bound column is O(1) instead of a full scan. The index describes one
-/// immutable snapshot — callers cache it alongside the snapshot and must not
-/// reuse it across mutations. `Value`'s `Hash` agrees with its `Eq`
-/// (numerically equal ints and floats collide), so a probe finds exactly the
-/// rows a scan-and-compare would.
+/// bound column is O(1) instead of a full scan. `Value`'s `Hash` agrees with
+/// its `Eq` (numerically equal ints and floats collide), so a probe finds
+/// exactly the rows a scan-and-compare would.
 ///
 /// An index can also be an **overlay** ([`ColumnIndex::overlay`]): it then
 /// describes a base snapshot's index plus a handful of row changes without
@@ -513,6 +619,15 @@ impl fmt::Display for Relation {
 pub struct ColumnIndex {
     map: HashMap<Value, Vec<Key>>,
     base: Option<Arc<ColumnIndex>>,
+}
+
+/// Equal key lists for every value, overlay or not.
+impl PartialEq for ColumnIndex {
+    fn eq(&self, other: &ColumnIndex) -> bool {
+        let mut same = self.distinct_values() == other.distinct_values();
+        self.for_each_entry(&mut |value, keys| same &= other.keys_for(value) == keys);
+        same
+    }
 }
 
 impl ColumnIndex {
@@ -658,83 +773,6 @@ impl ColumnIndex {
         }
         if let Some(v) = new.and_then(|row| row.get(column)) {
             self.insert_key(v.clone(), key);
-        }
-    }
-}
-
-/// Interior-mutable cache of [`ColumnIndex`]es keyed by `(relation,
-/// column)`, shared by every EDB view and the evaluator so the get-or-build
-/// logic lives in one place. Lookups are by `&str` (no allocation); each
-/// `(relation, column)` pair is built at most once until
-/// [`IndexCache::invalidate`] drops the relation's entries.
-///
-/// No borrow of the map is held across `build`, so a build may itself read
-/// and fill the cache (a view resolving one relation's index through
-/// another's).
-#[derive(Debug, Default)]
-pub struct IndexCache(RefCell<HashMap<String, HashMap<usize, Arc<ColumnIndex>>>>);
-
-impl IndexCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        IndexCache::default()
-    }
-
-    /// The cached index for `(relation, column)`, building it with `build`
-    /// on first use. `build`'s error (e.g. an unresolvable relation) is
-    /// passed through without caching anything.
-    pub fn get_or_build<E>(
-        &self,
-        relation: &str,
-        column: usize,
-        build: impl FnOnce() -> std::result::Result<ColumnIndex, E>,
-    ) -> std::result::Result<Arc<ColumnIndex>, E> {
-        if let Some(hit) = self.get(relation, column) {
-            return Ok(hit);
-        }
-        let built = Arc::new(build()?);
-        self.put(relation, column, Arc::clone(&built));
-        Ok(built)
-    }
-
-    /// The cached index for `(relation, column)`, if any.
-    pub fn get(&self, relation: &str, column: usize) -> Option<Arc<ColumnIndex>> {
-        self.0
-            .borrow()
-            .get(relation)
-            .and_then(|cols| cols.get(&column))
-            .map(Arc::clone)
-    }
-
-    /// Cache an externally built (or borrowed) index for `(relation,
-    /// column)`, replacing any previous one.
-    pub fn put(&self, relation: &str, column: usize, index: Arc<ColumnIndex>) {
-        self.0
-            .borrow_mut()
-            .entry(relation.to_string())
-            .or_default()
-            .insert(column, index);
-    }
-
-    /// Drop every cached index of `relation` (its snapshot changed).
-    pub fn invalidate(&self, relation: &str) {
-        self.0.borrow_mut().remove(relation);
-    }
-
-    /// Patch every cached index of `relation` for one row change instead of
-    /// rebuilding: `old` is the replaced payload (None for a pure insert),
-    /// `new` the payload now stored under `key` (None for a delete). Indexes
-    /// of other relations and uncached columns are unaffected.
-    pub fn patch_row(&self, relation: &str, key: Key, old: Option<&Row>, new: Option<&Row>) {
-        let mut cache = self.0.borrow_mut();
-        if cache.is_empty() {
-            return;
-        }
-        let Some(cols) = cache.get_mut(relation) else {
-            return;
-        };
-        for (col, index) in cols.iter_mut() {
-            Arc::make_mut(index).apply_row_change(*col, key, old, new);
         }
     }
 }
@@ -1010,56 +1048,55 @@ mod tests {
     }
 
     #[test]
-    fn index_cache_patch_row_tracks_changes() {
+    fn relation_index_tracks_every_mutator() {
         let mut r = Relation::with_columns("T", ["a", "b"]);
         r.insert(Key(1), vec!["x".into(), 1.into()]).unwrap();
-        let cache = IndexCache::new();
-        let idx0: Arc<ColumnIndex> = cache
-            .get_or_build::<()>("T", 0, || Ok(r.build_column_index(0)))
-            .unwrap();
+        assert!(r.built_index(0).is_none());
+        let idx0 = r.index(0);
         assert_eq!(idx0.keys_for(&Value::text("x")), &[Key(1)]);
-        // Patch for an update on column 0 (column 1 has no cached index).
-        cache.patch_row(
-            "T",
-            Key(1),
-            Some(&vec!["x".into(), 1.into()]),
-            Some(&vec!["y".into(), 2.into()]),
-        );
-        let idx1: Arc<ColumnIndex> = cache
-            .get_or_build::<()>("T", 0, || panic!("must be cached"))
-            .unwrap();
+        // An update on column 0 (column 1 has no index built).
+        r.update(Key(1), vec!["y".into(), 2.into()]).unwrap();
+        assert!(r.built_index(1).is_none());
+        let idx1 = r.built_index(0).expect("kept");
         assert_eq!(idx1.keys_for(&Value::text("x")), &[] as &[Key]);
         assert_eq!(idx1.keys_for(&Value::text("y")), &[Key(1)]);
-        // The pre-patch Arc still describes the old snapshot (COW).
+        // The index handed out before the change still describes the rows
+        // it was handed out for (copy-on-write).
         assert_eq!(idx0.keys_for(&Value::text("x")), &[Key(1)]);
-        // Pure insert and pure delete.
-        cache.patch_row("T", Key(2), None, Some(&vec!["y".into(), 3.into()]));
-        cache.patch_row("T", Key(1), Some(&vec!["y".into(), 2.into()]), None);
-        let idx2: Arc<ColumnIndex> = cache
-            .get_or_build::<()>("T", 0, || panic!("must be cached"))
+        r.upsert(Key(2), vec!["y".into(), 3.into()]).unwrap();
+        r.insert_vacant(Key(3), vec!["z".into(), 4.into()])
+            .unwrap()
             .unwrap();
-        assert_eq!(idx2.keys_for(&Value::text("y")), &[Key(2)]);
+        r.insert(Key(4), vec!["z".into(), 5.into()]).unwrap();
+        r.delete(Key(1)).unwrap();
+        r.delete_if_present(Key(3));
+        assert_eq!(*r.built_index(0).unwrap(), r.build_column_index(0));
+        assert_eq!(r.index(0).keys_for(&Value::text("y")), &[Key(2)]);
+        r.clear();
+        assert_eq!(r.built_index(0).unwrap().distinct_values(), 0);
+        r.insert(Key(5), vec!["y".into(), 6.into()]).unwrap();
+        assert_eq!(r.index(0).keys_for(&Value::text("y")), &[Key(5)]);
     }
 
     #[test]
-    fn index_cache_build_may_read_and_fill_the_cache() {
+    fn relation_index_is_built_once_and_shared_by_clones() {
         let r = rel();
-        let cache = IndexCache::new();
-        // A build that reads and fills the same cache, as a view resolving
-        // one relation's index through another's does: it panics if a
-        // borrow is held across `build`.
-        let idx = cache
-            .get_or_build::<()>("Task", 0, || {
-                assert!(cache.get("Other", 2).is_none());
-                cache.put("Other", 2, Arc::new(r.build_column_index(2)));
-                Ok(r.build_column_index(0))
-            })
+        let idx = r.index(2);
+        assert!(Arc::ptr_eq(&idx, &r.index(2)), "built once");
+        let clone = r.clone();
+        assert!(Arc::ptr_eq(&idx, &clone.built_index(2).unwrap()));
+        assert!(r.clone_rows().built_index(2).is_none());
+        // A change to the clone leaves the original's index alone.
+        let mut changed = clone;
+        changed
+            .update(Key(2), vec!["Ben".into(), "x".into(), 7.into()])
             .unwrap();
-        assert!(Arc::ptr_eq(&idx, &cache.get("Task", 0).unwrap()));
-        assert_eq!(
-            cache.get("Other", 2).unwrap().keys_for(&Value::Int(2)),
-            &[Key(2)]
-        );
+        assert_eq!(r.index(2).keys_for(&Value::Int(2)), &[Key(2)]);
+        assert_eq!(changed.index(2).keys_for(&Value::Int(2)), &[] as &[Key]);
+        assert_eq!(changed.index(2).keys_for(&Value::Int(7)), &[Key(2)]);
+        // Indexes are not part of the relation's value.
+        assert_eq!(format!("{:?}", r.clone_rows()), format!("{r:?}"));
+        assert_eq!(r.clone_rows(), r);
     }
 
     #[test]
