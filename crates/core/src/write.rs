@@ -546,67 +546,85 @@ impl Inverda {
         // A diamond drain can traverse one SMO twice; by the time a hop is
         // ready its destination deltas are fully known, so one pass per SMO
         // suffices.
-        let mut remaining: Vec<HopRecord> = Vec::new();
+        let mut traversed: Vec<HopRecord> = Vec::new();
         for hop in hops {
-            if !remaining.iter().any(|h| h.smo == hop.smo) {
-                remaining.push(hop);
+            if !traversed.iter().any(|h| h.smo == hop.smo) {
+                traversed.push(hop);
             }
         }
         let catalog = self.compiled.catalog_index(g);
+        // A hop waits for the hops that derive the delta of one of its
+        // virtual destination data rels (each such rel's defining SMO, when
+        // it was traversed). Computed once per hop; `waiting` counts the
+        // dependencies not yet processed, `dependents` inverts the edges.
+        let position: BTreeMap<SmoId, usize> = traversed
+            .iter()
+            .enumerate()
+            .map(|(i, h)| (h.smo, i))
+            .collect();
+        let mut waiting = vec![0usize; traversed.len()];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); traversed.len()];
+        for (i, h) in traversed.iter().enumerate() {
+            let inst = g.smo(h.smo);
+            let dest = if h.forwards {
+                &inst.derived.tgt_data
+            } else {
+                &inst.derived.src_data
+            };
+            let mut deps: Vec<usize> = dest
+                .iter()
+                .filter(|t| !self.storage.has_table(&t.rel))
+                .filter_map(|t| {
+                    match catalog.rel_index.get(&t.rel).map(|tv| m.storage_of(g, *tv)) {
+                        Some(StorageCase::Forward(s)) | Some(StorageCase::Backward(s)) => {
+                            position.get(&s).copied()
+                        }
+                        _ => None,
+                    }
+                })
+                .collect();
+            deps.sort_unstable();
+            deps.dedup();
+            waiting[i] = deps.len();
+            for d in deps {
+                dependents[d].push(i);
+            }
+        }
         // rel → true delta, seeded with what physically landed and extended
         // by each processed hop; rels whose delta could not be derived.
         let mut known = landed;
         let mut unknown: BTreeSet<String> = BTreeSet::new();
-        while !remaining.is_empty() {
-            let remaining_smos: BTreeSet<SmoId> = remaining.iter().map(|h| h.smo).collect();
-            // A hop is ready once no unprocessed hop still has to derive the
-            // delta of one of its destination data rels (i.e. every virtual
-            // destination's defining SMO has been processed or was never
-            // traversed). Simultaneously-ready hops are mutually independent
-            // — a ready hop's inputs cannot be another *ready* hop's
-            // departed relations (those would make it non-ready).
-            let mut ready: Vec<HopRecord> = Vec::new();
-            let mut rest: Vec<HopRecord> = Vec::new();
-            for h in remaining.drain(..) {
-                let inst = g.smo(h.smo);
-                let dest = if h.forwards {
-                    &inst.derived.tgt_data
-                } else {
-                    &inst.derived.src_data
-                };
-                let is_ready = dest.iter().all(|t| {
-                    if self.storage.has_table(&t.rel) {
-                        return true;
-                    }
-                    match catalog.rel_index.get(&t.rel).map(|tv| m.storage_of(g, *tv)) {
-                        Some(StorageCase::Forward(s)) | Some(StorageCase::Backward(s)) => {
-                            !remaining_smos.contains(&s)
-                        }
-                        _ => true,
-                    }
-                });
-                if is_ready {
-                    ready.push(h);
-                } else {
-                    rest.push(h);
-                }
-            }
-            remaining = rest;
-            // Acyclic by construction (hops order along paths to storage);
-            // if that ever breaks, degrade to invalidation rather than loop.
-            if ready.is_empty() {
-                for h in &remaining {
-                    self.invalidate_departed(state, h, maint, &mut unknown);
-                }
-                return;
-            }
+        // Rounds: a hop is ready once every hop it waits for has been
+        // processed in an earlier round. Simultaneously-ready hops are
+        // mutually independent — a ready hop's inputs cannot be another
+        // *ready* hop's departed relations (those would make it non-ready).
+        let mut round: Vec<usize> = (0..traversed.len()).filter(|&i| waiting[i] == 0).collect();
+        while !round.is_empty() {
             // One hop at a time, in ready order: a hop maintained against
             // the stored snapshots may mint, so it must run at its canonical
             // position — innermost hop first, exactly the order a post-write
             // cold read resolves (and therefore mints) in.
-            for h in &ready {
+            for &i in &round {
+                let h = &traversed[i];
                 self.maintain_hop(state, edb, h, ids, &mut known, &mut unknown, maint);
             }
+            let mut next = Vec::new();
+            for &i in &round {
+                for &j in &dependents[i] {
+                    waiting[j] -= 1;
+                    if waiting[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+            // The next round, in hop order.
+            next.sort_unstable();
+            round = next;
+        }
+        // Acyclic by construction (hops order along paths to storage); if
+        // that ever breaks, the hops never released degrade to invalidation.
+        for (h, _) in traversed.iter().zip(&waiting).filter(|(_, &w)| w > 0) {
+            self.invalidate_departed(state, h, maint, &mut unknown);
         }
     }
 

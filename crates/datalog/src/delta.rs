@@ -437,7 +437,9 @@ pub fn propagate_by_recompute_compiled(
 /// 4. a candidate's new row is the replayed one, or its stored row if some
 ///    rule still derives that very tuple (checked with all head variables
 ///    seeded and generators only *peeked*: nothing is ever minted for a
-///    payload that vanished since).
+///    payload that vanished since). The check is an existence query: it
+///    stops at its first witness, in an order of its own; see
+///    `Evaluator::derives_head_tuple` for why that is exact.
 ///
 /// **Mint order.** The ids minted are exactly those a full evaluation of
 /// the new state mints ([`evaluate_compiled`], what a cold read of the
@@ -524,7 +526,7 @@ pub fn propagate_vs_stored(
     }
 
     // ---- 3. + 4. Per maintained head: candidates, then old vs. new rows.
-    let survives = Evaluator::peeking(new_state, ids);
+    let survives = Evaluator::witness_search(new_state, ids);
     let no_rows = BTreeMap::new();
     let mut out = DeltaMap::new();
     for head in crs.head_names() {

@@ -57,6 +57,7 @@ use crate::skolem::{self, PlaceholderPatch, ReservationArena, SkolemRegistry};
 use crate::Result;
 use inverda_storage::{ColumnIndex, Key, Relation, Row, RowContext, TableSchema, Value};
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -570,6 +571,8 @@ struct LitMeta {
     binds: Vec<usize>,
     /// `Some` for positive atoms.
     pos_key: Option<KeyKind>,
+    /// Constant terms of a positive atom (bound under every frame).
+    consts: usize,
     /// Whether the literal is a filter (anything but a positive atom).
     filter: bool,
 }
@@ -617,6 +620,11 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
                     requires: Vec::new(),
                     binds: var_slots(&lit.variables()),
                     pos_key: Some(key),
+                    consts: atom
+                        .terms
+                        .iter()
+                        .filter(|t| matches!(t, CTerm::Const(_)))
+                        .count(),
                     filter: false,
                 });
                 body.push(CLit::Pos(atom));
@@ -627,6 +635,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
                     requires: slots.clone(),
                     binds: slots,
                     pos_key: None,
+                    consts: 0,
                     filter: true,
                 });
                 body.push(CLit::Neg(catom(a)));
@@ -638,6 +647,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
                     requires: slots.clone(),
                     binds: slots,
                     pos_key: None,
+                    consts: 0,
                     filter: true,
                 });
                 body.push(CLit::Cond {
@@ -654,6 +664,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
                     requires,
                     binds,
                     pos_key: None,
+                    consts: 0,
                     filter: true,
                 });
                 body.push(CLit::Assign {
@@ -678,6 +689,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
                     requires,
                     binds,
                     pos_key: None,
+                    consts: 0,
                     filter: true,
                 });
                 body.push(CLit::Skolem {
@@ -694,7 +706,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
 
     let display = rule.to_string();
     let empty = SlotSet::new(n_vars);
-    let base_order = schedule_slots(&meta, None, &empty, &display)?;
+    let base_order = schedule_slots(&meta, None, &empty, AtomPick::First, &display)?;
 
     let head_key_slot = match rule.head.key_term() {
         Term::Var(v) => Some(slot_of[v.as_str()]),
@@ -708,7 +720,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         Some(slot) => {
             let mut seed = SlotSet::new(n_vars);
             seed.insert(slot);
-            schedule_slots(&meta, None, &seed, &display).ok()
+            schedule_slots(&meta, None, &seed, AtomPick::First, &display).ok()
         }
         None => None,
     };
@@ -719,7 +731,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         }
         // Schedulable whenever `base_order` is: more slots bound up front
         // only ever makes more filters ready.
-        schedule_slots(&meta, None, &seed, &display)?
+        schedule_slots(&meta, None, &seed, AtomPick::MostBound, &display)?
     };
     let scan_key_slot = base_order.first().and_then(|&li| match &body[li] {
         CLit::Pos(atom) => match atom.terms[0] {
@@ -739,7 +751,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
             for s in &m.binds {
                 seed.insert(*s);
             }
-            schedule_slots(&meta, Some(i), &seed, &display).ok()
+            schedule_slots(&meta, Some(i), &seed, AtomPick::First, &display).ok()
         })
         .collect();
 
@@ -798,15 +810,33 @@ fn drop_singletons(head: &CAtom, body: &mut [CLit], n_vars: usize) {
     }
 }
 
-/// Compile-time scheduling over slot bitsets. Mirrors the naive
-/// interpreter's `schedule` exactly — same preferences (ready filters first,
-/// then positive atoms with a bound key term, then any positive atom) and
-/// same first-position tie-breaks — so both engines explore joins in the
-/// same order.
+/// Which positive atom [`schedule_slots`] takes when no ready one has a
+/// bound key term.
+#[derive(Clone, Copy)]
+enum AtomPick {
+    /// The first in body order, as the naive interpreter does.
+    First,
+    /// The one with the most bound terms (constants and bound variables),
+    /// the first on a tie: the tightest probe, for a search that wants one
+    /// witness, not all of them in the naive order.
+    MostBound,
+}
+
+/// Compile-time scheduling over slot bitsets. With [`AtomPick::First`] it
+/// mirrors the naive interpreter's `schedule` exactly — same preferences
+/// (ready filters first, then positive atoms with a bound key term, then
+/// any positive atom) and same first-position tie-breaks — so both engines
+/// explore joins in the same order. Every order that enumerates firings
+/// (`base_order`, `keyed_order`, `probe_orders`) is scheduled so, and with
+/// it mint order and error precedence. The one exception is
+/// `head_seed_order`, the witness order of
+/// [`Evaluator::derives_head_tuple`], which asks only whether a firing
+/// exists and takes [`AtomPick::MostBound`].
 fn schedule_slots(
     meta: &[LitMeta],
     skip: Option<usize>,
     seed: &SlotSet,
+    pick: AtomPick,
     display: &str,
 ) -> Result<Vec<usize>> {
     let mut bound = seed.clone();
@@ -829,7 +859,20 @@ fn schedule_slots(
             Some(KeyKind::Var(s)) => bound.contains(*s),
             Some(KeyKind::Anon) | None => false,
         });
-        let any_pos = keyed.or_else(|| remaining.iter().position(|&i| meta[i].pos_key.is_some()));
+        let any_pos = keyed.or_else(|| {
+            let mut positive = remaining
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| meta[i].pos_key.is_some());
+            match pick {
+                AtomPick::First => positive.next(),
+                AtomPick::MostBound => positive.min_by_key(|&(_, &i)| {
+                    let bound_vars = meta[i].binds.iter().filter(|&&s| bound.contains(s));
+                    Reverse(meta[i].consts + bound_vars.count())
+                }),
+            }
+            .map(|(pos, _)| pos)
+        });
         match any_pos {
             Some(pos) => {
                 let i = remaining.remove(pos);
@@ -913,10 +956,10 @@ pub struct Evaluator<'a> {
     pub derived: BTreeMap<String, Arc<Relation>>,
     /// `head → key → row` memo; outer lookups are by `&str` (no allocation).
     by_key_memo: HashMap<String, HashMap<Key, Option<Row>>>,
-    /// Skolem literals only [`peek`](IdSource::peek): arguments without an
-    /// assigned id end the branch instead of reserving one (see
-    /// [`Evaluator::peeking`]).
-    peek_only: bool,
+    /// A witness search ([`Evaluator::witness_search`]): skolem literals
+    /// only [`peek`](IdSource::peek), and arguments without an assigned id,
+    /// like an expression that fails to evaluate, end the branch.
+    witness_search: bool,
 }
 
 /// A relation as the sequential join reads it: one materialized state, or a
@@ -946,13 +989,17 @@ impl RelView<'_> {
     }
 
     /// Visit rows in ascending key order (the order a scan of the
-    /// materialized state would take) until `f` breaks.
-    fn try_for_each(&self, mut f: impl FnMut(Key, &Row) -> Result<ControlFlow<()>>) -> Result<()> {
+    /// materialized state would take) until `f` breaks; returns the break.
+    fn try_for_each(
+        &self,
+        mut f: impl FnMut(Key, &Row) -> Result<ControlFlow<()>>,
+    ) -> Result<ControlFlow<()>> {
+        let stop = ControlFlow::Break(());
         match self {
             RelView::Whole(rel) => {
                 for (key, row) in rel.iter() {
                     if f(key, row)?.is_break() {
-                        break;
+                        return Ok(stop);
                     }
                 }
             }
@@ -962,23 +1009,23 @@ impl RelView<'_> {
                 for (key, row) in base.iter() {
                     while let Some((k, r)) = inserts.next_if(|(k, _)| **k < key) {
                         if f(*k, r)?.is_break() {
-                            return Ok(());
+                            return Ok(stop);
                         }
                     }
                     let kept =
                         !delta.inserts.contains_key(&key) && !delta.deletes.contains_key(&key);
                     if kept && f(key, row)?.is_break() {
-                        return Ok(());
+                        return Ok(stop);
                     }
                 }
                 for (k, r) in inserts {
                     if f(*k, r)?.is_break() {
-                        break;
+                        return Ok(stop);
                     }
                 }
             }
         }
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     }
 }
 
@@ -990,20 +1037,34 @@ impl<'a> Evaluator<'a> {
             ids,
             derived: BTreeMap::new(),
             by_key_memo: HashMap::new(),
-            peek_only: false,
+            witness_search: false,
         }
     }
 
-    /// An evaluator that never mints or reserves: a skolem literal whose
-    /// arguments have no assigned id yet simply matches nothing. Exact for
-    /// checking derivations that *already existed* — their generator
-    /// arguments were memoized when they were first derived — which is what
-    /// the delete side of delta-vs-stored maintenance asks
-    /// ([`crate::delta::propagate_vs_stored`]).
-    pub(crate) fn peeking(edb: &'a dyn EdbView, ids: &'a dyn IdSource) -> Self {
+    /// The evaluator of [`derives_head_tuple`](Self::derives_head_tuple),
+    /// which asks whether a firing exists, never what it raises or mints.
+    /// It never mints or reserves: a skolem literal whose arguments have no
+    /// assigned id yet simply matches nothing. Exact for checking
+    /// derivations that *already existed* — their generator arguments were
+    /// memoized when they were first derived — which is what the delete
+    /// side of delta-vs-stored maintenance asks
+    /// ([`crate::delta::propagate_vs_stored`]). A condition or assignment
+    /// that fails to evaluate (a division by zero) likewise ends its branch
+    /// instead of the search.
+    pub(crate) fn witness_search(edb: &'a dyn EdbView, ids: &'a dyn IdSource) -> Self {
         Evaluator {
-            peek_only: true,
+            witness_search: true,
             ..Evaluator::new(edb, ids)
+        }
+    }
+
+    /// The value of a condition or assignment, `None` where a witness
+    /// search drops the branch it fails on.
+    fn filter_value<T>(&self, value: inverda_storage::Result<T>) -> Result<Option<T>> {
+        match value {
+            Ok(v) => Ok(Some(v)),
+            Err(_) if self.witness_search => Ok(None),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -1069,7 +1130,7 @@ impl<'a> Evaluator<'a> {
                         .and_then(|(key, row)| emit(&mut head, name, key, row))
                         .err();
                 }
-                Ok(())
+                Ok(ControlFlow::Continue(()))
             },
         );
         first_error(joined, deferred)?;
@@ -1129,7 +1190,7 @@ impl<'a> Evaluator<'a> {
         let mut deferred = None;
         let joined = self.join(rule, order, 0, &mut frame, &mut trail, &mut |frame| {
             collect_head_tuple(rule, frame, &mut out, &mut deferred);
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         });
         first_error(joined, deferred)?;
         Ok(out)
@@ -1137,7 +1198,9 @@ impl<'a> Evaluator<'a> {
 
     /// Depth-first join over the scheduled body literals. Bindings live in
     /// `frame`; slots bound while matching an atom are recorded on `trail`
-    /// and undone on backtrack, so no per-depth clone happens.
+    /// and undone on backtrack, so no per-depth clone happens. `on_match`
+    /// sees every complete frame in exploration order until it breaks; the
+    /// join then unwinds at once and returns the break.
     fn join(
         &self,
         rule: &CompiledRule,
@@ -1145,8 +1208,8 @@ impl<'a> Evaluator<'a> {
         depth: usize,
         frame: &mut Frame,
         trail: &mut Vec<usize>,
-        on_match: &mut dyn FnMut(&Frame) -> Result<()>,
-    ) -> Result<()> {
+        on_match: &mut dyn FnMut(&Frame) -> Result<ControlFlow<()>>,
+    ) -> Result<ControlFlow<()>> {
         if depth == order.len() {
             return on_match(frame);
         }
@@ -1156,17 +1219,14 @@ impl<'a> Evaluator<'a> {
                 if let Some(kv) = atom.terms[0].resolved(frame) {
                     // A non-key value (e.g. NULL from an ω fk) matches nothing.
                     let Ok(key) = value_key(&atom.relation, kv) else {
-                        return Ok(());
+                        return Ok(ControlFlow::Continue(()));
                     };
-                    if let Some(row) = self.relation_by_key(&atom.relation, key)? {
-                        check_arity(atom, row.len() + 1)?;
-                        let mark = trail.len();
-                        if unify_atom(atom, key, &row, frame, trail) {
-                            self.join(rule, order, depth + 1, frame, trail, on_match)?;
-                        }
-                        undo(frame, trail, mark);
-                    }
-                    return Ok(());
+                    let Some(row) = self.relation_by_key(&atom.relation, key)? else {
+                        return Ok(ControlFlow::Continue(()));
+                    };
+                    check_arity(atom, row.len() + 1)?;
+                    return self
+                        .match_row(rule, order, depth, atom, key, &row, frame, trail, on_match);
                 }
                 let rel = self.relation_view(&atom.relation)?;
                 check_arity(atom, rel.arity() + 1)?;
@@ -1176,41 +1236,37 @@ impl<'a> Evaluator<'a> {
                     let index = self.index_for(&atom.relation, &rel, col)?;
                     for &key in index.keys_for(&value) {
                         let Some(row) = rel.get(key) else { continue };
-                        let mark = trail.len();
-                        if unify_atom(atom, key, row, frame, trail) {
-                            self.join(rule, order, depth + 1, frame, trail, on_match)?;
+                        let flow = self.match_row(
+                            rule, order, depth, atom, key, row, frame, trail, on_match,
+                        )?;
+                        if flow.is_break() {
+                            return Ok(flow);
                         }
-                        undo(frame, trail, mark);
                     }
-                    return Ok(());
+                    return Ok(ControlFlow::Continue(()));
                 }
                 // No bound column at all: full scan.
                 rel.try_for_each(|key, row| {
-                    let mark = trail.len();
-                    if unify_atom(atom, key, row, frame, trail) {
-                        self.join(rule, order, depth + 1, frame, trail, on_match)?;
-                    }
-                    undo(frame, trail, mark);
-                    Ok(ControlFlow::Continue(()))
+                    self.match_row(rule, order, depth, atom, key, row, frame, trail, on_match)
                 })
             }
             CLit::Neg(atom) => {
-                if !self.atom_has_match(atom, frame, trail)? {
-                    self.join(rule, order, depth + 1, frame, trail, on_match)?;
+                if self.atom_has_match(atom, frame, trail)? {
+                    return Ok(ControlFlow::Continue(()));
                 }
-                Ok(())
+                self.join(rule, order, depth + 1, frame, trail, on_match)
             }
             CLit::Cond { expr, cols } => {
                 let ctx = FrameCtx { cols, frame };
-                if expr.matches(&ctx).map_err(DatalogError::from)? {
-                    self.join(rule, order, depth + 1, frame, trail, on_match)?;
+                if self.filter_value(expr.matches(&ctx))? != Some(true) {
+                    return Ok(ControlFlow::Continue(()));
                 }
-                Ok(())
+                self.join(rule, order, depth + 1, frame, trail, on_match)
             }
             CLit::Assign { slot, expr, cols } => {
-                let v = {
-                    let ctx = FrameCtx { cols, frame };
-                    expr.eval(&ctx).map_err(DatalogError::from)?
+                let ctx = FrameCtx { cols, frame };
+                let Some(v) = self.filter_value(expr.eval(&ctx))? else {
+                    return Ok(ControlFlow::Continue(()));
                 };
                 self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, on_match)
             }
@@ -1230,10 +1286,10 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 }
-                let id = if self.peek_only {
+                let id = if self.witness_search {
                     match self.ids.peek(generator, &vals) {
                         Some(id) => id,
-                        None => return Ok(()),
+                        None => return Ok(ControlFlow::Continue(())),
                     }
                 } else {
                     self.ids.generate(generator, &vals)
@@ -1242,6 +1298,31 @@ impl<'a> Evaluator<'a> {
                 self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, on_match)
             }
         }
+    }
+
+    /// Match positive atom `order[depth]` against one row and, if it
+    /// unifies, join the literals after it; the frame is restored either way.
+    #[allow(clippy::too_many_arguments)]
+    fn match_row(
+        &self,
+        rule: &CompiledRule,
+        order: &[usize],
+        depth: usize,
+        atom: &CAtom,
+        key: Key,
+        row: &[Value],
+        frame: &mut Frame,
+        trail: &mut Vec<usize>,
+        on_match: &mut dyn FnMut(&Frame) -> Result<ControlFlow<()>>,
+    ) -> Result<ControlFlow<()>> {
+        let mark = trail.len();
+        let flow = if unify_atom(atom, key, row, frame, trail) {
+            self.join(rule, order, depth + 1, frame, trail, on_match)?
+        } else {
+            ControlFlow::Continue(())
+        };
+        undo(frame, trail, mark);
+        Ok(flow)
     }
 
     /// Assignment semantics shared by `Assign` and `Skolem`: acts as an
@@ -1256,13 +1337,13 @@ impl<'a> Evaluator<'a> {
         value: Value,
         frame: &mut Frame,
         trail: &mut Vec<usize>,
-        on_match: &mut dyn FnMut(&Frame) -> Result<()>,
-    ) -> Result<()> {
+        on_match: &mut dyn FnMut(&Frame) -> Result<ControlFlow<()>>,
+    ) -> Result<ControlFlow<()>> {
         match &frame[slot] {
             Some(bound) if *bound == value => {
                 self.join(rule, order, depth + 1, frame, trail, on_match)
             }
-            Some(_) => Ok(()), // equality check failed
+            Some(_) => Ok(ControlFlow::Continue(())), // equality check failed
             None => {
                 frame[slot] = Some(value);
                 let result = self.join(rule, order, depth + 1, frame, trail, on_match);
@@ -1309,18 +1390,17 @@ impl<'a> Evaluator<'a> {
             }
             return Ok(false);
         }
-        let mut found = false;
-        rel.try_for_each(|key, row| {
+        let found = rel.try_for_each(|key, row| {
             let mark = trail.len();
-            found = unify_atom(atom, key, row, frame, trail);
+            let matched = unify_atom(atom, key, row, frame, trail);
             undo(frame, trail, mark);
-            Ok(if found {
+            Ok(if matched {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
             })
         })?;
-        Ok(found)
+        Ok(found.is_break())
     }
 
     /// Key-seeded evaluation: the row `head` derives for `key` under the
@@ -1418,8 +1498,9 @@ impl<'a> Evaluator<'a> {
             if let Some(head_key) = head_key_from_frame(rule, frame) {
                 out.insert(head_key);
             }
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })
+        .map(drop)
     }
 
     /// The keys of `rule`'s depth-0 scan that are consistent with body atom
@@ -1453,8 +1534,9 @@ impl<'a> Evaluator<'a> {
         self.join(rule, scan, 0, &mut frame, &mut trail, &mut |frame| {
             let scan_key = frame[slot].as_ref().and_then(|v| value_key("", v).ok());
             out.extend(scan_key);
-            Ok(())
+            Ok(ControlFlow::Continue(()))
         })
+        .map(drop)
     }
 
     /// The head tuples of every firing of `rule` whose depth-0 scan is at
@@ -1482,9 +1564,9 @@ impl<'a> Evaluator<'a> {
             let mark = trail.len();
             if unify_atom(atom, key, &row, &mut frame, &mut trail) {
                 let order = &rule.base_order;
-                self.join(rule, order, 1, &mut frame, &mut trail, &mut |frame| {
+                let _ = self.join(rule, order, 1, &mut frame, &mut trail, &mut |frame| {
                     collect_head_tuple(rule, frame, &mut out, &mut deferred);
-                    Ok(())
+                    Ok(ControlFlow::Continue(()))
                 })?;
             }
             undo(&mut frame, &mut trail, mark);
@@ -1493,9 +1575,37 @@ impl<'a> Evaluator<'a> {
         Ok(out)
     }
 
-    /// Whether some rule of `crs` derives exactly the tuple `head(key, row)`:
-    /// every head variable is seeded, so the body is only searched for one
-    /// witness binding of the remaining variables.
+    /// Whether some rule of `crs` derives exactly the tuple `head(key, row)`
+    /// over the new state: the survive check of
+    /// [`propagate_vs_stored`](crate::delta::propagate_vs_stored)'s step 4,
+    /// for a stored tuple the state change may have taken a derivation
+    /// from. Every head variable is seeded and the join stops at its first
+    /// witness binding of the rest. The witness order (`head_seed_order`)
+    /// opens with the tightest atom, not with naive's first one, so a check
+    /// reads at most one witness, not every firing that derives the tuple.
+    ///
+    /// **Why this is exact.** The search runs on a
+    /// [witness-search](Self::witness_search) evaluator: it peeks and never
+    /// mints, and its answer, existence, does not depend on the order. Nor
+    /// can stopping early, reordering, or dropping a branch on an
+    /// expression error lose an error that a cold evaluation of the new
+    /// state raises, because every such error is raised before this check
+    /// runs. A cold-evaluation error sits at a (partial) firing of two
+    /// kinds:
+    /// - one that uses no changed tuple also existed in the old state, and
+    ///   `stored` was derived from the old state without error, so it
+    ///   raises none;
+    /// - one that uses a changed tuple sits under a scan key that step 2
+    ///   replays first, in the cold evaluation's order, so step 2 has
+    ///   raised it already.
+    ///
+    /// The same argument makes dropping a branch on an expression error
+    /// exact: had the branch a complete witness, that witness would be a
+    /// firing of the new state, and the cold evaluation would meet the
+    /// error on it, which it does not. Such a branch exists because seeded
+    /// head values reach a filter before the atom that binds them in the
+    /// cold order does (`H(k, x) ← A(k, y), B(k, x), v = 1 / (y − x)`
+    /// checks `1 / (y − x)` before `B`).
     pub(crate) fn derives_head_tuple(
         &self,
         crs: &CompiledRuleSet,
@@ -1509,13 +1619,11 @@ impl<'a> Evaluator<'a> {
                 continue;
             };
             let mut trail = Vec::with_capacity(rule.n_vars);
-            let mut found = false;
             let order = &rule.head_seed_order;
-            self.join(rule, order, 0, &mut frame, &mut trail, &mut |_| {
-                found = true;
-                Ok(())
+            let witness = self.join(rule, order, 0, &mut frame, &mut trail, &mut |_| {
+                Ok(ControlFlow::Break(()))
             })?;
-            if found {
+            if witness.is_break() {
                 return Ok(true);
             }
         }
@@ -1583,7 +1691,7 @@ fn collect_head_tuple(
 
 /// The naive interpreter's error order for one rule: its join error, else
 /// the first head-tuple or emission error its firings deferred.
-fn first_error(joined: Result<()>, deferred: Option<DatalogError>) -> Result<()> {
+fn first_error<T>(joined: Result<T>, deferred: Option<DatalogError>) -> Result<()> {
     joined?;
     deferred.map_or(Ok(()), Err)
 }
@@ -1706,6 +1814,7 @@ mod tests {
     use super::*;
     use crate::ast::{Atom, Rule};
     use inverda_storage::Expr;
+    use std::cell::Cell;
 
     fn ids() -> RefCell<SkolemRegistry> {
         RefCell::new(SkolemRegistry::new())
@@ -2259,5 +2368,98 @@ mod tests {
         assert_eq!(out["H"].len(), 4); // full cross product
         assert!(out["H"].contains_key(Key(103)));
         assert!(out["H"].contains_key(Key(204)));
+    }
+
+    /// The FK-DECOMPOSE memo rule `T(t, a) ← In(p, a, b), Memo(p, t, a),
+    /// {t IS NOT NULL}` and its generator twin `T(t, a) ← In(p, a, b),
+    /// ¬Memo(p, _, a), t = gen(a)`.
+    fn memo_rules() -> RuleSet {
+        let memo = |t: Term| Atom::new("Memo", vec![Term::var("p"), t, Term::var("a")]);
+        RuleSet::new(vec![
+            Rule::new(
+                Atom::vars("T", &["t", "a"]),
+                vec![
+                    Literal::Pos(Atom::vars("In", &["p", "a", "b"])),
+                    Literal::Pos(memo(Term::var("t"))),
+                    Literal::Cond(Expr::IsNull(Box::new(Expr::col("t"))).negate()),
+                ],
+            ),
+            Rule::new(
+                Atom::vars("T", &["t", "a"]),
+                vec![
+                    Literal::Pos(Atom::vars("In", &["p", "a", "b"])),
+                    Literal::Neg(memo(Term::Anon)),
+                    Literal::Skolem {
+                        var: "t".into(),
+                        generator: "gen".into(),
+                        args: vec![Term::var("a")],
+                    },
+                ],
+            ),
+        ])
+    }
+
+    #[test]
+    fn the_witness_order_opens_with_the_tightest_atom() {
+        let crs = CompiledRuleSet::compile(&memo_rules()).unwrap();
+        let memo_rule = &crs.rules[0];
+        // The filter, then `Memo` (t and a bound) before `In` (a bound),
+        // which the key `p` from `Memo` then reaches by key.
+        assert_eq!(memo_rule.head_seed_order, vec![2, 1, 0]);
+        // Every order that enumerates firings keeps naive's schedule.
+        assert_eq!(memo_rule.base_order, vec![0, 1, 2]);
+        // The generator rule: the peek, then `In`, then the negation.
+        assert_eq!(crs.rules[1].head_seed_order, vec![2, 0, 1]);
+    }
+
+    /// An EDB that counts its point lookups.
+    struct CountingEdb {
+        inner: MapEdb,
+        by_key: Cell<usize>,
+    }
+
+    impl EdbView for CountingEdb {
+        fn full(&self, relation: &str) -> Result<Arc<Relation>> {
+            self.inner.full(relation)
+        }
+
+        fn by_key(&self, relation: &str, key: Key) -> Result<Option<Row>> {
+            self.by_key.set(self.by_key.get() + 1);
+            self.inner.by_key(relation, key)
+        }
+
+        fn contains(&self, relation: &str) -> bool {
+            self.inner.contains(relation)
+        }
+    }
+
+    #[test]
+    fn a_survive_check_reads_one_witness_of_fifty() {
+        // Fifty `In` rows of author 7, none memoized: each derives `T(t, 7)`
+        // through the generator rule, and each is one point lookup of the
+        // negated `Memo`.
+        let mut input = Relation::with_columns("In", ["a", "b"]);
+        for p in 0..50 {
+            input
+                .insert(Key(p), vec![Value::Int(7), Value::Int(p as i64)])
+                .unwrap();
+        }
+        let mut inner = MapEdb::new();
+        inner
+            .add(input)
+            .add(Relation::with_columns("Memo", ["t", "a"]));
+        let edb = CountingEdb {
+            inner,
+            by_key: Cell::new(0),
+        };
+        let sk = ids();
+        let t = sk.generate("gen", &[Value::Int(7)]);
+        let crs = CompiledRuleSet::compile(&memo_rules()).unwrap();
+        let ev = Evaluator::witness_search(&edb, &sk);
+        let derived = ev.derives_head_tuple(&crs, "T", Key(t), &vec![Value::Int(7)]);
+        assert!(derived.unwrap());
+        // The memo rule opens with `Memo`, which holds nothing: no `In`
+        // row is read for it. The generator rule stops at its first witness.
+        assert_eq!(edb.by_key.get(), 1);
     }
 }

@@ -5,7 +5,7 @@ use inverda_datalog::ast::{Atom, Literal, Rule, RuleSet, Term};
 use inverda_datalog::delta::{propagate, propagate_by_recompute, Delta, DeltaMap};
 use inverda_datalog::eval::MapEdb;
 use inverda_datalog::SkolemRegistry;
-use inverda_storage::{Expr, Key, Relation, Value};
+use inverda_storage::{BinaryOp, Expr, Key, Relation, Value};
 use proptest::prelude::*;
 use std::cell::RefCell;
 
@@ -553,11 +553,11 @@ fn recompute_vs_stored(
 /// Drive a sequence of deltas through both maintenance paths from one
 /// start state; `Err` carries the first divergence.
 fn check_vs_stored(
-    spec: &MintSpec,
+    rules: &RuleSet,
     start: &[Change],
     steps: &[Vec<Change>],
 ) -> Result<usize, String> {
-    let crs = CompiledRuleSet::compile(&minting_set(spec)).expect("safe rules");
+    let crs = CompiledRuleSet::compile(rules).expect("safe rules");
     assert!(crs.mints_ids() && !crs.staged());
     let mut state: [Rows; 4] = Default::default();
     exact_delta(&mut state, start);
@@ -616,8 +616,102 @@ proptest! {
         start in arb_changes(0..24),
         steps in prop::collection::vec(arb_changes(1..5), 1..5),
     ) {
-        if let Err(why) = check_vs_stored(&spec, &start, &steps) {
-            prop_assert!(false, "{}\non:\n{}", why, minting_set(&spec));
+        let rules = minting_set(&spec);
+        if let Err(why) = check_vs_stored(&rules, &start, &steps) {
+            prop_assert!(false, "{}\non:\n{}", why, rules);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Survive checks with many witnesses: the `In` rows share one payload, so a
+// stored `T` row that may have lost its derivation is still derived by many
+// others, and one arm divides by a difference a seeded head value takes part
+// in, so the witness search meets a division by zero the full evaluation
+// never does.
+// ---------------------------------------------------------------------------
+
+/// The FK-DECOMPOSE `Author` shapes over `In(p; a, b)` and `Memo(p; t, a)`,
+/// plus `Q(p, t) ← In(p, a, b), Memo(_, t, a), d = 12 / (t − 500 − b)`. A
+/// survive check of `Q(p, t)` reads `In` by key and divides before `Memo`
+/// confirms `t`: once `In(p)` moves to a payload no memo has, it can divide
+/// by zero on a branch no firing completes.
+fn fan_out_set() -> RuleSet {
+    let v = Term::var;
+    let input = || Literal::Pos(Atom::vars("In", &["p", "a", "b"]));
+    let t_minus_b = Expr::Binary(
+        Box::new(Expr::Binary(
+            Box::new(Expr::col("t")),
+            BinaryOp::Sub,
+            Box::new(Expr::lit(500)),
+        )),
+        BinaryOp::Sub,
+        Box::new(Expr::col("b")),
+    );
+    RuleSet::new(vec![
+        Rule::new(
+            Atom::vars("T", &["t", "a"]),
+            vec![
+                input(),
+                Literal::Pos(Atom::vars("Memo", &["p", "t", "a"])),
+                Literal::Cond(Expr::IsNull(Box::new(Expr::col("t"))).negate()),
+            ],
+        ),
+        Rule::new(
+            Atom::vars("T", &["t", "a"]),
+            vec![
+                input(),
+                Literal::Neg(Atom::new("Memo", vec![v("p"), Term::Anon, v("a")])),
+                Literal::Skolem {
+                    var: "t".into(),
+                    generator: "gen#T".into(),
+                    args: vec![v("a")],
+                },
+            ],
+        ),
+        Rule::new(
+            Atom::vars("Q", &["p", "t"]),
+            vec![
+                input(),
+                Literal::Pos(Atom::new("Memo", vec![Term::Anon, v("t"), v("a")])),
+                Literal::Assign {
+                    var: "d".into(),
+                    expr: Expr::Binary(Box::new(Expr::lit(12)), BinaryOp::Div, Box::new(t_minus_b)),
+                },
+            ],
+        ),
+    ])
+}
+
+/// Changes to `In` and `Memo` only. Most `In` rows get payload a = 1, and
+/// most `b` lie past every memoized `t − 500` (0–3), so a division by zero
+/// is the exception, not the rule.
+fn arb_shared_changes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Change>> {
+    prop::collection::vec(
+        prop_oneof![
+            (
+                Just(0usize),
+                0u64..14,
+                prop::option::of((
+                    prop_oneof![Just(1i64), Just(1i64), Just(1i64), 0i64..4],
+                    prop_oneof![Just(4i64), Just(5i64), 0i64..6],
+                )),
+            ),
+            (Just(1usize), 0u64..14, prop::option::of((0i64..6, 0i64..4))),
+        ],
+        len,
+    )
+}
+
+proptest! {
+    #[test]
+    fn delta_vs_stored_equals_recompute_vs_stored_with_many_witnesses(
+        start in arb_shared_changes(0..24),
+        steps in prop::collection::vec(arb_shared_changes(1..5), 1..5),
+    ) {
+        let rules = fan_out_set();
+        if let Err(why) = check_vs_stored(&rules, &start, &steps) {
+            prop_assert!(false, "{}\non:\n{}", why, rules);
         }
     }
 }
@@ -656,7 +750,7 @@ fn delta_vs_stored_payload_life_cycles() {
         vec![(1, 3, row(0, 2)), (2, 4, row(0, 0))], // a memo and a block appear
         vec![(1, 3, None), (2, 4, None), (3, 1, None)],
     ];
-    let compared = check_vs_stored(&spec, &start, &steps).unwrap();
+    let compared = check_vs_stored(&minting_set(&spec), &start, &steps).unwrap();
     assert_eq!(compared, steps.len(), "every step must be comparable");
 }
 

@@ -22,6 +22,12 @@
 #               every run of the working tree better than every parent run
 #   same        none of these
 #
+# After the table come the pairs whose two `slowdown` notes (the median of a
+# run's per-round slowdowns against the reference) are more than 3× apart
+# (`scripts/slowdown_gap.awk`): one side's calibration failed, so that pair's
+# reference-speed values compare calibrations, not code. They stay in the
+# table and the verdicts.
+#
 # The exit status is non-zero if any row is `worse`. `SEEDS="1 2"` shortens
 # a trial run; a claim wants all ten.
 set -euo pipefail
@@ -58,12 +64,24 @@ for tree in "$tmp/parent" "$root"; do
 done
 
 results="$tmp/results.tsv" # side, workload, seed, metric, value
+slowdowns="$tmp/slowdowns.tsv" # side, workload, seed, median per-round slowdown
 : >"$results"
+: >"$slowdowns"
 run_side() { # run_side <side> <tree> <workload> <seed>
-    local side=$1 tree=$2 workload=$3 seed=$4 out line
+    local side=$1 tree=$2 workload=$3 seed=$4 out line slowdown
     out=$(bench "$tree" run --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
     # The per-round throughput and slowdown notes, for the record.
     grep '^  note:' <<<"$out" | sed "s/^  note:/$side $workload seed $seed:/" >&2 || true
+    slowdown=$(awk 'match($0, /time x slowdown\) [0-9. ]+/) {
+        n = split(substr($0, RSTART + 17, RLENGTH - 17), v, " ")
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        if (n) print v[int((n + 1) / 2)]
+        exit
+    }' <<<"$out")
+    if [ -n "$slowdown" ]; then
+        printf '%s\t%s\t%s\t%s\n' "$side" "$workload" "$seed" "$slowdown" >>"$slowdowns"
+    fi
     line=$(tail -n 1 <<<"$out")
     if [[ $line != *'"correct": true'* || $line != *'"failed": 0,'* ]]; then
         echo "$side $workload seed $seed: not a correct run: $line" >&2
@@ -138,4 +156,19 @@ for workload in "${workloads[@]}"; do
             }' "$results"
     done <"$tmp/metrics"
 done | tee "$tmp/table"
+
+gaps=$(awk -F'\t' '
+    { v[$1, $2, $3] = $4; pair[$2 " seed " $3] = $2 SUBSEP $3 }
+    END {
+        for (p in pair) {
+            split(pair[p], k, SUBSEP)
+            if (("parent", k[1], k[2]) in v && ("change", k[1], k[2]) in v)
+                printf "%s\t%s\t%s\n", p, v["parent", k[1], k[2]], v["change", k[1], k[2]]
+        }
+    }' "$slowdowns" | sort | awk -f "$root/scripts/slowdown_gap.awk")
+if [ -n "$gaps" ]; then
+    echo
+    echo "Pairs whose slowdown notes are more than 3× apart (a failed calibration: their reference-speed values compare calibrations, not code; kept in the table):"
+    sed 's/^/- /' <<<"$gaps"
+fi
 ! grep -q '| worse |$' "$tmp/table"

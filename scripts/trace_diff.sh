@@ -18,7 +18,10 @@
 #      of table 1 to compare across sides on a noisy box).
 #
 # One traced round is short and carries the box's noise: the tables say where
-# time went, `scripts/ab.sh` says whether a metric moved.
+# time went, `scripts/ab.sh` says whether a metric moved. A `WARNING:` line
+# above the tables says that the two sides' `harness.slowdown` are more than
+# 3× apart (`scripts/slowdown_gap.awk`): one side's calibration failed, and
+# every reference-speed row compares calibrations, not code.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -54,6 +57,15 @@ for side in parent change; do
         sed 's/.*"name":"\([^"]*\)","start_ns":\([0-9]*\),"end_ns":\([0-9]*\).*/\1\t\2\t\3/' |
         awk -F'\t' '{ printf "%s\t%.3f\n", $1, ($3 - $2) / 1000 }' >"$tmp/$side.spans"
 done
+
+gap=$(awk -F'\t' '
+    NR == FNR { if ($1 == "harness.slowdown") parent = $2; next }
+    $1 == "harness.slowdown" { printf "harness.slowdown\t%s\t%s\n", parent, $2 }
+' "$tmp/parent.metrics" "$tmp/change.metrics" | awk -f "$root/scripts/slowdown_gap.awk")
+if [ -n "$gap" ]; then
+    echo "WARNING: $gap; the reference-speed rows below compare calibrations, not code"
+    echo
+fi
 
 fmt='function fmt(v) { return v >= 1000 ? sprintf("%.0f", v) : v >= 100 ? sprintf("%.1f", v) : sprintf("%.4f", v) }
      function delta(p, c) { return p == 0 ? "n/a" : sprintf("%+.1f %%", (c - p) / p * 100) }'
