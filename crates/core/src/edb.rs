@@ -49,7 +49,7 @@ use inverda_catalog::{Genealogy, MaterializationSchema, SmoId, StorageCase, Tabl
 use inverda_datalog::delta::{propagate_vs_stored, Delta, DeltaMap};
 use inverda_datalog::eval::{evaluate_compiled, EdbView, Evaluator, IdSource};
 use inverda_datalog::simplify::{apply_empty, Derivation};
-use inverda_datalog::{fusion, CompiledRuleSet, DatalogError, Literal, RuleSet};
+use inverda_datalog::{fusion, CompiledRuleSet, DatalogError, Literal, Rule, RuleSet};
 use inverda_storage::{Key, Relation, Row, Storage};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -534,8 +534,9 @@ impl<'a> VersionedEdb<'a> {
     /// Whether `tv`'s defining hop may participate in a fused run: its SMO
     /// is one of the column-level kinds and its rule set is skolem-free and
     /// non-staged. Returns the mapping restricted to the rules deriving
-    /// `relation` (sound for non-staged sets, whose heads are independent).
-    fn fusable_hop(&self, relation: &str, tv: TableVersionId) -> Option<RuleSet> {
+    /// `relation` (sound for non-staged sets, whose heads are independent),
+    /// borrowed from the genealogy.
+    fn fusable_hop(&self, relation: &str, tv: TableVersionId) -> Option<Vec<&'a Rule>> {
         let (smo, _, rules) = self.defining_rules(tv)?;
         if !FUSABLE_KINDS.contains(&self.genealogy.smo(smo).derived.kind) {
             return None;
@@ -543,11 +544,35 @@ impl<'a> VersionedEdb<'a> {
         if !fusion::hop_fusable(rules) {
             return None;
         }
-        let restricted: Vec<_> = rules.rules_for(relation).into_iter().cloned().collect();
-        if restricted.is_empty() {
-            return None;
-        }
-        Some(RuleSet::new(restricted))
+        let restricted = rules.rules_for(relation);
+        (!restricted.is_empty()).then_some(restricted)
+    }
+
+    /// The first body relation of `rules` that is a virtual table version
+    /// and not one of `barriers`: the next intermediate a fused run would
+    /// unfold.
+    fn next_intermediate<'r>(
+        &self,
+        rules: impl IntoIterator<Item = &'r Rule>,
+        barriers: &BTreeSet<String>,
+    ) -> Option<(String, TableVersionId)> {
+        rules
+            .into_iter()
+            .flat_map(|r| r.body.iter())
+            .find_map(|lit| match lit {
+                Literal::Pos(a) | Literal::Neg(a) => {
+                    let rel = a.relation.as_str();
+                    if self.storage.has_table(rel) || barriers.contains(rel) {
+                        return None;
+                    }
+                    self.catalog
+                        .rel_index
+                        .get(rel)
+                        .copied()
+                        .map(|ctv| (rel.to_string(), ctv))
+                }
+                _ => None,
+            })
     }
 
     /// Lemma-2-simplify one hop's rules against its currently-empty
@@ -641,37 +666,35 @@ impl<'a> VersionedEdb<'a> {
     /// outward from the data (`MATERIALIZE`) composes nothing it has
     /// already resolved. Fused ≡ hop-by-hop, so where a run ends is free to
     /// depend on what happens to be cached.
+    ///
+    /// That first case is decided before the hop's rules are cloned and
+    /// Lemma-2-simplified against empty aux tables, on the rules as the
+    /// genealogy holds them. Simplifying first cannot change the answer:
+    /// Lemma 2 drops literals over empty relations, or whole rules, but
+    /// never the data atom of a rule it keeps, and every rule of a
+    /// column-level hop reads the same input version. So the first virtual
+    /// relation the simplified rules read is the one the unsimplified ones
+    /// read, or no rule is left — and both orders return `None`.
     fn build_fused_chain(&self, relation: &str, tv: TableVersionId) -> Option<Arc<FusedChain>> {
+        let hop = self.fusable_hop(relation, tv)?;
+        let mut barriers: BTreeSet<String> = BTreeSet::new();
+        if let Some((input, itv)) = self.next_intermediate(hop.iter().copied(), &barriers) {
+            if self.is_resolved_state(&input, itv) {
+                return None;
+            }
+        }
         let budget = fusion::FusionBudget::default();
         let mut assumed = BTreeSet::new();
-        let mut fused = self.simplify_empty_aux(self.fusable_hop(relation, tv)?, &mut assumed);
+        let mut fused = self.simplify_empty_aux(owned(hop), &mut assumed);
         if fused.rules_for(relation).is_empty() {
             return None;
         }
         let mut hops = 1usize;
         let mut target = tv;
-        let mut barriers: BTreeSet<String> = BTreeSet::new();
         loop {
             // Next intermediate: a body relation that is itself a virtual
             // table version and not yet declared a barrier.
-            let next = fused
-                .rules
-                .iter()
-                .flat_map(|r| r.body.iter())
-                .find_map(|lit| match lit {
-                    Literal::Pos(a) | Literal::Neg(a) => {
-                        let rel = a.relation.as_str();
-                        if self.storage.has_table(rel) || barriers.contains(rel) {
-                            return None;
-                        }
-                        self.catalog
-                            .rel_index
-                            .get(rel)
-                            .copied()
-                            .map(|ctv| (rel.to_string(), ctv))
-                    }
-                    _ => None,
-                });
+            let next = self.next_intermediate(&fused.rules, &barriers);
             let Some((crel, ctv)) = next else { break };
             if self.is_resolved_state(&crel, ctv) {
                 if hops == 1 {
@@ -684,7 +707,7 @@ impl<'a> VersionedEdb<'a> {
                 barriers.insert(crel);
                 continue;
             };
-            let defs = self.simplify_empty_aux(defs, &mut assumed);
+            let defs = self.simplify_empty_aux(owned(defs), &mut assumed);
             let next_fused = if defs.is_empty() {
                 // Every defining rule vanished under the emptiness
                 // assumptions: the intermediate version is empty, Lemma 2
@@ -729,6 +752,11 @@ impl<'a> VersionedEdb<'a> {
         let tv = self.catalog.rel_index.get(relation).copied()?;
         self.fused_chain(relation, tv).map(|c| Arc::clone(&c.crs))
     }
+}
+
+/// A rule set of clones of `rules`.
+fn owned(rules: Vec<&Rule>) -> RuleSet {
+    RuleSet::new(rules.into_iter().cloned().collect())
 }
 
 /// What the rule structure alone — no data, no caches — says about one

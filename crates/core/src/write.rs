@@ -529,6 +529,26 @@ impl Inverda {
     /// same statement-and-read sequence. Departed relations without a valid
     /// stored entry, and maintenance failures, degrade to invalidation;
     /// they never fail the write.
+    ///
+    /// Hops run in rounds: a hop is ready once every traversed hop that
+    /// derives one of its virtual inputs has run. Within a round they run
+    /// one at a time in hop order, and **that order cannot be observed**.
+    /// A ready hop reads no relation another ready hop departs (it would
+    /// wait for that hop), and every virtual relation has one defining SMO,
+    /// so no two hops patch the same relation: each reads the same `known`
+    /// deltas and records the same patches in either order. What the hops
+    /// of a round share is the skolem registry and the key sequence, and
+    /// maintenance mints nothing in them. Every argument tuple a departed
+    /// side's new state meets already has an id. A tuple its old state met
+    /// got one when the valid stored entry was derived. A tuple the write
+    /// brought in arrived through this very SMO: the drain's forward hop
+    /// carried the departed side's rows, ids included, and recorded those
+    /// ids in the SMO's aux state (the FK-DECOMPOSE memo, the ID table of
+    /// the condition-based SMOs). That is the round trip of bidirectional
+    /// mappings, so the defining mapping finds each id instead of minting
+    /// one. `snapshot_reuse_props::two_minting_hops_in_one_round_mint_nothing_new`
+    /// holds the premise on a round of two minting hops: a warm write adds
+    /// exactly the registry entries its store-disabled twin's write adds.
     fn reverse_maintenance(
         &self,
         state: &State,
@@ -600,10 +620,9 @@ impl Inverda {
         // *ready* hop's departed relations (those would make it non-ready).
         let mut round: Vec<usize> = (0..traversed.len()).filter(|&i| waiting[i] == 0).collect();
         while !round.is_empty() {
-            // One hop at a time, in ready order: a hop maintained against
-            // the stored snapshots may mint, so it must run at its canonical
-            // position — innermost hop first, exactly the order a post-write
-            // cold read resolves (and therefore mints) in.
+            // One hop at a time, in ready order: rounds run innermost hop
+            // first, the order a post-write cold read resolves in; within a
+            // round the order cannot be observed (see above).
             for &i in &round {
                 let h = &traversed[i];
                 self.maintain_hop(state, edb, h, ids, &mut known, &mut unknown, maint);

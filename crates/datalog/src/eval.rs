@@ -17,6 +17,10 @@
 //!   rule compiles to `_`, and matching a row visits only the atom's **live
 //!   columns** (key and non-`_` payload), so a scan clones only what the
 //!   rule reads;
+//! * a payload variable whose one other use is one head payload position
+//!   is a **copied column**: matching leaves it unbound, and the head tuple
+//!   reads it from the matched row, so its value is cloned once, into the
+//!   head;
 //! * safe evaluation orders (base, key-seeded, and one per probe literal for
 //!   the delta engine) are **scheduled at compile time** over slot bitsets;
 //! * positive and negated atoms whose key term is unbound probe an on-demand
@@ -333,8 +337,14 @@ pub struct CAtom {
     /// Terms; index 0 is the key position.
     pub terms: Vec<CTerm>,
     /// The **live** payload columns, ascending: those whose term is not
-    /// `_`. Matching a row visits only these.
+    /// `_` and not [copied](CAtom::copied). Matching a row binds or
+    /// compares these.
     live: Vec<usize>,
+    /// The **copied** payload columns, ascending, as `(column, slot)`: a
+    /// positive atom's variable whose one other use is one head payload
+    /// position. Matching a row leaves an unbound one unbound (the head
+    /// reads it from the row, [`head_tuple`]) and compares a seeded one.
+    copied: Vec<(usize, usize)>,
 }
 
 impl CAtom {
@@ -347,6 +357,7 @@ impl CAtom {
             relation,
             terms,
             live,
+            copied: Vec::new(),
         }
     }
 
@@ -409,6 +420,10 @@ pub struct CompiledRule {
     /// with a positive atom keyed by an (unbound) variable (see
     /// [`has_keyed_scan`](CompiledRule::has_keyed_scan)).
     scan_key_slot: Option<usize>,
+    /// Per slot: the `(body literal, payload column)` a
+    /// [copied](CAtom::copied) variable is read from when the frame leaves
+    /// it unbound; `None` for every other slot.
+    copy_from: Vec<Option<(usize, usize)>>,
     /// Slot of the head key variable, if it is a variable.
     pub head_key_slot: Option<usize>,
     /// Whether the head key variable occurs in some positive body atom, so
@@ -702,7 +717,7 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
     }
 
     let head = catom(&rule.head);
-    drop_singletons(&head, &mut body, n_vars);
+    let copy_from = drop_singletons(&head, &mut body, n_vars);
 
     let display = rule.to_string();
     let empty = SlotSet::new(n_vars);
@@ -765,23 +780,42 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         probe_orders,
         head_seed_order,
         scan_key_slot,
+        copy_from,
         head_key_slot,
         seedable,
         display,
     })
 }
 
-/// Turn every payload variable of a positive atom that occurs nowhere else
-/// in the rule — head and body, expressions included — into `_`, so a scan
-/// neither visits nor clones that column. Its slot is never read, and
-/// scheduling (computed from the source rule) is unaffected. Key positions
+/// Sort the payload variables of positive atoms by what the rule does with
+/// them, from one count of uses per slot (head and body, expressions
+/// included):
+///
+/// - one that occurs nowhere else becomes `_`, so a scan neither visits
+///   nor clones that column: its slot is never read;
+/// - one whose only other use is one head payload position is **copied**:
+///   it leaves [`CAtom::live`] for [`CAtom::copied`], and the returned
+///   per-slot table records the `(literal, column)` [`head_tuple`] reads it
+///   from. No literal, condition, assignment or skolem argument reads it,
+///   so leaving it unbound changes no match; a frame seeded with it still
+///   compares it ([`unify_atom`]).
+///
+/// Scheduling (computed from the source rule) is unaffected. Key positions
 /// and negated atoms keep their variables: a negation's variables must stay
-/// bound by other literals for the rule to be safe. A variable repeated in
-/// one atom occurs twice, so it stays.
-fn drop_singletons(head: &CAtom, body: &mut [CLit], n_vars: usize) {
+/// bound by other literals for the rule to be safe, and a head key is read
+/// from the frame. A variable repeated in one atom, or copied into the head
+/// twice, has one use too many for either class, so it stays live.
+fn drop_singletons(head: &CAtom, body: &mut [CLit], n_vars: usize) -> Vec<Option<(usize, usize)>> {
     let mut uses = vec![0u32; n_vars];
+    let mut in_head_payload = vec![false; n_vars];
+    if let Some(s) = head.terms[0].slot() {
+        uses[s] += 1;
+    }
+    for s in head.terms[1..].iter().filter_map(CTerm::slot) {
+        uses[s] += 1;
+        in_head_payload[s] = true;
+    }
     let mut add = |slot: usize| uses[slot] += 1;
-    head.terms.iter().filter_map(CTerm::slot).for_each(&mut add);
     for lit in body.iter() {
         match lit {
             CLit::Pos(a) | CLit::Neg(a) => {
@@ -798,16 +832,26 @@ fn drop_singletons(head: &CAtom, body: &mut [CLit], n_vars: usize) {
             }
         }
     }
-    for lit in body.iter_mut() {
+    let mut copy_from = vec![None; n_vars];
+    for (li, lit) in body.iter_mut().enumerate() {
         let CLit::Pos(atom) = lit else { continue };
-        for t in &mut atom.terms[1..] {
-            if matches!(t, CTerm::Var(s) if uses[*s] == 1) {
-                *t = CTerm::Anon;
+        for (col, t) in atom.terms[1..].iter_mut().enumerate() {
+            let CTerm::Var(s) = *t else { continue };
+            match uses[s] {
+                1 => *t = CTerm::Anon,
+                2 if in_head_payload[s] => {
+                    atom.copied.push((col, s));
+                    copy_from[s] = Some((li, col));
+                }
+                _ => {}
             }
         }
-        atom.live
-            .retain(|&col| !matches!(atom.terms[col + 1], CTerm::Anon));
+        let (terms, copied) = (&atom.terms, &atom.copied);
+        atom.live.retain(|&col| {
+            !matches!(terms[col + 1], CTerm::Anon) && !copied.iter().any(|&(c, _)| c == col)
+        });
     }
+    copy_from
 }
 
 /// Which positive atom [`schedule_slots`] takes when no ready one has a
@@ -1124,9 +1168,10 @@ impl<'a> Evaluator<'a> {
             0,
             &mut frame,
             &mut trail,
-            &mut |frame| {
+            None,
+            &mut |frame, rows| {
                 if deferred.is_none() {
-                    deferred = head_tuple(rule, frame)
+                    deferred = head_tuple(rule, frame, rows)
                         .and_then(|(key, row)| emit(&mut head, name, key, row))
                         .err();
                 }
@@ -1188,19 +1233,30 @@ impl<'a> Evaluator<'a> {
         let mut trail = Vec::with_capacity(rule.n_vars);
         let mut out = Vec::new();
         let mut deferred = None;
-        let joined = self.join(rule, order, 0, &mut frame, &mut trail, &mut |frame| {
-            collect_head_tuple(rule, frame, &mut out, &mut deferred);
-            Ok(ControlFlow::Continue(()))
-        });
+        let joined = self.join(
+            rule,
+            order,
+            0,
+            &mut frame,
+            &mut trail,
+            None,
+            &mut |frame, rows| {
+                collect_head_tuple(rule, frame, rows, &mut out, &mut deferred);
+                Ok(ControlFlow::Continue(()))
+            },
+        );
         first_error(joined, deferred)?;
         Ok(out)
     }
 
     /// Depth-first join over the scheduled body literals. Bindings live in
     /// `frame`; slots bound while matching an atom are recorded on `trail`
-    /// and undone on backtrack, so no per-depth clone happens. `on_match`
-    /// sees every complete frame in exploration order until it breaks; the
+    /// and undone on backtrack, so no per-depth clone happens. `rows` holds
+    /// the rows matched on the current path by atoms with
+    /// [copied](CAtom::copied) columns. `on_match` sees every complete
+    /// frame, with those rows, in exploration order until it breaks; the
     /// join then unwinds at once and returns the break.
+    #[allow(clippy::too_many_arguments)]
     fn join(
         &self,
         rule: &CompiledRule,
@@ -1208,10 +1264,11 @@ impl<'a> Evaluator<'a> {
         depth: usize,
         frame: &mut Frame,
         trail: &mut Vec<usize>,
-        on_match: &mut dyn FnMut(&Frame) -> Result<ControlFlow<()>>,
+        rows: Option<&Rows<'_>>,
+        on_match: &mut OnMatch<'_>,
     ) -> Result<ControlFlow<()>> {
         if depth == order.len() {
-            return on_match(frame);
+            return on_match(frame, rows);
         }
         match &rule.body[order[depth]] {
             CLit::Pos(atom) => {
@@ -1225,8 +1282,9 @@ impl<'a> Evaluator<'a> {
                         return Ok(ControlFlow::Continue(()));
                     };
                     check_arity(atom, row.len() + 1)?;
-                    return self
-                        .match_row(rule, order, depth, atom, key, &row, frame, trail, on_match);
+                    return self.match_row(
+                        rule, order, depth, atom, key, &row, frame, trail, rows, on_match,
+                    );
                 }
                 let rel = self.relation_view(&atom.relation)?;
                 check_arity(atom, rel.arity() + 1)?;
@@ -1237,7 +1295,7 @@ impl<'a> Evaluator<'a> {
                     for &key in index.keys_for(&value) {
                         let Some(row) = rel.get(key) else { continue };
                         let flow = self.match_row(
-                            rule, order, depth, atom, key, row, frame, trail, on_match,
+                            rule, order, depth, atom, key, row, frame, trail, rows, on_match,
                         )?;
                         if flow.is_break() {
                             return Ok(flow);
@@ -1247,28 +1305,30 @@ impl<'a> Evaluator<'a> {
                 }
                 // No bound column at all: full scan.
                 rel.try_for_each(|key, row| {
-                    self.match_row(rule, order, depth, atom, key, row, frame, trail, on_match)
+                    self.match_row(
+                        rule, order, depth, atom, key, row, frame, trail, rows, on_match,
+                    )
                 })
             }
             CLit::Neg(atom) => {
                 if self.atom_has_match(atom, frame, trail)? {
                     return Ok(ControlFlow::Continue(()));
                 }
-                self.join(rule, order, depth + 1, frame, trail, on_match)
+                self.join(rule, order, depth + 1, frame, trail, rows, on_match)
             }
             CLit::Cond { expr, cols } => {
                 let ctx = FrameCtx { cols, frame };
                 if self.filter_value(expr.matches(&ctx))? != Some(true) {
                     return Ok(ControlFlow::Continue(()));
                 }
-                self.join(rule, order, depth + 1, frame, trail, on_match)
+                self.join(rule, order, depth + 1, frame, trail, rows, on_match)
             }
             CLit::Assign { slot, expr, cols } => {
                 let ctx = FrameCtx { cols, frame };
                 let Some(v) = self.filter_value(expr.eval(&ctx))? else {
                     return Ok(ControlFlow::Continue(()));
                 };
-                self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, on_match)
+                self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, rows, on_match)
             }
             CLit::Skolem {
                 slot,
@@ -1295,13 +1355,14 @@ impl<'a> Evaluator<'a> {
                     self.ids.generate(generator, &vals)
                 };
                 let v = Value::Int(id as i64);
-                self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, on_match)
+                self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, rows, on_match)
             }
         }
     }
 
     /// Match positive atom `order[depth]` against one row and, if it
     /// unifies, join the literals after it; the frame is restored either way.
+    /// An atom with copied columns passes its row down on `rows`.
     #[allow(clippy::too_many_arguments)]
     fn match_row(
         &self,
@@ -1313,11 +1374,23 @@ impl<'a> Evaluator<'a> {
         row: &[Value],
         frame: &mut Frame,
         trail: &mut Vec<usize>,
-        on_match: &mut dyn FnMut(&Frame) -> Result<ControlFlow<()>>,
+        rows: Option<&Rows<'_>>,
+        on_match: &mut OnMatch<'_>,
     ) -> Result<ControlFlow<()>> {
         let mark = trail.len();
         let flow = if unify_atom(atom, key, row, frame, trail) {
-            self.join(rule, order, depth + 1, frame, trail, on_match)?
+            let node;
+            let rows = if atom.copied.is_empty() {
+                rows
+            } else {
+                node = Rows {
+                    lit: order[depth],
+                    row,
+                    up: rows,
+                };
+                Some(&node)
+            };
+            self.join(rule, order, depth + 1, frame, trail, rows, on_match)?
         } else {
             ControlFlow::Continue(())
         };
@@ -1337,16 +1410,17 @@ impl<'a> Evaluator<'a> {
         value: Value,
         frame: &mut Frame,
         trail: &mut Vec<usize>,
-        on_match: &mut dyn FnMut(&Frame) -> Result<ControlFlow<()>>,
+        rows: Option<&Rows<'_>>,
+        on_match: &mut OnMatch<'_>,
     ) -> Result<ControlFlow<()>> {
         match &frame[slot] {
             Some(bound) if *bound == value => {
-                self.join(rule, order, depth + 1, frame, trail, on_match)
+                self.join(rule, order, depth + 1, frame, trail, rows, on_match)
             }
             Some(_) => Ok(ControlFlow::Continue(())), // equality check failed
             None => {
                 frame[slot] = Some(value);
-                let result = self.join(rule, order, depth + 1, frame, trail, on_match);
+                let result = self.join(rule, order, depth + 1, frame, trail, rows, on_match);
                 frame[slot] = None;
                 result
             }
@@ -1494,12 +1568,20 @@ impl<'a> Evaluator<'a> {
         };
         let mut frame = seed;
         let mut trail = Vec::with_capacity(rule.n_vars);
-        self.join(rule, order, 0, &mut frame, &mut trail, &mut |frame| {
-            if let Some(head_key) = head_key_from_frame(rule, frame) {
-                out.insert(head_key);
-            }
-            Ok(ControlFlow::Continue(()))
-        })
+        self.join(
+            rule,
+            order,
+            0,
+            &mut frame,
+            &mut trail,
+            None,
+            &mut |frame, _| {
+                if let Some(head_key) = head_key_from_frame(rule, frame) {
+                    out.insert(head_key);
+                }
+                Ok(ControlFlow::Continue(()))
+            },
+        )
         .map(drop)
     }
 
@@ -1531,11 +1613,19 @@ impl<'a> Evaluator<'a> {
             return Ok(());
         }
         let mut trail = Vec::with_capacity(rule.n_vars);
-        self.join(rule, scan, 0, &mut frame, &mut trail, &mut |frame| {
-            let scan_key = frame[slot].as_ref().and_then(|v| value_key("", v).ok());
-            out.extend(scan_key);
-            Ok(ControlFlow::Continue(()))
-        })
+        self.join(
+            rule,
+            scan,
+            0,
+            &mut frame,
+            &mut trail,
+            None,
+            &mut |frame, _| {
+                let scan_key = frame[slot].as_ref().and_then(|v| value_key("", v).ok());
+                out.extend(scan_key);
+                Ok(ControlFlow::Continue(()))
+            },
+        )
         .map(drop)
     }
 
@@ -1556,20 +1646,28 @@ impl<'a> Evaluator<'a> {
         let mut trail = Vec::with_capacity(rule.n_vars);
         let mut out = Vec::new();
         let mut deferred = None;
+        let mut collect = |frame: &Frame, rows: Option<&Rows<'_>>| {
+            collect_head_tuple(rule, frame, rows, &mut out, &mut deferred);
+            Ok(ControlFlow::Continue(()))
+        };
+        let order = &rule.base_order;
         for &key in keys {
             let Some(row) = self.relation_by_key(&atom.relation, key)? else {
                 continue;
             };
             check_arity(atom, row.len() + 1)?;
-            let mark = trail.len();
-            if unify_atom(atom, key, &row, &mut frame, &mut trail) {
-                let order = &rule.base_order;
-                let _ = self.join(rule, order, 1, &mut frame, &mut trail, &mut |frame| {
-                    collect_head_tuple(rule, frame, &mut out, &mut deferred);
-                    Ok(ControlFlow::Continue(()))
-                })?;
-            }
-            undo(&mut frame, &mut trail, mark);
+            let _ = self.match_row(
+                rule,
+                order,
+                0,
+                atom,
+                key,
+                &row,
+                &mut frame,
+                &mut trail,
+                None,
+                &mut collect,
+            )?;
         }
         first_error(Ok(()), deferred)?;
         Ok(out)
@@ -1620,14 +1718,42 @@ impl<'a> Evaluator<'a> {
             };
             let mut trail = Vec::with_capacity(rule.n_vars);
             let order = &rule.head_seed_order;
-            let witness = self.join(rule, order, 0, &mut frame, &mut trail, &mut |_| {
-                Ok(ControlFlow::Break(()))
-            })?;
+            let witness =
+                self.join(rule, order, 0, &mut frame, &mut trail, None, &mut |_, _| {
+                    Ok(ControlFlow::Break(()))
+                })?;
             if witness.is_break() {
                 return Ok(true);
             }
         }
         Ok(false)
+    }
+}
+
+/// The callback a join hands every complete frame, with the rows matched on
+/// its path.
+type OnMatch<'m> = dyn FnMut(&Frame, Option<&Rows<'_>>) -> Result<ControlFlow<()>> + 'm;
+
+/// The rows matched on the current join path by atoms with
+/// [copied](CAtom::copied) columns, innermost first: a list on the join's
+/// stack, one node per such atom. Every row outlives the recursive call
+/// that reads it, whether it is borrowed from a relation or is a point
+/// lookup's owned row.
+struct Rows<'r> {
+    /// The body literal whose atom matched `row`.
+    lit: usize,
+    row: &'r [Value],
+    up: Option<&'r Rows<'r>>,
+}
+
+impl Rows<'_> {
+    /// Payload column `col` of the row body literal `lit` matched.
+    fn cell(&self, lit: usize, col: usize) -> Option<&Value> {
+        let mut node = self;
+        while node.lit != lit {
+            node = node.up?;
+        }
+        node.row.get(col)
     }
 }
 
@@ -1646,10 +1772,17 @@ impl RowContext for FrameCtx<'_> {
     }
 }
 
-/// Build the head tuple from a complete frame: the payload in one
-/// allocation, the key read in place. An unresolvable term anywhere in the
-/// head ranks before a key that is no key, as in the naive interpreter.
-fn head_tuple(rule: &CompiledRule, frame: &[Option<Value>]) -> Result<(Key, Row)> {
+/// Build the head tuple from a complete frame and the rows matched on its
+/// path: the payload in one allocation, the key read in place. A copied
+/// variable the frame leaves unbound is read straight from the row its atom
+/// matched, so each of its values is cloned once, into the head. An
+/// unresolvable term anywhere in the head ranks before a key that is no
+/// key, as in the naive interpreter.
+fn head_tuple(
+    rule: &CompiledRule,
+    frame: &[Option<Value>],
+    rows: Option<&Rows<'_>>,
+) -> Result<(Key, Row)> {
     let head = &rule.head;
     let unsafe_rule = || DatalogError::UnsafeRule {
         rule: rule.display.clone(),
@@ -1657,7 +1790,13 @@ fn head_tuple(rule: &CompiledRule, frame: &[Option<Value>]) -> Result<(Key, Row)
     let key = head.terms[0].resolved(frame).ok_or_else(unsafe_rule)?;
     let mut row = Vec::with_capacity(head.terms.len() - 1);
     for t in &head.terms[1..] {
-        row.push(t.resolved(frame).ok_or_else(unsafe_rule)?.clone());
+        let value = match (t, t.resolved(frame)) {
+            (CTerm::Var(s), None) => {
+                rule.copy_from[*s].and_then(|(lit, col)| rows.and_then(|rows| rows.cell(lit, col)))
+            }
+            (_, value) => value,
+        };
+        row.push(value.ok_or_else(unsafe_rule)?.clone());
     }
     Ok((value_key(&head.relation, key)?, row))
 }
@@ -1678,11 +1817,12 @@ fn emit(rel: &mut Relation, name: &str, key: Key, row: Row) -> Result<()> {
 fn collect_head_tuple(
     rule: &CompiledRule,
     frame: &[Option<Value>],
+    rows: Option<&Rows<'_>>,
     out: &mut Vec<(Key, Row)>,
     deferred: &mut Option<DatalogError>,
 ) {
     if deferred.is_none() {
-        match head_tuple(rule, frame) {
+        match head_tuple(rule, frame, rows) {
             Ok(tuple) => out.push(tuple),
             Err(e) => *deferred = Some(e),
         }
@@ -1748,8 +1888,14 @@ pub(crate) fn head_cells_bound_by(
 }
 
 /// Try to extend the frame so the atom matches `(key, row)`, visiting the
-/// key and the live payload columns only; newly bound slots are pushed on
-/// `trail`.
+/// key, the live payload columns and the bound copied ones only; newly
+/// bound slots are pushed on `trail`.
+///
+/// A copied column whose slot is unbound is skipped: binding it always
+/// succeeds, and the head reads it from the row instead. One whose slot a
+/// seed bound (the head of [`Evaluator::derives_head_tuple`], a
+/// [`seed_frame`] probe) is compared, as binding it would compare it, so a
+/// seeded frame matches exactly the rows it matched with the column live.
 fn unify_atom(
     atom: &CAtom,
     key: Key,
@@ -1768,7 +1914,12 @@ fn unify_atom(
             return false;
         }
     }
-    true
+    atom.copied
+        .iter()
+        .all(|&(col, slot)| match (&frame[slot], row.get(col)) {
+            (Some(bound), Some(v)) => bound == v,
+            _ => true,
+        })
 }
 
 fn unify_term(
@@ -2095,8 +2246,8 @@ mod tests {
 
     #[test]
     fn scans_bind_only_the_columns_the_rule_reads() {
-        // B(p, b) ← T(p, x, y, b): x and y occur once, so the scan binds
-        // only p and b.
+        // B(p, b) ← T(p, x, y, b): x and y occur once, so the scan skips
+        // them; b is only copied into the head, so the scan binds only p.
         let rule = Rule::new(
             Atom::vars("B", &["p", "b"]),
             vec![Literal::Pos(Atom::vars("T", &["p", "x", "y", "b"]))],
@@ -2106,7 +2257,8 @@ mod tests {
             atom.terms,
             vec![CTerm::Var(0), CTerm::Anon, CTerm::Anon, CTerm::Var(1)]
         );
-        assert_eq!(atom.live, vec![2]);
+        assert_eq!(atom.live, Vec::<usize>::new());
+        assert_eq!(atom.copied, vec![(2, 1)]);
         let mut t = Relation::with_columns("T", ["x", "y", "b"]);
         t.insert(Key(4), vec![1.into(), 2.into(), 3.into()])
             .unwrap();
@@ -2114,6 +2266,120 @@ mod tests {
         edb.add(t);
         let out = evaluate(&RuleSet::new(vec![rule]), &edb, &ids(), &BTreeMap::new()).unwrap();
         assert_eq!(out["B"].get(Key(4)), Some(&vec![Value::Int(3)]));
+    }
+
+    #[test]
+    fn a_head_only_column_is_copied_not_bound() {
+        // H(p, k, r, c, d, d, e) ← T(k, p, r, r, c, d, e), c > 0: the key
+        // variable k, the head key p, the repeated r, the condition's c and
+        // d, copied into the head twice, stay live; only e is copied.
+        let rule = Rule::new(
+            Atom::vars("H", &["p", "k", "r", "c", "d", "d", "e"]),
+            vec![
+                Literal::Pos(Atom::vars("T", &["k", "p", "r", "r", "c", "d", "e"])),
+                Literal::Cond(Expr::col("c").gt(Expr::lit(0))),
+            ],
+        );
+        let crs = CompiledRuleSet::compile(&RuleSet::new(vec![rule.clone()])).unwrap();
+        let (_, atom, _) = crs.body_atoms(0).next().unwrap();
+        assert_eq!(atom.live, vec![0, 1, 2, 3, 4]);
+        assert_eq!(atom.copied, vec![(5, 5)]);
+        assert_eq!(crs.rules[0].copy_from[5], Some((0, 5)));
+        assert!(crs.rules[0].copy_from[..5].iter().all(Option::is_none));
+        let mut t = Relation::with_columns("T", ["p", "r1", "r2", "c", "d", "e"]);
+        let row = |p: i64, r: i64, c: i64| -> Row {
+            [p, r, r + (r % 2), c, 10 * p, 100 * p]
+                .map(Value::Int)
+                .to_vec()
+        };
+        for (k, (p, r, c)) in [(1, 2, 3), (2, 1, 5), (3, 4, 0), (4, 6, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            t.insert(Key(k as u64), row(p, r, c)).unwrap();
+        }
+        let mut edb = MapEdb::new();
+        edb.add(t);
+        let rules = RuleSet::new(vec![rule]);
+        let out = evaluate(&rules, &edb, &ids(), &BTreeMap::new()).unwrap();
+        let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new()).unwrap();
+        assert_eq!(out, naive);
+        // Rows 0 and 3 pass both the repeated r and c > 0.
+        assert_eq!(out["H"].keys().collect::<Vec<_>>(), [Key(1), Key(4)]);
+    }
+
+    #[test]
+    fn a_seeded_copied_column_is_compared() {
+        // B(p, b) ← T(p, x, b): a survive check seeds b, so matching T
+        // must compare the copied column, not skip it.
+        let rules = RuleSet::new(vec![Rule::new(
+            Atom::vars("B", &["p", "b"]),
+            vec![Literal::Pos(Atom::vars("T", &["p", "x", "b"]))],
+        )]);
+        let mut t = Relation::with_columns("T", ["x", "b"]);
+        t.insert(Key(4), vec![1.into(), 3.into()]).unwrap();
+        let mut edb = MapEdb::new();
+        edb.add(t);
+        let crs = CompiledRuleSet::compile(&rules).unwrap();
+        let sk = ids();
+        let ev = Evaluator::witness_search(&edb, &sk);
+        let derives = |b: i64| ev.derives_head_tuple(&crs, "B", Key(4), &vec![Value::Int(b)]);
+        assert!(derives(3).unwrap());
+        assert!(!derives(9).unwrap());
+    }
+
+    #[test]
+    fn copied_columns_come_from_their_own_row() {
+        // H(p, a, c) ← S(p, a), T0(p, _, c): a is copied from the scanned S
+        // row, c from the row T0's point lookup returns, which the join
+        // owns. Both columns sit at different positions of different rows.
+        let rules = RuleSet::new(vec![Rule::new(
+            Atom::vars("H", &["p", "a", "c"]),
+            vec![
+                Literal::Pos(Atom::vars("S", &["p", "a"])),
+                Literal::Pos(Atom::new(
+                    "T0",
+                    vec![Term::var("p"), Term::Anon, Term::var("c")],
+                )),
+            ],
+        )]);
+        let mut s = Relation::with_columns("S", ["a"]);
+        let mut t0 = Relation::with_columns("T0", ["b", "c"]);
+        for k in 1..6u64 {
+            let k_i = k as i64;
+            s.insert(Key(k), vec![Value::Int(10 * k_i)]).unwrap();
+            if k != 3 {
+                t0.insert(Key(k), vec![Value::Int(-k_i), Value::Int(100 * k_i)])
+                    .unwrap();
+            }
+        }
+        let mut edb = MapEdb::new();
+        edb.add(s).add(t0);
+        let crs = CompiledRuleSet::compile(&rules).unwrap();
+        let copied: Vec<_> = crs
+            .body_atoms(0)
+            .map(|(_, a, _)| a.copied.clone())
+            .collect();
+        assert_eq!(copied, [vec![(0, 1)], vec![(1, 2)]]);
+        let out = evaluate_compiled(&crs, &edb, &ids(), &BTreeMap::new()).unwrap();
+        let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new()).unwrap();
+        assert_eq!(out, naive);
+        assert_eq!(
+            out["H"].get(Key(2)),
+            Some(&vec![Value::Int(20), Value::Int(200)])
+        );
+        // Key-seeded evaluation and the delta engine's replay of chosen
+        // scan keys read the same rows.
+        let sk = ids();
+        let mut ev = Evaluator::new(&edb, &sk);
+        for k in 0..7 {
+            let seeded = ev.head_row_for_key(&crs, "H", Key(k)).unwrap();
+            assert_eq!(seeded.as_ref(), naive["H"].get(Key(k)), "key {k}");
+        }
+        let keys = (0..7).map(Key).collect();
+        let replayed = ev.scan_key_head_tuples(&crs.rules[0], &keys).unwrap();
+        let expected: Vec<_> = naive["H"].iter().map(|(k, r)| (k, r.clone())).collect();
+        assert_eq!(replayed, expected);
     }
 
     #[test]

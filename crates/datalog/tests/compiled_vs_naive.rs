@@ -18,9 +18,15 @@
 //! error wins; failing that, its first head-tuple error (`BadKey`) or key
 //! conflict in exploration order. Full evaluation draws its inputs from a
 //! wider strategy that produces all three.
+//!
+//! Heads of one payload variable rarely copy more than one column, so one
+//! property widens every rule's head to two or three payload variables
+//! drawn from its atoms: a variable read only to be copied into the head
+//! is read from the matched row, not bound, and each such column must come
+//! from its own atom's row on every path.
 
 use inverda_datalog::ast::{Atom, Literal, Rule, RuleSet, Term};
-use inverda_datalog::delta::{propagate, Delta, DeltaMap, PatchedEdb};
+use inverda_datalog::delta::{propagate, propagate_vs_stored, Delta, DeltaMap, PatchedEdb};
 use inverda_datalog::eval::{evaluate_compiled, CompiledRuleSet, Evaluator, IdSource, MapEdb};
 use inverda_datalog::{naive, SkolemRegistry};
 use inverda_storage::{BinaryOp, Expr, Key, Relation, Value};
@@ -246,6 +252,53 @@ fn build_rule_set(specs: &[RuleSpec]) -> RuleSet {
         let head = if i % 2 == 0 { "H0" } else { "H1" };
         rules.push(build_rule(spec, head, prev.as_deref()));
         prev = Some(head.to_string());
+    }
+    RuleSet::new(rules)
+}
+
+/// A rule spec plus the extra head payload variables of its wide twin, as
+/// picks among the payload variables of the rule's positive atoms.
+#[derive(Debug, Clone)]
+struct WideSpec {
+    rule: RuleSpec,
+    extra: Vec<u8>,
+}
+
+fn arb_wide_spec() -> impl Strategy<Value = WideSpec> {
+    (arb_rule_spec(), prop::collection::vec(0u8..6, 1..3))
+        .prop_map(|(rule, extra)| WideSpec { rule, extra })
+}
+
+/// [`build_rule_set`] with every rule followed by its wide twin: the same
+/// body under head `W0` / `W1`, whose payload is the rule's head payload
+/// and then one or two more payload variables of the rule's positive atoms
+/// (a pick can repeat a head variable). The narrow rules keep the staging
+/// of the original set, which reads arity-2 heads.
+fn build_wide_rule_set(specs: &[WideSpec]) -> RuleSet {
+    let narrow: Vec<RuleSpec> = specs.iter().map(|s| s.rule.clone()).collect();
+    let mut rules = Vec::new();
+    for (i, (rule, spec)) in build_rule_set(&narrow)
+        .rules
+        .into_iter()
+        .zip(specs)
+        .enumerate()
+    {
+        let mut picks: Vec<String> = Vec::new();
+        for lit in &rule.body {
+            if let Literal::Pos(atom) = lit {
+                for v in atom.terms[1..].iter().filter_map(Term::as_var) {
+                    if !picks.iter().any(|p| p == v) {
+                        picks.push(v.to_string());
+                    }
+                }
+            }
+        }
+        let mut terms = rule.head.terms.clone();
+        for e in &spec.extra {
+            terms.push(Term::var(picks[*e as usize % picks.len()].as_str()));
+        }
+        let wide = Rule::new(Atom::new(format!("W{}", i % 2), terms), rule.body.clone());
+        rules.extend([rule, wide]);
     }
     RuleSet::new(rules)
 }
@@ -509,6 +562,98 @@ proptest! {
                 false, "only the slice failed: {:?} on:\n{}", e, rules
             ),
         }
+    }
+}
+
+proptest! {
+    /// Wide heads ([`build_wide_rule_set`]) through every evaluation path
+    /// against naive. Full evaluation (rows in order, registry, or the same
+    /// error) and, where it succeeds, key-seeded evaluation of every head
+    /// and key run on the set as generated. Propagation of a `T0` / `T1`
+    /// delta and, unstaged, delta-vs-stored maintenance from naive's old
+    /// heads (its scan-key replay and its head-seeded survive checks) run
+    /// on the set with its skolem literals dropped, against the naive
+    /// two-state diff.
+    #[test]
+    fn wide_heads_match_naive_on_every_path(
+        specs in prop::collection::vec(arb_wide_spec(), 1..4),
+        (t0, t1) in arb_edb(),
+        t0_changes in prop::collection::btree_map(0u64..14, prop::option::of((0i64..6, 0i64..6)), 0..4),
+        t1_changes in prop::collection::btree_map(0u64..14, prop::option::of(0i64..6), 0..4),
+    ) {
+        let rules = build_wide_rule_set(&specs);
+        let edb = build_edb(&t0, &t1);
+        let naive_ids = registry();
+        let naive_out = naive::evaluate(&rules, &edb, &naive_ids, &BTreeMap::new());
+        let Ok(crs) = CompiledRuleSet::compile(&rules) else {
+            prop_assert!(naive_out.is_err(), "only the compiled engine failed on:\n{}", rules);
+            return Ok(());
+        };
+        let compiled_ids = registry();
+        let compiled_out = evaluate_compiled(&crs, &edb, &compiled_ids, &BTreeMap::new());
+        prop_assert_eq!(
+            naive_out.map(|out| rows_in_order(&out)),
+            compiled_out.map(|out| rows_in_order(&out)),
+            "diverged on:\n{}", rules
+        );
+        prop_assert_eq!(naive_ids.borrow().dump(), compiled_ids.borrow().dump());
+        let naive_ids = registry();
+        let compiled_ids = registry();
+        let mut naive_ev = naive::Evaluator::new(&edb, &naive_ids);
+        let mut compiled_ev = Evaluator::new(&edb, &compiled_ids);
+        for head in ["H0", "H1", "W0", "W1"] {
+            for k in 0..14u64 {
+                let n = naive_ev.head_row_for_key(&rules, head, Key(k));
+                let c = compiled_ev.head_row_for_key(&crs, head, Key(k));
+                prop_assert_eq!(n, c, "diverged at {}#{} on:\n{}", head, k, rules);
+            }
+        }
+
+        let mint_free: Vec<WideSpec> = specs
+            .into_iter()
+            .map(|mut s| {
+                s.rule.skolem = None;
+                s
+            })
+            .collect();
+        let rules = build_wide_rule_set(&mint_free);
+        let Ok(crs) = CompiledRuleSet::compile(&rules) else {
+            return Ok(());
+        };
+        let mut input = DeltaMap::new();
+        let (mut d0, mut d1) = (Delta::new(), Delta::new());
+        for (k, change) in &t0_changes {
+            let row = |(a, b): (i64, i64)| vec![Value::Int(a), Value::Int(b)];
+            d0.deletes.extend(t0.get(k).map(|ab| (Key(*k), row(*ab))));
+            d0.inserts.extend(change.map(|ab| (Key(*k), row(ab))));
+        }
+        for (k, change) in &t1_changes {
+            d1.deletes.extend(t1.get(k).map(|a| (Key(*k), vec![Value::Int(*a)])));
+            d1.inserts.extend(change.map(|a| (Key(*k), vec![Value::Int(a)])));
+        }
+        input.insert("T0".to_string(), d0);
+        input.insert("T1".to_string(), d1);
+        let (Ok(old), Some(slow)) = (
+            naive::evaluate(&rules, &edb, &registry(), &BTreeMap::new()),
+            naive_two_state_diff(&rules, &edb, &input),
+        ) else {
+            return Ok(());
+        };
+        let non_empty = |d: DeltaMap| -> DeltaMap {
+            d.into_iter().filter(|(_, d)| !d.is_empty()).collect()
+        };
+        let fast = propagate(&rules, &edb, &input, &registry(), &BTreeMap::new());
+        prop_assert_eq!(fast.map(non_empty), Ok(slow.clone()), "propagation diverged on:\n{}", rules);
+        if crs.staged() {
+            return Ok(());
+        }
+        let mut stored = MapEdb::new();
+        for rel in old.into_values() {
+            stored.add(rel);
+        }
+        let patched = PatchedEdb::new(&edb, &input);
+        let fast = propagate_vs_stored(&crs, &patched, &input, &registry(), &stored);
+        prop_assert_eq!(fast, Ok(slow), "delta-vs-stored diverged on:\n{}", rules);
     }
 }
 
