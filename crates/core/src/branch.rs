@@ -428,9 +428,6 @@ struct BranchCore {
     /// attached).
     durable: bool,
     dir: Option<PathBuf>,
-    /// The directory is process-private (env-gated [`BranchingInverda::new`]);
-    /// remove it on drop.
-    temp_dir: bool,
 }
 
 /// Result of one executed logical operation.
@@ -972,11 +969,6 @@ impl BranchCore {
 impl Drop for BranchCore {
     fn drop(&mut self) {
         let _ = BranchCore::flush_locked(&mut self.inner.lock());
-        if self.temp_dir {
-            if let Some(dir) = &self.dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-        }
     }
 }
 
@@ -994,30 +986,9 @@ impl Default for BranchingInverda {
 }
 
 impl BranchingInverda {
-    /// Fresh manager with one empty `main` branch. Purely in-memory —
-    /// unless the `INVERDA_DURABILITY` environment knob is `commit` or
-    /// `group`, in which case the branch log lives in a process-private
-    /// temporary directory (removed on drop), mirroring [`Inverda::new`].
+    /// Fresh in-memory manager with one empty `main` branch.
+    /// [`BranchingInverda::open_in`] opens a durable one.
     pub fn new() -> Self {
-        let Some((dir, options)) = crate::durability::env_temp_dir("inverda-branch") else {
-            return BranchingInverda::new_in_memory();
-        };
-        let mut manager = BranchingInverda::open_in(&dir, options).unwrap_or_else(|e| {
-            panic!(
-                "INVERDA_DURABILITY: cannot open branch tempdir {}: {e}",
-                dir.display()
-            )
-        });
-        Arc::get_mut(&mut manager.core)
-            .expect("sole owner at construction")
-            .temp_dir = true;
-        manager
-    }
-
-    /// Fresh in-memory manager with one empty `main` branch, ignoring the
-    /// `INVERDA_DURABILITY` knob (e.g. the oracle side of a recovery
-    /// test).
-    pub fn new_in_memory() -> Self {
         let mut branches = BTreeMap::new();
         branches.insert(MAIN_BRANCH.to_string(), fresh_branch(false));
         BranchingInverda {
@@ -1029,9 +1000,14 @@ impl BranchingInverda {
                 }),
                 durable: false,
                 dir: None,
-                temp_dir: false,
             }),
         }
+    }
+
+    /// [`BranchingInverda::new`] under the name that says it touches no
+    /// disk.
+    pub fn new_in_memory() -> Self {
+        BranchingInverda::new()
     }
 
     /// Open (or create) a durable manager in `dir`: recover every branch
@@ -1073,7 +1049,6 @@ impl BranchingInverda {
                 inner: Mutex::new(inner),
                 durable: true,
                 dir: Some(dir),
-                temp_dir: false,
             }),
         })
     }

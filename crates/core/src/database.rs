@@ -164,33 +164,9 @@ impl Inverda {
         debug_assert_eq!(self.stale_resolutions(state), Vec::<String>::new());
     }
 
-    /// Fresh, empty database. Purely in-memory — unless the
-    /// `INVERDA_DURABILITY` environment knob is `commit` or `group`, in
-    /// which case the instance is backed by a process-private temporary
-    /// directory (removed on drop) so the *entire* test suite exercises
-    /// the durable write path. Panics on any other value of the knob but
-    /// `off` (or unset, or empty) and if that directory cannot be set up;
-    /// use [`Inverda::new_in_memory`] for an instance that ignores the
-    /// knob (e.g. the in-memory oracle of a recovery test).
+    /// Fresh, empty, purely in-memory database. [`Inverda::open_in`] opens
+    /// a durable one.
     pub fn new() -> Self {
-        let Some((dir, options)) = crate::durability::env_temp_dir("inverda") else {
-            return Inverda::new_in_memory();
-        };
-        let mut db = Inverda::open_in(&dir, options).unwrap_or_else(|e| {
-            panic!(
-                "INVERDA_DURABILITY: cannot open durable tempdir {}: {e}",
-                dir.display()
-            )
-        });
-        if let Some(d) = &mut db.durability {
-            d.temp = true;
-        }
-        db
-    }
-
-    /// Fresh, empty, purely in-memory database — [`Inverda::new`] without
-    /// the `INVERDA_DURABILITY` environment gate.
-    pub fn new_in_memory() -> Self {
         let storage = Storage::new();
         let snapshots = SnapshotStore::new();
         // The store's footprint stamps live in this storage's epoch
@@ -212,6 +188,11 @@ impl Inverda {
             snapshot_reuse: AtomicBool::new(true),
             durability: None,
         }
+    }
+
+    /// [`Inverda::new`] under the name that says it touches no disk.
+    pub fn new_in_memory() -> Self {
+        Inverda::new()
     }
 
     /// An independent in-memory fork of the current committed state — the
@@ -624,10 +605,11 @@ impl Inverda {
         self.state.read().write_path
     }
 
-    /// Enable or disable cross-statement snapshot reuse (ablation control:
-    /// disabled, every statement re-resolves virtual relations from scratch,
-    /// the pre-snapshot-store behavior). Disabling drops all cached state so
-    /// re-enabling starts cold.
+    /// Enable or disable cross-statement snapshot reuse. Disabled is the
+    /// reference mode the differential suites hold the engine to: no
+    /// cross-statement snapshots and no fused chains — every read resolves
+    /// cold, hop by hop. Disabling drops all cached snapshots so re-enabling
+    /// starts cold.
     pub fn set_snapshot_reuse(&self, enabled: bool) {
         self.snapshot_reuse.store(enabled, Ordering::Relaxed);
         if !enabled {
@@ -811,9 +793,6 @@ impl Drop for Inverda {
         // Push any group-committed tail to disk; a failure here is the
         // crash this subsystem exists to tolerate, so it is not propagated.
         let _ = durability.flush();
-        if durability.temp {
-            let _ = std::fs::remove_dir_all(durability.dir());
-        }
     }
 }
 

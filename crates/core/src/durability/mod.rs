@@ -42,41 +42,6 @@ pub enum DurabilityMode {
     Group,
 }
 
-/// Where `INVERDA_DURABILITY` asks a fresh database to keep its log: a
-/// process-private directory under the system temp dir, named after
-/// `prefix`, with the knob's mode — `commit` or `group`. `None` for `off`
-/// (also unset or empty). Panics on any other value, so a typo cannot
-/// quietly run a durable test pass in memory.
-pub(crate) fn env_temp_dir(prefix: &str) -> Option<(PathBuf, DurabilityOptions)> {
-    let value = std::env::var_os("INVERDA_DURABILITY").unwrap_or_default();
-    let value = value.to_string_lossy();
-    let mode = parse_mode(&value).unwrap_or_else(|| {
-        panic!("INVERDA_DURABILITY: expected off, commit or group, got '{value}'")
-    });
-    if mode == DurabilityMode::Off {
-        return None;
-    }
-    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("{prefix}-{}-{seq}", std::process::id()));
-    let options = DurabilityOptions {
-        mode,
-        ..DurabilityOptions::default()
-    };
-    Some((dir, options))
-}
-
-/// The mode one spelling of `INVERDA_DURABILITY` names, `None` for an
-/// unknown one.
-fn parse_mode(value: &str) -> Option<DurabilityMode> {
-    match value {
-        "" | "off" => Some(DurabilityMode::Off),
-        "commit" => Some(DurabilityMode::Commit),
-        "group" => Some(DurabilityMode::Group),
-        _ => None,
-    }
-}
-
 /// Tuning knobs for a durable database instance.
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
@@ -123,9 +88,6 @@ pub struct Durability {
     /// fsync runs once per drained group (via [`flush`](Durability::flush)),
     /// never from per-record counting.
     group_override: AtomicU64,
-    /// True when the directory is a process-private tempdir created by the
-    /// `INVERDA_DURABILITY` env gate; removed on drop.
-    pub(crate) temp: bool,
 }
 
 impl Durability {
@@ -145,7 +107,6 @@ impl Durability {
                 records_since_checkpoint,
             }),
             group_override: AtomicU64::new(0),
-            temp: false,
         }
     }
 
@@ -250,25 +211,4 @@ pub(crate) fn remove_stale_wals(dir: &Path, keep: u64) -> inverda_storage::Resul
         }
     }
     checkpoint::sync_dir(dir)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mode_spellings() {
-        use DurabilityMode::*;
-        for (value, mode) in [
-            ("", Off),
-            ("off", Off),
-            ("commit", Commit),
-            ("group", Group),
-        ] {
-            assert_eq!(parse_mode(value), Some(mode), "{value:?}");
-        }
-        for typo in ["grup", "Group", "COMMIT", " group", "on", "1"] {
-            assert_eq!(parse_mode(typo), None, "{typo:?}");
-        }
-    }
 }

@@ -614,13 +614,15 @@ impl<'a> VersionedEdb<'a> {
     /// The fused γ-chain resolving `relation` (a virtual table version):
     /// served from the [`CompiledStore`] after revalidating its
     /// aux-emptiness assumptions, built and cached on a miss. `None` when
-    /// fusion is disabled, the defining hop cannot be fused, or the hop
-    /// reads [resolved state](VersionedEdb::is_resolved_state) — callers
-    /// then take the ordinary hop-by-hop path.
+    /// the view is bound to no snapshot store, the defining hop cannot be
+    /// fused, or the hop reads [resolved state](VersionedEdb::is_resolved_state)
+    /// — callers then take the ordinary hop-by-hop path. A view with no
+    /// store is the reference configuration (a store-off database, and the
+    /// store audit's cold re-resolution), so fused ≡ hop-by-hop is checked
+    /// wherever warm ≡ cold is.
     fn fused_chain(&self, relation: &str, tv: TableVersionId) -> Option<Arc<FusedChain>> {
-        if !fusion::enabled() {
-            return None;
-        }
+        // A view bound to no store resolves hop by hop.
+        self.snapshots?;
         if let Some(hit) = self.compiled.fused_get(tv) {
             let valid = hit.assumed_empty.iter().all(|aux| {
                 self.storage.has_table(aux)

@@ -24,11 +24,11 @@
 //! * **Writers** ([`Client`]) submit statements into a single admission
 //!   queue drained by one **commit pipeline** thread. Each drained batch is
 //!   executed statement-at-a-time (each request keeps its own atomicity),
-//!   assigned dense commit epochs `1..`, and published; under
-//!   `INVERDA_DURABILITY=group` the pipeline installs a WAL group-size
-//!   override so the fsync happens **once per drained group** — the group
-//!   window becomes cross-session batching instead of per-record counting —
-//!   and replies are released only after that group fsync, so an
+//!   assigned dense commit epochs `1..`, and published; on a database
+//!   opened in [`DurabilityMode::Group`] the pipeline installs a WAL
+//!   group-size override so the fsync happens **once per drained group** —
+//!   the group window becomes cross-session batching instead of per-record
+//!   counting — and replies are released only after that group fsync, so an
 //!   acknowledged write is crash-durable.
 //!
 //! Every epoch the pipeline publishes, and every pin taken from it, holds an

@@ -14,7 +14,8 @@
 //!
 //! Covered here:
 //! * random fork trees with per-branch write/DDL interleavings, warm and
-//!   cold, fusion on/off — every branch ≡ its history replayed;
+//!   cold, in memory or on a group-commit branch log — every branch ≡ its
+//!   history replayed;
 //! * random **disjoint** divergent writes on two forks merged back into
 //!   `main` — the merge must commit, union the content, and leave `main`
 //!   ≡ its (canonical linear order) history;
@@ -22,17 +23,29 @@
 //!   regression: `MATERIALIZE` on one branch must not cold-start a
 //!   sibling's fused chains or snapshot entries.
 //!
-//! The fusion knob is process-global, so every case holds
-//! `common::fusion_override`'s guard, which serializes the cases and
-//! restores the knob when a case ends, failed ones included.
+//! Every property opens its manager in memory or durable, drawn per case,
+//! so the branch log and its residue records run under the random
+//! workloads too, not only under the dedicated recovery test.
 
 mod common;
 
-use common::{fusion_override, state};
+use common::{group_commit, state, TempDir};
 use inverda_core::branch::BranchOp;
 use inverda_core::{Branch, BranchingInverda, CoreError, HistoryEntry, Inverda, MAIN_BRANCH};
 use inverda_storage::{Key, Value};
 use proptest::prelude::*;
+
+/// A fresh manager with one empty `main` branch: in memory, or on a
+/// group-commit branch log in a directory removed with the returned guard
+/// (which must outlive the manager).
+fn open_manager(durable: bool) -> (BranchingInverda, Option<TempDir>) {
+    if !durable {
+        return (BranchingInverda::new(), None);
+    }
+    let dir = TempDir::new("branch");
+    let manager = BranchingInverda::open_in(dir.path(), group_commit()).expect("open durable");
+    (manager, Some(dir))
+}
 
 /// The oracle: a fresh single-branch engine replaying `history` — each
 /// entry's outcome must match what the live branch recorded.
@@ -298,15 +311,14 @@ proptest! {
 
     /// Random fork trees + per-branch write/DDL interleavings: every
     /// branch stays byte-identical to a fresh engine replaying its
-    /// history, warm/cold, fusion on/off.
+    /// history, warm/cold, in memory or durable.
     #[test]
     fn every_branch_equals_its_history_replay(
         actions in prop::collection::vec(action_strategy(), 1..14),
         cold in any::<bool>(),
-        fused in any::<bool>(),
+        durable in any::<bool>(),
     ) {
-        let _fusion = fusion_override(Some(fused));
-        let manager = BranchingInverda::new();
+        let (manager, _dir) = open_manager(durable);
         let main = manager.main();
         main.execute("CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c);")
             .expect("base");
@@ -336,10 +348,9 @@ proptest! {
         a_ops in prop::collection::vec((0u8..4, prop::collection::vec(0i64..6, 3..4)), 1..6),
         b_ops in prop::collection::vec((0u8..4, prop::collection::vec(0i64..6, 3..4)), 1..6),
         main_rows in 0usize..3,
-        fused in any::<bool>(),
+        durable in any::<bool>(),
     ) {
-        let _fusion = fusion_override(Some(fused));
-        let manager = BranchingInverda::new();
+        let (manager, _dir) = open_manager(durable);
         let main = manager.main();
         main.execute("CREATE SCHEMA VERSION G0 WITH CREATE TABLE T0(a, b, c);")
             .expect("base");
@@ -424,7 +435,6 @@ fn base_manager() -> (BranchingInverda, Branch, Key) {
 
 #[test]
 fn conflicting_writes_surface_as_typed_report_and_leave_dst_untouched() {
-    let _fusion = fusion_override(None);
     let (manager, main, key) = base_manager();
     let a = manager.branch("a").expect("fork a");
     let b = manager.branch("b").expect("fork b");
@@ -474,7 +484,6 @@ fn conflicting_writes_surface_as_typed_report_and_leave_dst_untouched() {
 
 #[test]
 fn same_version_created_on_both_sides_is_a_conflict() {
-    let _fusion = fusion_override(None);
     let (manager, _main, _key) = base_manager();
     let a = manager.branch("a").expect("fork a");
     let b = manager.branch("b").expect("fork b");
@@ -499,7 +508,6 @@ fn same_version_created_on_both_sides_is_a_conflict() {
 
 #[test]
 fn fast_forward_advances_only_undiverged_branches() {
-    let _fusion = fusion_override(None);
     let (manager, main, _key) = base_manager();
     let feature = manager.branch("feature").expect("fork");
     feature
@@ -543,7 +551,6 @@ fn fast_forward_advances_only_undiverged_branches() {
 
 #[test]
 fn diff_reports_row_genealogy_and_registry_divergence() {
-    let _fusion = fusion_override(None);
     let (manager, main, key) = base_manager();
     let a = manager.branch("a").expect("fork");
     assert!(manager.diff("a", MAIN_BRANCH).expect("diff").is_empty());
@@ -581,7 +588,6 @@ fn diff_reports_row_genealogy_and_registry_divergence() {
 
 #[test]
 fn branch_create_is_metadata_only_and_isolated() {
-    let _fusion = fusion_override(None);
     let (manager, main, key) = base_manager();
     let a = manager.branch("a").expect("fork");
     // Fork shares the physical tables copy-on-write: no rows were copied
@@ -615,7 +621,6 @@ fn branch_create_is_metadata_only_and_isolated() {
 /// visible state is untouched.
 #[test]
 fn materialize_on_one_branch_keeps_sibling_caches_warm() {
-    let _fusion = fusion_override(Some(true));
     let manager = BranchingInverda::new();
     let main = manager.main();
     main.execute(
@@ -673,7 +678,6 @@ fn materialize_on_one_branch_keeps_sibling_caches_warm() {
 /// origin's next read and resolved cold by the branch's.
 #[test]
 fn a_forked_branch_catches_nothing_up_from_before_the_fork() {
-    let _fusion = fusion_override(None);
     let manager = BranchingInverda::new();
     let main = manager.main();
     main.execute(
@@ -703,19 +707,6 @@ fn a_forked_branch_catches_nothing_up_from_before_the_fork() {
 // ---------------------------------------------------------------------
 // Crash recovery: the branch log's valid prefix is the whole truth.
 // ---------------------------------------------------------------------
-
-/// A unique scratch directory under the system temp dir.
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "inverda-branchprops-{tag}-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 /// Copy every regular file of `src` into `dst` (branch dirs are flat).
 fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
@@ -756,10 +747,9 @@ fn snapshot_all(manager: &BranchingInverda) -> Vec<(String, String)> {
 /// the surviving prefix.
 #[test]
 fn crash_at_any_boundary_recovers_the_prefix_state() {
-    let _fusion = fusion_override(Some(true));
-    let dir = fresh_dir("live");
-    let manager =
-        BranchingInverda::open_in(&dir, inverda_core::DurabilityOptions::default()).expect("open");
+    let dir = TempDir::new("branch-live");
+    let manager = BranchingInverda::open_in(dir.path(), inverda_core::DurabilityOptions::default())
+        .expect("open");
     let main = manager.main();
 
     let mut boundaries: Vec<(u64, Vec<(String, String)>)> = Vec::new();
@@ -825,33 +815,35 @@ fn crash_at_any_boundary_recovers_the_prefix_state() {
             &[0]
         };
         for delta in cuts {
-            let scratch = fresh_dir("crash");
-            copy_dir(&dir, &scratch);
-            let log = scratch.join("branch-0.log");
+            let scratch = TempDir::new("branch-crash");
+            copy_dir(dir.path(), scratch.path());
+            let log = scratch.path().join("branch-0.log");
             std::fs::OpenOptions::new()
                 .write(true)
                 .open(&log)
                 .expect("open log copy")
                 .set_len(len + delta)
                 .expect("truncate log copy");
-            let recovered =
-                BranchingInverda::open_in(&scratch, inverda_core::DurabilityOptions::default())
-                    .expect("recover");
+            let recovered = BranchingInverda::open_in(
+                scratch.path(),
+                inverda_core::DurabilityOptions::default(),
+            )
+            .expect("recover");
             assert_eq!(
                 &snapshot_all(&recovered),
                 expected,
                 "recovery at boundary {i} (cut +{delta}) must equal the live prefix state"
             );
-            std::fs::remove_dir_all(&scratch).ok();
         }
     }
 
     // A recovered manager is fully live: it keeps the replay invariant
     // through further writes.
-    let scratch = fresh_dir("resume");
-    copy_dir(&dir, &scratch);
-    let recovered = BranchingInverda::open_in(&scratch, inverda_core::DurabilityOptions::default())
-        .expect("recover final");
+    let scratch = TempDir::new("branch-resume");
+    copy_dir(dir.path(), scratch.path());
+    let recovered =
+        BranchingInverda::open_in(scratch.path(), inverda_core::DurabilityOptions::default())
+            .expect("recover final");
     let rmain = recovered.main();
     rmain
         .insert(
@@ -861,6 +853,4 @@ fn crash_at_any_boundary_recovers_the_prefix_state() {
         )
         .expect("post-recovery insert");
     assert_branch_equals_replay(&rmain, false, "after recovery + write");
-    drop(recovered);
-    std::fs::remove_dir_all(&scratch).ok();
 }

@@ -4,8 +4,9 @@
 //! twin: every statement runs on both, outcomes and minted keys must agree,
 //! and after each statement the two are compared by a text dump of every
 //! version ([`visible`], or [`state`] with the id-minting state). What a
-//! suite varies is the pair of [`Side`]s — snapshot reuse on against off,
-//! fusion on against off — the [`Genealogy`] and what it checks on top.
+//! suite varies is the pair of [`Side`]s — snapshot reuse on against off
+//! (which is also fused γ-chains against hop by hop), in memory or on a
+//! group-commit log — the [`Genealogy`] and what it checks on top.
 //!
 //! Generated writes are one [`Op`] enum with one strategy per op kind
 //! ([`insert`], [`update`], [`delete`], [`materialize`]): a suite composes
@@ -16,13 +17,13 @@
 // only part of it; the rest would be dead code in that binary.
 #![allow(dead_code)]
 
-use inverda_core::{Inverda, Result};
-use inverda_datalog::fusion;
+use inverda_core::{DurabilityMode, DurabilityOptions, Inverda, Result};
 use inverda_storage::{Key, Value};
 use proptest::prelude::*;
 use std::convert::Infallible;
 use std::fmt::Debug;
-use std::sync::{Mutex, MutexGuard};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The paper's TasKy triple: SPLIT + DROP COLUMN to `Do!`, the id-minting
 /// FK-DECOMPOSE + RENAME to `TasKy2`.
@@ -189,32 +190,81 @@ pub fn materialize<Q: Debug + 'static>(
 /// How one database of a [`Twin`] runs.
 #[derive(Debug, Clone, Copy)]
 pub struct Side {
-    /// Whether it keeps its snapshot store across statements (the default).
+    /// Whether it keeps its snapshot store across statements (the default;
+    /// off, it also resolves every chain hop by hop, never fused).
     pub reuse: bool,
-    /// The γ-chain fusion override every call on it runs under; `None`
-    /// leaves the process setting alone. A twin with one must be driven
-    /// while a [`fusion_override`] guard is held.
-    pub fusion: Option<bool>,
+    /// Whether it logs every statement to a group-commit write-ahead log,
+    /// in a directory the twin removes when dropped.
+    pub durable: bool,
 }
 
-/// The engine as it ships: snapshot reuse on.
+/// The engine as it ships: snapshot reuse on, in memory.
 pub const WARM: Side = Side {
     reuse: true,
-    fusion: None,
+    durable: false,
 };
 
-/// The store-disabled twin: every statement re-resolves what it reads.
+/// The store-disabled twin: every statement re-resolves what it reads, hop
+/// by hop.
 pub const COLD: Side = Side {
     reuse: false,
-    fusion: None,
+    durable: false,
 };
 
+/// [`WARM`] on a group-commit log.
+pub const DURABLE: Side = Side {
+    reuse: true,
+    durable: true,
+};
+
+/// The write-ahead log options of a durable [`Side`]: group commit, the
+/// mode a served database runs in.
+pub fn group_commit() -> DurabilityOptions {
+    DurabilityOptions {
+        mode: DurabilityMode::Group,
+        ..DurabilityOptions::default()
+    }
+}
+
+/// A fresh directory under the system temp dir, removed when dropped.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    pub fn new(tag: &str) -> TempDir {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "inverda-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 impl Side {
-    fn run<T>(self, f: impl FnOnce() -> T) -> T {
-        if let Some(on) = self.fusion {
-            fusion::set_enabled(Some(on));
+    /// A fresh database of this side, with the directory of its log if it
+    /// is durable.
+    pub fn open(self) -> (Inverda, Option<TempDir>) {
+        let dir = self.durable.then(|| TempDir::new("twin"));
+        let db = match &dir {
+            Some(dir) => Inverda::open_in(dir.path(), group_commit()).expect("open durable side"),
+            None => Inverda::new(),
+        };
+        if !self.reuse {
+            db.set_snapshot_reuse(false);
         }
-        f()
+        (db, dir)
     }
 }
 
@@ -223,39 +273,36 @@ impl Side {
 pub struct Twin {
     pub subject: Inverda,
     pub reference: Inverda,
-    sides: [Side; 2],
     genealogy: Genealogy,
     /// Keys minted so far (identical in both databases by construction).
     pub keys: Vec<Key>,
+    /// The log directories of durable sides; the last field, so removed
+    /// after the databases are dropped.
+    _dirs: Vec<TempDir>,
 }
 
 impl Twin {
     pub fn new(genealogy: Genealogy, subject: Side, reference: Side) -> Self {
-        let build = |side: Side| {
-            side.run(|| {
-                let db = Inverda::new();
-                db.execute(&genealogy.script).expect("script");
-                if side.reuse {
-                    assert!(db.snapshot_reuse());
-                } else {
-                    db.set_snapshot_reuse(false);
-                }
-                db
-            })
+        let mut dirs = Vec::new();
+        let mut build = |side: Side| {
+            let (db, dir) = side.open();
+            db.execute(&genealogy.script).expect("script");
+            dirs.extend(dir);
+            db
         };
+        let (subject, reference) = (build(subject), build(reference));
         Twin {
-            subject: build(subject),
-            reference: build(reference),
-            sides: [subject, reference],
+            subject,
+            reference,
             genealogy,
             keys: Vec::new(),
+            _dirs: dirs,
         }
     }
 
-    /// Run `f` on the subject, then on the reference, each under its side.
+    /// Run `f` on the subject, then on the reference.
     pub fn each<T>(&self, f: impl Fn(&Inverda) -> T) -> (T, T) {
-        let [s, r] = self.sides;
-        (s.run(|| f(&self.subject)), r.run(|| f(&self.reference)))
+        (f(&self.subject), f(&self.reference))
     }
 
     /// Run `f` on both databases; the outcomes — and the results, a minted
@@ -363,27 +410,4 @@ pub fn state(db: &Inverda) -> String {
     out.push_str(&db.debug_registry());
     out.push_str(&format!("key_seq={}", db.debug_key_seq()));
     out
-}
-
-/// A held [`fusion_override`]: restores the override to `None` (the
-/// `INVERDA_FUSION` default) when dropped, by a failing assertion too.
-pub struct FusionOverride {
-    _lock: MutexGuard<'static, ()>,
-}
-
-/// Set the process-global γ-chain fusion override to `on` while the guard
-/// lives, serialized against every other guard of the test binary: every
-/// resolution reads the override, so a case that sets it, or asserts a
-/// snapshot or fused-chain counter that depends on it, holds one.
-pub fn fusion_override(on: Option<bool>) -> FusionOverride {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fusion::set_enabled(on);
-    FusionOverride { _lock: lock }
-}
-
-impl Drop for FusionOverride {
-    fn drop(&mut self) {
-        fusion::set_enabled(None);
-    }
 }

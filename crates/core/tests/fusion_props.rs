@@ -1,15 +1,16 @@
-//! Differential testing of γ-chain fusion (`INVERDA_FUSION`).
+//! Differential testing of γ-chain fusion.
 //!
-//! Two databases run *identical* statement sequences: one with chain
-//! fusion enabled (the default — runs of adjacent column-level γ mappings
-//! are statically inlined into a single compiled rule set), one with
-//! fusion disabled (every hop evaluates separately, the pre-fusion
-//! behavior). After **every** op, the visible state of every version —
-//! whose `Display` form includes tuple identifiers and skolem-minted
-//! ids — plus the skolem registry dump and the global key sequence must
-//! be byte-identical between the two databases. Any divergence in the
-//! inlined rule bodies, the emptiness assumptions, condition hoisting,
-//! or fusion-barrier placement shows up as a mismatch.
+//! Two databases run *identical* statement sequences: a warm subject with
+//! its snapshot store on, whose cold resolutions fuse runs of adjacent
+//! column-level γ mappings into a single compiled rule set, and a
+//! store-off reference, which resolves every hop separately (the engine's
+//! one hop-by-hop configuration: a view bound to no snapshot store fuses
+//! nothing). After **every** op, the visible state of every version —
+//! whose `Display` form includes tuple identifiers and skolem-minted ids —
+//! plus the skolem registry dump and the global key sequence must be
+//! byte-identical between the two databases. Any divergence in the inlined
+//! rule bodies, the emptiness assumptions, condition hoisting, or
+//! fusion-barrier placement shows up as a mismatch.
 //!
 //! Genealogies under test:
 //! * **randomly generated chains** mixing fusable hops (ADD COLUMN /
@@ -19,20 +20,18 @@
 //! * a **fixed JOIN-barrier genealogy** (fusable run, JOIN of two
 //!   tables, fusable run on the joined result).
 //!
-//! Both run warm and cold (snapshot reuse toggled per case), with
-//! occasional `MATERIALIZE` relocations (which must drop cached fused
+//! The subject runs in memory or on a group-commit log (drawn per case),
+//! with occasional `MATERIALIZE` relocations (which must drop cached fused
 //! chains — their hop structure follows the storage cases).
 //!
 //! The twin harness — genealogy, generated writes, lockstep apply, the
-//! `state` dump — is `common`'s; each side of the twin carries its own
-//! fusion override, set before every call on it. The knob is
-//! process-global, so every case holds `common::fusion_override`'s guard.
-//! What is this file's own: the chain generator, the JOIN genealogy, the
-//! `Probe` query and the check that fusion engages at all.
+//! `state` dump — is `common`'s. What is this file's own: the chain
+//! generator, the JOIN genealogy, the `Probe` query and the checks that
+//! fusion engages on a store-on database and never on a store-off one.
 
 mod common;
 
-use common::{delete, fusion_override, insert, materialize, state, update, Genealogy, Side, Twin};
+use common::{delete, insert, materialize, state, update, Genealogy, Twin, COLD, DURABLE, WARM};
 use inverda_core::Inverda;
 use inverda_storage::{Expr, Value};
 use proptest::prelude::*;
@@ -168,15 +167,11 @@ const JOIN_SCRIPT: &str = "CREATE SCHEMA VERSION G0 WITH \
      CREATE SCHEMA VERSION G4 FROM G3 WITH ADD COLUMN z AS 0 INTO R; \
      CREATE SCHEMA VERSION G5 FROM G4 WITH RENAME TABLE R INTO Rx;";
 
-/// Every op against a fused database and its hop-by-hop twin, each under
-/// its own fusion override, compared after each one — rows, registry and
-/// key sequence.
-fn run(genealogy: Genealogy, cold: bool, ops: &[Op]) {
-    let side = |fused| Side {
-        reuse: !cold,
-        fusion: Some(fused),
-    };
-    let mut h = Twin::new(genealogy, side(true), side(false));
+/// Every op against a fused database, durable or not, and its hop-by-hop
+/// twin, compared after each one — rows, registry and key sequence.
+fn run(genealogy: Genealogy, durable: bool, ops: &[Op]) {
+    let subject = if durable { DURABLE } else { WARM };
+    let mut h = Twin::new(genealogy, subject, COLD);
     for (i, op) in ops.iter().enumerate() {
         if let Some(probe) = h.apply(op) {
             query(&h, probe);
@@ -215,15 +210,14 @@ proptest! {
     /// Random genealogy chains (fusable runs broken by SPLIT and
     /// FK-DECOMPOSE barriers), random writes/queries through the source
     /// and the chain head, occasional migrations — fused ≡ unfused after
-    /// every op, warm and cold.
+    /// every op, the fused side in memory or durable.
     #[test]
     fn fused_equals_hop_by_hop_random_chains(
         hops in prop::collection::vec(0u8..6, 2..8),
         ops in prop::collection::vec(op_strategy(), 1..12),
-        cold in any::<bool>(),
+        durable in any::<bool>(),
     ) {
-        let _fusion = fusion_override(None);
-        run(build_chain(&hops), cold, &ops);
+        run(build_chain(&hops), durable, &ops);
     }
 
     /// The JOIN-barrier genealogy: fused segments must stop at the JOIN
@@ -231,16 +225,15 @@ proptest! {
     #[test]
     fn fused_equals_hop_by_hop_join_barrier(
         ops in prop::collection::vec(op_strategy(), 1..12),
-        cold in any::<bool>(),
+        durable in any::<bool>(),
     ) {
-        let _fusion = fusion_override(None);
         let join = Genealogy {
             script: JOIN_SCRIPT.to_string(),
             targets: vec![("G0".into(), "T0".into()), ("G5".into(), "Rx".into())],
             versions: (0..6).map(|i| format!("G{i}")).collect(),
             row: chain_row,
         };
-        run(join, cold, &ops);
+        run(join, durable, &ops);
     }
 }
 
@@ -251,7 +244,6 @@ proptest! {
 /// storage cases).
 #[test]
 fn fusion_engages_and_materialize_invalidates() {
-    let _fusion = fusion_override(Some(true));
     let chain = build_chain(&[0, 2, 3, 0, 2]);
     let (head_v, head_t) = &chain.targets[1];
     let db = Inverda::new();
@@ -277,4 +269,29 @@ fn fusion_engages_and_materialize_invalidates() {
         (0, 0),
         "MATERIALIZE must drop cached fused chains"
     );
+}
+
+/// Fusion is a property of the snapshot store: a store-off database builds
+/// no fused chain, cold reads across a column-level run included, while its
+/// store-on twin builds one for the same reads, and both return the same
+/// bytes.
+#[test]
+fn a_store_off_database_resolves_hop_by_hop() {
+    let chain = build_chain(&[0, 2, 3, 0, 2]);
+    let twin = Twin::new(chain, WARM, COLD);
+    twin.both("insert", |db| {
+        db.insert(
+            "G0",
+            "T0",
+            vec![Value::Int(1), Value::text("b0"), Value::text("c0")],
+        )
+    });
+    // The head, five hops above the data, then two versions below it.
+    for (version, table) in [("G5", "T3"), ("G3", "T3"), ("G1", "T0")] {
+        let (on, off) = twin.each(|db| db.scan(version, table).map(|rel| rel.to_string()));
+        assert_eq!(on.expect("store-on scan"), off.expect("store-off scan"));
+    }
+    let (on, off) = twin.each(Inverda::fused_chain_stats);
+    assert!(on.0 >= 1, "the store-on twin fused nothing: {on:?}");
+    assert_eq!(off, (0, 0), "the store-off twin fused");
 }

@@ -1,5 +1,7 @@
 //! Serving-layer stress/soak: a fixed-seed run with reader, writer, and
 //! DDL threads hammering one [`ServingInverda`] plus mid-run checkpoints.
+//! The database is durable, on a group-commit log, so the commit pipeline
+//! batches each drained group into one fsync on a real log throughout.
 //!
 //! The budget defaults to a CI-friendly 2 seconds and scales via the
 //! `INVERDA_SOAK_MS` environment knob (e.g. `INVERDA_SOAK_MS=30000` for
@@ -10,6 +12,9 @@
 //! versions leak, and a final snapshot-store audit comes back clean (every
 //! warm entry byte-identical to cold re-resolution).
 
+mod common;
+
+use common::{group_commit, TempDir};
 use inverda_core::{Inverda, LogicalWrite, ServingInverda, ServingOutcome};
 use inverda_storage::{Key, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,7 +72,8 @@ fn soak_budget() -> Duration {
 
 #[test]
 fn serving_soak_survives_concurrent_readers_writers_and_ddl() {
-    let db = Inverda::new();
+    let dir = TempDir::new("soak");
+    let db = Inverda::open_in(dir.path(), group_commit()).expect("open durable");
     for stmt in SETUP {
         db.execute(stmt).expect("setup");
     }

@@ -42,17 +42,16 @@
 //! The warm/cold pair, the first three genealogies, the generated writes
 //! and the `visible` dump are the twin harness in `common`; this file adds
 //! the store audit, the `TasKy2`, sibling and DDL streams and the counter
-//! tests. The fusion override is process-global: the DDL stream sets it, and
-//! every test asserting a snapshot or fused-chain counter holds
-//! `common::fusion_override`'s guard.
+//! tests. The DDL stream draws its warm database in memory or on a
+//! group-commit log per case.
 //!
 //! [`SnapshotStore`]: inverda_core::SnapshotStore
 
 mod common;
 
 use common::{
-    delete, fusion_override, insert, materialize, mint_chain, split, tasky, update, visible,
-    Genealogy, Op, Twin, COLD, TASKY_SCRIPT, WARM,
+    delete, insert, materialize, mint_chain, split, tasky, update, visible, Genealogy, Op, Side,
+    Twin, COLD, DURABLE, TASKY_SCRIPT, WARM,
 };
 use inverda_core::{Inverda, LogicalWrite};
 use inverda_storage::{Expr, Key, Value};
@@ -331,7 +330,6 @@ proptest! {
     fn warm_writes_through_fk_decompose_equal_cold_twin(
         ops in prop::collection::vec(tasky2_op_strategy(), 1..30),
     ) {
-        let _fusion = fusion_override(None);
         let mut h = Twin::new(tasky(), WARM, COLD);
         for (i, op) in ops.iter().enumerate() {
             h.apply_tasky2(op);
@@ -592,7 +590,6 @@ proptest! {
         // (Past the prologue, whose own catch-up the test counts on.)
         bulk_at in prop::option::of(8usize..38),
     ) {
-        let _fusion = fusion_override(None);
         let mut h = Twin::new(tasky(), WARM, COLD);
         let mut s = Siblings::default();
         // Filler: tasks `Do!.Todo` does not show, whose keys no op picks —
@@ -799,14 +796,14 @@ struct DdlHarness {
 }
 
 impl DdlHarness {
-    fn new() -> Self {
+    fn new(subject: Side) -> Self {
         let target = |version: &str, table: &str, cols: &[(&str, Col)]| Target {
             version: version.to_string(),
             table: table.to_string(),
             cols: cols.iter().map(|(n, k)| (n.to_string(), *k)).collect(),
         };
         DdlHarness {
-            h: Twin::new(tasky(), WARM, COLD),
+            h: Twin::new(tasky(), subject, COLD),
             targets: vec![
                 target(
                     "TasKy",
@@ -996,14 +993,14 @@ proptest! {
     /// audit clean, and the counters must show the stores were actually
     /// kept: no read of a version that was warm before a `CREATE` or `DROP`
     /// misses after it, and a one-hop leaf over a warm parent builds no
-    /// fused chain. Fusion on and off.
+    /// fused chain. The warm database runs in memory or on a group-commit
+    /// log.
     #[test]
     fn warm_database_under_ddl_equals_cold_twin(
         ops in prop::collection::vec(ddl_op_strategy(), 1..30),
-        fused in any::<bool>(),
+        durable in any::<bool>(),
     ) {
-        let _fusion = fusion_override(Some(fused));
-        let mut d = DdlHarness::new();
+        let mut d = DdlHarness::new(if durable { DURABLE } else { WARM });
         for (i, op) in ops.iter().enumerate() {
             d.apply(op);
             let context = format!("op {i}: {op:?}");
@@ -1021,7 +1018,6 @@ proptest! {
 /// re-resolution (store audit).
 #[test]
 fn staged_mappings_are_maintained_not_invalidated() {
-    let _fusion = fusion_override(None);
     let db = Inverda::new();
     db.execute(TASKY_SCRIPT).unwrap();
     let mut keys = Vec::new();
@@ -1091,7 +1087,6 @@ fn staged_mappings_are_maintained_not_invalidated() {
 /// `TasKy2.Task` is served warm.
 #[test]
 fn fk_decompose_target_writes_are_delta_maintained() {
-    let _fusion = fusion_override(None);
     let db = Inverda::new();
     db.execute(TASKY_SCRIPT).unwrap();
     for i in 0..40 {
@@ -1140,7 +1135,6 @@ fn fk_decompose_target_writes_are_delta_maintained() {
 /// otherwise the differential tests above prove nothing.
 #[test]
 fn warm_path_is_exercised() {
-    let _fusion = fusion_override(None);
     let db = Inverda::new();
     db.execute(TASKY_SCRIPT).unwrap();
     for i in 0..20 {

@@ -655,6 +655,40 @@ enum ProbeState {
 }
 
 /// Seed every rule with changed tuples and collect candidate head keys.
+///
+/// **Why this is exact.** If both full evaluations, of the old state and of
+/// the new, succeed, the candidates hold every head key whose row differs
+/// between them, although a probe ends a branch on an expression error
+/// instead of failing. A head row changes only through a firing that uses a
+/// changed tuple: one of the old state that a deletion at a positive
+/// literal or an insertion at a negative one takes away, or one of the new
+/// state that an insertion at a positive literal or a deletion at a
+/// negative one brings. The probe of that tuple at that literal, in that
+/// state, walks the firing's bindings, so every step on the way is part of
+/// a firing of the probed state. Had a condition or assignment on the way
+/// failed, the cold evaluation of that state would have failed too: it
+/// reaches the filter once the literals its order (`base_order`) puts first
+/// are matched, all of them part of the firing, so with the same inputs.
+/// Hence no branch toward a candidate fails, and a branch that does extends
+/// to no firing, so ending it loses no candidate.
+///
+/// A probe seeds the changed tuple first, so it can reach a filter before
+/// an atom that would reject the firing: in `H0(p, d) ← T0(p, a, a), T1(q,
+/// a), d = 6 / a`, a `T1` insert with `a = 0` divides before any `T0` row is
+/// read, although no `T0` row has `a = 0`. So on an expression error the
+/// probe tries, under its frame, the literals the cold order puts before the
+/// filter and its path has not matched (`Evaluator::cold_evaluation_meets`):
+/// a match means the cold evaluation meets the same failure, and the probe
+/// raises it; none, and only the branch ends. A skolem literal among them is
+/// not tried, since trying it would mint; the branch ends.
+///
+/// **When a state cannot be evaluated**, propagation promises no error. It
+/// fails where a probe or a candidate's re-derivation meets a failure the
+/// cold evaluation meets too (the `T0` insert with `a = 0` above fails so),
+/// and otherwise returns the difference of the firings it completes. A
+/// failure on a firing that no probe reaches with its cold-order literals
+/// matched, and that no candidate's re-derivation meets, is not seen: a
+/// probe explores only the branches through a changed tuple.
 fn probe_rules(
     crs: &CompiledRuleSet,
     ev: &Evaluator<'_>,
@@ -695,7 +729,7 @@ mod tests {
     use crate::ast::{Atom, Literal, Rule, RuleSet, Term};
     use crate::eval::MapEdb;
     use crate::skolem::SkolemRegistry;
-    use inverda_storage::{Expr, Value};
+    use inverda_storage::{BinaryOp, Expr, Value};
 
     fn ids() -> RefCell<SkolemRegistry> {
         RefCell::new(SkolemRegistry::new())
@@ -863,6 +897,107 @@ mod tests {
         let slow = propagate_by_recompute(&rules, &edb, &input, &sk2, &BTreeMap::new()).unwrap();
         let slow: DeltaMap = slow.into_iter().filter(|(_, d)| !d.is_empty()).collect();
         assert_eq!(fast, slow);
+    }
+
+    /// `head(p, d) ← body…, d = 6 / a`.
+    fn dividing_rule(head: &str, body: Vec<Literal>) -> RuleSet {
+        let mut body = body;
+        body.push(Literal::Assign {
+            var: "d".into(),
+            expr: Expr::Binary(
+                Box::new(Expr::lit(6)),
+                BinaryOp::Div,
+                Box::new(Expr::col("a")),
+            ),
+        });
+        RuleSet::new(vec![Rule::new(Atom::vars(head, &["p", "d"]), body)])
+    }
+
+    /// `name(k, vals…)` rows under payload columns `c0, c1, …`.
+    fn rows(name: &str, rows: &[(u64, &[i64])]) -> Relation {
+        let arity = rows.first().map_or(0, |(_, vals)| vals.len());
+        let mut rel = Relation::with_columns(name, (0..arity).map(|i| format!("c{i}")));
+        for (key, vals) in rows {
+            let row = vals.iter().map(|v| Value::Int(*v)).collect();
+            rel.insert(Key(*key), row).unwrap();
+        }
+        rel
+    }
+
+    /// Propagation of `input` through `rules`, and the naive two-state
+    /// diff's verdict: both cold evaluations succeed or not.
+    fn propagate_and_recompute(
+        rules: &RuleSet,
+        edb: &MapEdb,
+        input: &DeltaMap,
+    ) -> (Result<DeltaMap>, Result<DeltaMap>) {
+        let fast = propagate(rules, edb, input, &ids(), &BTreeMap::new());
+        let fast = fast.map(|out| out.into_iter().filter(|(_, d)| !d.is_empty()).collect());
+        let slow = propagate_by_recompute(rules, edb, input, &ids(), &BTreeMap::new());
+        let slow = slow.map(|out| out.into_iter().filter(|(_, d)| !d.is_empty()).collect());
+        (fast, slow)
+    }
+
+    /// A probe seeds the changed `T1` tuple first and reaches the
+    /// assignment before `T0`, the atom the cold evaluation matches first:
+    /// `a = 0` divides on a branch that no `T0` row completes. Both cold
+    /// evaluations succeed, so propagation must too, with their diff.
+    #[test]
+    fn a_probe_ends_a_branch_that_no_firing_completes() {
+        let rules = dividing_rule(
+            "H0",
+            vec![
+                Literal::Pos(Atom::vars("T0", &["p", "a", "a"])),
+                Literal::Pos(Atom::vars("T1", &["q", "a"])),
+            ],
+        );
+        let mut edb = MapEdb::new();
+        edb.add(rows("T0", &[(1, &[2, 2])]));
+        edb.add(rows("T1", &[(5, &[2])]));
+        let mut input = DeltaMap::new();
+        input.insert("T1".into(), Delta::insert(Key(7), vec![Value::Int(0)]));
+        let (fast, slow) = propagate_and_recompute(&rules, &edb, &input);
+        assert_eq!(slow, Ok(DeltaMap::new()));
+        assert_eq!(fast, slow);
+        // A `T0` row with `a = 0` makes the new state fail cold, and the
+        // probe of it raises: the seed is the atom the cold order matches
+        // before the assignment.
+        let mut input = DeltaMap::new();
+        input.insert("T0".into(), Delta::insert(Key(3), vec![0.into(), 0.into()]));
+        let (fast, slow) = propagate_and_recompute(&rules, &edb, &input);
+        assert!(slow.is_err());
+        assert!(fast.is_err(), "{fast:?}");
+    }
+
+    /// A probe that reaches a failing assignment before an atom the cold
+    /// order matches first tries that atom under its frame: a match means
+    /// the cold evaluation meets the same failure, and the probe raises it;
+    /// none, and the branch ends.
+    #[test]
+    fn a_probe_raises_only_what_the_cold_evaluation_meets() {
+        let rules = dividing_rule(
+            "H",
+            vec![
+                Literal::Pos(Atom::vars("B", &["q", "b"])),
+                Literal::Pos(Atom::vars("A", &["p", "a"])),
+            ],
+        );
+        let mut input = DeltaMap::new();
+        input.insert("A".into(), Delta::insert(Key(2), vec![Value::Int(0)]));
+        for b_rows in [&[][..], &[(9, &[1][..])]] {
+            let mut edb = MapEdb::new();
+            edb.add(rows("A", &[(1, &[3])]));
+            let mut b = rows("B", b_rows);
+            if b_rows.is_empty() {
+                b = Relation::with_columns("B", ["c0"]);
+            }
+            edb.add(b);
+            let (fast, slow) = propagate_and_recompute(&rules, &edb, &input);
+            // Empty `B`: both states evaluate, to no row. A `B` row: the new
+            // state divides by zero cold, and the probe raises it.
+            assert_eq!(slow.is_ok(), b_rows.is_empty());
+            assert_eq!(fast, slow, "B = {b_rows:?}");
+        }
     }
 
     #[test]

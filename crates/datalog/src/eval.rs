@@ -1102,14 +1102,74 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The value of a condition or assignment, `None` where a witness
-    /// search drops the branch it fails on.
-    fn filter_value<T>(&self, value: inverda_storage::Result<T>) -> Result<Option<T>> {
+    /// The value of the condition or assignment `order[depth]`, `None`
+    /// where the branch it fails on ends instead of the evaluation: in a
+    /// witness search, and in a probe where the cold evaluation does not
+    /// [meet the failure](Self::cold_evaluation_meets).
+    #[allow(clippy::too_many_arguments)]
+    fn filter_value<T>(
+        &self,
+        value: inverda_storage::Result<T>,
+        rule: &CompiledRule,
+        order: &[usize],
+        depth: usize,
+        frame: &mut Frame,
+        trail: &mut Vec<usize>,
+    ) -> Result<Option<T>> {
         match value {
             Ok(v) => Ok(Some(v)),
             Err(_) if self.witness_search => Ok(None),
-            Err(e) => Err(e.into()),
+            Err(e) => match self.cold_evaluation_meets(rule, order, depth, frame, trail)? {
+                true => Err(e.into()),
+                false => Ok(None),
+            },
         }
+    }
+
+    /// Whether a cold evaluation meets the condition or assignment
+    /// `order[depth]`, which failed to evaluate under `frame`, with the same
+    /// inputs: whether the literals `base_order` (the cold order) puts
+    /// before it have a match that agrees with the frame. Only a probe's
+    /// order ([`Evaluator::probe_head_keys`]) can leave one of them off its
+    /// path, the one it seeds among them; every other order, a prefix of
+    /// `base_order` included, raises, as the naive interpreter does in the
+    /// same order. A probe has matched some of those literals on its
+    /// path and, if positive, its seed, whose tuple is present in the probed
+    /// state; the rest are tried under the frame. Not where a skolem literal
+    /// comes first, matched or not: trying it would mint, and in a minting
+    /// probe it binds a reservation, not the id a cold evaluation reads. See
+    /// `probe_rules` in [`crate::delta`] for why ending the branch is exact.
+    fn cold_evaluation_meets(
+        &self,
+        rule: &CompiledRule,
+        order: &[usize],
+        depth: usize,
+        frame: &mut Frame,
+        trail: &mut Vec<usize>,
+    ) -> Result<bool> {
+        if order.len() == rule.body.len() {
+            return Ok(true);
+        }
+        let failing = order[depth];
+        let at = rule.base_order.iter().position(|&lit| lit == failing);
+        let before = &rule.base_order[..at.expect("base_order holds every literal")];
+        let path = &order[..depth];
+        let matched = |lit: &usize| {
+            path.contains(lit) || (!order.contains(lit) && matches!(rule.body[*lit], CLit::Pos(_)))
+        };
+        if before
+            .iter()
+            .any(|&lit| matches!(rule.body[lit], CLit::Skolem { .. }))
+        {
+            return Ok(false);
+        }
+        if before.iter().all(matched) {
+            return Ok(true);
+        }
+        let found = self.join(rule, before, 0, frame, trail, None, &mut |_, _| {
+            Ok(ControlFlow::Break(()))
+        })?;
+        Ok(found.is_break())
     }
 
     /// Consume the evaluator, unwrapping the derived heads.
@@ -1317,15 +1377,15 @@ impl<'a> Evaluator<'a> {
                 self.join(rule, order, depth + 1, frame, trail, rows, on_match)
             }
             CLit::Cond { expr, cols } => {
-                let ctx = FrameCtx { cols, frame };
-                if self.filter_value(expr.matches(&ctx))? != Some(true) {
+                let value = expr.matches(&FrameCtx { cols, frame });
+                if self.filter_value(value, rule, order, depth, frame, trail)? != Some(true) {
                     return Ok(ControlFlow::Continue(()));
                 }
                 self.join(rule, order, depth + 1, frame, trail, rows, on_match)
             }
             CLit::Assign { slot, expr, cols } => {
-                let ctx = FrameCtx { cols, frame };
-                let Some(v) = self.filter_value(expr.eval(&ctx))? else {
+                let value = expr.eval(&FrameCtx { cols, frame });
+                let Some(v) = self.filter_value(value, rule, order, depth, frame, trail)? else {
                     return Ok(ControlFlow::Continue(()));
                 };
                 self.bind_and_continue(rule, order, depth, *slot, v, frame, trail, rows, on_match)

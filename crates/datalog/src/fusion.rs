@@ -9,8 +9,6 @@
 //! renaming for positive occurrences, the `t(K)` choice construction for
 //! negative ones. This module provides the policy around that mechanism:
 //!
-//! * the `INVERDA_FUSION={on,off}` knob ([`enabled`] / [`set_enabled`]),
-//!   defaulting **on** and read from the environment once per process;
 //! * the structural gate [`hop_fusable`]: a mapping participates in a fused
 //!   run only if it is skolem-free (fused runs must not reorder id minting)
 //!   and non-staged (staged sets consume their own intermediate heads, which
@@ -28,61 +26,6 @@
 use crate::ast::{Literal, RuleSet};
 use crate::simplify::{unfold_within, Derivation};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Runtime override of the knob: 0 = not set, 1 = on, 2 = off.
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// `INVERDA_FUSION`, read once per process: [`enabled`] is asked on every
-/// key lookup and cold resolution, and `std::env::var` takes
-/// the process-wide environment lock and allocates. Panics on an unknown
-/// spelling rather than letting a typo silently mean "on".
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("INVERDA_FUSION") {
-        Ok(v) => parse_switch(&v).unwrap_or_else(|| {
-            panic!("INVERDA_FUSION: expected on/1/true/yes or off/0/false/no, got '{v}'")
-        }),
-        Err(_) => true,
-    })
-}
-
-/// The meaning of one spelling of an on/off knob, `None` for an unknown one.
-fn parse_switch(value: &str) -> Option<bool> {
-    match value.trim() {
-        "on" | "1" | "true" | "yes" => Some(true),
-        "off" | "0" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// Whether γ-chain fusion is enabled: a [`set_enabled`] override, else the
-/// `INVERDA_FUSION` environment variable as the process found it at first
-/// use (`on`/`1`/`true`/`yes`, `off`/`0`/`false`/`no`), else **on**.
-/// Disabled fusion runs exactly the hop-by-hop resolution that existed
-/// before fusion landed.
-pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_enabled(),
-    }
-}
-
-/// Override the knob at runtime (the differential property tests run both
-/// settings over one scenario). `None` restores the `INVERDA_FUSION` /
-/// default-on behavior.
-pub fn set_enabled(on: Option<bool>) {
-    OVERRIDE.store(
-        match on {
-            Some(true) => 1,
-            Some(false) => 2,
-            None => 0,
-        },
-        Ordering::Relaxed,
-    );
-}
 
 /// Size bounds on a fused rule set. Fusion trades k small evaluations for
 /// one larger one; past these bounds the larger one stops winning (and
@@ -164,28 +107,6 @@ mod tests {
 
     fn atom(rel: &str, vars: &[&str]) -> Atom {
         Atom::vars(rel, vars)
-    }
-
-    #[test]
-    fn switch_spellings() {
-        for on in ["on", "1", "true", "yes", " on "] {
-            assert_eq!(parse_switch(on), Some(true), "{on}");
-        }
-        for off in ["off", "0", "false", "no", "off\n"] {
-            assert_eq!(parse_switch(off), Some(false), "{off}");
-        }
-        for unknown in ["", "of", "ON", "enabled", "2"] {
-            assert_eq!(parse_switch(unknown), None, "{unknown}");
-        }
-    }
-
-    #[test]
-    fn knob_override_wins() {
-        set_enabled(Some(false));
-        assert!(!enabled());
-        set_enabled(Some(true));
-        assert!(enabled());
-        set_enabled(None);
     }
 
     #[test]

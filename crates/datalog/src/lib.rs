@@ -22,10 +22,11 @@
 //! * the five **simplification lemmas** of Section 5 ([`simplify`]) as
 //!   executable rule-set transformations, used to re-derive the paper's
 //!   bidirectionality proofs (Appendix A) mechanically;
-//! * **γ-chain fusion** ([`fusion`]): the `INVERDA_FUSION` knob, the
-//!   structural fusability gate, and budgeted Lemma-1 inlining, with which
-//!   the core crate statically composes runs of adjacent column-level
-//!   mappings into single fused rule sets.
+//! * **γ-chain fusion** ([`fusion`]): the structural fusability gate and
+//!   budgeted Lemma-1 inlining, with which the core crate statically
+//!   composes runs of adjacent column-level mappings into single fused rule
+//!   sets (only in a view bound to a snapshot store; a store-off database
+//!   resolves hop by hop).
 //!
 //! Evaluation is sequential: one rule after another, in rule order, on the
 //! calling thread.

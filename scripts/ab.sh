@@ -13,13 +13,16 @@
 # row per workload × end-to-end metric in the EXPERIMENTS.md table format:
 # both medians with their quartiles (as Python's statistics.quantiles), the
 # change of the median, the pairs the working tree won (ties count for
-# neither side), and a verdict from BENCHMARK.json's `better` and `bound`:
+# neither side), and a verdict from BENCHMARK.json's `better` and `bound`,
+# the first of these that holds:
 #
 #   gain        at least nine tenths of the pairs won, and the medians apart
 #               by more than the parent's q1–q3 distance
+#   unresolved  the parent's q1–q3 distance wider than the bound, unless
+#               every run of the working tree is better, or every one is
+#               worse, than every parent run: the parent's runs alone span
+#               more than the bound, so a median past it says nothing
 #   worse       the median worse than the parent's by more than the bound
-#   unresolved  the parent's q1–q3 distance wider than the bound, and not
-#               every run of the working tree better than every parent run
 #   same        none of these
 #
 # After the table come the pairs whose two `slowdown` notes (the median of a
@@ -145,12 +148,14 @@ for workload in "${workloads[@]}"; do
                 pm = quantile(a, n, 2); cm = quantile(b, n, 2)
                 spread = quantile(a, n, 3) - quantile(a, n, 1)
                 # By how much the working tree is better, and whether its
-                # worst run still beats the best run of the parent.
+                # worst run still beats the best run of the parent, or its
+                # best run still trails the worst one.
                 ahead = better == "higher" ? cm - pm : pm - cm
                 apart = better == "higher" ? b[1] > a[n] : b[n] < a[1]
+                behind = better == "higher" ? b[n] < a[1] : b[1] > a[n]
                 if (won * 10 >= n * 9 && ahead > spread) verdict = "gain"
+                else if (spread > bound * pm && !apart && !behind) verdict = "unresolved"
                 else if (-ahead > bound * pm) verdict = "worse"
-                else if (spread > bound * pm && !apart) verdict = "unresolved"
                 else verdict = "same"
                 printf "| `%s` | `%s` | %s | %s | %+.1f %% | %d/%d | %s |\n", w, m, cell(a, n), cell(b, n), (cm - pm) / pm * 100, won, n, verdict
             }' "$results"

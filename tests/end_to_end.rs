@@ -417,13 +417,9 @@ fn a_foreign_write_is_caught_up_two_hops_out() {
     let allocation = |db: &Inverda| Arc::as_ptr(&db.scan("Do!", "Todo").unwrap());
     let snapshot = allocation(&db);
     // What one catch-up patches: the SPLIT's `Todo` and its `Task'` aux,
-    // then `Do!.Todo` — and the DROP COLUMN's aux when the hops resolve one
-    // by one; a fused resolution stores only the head it was asked for.
-    let heads = if inverda::datalog::fusion::enabled() {
-        3
-    } else {
-        4
-    };
+    // then `Do!.Todo` — not the DROP COLUMN's aux, since the fused
+    // resolution stores only the head it was asked for.
+    let heads = 3;
 
     // `write` returns the key the next get asks `Do!.Todo` for.
     let caught_up = |what: &str, task: Option<&str>, write: &dyn Fn() -> Key| {

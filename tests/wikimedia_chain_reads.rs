@@ -1,14 +1,10 @@
 //! The two byte-equality checks on the 171-version Wikimedia genealogy that
-//! no differential suite makes at this depth: γ-chain fusion against
-//! hop-by-hop evaluation, cold, at versions up to 62 hops above the data;
-//! and the query layer's pushed-down title probe against scan + filter on
-//! the head version.
-//!
-//! This is its own test binary, and so its own process: the fusion override
-//! is process-global, and `end_to_end` reads [`fusion::enabled`] to pick the
-//! counts it expects, so flipping the override there would race it.
+//! no differential suite makes at this depth: a store-on database, whose
+//! cold reads resolve through fused γ-chains, against a store-off one, which
+//! resolves hop by hop, at versions up to 62 hops above the data; and the
+//! query layer's pushed-down title probe against scan + filter on the head
+//! version.
 
-use inverda::datalog::fusion;
 use inverda::storage::BoundExpr;
 use inverda::workloads::wikimedia;
 use inverda::{AccessPath, Expr, Inverda, Relation, Value};
@@ -26,53 +22,61 @@ fn wiki_db() -> Inverda {
     db
 }
 
-/// Cold resolution with fusion on and off must produce the same rows at
-/// every depth of the ADD/DROP/RENAME run above the load version (the
-/// Figure 12 reads plus the pushed-down title probe), and the same skolem
-/// registry and key sequence afterwards: first on the freshly loaded
-/// database, where every aux table above the data is empty and the fused
-/// chains are built on that assumption, then after a write through the
-/// head has filled the aux tables of its ADD COLUMN hops.
-#[test]
-fn fused_chains_resolve_the_same_bytes_as_hop_by_hop() {
-    let db = wiki_db();
-    db.set_snapshot_reuse(false);
-    let fingerprint = |on: bool| -> String {
-        fusion::set_enabled(Some(on));
-        let mut s = String::new();
-        for v in [115, 130, 145, 160, 171] {
-            let name = wikimedia::version_name(v);
-            for table in ["page", "links"] {
-                s.push_str(&format!(
-                    "{name}.{table}:\n{}",
-                    db.scan(&name, table).unwrap()
-                ));
-            }
+/// Every depth of the ADD/DROP/RENAME run above the load version (the
+/// Figure 12 reads plus the pushed-down title probe), the deepest first so
+/// that no shallower snapshot ends a fused run early, then the skolem
+/// registry and the key sequence.
+fn fingerprint(db: &Inverda) -> String {
+    let mut s = String::new();
+    for v in [171, 160, 145, 130, 115] {
+        let name = wikimedia::version_name(v);
+        for table in ["page", "links"] {
             s.push_str(&format!(
-                "probe {v}: {}\n",
-                wikimedia::probe_version(&db, v)
+                "{name}.{table}:\n{}",
+                db.scan(&name, table).unwrap()
             ));
         }
-        s.push_str(&db.debug_registry());
-        s.push_str(&format!("key_seq={}", db.debug_key_seq()));
-        fusion::set_enabled(None);
-        s
-    };
-    let fused = fingerprint(true);
-    let (chains, deepest) = db.fused_chain_stats();
+        s.push_str(&format!("probe {v}: {}\n", wikimedia::probe_version(db, v)));
+    }
+    s.push_str(&db.debug_registry());
+    s.push_str(&format!("key_seq={}", db.debug_key_seq()));
+    s
+}
+
+/// A store-on database resolves the chain fused, its store-off twin hop by
+/// hop; both must produce the same rows at every depth, and the same
+/// skolem registry and key sequence: first on the freshly loaded data,
+/// where every aux table above the data is empty and the fused chains are
+/// built on that assumption, then after a write through the head has filled
+/// the aux tables of its ADD COLUMN hops. Before the second round the
+/// store-on database drops its snapshots but keeps its fused chains, so its
+/// reads revalidate the chains' emptiness assumptions instead of hitting
+/// maintained snapshots.
+#[test]
+fn fused_chains_resolve_the_same_bytes_as_hop_by_hop() {
+    let fused = wiki_db();
+    let plain = wiki_db();
+    plain.set_snapshot_reuse(false);
+    let on_fused = fingerprint(&fused);
+    let (chains, deepest) = fused.fused_chain_stats();
     assert!(
         deepest > 1,
         "no chain fused: {chains} chains, deepest run {deepest} hops"
     );
-    assert!(fused.contains(&format!("Page_{}", wikimedia::PROBE_TITLE_I)));
+    assert!(on_fused.contains(&format!("Page_{}", wikimedia::PROBE_TITLE_I)));
     assert_eq!(
-        fused,
-        fingerprint(false),
+        on_fused,
+        fingerprint(&plain),
         "fused ≠ hop-by-hop on the loaded data"
+    );
+    assert_eq!(
+        plain.fused_chain_stats(),
+        (0, 0),
+        "the store-off twin fused"
     );
 
     let head = wikimedia::version_name(171);
-    let row: Vec<Value> = db
+    let row: Vec<Value> = fused
         .columns_of(&head, "page")
         .unwrap()
         .iter()
@@ -83,12 +87,20 @@ fn fused_chains_resolve_the_same_bytes_as_hop_by_hop() {
             _ => Value::Int(1_000 + i as i64),
         })
         .collect();
-    db.insert(&head, "page", row).unwrap();
-    let fused = fingerprint(true);
-    assert!(fused.contains("written through the head"));
+    for db in [&fused, &plain] {
+        db.insert(&head, "page", row.clone()).unwrap();
+    }
+    fused.set_snapshot_reuse(false);
+    fused.set_snapshot_reuse(true);
+    assert!(
+        fused.fused_chain_stats().0 >= chains,
+        "the chains were kept"
+    );
+    let on_fused = fingerprint(&fused);
+    assert!(on_fused.contains("written through the head"));
     assert_eq!(
-        fused,
-        fingerprint(false),
+        on_fused,
+        fingerprint(&plain),
         "fused ≠ hop-by-hop after a head write"
     );
 }
