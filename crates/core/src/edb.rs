@@ -981,7 +981,7 @@ impl EdbView for VersionedEdb<'_> {
         // Push the key through the defining mapping — the whole fused run
         // of it, when the chain fuses (fused sets are never staged).
         let crs = self.fused_for(relation).unwrap_or(crs);
-        let mut ev = Evaluator::new(self, self.ids);
+        let ev = Evaluator::new(self, self.ids);
         let row = ev.head_row_for_key(&crs, relation, key)?;
         self.key_cache
             .borrow_mut()

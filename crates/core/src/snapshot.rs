@@ -659,14 +659,14 @@ impl SnapshotMaintenance {
     /// wins over patching. An **empty** delta is meaningful: it certifies
     /// the relation is unchanged by this write, so its entry's footprint
     /// epochs can be refreshed instead of going stale.
-    pub fn record_patch(&mut self, relation: &str, delta: &Delta) {
+    pub fn record_patch(&mut self, relation: &str, delta: Delta) {
         if self.invalidate.contains(relation) {
             return;
         }
         match self.patches.get_mut(relation) {
-            Some(existing) => existing.merge(delta),
+            Some(existing) => existing.merge(&delta),
             None => {
-                self.patches.insert(relation.to_string(), delta.clone());
+                self.patches.insert(relation.to_string(), delta);
             }
         }
     }
@@ -735,7 +735,7 @@ mod tests {
         let mut maint = SnapshotMaintenance::new();
         let mut d = Delta::insert(Key(3), vec![Value::Int(30)]);
         d.deletes.insert(Key(1), vec![Value::Int(10)]);
-        maint.record_patch("V", &d);
+        maint.record_patch("V", d);
         store.commit(&maint, &valid, &storage);
 
         let rel = store
@@ -768,8 +768,8 @@ mod tests {
         let valid = store.valid_rels(&storage, [&"V".to_string(), &"W".to_string()]);
         let mut maint = SnapshotMaintenance::new();
         maint.record_invalidate("V");
-        maint.record_patch("V", &Delta::insert(Key(9), vec![Value::Int(9)]));
-        maint.record_patch("W", &Delta::insert(Key(9), vec![Value::Int(9)]));
+        maint.record_patch("V", Delta::insert(Key(9), vec![Value::Int(9)]));
+        maint.record_patch("W", Delta::insert(Key(9), vec![Value::Int(9)]));
         maint.record_purge("Aux");
         store.commit(&maint, &valid, &storage);
         assert!(
@@ -800,7 +800,7 @@ mod tests {
         let mut maint = SnapshotMaintenance::new();
         maint.record_patch(
             "V",
-            &Delta::update(Key(2), vec![Value::Int(10)], vec![Value::Int(33)]),
+            Delta::update(Key(2), vec![Value::Int(10)], vec![Value::Int(33)]),
         );
         store.commit(&maint, &valid, &storage);
         assert_eq!(snap.index(0).keys_for(&Value::Int(10)), &[Key(1), Key(2)]);
@@ -878,7 +878,7 @@ mod tests {
         let mut maint = SnapshotMaintenance::new();
         maint.record_patch(
             "V",
-            &Delta::update(Key(1000), vec![Value::Int(1000)], vec![Value::Int(-1)]),
+            Delta::update(Key(1000), vec![Value::Int(1000)], vec![Value::Int(-1)]),
         );
         store.commit(&maint, &valid, &storage);
         assert_eq!(store.len(), 1, "one entry per relation");

@@ -614,6 +614,9 @@ impl Inverda {
         // by each processed hop; rels whose delta could not be derived.
         let mut known = landed;
         let mut unknown: BTreeSet<String> = BTreeSet::new();
+        // Departed rels with an exact delta: it stays in `known`, where later
+        // hops read it, and becomes their patch once every hop has run.
+        let mut patched: Vec<String> = Vec::new();
         // Rounds: a hop is ready once every hop it waits for has been
         // processed in an earlier round. Simultaneously-ready hops are
         // mutually independent — a ready hop's inputs cannot be another
@@ -625,7 +628,16 @@ impl Inverda {
             // round the order cannot be observed (see above).
             for &i in &round {
                 let h = &traversed[i];
-                self.maintain_hop(state, edb, h, ids, &mut known, &mut unknown, maint);
+                self.maintain_hop(
+                    state,
+                    edb,
+                    h,
+                    ids,
+                    &mut known,
+                    &mut unknown,
+                    &mut patched,
+                    maint,
+                );
             }
             let mut next = Vec::new();
             for &i in &round {
@@ -645,13 +657,22 @@ impl Inverda {
         for (h, _) in traversed.iter().zip(&waiting).filter(|(_, &w)| w > 0) {
             self.invalidate_departed(state, h, maint, &mut unknown);
         }
+        // A departed rel is no destination of a landed delta and gets its
+        // delta from its one defining SMO, so `known` holds exactly the
+        // patch recording each hop's delta would have composed; one
+        // invalidated meanwhile records nothing, either way.
+        for rel in patched {
+            if let Some(delta) = known.remove(&rel) {
+                maint.record_patch(&rel, delta);
+            }
+        }
     }
 
     /// One ready hop of [`reverse_maintenance`](Inverda::reverse_maintenance):
     /// push the known deltas of what the departed side's defining mapping
-    /// reads through that mapping, record the results as patches and as
-    /// known deltas — or invalidate the departed side when that cannot be
-    /// done.
+    /// reads through that mapping, record the results as known deltas and
+    /// their relations as `patched` — or invalidate the departed side when
+    /// that cannot be done.
     #[allow(clippy::too_many_arguments)]
     fn maintain_hop(
         &self,
@@ -661,6 +682,7 @@ impl Inverda {
         ids: &dyn inverda_datalog::eval::IdSource,
         known: &mut DeltaMap,
         unknown: &mut BTreeSet<String>,
+        patched: &mut Vec<String>,
         maint: &mut SnapshotMaintenance,
     ) {
         let inst = state.genealogy.smo(h.smo);
@@ -712,16 +734,18 @@ impl Inverda {
                 return;
             }
         };
+        // The known deltas the mapping reads, moved out of `known` for the
+        // propagation and moved back after it.
         let mut rev_input = DeltaMap::new();
         for rel in &inputs {
-            if let Some(d) = known.get(*rel) {
-                if !d.is_empty() {
-                    rev_input.insert((*rel).to_string(), d.clone());
-                }
+            if known.get(*rel).is_some_and(|d| !d.is_empty()) {
+                let (rel, delta) = known.remove_entry(*rel).expect("present");
+                rev_input.insert(rel, delta);
             }
         }
+        let changed = !rev_input.is_empty();
         let against_stored = rev_crs.staged() || rev_crs.mints_ids();
-        let deltas = if rev_input.is_empty() {
+        let deltas = if !changed {
             // Nothing the mapping reads changed: the departed side is
             // certified unchanged (empty patches refresh stamps) — staged
             // and minting mappings included.
@@ -734,6 +758,7 @@ impl Inverda {
         } else {
             propagate_compiled(&rev_crs, edb, &rev_input, ids, edb.head_columns()).ok()
         };
+        known.append(&mut rev_input);
         let Some(mut deltas) = deltas else {
             // Maintenance failures degrade to invalidation; they never fail
             // the write.
@@ -746,7 +771,7 @@ impl Inverda {
             // valid entry.
             let delta = match deltas.remove(rel) {
                 Some(delta) => delta,
-                None if rev_input.is_empty() || !against_stored => Delta::new(),
+                None if !changed || !against_stored => Delta::new(),
                 None => {
                     // Only an entry that was valid before this write may be
                     // patched; anything else re-resolves cold on next read
@@ -757,7 +782,7 @@ impl Inverda {
                     continue;
                 }
             };
-            maint.record_patch(rel, &delta);
+            patched.push(rel.to_string());
             match known.get_mut(rel) {
                 Some(existing) => existing.merge(&delta),
                 None => {

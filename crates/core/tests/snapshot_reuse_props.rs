@@ -1131,6 +1131,61 @@ fn fk_decompose_target_writes_are_delta_maintained() {
     assert!(audit.is_empty(), "{}", audit.join("\n"));
 }
 
+/// Writes whose hops take both propagation shortcuts, against a
+/// store-disabled twin after every statement: through `TasKy2.Author`, a
+/// RENAME (an identity mapping, whose delta is passed through) over the
+/// minting FK DECOMPOSE, and through `Do!.Todo`, whose SPLIT and DROP
+/// COLUMN are key-local. Rows, store entries, registry dump and key
+/// sequence must agree, and the warm side must patch its snapshots.
+#[test]
+fn rename_and_key_local_writes_equal_cold_twin() {
+    let twin = Twin::new(tasky(), WARM, COLD);
+    for i in 0..6 {
+        let row = vec![
+            Value::text(format!("a{}", i % 3)),
+            Value::text(format!("t{i}")),
+            Value::Int(i % 3 + 1),
+        ];
+        twin.both("seed", |db| db.insert("TasKy", "Task", row.clone()));
+    }
+    // Compare, then read every table warm for the next write to maintain.
+    let settle = |what: &str| {
+        twin.check(what);
+        twin.check_ids(what);
+        twin.each(visible);
+    };
+    settle("seed");
+    let before = twin.subject.snapshot_stats();
+    let author = |name: &str| vec![Value::text(name)];
+    let todo = |task: &str| vec![Value::text("a1"), Value::text(task)];
+    let author_key = twin
+        .both("author insert", |db| {
+            db.insert("TasKy2", "Author", author("ann"))
+        })
+        .expect("inserted");
+    settle("author insert");
+    let todo_key = twin
+        .both("todo insert", |db| db.insert("Do!", "Todo", todo("new")))
+        .expect("inserted");
+    settle("todo insert");
+    twin.both("author rename", |db| {
+        db.update("TasKy2", "Author", author_key, author("bea"))
+    });
+    settle("author rename");
+    twin.both("todo update", |db| {
+        db.update("Do!", "Todo", todo_key, todo("moved"))
+    });
+    settle("todo update");
+    twin.both("todo delete", |db| db.delete("Do!", "Todo", todo_key));
+    settle("todo delete");
+    twin.both("author delete", |db| {
+        db.delete("TasKy2", "Author", author_key)
+    });
+    settle("author delete");
+    let after = twin.subject.snapshot_stats();
+    assert!(after.patches > before.patches, "{before:?} -> {after:?}");
+}
+
 /// The warm database must actually serve warm reads on this workload —
 /// otherwise the differential tests above prove nothing.
 #[test]

@@ -27,7 +27,7 @@
 use crate::ast::RuleSet;
 use crate::error::DatalogError;
 use crate::eval::{
-    evaluate_compiled, head_cells_bound_by, value_key, CompiledRuleSet, EdbView, Evaluator,
+    evaluate_compiled, head_cells_bound_by, value_key, CTerm, CompiledRuleSet, EdbView, Evaluator,
     IdSource, ReservingIds,
 };
 use crate::skolem::{self, PlaceholderPatch};
@@ -313,6 +313,11 @@ fn propagate_unstaged(
     input_delta: &DeltaMap,
     ids: &dyn IdSource,
 ) -> Result<DeltaMap> {
+    if crs.identity {
+        if let Some(out) = pass_through(crs, base, input_delta)? {
+            return Ok(out);
+        }
+    }
     let patched = PatchedEdb::new(base, input_delta);
 
     // ---- Phase 1 (old state): probe deletions at positive literals and
@@ -329,7 +334,7 @@ fn propagate_unstaged(
 
     // ---- Phase 3: resolve candidates exactly in both states — the whole
     // new-state pass first, which is the reservation order.
-    let mut new_ev = Evaluator::new(&patched, ids);
+    let new_ev = Evaluator::new(&patched, ids);
     let mut new_rows: Vec<Vec<Option<Row>>> = Vec::with_capacity(candidates.len());
     for (head, keys) in &candidates {
         let rows = keys
@@ -338,7 +343,7 @@ fn propagate_unstaged(
             .collect::<Result<_>>()?;
         new_rows.push(rows);
     }
-    let mut old_ev = Evaluator::new(base, ids);
+    let old_ev = Evaluator::new(base, ids);
     let mut out: DeltaMap = DeltaMap::new();
     for ((head, keys), new_rows) in candidates.iter().zip(new_rows) {
         let mut delta = Delta::new();
@@ -362,6 +367,55 @@ fn propagate_unstaged(
         }
     }
     Ok(out)
+}
+
+/// Propagation through an [identity](CompiledRuleSet) set `H(p, x₁…xₙ) ←
+/// B(p, x₁…xₙ)` without an evaluator: `H`'s row under a key is `B`'s, so
+/// `H`'s delta is made of the changed keys of `B` whose rows differ between
+/// the two states. The rows are read as phase 3 of the general path reads
+/// them: every key's new row first (the overlay's, which touches no base
+/// relation), then every key's old row from `base`, in ascending key order.
+/// An input delta that is not minimal (a delete of an absent key, a delete
+/// and insert of one row) so still yields an exact delta. `None` when a row
+/// is not of arity n: the general path then decides, as it would have.
+fn pass_through(
+    crs: &CompiledRuleSet,
+    base: &dyn EdbView,
+    input_delta: &DeltaMap,
+) -> Result<Option<DeltaMap>> {
+    let (_, atom, _) = crs.body_atoms(0).next().expect("one positive atom");
+    let arity = atom.terms.len() - 1;
+    let mut out = DeltaMap::new();
+    let Some(changed) = input_delta.get(&atom.relation) else {
+        return Ok(Some(out));
+    };
+    let mut rows = changed.deletes.values().chain(changed.inserts.values());
+    if rows.any(|row| row.len() != arity) {
+        return Ok(None);
+    }
+    let keys: BTreeSet<Key> = changed
+        .deletes
+        .keys()
+        .chain(changed.inserts.keys())
+        .copied()
+        .collect();
+    let mut delta = Delta::new();
+    for key in keys {
+        let old = base.by_key(&atom.relation, key)?;
+        if old.as_ref().is_some_and(|row| row.len() != arity) {
+            return Ok(None);
+        }
+        let new = changed.inserts.get(&key);
+        if old.as_ref() == new {
+            continue;
+        }
+        delta.deletes.extend(old.map(|row| (key, row)));
+        delta.inserts.extend(new.map(|row| (key, row.clone())));
+    }
+    if !delta.is_empty() {
+        out.insert(crs.rules[0].head.relation.clone(), delta);
+    }
+    Ok(Some(out))
 }
 
 /// Fallback: evaluate the whole rule set in both states and diff the heads.
@@ -682,6 +736,33 @@ enum ProbeState {
 /// raises it; none, and only the branch ends. A skolem literal among them is
 /// not tried, since trying it would mint; the branch ends.
 ///
+/// **A key-local rule skips the join.** A changed tuple at a positive or
+/// negated atom whose key term is the head's key variable names its own key
+/// as the candidate, without a seed frame or a join, when the rule is
+/// [key-local](crate::eval::CompiledRule::key_local) and the set mints
+/// nothing. Every column-level and SPLIT mapping has this shape. Phase 3
+/// re-derives the candidate in both states, so the shortcut is exact if both
+/// full evaluations succeed:
+///
+/// - *The candidates are a superset of the keys whose rows change.* Every
+///   firing that uses the tuple at that atom binds the head's key variable
+///   to the tuple's key, so the probe would have found that key or none.
+/// - *An extra candidate raises nothing.* Its keyed re-derivation in a state
+///   walks `keyed_order` under key p. At a condition or assignment, the
+///   key-local flag has every literal that `base_order` puts before it
+///   matched under the walk's frame: the walk follows the cold order's
+///   prefix for the scan row p. The cold evaluation of that state has the
+///   same branch, reaches the filter with the same inputs, and would fail
+///   on it too. Two rules a key-seeded row conflicts on are two firings of
+///   that state, so the cold evaluation meets that conflict too. An extra
+///   candidate therefore costs one keyed re-derivation, never a wrong row.
+/// - *No mint or reservation moves*, since the set mints nothing.
+///
+/// The flag is what excludes `H(p, d) ← B(q, b), A(p, a), d = 6 / a`: keyed
+/// by p, the walk divides after `A` and before `B`, which the cold order
+/// matches first, so with `B` empty it would raise what no cold evaluation
+/// meets.
+///
 /// **When a state cannot be evaluated**, propagation promises no error. It
 /// fails where a probe or a candidate's re-derivation meets a failure the
 /// cold evaluation meets too (the `T0` insert with `a = 0` above fails so),
@@ -696,11 +777,18 @@ fn probe_rules(
     state: ProbeState,
     candidates: &mut BTreeMap<String, BTreeSet<Key>>,
 ) -> Result<()> {
+    let mint_free = !crs.mints_ids();
     for rule_idx in 0..crs.rules.len() {
+        let rule = &crs.rules[rule_idx];
         for (lit_idx, atom, positive) in crs.body_atoms(rule_idx) {
             let Some(delta) = input_delta.get(&atom.relation) else {
                 continue;
             };
+            let own_key = mint_free
+                && rule.key_local
+                && rule
+                    .head_key_slot
+                    .is_some_and(|slot| atom.terms[0] == CTerm::Var(slot));
             // Which changed tuples to probe in this state:
             // old state: deletions of positive literals (they supported old
             //   derivations) and insertions at negative literals (they kill
@@ -708,9 +796,12 @@ fn probe_rules(
             // new state: insertions at positive literals and deletions at
             //   negative literals.
             let tuples = delta.side_at(positive, state == ProbeState::New);
-            let head = &crs.rules[rule_idx].head.relation;
-            let keys = candidates.entry(head.clone()).or_default();
+            let keys = candidates.entry(rule.head.relation.clone()).or_default();
             for (key, row) in tuples {
+                if own_key && atom.terms.len() == row.len() + 1 {
+                    keys.insert(*key);
+                    continue;
+                }
                 // For positive literals in their supporting state the tuple
                 // is present, so skipping the literal is exact; for the
                 // other cases skipping over-approximates, which is fine —
@@ -997,6 +1088,148 @@ mod tests {
             // state divides by zero cold, and the probe raises it.
             assert_eq!(slow.is_ok(), b_rows.is_empty());
             assert_eq!(fast, slow, "B = {b_rows:?}");
+        }
+    }
+
+    /// The naive interpreter's two-state diff of every head, `None` if
+    /// either state fails to evaluate.
+    fn naive_diff(rules: &RuleSet, edb: &MapEdb, input: &DeltaMap) -> Option<DeltaMap> {
+        let old = crate::naive::evaluate(rules, edb, &ids(), &BTreeMap::new()).ok()?;
+        let patched = PatchedEdb::new(edb, input);
+        let new = crate::naive::evaluate(rules, &patched, &ids(), &BTreeMap::new()).ok()?;
+        let diffs = new
+            .iter()
+            .map(|(head, rel)| (head, Delta::from(rel.diff(&old[head]))));
+        Some(
+            diffs
+                .filter(|(_, d)| !d.is_empty())
+                .map(|(h, d)| (h.clone(), d))
+                .collect(),
+        )
+    }
+
+    /// RENAME COLUMN's mapping: `H(p, a, b) ← B(p, a, b)`.
+    fn rename_rules() -> RuleSet {
+        let vars = ["p", "a", "b"];
+        RuleSet::new(vec![Rule::new(
+            Atom::vars("H", &vars),
+            vec![Literal::Pos(Atom::vars("B", &vars))],
+        )])
+    }
+
+    #[test]
+    fn an_identity_set_passes_a_delta_through_exactly() {
+        let rules = rename_rules();
+        let crs = CompiledRuleSet::compile(&rules).unwrap();
+        assert!(crs.identity);
+        let mut edb = MapEdb::new();
+        edb.add(rows("B", &[(1, &[1, 2]), (2, &[3, 4])]));
+        let row = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
+        let mut inputs = Vec::new();
+        // A delete of an absent key, and a delete plus insert of an
+        // identical row: neither changes `H`.
+        let mut absent = Delta::delete(Key(7), row(0, 0));
+        absent.merge(&Delta::update(Key(2), row(3, 4), row(3, 4)));
+        inputs.push(absent.clone());
+        // The same next to real changes of every kind.
+        absent.merge(&Delta::update(Key(1), row(1, 2), row(1, 5)));
+        absent.merge(&Delta::insert(Key(9), row(6, 6)));
+        inputs.push(absent);
+        inputs.push(Delta::delete(Key(2), row(3, 4)));
+        for delta in inputs {
+            let mut input = DeltaMap::new();
+            input.insert("B".into(), delta);
+            let slow = naive_diff(&rules, &edb, &input).unwrap();
+            let fast = propagate_compiled(&crs, &edb, &input, &ids(), &BTreeMap::new());
+            assert_eq!(fast, Ok(slow), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn a_row_of_another_arity_takes_the_general_path() {
+        let crs = CompiledRuleSet::compile(&rename_rules()).unwrap();
+        let mut general = crs.clone();
+        general.identity = false;
+        let mut edb = MapEdb::new();
+        edb.add(rows("B", &[(1, &[1, 2])]));
+        let mut delta = Delta::update(Key(1), vec![1.into(), 2.into()], vec![1.into(), 5.into()]);
+        delta.merge(&Delta::insert(Key(9), vec![Value::Int(6)]));
+        let mut input = DeltaMap::new();
+        input.insert("B".into(), delta);
+        assert_eq!(pass_through(&crs, &edb, &input), Ok(None));
+        let fast = propagate_compiled(&crs, &edb, &input, &ids(), &BTreeMap::new());
+        let slow = propagate_compiled(&general, &edb, &input, &ids(), &BTreeMap::new());
+        assert_eq!(fast, slow);
+        assert_eq!(fast.unwrap()["H"].len(), 1);
+    }
+
+    #[test]
+    fn a_rule_is_key_local_only_where_its_keyed_walk_keeps_the_cold_prefixes() {
+        let a = || Literal::Pos(Atom::vars("A", &["p", "a"]));
+        let b = || Literal::Pos(Atom::vars("B", &["q", "b"]));
+        // Cold: `B`, `A`, the division; keyed by p: `A`, the division, `B`.
+        let swapped = CompiledRuleSet::compile(&dividing_rule("H", vec![b(), a()])).unwrap();
+        assert!(!swapped.rules[0].key_local);
+        // `A` first: both orders divide right after it.
+        let plain = CompiledRuleSet::compile(&dividing_rule("H", vec![a(), b()])).unwrap();
+        assert!(plain.rules[0].key_local);
+    }
+
+    /// ADD COLUMN's γ_tgt: `H(p, a, c) ← T(p, a), ¬Aux(p, _), c = 6 / a`
+    /// and `H(p, a, c) ← T(p, a), Aux(p, c)`, both key-local.
+    #[test]
+    fn add_columns_key_local_shape_equals_naive() {
+        let data = || Literal::Pos(Atom::vars("T", &["p", "a"]));
+        let rules = RuleSet::new(vec![
+            Rule::new(
+                Atom::vars("H", &["p", "a", "c"]),
+                vec![
+                    data(),
+                    Literal::Neg(Atom::new("Aux", vec![Term::var("p"), Term::Anon])),
+                    Literal::Assign {
+                        var: "c".into(),
+                        expr: Expr::Binary(
+                            Box::new(Expr::lit(6)),
+                            BinaryOp::Div,
+                            Box::new(Expr::col("a")),
+                        ),
+                    },
+                ],
+            ),
+            Rule::new(
+                Atom::vars("H", &["p", "a", "c"]),
+                vec![data(), Literal::Pos(Atom::vars("Aux", &["p", "c"]))],
+            ),
+        ]);
+        let crs = CompiledRuleSet::compile(&rules).unwrap();
+        assert!(crs.rules.iter().all(|rule| rule.key_local));
+        // `T(2)` divides by zero unless `Aux` covers it.
+        let mut edb = MapEdb::new();
+        edb.add(rows("T", &[(1, &[3]), (2, &[0]), (3, &[2])]));
+        edb.add(rows("Aux", &[(2, &[7])]));
+        let int = |v: i64| vec![Value::Int(v)];
+        let changes = [
+            ("T", Delta::insert(Key(4), int(1))),
+            ("T", Delta::update(Key(1), int(3), int(6))),
+            ("T", Delta::delete(Key(3), int(2))),
+            ("T", Delta::delete(Key(8), int(1))),
+            ("T", Delta::update(Key(2), int(0), int(1))),
+            ("T", Delta::insert(Key(5), int(0))),
+            ("Aux", Delta::insert(Key(1), int(9))),
+            ("Aux", Delta::insert(Key(6), int(9))),
+            ("Aux", Delta::update(Key(2), int(7), int(8))),
+            ("Aux", Delta::delete(Key(2), int(7))),
+        ];
+        for (rel, delta) in changes {
+            let mut input = DeltaMap::new();
+            input.insert(rel.into(), delta);
+            let fast = propagate_compiled(&crs, &edb, &input, &ids(), &BTreeMap::new());
+            match naive_diff(&rules, &edb, &input) {
+                Some(slow) => assert_eq!(fast, Ok(slow), "{input:?}"),
+                // The new state divides by zero cold, and so does the
+                // changed key's re-derivation.
+                None => assert!(fast.is_err(), "{input:?}: {fast:?}"),
+            }
         }
     }
 

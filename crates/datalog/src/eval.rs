@@ -27,9 +27,7 @@
 //!   **secondary join index** ([`ColumnIndex`]) on the first bound payload
 //!   column instead of scanning the relation — O(1) per probe after a single
 //!   O(n) build, which the relation keeps ([`Relation::index`]) for as long
-//!   as anyone keeps its rows;
-//! * the per-(head, key) memo is a two-level map keyed by `&str` then `Key`,
-//!   so lookups allocate nothing.
+//!   as anyone keeps its rows.
 //!
 //! The compiled engine explores joins in **exactly** the same order as the
 //! naive interpreter (same scheduling preferences and tie-breaks, and index
@@ -429,6 +427,14 @@ pub struct CompiledRule {
     /// Whether the head key variable occurs in some positive body atom, so
     /// seeding it restricts evaluation.
     pub seedable: bool,
+    /// Whether the rule is **key-local**: it is seedable, and `keyed_order`
+    /// puts before every condition and assignment each literal `base_order`
+    /// puts before it. A key-seeded walk then reaches a filter only with
+    /// the literals the cold order matches first matched, so it meets only
+    /// failures a cold evaluation meets; propagation takes a changed
+    /// tuple's key as its candidate without a probe join (see `probe_rules`
+    /// in [`crate::delta`]).
+    pub key_local: bool,
     /// Display form of the source rule (for errors).
     display: String,
 }
@@ -454,6 +460,12 @@ pub struct CompiledRuleSet {
     /// Whether some rule consumes a head derived by the set itself
     /// (`old`/`new` staging of the id-generating SMOs).
     staged: bool,
+    /// Whether the set is one positional copy rule `H(p, x₁…xₙ) ← B(p,
+    /// x₁…xₙ)`: one positive atom, distinct variables in the head's order,
+    /// no other literal — the mapping of RENAME COLUMN and RENAME TABLE in
+    /// both directions. Propagation hands its delta through
+    /// ([`crate::delta::propagate_compiled`]).
+    pub(crate) identity: bool,
 }
 
 impl CompiledRuleSet {
@@ -479,10 +491,15 @@ impl CompiledRuleSet {
                 _ => false,
             })
         });
+        let identity = match rules.rules.as_slice() {
+            [rule] => is_positional_copy(rule),
+            _ => false,
+        };
         Ok(CompiledRuleSet {
             rules: compiled,
             head_index,
             staged,
+            identity,
         })
     }
 
@@ -546,6 +563,18 @@ impl CompiledRuleSet {
                 _ => None,
             })
     }
+}
+
+/// Whether `rule` is `H(p, x₁…xₙ) ← B(p, x₁…xₙ)` over distinct variables
+/// and another relation.
+fn is_positional_copy(rule: &Rule) -> bool {
+    let [Literal::Pos(body)] = rule.body.as_slice() else {
+        return false;
+    };
+    let vars: BTreeSet<&str> = rule.head.terms.iter().filter_map(Term::as_var).collect();
+    body.relation != rule.head.relation
+        && body.terms == rule.head.terms
+        && vars.len() == rule.head.terms.len()
 }
 
 /// Slot bitset used by compile-time scheduling.
@@ -739,6 +768,10 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         }
         None => None,
     };
+    let key_local = seedable
+        && keyed_order
+            .as_deref()
+            .is_some_and(|keyed| keeps_cold_prefixes(&body, &base_order, keyed));
     let head_seed_order = {
         let mut seed = SlotSet::new(n_vars);
         for v in rule.head.terms.iter().filter_map(Term::as_var) {
@@ -783,7 +816,21 @@ fn compile_rule(rule: &Rule) -> Result<CompiledRule> {
         copy_from,
         head_key_slot,
         seedable,
+        key_local,
         display,
+    })
+}
+
+/// Whether `order` puts before every condition and assignment each literal
+/// `base_order` puts before it.
+fn keeps_cold_prefixes(body: &[CLit], base_order: &[usize], order: &[usize]) -> bool {
+    base_order.iter().enumerate().all(|(at, &lit)| {
+        if !matches!(body[lit], CLit::Cond { .. } | CLit::Assign { .. }) {
+            return true;
+        }
+        let i = order.iter().position(|&l| l == lit);
+        let before = &order[..i.expect("an order holds every literal")];
+        base_order[..at].iter().all(|l| before.contains(l))
     })
 }
 
@@ -991,15 +1038,13 @@ pub fn evaluate_compiled(
 }
 
 /// The compiled evaluation engine. Holds derived heads (which shadow the
-/// EDB) and an allocation-free memo for key-seeded head evaluation.
+/// EDB).
 pub struct Evaluator<'a> {
     edb: &'a dyn EdbView,
     ids: &'a dyn IdSource,
     /// Fully evaluated heads (full evaluation mode). Shared so the join can
     /// iterate a head while the evaluator hands out further references.
     pub derived: BTreeMap<String, Arc<Relation>>,
-    /// `head → key → row` memo; outer lookups are by `&str` (no allocation).
-    by_key_memo: HashMap<String, HashMap<Key, Option<Row>>>,
     /// A witness search ([`Evaluator::witness_search`]): skolem literals
     /// only [`peek`](IdSource::peek), and arguments without an assigned id,
     /// like an expression that fails to evaluate, end the branch.
@@ -1080,7 +1125,6 @@ impl<'a> Evaluator<'a> {
             edb,
             ids,
             derived: BTreeMap::new(),
-            by_key_memo: HashMap::new(),
             witness_search: false,
         }
     }
@@ -1538,26 +1582,22 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Key-seeded evaluation: the row `head` derives for `key` under the
-    /// compiled rule set, or `None`. Memoized per (head, key) without
-    /// allocating on lookups.
+    /// compiled rule set, or `None`. Nothing is memoized: its callers ask
+    /// for each `(head, key)` once per evaluator (a propagation's candidate
+    /// keys, a point read's one key).
     ///
     /// Falls back to full evaluation of a rule when the key binding cannot
     /// be pushed into its body (e.g. the key is produced by a skolem
     /// function — the id-generating SMOs).
     pub fn head_row_for_key(
-        &mut self,
+        &self,
         crs: &CompiledRuleSet,
         head: &str,
         key: Key,
     ) -> Result<Option<Row>> {
-        if let Some(memo) = self.by_key_memo.get(head).and_then(|m| m.get(&key)) {
-            return Ok(memo.clone());
-        }
         // If the head was already fully derived, serve from it.
         if let Some(rel) = self.derived.get(head) {
-            let row = rel.get(key).cloned();
-            self.memoize(head, key, row.clone());
-            return Ok(row);
+            return Ok(rel.get(key).cloned());
         }
         let mut found: Option<Row> = None;
         for &idx in crs.rules_for(head) {
@@ -1589,15 +1629,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        self.memoize(head, key, found.clone());
         Ok(found)
-    }
-
-    fn memoize(&mut self, head: &str, key: Key, row: Option<Row>) {
-        self.by_key_memo
-            .entry(head.to_string())
-            .or_default()
-            .insert(key, row);
     }
 
     /// Delta-engine probe: bind one body atom to a concrete `(key, row)`
@@ -2268,7 +2300,7 @@ mod tests {
         let full = evaluate(&rules, &edb, &sk, &BTreeMap::new()).unwrap();
         let sk2 = ids();
         let crs = CompiledRuleSet::compile(&rules).unwrap();
-        let mut ev = Evaluator::new(&edb, &sk2);
+        let ev = Evaluator::new(&edb, &sk2);
         for key in [Key(1), Key(2), Key(3), Key(4), Key(99)] {
             let seeded = ev.head_row_for_key(&crs, "R", key).unwrap();
             assert_eq!(seeded.as_ref(), full["R"].get(key), "key {key:?}");
@@ -2431,7 +2463,7 @@ mod tests {
         // Key-seeded evaluation and the delta engine's replay of chosen
         // scan keys read the same rows.
         let sk = ids();
-        let mut ev = Evaluator::new(&edb, &sk);
+        let ev = Evaluator::new(&edb, &sk);
         for k in 0..7 {
             let seeded = ev.head_row_for_key(&crs, "H", Key(k)).unwrap();
             assert_eq!(seeded.as_ref(), naive["H"].get(Key(k)), "key {k}");

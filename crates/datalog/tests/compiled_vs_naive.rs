@@ -110,6 +110,24 @@ fn arb_dividing_rule_spec() -> impl Strategy<Value = RuleSpec> {
     (arb_rule_spec(), 0u8..4).prop_map(|(spec, assign)| RuleSpec { assign, ..spec })
 }
 
+/// [`arb_dividing_rule_spec`], one time in eight stripped to the bare copy
+/// rule `H(p, a) ← T1(p, a)`: RENAME's mapping, whose delta propagation
+/// passes through when it is the whole set.
+fn arb_propagated_rule_spec() -> impl Strategy<Value = RuleSpec> {
+    (arb_dividing_rule_spec(), 0u8..8).prop_map(|(spec, pick)| match pick {
+        0 => RuleSpec {
+            base: 1,
+            join: None,
+            neg: None,
+            cond: None,
+            assign: 0,
+            payload: 1,
+            ..spec
+        },
+        _ => spec,
+    })
+}
+
 /// [`arb_rule_spec`] widened to rules that can fail: a head key drawn from
 /// the bound variables, and the assignment that divides by `a`.
 fn arb_failing_rule_spec() -> impl Strategy<Value = RuleSpec> {
@@ -421,8 +439,8 @@ proptest! {
     }
 
     /// Key-seeded evaluation (`head_row_for_key`): identical per-key rows
-    /// across pushable and non-pushable (skolem-keyed) head keys, with the
-    /// memo warm in both engines.
+    /// across pushable and non-pushable (skolem-keyed) head keys, one
+    /// evaluator per engine answering every key (naive's memo warm).
     #[test]
     fn key_seeded_evaluation_matches_naive(
         specs in prop::collection::vec(arb_rule_spec(), 1..3),
@@ -437,7 +455,7 @@ proptest! {
         let naive_ids = registry();
         let compiled_ids = registry();
         let mut naive_ev = naive::Evaluator::new(&edb, &naive_ids);
-        let mut compiled_ev = Evaluator::new(&edb, &compiled_ids);
+        let compiled_ev = Evaluator::new(&edb, &compiled_ids);
         for head in ["H0", "H1"] {
             for k in 0..18u64 {
                 let n = naive_ev.head_row_for_key(&rules, head, Key(k));
@@ -465,47 +483,18 @@ proptest! {
     /// legitimately mint ids in a different order.)
     #[test]
     fn propagation_matches_naive_two_state_diff(
-        specs in prop::collection::vec(arb_dividing_rule_spec(), 1..3),
+        specs in prop::collection::vec(arb_propagated_rule_spec(), 1..3),
         (t0, t1) in arb_edb(),
         inserts in prop::collection::btree_map(12u64..18, 0i64..6, 0..3),
         deletes in prop::collection::vec(0u64..12, 0..3),
         updates in prop::collection::btree_map(0u64..12, 0i64..6, 0..3),
     ) {
-        let specs: Vec<RuleSpec> = specs
-            .into_iter()
-            .map(|mut s| {
-                s.skolem = None;
-                s
-            })
-            .collect();
-        let rules = build_rule_set(&specs);
+        let rules = build_rule_set(&mint_free(specs));
         let edb = build_edb(&t0, &t1);
         if CompiledRuleSet::compile(&rules).is_err() {
             return Ok(());
         }
-
-        // Input delta on T1.
-        let mut delta = Delta::new();
-        for (k, a) in &inserts {
-            delta.inserts.insert(Key(*k), vec![Value::Int(*a)]);
-        }
-        for k in &deletes {
-            if let Some(a) = t1.get(k) {
-                delta.deletes.entry(Key(*k)).or_insert_with(|| vec![Value::Int(*a)]);
-            }
-        }
-        for (k, a) in &updates {
-            if let Some(old) = t1.get(k) {
-                if let std::collections::btree_map::Entry::Vacant(e) =
-                    delta.deletes.entry(Key(*k))
-                {
-                    e.insert(vec![Value::Int(*old)]);
-                    delta.inserts.insert(Key(*k), vec![Value::Int(*a)]);
-                }
-            }
-        }
-        let mut input = DeltaMap::new();
-        input.insert("T1".to_string(), delta);
+        let input = t1_input(&t1, &inserts, &deletes, &updates);
 
         let ids = registry();
         let fast = propagate(&rules, &edb, &input, &ids, &BTreeMap::new());
@@ -615,7 +604,7 @@ proptest! {
         let naive_ids = registry();
         let compiled_ids = registry();
         let mut naive_ev = naive::Evaluator::new(&edb, &naive_ids);
-        let mut compiled_ev = Evaluator::new(&edb, &compiled_ids);
+        let compiled_ev = Evaluator::new(&edb, &compiled_ids);
         for head in ["H0", "H1", "W0", "W1"] {
             for k in 0..14u64 {
                 let n = naive_ev.head_row_for_key(&rules, head, Key(k));
@@ -670,6 +659,123 @@ proptest! {
         let fast = propagate_vs_stored(&crs, &patched, &input, &registry(), &stored);
         prop_assert_eq!(fast, Ok(slow), "delta-vs-stored diverged on:\n{}", rules);
     }
+}
+
+/// `specs` with their skolem literals dropped.
+fn mint_free(specs: Vec<RuleSpec>) -> Vec<RuleSpec> {
+    specs
+        .into_iter()
+        .map(|mut s| {
+            s.skolem = None;
+            s
+        })
+        .collect()
+}
+
+/// The input delta of `propagation_matches_naive_two_state_diff`, on `T1`:
+/// the inserts, the deletes of present keys, and the updates of present keys
+/// not deleted.
+fn t1_input(
+    t1: &T1Rows,
+    inserts: &BTreeMap<u64, i64>,
+    deletes: &[u64],
+    updates: &BTreeMap<u64, i64>,
+) -> DeltaMap {
+    let mut delta = Delta::new();
+    for (k, a) in inserts {
+        delta.inserts.insert(Key(*k), vec![Value::Int(*a)]);
+    }
+    for k in deletes {
+        if let Some(a) = t1.get(k) {
+            delta
+                .deletes
+                .entry(Key(*k))
+                .or_insert_with(|| vec![Value::Int(*a)]);
+        }
+    }
+    for (k, a) in updates {
+        if let Some(old) = t1.get(k) {
+            if let std::collections::btree_map::Entry::Vacant(e) = delta.deletes.entry(Key(*k)) {
+                e.insert(vec![Value::Int(*old)]);
+                delta.inserts.insert(Key(*k), vec![Value::Int(*a)]);
+            }
+        }
+    }
+    let mut input = DeltaMap::new();
+    input.insert("T1".to_string(), delta);
+    input
+}
+
+/// Which shortcut of `delta::propagate_compiled` a propagation of `input`
+/// through the mint-free, unstaged `rules` takes: `(identity, key-local)`.
+/// An identity set (`H(p, x…) ← B(p, x…)`) whose `B` changed passes its
+/// delta through; otherwise a changed tuple at an atom keyed by its
+/// [key-local](inverda_datalog::eval::CompiledRule::key_local) rule's head
+/// key skips its probe join.
+fn shortcuts_taken(rules: &RuleSet, crs: &CompiledRuleSet, input: &DeltaMap) -> (bool, bool) {
+    let changed = |rel: &str| input.get(rel).is_some_and(|d| !d.is_empty());
+    if let [rule] = rules.rules.as_slice() {
+        let vars: std::collections::BTreeSet<_> =
+            rule.head.terms.iter().filter_map(Term::as_var).collect();
+        if let [Literal::Pos(body)] = rule.body.as_slice() {
+            if body.terms == rule.head.terms && vars.len() == body.terms.len() {
+                return (changed(&body.relation), false);
+            }
+        }
+    }
+    let key_local = rules.rules.iter().zip(&crs.rules).any(|(rule, compiled)| {
+        compiled.key_local
+            && rule.body.iter().any(|lit| match lit {
+                Literal::Pos(atom) | Literal::Neg(atom) => {
+                    changed(&atom.relation)
+                        && atom.key_term().as_var().is_some()
+                        && atom.key_term() == rule.head.key_term()
+                }
+                _ => false,
+            })
+    });
+    (false, key_local)
+}
+
+/// How many of the first 1 000 generated cases of
+/// `propagation_matches_naive_two_state_diff` take each propagation
+/// shortcut: their inputs are replayed from the property's seed, and both
+/// counts must be above zero, or the property no longer covers the
+/// shortcut. (The replay draws the property's strategies in its order.)
+#[test]
+fn generated_propagations_take_both_shortcuts() {
+    use proptest::test_runner::{rng_for, seed_for};
+    let seed = seed_for("compiled_vs_naive::propagation_matches_naive_two_state_diff");
+    let (mut cases, mut identity, mut key_local) = (0, 0, 0);
+    for case in 0..1000 {
+        let mut rng = rng_for(seed, case);
+        let specs = prop::collection::vec(arb_propagated_rule_spec(), 1..3).generate(&mut rng);
+        let (_, t1) = arb_edb().generate(&mut rng);
+        let inserts = prop::collection::btree_map(12u64..18, 0i64..6, 0..3).generate(&mut rng);
+        let deletes = prop::collection::vec(0u64..12, 0..3).generate(&mut rng);
+        let updates = prop::collection::btree_map(0u64..12, 0i64..6, 0..3).generate(&mut rng);
+        let rules = build_rule_set(&mint_free(specs));
+        let Ok(crs) = CompiledRuleSet::compile(&rules) else {
+            continue;
+        };
+        if crs.staged() {
+            continue;
+        }
+        cases += 1;
+        let input = t1_input(&t1, &inserts, &deletes, &updates);
+        let (passed, skipped) = shortcuts_taken(&rules, &crs, &input);
+        identity += usize::from(passed);
+        key_local += usize::from(skipped);
+    }
+    eprintln!(
+        "of {cases} unstaged generated propagations, {identity} pass an identity set's \
+         delta through and {key_local} skip a key-local probe join"
+    );
+    assert!(
+        identity > 0,
+        "no generated propagation passes a delta through"
+    );
+    assert!(key_local > 0, "no generated propagation skips a probe join");
 }
 
 /// The delta a naive oracle derives for `input`: evaluate the old and the

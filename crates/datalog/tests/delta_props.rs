@@ -272,6 +272,59 @@ fn minting_propagation_agrees_with_recompute() {
     assert_eq!(ids1.borrow().dump(), ids2.borrow().dump());
 }
 
+/// A minting set keyed by a body key, `H(p, t) ← In(p, x), t = gen#H(x)`:
+/// its changed tuples name their own keys, but the set mints, so every
+/// change is probed. A deleted payload the registry has not seen is
+/// reserved by its old-state probe, before the new-state ones, which is
+/// the order the two-state recompute mints in.
+#[test]
+fn key_keyed_minting_propagation_agrees_with_recompute() {
+    let rules = RuleSet::new(vec![Rule::new(
+        Atom::vars("H", &["p", "t"]),
+        vec![
+            Literal::Pos(Atom::vars("In", &["p", "x"])),
+            Literal::Skolem {
+                var: "t".into(),
+                generator: "gen#H".into(),
+                args: vec![Term::var("x")],
+            },
+        ],
+    )]);
+    let mut in_rel = Relation::with_columns("In", ["x"]);
+    for i in 0..10u64 {
+        in_rel
+            .insert(Key(i), vec![Value::text(format!("x{i}"))])
+            .unwrap();
+    }
+    let mut edb = MapEdb::new();
+    edb.add(in_rel);
+    let mut delta = Delta::delete(Key(3), vec![Value::text("x3")]);
+    delta.inserts.insert(Key(1), vec![Value::text("fresh")]);
+    delta.deletes.insert(Key(1), vec![Value::text("x1")]);
+    let mut input = DeltaMap::new();
+    input.insert("In".into(), delta);
+    // Every old payload but the deleted one has its id already.
+    let seeded = || {
+        let sk = RefCell::new(SkolemRegistry::new());
+        for i in (0..10u64).filter(|i| *i != 3) {
+            sk.borrow_mut()
+                .get_or_create("gen#H", &[Value::text(format!("x{i}"))]);
+        }
+        sk
+    };
+    let ids1 = seeded();
+    let fast = propagate(&rules, &edb, &input, &ids1, &BTreeMap::new()).unwrap();
+    let ids2 = seeded();
+    let slow = propagate_by_recompute(&rules, &edb, &input, &ids2, &BTreeMap::new()).unwrap();
+    let slow: DeltaMap = slow.into_iter().filter(|(_, d)| !d.is_empty()).collect();
+    assert_eq!(fast, slow);
+    assert_eq!(
+        ids1.borrow().dump(),
+        ids2.borrow().dump(),
+        "minted ids diverged"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Delta-vs-stored ≡ recompute-vs-stored on random non-staged minting sets:
 // same head deltas, same registry, same minted-id order.
@@ -281,6 +334,15 @@ use inverda_datalog::delta::{propagate_vs_stored, PatchedEdb};
 use inverda_datalog::eval::{evaluate_compiled, CompiledRuleSet, IdSource};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Every rule of the SPLIT shape is key-local, so each changed tuple of
+/// `delta_equals_recompute_on_split_rules` names its own key as the
+/// candidate, without a probe join.
+#[test]
+fn split_rules_are_key_local() {
+    let crs = CompiledRuleSet::compile(&split_gamma_tgt()).unwrap();
+    assert!(crs.rules.iter().all(|rule| rule.key_local));
+}
 
 /// Which rule shapes a generated set holds. The FK-DECOMPOSE γ_tgt shapes
 /// (memo path / skolem path, head keyed by a body key or by the generated
