@@ -163,6 +163,22 @@ impl DerivedSmo {
         self
     }
 
+    /// Whether the SMO is a **positional map**: ADD COLUMN, DROP COLUMN,
+    /// RENAME COLUMN or RENAME TABLE. Each direction maps one key's row of
+    /// one data table to that key's rows on the other side (a copy, a
+    /// projection, or the aux value with the default function as fallback),
+    /// and [`verify_round_trip`](crate::verify::verify_round_trip) proves
+    /// both round trips. SPLIT, MERGE, DECOMPOSE and JOIN restructure rows
+    /// across relations and are not admitted. This is the one license of the
+    /// engine's column-level shortcuts: fused γ-chains, and a write whose
+    /// own deltas are its patches (PutGet).
+    pub fn is_positional_map(&self) -> bool {
+        matches!(
+            self.kind,
+            "ADD COLUMN" | "DROP COLUMN" | "RENAME COLUMN" | "RENAME TABLE"
+        )
+    }
+
     /// All auxiliary tables regardless of side.
     pub fn all_aux(&self) -> impl Iterator<Item = &TableRef> {
         self.src_aux

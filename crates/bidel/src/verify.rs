@@ -430,6 +430,121 @@ mod tests {
         assert!(!syntactically_verifiable(&d));
     }
 
+    proptest::proptest! {
+        /// The license of the engine's column-level shortcuts
+        /// (`DerivedSmo::is_positional_map`): every kind it admits proves
+        /// both round trips on a generated column list, whichever column
+        /// it adds from, drops or renames.
+        #[test]
+        fn every_positional_map_proves_both_round_trips(
+            n in 1usize..6,
+            pick in 0usize..6,
+            from in 0usize..6,
+        ) {
+            let cols: Vec<String> = (0..n).map(|i| format!("c{i}")).collect();
+            let (picked, from) = (cols[pick % n].clone(), cols[from % n].clone());
+            let src = BTreeMap::from([("R".to_string(), cols.clone())]);
+            let mut smos = vec![
+                Smo::AddColumn {
+                    table: "R".into(),
+                    column: "x".into(),
+                    function: Expr::col(from.as_str()),
+                },
+                Smo::RenameColumn {
+                    table: "R".into(),
+                    column: picked.clone(),
+                    to: "x".into(),
+                },
+                Smo::RenameTable {
+                    table: "R".into(),
+                    to: "Q".into(),
+                },
+            ];
+            if n > 1 && picked != from {
+                smos.push(Smo::DropColumn {
+                    table: "R".into(),
+                    column: picked,
+                    default: Expr::col(from.as_str()),
+                });
+            }
+            for smo in &smos {
+                let d = derive_smo(smo, &src).unwrap();
+                proptest::prop_assert!(d.is_positional_map(), "{} not admitted", d.kind);
+                assert_proved(smo, &src);
+            }
+        }
+    }
+
+    /// SPLIT, MERGE, DECOMPOSE and JOIN restructure rows across relations:
+    /// the license admits none of their variants.
+    #[test]
+    fn no_restructuring_kind_is_a_positional_map() {
+        let arm = |table: &str, at: i64| SplitArm {
+            table: table.into(),
+            condition: Expr::col("a").lt(Expr::lit(at)),
+        };
+        let sig = |name: &str, column: &str| TableSig {
+            name: name.into(),
+            columns: vec![column.into()],
+        };
+        let cond = Expr::col("a").eq(Expr::col("b"));
+        let mut smos = vec![
+            Smo::Split {
+                table: "R".into(),
+                first: arm("S", 5),
+                second: Some(arm("T", 3)),
+            },
+            Smo::Split {
+                table: "R".into(),
+                first: arm("S", 5),
+                second: None,
+            },
+            Smo::Merge {
+                first: arm("M1", 5),
+                second: arm("M2", 3),
+                into: "M".into(),
+            },
+        ];
+        for on in [
+            crate::ast::DecomposeKind::Pk,
+            crate::ast::DecomposeKind::Fk("fk".into()),
+            crate::ast::DecomposeKind::Cond(cond.clone()),
+        ] {
+            smos.push(Smo::Decompose {
+                table: "R".into(),
+                first: sig("S", "a"),
+                second: sig("T", "b"),
+                on,
+            });
+        }
+        for outer in [false, true] {
+            for on in [
+                crate::ast::JoinKind::Pk,
+                crate::ast::JoinKind::Fk("fk".into()),
+                crate::ast::JoinKind::Cond(cond.clone()),
+            ] {
+                smos.push(Smo::Join {
+                    left: "S".into(),
+                    right: "T".into(),
+                    into: "R".into(),
+                    on,
+                    outer,
+                });
+            }
+        }
+        let src = schemas(&[
+            ("R", &["a", "b"]),
+            ("S", &["a", "fk"]),
+            ("T", &["b"]),
+            ("M1", &["a"]),
+            ("M2", &["a"]),
+        ]);
+        for smo in &smos {
+            let d = derive_smo(smo, &src).unwrap();
+            assert!(!d.is_positional_map(), "{} admitted", d.kind);
+        }
+    }
+
     #[test]
     fn derivation_transcript_is_recorded() {
         let smo = Smo::Split {

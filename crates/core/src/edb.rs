@@ -68,13 +68,6 @@ struct CaughtUp {
     deltas: DeltaMap,
 }
 
-/// SMO kinds whose mappings may start or extend a fused γ-chain: the
-/// column-level SMOs, whose rule sets are linear in a single data relation
-/// of the adjacent version. SPLIT/MERGE, JOIN, and DECOMPOSE restructure
-/// rows across relations (and the id-generating ones mint), so they
-/// terminate a run and are resolved hop by hop.
-const FUSABLE_KINDS: [&str; 4] = ["ADD COLUMN", "DROP COLUMN", "RENAME COLUMN", "RENAME TABLE"];
-
 /// Read view over the whole versioned database under one materialization
 /// schema. Caches resolved relations and key lookups for the lifetime of the
 /// view (one statement / one propagation step); bound to a
@@ -532,13 +525,13 @@ impl<'a> VersionedEdb<'a> {
     }
 
     /// Whether `tv`'s defining hop may participate in a fused run: its SMO
-    /// is one of the column-level kinds and its rule set is skolem-free and
+    /// is a positional map and its rule set is skolem-free and
     /// non-staged. Returns the mapping restricted to the rules deriving
     /// `relation` (sound for non-staged sets, whose heads are independent),
     /// borrowed from the genealogy.
     fn fusable_hop(&self, relation: &str, tv: TableVersionId) -> Option<Vec<&'a Rule>> {
         let (smo, _, rules) = self.defining_rules(tv)?;
-        if !FUSABLE_KINDS.contains(&self.genealogy.smo(smo).derived.kind) {
+        if !self.genealogy.smo(smo).derived.is_positional_map() {
             return None;
         }
         if !fusion::hop_fusable(rules) {
@@ -786,7 +779,8 @@ pub(crate) struct Resolution {
     /// resolution of the relation — cold, fused or caught up — can mint.
     pub(crate) mint_free: bool,
     /// The SMOs the closure resolves through that restructure rows across
-    /// relations — every kind outside [`FUSABLE_KINDS`].
+    /// relations — every kind but the
+    /// [positional maps](inverda_bidel::semantics::DerivedSmo::is_positional_map).
     pub(crate) restructuring: Arc<BTreeSet<SmoId>>,
 }
 
@@ -868,7 +862,7 @@ impl<'e, 'a> Walk<'e, 'a> {
                 _ => {}
             }
         }
-        let kind = self.edb.genealogy.smo(smo).derived.kind;
+        let positional = self.edb.genealogy.smo(smo).derived.is_positional_map();
         Resolution {
             footprint: union(inputs.iter().map(|i| &i.footprint), None),
             physical: false,
@@ -876,7 +870,7 @@ impl<'e, 'a> Walk<'e, 'a> {
             mint_free: !mints && inputs.iter().all(|i| i.mint_free),
             restructuring: union(
                 inputs.iter().map(|i| &i.restructuring),
-                (!FUSABLE_KINDS.contains(&kind)).then_some(smo),
+                (!positional).then_some(smo),
             ),
         }
     }

@@ -33,6 +33,7 @@ use crate::edb::VersionedEdb;
 use crate::error::CoreError;
 use crate::snapshot::{SnapshotMaintenance, StoredHeads};
 use crate::Result;
+use inverda_bidel::semantics::TableRef;
 use inverda_catalog::{SmoId, StorageCase, TableVersionId};
 use inverda_datalog::delta::{
     propagate_by_recompute_compiled, propagate_compiled, propagate_vs_stored, Delta, DeltaMap,
@@ -40,8 +41,9 @@ use inverda_datalog::delta::{
 };
 use inverda_datalog::eval::{evaluate_compiled, EdbView};
 use inverda_storage::codec::{Codec, Reader};
-use inverda_storage::{Key, Row, Value, WriteBatch};
+use inverda_storage::{ColumnIndex, Key, Relation, Row, Value, WriteBatch};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One logical write against a schema version's table, for batched
 /// [`Inverda::apply_many`] application.
@@ -93,16 +95,38 @@ impl Codec for LogicalWrite {
     }
 }
 
+/// A table version's delta waiting in the drain.
+struct Pending {
+    delta: Delta,
+    /// The SMO it arrived through; `None` for the written table version.
+    arrived: Option<SmoId>,
+    /// Whether the delta is **exact**: its delete rows are the rows the
+    /// table version shows before the write, and a key it only inserts
+    /// shows none. The written table version's delta is
+    /// (`apply_many_locked` read its old rows through the view), and so is
+    /// a data-head delta of a [positional-map](inverda_bidel::semantics::DerivedSmo::is_positional_map)
+    /// hop whose inputs all were (DESIGN.md "Update propagation"). A delta
+    /// merged from two hops is not.
+    exact: bool,
+}
+
 /// One SMO hop a drain traversed, recorded so snapshot maintenance can walk
 /// the chain *backward* after the write lands. The forward hop's head
 /// deltas are what gets applied, but a virtual relation's **visible** state
 /// is defined by resolution back from physical storage — in twin corners
-/// (SPLIT with overlapping conditions, separations) the two can disagree,
-/// so patches must be derived from the landed deltas through each side's
-/// defining mapping, not from the forward inputs.
+/// (SPLIT with overlapping conditions, separations) the two can disagree.
+/// So a departed relation's patch is derived from the landed deltas through
+/// its side's defining mapping, unless PutGet makes the hop's own input
+/// delta that patch: a positional-map hop whose inputs were exact, over a
+/// destination side that holds the drain's own deltas
+/// ([`maintain_hop`](Inverda::maintain_hop)).
 struct HopRecord {
     smo: SmoId,
     forwards: bool,
+    /// The hop's input deltas, by departed relation, moved out of the drain.
+    input: DeltaMap,
+    /// Whether every input delta was [exact](Pending::exact).
+    exact: bool,
 }
 
 /// Everything a drain accumulates for post-commit snapshot maintenance.
@@ -303,8 +327,15 @@ impl Inverda {
         {
             let ids = self.id_source();
             let edb = self.edb(state, &ids);
-            let mut pending: BTreeMap<TableVersionId, (Delta, Option<SmoId>)> = BTreeMap::new();
-            pending.insert(tv, (delta, None));
+            let mut pending: BTreeMap<TableVersionId, Pending> = BTreeMap::new();
+            pending.insert(
+                tv,
+                Pending {
+                    delta,
+                    arrived: None,
+                    exact: true,
+                },
+            );
             self.drain(state, &edb, &mut pending, &mut batch, &mut plan)?;
             if plan.track {
                 let hops = std::mem::take(&mut plan.hops);
@@ -356,7 +387,7 @@ impl Inverda {
         &self,
         state: &State,
         edb: &VersionedEdb<'_>,
-        pending: &mut BTreeMap<TableVersionId, (Delta, Option<SmoId>)>,
+        pending: &mut BTreeMap<TableVersionId, Pending>,
         batch: &mut WriteBatch,
         plan: &mut MaintenancePlan,
     ) -> Result<()> {
@@ -367,7 +398,7 @@ impl Inverda {
             let case = m.storage_of(g, tv);
             match case {
                 StorageCase::Local => {
-                    let (delta, arrived) = pending.remove(&tv).expect("present");
+                    let Pending { delta, arrived, .. } = pending.remove(&tv).expect("present");
                     let rel = g.table_version(tv).rel.clone();
                     self.purge_sibling_aux(state, tv, &delta, arrived, None, batch, plan);
                     if let Some(generator) = catalog.hint_generators.get(&rel) {
@@ -382,7 +413,7 @@ impl Inverda {
                 StorageCase::Forward(smo) | StorageCase::Backward(smo) => {
                     // The hop of the smallest pending table version.
                     let forwards = matches!(case, StorageCase::Forward(_));
-                    let input = self.pop_hop_inputs(state, smo, pending, batch, plan);
+                    let (input, exact) = self.pop_hop_inputs(state, smo, pending, batch, plan);
                     let inst = g.smo(smo);
                     let (direction, rules) = if forwards {
                         (Direction::ToTgt, &inst.derived.to_tgt)
@@ -395,6 +426,15 @@ impl Inverda {
                         .map_err(CoreError::from)?;
                     let ids = self.id_source();
                     let head_deltas = match state.write_path {
+                        // Exact inputs hold the old rows of the keys they
+                        // change: no cold resolution of them.
+                        WritePath::Delta if exact => {
+                            let view = ExactOldRows {
+                                base: edb,
+                                deltas: &input,
+                            };
+                            propagate_compiled(&crs, &view, &input, &ids, edb.head_columns())?
+                        }
                         WritePath::Delta => {
                             propagate_compiled(&crs, edb, &input, &ids, edb.head_columns())?
                         }
@@ -406,7 +446,25 @@ impl Inverda {
                             edb.head_columns(),
                         )?,
                     };
-                    self.distribute_hop(state, smo, forwards, head_deltas, pending, batch, plan);
+                    let exact_out = exact && inst.derived.is_positional_map();
+                    self.distribute_hop(
+                        state,
+                        smo,
+                        forwards,
+                        head_deltas,
+                        exact_out,
+                        pending,
+                        batch,
+                        plan,
+                    );
+                    if plan.track {
+                        plan.hops.push(HopRecord {
+                            smo,
+                            forwards,
+                            input,
+                            exact,
+                        });
+                    }
                 }
             }
         }
@@ -415,15 +473,15 @@ impl Inverda {
 
     /// Remove every pending delta departing through `smo` (purging sibling
     /// aux tables) and return them keyed by relation — the input of one
-    /// hop's propagation.
+    /// hop's propagation — with whether all of them are exact.
     fn pop_hop_inputs(
         &self,
         state: &State,
         smo: SmoId,
-        pending: &mut BTreeMap<TableVersionId, (Delta, Option<SmoId>)>,
+        pending: &mut BTreeMap<TableVersionId, Pending>,
         batch: &mut WriteBatch,
         plan: &mut MaintenancePlan,
-    ) -> DeltaMap {
+    ) -> (DeltaMap, bool) {
         let g = &state.genealogy;
         let m = &state.materialization;
         let departing: Vec<TableVersionId> = pending
@@ -435,19 +493,25 @@ impl Inverda {
             .map(|(id, _)| *id)
             .collect();
         let mut input = DeltaMap::new();
+        let mut all_exact = true;
         for id in &departing {
-            let (delta, arrived) = pending.remove(id).expect("present");
+            let Pending {
+                delta,
+                arrived,
+                exact,
+            } = pending.remove(id).expect("present");
             self.purge_sibling_aux(state, *id, &delta, arrived, Some(smo), batch, plan);
             input.insert(g.table_version(*id).rel.clone(), delta);
+            all_exact &= exact;
         }
-        input
+        (input, all_exact)
     }
 
     /// Distribute one hop's head deltas: data heads continue as pending
     /// deltas of the destination table versions; aux and shared heads are
     /// physical on the destination side and land in the batch; intermediate
-    /// heads (`Sn`, `Tn`, `Ro`, …) are discarded. Records the hop for the
-    /// reverse-maintenance pass.
+    /// heads (`Sn`, `Tn`, `Ro`, …) are discarded. A data-head delta is
+    /// `exact` as given, until another hop's delta merges into it.
     #[allow(clippy::too_many_arguments)]
     fn distribute_hop(
         &self,
@@ -455,14 +519,12 @@ impl Inverda {
         smo: SmoId,
         forwards: bool,
         head_deltas: DeltaMap,
-        pending: &mut BTreeMap<TableVersionId, (Delta, Option<SmoId>)>,
+        exact: bool,
+        pending: &mut BTreeMap<TableVersionId, Pending>,
         batch: &mut WriteBatch,
         plan: &mut MaintenancePlan,
     ) {
         let inst = state.genealogy.smo(smo);
-        if plan.track {
-            plan.hops.push(HopRecord { smo, forwards });
-        }
         let next_data = if forwards {
             inst.derived.tgt_data.iter().zip(inst.targets.iter())
         } else {
@@ -481,9 +543,19 @@ impl Inverda {
             }
             if let Some(next_tv) = next_index.get(rel.as_str()) {
                 match pending.get_mut(next_tv) {
-                    Some((existing, _)) => existing.merge(&d),
+                    Some(existing) => {
+                        existing.delta.merge(&d);
+                        existing.exact = false;
+                    }
                     None => {
-                        pending.insert(*next_tv, (d, Some(smo)));
+                        pending.insert(
+                            *next_tv,
+                            Pending {
+                                delta: d,
+                                arrived: Some(smo),
+                                exact,
+                            },
+                        );
                     }
                 }
                 continue;
@@ -512,8 +584,11 @@ impl Inverda {
     /// the forward hop deltas are what gets applied physically, but a
     /// virtual relation's visible state is whatever resolution from the
     /// physical state derives — in twin corners (overlapping SPLIT,
-    /// separations) the two differ, so only backward-derived deltas are
-    /// trustworthy patches.
+    /// separations) the two differ, so a patch is a backward-derived delta,
+    /// except where PutGet makes the drain's own input delta of a
+    /// positional-map hop the visible one
+    /// ([`maintain_hop`](Inverda::maintain_hop)): that hop runs no
+    /// propagation.
     ///
     /// A hop whose defining mapping is staged or can mint skolem ids (the
     /// id-generating SMOs) cannot be maintained by the two-state probe —
@@ -565,11 +640,13 @@ impl Inverda {
         let m = &state.materialization;
         // A diamond drain can traverse one SMO twice; by the time a hop is
         // ready its destination deltas are fully known, so one pass per SMO
-        // suffices.
+        // suffices. Its inputs are then split across the two records, so
+        // neither is the whole of what the drain carried.
         let mut traversed: Vec<HopRecord> = Vec::new();
         for hop in hops {
-            if !traversed.iter().any(|h| h.smo == hop.smo) {
-                traversed.push(hop);
+            match traversed.iter_mut().find(|h| h.smo == hop.smo) {
+                Some(first) => first.exact = false,
+                None => traversed.push(hop),
             }
         }
         let catalog = self.compiled.catalog_index(g);
@@ -611,9 +688,14 @@ impl Inverda {
             }
         }
         // rel → true delta, seeded with what physically landed and extended
-        // by each processed hop; rels whose delta could not be derived.
+        // by each processed hop; rels whose delta could not be derived; rels
+        // whose delta a reverse propagation derived, empty or not. Every
+        // other known delta is the drain's own: landed, or carried by a hop
+        // that took the PutGet path. (A virtual rel the drain changed was
+        // departed by a traversed hop, so it is in one of the three.)
         let mut known = landed;
         let mut unknown: BTreeSet<String> = BTreeSet::new();
+        let mut derived: BTreeSet<String> = BTreeSet::new();
         // Departed rels with an exact delta: it stays in `known`, where later
         // hops read it, and becomes their patch once every hop has run.
         let mut patched: Vec<String> = Vec::new();
@@ -627,14 +709,14 @@ impl Inverda {
             // first, the order a post-write cold read resolves in; within a
             // round the order cannot be observed (see above).
             for &i in &round {
-                let h = &traversed[i];
                 self.maintain_hop(
                     state,
                     edb,
-                    h,
+                    &mut traversed[i],
                     ids,
                     &mut known,
                     &mut unknown,
+                    &mut derived,
                     &mut patched,
                     maint,
                 );
@@ -671,17 +753,33 @@ impl Inverda {
     /// One ready hop of [`reverse_maintenance`](Inverda::reverse_maintenance):
     /// push the known deltas of what the departed side's defining mapping
     /// reads through that mapping, record the results as known deltas and
-    /// their relations as `patched` — or invalidate the departed side when
-    /// that cannot be done.
+    /// their relations as `patched` (and `derived`) — or invalidate the
+    /// departed side when that cannot be done.
+    ///
+    /// **PutGet.** A [positional-map](inverda_bidel::semantics::DerivedSmo::is_positional_map)
+    /// hop runs no propagation when the drain carried every virtual relation
+    /// it departs, with exact deltas; no destination relation is `derived`
+    /// or unknown — every destination delta is the drain's own: landed, or
+    /// carried by a hop that took this path (a delta the drain pushed down
+    /// can vanish below, e.g. into a dangling foreign key, and that shows as
+    /// a derived one); and every destination aux table keeps what was
+    /// written ([`aux_keeps_what_was_written`](Inverda::aux_keeps_what_was_written)).
+    /// The destination side then holds exactly what the hop's forward
+    /// propagation made of the carried deltas, and the defining mapping
+    /// reads back what was written through it (paper §5, conditions 26/27,
+    /// per key), so the carried deltas are the departed relations' patches.
+    /// Debug builds run the propagation too and panic where its delta has
+    /// another effect ([`debug_assert_put_get`](Inverda::debug_assert_put_get)).
     #[allow(clippy::too_many_arguments)]
     fn maintain_hop(
         &self,
         state: &State,
         edb: &VersionedEdb<'_>,
-        h: &HopRecord,
+        h: &mut HopRecord,
         ids: &dyn inverda_datalog::eval::IdSource,
         known: &mut DeltaMap,
         unknown: &mut BTreeSet<String>,
+        derived: &mut BTreeSet<String>,
         patched: &mut Vec<String>,
         maint: &mut SnapshotMaintenance,
     ) {
@@ -724,6 +822,31 @@ impl Inverda {
             .chain(dest_aux.iter().map(|a| a.rel.as_str()))
             .chain(inst.derived.shared_aux.iter().map(|s| s.table.rel.as_str()))
             .collect();
+        let put_get = h.exact
+            && inst.derived.is_positional_map()
+            && dep_virtual.iter().all(|rel| h.input.contains_key(*rel))
+            && !inputs
+                .iter()
+                .any(|rel| unknown.contains(*rel) || derived.contains(*rel))
+            && self.aux_keeps_what_was_written(edb, h, dest_aux, known);
+        if put_get {
+            #[cfg(debug_assertions)]
+            self.debug_assert_put_get(
+                edb,
+                h,
+                rev_direction,
+                rev_rules,
+                &inputs,
+                &dep_virtual,
+                known,
+                ids,
+            );
+            for rel in dep_virtual {
+                patched.push(rel.to_string());
+                merge_into(known, rel, h.input.remove(rel).expect("carried"));
+            }
+            return;
+        }
         let rev_crs = match self
             .compiled
             .get_or_compile(h.smo, rev_direction, rev_rules)
@@ -783,11 +906,93 @@ impl Inverda {
                 }
             };
             patched.push(rel.to_string());
-            match known.get_mut(rel) {
-                Some(existing) => existing.merge(&delta),
-                None => {
-                    known.insert(rel.to_string(), delta);
-                }
+            derived.insert(rel.to_string());
+            merge_into(known, rel, delta);
+        }
+    }
+
+    /// Whether every destination aux table of a hop shows, after the write,
+    /// what the carried deltas wrote through the hop: under every key they
+    /// give a new row, the landed delta inserts the aux row, or the table
+    /// holds one it does not delete (its projection then did not change).
+    /// The drain lands the mapping's minimal diff, which names no key whose
+    /// projection stayed the same; where such a key has no aux row, the
+    /// hop's default function stands in for the written value on the next
+    /// read, and that value need not be the one written.
+    fn aux_keeps_what_was_written(
+        &self,
+        edb: &VersionedEdb<'_>,
+        h: &HopRecord,
+        dest_aux: &[TableRef],
+        known: &DeltaMap,
+    ) -> bool {
+        dest_aux.iter().all(|aux| {
+            let Ok(stored) = edb.full(&aux.rel) else {
+                return false;
+            };
+            let landed = known.get(&aux.rel);
+            h.input.values().flat_map(|d| d.inserts.keys()).all(|key| {
+                let (inserts, deletes) = landed.map_or((false, false), |d| {
+                    (d.inserts.contains_key(key), d.deletes.contains_key(key))
+                });
+                inserts || (stored.contains_key(*key) && !deletes)
+            })
+        })
+    }
+
+    /// The oracle of [`maintain_hop`](Inverda::maintain_hop)'s PutGet path:
+    /// the reverse propagation the path skips must give every departed
+    /// relation a delta of the same effect as the carried one. Key by key:
+    /// a key both change must get the same new row from the same old row;
+    /// a key only the carried delta names must be one it leaves as it was
+    /// (a delete and an insert of one row); a key only the propagation
+    /// changes is a difference. A propagation that fails leaves nothing to
+    /// compare (its path would have invalidated). It runs exactly the
+    /// propagation the path replaces, so it reads and mints what that did.
+    #[cfg(debug_assertions)]
+    #[allow(clippy::too_many_arguments)]
+    fn debug_assert_put_get(
+        &self,
+        edb: &VersionedEdb<'_>,
+        h: &HopRecord,
+        direction: Direction,
+        rules: &inverda_datalog::RuleSet,
+        inputs: &[&str],
+        dep_virtual: &[&str],
+        known: &DeltaMap,
+        ids: &dyn inverda_datalog::eval::IdSource,
+    ) {
+        let Ok(crs) = self.compiled.get_or_compile(h.smo, direction, rules) else {
+            return;
+        };
+        let input: DeltaMap = inputs
+            .iter()
+            .filter_map(|rel| Some((rel.to_string(), known.get(*rel)?.clone())))
+            .filter(|(_, delta)| !delta.is_empty())
+            .collect();
+        let Ok(mut derived) = propagate_compiled(&crs, edb, &input, ids, edb.head_columns()) else {
+            return;
+        };
+        for rel in dep_virtual {
+            let carried = &h.input[*rel];
+            let derived = derived.remove(*rel).unwrap_or_default();
+            let changed = |d: &Delta| -> BTreeSet<Key> {
+                d.deletes.keys().chain(d.inserts.keys()).copied().collect()
+            };
+            for key in changed(carried).union(&changed(&derived)) {
+                let carried_rows = (carried.deletes.get(key), carried.inserts.get(key));
+                let derived_rows = (derived.deletes.get(key), derived.inserts.get(key));
+                let same = match (carried_rows, derived_rows) {
+                    ((None, None), _) => false,
+                    ((old, new), (None, None)) => old.is_some() && old == new,
+                    (carried, derived) => carried == derived,
+                };
+                assert!(
+                    same,
+                    "PutGet broken by {:?}: {rel} under {key}: carried {carried_rows:?}, \
+                     reverse propagation {derived_rows:?}",
+                    h.smo
+                );
             }
         }
     }
@@ -987,6 +1192,16 @@ impl Inverda {
     }
 }
 
+/// Fold `delta` into `rel`'s entry of `deltas`.
+fn merge_into(deltas: &mut DeltaMap, rel: &str, delta: Delta) {
+    match deltas.get_mut(rel) {
+        Some(existing) => existing.merge(&delta),
+        None => {
+            deltas.insert(rel.to_string(), delta);
+        }
+    }
+}
+
 /// Turn a delta into physical write ops (tolerant: propagation is exact,
 /// but aux purges may have removed rows already).
 fn apply_delta_physically(rel: &str, delta: &Delta, batch: &mut WriteBatch) {
@@ -997,6 +1212,52 @@ fn apply_delta_physically(rel: &str, delta: &Delta, batch: &mut WriteBatch) {
     }
     for (key, row) in &delta.inserts {
         batch.upsert(rel.to_string(), *key, row.clone());
+    }
+}
+
+/// The drain's view for a hop whose input deltas are all
+/// [exact](Pending::exact): at a key an input delta changes, the relation's
+/// old row is the delta's delete row, or none for a key it only inserts, so
+/// the hop resolves no old row cold through the relation's own chain.
+/// Everything else is `base`'s. Debug builds compare every row it serves
+/// with `base`'s and panic on a difference.
+struct ExactOldRows<'v, 'e> {
+    base: &'v VersionedEdb<'e>,
+    deltas: &'v DeltaMap,
+}
+
+impl EdbView for ExactOldRows<'_, '_> {
+    fn full(&self, relation: &str) -> inverda_datalog::Result<Arc<Relation>> {
+        self.base.full(relation)
+    }
+
+    fn by_key(&self, relation: &str, key: Key) -> inverda_datalog::Result<Option<Row>> {
+        let Some(delta) = self.deltas.get(relation) else {
+            return self.base.by_key(relation, key);
+        };
+        let row = match delta.deletes.get(&key) {
+            Some(row) => Some(row.clone()),
+            None if delta.inserts.contains_key(&key) => None,
+            None => return self.base.by_key(relation, key),
+        };
+        debug_assert_eq!(
+            row,
+            self.base.by_key(relation, key)?,
+            "an exact delta of {relation} holds another old row under {key}"
+        );
+        Ok(row)
+    }
+
+    fn contains(&self, relation: &str) -> bool {
+        self.base.contains(relation)
+    }
+
+    fn overlay(&self, relation: &str) -> inverda_datalog::Result<Option<(Arc<Relation>, &Delta)>> {
+        self.base.overlay(relation)
+    }
+
+    fn index(&self, relation: &str, column: usize) -> inverda_datalog::Result<Arc<ColumnIndex>> {
+        self.base.index(relation, column)
     }
 }
 

@@ -416,3 +416,36 @@ fn known_deviation_materialize_across_overlapping_split_loses_a_row() {
     assert_eq!(db.get("V1", "T", k).unwrap(), None);
     assert_eq!(db.count("V1", "T").unwrap(), 0);
 }
+
+/// **Known deviation, the column-level aux gap** (DESIGN.md "Update
+/// propagation"): PutGet fails for an update through the version that owns
+/// an added column, with the data at the source, when the update leaves the
+/// column as it read it, the column's value came from the default function
+/// (its aux table `B` holds no row for the key), and the update changes a
+/// column the function reads. The drain lands the mapping's minimal diff,
+/// which writes no `B` row for a value that did not change, so the next read
+/// computes the function of the new row. The PutGet path of reverse
+/// maintenance does not patch such a write (`aux_keeps_what_was_written`).
+/// When the drain lands what was written, this test fails: flip the last
+/// assertion then.
+#[test]
+fn known_deviation_an_update_through_an_added_column_reads_back_its_default() {
+    let db = Inverda::new();
+    db.execute(
+        "CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a, b); \
+         CREATE SCHEMA VERSION V2 FROM V1 WITH ADD COLUMN c AS a INTO T;",
+    )
+    .unwrap();
+    let k = db.insert("V1", "T", vec![1.into(), "x".into()]).unwrap();
+    assert_eq!(
+        db.get("V2", "T", k).unwrap(),
+        Some(vec![1.into(), "x".into(), 1.into()])
+    );
+    db.update("V2", "T", k, vec![5.into(), "x".into(), 1.into()])
+        .unwrap();
+    // PutGet demands `[5, "x", 1]`.
+    assert_eq!(
+        db.get("V2", "T", k).unwrap(),
+        Some(vec![5.into(), "x".into(), 5.into()])
+    );
+}

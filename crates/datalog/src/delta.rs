@@ -313,8 +313,8 @@ fn propagate_unstaged(
     input_delta: &DeltaMap,
     ids: &dyn IdSource,
 ) -> Result<DeltaMap> {
-    if crs.identity {
-        if let Some(out) = pass_through(crs, base, input_delta)? {
+    if let Some(projection) = &crs.projection {
+        if let Some(out) = pass_through(crs, projection, base, input_delta)? {
             return Ok(out);
         }
     }
@@ -369,51 +369,74 @@ fn propagate_unstaged(
     Ok(out)
 }
 
-/// Propagation through an [identity](CompiledRuleSet) set `H(p, x₁…xₙ) ←
-/// B(p, x₁…xₙ)` without an evaluator: `H`'s row under a key is `B`'s, so
-/// `H`'s delta is made of the changed keys of `B` whose rows differ between
-/// the two states. The rows are read as phase 3 of the general path reads
-/// them: every key's new row first (the overlay's, which touches no base
-/// relation), then every key's old row from `base`, in ascending key order.
-/// An input delta that is not minimal (a delete of an absent key, a delete
-/// and insert of one row) so still yields an exact delta. `None` when a row
-/// is not of arity n: the general path then decides, as it would have.
+/// Propagation through a [projection set](CompiledRuleSet) — every rule
+/// `Hᵢ(p, πᵢ(x)) ← B(p, x)` — without an evaluator: `Hᵢ`'s row under a key
+/// is the projection of `B`'s, so `Hᵢ`'s delta is made of the changed keys
+/// of `B` whose projected rows differ between the two states. The rows are
+/// read as phase 3 of the general path reads them: every key's new row
+/// first (the overlay's, which touches no base relation), then every key's
+/// old row from `base`, head by head in name order and in ascending key
+/// order; a body relation two heads share is read once. An input delta
+/// that is not minimal (a delete of an absent key, a delete and insert of
+/// one row) so still yields an exact delta. `None` when a row is not of the
+/// atom's arity: the general path then decides, as it would have.
 fn pass_through(
     crs: &CompiledRuleSet,
+    projection: &[Vec<usize>],
     base: &dyn EdbView,
     input_delta: &DeltaMap,
 ) -> Result<Option<DeltaMap>> {
-    let (_, atom, _) = crs.body_atoms(0).next().expect("one positive atom");
-    let arity = atom.terms.len() - 1;
+    // Per body relation: its atoms' arity and every changed key's old row.
+    type OldRows = (usize, Vec<(Key, Option<Row>)>);
+    let mut old_rows: BTreeMap<&str, OldRows> = BTreeMap::new();
     let mut out = DeltaMap::new();
-    let Some(changed) = input_delta.get(&atom.relation) else {
-        return Ok(Some(out));
-    };
-    let mut rows = changed.deletes.values().chain(changed.inserts.values());
-    if rows.any(|row| row.len() != arity) {
-        return Ok(None);
-    }
-    let keys: BTreeSet<Key> = changed
-        .deletes
-        .keys()
-        .chain(changed.inserts.keys())
-        .copied()
-        .collect();
-    let mut delta = Delta::new();
-    for key in keys {
-        let old = base.by_key(&atom.relation, key)?;
-        if old.as_ref().is_some_and(|row| row.len() != arity) {
+    for head in crs.head_names() {
+        let rule = crs.rules_for(head)[0];
+        let (_, atom, _) = crs.body_atoms(rule).next().expect("one positive atom");
+        let Some(changed) = input_delta.get(&atom.relation) else {
+            continue;
+        };
+        let arity = atom.terms.len() - 1;
+        if !old_rows.contains_key(atom.relation.as_str()) {
+            let mut rows = changed.deletes.values().chain(changed.inserts.values());
+            if rows.any(|row| row.len() != arity) {
+                return Ok(None);
+            }
+            let keys: BTreeSet<Key> = changed
+                .deletes
+                .keys()
+                .chain(changed.inserts.keys())
+                .copied()
+                .collect();
+            let mut olds = Vec::with_capacity(keys.len());
+            for key in keys {
+                let old = base.by_key(&atom.relation, key)?;
+                if old.as_ref().is_some_and(|row| row.len() != arity) {
+                    return Ok(None);
+                }
+                olds.push((key, old));
+            }
+            old_rows.insert(&atom.relation, (arity, olds));
+        }
+        let (read_arity, olds) = &old_rows[atom.relation.as_str()];
+        if *read_arity != arity {
             return Ok(None);
         }
-        let new = changed.inserts.get(&key);
-        if old.as_ref() == new {
-            continue;
+        let project =
+            |row: &Row| -> Row { projection[rule].iter().map(|&c| row[c].clone()).collect() };
+        let mut delta = Delta::new();
+        for (key, old) in olds {
+            let old = old.as_ref().map(project);
+            let new = changed.inserts.get(key).map(project);
+            if old == new {
+                continue;
+            }
+            delta.deletes.extend(old.map(|row| (*key, row)));
+            delta.inserts.extend(new.map(|row| (*key, row)));
         }
-        delta.deletes.extend(old.map(|row| (key, row)));
-        delta.inserts.extend(new.map(|row| (key, row.clone())));
-    }
-    if !delta.is_empty() {
-        out.insert(crs.rules[0].head.relation.clone(), delta);
+        if !delta.is_empty() {
+            out.insert(head.to_string(), delta);
+        }
     }
     Ok(Some(out))
 }
@@ -1121,7 +1144,7 @@ mod tests {
     fn an_identity_set_passes_a_delta_through_exactly() {
         let rules = rename_rules();
         let crs = CompiledRuleSet::compile(&rules).unwrap();
-        assert!(crs.identity);
+        assert_eq!(crs.projection, Some(vec![vec![0, 1]]));
         let mut edb = MapEdb::new();
         edb.add(rows("B", &[(1, &[1, 2]), (2, &[3, 4])]));
         let row = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
@@ -1149,18 +1172,99 @@ mod tests {
     fn a_row_of_another_arity_takes_the_general_path() {
         let crs = CompiledRuleSet::compile(&rename_rules()).unwrap();
         let mut general = crs.clone();
-        general.identity = false;
+        general.projection = None;
         let mut edb = MapEdb::new();
         edb.add(rows("B", &[(1, &[1, 2])]));
         let mut delta = Delta::update(Key(1), vec![1.into(), 2.into()], vec![1.into(), 5.into()]);
         delta.merge(&Delta::insert(Key(9), vec![Value::Int(6)]));
         let mut input = DeltaMap::new();
         input.insert("B".into(), delta);
-        assert_eq!(pass_through(&crs, &edb, &input), Ok(None));
+        let projection = crs.projection.as_deref().expect("a projection set");
+        assert_eq!(pass_through(&crs, projection, &edb, &input), Ok(None));
         let fast = propagate_compiled(&crs, &edb, &input, &ids(), &BTreeMap::new());
         let slow = propagate_compiled(&general, &edb, &input, &ids(), &BTreeMap::new());
         assert_eq!(fast, slow);
         assert_eq!(fast.unwrap()["H"].len(), 1);
+    }
+
+    /// Every delta of `changes` on `B` through the projection set `rules`:
+    /// the pass-through equals the naive two-state diff and the general
+    /// path over `B`'s rows of arity 3.
+    fn assert_projection_passes_through(rules: &RuleSet, heads: usize) {
+        let crs = CompiledRuleSet::compile(rules).unwrap();
+        assert_eq!(crs.projection.as_ref().map(Vec::len), Some(heads));
+        let mut general = crs.clone();
+        general.projection = None;
+        let mut edb = MapEdb::new();
+        edb.add(rows(
+            "B",
+            &[(1, &[1, 2, 3]), (2, &[4, 5, 6]), (3, &[7, 8, 9])],
+        ));
+        let row = |vals: [i64; 3]| vals.iter().map(|v| Value::Int(*v)).collect::<Row>();
+        let mut noise = Delta::delete(Key(7), row([0, 0, 0]));
+        noise.merge(&Delta::update(Key(2), row([4, 5, 6]), row([4, 5, 6])));
+        let mut mixed = noise.clone();
+        mixed.merge(&Delta::update(Key(1), row([1, 2, 3]), row([1, 2, 9])));
+        mixed.merge(&Delta::update(Key(3), row([7, 8, 9]), row([0, 8, 9])));
+        mixed.merge(&Delta::insert(Key(9), row([6, 6, 6])));
+        let inputs = [
+            noise,
+            mixed,
+            Delta::delete(Key(2), row([4, 5, 6])),
+            Delta::update(Key(1), row([1, 2, 3]), row([5, 2, 3])),
+        ];
+        for delta in inputs {
+            let mut input = DeltaMap::new();
+            input.insert("B".into(), delta);
+            let slow = naive_diff(rules, &edb, &input).unwrap();
+            let fast = propagate_compiled(&crs, &edb, &input, &ids(), &BTreeMap::new());
+            let general = propagate_compiled(&general, &edb, &input, &ids(), &BTreeMap::new());
+            assert_eq!(fast, Ok(slow), "{input:?}");
+            assert_eq!(fast, general, "{input:?}");
+        }
+    }
+
+    /// ADD COLUMN's γ_src over `B(p, a, b, c)`, `c` the added column: the
+    /// data head drops `c`, the aux head keeps it.
+    #[test]
+    fn add_columns_to_src_passes_a_delta_through_exactly() {
+        let rules = RuleSet::new(vec![
+            Rule::new(
+                Atom::vars("S", &["p", "a", "b"]),
+                vec![Literal::Pos(Atom::new(
+                    "B",
+                    vec![Term::var("p"), Term::var("a"), Term::var("b"), Term::Anon],
+                ))],
+            ),
+            Rule::new(
+                Atom::vars("Aux", &["p", "c"]),
+                vec![Literal::Pos(Atom::new(
+                    "B",
+                    vec![Term::var("p"), Term::Anon, Term::Anon, Term::var("c")],
+                ))],
+            ),
+        ]);
+        assert_projection_passes_through(&rules, 2);
+    }
+
+    /// DROP COLUMN's γ_tgt over `B(p, a, b, c)`, dropping the middle column
+    /// `b`: the data head skips it, the aux head keeps only it.
+    #[test]
+    fn drop_columns_to_tgt_passes_a_delta_through_exactly() {
+        let rules = RuleSet::new(vec![
+            Rule::new(
+                Atom::vars("T", &["p", "a", "c"]),
+                vec![Literal::Pos(Atom::new(
+                    "B",
+                    vec![Term::var("p"), Term::var("a"), Term::Anon, Term::var("c")],
+                ))],
+            ),
+            Rule::new(
+                Atom::vars("Aux", &["p", "b"]),
+                vec![Literal::Pos(Atom::vars("B", &["p", "a", "b", "c"]))],
+            ),
+        ]);
+        assert_projection_passes_through(&rules, 2);
     }
 
     #[test]

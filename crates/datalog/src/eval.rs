@@ -460,12 +460,15 @@ pub struct CompiledRuleSet {
     /// Whether some rule consumes a head derived by the set itself
     /// (`old`/`new` staging of the id-generating SMOs).
     staged: bool,
-    /// Whether the set is one positional copy rule `H(p, x₁…xₙ) ← B(p,
-    /// x₁…xₙ)`: one positive atom, distinct variables in the head's order,
-    /// no other literal — the mapping of RENAME COLUMN and RENAME TABLE in
-    /// both directions. Propagation hands its delta through
-    /// ([`crate::delta::propagate_compiled`]).
-    pub(crate) identity: bool,
+    /// Per rule, when the set is a **projection set** — every rule is
+    /// `Hᵢ(p, πᵢ(x)) ← B(p, x)`: one positive atom over distinct variables
+    /// (anonymous positions allowed), a head keyed by the atom's key whose
+    /// payload variables all come from the atom's payload, one rule per
+    /// head, no other literal — the payload columns of the body row each
+    /// head copies, in head order. RENAME's copy rule is one; ADD COLUMN's
+    /// γ_src and DROP COLUMN's γ_tgt (a data head and an aux head) are two.
+    /// Propagation hands its delta through ([`crate::delta::propagate_compiled`]).
+    pub(crate) projection: Option<Vec<Vec<usize>>>,
 }
 
 impl CompiledRuleSet {
@@ -491,15 +494,14 @@ impl CompiledRuleSet {
                 _ => false,
             })
         });
-        let identity = match rules.rules.as_slice() {
-            [rule] => is_positional_copy(rule),
-            _ => false,
-        };
+        let projection = (!staged && head_index.len() == compiled.len())
+            .then(|| rules.rules.iter().map(projected_columns).collect())
+            .flatten();
         Ok(CompiledRuleSet {
             rules: compiled,
             head_index,
             staged,
-            identity,
+            projection,
         })
     }
 
@@ -565,16 +567,27 @@ impl CompiledRuleSet {
     }
 }
 
-/// Whether `rule` is `H(p, x₁…xₙ) ← B(p, x₁…xₙ)` over distinct variables
-/// and another relation.
-fn is_positional_copy(rule: &Rule) -> bool {
+/// The payload columns of the body row `rule` copies into its head, in
+/// head order, if `rule` is `H(p, π(x)) ← B(p, x)` over distinct variables
+/// (anonymous positions allowed). The caller rules out a `B` the set derives.
+fn projected_columns(rule: &Rule) -> Option<Vec<usize>> {
     let [Literal::Pos(body)] = rule.body.as_slice() else {
-        return false;
+        return None;
     };
-    let vars: BTreeSet<&str> = rule.head.terms.iter().filter_map(Term::as_var).collect();
-    body.relation != rule.head.relation
-        && body.terms == rule.head.terms
-        && vars.len() == rule.head.terms.len()
+    let key = body.key_term().as_var()?;
+    let vars = body.variables();
+    let distinct: BTreeSet<&str> = vars.iter().copied().collect();
+    let all_vars = body.terms.iter().all(|t| !matches!(t, Term::Const(_)));
+    if distinct.len() != vars.len() || !all_vars || rule.head.key_term().as_var() != Some(key) {
+        return None;
+    }
+    rule.head.terms[1..]
+        .iter()
+        .map(|t| {
+            let var = t.as_var()?;
+            body.terms[1..].iter().position(|b| b.as_var() == Some(var))
+        })
+        .collect()
 }
 
 /// Slot bitset used by compile-time scheduling.

@@ -661,6 +661,137 @@ proptest! {
     }
 }
 
+/// One head of a projection set over `P(p, x0, x1, x2)`: the payload
+/// positions it copies, in head order (reordered and partial), and the
+/// positions its atom names without copying them; the atom leaves the rest
+/// anonymous.
+#[derive(Debug, Clone)]
+struct ProjectionSpec {
+    copied: Vec<usize>,
+    named: Vec<usize>,
+}
+
+fn arb_projection_spec() -> impl Strategy<Value = ProjectionSpec> {
+    (
+        prop::collection::vec(0usize..3, 1..4),
+        prop::collection::vec(0usize..3, 0..2),
+    )
+        .prop_map(|(picks, named)| {
+            let mut copied = Vec::new();
+            for pick in picks {
+                if !copied.contains(&pick) {
+                    copied.push(pick);
+                }
+            }
+            ProjectionSpec { copied, named }
+        })
+}
+
+/// The projection set of `specs`, one rule `Hᵢ(p, …) ← P(p, …)` per head;
+/// with `general`, every rule also carries the condition `1 = 1`, which
+/// keeps its meaning and takes it off the pass-through.
+fn build_projection_set(specs: &[ProjectionSpec], general: bool) -> RuleSet {
+    let rules = specs.iter().enumerate().map(|(i, spec)| {
+        let var = |c: usize| Term::var(format!("x{c}"));
+        let mut atom = vec![Term::var("p")];
+        atom.extend((0..3).map(|c| {
+            if spec.copied.contains(&c) || spec.named.contains(&c) {
+                var(c)
+            } else {
+                Term::Anon
+            }
+        }));
+        let mut head = vec![Term::var("p")];
+        head.extend(spec.copied.iter().map(|&c| var(c)));
+        let mut body = vec![Literal::Pos(Atom::new("P", atom))];
+        if general {
+            body.push(Literal::Cond(Expr::lit(1).eq(Expr::lit(1))));
+        }
+        Rule::new(Atom::new(format!("H{i}"), head), body)
+    });
+    RuleSet::new(rules.collect())
+}
+
+type PRows = BTreeMap<u64, (i64, i64, i64)>;
+
+fn build_projection_edb(rows: &PRows) -> MapEdb {
+    let mut rel = Relation::with_columns("P", ["a", "b", "c"]);
+    for (k, (a, b, c)) in rows {
+        let row = vec![Value::Int(*a), Value::Int(*b), Value::Int(*c)];
+        rel.insert(Key(*k), row).unwrap();
+    }
+    let mut edb = MapEdb::new();
+    edb.add(rel);
+    edb
+}
+
+proptest! {
+    /// Projection sets (ADD COLUMN's γ_src and DROP COLUMN's γ_tgt are
+    /// two-head ones, RENAME's copy rule a one-head one) against naive on
+    /// every path: full evaluation (rows in order), key-seeded evaluation
+    /// of every head and key, and propagation of a `P` delta, which passes
+    /// through, against the naive two-state diff. A delta with rows of
+    /// another arity falls back to the general path: it must agree with the
+    /// same set carrying a vacuous condition, which never passes through.
+    #[test]
+    fn projection_sets_match_naive_on_every_path(
+        specs in prop::collection::vec(arb_projection_spec(), 1..4),
+        rows in prop::collection::btree_map(0u64..12, (0i64..4, 0i64..4, 0i64..4), 0..8),
+        changes in prop::collection::btree_map(
+            0u64..14,
+            prop::option::of((0i64..4, 0i64..4, 0i64..4)),
+            1..4,
+        ),
+        narrow in prop::option::of(0u64..14),
+    ) {
+        let rules = build_projection_set(&specs, false);
+        let crs = CompiledRuleSet::compile(&rules).expect("safe");
+        let edb = build_projection_edb(&rows);
+        let naive_out = naive::evaluate(&rules, &edb, &registry(), &BTreeMap::new());
+        let compiled_out = evaluate_compiled(&crs, &edb, &registry(), &BTreeMap::new());
+        prop_assert_eq!(
+            naive_out.map(|out| rows_in_order(&out)),
+            compiled_out.map(|out| rows_in_order(&out)),
+            "diverged on:\n{}", rules
+        );
+        let naive_ids = registry();
+        let compiled_ids = registry();
+        let mut naive_ev = naive::Evaluator::new(&edb, &naive_ids);
+        let compiled_ev = Evaluator::new(&edb, &compiled_ids);
+        for head in crs.head_names() {
+            for k in 0..14u64 {
+                let n = naive_ev.head_row_for_key(&rules, head, Key(k));
+                let c = compiled_ev.head_row_for_key(&crs, head, Key(k));
+                prop_assert_eq!(n, c, "diverged at {}#{} on:\n{}", head, k, rules);
+            }
+        }
+
+        let row = |(a, b, c): (i64, i64, i64)| vec![Value::Int(a), Value::Int(b), Value::Int(c)];
+        let mut delta = Delta::new();
+        for (k, change) in &changes {
+            delta.deletes.extend(rows.get(k).map(|abc| (Key(*k), row(*abc))));
+            delta.inserts.extend(change.map(|abc| (Key(*k), row(abc))));
+        }
+        let mut input = DeltaMap::new();
+        input.insert("P".to_string(), delta);
+        let non_empty = |d: DeltaMap| -> DeltaMap {
+            d.into_iter().filter(|(_, d)| !d.is_empty()).collect()
+        };
+        let fast = propagate(&rules, &edb, &input, &registry(), &BTreeMap::new());
+        let slow = naive_two_state_diff(&rules, &edb, &input).expect("both states evaluate");
+        prop_assert_eq!(fast.map(non_empty), Ok(slow), "propagation diverged on:\n{}", rules);
+
+        if let Some(k) = narrow {
+            let delta = input.get_mut("P").expect("present");
+            delta.inserts.insert(Key(k), vec![Value::Int(0), Value::Int(0)]);
+            let general = build_projection_set(&specs, true);
+            let fast = propagate(&rules, &edb, &input, &registry(), &BTreeMap::new());
+            let slow = propagate(&general, &edb, &input, &registry(), &BTreeMap::new());
+            prop_assert_eq!(fast, slow, "a row of another arity diverged on:\n{}", rules);
+        }
+    }
+}
+
 /// `specs` with their skolem literals dropped.
 fn mint_free(specs: Vec<RuleSpec>) -> Vec<RuleSpec> {
     specs
@@ -706,22 +837,41 @@ fn t1_input(
     input
 }
 
+/// Whether `rule` is `H(p, π(x)) ← B(p, x)`: one positive atom over
+/// distinct variables (anonymous positions allowed) and a head keyed by its
+/// key whose payload variables all come from its payload.
+fn is_projection(rule: &Rule) -> bool {
+    let [Literal::Pos(body)] = rule.body.as_slice() else {
+        return false;
+    };
+    let vars = body.variables();
+    let distinct: std::collections::BTreeSet<_> = vars.iter().collect();
+    let payload: Vec<&str> = body.terms[1..].iter().filter_map(Term::as_var).collect();
+    body.key_term().as_var().is_some()
+        && body.terms.iter().all(|t| !matches!(t, Term::Const(_)))
+        && distinct.len() == vars.len()
+        && rule.head.key_term() == body.key_term()
+        && rule.head.terms[1..]
+            .iter()
+            .all(|t| t.as_var().is_some_and(|v| payload.contains(&v)))
+}
+
 /// Which shortcut of `delta::propagate_compiled` a propagation of `input`
-/// through the mint-free, unstaged `rules` takes: `(identity, key-local)`.
-/// An identity set (`H(p, x…) ← B(p, x…)`) whose `B` changed passes its
-/// delta through; otherwise a changed tuple at an atom keyed by its
+/// through the mint-free, unstaged `rules` takes: `(heads passed through,
+/// key-local)`. A projection set (one rule `Hᵢ(p, πᵢ(x)) ← B(p, x)` per
+/// head, RENAME's copy rule among them) whose `B` changed passes its delta
+/// through; otherwise a changed tuple at an atom keyed by its
 /// [key-local](inverda_datalog::eval::CompiledRule::key_local) rule's head
 /// key skips its probe join.
-fn shortcuts_taken(rules: &RuleSet, crs: &CompiledRuleSet, input: &DeltaMap) -> (bool, bool) {
+fn shortcuts_taken(rules: &RuleSet, crs: &CompiledRuleSet, input: &DeltaMap) -> (usize, bool) {
     let changed = |rel: &str| input.get(rel).is_some_and(|d| !d.is_empty());
-    if let [rule] = rules.rules.as_slice() {
-        let vars: std::collections::BTreeSet<_> =
-            rule.head.terms.iter().filter_map(Term::as_var).collect();
-        if let [Literal::Pos(body)] = rule.body.as_slice() {
-            if body.terms == rule.head.terms && vars.len() == body.terms.len() {
-                return (changed(&body.relation), false);
-            }
-        }
+    let one_rule_per_head = crs.head_names().count() == rules.rules.len();
+    if one_rule_per_head && rules.rules.iter().all(is_projection) {
+        let passed = rules
+            .rules
+            .iter()
+            .filter(|rule| rule.body_relations().iter().any(|rel| changed(rel)));
+        return (passed.count(), false);
     }
     let key_local = rules.rules.iter().zip(&crs.rules).any(|(rule, compiled)| {
         compiled.key_local
@@ -734,19 +884,20 @@ fn shortcuts_taken(rules: &RuleSet, crs: &CompiledRuleSet, input: &DeltaMap) -> 
                 _ => false,
             })
     });
-    (false, key_local)
+    (0, key_local)
 }
 
 /// How many of the first 1 000 generated cases of
 /// `propagation_matches_naive_two_state_diff` take each propagation
-/// shortcut: their inputs are replayed from the property's seed, and both
-/// counts must be above zero, or the property no longer covers the
-/// shortcut. (The replay draws the property's strategies in its order.)
+/// shortcut, and how many of the passed-through ones derive several heads:
+/// their inputs are replayed from the property's seed, and every count
+/// must be above zero, or the property no longer covers the shortcut.
+/// (The replay draws the property's strategies in its order.)
 #[test]
 fn generated_propagations_take_both_shortcuts() {
     use proptest::test_runner::{rng_for, seed_for};
     let seed = seed_for("compiled_vs_naive::propagation_matches_naive_two_state_diff");
-    let (mut cases, mut identity, mut key_local) = (0, 0, 0);
+    let (mut cases, mut projection, mut multi_head, mut key_local) = (0, 0, 0, 0);
     for case in 0..1000 {
         let mut rng = rng_for(seed, case);
         let specs = prop::collection::vec(arb_propagated_rule_spec(), 1..3).generate(&mut rng);
@@ -764,16 +915,22 @@ fn generated_propagations_take_both_shortcuts() {
         cases += 1;
         let input = t1_input(&t1, &inserts, &deletes, &updates);
         let (passed, skipped) = shortcuts_taken(&rules, &crs, &input);
-        identity += usize::from(passed);
+        projection += usize::from(passed > 0);
+        multi_head += usize::from(passed > 1);
         key_local += usize::from(skipped);
     }
     eprintln!(
-        "of {cases} unstaged generated propagations, {identity} pass an identity set's \
-         delta through and {key_local} skip a key-local probe join"
+        "of {cases} unstaged generated propagations, {projection} pass a projection set's \
+         delta through ({multi_head} of them to several heads) and {key_local} skip a \
+         key-local probe join"
     );
     assert!(
-        identity > 0,
+        projection > 0,
         "no generated propagation passes a delta through"
+    );
+    assert!(
+        multi_head > 0,
+        "no generated propagation passes a delta through to several heads"
     );
     assert!(key_local > 0, "no generated propagation skips a probe join");
 }
