@@ -287,4 +287,25 @@ mod tests {
             "default may not reference the dropped column"
         );
     }
+
+    /// Full evaluation maps rows in both directions of both SMOs, whatever
+    /// the default reads and wherever the dropped column sits: γ_src of ADD
+    /// COLUMN and γ_tgt of DROP COLUMN are projection sets, the other two
+    /// lookup-or-default pairs.
+    #[test]
+    fn column_mappings_are_row_maps() {
+        use inverda_datalog::eval::{CompiledRuleSet, RowMap};
+        let row_map = |rules: &RuleSet| CompiledRuleSet::compile(rules).unwrap().row_map().cloned();
+        let cols: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
+        for default in [Expr::lit(0), Expr::col("a")] {
+            let add = add_column("T", "d", &default, &cols).unwrap();
+            assert!(matches!(row_map(&add.to_tgt), Some(RowMap::Pair(_))));
+            assert!(matches!(row_map(&add.to_src), Some(RowMap::Projection(_))));
+            for dropped in ["b", "c"] {
+                let drop = drop_column("T", dropped, &default, &cols).unwrap();
+                assert!(matches!(row_map(&drop.to_tgt), Some(RowMap::Projection(_))));
+                assert!(matches!(row_map(&drop.to_src), Some(RowMap::Pair(_))));
+            }
+        }
+    }
 }

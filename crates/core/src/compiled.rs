@@ -2,9 +2,13 @@
 //!
 //! Every SMO instance carries two rule sets (γ_tgt / γ_src) that are fixed
 //! for the lifetime of the SMO. Compiling them (slot interning + schedule
-//! precomputation, see `inverda-datalog::eval`) is cheap but happens on the
-//! hot path of every statement: one read on a three-hop virtual version
-//! resolves up to three mappings. This store compiles each `(SMO,
+//! precomputation, see `inverda-datalog::eval`) is not free: a 28-column
+//! ADD COLUMN compiles in tens of microseconds a direction, and since a
+//! column-level set evaluates as a row map, that compile is the larger
+//! share of a new version's first cold read (EXPERIMENTS.md, "Column-level
+//! hops as row maps"). It would also sit on the hot path of every
+//! statement: one read on a three-hop virtual version resolves up to three
+//! mappings. This store compiles each `(SMO,
 //! direction)` pair once and hands out shared references. SMO ids are never
 //! reused, so creating a schema version only ever *adds* keys and every
 //! cached compilation stays valid; dropping one retires SMOs, and the

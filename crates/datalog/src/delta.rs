@@ -28,7 +28,7 @@ use crate::ast::RuleSet;
 use crate::error::DatalogError;
 use crate::eval::{
     evaluate_compiled, head_cells_bound_by, value_key, CTerm, CompiledRuleSet, EdbView, Evaluator,
-    IdSource, ReservingIds,
+    IdSource, ReservingIds, RowMap,
 };
 use crate::skolem::{self, PlaceholderPatch};
 use crate::Result;
@@ -313,7 +313,7 @@ fn propagate_unstaged(
     input_delta: &DeltaMap,
     ids: &dyn IdSource,
 ) -> Result<DeltaMap> {
-    if let Some(projection) = &crs.projection {
+    if let Some(RowMap::Projection(projection)) = &crs.row_map {
         if let Some(out) = pass_through(crs, projection, base, input_delta)? {
             return Ok(out);
         }
@@ -369,7 +369,7 @@ fn propagate_unstaged(
     Ok(out)
 }
 
-/// Propagation through a [projection set](CompiledRuleSet) — every rule
+/// Propagation through a [projection set](RowMap::Projection) — every rule
 /// `Hᵢ(p, πᵢ(x)) ← B(p, x)` — without an evaluator: `Hᵢ`'s row under a key
 /// is the projection of `B`'s, so `Hᵢ`'s delta is made of the changed keys
 /// of `B` whose projected rows differ between the two states. The rows are
@@ -1144,7 +1144,7 @@ mod tests {
     fn an_identity_set_passes_a_delta_through_exactly() {
         let rules = rename_rules();
         let crs = CompiledRuleSet::compile(&rules).unwrap();
-        assert_eq!(crs.projection, Some(vec![vec![0, 1]]));
+        assert_eq!(crs.row_map, Some(RowMap::Projection(vec![vec![0, 1]])));
         let mut edb = MapEdb::new();
         edb.add(rows("B", &[(1, &[1, 2]), (2, &[3, 4])]));
         let row = |a: i64, b: i64| vec![Value::Int(a), Value::Int(b)];
@@ -1172,14 +1172,16 @@ mod tests {
     fn a_row_of_another_arity_takes_the_general_path() {
         let crs = CompiledRuleSet::compile(&rename_rules()).unwrap();
         let mut general = crs.clone();
-        general.projection = None;
+        general.row_map = None;
         let mut edb = MapEdb::new();
         edb.add(rows("B", &[(1, &[1, 2])]));
         let mut delta = Delta::update(Key(1), vec![1.into(), 2.into()], vec![1.into(), 5.into()]);
         delta.merge(&Delta::insert(Key(9), vec![Value::Int(6)]));
         let mut input = DeltaMap::new();
         input.insert("B".into(), delta);
-        let projection = crs.projection.as_deref().expect("a projection set");
+        let Some(RowMap::Projection(projection)) = &crs.row_map else {
+            panic!("a projection set")
+        };
         assert_eq!(pass_through(&crs, projection, &edb, &input), Ok(None));
         let fast = propagate_compiled(&crs, &edb, &input, &ids(), &BTreeMap::new());
         let slow = propagate_compiled(&general, &edb, &input, &ids(), &BTreeMap::new());
@@ -1192,9 +1194,9 @@ mod tests {
     /// path over `B`'s rows of arity 3.
     fn assert_projection_passes_through(rules: &RuleSet, heads: usize) {
         let crs = CompiledRuleSet::compile(rules).unwrap();
-        assert_eq!(crs.projection.as_ref().map(Vec::len), Some(heads));
+        assert!(matches!(&crs.row_map, Some(RowMap::Projection(p)) if p.len() == heads));
         let mut general = crs.clone();
-        general.projection = None;
+        general.row_map = None;
         let mut edb = MapEdb::new();
         edb.add(rows(
             "B",

@@ -36,6 +36,15 @@
 //! differential property tests in `tests/compiled_vs_naive.rs` hold them to
 //! that.
 //!
+//! A set whose every head row is computed from the one body row under its
+//! key — a projection set or a lookup-or-default pair ([`RowMap`], the
+//! positional maps ADD / DROP / RENAME COLUMN and RENAME TABLE) — is fully
+//! evaluated as a **row map** ([`evaluate_row_map`]): a walk of the body
+//! relation in key order that copies columns, with one key lookup of the
+//! aux relation per row for a pair, and no join. Its EDB calls are a prefix
+//! of the join's; on any error, write overlay or row of another arity it
+//! hands the set to the join, which raises the canonical error.
+//!
 //! Two entry points:
 //!
 //! * [`evaluate`] / [`evaluate_compiled`] — full bottom-up evaluation;
@@ -460,15 +469,56 @@ pub struct CompiledRuleSet {
     /// Whether some rule consumes a head derived by the set itself
     /// (`old`/`new` staging of the id-generating SMOs).
     staged: bool,
-    /// Per rule, when the set is a **projection set** — every rule is
-    /// `Hᵢ(p, πᵢ(x)) ← B(p, x)`: one positive atom over distinct variables
-    /// (anonymous positions allowed), a head keyed by the atom's key whose
-    /// payload variables all come from the atom's payload, one rule per
-    /// head, no other literal — the payload columns of the body row each
-    /// head copies, in head order. RENAME's copy rule is one; ADD COLUMN's
-    /// γ_src and DROP COLUMN's γ_tgt (a data head and an aux head) are two.
-    /// Propagation hands its delta through ([`crate::delta::propagate_compiled`]).
-    pub(crate) projection: Option<Vec<Vec<usize>>>,
+    /// The column-level shape of the set, if it has one: full evaluation
+    /// maps rows instead of running the join ([`evaluate_row_map`]).
+    pub(crate) row_map: Option<RowMap>,
+}
+
+/// A rule set whose every head row is computed from the one body row under
+/// its key, with no join: the positional maps (ADD / DROP / RENAME COLUMN,
+/// RENAME TABLE). Full evaluation of such a set is a row map
+/// ([`evaluate_row_map`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowMap {
+    /// A **projection set** — every rule is `Hᵢ(p, πᵢ(x)) ← B(p, x)`: one
+    /// positive atom over distinct variables (anonymous positions allowed),
+    /// a head keyed by the atom's key whose payload variables all come from
+    /// the atom's payload, one rule per head, no other literal. Per rule,
+    /// the payload columns of the body row its head copies, in head order.
+    /// RENAME's copy rule is one; ADD COLUMN's γ_src and DROP COLUMN's
+    /// γ_tgt (a data head and an aux head) are two. Propagation hands its
+    /// delta through ([`crate::delta::propagate_compiled`]).
+    Projection(Vec<Vec<usize>>),
+    /// A **lookup-or-default pair**: two rules for one head over one data
+    /// atom `S(p, x…)` and one aux atom `A(p, b)`,
+    /// - the aux-present rule `H(p, π(x), b) ← S(p, x), A(p, b)`, scheduled
+    ///   `[S, A]`;
+    /// - the aux-absent rule `H(p, π(x), v) ← S(p, x), ¬A(p, _), v = e(x)`,
+    ///   scheduled `[S, ¬A, assignment]`, or `[assignment, S, ¬A]` when
+    ///   `e` reads no column (a constant default is evaluated once, first).
+    ///
+    /// ADD COLUMN's γ_tgt (absent rule first) and DROP COLUMN's γ_src
+    /// (present rule first) are pairs.
+    Pair(LookupOrDefault),
+}
+
+/// The parts of a [lookup-or-default pair](RowMap::Pair) its row map reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LookupOrDefault {
+    /// The aux-present rule; the aux-absent rule is the other one.
+    present: usize,
+    /// The data relation `S` and its atom's arity (key included).
+    data: String,
+    data_arity: usize,
+    /// The aux relation `A`.
+    aux: String,
+    /// Per head payload position: `Some(c)` copies payload column `c` of
+    /// the data row, `None` takes the aux value or the default.
+    cells: Vec<Option<usize>>,
+    /// The default `e(x)` and, per column name it reads, the data payload
+    /// column that name is bound to.
+    default: inverda_storage::Expr,
+    default_cols: Vec<(String, usize)>,
 }
 
 impl CompiledRuleSet {
@@ -494,15 +544,26 @@ impl CompiledRuleSet {
                 _ => false,
             })
         });
-        let projection = (!staged && head_index.len() == compiled.len())
-            .then(|| rules.rules.iter().map(projected_columns).collect())
-            .flatten();
+        let row_map = if staged {
+            None
+        } else if head_index.len() == compiled.len() {
+            let projection: Option<Vec<_>> = rules.rules.iter().map(projected_columns).collect();
+            projection.map(RowMap::Projection)
+        } else {
+            lookup_or_default(&compiled).map(RowMap::Pair)
+        };
         Ok(CompiledRuleSet {
             rules: compiled,
             head_index,
             staged,
-            projection,
+            row_map,
         })
+    }
+
+    /// The column-level shape whose row map full evaluation tries first
+    /// ([`evaluate_row_map`]), if the set has one.
+    pub fn row_map(&self) -> Option<&RowMap> {
+        self.row_map.as_ref()
     }
 
     /// Whether the set consumes its own heads (`old`/`new` staging).
@@ -586,6 +647,123 @@ fn projected_columns(rule: &Rule) -> Option<Vec<usize>> {
         .map(|t| {
             let var = t.as_var()?;
             body.terms[1..].iter().position(|b| b.as_var() == Some(var))
+        })
+        .collect()
+}
+
+/// The [lookup-or-default pair](RowMap::Pair) `rules` make, with the
+/// aux-present rule first or second. The caller rules out a set that reads
+/// its own heads.
+fn lookup_or_default(rules: &[CompiledRule]) -> Option<LookupOrDefault> {
+    let [first, second] = rules else {
+        return None;
+    };
+    if first.head.relation != second.head.relation {
+        return None;
+    }
+    (0..2).find_map(|present| pair_with_present(rules, present))
+}
+
+fn pair_with_present(rules: &[CompiledRule], present: usize) -> Option<LookupOrDefault> {
+    let (with, without) = (&rules[present], &rules[1 - present]);
+    // The aux-present rule: `S(p, x)`, then `A(p, b)` by key.
+    let &[s, a] = with.base_order.as_slice() else {
+        return None;
+    };
+    let (CLit::Pos(data), CLit::Pos(aux)) = (&with.body[s], &with.body[a]) else {
+        return None;
+    };
+    if aux.relation == data.relation {
+        return None;
+    }
+    let (key, payload) = data_slots(data)?;
+    let value = match aux.terms.as_slice() {
+        [CTerm::Var(k), CTerm::Anon] if *k == key => None,
+        [CTerm::Var(k), CTerm::Var(b)]
+            if *k == key && *b != key && !payload.contains(&Some(*b)) =>
+        {
+            Some(*b)
+        }
+        _ => return None,
+    };
+    let cells = head_cells(with, key, &payload, value)?;
+    // The aux-absent rule: `S(p, x)`, `¬A(p, _)` and `v = e(x)` in the
+    // order that meets the lookup before the default.
+    let order: Vec<&CLit> = without
+        .base_order
+        .iter()
+        .map(|&l| &without.body[l])
+        .collect();
+    let (data2, neg, slot, expr, cols) = match order.as_slice() {
+        [CLit::Pos(d), CLit::Neg(n), CLit::Assign { slot, expr, cols }] => (d, n, slot, expr, cols),
+        [CLit::Assign { slot, expr, cols }, CLit::Pos(d), CLit::Neg(n)] if cols.is_empty() => {
+            (d, n, slot, expr, cols)
+        }
+        _ => return None,
+    };
+    let (key2, payload2) = data_slots(data2)?;
+    let same_data = data2.relation == data.relation && data2.terms.len() == data.terms.len();
+    let absent = matches!(neg.terms.as_slice(), [CTerm::Var(k), CTerm::Anon] if *k == key2);
+    let fresh = *slot != key2 && !payload2.contains(&Some(*slot));
+    if !same_data || neg.relation != aux.relation || !absent || !fresh {
+        return None;
+    }
+    let default_cols = cols
+        .iter()
+        .map(|(name, s)| {
+            let col = payload2.iter().position(|p| *p == Some(*s))?;
+            Some((name.clone(), col))
+        })
+        .collect::<Option<_>>()?;
+    if head_cells(without, key2, &payload2, Some(*slot))? != cells {
+        return None;
+    }
+    Some(LookupOrDefault {
+        present,
+        data: data.relation.clone(),
+        data_arity: data.terms.len(),
+        aux: aux.relation.clone(),
+        cells,
+        default: expr.clone(),
+        default_cols,
+    })
+}
+
+/// The key slot of `atom` and the slot of each payload column (`None`:
+/// anonymous), if its terms are distinct variables.
+fn data_slots(atom: &CAtom) -> Option<(usize, Vec<Option<usize>>)> {
+    let CTerm::Var(key) = atom.terms[0] else {
+        return None;
+    };
+    let mut seen = BTreeSet::from([key]);
+    let payload = atom.terms[1..]
+        .iter()
+        .map(|t| match t {
+            CTerm::Var(s) => seen.insert(*s).then_some(Some(*s)),
+            CTerm::Anon => Some(None),
+            CTerm::Const(_) => None,
+        })
+        .collect::<Option<_>>()?;
+    Some((key, payload))
+}
+
+/// Per head payload position of `rule`, keyed by `key`: `Some(c)` for the
+/// data payload column `c` whose slot it names, `None` for `value`.
+fn head_cells(
+    rule: &CompiledRule,
+    key: usize,
+    payload: &[Option<usize>],
+    value: Option<usize>,
+) -> Option<Vec<Option<usize>>> {
+    if rule.head.terms[0] != CTerm::Var(key) {
+        return None;
+    }
+    rule.head.terms[1..]
+        .iter()
+        .map(|t| match t {
+            CTerm::Var(s) if Some(*s) == value => Some(None),
+            CTerm::Var(s) => payload.iter().position(|p| *p == Some(*s)).map(Some),
+            _ => None,
         })
         .collect()
 }
@@ -1028,7 +1206,153 @@ pub fn evaluate(
 /// committed — minted for real, in that order — and patched through the
 /// derived relations. A failed evaluation mints nothing; a mint-free set
 /// never reserves, so its commit is empty and its output untouched.
+///
+/// A set with a column-level shape ([`RowMap`]) is first handed to its row
+/// map ([`evaluate_row_map`]), which gives it back to the join on anything
+/// but success.
 pub fn evaluate_compiled(
+    crs: &CompiledRuleSet,
+    edb: &dyn EdbView,
+    ids: &dyn IdSource,
+    head_columns: &BTreeMap<String, Vec<String>>,
+) -> Result<BTreeMap<String, Relation>> {
+    if let Some(out) = evaluate_row_map(crs, edb, head_columns) {
+        return Ok(out);
+    }
+    evaluate_by_join(crs, edb, ids, head_columns)
+}
+
+/// Full evaluation of a set with a column-level shape ([`RowMap`]) as a
+/// row map: every head row is computed from the body row under its key,
+/// walked in key order, with no join, no frame and no reservation scope.
+/// `None` hands the set to the join ([`evaluate_compiled`] does). Public
+/// so the differential suite can count the inputs it takes.
+///
+/// - A **projection set**: per rule, in rule order, its body relation is
+///   read and its arity checked as the join does, then `(key, π(row))` is
+///   appended for every row in key order.
+/// - A **lookup-or-default pair**: `S` is walked in key order, with one
+///   [`EdbView::by_key`] of `A` per row, the call the first rule's walk
+///   makes; the head row takes the aux value if `A` holds a row there, or
+///   the default evaluated from the data row if not. A constant default is
+///   evaluated once, before the walk, as the absent rule's order does.
+///
+/// **Why this is exact.** The row map's EDB calls are a prefix, in the
+/// same order, of the calls the join makes (for a pair, of those its first
+/// rule makes), and its default expressions are pure. It returns only when
+/// it succeeds: on any error, on a relation the view holds under a write
+/// overlay ([`EdbView::overlay`]), on a row of another arity than its atom
+/// and on a key the join's head rejects it returns `None`. The join then makes the same calls again, which
+/// a view that caches its resolutions answers from its cache, and raises
+/// the canonical error. A success derives what the join derives: every row
+/// of `S` or `B` matches its atom of distinct variables, the join emits its
+/// tuples in the same key order, and no key conflict can arise: a
+/// projection set has one rule per head, and the pair's two rules fire on
+/// disjoint keys, where `A` holds a row and where it does not.
+pub fn evaluate_row_map(
+    crs: &CompiledRuleSet,
+    edb: &dyn EdbView,
+    head_columns: &BTreeMap<String, Vec<String>>,
+) -> Option<BTreeMap<String, Relation>> {
+    match crs.row_map.as_ref()? {
+        RowMap::Projection(columns) => map_projection(crs, columns, edb, head_columns),
+        RowMap::Pair(pair) => map_lookup_or_default(crs, pair, edb, head_columns),
+    }
+}
+
+fn map_projection(
+    crs: &CompiledRuleSet,
+    columns: &[Vec<usize>],
+    edb: &dyn EdbView,
+    head_columns: &BTreeMap<String, Vec<String>>,
+) -> Option<BTreeMap<String, Relation>> {
+    let mut out = BTreeMap::new();
+    for (rule, columns) in crs.rules.iter().zip(columns) {
+        let CLit::Pos(atom) = &rule.body[0] else {
+            unreachable!("a projection rule is one positive atom")
+        };
+        let body = whole_relation(edb, &atom.relation, atom.terms.len())?;
+        let mut head = empty_head(&rule.head, head_columns);
+        for (key, row) in body.iter() {
+            let key = head_key(&rule.head, key)?;
+            let row = columns.iter().map(|&c| row[c].clone()).collect();
+            head.insert_vacant(key, row).ok()?.ok()?;
+        }
+        out.insert(rule.head.relation.clone(), head);
+    }
+    Some(out)
+}
+
+fn map_lookup_or_default(
+    crs: &CompiledRuleSet,
+    pair: &LookupOrDefault,
+    edb: &dyn EdbView,
+    head_columns: &BTreeMap<String, Vec<String>>,
+) -> Option<BTreeMap<String, Relation>> {
+    let default = |row: &[Value]| {
+        let ctx = DataRowCtx {
+            cols: &pair.default_cols,
+            row,
+        };
+        pair.default.eval(&ctx).ok()
+    };
+    let constant = match pair.default_cols.is_empty() {
+        true => Some(default(&[])?),
+        false => None,
+    };
+    let data = whole_relation(edb, &pair.data, pair.data_arity)?;
+    let head_atom = &crs.rules[pair.present].head;
+    let mut head = empty_head(head_atom, head_columns);
+    for (key, row) in data.iter() {
+        let key = head_key(head_atom, key)?;
+        let value = match edb.by_key(&pair.aux, key).ok()? {
+            Some(aux) => <[Value; 1]>::try_from(aux).ok()?.into_iter().next()?,
+            None => match &constant {
+                Some(value) => value.clone(),
+                None => default(row)?,
+            },
+        };
+        let cells = pair.cells.iter().map(|cell| match cell {
+            Some(c) => row[*c].clone(),
+            None => value.clone(),
+        });
+        head.insert_vacant(key, cells.collect()).ok()?.ok()?;
+    }
+    Some(BTreeMap::from([(head_atom.relation.clone(), head)]))
+}
+
+/// The head key the join derives from the body row under `key`: `None`
+/// where it raises [`DatalogError::BadKey`] instead (a key past `i64::MAX`
+/// binds a negative value), before it looks the key up in another atom.
+fn head_key(head: &CAtom, key: Key) -> Option<Key> {
+    value_key(&head.relation, &key_value(key)).ok()
+}
+
+/// `relation` as the join reads it ([`Evaluator::relation_view`], with the
+/// arity check of a scan), if the view holds it as one materialized state
+/// whose atoms have `arity` terms.
+fn whole_relation(edb: &dyn EdbView, relation: &str, arity: usize) -> Option<Arc<Relation>> {
+    if edb.overlay(relation).ok()?.is_some() {
+        return None;
+    }
+    let rel = edb.full(relation).ok()?;
+    (rel.schema().arity() + 1 == arity).then_some(rel)
+}
+
+/// The empty head `atom` derives into: named by `head_columns`, or by
+/// position (`c0`, `c1`, …).
+fn empty_head(atom: &CAtom, head_columns: &BTreeMap<String, Vec<String>>) -> Relation {
+    let name = atom.relation.as_str();
+    let columns: Vec<String> = match head_columns.get(name) {
+        Some(cols) => cols.clone(),
+        None => (0..atom.terms.len() - 1).map(|i| format!("c{i}")).collect(),
+    };
+    Relation::new(TableSchema::new(name.to_string(), columns).expect("unique columns"))
+}
+
+/// The join of [`evaluate_compiled`]: every rule in order, behind one
+/// reservation scope.
+fn evaluate_by_join(
     crs: &CompiledRuleSet,
     edb: &dyn EdbView,
     ids: &dyn IdSource,
@@ -1240,20 +1564,10 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    fn ensure_head(
-        &mut self,
-        head: &str,
-        arity: usize,
-        head_columns: &BTreeMap<String, Vec<String>>,
-    ) {
-        if !self.derived.contains_key(head) {
-            let columns: Vec<String> = match head_columns.get(head) {
-                Some(cols) => cols.clone(),
-                None => (0..arity).map(|i| format!("c{i}")).collect(),
-            };
-            let schema = TableSchema::new(head.to_string(), columns).expect("unique columns");
-            self.derived
-                .insert(head.to_string(), Arc::new(Relation::new(schema)));
+    fn ensure_head(&mut self, head: &CAtom, head_columns: &BTreeMap<String, Vec<String>>) {
+        if !self.derived.contains_key(&head.relation) {
+            let empty = Arc::new(empty_head(head, head_columns));
+            self.derived.insert(head.relation.clone(), empty);
         }
     }
 
@@ -1274,7 +1588,7 @@ impl<'a> Evaluator<'a> {
         head_columns: &BTreeMap<String, Vec<String>>,
     ) -> Result<()> {
         let name = rule.head.relation.as_str();
-        self.ensure_head(name, rule.head.terms.len() - 1, head_columns);
+        self.ensure_head(&rule.head, head_columns);
         let mut head = self.derived[name].clone_rows();
         let mut deferred = None;
         let mut frame = vec![None; rule.n_vars];
@@ -1877,6 +2191,22 @@ impl RowContext for FrameCtx<'_> {
     }
 }
 
+/// Row context over a data row, using a compile-time name→column table
+/// (the default of a [lookup-or-default pair](RowMap::Pair)).
+struct DataRowCtx<'a> {
+    cols: &'a [(String, usize)],
+    row: &'a [Value],
+}
+
+impl RowContext for DataRowCtx<'_> {
+    fn value_of(&self, column: &str) -> Option<Value> {
+        self.cols
+            .iter()
+            .find(|(name, _)| name == column)
+            .and_then(|(_, col)| self.row.get(*col).cloned())
+    }
+}
+
 /// Build the head tuple from a complete frame and the rows matched on its
 /// path: the payload in one allocation, the key read in place. A copied
 /// variable the frame leaves unbound is read straight from the row its atom
@@ -2069,7 +2399,7 @@ fn check_arity(atom: &CAtom, relation_arity: usize) -> Result<()> {
 mod tests {
     use super::*;
     use crate::ast::{Atom, Rule};
-    use inverda_storage::Expr;
+    use inverda_storage::{BinaryOp, Expr};
     use std::cell::Cell;
 
     fn ids() -> RefCell<SkolemRegistry> {
@@ -2832,5 +3162,297 @@ mod tests {
         // The memo rule opens with `Memo`, which holds nothing: no `In`
         // row is read for it. The generator rule stops at its first witness.
         assert_eq!(edb.by_key.get(), 1);
+    }
+
+    /// An EDB that records every call an evaluation makes of it, in order.
+    struct RecordingEdb {
+        inner: MapEdb,
+        calls: RefCell<Vec<String>>,
+    }
+
+    impl RecordingEdb {
+        fn new(inner: MapEdb) -> RecordingEdb {
+            RecordingEdb {
+                inner,
+                calls: RefCell::new(Vec::new()),
+            }
+        }
+
+        fn record(&self, call: String) {
+            self.calls.borrow_mut().push(call);
+        }
+    }
+
+    impl EdbView for RecordingEdb {
+        fn full(&self, relation: &str) -> Result<Arc<Relation>> {
+            self.record(format!("full {relation}"));
+            self.inner.full(relation)
+        }
+
+        fn by_key(&self, relation: &str, key: Key) -> Result<Option<Row>> {
+            self.record(format!("by_key {relation}#{}", key.0));
+            self.inner.by_key(relation, key)
+        }
+
+        fn contains(&self, relation: &str) -> bool {
+            self.inner.contains(relation)
+        }
+
+        fn overlay(&self, relation: &str) -> Result<Option<(Arc<Relation>, &Delta)>> {
+            self.record(format!("overlay {relation}"));
+            Ok(None)
+        }
+
+        fn index(&self, relation: &str, column: usize) -> Result<Arc<ColumnIndex>> {
+            self.record(format!("index {relation}.{column}"));
+            self.inner.index(relation, column)
+        }
+    }
+
+    /// ADD COLUMN's γ_tgt over `S(p, a, b)` and `A(p, v)`: `H(p, a, b, v)`
+    /// takes `A`'s value, or `default` where `A` holds no row. With
+    /// `present_first` the rules come in DROP COLUMN's γ_src order.
+    fn pair_rules(present_first: bool, default: Expr) -> RuleSet {
+        let head = || Atom::vars("H", &["p", "a", "b", "v"]);
+        let data = || Literal::Pos(Atom::vars("S", &["p", "a", "b"]));
+        let absent = Rule::new(
+            head(),
+            vec![
+                data(),
+                Literal::Neg(Atom::new("A", vec![Term::var("p"), Term::Anon])),
+                Literal::Assign {
+                    var: "v".into(),
+                    expr: default,
+                },
+            ],
+        );
+        let present = Rule::new(
+            head(),
+            vec![data(), Literal::Pos(Atom::vars("A", &["p", "v"]))],
+        );
+        RuleSet::new(match present_first {
+            true => vec![present, absent],
+            false => vec![absent, present],
+        })
+    }
+
+    /// `S(p, a, b)` with `a = k − 1` (zero under key 1) and `b = 10 k` for
+    /// keys 1–5, and `A(p, v)` holding `aux_keys`.
+    fn pair_edb(aux_keys: &[u64]) -> MapEdb {
+        let mut data = Relation::with_columns("S", ["a", "b"]);
+        for k in 1..=5u64 {
+            let row = vec![Value::Int(k as i64 - 1), Value::Int(10 * k as i64)];
+            data.insert(Key(k), row).unwrap();
+        }
+        let mut aux = Relation::with_columns("A", ["v"]);
+        for &k in aux_keys {
+            aux.insert(Key(k), vec![Value::Int(100 + k as i64)])
+                .unwrap();
+        }
+        let mut edb = MapEdb::new();
+        edb.add(data).add(aux);
+        edb
+    }
+
+    /// `6 / a`: fails under key 1 of [`pair_edb`].
+    fn dividing_default() -> Expr {
+        Expr::Binary(
+            Box::new(Expr::lit(6)),
+            BinaryOp::Div,
+            Box::new(Expr::col("a")),
+        )
+    }
+
+    fn plus_one_default() -> Expr {
+        Expr::Binary(
+            Box::new(Expr::col("a")),
+            BinaryOp::Add,
+            Box::new(Expr::lit(1)),
+        )
+    }
+
+    /// RENAME's copy rule, and ADD COLUMN's γ_src shape: a data head and
+    /// an aux head over one relation.
+    fn projection_rules() -> RuleSet {
+        RuleSet::new(vec![
+            Rule::new(
+                Atom::vars("H0", &["p", "b", "a"]),
+                vec![Literal::Pos(Atom::vars("S", &["p", "a", "b"]))],
+            ),
+            Rule::new(
+                Atom::vars("H1", &["p", "b"]),
+                vec![Literal::Pos(Atom::new(
+                    "S",
+                    vec![Term::var("p"), Term::Anon, Term::var("b")],
+                ))],
+            ),
+        ])
+    }
+
+    #[test]
+    fn the_column_level_shapes_are_recognized() {
+        let kind = |rules: &RuleSet| CompiledRuleSet::compile(rules).unwrap().row_map;
+        assert!(matches!(
+            kind(&projection_rules()),
+            Some(RowMap::Projection(_))
+        ));
+        for present_first in [false, true] {
+            for default in [Expr::lit(7), plus_one_default(), dividing_default()] {
+                let Some(RowMap::Pair(pair)) = kind(&pair_rules(present_first, default)) else {
+                    panic!("a pair")
+                };
+                assert_eq!(pair.present, usize::from(!present_first));
+                assert_eq!(pair.cells, vec![Some(0), Some(1), None]);
+            }
+        }
+        // The default before the lookup: `[S, assignment, ¬A]`.
+        let mut early = pair_rules(false, plus_one_default());
+        early.rules[0].body.swap(1, 2);
+        assert_eq!(kind(&early), None);
+        // `A` walked first: `[A, S]`.
+        let mut walked = pair_rules(true, Expr::lit(7));
+        walked.rules[0].body.swap(0, 1);
+        assert_eq!(kind(&walked), None);
+        // A repeated data variable is an equality the row map does not test.
+        let mut repeated = pair_rules(true, Expr::lit(7));
+        for rule in &mut repeated.rules {
+            rule.body[0] = Literal::Pos(Atom::vars("S", &["p", "a", "a"]));
+            rule.head = Atom::vars("H", &["p", "a", "a", "v"]);
+        }
+        assert_eq!(kind(&repeated), None);
+    }
+
+    /// The row map and the join over the same inputs, each through its own
+    /// recording view: the row map succeeds, derives what the join derives,
+    /// and its calls are a prefix of the join's.
+    #[test]
+    fn a_row_map_makes_a_prefix_of_the_joins_calls() {
+        let mut cases = vec![(projection_rules(), pair_edb(&[]))];
+        for present_first in [false, true] {
+            for default in [Expr::lit(7), plus_one_default(), dividing_default()] {
+                // `6 / a` fails under key 1, where `A` holds a row.
+                let edb = pair_edb(&[1, 2, 4]);
+                cases.push((pair_rules(present_first, default), edb));
+            }
+        }
+        for (rules, edb) in cases {
+            let crs = CompiledRuleSet::compile(&rules).unwrap();
+            let mapped = RecordingEdb::new(edb.clone());
+            let joined = RecordingEdb::new(edb);
+            let head_columns = BTreeMap::new();
+            let out = evaluate_row_map(&crs, &mapped, &head_columns).expect("a row map");
+            let expected = evaluate_by_join(&crs, &joined, &ids(), &head_columns).unwrap();
+            assert_eq!(out, expected, "on:\n{rules}");
+            let (mapped, joined) = (mapped.calls.into_inner(), joined.calls.into_inner());
+            assert!(!mapped.is_empty());
+            assert!(
+                joined.starts_with(&mapped),
+                "{mapped:?} is no prefix of {joined:?} on:\n{rules}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pair_over_no_data_resolves_no_aux() {
+        let mut edb = MapEdb::new();
+        edb.add(Relation::with_columns("S", ["a", "b"]));
+        for present_first in [false, true] {
+            let rules = pair_rules(present_first, plus_one_default());
+            let crs = CompiledRuleSet::compile(&rules).unwrap();
+            let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new());
+            let out = evaluate_row_map(&crs, &edb, &BTreeMap::new()).expect("a row map");
+            assert!(out["H"].is_empty());
+            assert_eq!(naive, Ok(out));
+        }
+    }
+
+    #[test]
+    fn a_projection_over_the_wrong_arity_raises_naives_error() {
+        let mut wide = Relation::with_columns("S", ["a", "b", "c"]);
+        wide.insert(Key(1), vec![Value::Int(1), Value::Int(2), Value::Int(3)])
+            .unwrap();
+        let mut edb = MapEdb::new();
+        edb.add(wide);
+        let rules = projection_rules();
+        let crs = CompiledRuleSet::compile(&rules).unwrap();
+        assert_eq!(evaluate_row_map(&crs, &edb, &BTreeMap::new()), None);
+        let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new());
+        assert!(matches!(naive, Err(DatalogError::ArityMismatch { .. })));
+        assert_eq!(evaluate(&rules, &edb, &ids(), &BTreeMap::new()), naive);
+    }
+
+    /// A default is evaluated only where `A` holds no row: under key 1,
+    /// where `6 / a` fails, an aux row takes the row map through; without
+    /// it the join raises naive's error.
+    #[test]
+    fn a_default_is_evaluated_only_where_the_aux_has_no_row() {
+        for present_first in [false, true] {
+            let rules = pair_rules(present_first, dividing_default());
+            let crs = CompiledRuleSet::compile(&rules).unwrap();
+            for aux_keys in [&[1, 3][..], &[3]] {
+                let edb = pair_edb(aux_keys);
+                let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new());
+                let mapped = evaluate_row_map(&crs, &edb, &BTreeMap::new());
+                assert_eq!(mapped.is_some(), aux_keys.contains(&1));
+                assert_eq!(naive.is_ok(), aux_keys.contains(&1));
+                assert_eq!(
+                    evaluate_compiled(&crs, &edb, &ids(), &BTreeMap::new()),
+                    naive
+                );
+            }
+        }
+    }
+
+    /// An aux row of another arity and data under a write overlay are
+    /// handed to the join.
+    #[test]
+    fn a_row_map_hands_overlays_and_other_arities_to_the_join() {
+        let rules = pair_rules(false, plus_one_default());
+        let crs = CompiledRuleSet::compile(&rules).unwrap();
+        let mut edb = pair_edb(&[]);
+        let mut wide = Relation::with_columns("A", ["v", "w"]);
+        wide.insert(Key(2), vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        edb.add(wide);
+        assert_eq!(evaluate_row_map(&crs, &edb, &BTreeMap::new()), None);
+        let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new());
+        assert!(matches!(naive, Err(DatalogError::ArityMismatch { .. })));
+        assert_eq!(
+            evaluate_compiled(&crs, &edb, &ids(), &BTreeMap::new()),
+            naive
+        );
+
+        let edb = pair_edb(&[2]);
+        let mut delta = Delta::new();
+        delta
+            .inserts
+            .insert(Key(9), vec![Value::Int(3), Value::Int(4)]);
+        let input = BTreeMap::from([("S".to_string(), delta)]);
+        let patched = crate::delta::PatchedEdb::new(&edb, &input);
+        assert_eq!(evaluate_row_map(&crs, &patched, &BTreeMap::new()), None);
+        let naive = crate::naive::evaluate(&rules, &patched, &ids(), &BTreeMap::new());
+        assert_eq!(
+            evaluate_compiled(&crs, &patched, &ids(), &BTreeMap::new()),
+            naive
+        );
+        assert_eq!(naive.unwrap()["H"].len(), 6);
+    }
+
+    /// A key past `i64::MAX` is no head key: the join raises `BadKey` on it,
+    /// and both row maps hand it over before they look anything up under it.
+    #[test]
+    fn a_row_map_hands_a_key_past_i64_max_to_the_join() {
+        let mut edb = pair_edb(&[2]);
+        let mut data = (*edb.full("S").unwrap()).clone();
+        data.insert(Key(u64::MAX), vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        edb.add(data);
+        for rules in [projection_rules(), pair_rules(false, plus_one_default())] {
+            let crs = CompiledRuleSet::compile(&rules).unwrap();
+            assert_eq!(evaluate_row_map(&crs, &edb, &BTreeMap::new()), None);
+            let naive = crate::naive::evaluate(&rules, &edb, &ids(), &BTreeMap::new());
+            assert!(matches!(naive, Err(DatalogError::BadKey { .. })));
+            assert_eq!(evaluate(&rules, &edb, &ids(), &BTreeMap::new()), naive);
+        }
     }
 }

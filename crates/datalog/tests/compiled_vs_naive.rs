@@ -24,10 +24,19 @@
 //! drawn from its atoms: a variable read only to be copied into the head
 //! is read from the matched row, not bound, and each such column must come
 //! from its own atom's row on every path.
+//!
+//! Full evaluation of a column-level set (a projection set, or a
+//! lookup-or-default pair: ADD COLUMN's γ_tgt, DROP COLUMN's γ_src) is a
+//! row map that hands anything but success to the join; one property per
+//! shape runs it on every path, and a companion counts the maps and the
+//! fallbacks their generated inputs reach.
 
 use inverda_datalog::ast::{Atom, Literal, Rule, RuleSet, Term};
 use inverda_datalog::delta::{propagate, propagate_vs_stored, Delta, DeltaMap, PatchedEdb};
-use inverda_datalog::eval::{evaluate_compiled, CompiledRuleSet, Evaluator, IdSource, MapEdb};
+use inverda_datalog::eval::{
+    evaluate_compiled, evaluate_row_map, CompiledRuleSet, EdbView, Evaluator, IdSource, MapEdb,
+    RowMap,
+};
 use inverda_datalog::{naive, SkolemRegistry};
 use inverda_storage::{BinaryOp, Expr, Key, Relation, Value};
 use proptest::prelude::*;
@@ -790,6 +799,273 @@ proptest! {
             prop_assert_eq!(fast, slow, "a row of another arity diverged on:\n{}", rules);
         }
     }
+}
+
+/// One lookup-or-default pair over `S(p, x0, x1)` and `A(p, v)` (ADD
+/// COLUMN's γ_tgt, or DROP COLUMN's γ_src with `present_first`), with its
+/// inputs.
+#[derive(Debug, Clone)]
+struct PairCase {
+    present_first: bool,
+    /// The data columns the head copies, in head order; `v` goes in at
+    /// position `at` among them.
+    copied: Vec<usize>,
+    at: usize,
+    /// 0 = the constant 7, 1 = `x0 + x1`, 2 = `6 / x0` (fails where `x0`
+    /// is 0 and `A` holds no row).
+    default: u8,
+    rows: BTreeMap<u64, (i64, i64)>,
+    /// `A`'s rows: for no key, for some keys, or for every key of `S`.
+    aux: BTreeMap<u64, i64>,
+    /// `A` carries a second payload column: a row of another arity.
+    wide: bool,
+    /// A propagated delta: `S` and `A` rows changed (`None`: deleted).
+    changes: BTreeMap<u64, Option<(i64, i64)>>,
+    aux_changes: BTreeMap<u64, Option<i64>>,
+    /// A row inserted into `S` under a write overlay.
+    overlay: Option<(u64, i64, i64)>,
+}
+
+fn arb_pair_case() -> impl Strategy<Value = PairCase> {
+    let shape = (
+        any::<bool>(),
+        prop::collection::vec(0usize..2, 0..3),
+        0usize..3,
+        0u8..3,
+    );
+    let inputs = (
+        prop::collection::btree_map(0u64..12, (0i64..4, 0i64..4), 0..8),
+        prop::collection::btree_map(0u64..14, 0i64..4, 0..8),
+        0u8..3,
+        0u8..6,
+    );
+    let changes = (
+        prop::collection::btree_map(0u64..14, prop::option::of((0i64..4, 0i64..4)), 0..3),
+        prop::collection::btree_map(0u64..14, prop::option::of(0i64..4), 0..3),
+        prop::option::of((0u64..14, 0i64..4, 0i64..4)),
+    );
+    (shape, inputs, changes).prop_map(
+        |((present_first, picks, at, default), (rows, aux, coverage, wide), changes)| {
+            let mut copied = Vec::new();
+            for pick in picks {
+                if !copied.contains(&pick) {
+                    copied.push(pick);
+                }
+            }
+            let aux = match coverage {
+                0 => BTreeMap::new(),
+                1 => aux,
+                _ => rows
+                    .keys()
+                    .map(|k| (*k, aux.get(k).copied().unwrap_or(*k as i64 % 4)))
+                    .collect(),
+            };
+            let (changes, aux_changes, overlay) = changes;
+            PairCase {
+                present_first,
+                at: at % (copied.len() + 1),
+                copied,
+                default,
+                rows,
+                aux,
+                wide: wide == 0,
+                changes,
+                aux_changes,
+                overlay,
+            }
+        },
+    )
+}
+
+fn build_pair(case: &PairCase) -> RuleSet {
+    let x = |c: usize| format!("x{c}");
+    let mut head: Vec<Term> = case.copied.iter().map(|&c| Term::var(x(c))).collect();
+    head.insert(case.at, Term::var("v"));
+    head.insert(0, Term::var("p"));
+    let data = || Literal::Pos(Atom::vars("S", &["p", "x0", "x1"]));
+    let binary = |l: Expr, op: BinaryOp, r: Expr| Expr::Binary(Box::new(l), op, Box::new(r));
+    let default = match case.default {
+        0 => Expr::lit(7),
+        1 => binary(Expr::col(x(0)), BinaryOp::Add, Expr::col(x(1))),
+        _ => binary(Expr::lit(6), BinaryOp::Div, Expr::col(x(0))),
+    };
+    let absent = Rule::new(
+        Atom::new("H", head.clone()),
+        vec![
+            data(),
+            Literal::Neg(Atom::new("A", vec![Term::var("p"), Term::Anon])),
+            Literal::Assign {
+                var: "v".into(),
+                expr: default,
+            },
+        ],
+    );
+    let present = Rule::new(
+        Atom::new("H", head),
+        vec![data(), Literal::Pos(Atom::vars("A", &["p", "v"]))],
+    );
+    RuleSet::new(match case.present_first {
+        true => vec![present, absent],
+        false => vec![absent, present],
+    })
+}
+
+/// An `A` row of `case`'s arity.
+fn aux_row(case: &PairCase, v: i64) -> Vec<Value> {
+    let mut row = vec![Value::Int(v)];
+    row.extend(case.wide.then_some(Value::Int(0)));
+    row
+}
+
+fn pair_row((a, b): (i64, i64)) -> Vec<Value> {
+    vec![Value::Int(a), Value::Int(b)]
+}
+
+fn build_pair_edb(case: &PairCase) -> MapEdb {
+    let mut data = Relation::with_columns("S", ["a", "b"]);
+    for (k, ab) in &case.rows {
+        data.insert(Key(*k), pair_row(*ab)).unwrap();
+    }
+    let columns: &[&str] = if case.wide { &["v", "w"] } else { &["v"] };
+    let mut aux = Relation::with_columns("A", columns.iter().copied());
+    for (k, v) in &case.aux {
+        aux.insert(Key(*k), aux_row(case, *v)).unwrap();
+    }
+    let mut edb = MapEdb::new();
+    edb.add(data).add(aux);
+    edb
+}
+
+/// The delta `case` propagates: its `S` and `A` changes, each a delete of
+/// the present row and an insert of the new one.
+fn pair_input(case: &PairCase) -> DeltaMap {
+    let mut data = Delta::new();
+    for (k, change) in &case.changes {
+        data.deletes
+            .extend(case.rows.get(k).map(|ab| (Key(*k), pair_row(*ab))));
+        data.inserts
+            .extend(change.map(|ab| (Key(*k), pair_row(ab))));
+    }
+    let mut aux = Delta::new();
+    for (k, change) in &case.aux_changes {
+        aux.deletes
+            .extend(case.aux.get(k).map(|v| (Key(*k), aux_row(case, *v))));
+        aux.inserts
+            .extend(change.map(|v| (Key(*k), aux_row(case, v))));
+    }
+    DeltaMap::from([("S".to_string(), data), ("A".to_string(), aux)])
+}
+
+/// `case`'s write overlay on `S`, if it has one.
+fn overlay_input(case: &PairCase) -> Option<DeltaMap> {
+    let (k, a, b) = case.overlay?;
+    let mut delta = Delta::new();
+    delta
+        .deletes
+        .extend(case.rows.get(&k).map(|ab| (Key(k), pair_row(*ab))));
+    delta.inserts.insert(Key(k), pair_row((a, b)));
+    Some(DeltaMap::from([("S".to_string(), delta)]))
+}
+
+proptest! {
+    /// Lookup-or-default pairs (ADD COLUMN's γ_tgt, DROP COLUMN's γ_src)
+    /// against naive on every path: full evaluation (rows in order, or the
+    /// same error: `6 / x0` fails where `A` holds no row, an `A` row of
+    /// another arity raises `ArityMismatch`), key-seeded evaluation of every
+    /// key, propagation of an `S` and an `A` delta against the naive
+    /// two-state diff, and full evaluation of `S` under a write overlay,
+    /// which the row map hands to the join.
+    #[test]
+    fn lookup_or_default_pairs_match_naive_on_every_path(case in arb_pair_case()) {
+        let rules = build_pair(&case);
+        let crs = CompiledRuleSet::compile(&rules).expect("safe");
+        prop_assert!(matches!(crs.row_map(), Some(RowMap::Pair(_))), "no pair:\n{}", rules);
+        let edb = build_pair_edb(&case);
+        let full = |edb: &dyn EdbView| {
+            let naive_out = naive::evaluate(&rules, edb, &registry(), &BTreeMap::new());
+            let compiled_out = evaluate_compiled(&crs, edb, &registry(), &BTreeMap::new());
+            (naive_out.map(|out| rows_in_order(&out)), compiled_out.map(|out| rows_in_order(&out)))
+        };
+        let (naive_out, compiled_out) = full(&edb);
+        prop_assert_eq!(naive_out, compiled_out, "diverged on:\n{}", rules);
+
+        let naive_ids = registry();
+        let compiled_ids = registry();
+        let mut naive_ev = naive::Evaluator::new(&edb, &naive_ids);
+        let compiled_ev = Evaluator::new(&edb, &compiled_ids);
+        for k in 0..14u64 {
+            let n = naive_ev.head_row_for_key(&rules, "H", Key(k));
+            let c = compiled_ev.head_row_for_key(&crs, "H", Key(k));
+            prop_assert_eq!(n, c, "diverged at H#{} on:\n{}", k, rules);
+        }
+
+        let input = pair_input(&case);
+        if let Some(slow) = naive_two_state_diff(&rules, &edb, &input) {
+            let non_empty = |d: DeltaMap| -> DeltaMap {
+                d.into_iter().filter(|(_, d)| !d.is_empty()).collect()
+            };
+            let fast = propagate(&rules, &edb, &input, &registry(), &BTreeMap::new());
+            prop_assert_eq!(fast.map(non_empty), Ok(slow), "propagation diverged on:\n{}", rules);
+        }
+
+        if let Some(overlay) = overlay_input(&case) {
+            let patched = PatchedEdb::new(&edb, &overlay);
+            prop_assert_eq!(evaluate_row_map(&crs, &patched, &BTreeMap::new()), None);
+            let (naive_out, compiled_out) = full(&patched);
+            prop_assert_eq!(naive_out, compiled_out, "an overlay diverged on:\n{}", rules);
+        }
+    }
+}
+
+/// How many of the first 1 000 generated full evaluations of
+/// `projection_sets_match_naive_on_every_path` and
+/// `lookup_or_default_pairs_match_naive_on_every_path` (its overlays
+/// included) the row maps take, and how many they hand to the join: their
+/// inputs are replayed from each property's seed, and every count must be
+/// above zero, or the properties no longer cover the row maps or their
+/// fallback. (The replay draws each property's strategies in its order.)
+#[test]
+fn generated_full_evaluations_take_the_row_maps() {
+    use proptest::test_runner::{rng_for, seed_for};
+    let (mut projections, mut pairs, mut fallbacks) = (0, 0, 0);
+    let mut count =
+        |crs: &CompiledRuleSet, edb: &dyn EdbView, taken: &mut usize| match evaluate_row_map(
+            crs,
+            edb,
+            &BTreeMap::new(),
+        ) {
+            Some(_) => *taken += 1,
+            None => fallbacks += 1,
+        };
+    let seed = seed_for("compiled_vs_naive::projection_sets_match_naive_on_every_path");
+    for case in 0..1000 {
+        let mut rng = rng_for(seed, case);
+        let specs = prop::collection::vec(arb_projection_spec(), 1..4).generate(&mut rng);
+        let rows = prop::collection::btree_map(0u64..12, (0i64..4, 0i64..4, 0i64..4), 0..8)
+            .generate(&mut rng);
+        let crs = CompiledRuleSet::compile(&build_projection_set(&specs, false)).unwrap();
+        count(&crs, &build_projection_edb(&rows), &mut projections);
+    }
+    let seed = seed_for("compiled_vs_naive::lookup_or_default_pairs_match_naive_on_every_path");
+    for case in 0..1000 {
+        let case = arb_pair_case().generate(&mut rng_for(seed, case));
+        let crs = CompiledRuleSet::compile(&build_pair(&case)).unwrap();
+        let edb = build_pair_edb(&case);
+        count(&crs, &edb, &mut pairs);
+        if let Some(overlay) = overlay_input(&case) {
+            count(&crs, &PatchedEdb::new(&edb, &overlay), &mut pairs);
+        }
+    }
+    eprintln!(
+        "of the replayed full evaluations, {projections} map a projection set's rows, \
+         {pairs} map a lookup-or-default pair's and {fallbacks} are handed to the join"
+    );
+    assert!(projections > 0, "no generated projection set is a row map");
+    assert!(
+        pairs > 0,
+        "no generated lookup-or-default pair is a row map"
+    );
+    assert!(fallbacks > 0, "no generated row map falls back to the join");
 }
 
 /// `specs` with their skolem literals dropped.
