@@ -932,7 +932,7 @@ impl EdbView for VersionedEdb<'_> {
 
     fn by_key(&self, relation: &str, key: Key) -> inverda_datalog::Result<Option<Row>> {
         if let Some(hit) = self.cache.borrow().get(relation) {
-            return Ok(hit.get(key).cloned());
+            return Ok(hit.get(key).map(<[_]>::to_vec));
         }
         if let Some(hit) = self
             .key_cache
@@ -945,16 +945,16 @@ impl EdbView for VersionedEdb<'_> {
         // Physical snapshots are O(1) now — take the full path so the epoch
         // is recorded and later lookups hit the statement cache.
         if self.storage.has_table(relation) {
-            return Ok(self.physical_full(relation)?.get(key).cloned());
+            return Ok(self.physical_full(relation)?.get(key).map(<[_]>::to_vec));
         }
         // Warm path: serve the point lookup from a valid stored snapshot.
         if let Some(hit) = self.probe_store(relation) {
-            return Ok(hit.get(key).cloned());
+            return Ok(hit.get(key).map(<[_]>::to_vec));
         }
         let Some(tv) = self.catalog.rel_index.get(relation).copied() else {
             // Virtual aux tables resolve through their full state.
             if self.catalog.aux_index.contains_key(relation) {
-                return Ok(self.full(relation)?.get(key).cloned());
+                return Ok(self.full(relation)?.get(key).map(<[_]>::to_vec));
             }
             return Err(DatalogError::UnboundRelation {
                 relation: relation.to_string(),
@@ -970,7 +970,7 @@ impl EdbView for VersionedEdb<'_> {
         // intermediate heads, which are not resolvable relations — fall back
         // to full resolution for them.
         if crs.staged() {
-            return Ok(self.full(relation)?.get(key).cloned());
+            return Ok(self.full(relation)?.get(key).map(<[_]>::to_vec));
         }
         // Push the key through the defining mapping — the whole fused run
         // of it, when the chain fuses (fused sets are never staged).

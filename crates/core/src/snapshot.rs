@@ -743,7 +743,7 @@ mod tests {
             .expect("patched entry is warm");
         assert_eq!(rel.len(), 2);
         assert!(rel.get(Key(1)).is_none());
-        assert_eq!(rel.get(Key(3)), Some(&vec![Value::Int(30)]));
+        assert_eq!(rel.get(Key(3)), Some(&[Value::Int(30)][..]));
         assert_eq!(store.stats().patches, 1);
     }
 
@@ -833,10 +833,10 @@ mod tests {
     /// Chunks of `new` that `old` does not share, counted from outside
     /// `inverda-storage`, which has no accessor for them: a shared chunk
     /// hands both relations the same row addresses, and the rows of one
-    /// chunk sit one `(Key, Row)` apart, so every maximal run of adjacent
+    /// chunk sit one row's values apart, so every maximal run of adjacent
     /// unshared rows is one chunk a copy-on-write made.
     fn copied_chunks(new: &Relation, old: &Relation) -> usize {
-        let stride = std::mem::size_of::<(Key, inverda_storage::Row)>();
+        let stride = new.schema().arity() * std::mem::size_of::<Value>();
         let mut runs = 0;
         let mut last_copied: Option<usize> = None;
         for (key, row) in new.iter() {
@@ -844,7 +844,7 @@ mod tests {
                 last_copied = None;
                 continue;
             }
-            let at = row as *const _ as usize;
+            let at = row.as_ptr() as usize;
             if last_copied.is_none_or(|prev| at != prev + stride) {
                 runs += 1;
             }
@@ -885,8 +885,8 @@ mod tests {
 
         let held = fork.get("V", &pinned, |_| false).expect("serves the pin");
         let current = store.get("V", &storage, |_| false).expect("patched");
-        assert_eq!(held.get(Key(1000)), Some(&vec![Value::Int(1000)]));
-        assert_eq!(current.get(Key(1000)), Some(&vec![Value::Int(-1)]));
+        assert_eq!(held.get(Key(1000)), Some(&[Value::Int(1000)][..]));
+        assert_eq!(current.get(Key(1000)), Some(&[Value::Int(-1)][..]));
         assert_eq!(copied_chunks(&current, &held), 1);
         // What the count would read for a deep copy.
         assert!(copied_chunks(&rel_with("V", &rows), &held) > 10);

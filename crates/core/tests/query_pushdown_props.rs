@@ -196,7 +196,7 @@ fn check_one(db: &Inverda, version: &str, table: &str, spec: &QuerySpec, context
         None => Arc::clone(&scanned),
     };
     // Oracle 3: hand-rolled loop — order, limit, project.
-    let mut naive: Vec<(Key, Row)> = filtered.iter().map(|(k, row)| (k, row.clone())).collect();
+    let mut naive: Vec<(Key, Row)> = filtered.iter().map(|(k, row)| (k, row.to_vec())).collect();
     if let Some((col, desc)) = order {
         naive.sort_by(|(ka, ra), (kb, rb)| {
             let ord = ra.get(col).cmp(&rb.get(col));

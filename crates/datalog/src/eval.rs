@@ -89,7 +89,7 @@ pub trait EdbView {
 
     /// The row stored under `key`, if any.
     fn by_key(&self, relation: &str, key: Key) -> Result<Option<Row>> {
-        Ok(self.full(relation)?.get(key).cloned())
+        Ok(self.full(relation)?.get(key).map(<[Value]>::to_vec))
     }
 
     /// Whether the relation is served by this view.
@@ -218,10 +218,10 @@ pub fn patch_relation(rel: Relation, patch: &PlaceholderPatch) -> Result<Relatio
     let mut out = Relation::new(rel.schema().clone());
     for (key, row) in rel.iter() {
         let key = Key(patch.resolve_id(key.0));
-        let mut row = row.clone();
+        let mut row = row.to_vec();
         patch.resolve_row(&mut row);
         match out.get(key) {
-            Some(existing) if *existing == row => {}
+            Some(existing) if *existing == *row => {}
             Some(_) => {
                 return Err(DatalogError::KeyConflict {
                     relation: rel.name().to_string(),
@@ -271,7 +271,7 @@ impl EdbView for MapEdb {
 
     fn by_key(&self, relation: &str, key: Key) -> Result<Option<Row>> {
         match self.rels.get(relation) {
-            Some(rel) => Ok(rel.get(key).cloned()),
+            Some(rel) => Ok(rel.get(key).map(<[Value]>::to_vec)),
             None => Err(DatalogError::UnboundRelation {
                 relation: relation.to_string(),
             }),
@@ -1275,8 +1275,8 @@ fn map_projection(
         let mut head = empty_head(&rule.head, head_columns);
         for (key, row) in body.iter() {
             let key = head_key(&rule.head, key)?;
-            let row = columns.iter().map(|&c| row[c].clone()).collect();
-            head.insert_vacant(key, row).ok()?.ok()?;
+            let cells = columns.iter().map(|&c| row[c].clone());
+            head.insert_vacant_from(key, cells).ok()?.ok()?;
         }
         out.insert(rule.head.relation.clone(), head);
     }
@@ -1316,7 +1316,7 @@ fn map_lookup_or_default(
             Some(c) => row[*c].clone(),
             None => value.clone(),
         });
-        head.insert_vacant(key, cells.collect()).ok()?.ok()?;
+        head.insert_vacant_from(key, cells).ok()?.ok()?;
     }
     Some(BTreeMap::from([(head_atom.relation.clone(), head)]))
 }
@@ -1403,7 +1403,7 @@ impl RelView<'_> {
         }
     }
 
-    fn get(&self, key: Key) -> Option<&Row> {
+    fn get(&self, key: Key) -> Option<&[Value]> {
         match self {
             RelView::Whole(rel) => rel.get(key),
             RelView::Patched(base, delta) => match delta.inserts.get(&key) {
@@ -1418,7 +1418,7 @@ impl RelView<'_> {
     /// materialized state would take) until `f` breaks; returns the break.
     fn try_for_each(
         &self,
-        mut f: impl FnMut(Key, &Row) -> Result<ControlFlow<()>>,
+        mut f: impl FnMut(Key, &[Value]) -> Result<ControlFlow<()>>,
     ) -> Result<ControlFlow<()>> {
         let stop = ControlFlow::Break(());
         match self {
@@ -1628,7 +1628,7 @@ impl<'a> Evaluator<'a> {
 
     fn relation_by_key(&self, name: &str, key: Key) -> Result<Option<Row>> {
         if let Some(rel) = self.derived.get(name) {
-            return Ok(rel.get(key).cloned());
+            return Ok(rel.get(key).map(<[Value]>::to_vec));
         }
         self.edb.by_key(name, key)
     }
@@ -1924,7 +1924,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Option<Row>> {
         // If the head was already fully derived, serve from it.
         if let Some(rel) = self.derived.get(head) {
-            return Ok(rel.get(key).cloned());
+            return Ok(rel.get(key).map(<[Value]>::to_vec));
         }
         let mut found: Option<Row> = None;
         for &idx in crs.rules_for(head) {
@@ -1969,7 +1969,7 @@ impl<'a> Evaluator<'a> {
         rule_idx: usize,
         lit_idx: usize,
         key: Key,
-        row: &Row,
+        row: &[Value],
         out: &mut BTreeSet<Key>,
     ) -> Result<()> {
         let rule = &crs.rules[rule_idx];
@@ -2016,7 +2016,7 @@ impl<'a> Evaluator<'a> {
         rule: &CompiledRule,
         lit_idx: usize,
         key: Key,
-        row: &Row,
+        row: &[Value],
         out: &mut BTreeSet<Key>,
     ) -> Result<()> {
         let slot = rule.scan_key_slot.expect("rule opens with a keyed scan");
@@ -2128,7 +2128,7 @@ impl<'a> Evaluator<'a> {
         crs: &CompiledRuleSet,
         head: &str,
         key: Key,
-        row: &Row,
+        row: &[Value],
     ) -> Result<bool> {
         for &idx in crs.rules_for(head) {
             let rule = &crs.rules[idx];
@@ -2284,7 +2284,7 @@ fn head_key_from_frame(rule: &CompiledRule, frame: &Frame) -> Option<Key> {
 
 /// Unify an atom pattern with a concrete `(key, row)` into a fresh seed
 /// frame. Returns `None` if constants differ or duplicate variables clash.
-fn seed_frame(rule: &CompiledRule, atom: &CAtom, key: Key, row: &Row) -> Option<Frame> {
+fn seed_frame(rule: &CompiledRule, atom: &CAtom, key: Key, row: &[Value]) -> Option<Frame> {
     if atom.terms.len() != row.len() + 1 {
         return None;
     }
@@ -2307,7 +2307,7 @@ pub(crate) fn head_cells_bound_by(
     rule: &CompiledRule,
     lit_idx: usize,
     key: Key,
-    row: &Row,
+    row: &[Value],
 ) -> Option<Vec<Option<Value>>> {
     let (CLit::Pos(atom) | CLit::Neg(atom)) = &rule.body[lit_idx] else {
         return None;
@@ -2510,9 +2510,9 @@ mod tests {
         let out = evaluate(&rules, &edb, &sk, &BTreeMap::new()).unwrap();
         let t = &out["T"];
         assert_eq!(t.len(), 4);
-        assert_eq!(t.get(Key(1)), Some(&vec![Value::Int(10)]));
-        assert_eq!(t.get(Key(5)), Some(&vec![Value::Int(50)]));
-        assert_eq!(t.get(Key(9)), Some(&vec![Value::Int(90)]));
+        assert_eq!(t.get(Key(1)), Some(&[Value::Int(10)][..]));
+        assert_eq!(t.get(Key(5)), Some(&[Value::Int(50)][..]));
+        assert_eq!(t.get(Key(9)), Some(&[Value::Int(90)][..]));
     }
 
     #[test]
@@ -2564,7 +2564,7 @@ mod tests {
         let out = evaluate(&rules, &edb, &sk, &BTreeMap::new()).unwrap();
         assert_eq!(
             out["Rp"].get(Key(1)),
-            Some(&vec![Value::Int(21), Value::Int(42)])
+            Some(&[Value::Int(21), Value::Int(42)][..])
         );
     }
 
@@ -2646,7 +2646,7 @@ mod tests {
         let ev = Evaluator::new(&edb, &sk2);
         for key in [Key(1), Key(2), Key(3), Key(4), Key(99)] {
             let seeded = ev.head_row_for_key(&crs, "R", key).unwrap();
-            assert_eq!(seeded.as_ref(), full["R"].get(key), "key {key:?}");
+            assert_eq!(seeded.as_deref(), full["R"].get(key), "key {key:?}");
         }
     }
 
@@ -2700,7 +2700,7 @@ mod tests {
         let mut edb = MapEdb::new();
         edb.add(t);
         let out = evaluate(&RuleSet::new(vec![rule]), &edb, &ids(), &BTreeMap::new()).unwrap();
-        assert_eq!(out["B"].get(Key(4)), Some(&vec![Value::Int(3)]));
+        assert_eq!(out["B"].get(Key(4)), Some(&[Value::Int(3)][..]));
     }
 
     #[test]
@@ -2758,7 +2758,7 @@ mod tests {
         let crs = CompiledRuleSet::compile(&rules).unwrap();
         let sk = ids();
         let ev = Evaluator::witness_search(&edb, &sk);
-        let derives = |b: i64| ev.derives_head_tuple(&crs, "B", Key(4), &vec![Value::Int(b)]);
+        let derives = |b: i64| ev.derives_head_tuple(&crs, "B", Key(4), &[Value::Int(b)]);
         assert!(derives(3).unwrap());
         assert!(!derives(9).unwrap());
     }
@@ -2801,7 +2801,7 @@ mod tests {
         assert_eq!(out, naive);
         assert_eq!(
             out["H"].get(Key(2)),
-            Some(&vec![Value::Int(20), Value::Int(200)])
+            Some(&[Value::Int(20), Value::Int(200)][..])
         );
         // Key-seeded evaluation and the delta engine's replay of chosen
         // scan keys read the same rows.
@@ -2809,11 +2809,11 @@ mod tests {
         let ev = Evaluator::new(&edb, &sk);
         for k in 0..7 {
             let seeded = ev.head_row_for_key(&crs, "H", Key(k)).unwrap();
-            assert_eq!(seeded.as_ref(), naive["H"].get(Key(k)), "key {k}");
+            assert_eq!(seeded.as_deref(), naive["H"].get(Key(k)), "key {k}");
         }
         let keys = (0..7).map(Key).collect();
         let replayed = ev.scan_key_head_tuples(&crs.rules[0], &keys).unwrap();
-        let expected: Vec<_> = naive["H"].iter().map(|(k, r)| (k, r.clone())).collect();
+        let expected: Vec<_> = naive["H"].iter().map(|(k, r)| (k, r.to_vec())).collect();
         assert_eq!(replayed, expected);
     }
 
@@ -3157,7 +3157,7 @@ mod tests {
         let t = sk.generate("gen", &[Value::Int(7)]);
         let crs = CompiledRuleSet::compile(&memo_rules()).unwrap();
         let ev = Evaluator::witness_search(&edb, &sk);
-        let derived = ev.derives_head_tuple(&crs, "T", Key(t), &vec![Value::Int(7)]);
+        let derived = ev.derives_head_tuple(&crs, "T", Key(t), &[Value::Int(7)]);
         assert!(derived.unwrap());
         // The memo rule opens with `Memo`, which holds nothing: no `In`
         // row is read for it. The generator rule stops at its first witness.

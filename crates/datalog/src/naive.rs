@@ -174,7 +174,7 @@ impl<'a> Evaluator<'a> {
 
     fn relation_by_key(&self, name: &str, key: Key) -> Result<Option<Row>> {
         if let Some(rel) = self.derived.get(name) {
-            return Ok(rel.get(key).cloned());
+            return Ok(rel.get(key).map(<[Value]>::to_vec));
         }
         self.edb.by_key(name, key)
     }
@@ -352,7 +352,7 @@ impl<'a> Evaluator<'a> {
         }
         // If the head was already fully derived, serve from it.
         if let Some(rel) = self.derived.get(head) {
-            let row = rel.get(key).cloned();
+            let row = rel.get(key).map(<[Value]>::to_vec);
             self.by_key_memo
                 .insert((head.to_string(), key), row.clone());
             return Ok(row);
@@ -587,7 +587,7 @@ mod tests {
         edb.add(x);
         let sk = ids();
         let out = evaluate(&rules, &edb, &sk, &BTreeMap::new()).unwrap();
-        assert_eq!(out["H"].get(Key(1)), Some(&vec![Value::Int(7)]));
+        assert_eq!(out["H"].get(Key(1)), Some(&[Value::Int(7)][..]));
     }
 
     #[test]

@@ -561,7 +561,7 @@ proptest! {
                     out.iter()
                         .filter(|(head, _)| picked.contains(&head.as_str()))
                         .map(|(head, rel)| {
-                            let rows = rel.iter().map(|(k, row)| (k, row.clone()));
+                            let rows = rel.iter().map(|(k, row)| (k, row.to_vec()));
                             (head.clone(), rows.collect())
                         })
                         .collect()
@@ -1247,7 +1247,7 @@ type HeadRows = Vec<(String, Vec<(Key, Vec<Value>)>)>;
 fn rows_in_order(out: &BTreeMap<String, Relation>) -> HeadRows {
     out.iter()
         .map(|(head, rel)| {
-            let rows = rel.iter().map(|(k, row)| (k, row.clone()));
+            let rows = rel.iter().map(|(k, row)| (k, row.to_vec()));
             (head.clone(), rows.collect())
         })
         .collect()

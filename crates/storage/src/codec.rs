@@ -433,17 +433,30 @@ impl Codec for Relation {
         put_len(out, self.len());
         for (key, row) in self.iter() {
             key.encode(out);
-            row.encode(out);
+            put_len(out, row.len());
+            for v in row {
+                v.encode(out);
+            }
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let schema = TableSchema::decode(r)?;
         let n = r.len_prefix(8)?;
         let mut rel = Relation::new(schema);
+        // Each row is decoded into one reused buffer and moved from there
+        // into the relation's flat chunks: no allocation per row.
+        let mut row = Vec::with_capacity(rel.schema().arity());
         for _ in 0..n {
             let key = Key::decode(r)?;
-            let row = Row::decode(r)?;
-            rel.insert(key, row)?;
+            for _ in 0..r.len_prefix(1)? {
+                row.push(Value::decode(r)?);
+            }
+            if rel.insert_vacant_from(key, row.drain(..))?.is_err() {
+                return Err(StorageError::DuplicateKey {
+                    table: rel.name().to_string(),
+                    key: key.0,
+                });
+            }
         }
         Ok(rel)
     }

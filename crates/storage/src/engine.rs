@@ -493,7 +493,10 @@ impl Storage {
                     let old = if exists {
                         Some(rel.update(*key, row.clone()).expect("validated arity"))
                     } else {
-                        rel.insert(*key, row.clone()).expect("validated arity");
+                        // Cloned straight into the table's chunk: a bulk
+                        // load allocates per chunk, not per row.
+                        let stored = rel.insert_vacant_from(*key, row.iter().cloned());
+                        assert!(matches!(stored, Ok(Ok(_))), "validated arity and vacancy");
                         None
                     };
                     (*key, old, Some(row.clone()))
@@ -692,7 +695,8 @@ mod tests {
             .insert("T", Key(1), vec![Value::Int(2), Value::Int(2)]);
         s.apply(&b).unwrap();
         assert_eq!(
-            s.with_table("T", |r| r.get(Key(1)).cloned()).unwrap(),
+            s.with_table("T", |r| r.get(Key(1)).map(<[Value]>::to_vec))
+                .unwrap(),
             Some(vec![Value::Int(2), Value::Int(2)])
         );
         // Update of a key only created earlier in the same batch: legal.
@@ -707,7 +711,8 @@ mod tests {
             .update("T", Key(2), vec![Value::Int(5), Value::Int(5)]);
         assert!(s.apply(&b3).is_err());
         assert_eq!(
-            s.with_table("T", |r| r.get(Key(2)).cloned()).unwrap(),
+            s.with_table("T", |r| r.get(Key(2)).map(<[Value]>::to_vec))
+                .unwrap(),
             Some(vec![Value::Int(4), Value::Int(4)])
         );
     }

@@ -10,11 +10,18 @@
 //! Relations are held as `Arc<Relation>` and changed copy-on-write by
 //! storage, the snapshot store, epoch pins, branch forks and the serving
 //! layer's published epoch, so a relation is **persistent**: its rows live
-//! in key-ordered chunks, each an `Arc<Vec<(Key, Row)>>`. Cloning a relation
-//! clones the chunk pointers, not the rows; a change copies only the chunk
-//! it lands in (`Arc::make_mut`), everything else stays shared with every
-//! other holder; dropping a superseded version frees only the chunks no one
-//! else holds. Every mutation keeps these invariants:
+//! in key-ordered chunks, each an `Arc<Chunk>`. Cloning a relation clones
+//! the chunk pointers, not the rows; a change copies only the chunk it lands
+//! in (`Arc::make_mut`), everything else stays shared with every other
+//! holder; dropping a superseded version frees only the chunks no one else
+//! holds.
+//!
+//! A chunk is flat: its keys in one vector and the values of all its rows
+//! in another, row `i` at `values[i × arity .. (i + 1) × arity]`, the arity
+//! being the schema's, which every mutator checks. Rows are lent out as
+//! `&[Value]`; building a chunk row by row grows two vectors instead of
+//! allocating once per row ([`Relation::insert_vacant_from`]), and freeing it
+//! is two frees. Every mutation keeps these invariants:
 //!
 //! * every chunk is non-empty and strictly ascending by key, and all its
 //!   keys are below every key of the next chunk — the chunks in order *are*
@@ -25,6 +32,9 @@
 //! * no chunk reaches `2 × CHUNK` rows — one that does splits in half — and
 //!   an ascending append past a full last chunk starts a new chunk instead
 //!   of copying the full one;
+//! * every chunk holds exactly `arity` values per key, so an insert or a
+//!   delete inside a chunk shifts exactly `arity` values; an arity-0 chunk
+//!   holds keys only and lends out an empty row for each;
 //! * `len` is the total number of rows.
 //!
 //! Nothing observable depends on where chunk boundaries fall: equality,
@@ -53,79 +63,172 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// One row's payload (the key is stored separately, beside it).
+/// One row's payload, as callers hand it in or take it out (the key is
+/// stored separately, beside it). A relation stores its rows flat and lends
+/// them out as `&[Value]`.
 pub type Row = Vec<Value>;
+
+/// What [`Relation::insert_vacant`] did: `Ok(stored)`, the row as now
+/// stored, or `Err((existing, row))`, the row the key already holds and the
+/// row handed back.
+pub type Vacancy<'a> = std::result::Result<&'a [Value], (&'a [Value], Row)>;
 
 /// Rows an ascending append fills a chunk with before starting the next;
 /// a chunk splits in half when it reaches twice this. It trades the cost of
-/// a change (copy one chunk: up to `2 × CHUNK` row clones) against the cost
-/// of a clone (one reference bump per chunk): at 64 a 10 000-row relation
-/// clones in ~2 µs (the `BTreeMap` it replaced: ~0.7 ms) and a one-row
-/// change to a shared one costs ~7 µs; 32 doubles the clone, 128 adds a
-/// third to the change (EXPERIMENTS.md, "Copy-on-write that copies only
-/// what changed").
+/// a change (copy one chunk: two vectors of up to `2 × CHUNK` rows) against
+/// the cost of a clone (one reference bump per chunk): at 64 a 10 000-row
+/// one-column relation clones in ~2 µs (the `BTreeMap` it replaced: ~0.7 ms)
+/// and a one-row change to a shared one costs ~0.8 µs; 32 doubles the clone,
+/// 128 adds ~40 % to the change (2-vCPU box; EXPERIMENTS.md, "Flat
+/// chunks").
 const CHUNK: usize = 64;
+
+/// One chunk of rows, flat: its keys in ascending order, and the payloads
+/// of all its rows in one vector, row `i` at `values[i × arity ..
+/// (i + 1) × arity]` ([`Rows::arity`]). An arity-0 chunk holds keys only.
+#[derive(Clone, Default)]
+struct Chunk {
+    keys: Vec<Key>,
+    values: Vec<Value>,
+}
+
+impl Chunk {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn row(&self, arity: usize, slot: usize) -> &[Value] {
+        &self.values[slot * arity..(slot + 1) * arity]
+    }
+
+    fn row_mut(&mut self, arity: usize, slot: usize) -> &mut [Value] {
+        &mut self.values[slot * arity..(slot + 1) * arity]
+    }
+
+    /// Put `key` with its `arity` values at `slot`. An append grows the
+    /// values a row count at a time, doubling, so a chunk that ascending
+    /// appends fill holds exactly `CHUNK` rows' worth and one that holds a
+    /// few rows holds no more than twice those.
+    fn insert(&mut self, arity: usize, slot: usize, key: Key, values: impl Iterator<Item = Value>) {
+        if slot == self.len() {
+            self.keys.push(key);
+            if self.values.capacity() - self.values.len() < arity {
+                self.values.reserve_exact(self.values.len().max(arity));
+            }
+            self.values.extend(values);
+        } else {
+            self.keys.insert(slot, key);
+            self.values.splice(slot * arity..slot * arity, values);
+        }
+        assert_eq!(
+            self.values.len(),
+            self.len() * arity,
+            "a row of another arity"
+        );
+    }
+
+    /// Take out the row at `slot`.
+    fn remove(&mut self, arity: usize, slot: usize) -> Row {
+        self.keys.remove(slot);
+        self.values
+            .drain(slot * arity..(slot + 1) * arity)
+            .collect()
+    }
+
+    /// Split off the rows from `slot` on.
+    fn split_off(&mut self, arity: usize, slot: usize) -> Chunk {
+        Chunk {
+            keys: self.keys.split_off(slot),
+            values: self.values.split_off(slot * arity),
+        }
+    }
+
+    fn iter(&self, arity: usize) -> impl Iterator<Item = (Key, &[Value])> + '_ {
+        self.keys
+            .iter()
+            .enumerate()
+            .map(move |(slot, key)| (*key, self.row(arity, slot)))
+    }
+}
 
 /// The chunked row store behind a [`Relation`] (invariants: module docs).
 #[derive(Clone, Default)]
 struct Rows {
-    chunks: Vec<Arc<Vec<(Key, Row)>>>,
+    chunks: Vec<Arc<Chunk>>,
     firsts: Vec<Key>,
     len: usize,
+    /// Values per row: the schema's arity.
+    arity: usize,
 }
 
 impl Rows {
+    fn new(arity: usize) -> Rows {
+        Rows {
+            arity,
+            ..Rows::default()
+        }
+    }
+
     /// The chunk `key` belongs in — the last one starting at or below it,
     /// the first one for a key below them all — and its slot there (`Err`:
     /// where it would be inserted). `None` iff there are no rows. A key past
     /// the last one is answered without a search: ascending appends (a
     /// derived head filling in scan order) are the common case.
+    #[inline]
     fn locate(&self, key: Key) -> Option<(usize, std::result::Result<usize, usize>)> {
         let last = self.chunks.last()?;
-        if last[last.len() - 1].0 < key {
+        if last.keys[last.len() - 1] < key {
             return Some((self.chunks.len() - 1, Err(last.len())));
         }
         let c = self
             .firsts
             .partition_point(|first| *first <= key)
             .saturating_sub(1);
-        Some((c, self.chunks[c].binary_search_by_key(&key, |(k, _)| *k)))
+        Some((c, self.chunks[c].keys.binary_search(&key)))
     }
 
-    fn get(&self, key: Key) -> Option<&Row> {
+    #[inline]
+    fn row(&self, c: usize, slot: usize) -> &[Value] {
+        self.chunks[c].row(self.arity, slot)
+    }
+
+    fn get(&self, key: Key) -> Option<&[Value]> {
         match self.locate(key)? {
-            (c, Ok(slot)) => Some(&self.chunks[c][slot].1),
+            (c, Ok(slot)) => Some(self.row(c, slot)),
             _ => None,
         }
     }
 
     /// The row under `key`, in a chunk this relation no longer shares.
-    fn get_mut(&mut self, key: Key) -> Option<&mut Row> {
+    fn get_mut(&mut self, key: Key) -> Option<&mut [Value]> {
         match self.locate(key)? {
-            (c, Ok(slot)) => Some(&mut Arc::make_mut(&mut self.chunks[c])[slot].1),
+            (c, Ok(slot)) => Some(Arc::make_mut(&mut self.chunks[c]).row_mut(self.arity, slot)),
             _ => None,
         }
     }
 
-    /// Store `row` under `key`, returning the row it replaced.
-    fn insert(&mut self, key: Key, row: Row) -> Option<Row> {
+    /// Store `row` (of the rows' arity) under `key`, returning the row it
+    /// replaced.
+    fn insert(&mut self, key: Key, mut row: Row) -> Option<Row> {
         let located = self.locate(key);
         if let Some((c, Ok(slot))) = located {
             let chunk = Arc::make_mut(&mut self.chunks[c]);
-            return Some(std::mem::replace(&mut chunk[slot].1, row));
+            chunk.row_mut(self.arity, slot).swap_with_slice(&mut row);
+            return Some(row);
         }
-        self.insert_vacant(located, key, row);
+        self.insert_vacant(located, key, row.into_iter());
         None
     }
 
-    /// Store `row` under a vacant `key`, where [`locate`](Rows::locate)
-    /// placed it, and return the row as stored.
+    /// Store `values` (exactly the rows' arity of them) under a vacant
+    /// `key`, where [`locate`](Rows::locate) placed it, and return the
+    /// chunk and slot it is stored at.
     fn insert_vacant(
         &mut self,
         located: Option<(usize, std::result::Result<usize, usize>)>,
         key: Key,
-        row: Row,
-    ) -> &Row {
+        values: impl Iterator<Item = Value>,
+    ) -> (usize, usize) {
         self.len += 1;
         match located {
             // Anything but an append at the end of a full last chunk.
@@ -133,27 +236,29 @@ impl Rows {
                 if slot < CHUNK || slot < self.chunks[c].len() || c + 1 < self.chunks.len() =>
             {
                 let chunk = Arc::make_mut(&mut self.chunks[c]);
-                chunk.insert(slot, (key, row));
+                chunk.insert(self.arity, slot, key, values);
                 if slot == 0 {
                     self.firsts[c] = key;
                 }
                 if chunk.len() < 2 * CHUNK {
-                    return &self.chunks[c][slot].1;
+                    return (c, slot);
                 }
-                let tail = chunk.split_off(CHUNK);
-                self.firsts.insert(c + 1, tail[0].0);
+                let tail = chunk.split_off(self.arity, CHUNK);
+                self.firsts.insert(c + 1, tail.keys[0]);
                 self.chunks.insert(c + 1, Arc::new(tail));
                 match slot.checked_sub(CHUNK) {
-                    Some(slot) => &self.chunks[c + 1][slot].1,
-                    None => &self.chunks[c][slot].1,
+                    Some(slot) => (c + 1, slot),
+                    None => (c, slot),
                 }
             }
             // No rows yet, or an ascending append past a full last chunk,
             // which stays as it is (and shared with whoever holds it).
             _ => {
-                self.chunks.push(Arc::new(vec![(key, row)]));
+                let mut chunk = Chunk::default();
+                chunk.insert(self.arity, 0, key, values);
+                self.chunks.push(Arc::new(chunk));
                 self.firsts.push(key);
-                &self.chunks[self.chunks.len() - 1][0].1
+                (self.chunks.len() - 1, 0)
             }
         }
     }
@@ -165,20 +270,18 @@ impl Rows {
         };
         self.len -= 1;
         let chunk = Arc::make_mut(&mut self.chunks[c]);
-        let (_, row) = chunk.remove(slot);
-        if chunk.is_empty() {
+        let row = chunk.remove(self.arity, slot);
+        if chunk.len() == 0 {
             self.chunks.remove(c);
             self.firsts.remove(c);
         } else if slot == 0 {
-            self.firsts[c] = chunk[0].0;
+            self.firsts[c] = chunk.keys[0];
         }
         Some(row)
     }
 
-    fn iter(&self) -> impl Iterator<Item = (Key, &Row)> + '_ {
-        self.chunks
-            .iter()
-            .flat_map(|chunk| chunk.iter().map(|(key, row)| (*key, row)))
+    fn iter(&self) -> impl Iterator<Item = (Key, &[Value])> + '_ {
+        self.chunks.iter().flat_map(|chunk| chunk.iter(self.arity))
     }
 }
 
@@ -196,7 +299,8 @@ struct Indexes(OnceLock<Box<[OnceLock<Arc<ColumnIndex>>]>>);
 impl Indexes {
     /// Patch every built index for one row change: `old` is the row that
     /// was stored under `key`, `new` the row stored there now.
-    fn patch(&mut self, key: Key, old: Option<&Row>, new: Option<&Row>) {
+    #[inline]
+    fn patch(&mut self, key: Key, old: Option<&[Value]>, new: Option<&[Value]>) {
         let Some(slots) = self.0.get_mut() else {
             return;
         };
@@ -242,8 +346,8 @@ impl Relation {
     /// Empty relation with the given schema.
     pub fn new(schema: TableSchema) -> Self {
         Relation {
+            rows: Rows::new(schema.arity()),
             schema,
-            rows: Rows::default(),
             indexes: Indexes::default(),
         }
     }
@@ -290,15 +394,15 @@ impl Relation {
 
     /// Insert a row under `key`. Fails if the key exists or arity mismatches.
     pub fn insert(&mut self, key: Key, row: Row) -> Result<()> {
-        self.check_arity(&row)?;
-        if self.rows.get(key).is_some() {
+        self.check_arity(row.len())?;
+        let located = self.rows.locate(key);
+        if let Some((_, Ok(_))) = located {
             return Err(StorageError::DuplicateKey {
                 table: self.schema.name.clone(),
                 key: key.0,
             });
         }
-        self.rows.insert(key, row);
-        self.patch_indexes(key, None);
+        self.store_vacant(located, key, row.into_iter());
         Ok(())
     }
 
@@ -307,26 +411,59 @@ impl Relation {
     /// stored. `Err((existing, row))`: the key holds `existing`, which is
     /// left in place, and `row` is handed back. Arity is checked only when
     /// the key is vacant.
-    pub fn insert_vacant(
-        &mut self,
-        key: Key,
-        row: Row,
-    ) -> Result<std::result::Result<&Row, (&Row, Row)>> {
+    pub fn insert_vacant(&mut self, key: Key, row: Row) -> Result<Vacancy<'_>> {
         let located = self.rows.locate(key);
         if let Some((c, Ok(slot))) = located {
-            return Ok(Err((&self.rows.chunks[c][slot].1, row)));
+            return Ok(Err((self.rows.row(c, slot), row)));
         }
-        self.check_arity(&row)?;
-        let stored = self.rows.insert_vacant(located, key, row);
+        self.check_arity(row.len())?;
+        Ok(Ok(self.store_vacant(located, key, row.into_iter())))
+    }
+
+    /// [`insert_vacant`](Relation::insert_vacant) for a row given as its
+    /// values, which are written straight into the row store: building a
+    /// relation row by row this way allocates per chunk, not per row. Meant for ascending appends (a head derived in key order, a
+    /// decoded relation), which take no search; any other key works too.
+    /// `Err(existing)`: the key holds `existing`, and `values` is dropped
+    /// unread.
+    pub fn insert_vacant_from<I>(
+        &mut self,
+        key: Key,
+        values: I,
+    ) -> Result<std::result::Result<&[Value], &[Value]>>
+    where
+        I: IntoIterator<Item = Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let located = self.rows.locate(key);
+        if let Some((c, Ok(slot))) = located {
+            return Ok(Err(self.rows.row(c, slot)));
+        }
+        let values = values.into_iter();
+        self.check_arity(values.len())?;
+        Ok(Ok(self.store_vacant(located, key, values)))
+    }
+
+    /// Store a row of the schema's arity under a vacant `key`, where
+    /// [`Rows::locate`] placed it, patch the built indexes and return the
+    /// row as stored.
+    fn store_vacant(
+        &mut self,
+        located: Option<(usize, std::result::Result<usize, usize>)>,
+        key: Key,
+        values: impl Iterator<Item = Value>,
+    ) -> &[Value] {
+        let (c, slot) = self.rows.insert_vacant(located, key, values);
+        let stored = self.rows.row(c, slot);
         self.indexes.patch(key, None, Some(stored));
-        Ok(Ok(stored))
+        stored
     }
 
     /// Insert or replace a row under `key`.
     pub fn upsert(&mut self, key: Key, row: Row) -> Result<()> {
-        self.check_arity(&row)?;
+        self.check_arity(row.len())?;
         let old = self.rows.insert(key, row);
-        self.patch_indexes(key, old.as_ref());
+        self.patch_indexes(key, old.as_deref());
         Ok(())
     }
 
@@ -347,13 +484,14 @@ impl Relation {
     }
 
     /// Replace the row under `key`. Fails if absent.
-    pub fn update(&mut self, key: Key, row: Row) -> Result<Row> {
-        self.check_arity(&row)?;
+    pub fn update(&mut self, key: Key, mut row: Row) -> Result<Row> {
+        self.check_arity(row.len())?;
         match self.rows.get_mut(key) {
-            Some(slot) => {
-                let old = std::mem::replace(slot, row);
-                self.patch_indexes(key, Some(&old));
-                Ok(old)
+            Some(stored) => {
+                // `row` takes the old values out as it puts its own in.
+                stored.swap_with_slice(&mut row);
+                self.patch_indexes(key, Some(&row));
+                Ok(row)
             }
             None => Err(StorageError::MissingKey {
                 table: self.schema.name.clone(),
@@ -364,14 +502,14 @@ impl Relation {
 
     /// Patch the built indexes for a change at `key` from `old` to the row
     /// stored there now.
-    fn patch_indexes(&mut self, key: Key, old: Option<&Row>) {
+    fn patch_indexes(&mut self, key: Key, old: Option<&[Value]>) {
         if !self.indexes.is_empty() {
             self.indexes.patch(key, old, self.rows.get(key));
         }
     }
 
     /// Row lookup by key.
-    pub fn get(&self, key: Key) -> Option<&Row> {
+    pub fn get(&self, key: Key) -> Option<&[Value]> {
         self.rows.get(key)
     }
 
@@ -381,7 +519,7 @@ impl Relation {
     }
 
     /// Iterate `(key, row)` in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (Key, &Row)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &[Value])> + '_ {
         self.rows.iter()
     }
 
@@ -396,7 +534,7 @@ impl Relation {
     /// in-order merge against the rows instead of a lookup per key; the
     /// visit order is identical either way. This is the fetch primitive
     /// behind multi-key query reads (core).
-    pub fn select_rows(&self, keys: &[Key], mut f: impl FnMut(Key, &Row)) {
+    pub fn select_rows(&self, keys: &[Key], mut f: impl FnMut(Key, &[Value])) {
         let dense = keys.len() >= self.len() / 2 && keys.windows(2).all(|w| w[0] < w[1]);
         if dense {
             let mut wanted = keys.iter().copied().peekable();
@@ -444,18 +582,20 @@ impl Relation {
         let schema = TableSchema::new(self.schema.name.clone(), columns.iter().copied())?;
         let mut out = Relation::new(schema);
         for (k, row) in self.iter() {
-            let projected: Row = idxs.iter().map(|&i| row[i].clone()).collect();
-            out.rows.insert(k, projected);
+            let located = out.rows.locate(k);
+            out.rows
+                .insert_vacant(located, k, idxs.iter().map(|&i| row[i].clone()));
         }
         Ok(out)
     }
 
     /// Keep only rows satisfying the predicate.
-    pub fn filter(&self, mut pred: impl FnMut(Key, &Row) -> bool) -> Relation {
+    pub fn filter(&self, mut pred: impl FnMut(Key, &[Value]) -> bool) -> Relation {
         let mut out = Relation::new(self.schema.clone());
         for (k, row) in self.iter() {
             if pred(k, row) {
-                out.rows.insert(k, row.clone());
+                let located = out.rows.locate(k);
+                out.rows.insert_vacant(located, k, row.iter().cloned());
             }
         }
         out
@@ -491,27 +631,27 @@ impl Relation {
                 (Some(&(nk, _)), Some(&(ok, _))) => match nk.cmp(&ok) {
                     std::cmp::Ordering::Less => {
                         let (k, row) = new_it.next().expect("peeked");
-                        delta.inserts.push((k, row.clone()));
+                        delta.inserts.push((k, row.to_vec()));
                     }
                     std::cmp::Ordering::Greater => {
                         let (k, row) = old_it.next().expect("peeked");
-                        delta.deletes.push((k, row.clone()));
+                        delta.deletes.push((k, row.to_vec()));
                     }
                     std::cmp::Ordering::Equal => {
                         let (k, new_row) = new_it.next().expect("peeked");
                         let (_, old_row) = old_it.next().expect("peeked");
                         if new_row != old_row {
-                            delta.updates.push((k, old_row.clone(), new_row.clone()));
+                            delta.updates.push((k, old_row.to_vec(), new_row.to_vec()));
                         }
                     }
                 },
                 (Some(_), None) => {
                     let (k, row) = new_it.next().expect("peeked");
-                    delta.inserts.push((k, row.clone()));
+                    delta.inserts.push((k, row.to_vec()));
                 }
                 (None, Some(_)) => {
                     let (k, row) = old_it.next().expect("peeked");
-                    delta.deletes.push((k, row.clone()));
+                    delta.deletes.push((k, row.to_vec()));
                 }
                 (None, None) => break,
             }
@@ -521,7 +661,7 @@ impl Relation {
 
     /// Remove every row. Keeps the schema, and every built index, empty.
     pub fn clear(&mut self) {
-        self.rows = Rows::default();
+        self.rows = Rows::new(self.schema.arity());
         if let Some(slots) = self.indexes.0.get_mut() {
             for index in slots.iter_mut().filter_map(OnceLock::get_mut) {
                 *index = Arc::default();
@@ -566,12 +706,13 @@ impl Relation {
         ColumnIndex { map, base: None }
     }
 
-    fn check_arity(&self, row: &Row) -> Result<()> {
-        if row.len() != self.schema.arity() {
+    #[inline]
+    fn check_arity(&self, got: usize) -> Result<()> {
+        if got != self.schema.arity() {
             return Err(StorageError::ArityMismatch {
                 table: self.schema.name.clone(),
                 expected: self.schema.arity(),
-                got: row.len(),
+                got,
             });
         }
         Ok(())
@@ -765,8 +906,8 @@ impl ColumnIndex {
         &mut self,
         column: usize,
         key: Key,
-        old: Option<&Row>,
-        new: Option<&Row>,
+        old: Option<&[Value]>,
+        new: Option<&[Value]>,
     ) {
         if let Some(v) = old.and_then(|row| row.get(column)) {
             self.remove_key(v, key);
@@ -1109,18 +1250,77 @@ mod tests {
         assert_eq!(keys, vec![1, 3, 5]);
     }
 
+    #[test]
+    fn arity_zero_relation_behaves_like_a_key_set() {
+        // A key-only relation (an aux table such as `aux#S-(p)`) stores no
+        // values at all, yet iterates every key, with an empty row, across
+        // chunk boundaries and splits.
+        let mut rel = relation_of_arity(0);
+        let mut model: BTreeMap<Key, Row> = BTreeMap::new();
+        for k in (0..3 * CHUNK as u64).rev() {
+            rel.insert(Key(k), vec![]).unwrap();
+            model.insert(Key(k), vec![]);
+        }
+        let same = |rel: &Relation, model: &BTreeMap<Key, Row>| {
+            check_layout(rel);
+            assert_eq!(rel.len(), model.len());
+            assert!(rel.iter().eq(model.iter().map(|(k, r)| (*k, &r[..]))));
+        };
+        same(&rel, &model);
+        assert!(rel.rows.chunks.len() > 1);
+        let before = rel.clone();
+        let before_model = model.clone();
+        for k in (0..3 * CHUNK as u64).step_by(3) {
+            assert_eq!(rel.delete(Key(k)).unwrap(), Row::new());
+            model.remove(&Key(k));
+        }
+        assert_eq!(
+            rel.insert_vacant_from(Key(1000), []).unwrap(),
+            Ok(&[] as &[Value])
+        );
+        model.insert(Key(1000), vec![]);
+        assert!(rel.insert(Key(2000), vec![Value::Null]).is_err());
+        same(&rel, &model);
+        same(&before, &before_model);
+        let delta = rel.diff(&before);
+        let deleted: Vec<(Key, Row)> = (0..3 * CHUNK as u64)
+            .step_by(3)
+            .map(|k| (Key(k), vec![]))
+            .collect();
+        assert_eq!(delta.deletes, deleted);
+        assert_eq!(delta.inserts, vec![(Key(1000), vec![])]);
+        assert!(delta.updates.is_empty());
+        assert_eq!(
+            rel.minus(&before).keys().collect::<Vec<_>>(),
+            vec![Key(1000)]
+        );
+        assert_eq!(rel.to_string().lines().nth(2), Some("  #2: []"));
+    }
+
     fn int_row(v: i64) -> Row {
         vec![Value::Int(v)]
+    }
+
+    /// A row of `arity` distinct values derived from `v`, so that a row
+    /// read at the wrong stride reads different values.
+    fn wide_row(arity: usize, v: i64) -> Row {
+        (0..arity as i64).map(|i| Value::Int(10 * v + i)).collect()
+    }
+
+    fn relation_of_arity(arity: usize) -> Relation {
+        Relation::with_columns("T", (0..arity).map(|i| format!("c{i}")))
     }
 
     /// The chunk invariants of the module docs.
     fn check_layout(rel: &Relation) {
         let rows = &rel.rows;
+        assert_eq!(rows.arity, rel.schema.arity());
         assert_eq!(rows.chunks.len(), rows.firsts.len());
         assert_eq!(rows.len, rows.chunks.iter().map(|c| c.len()).sum::<usize>());
         for (chunk, first) in rows.chunks.iter().zip(&rows.firsts) {
-            assert!(!chunk.is_empty() && chunk.len() < 2 * CHUNK);
-            assert_eq!(chunk[0].0, *first);
+            assert!(chunk.len() > 0 && chunk.len() < 2 * CHUNK);
+            assert_eq!(chunk.values.len(), chunk.len() * rows.arity);
+            assert_eq!(chunk.keys[0], *first);
         }
         let keys: Vec<Key> = rel.keys().collect();
         assert!(
@@ -1140,16 +1340,16 @@ mod tests {
             .chain((0..2 * CHUNK as u64).map(|k| 2 * k + 1));
         for k in keys {
             let stored = rel.insert_vacant(Key(k), int_row(k as i64)).unwrap();
-            assert_eq!(stored, Ok(&int_row(k as i64)));
+            assert_eq!(stored, Ok(&int_row(k as i64)[..]));
             model.insert(Key(k), int_row(k as i64));
             check_layout(&rel);
         }
-        assert!(rel.iter().map(|(k, r)| (k, r.clone())).eq(model));
+        assert!(rel.iter().map(|(k, r)| (k, r.to_vec())).eq(model));
         // A taken key keeps its row, even under a row of the wrong arity.
         let taken = rel.insert_vacant(Key(4), vec![Value::Null, Value::Null]);
         assert_eq!(
             taken.unwrap(),
-            Err((&int_row(4), vec![Value::Null, Value::Null]))
+            Err((&int_row(4)[..], vec![Value::Null, Value::Null]))
         );
         assert!(rel.insert_vacant(Key(9999), vec![]).is_err());
         assert_eq!(rel.len(), 5 * CHUNK);
@@ -1190,8 +1390,7 @@ mod tests {
         step(&mut rel, &|r| r.insert(Key(1_000_000), int_row(7)).unwrap());
         // Empty the chunk holding 2 000.
         let c = rel.rows.locate(Key(2000)).unwrap().0;
-        for (k, _) in rel.rows.chunks[c].clone().iter() {
-            let k = *k;
+        for k in rel.rows.chunks[c].keys.clone() {
             step(&mut rel, &|r| {
                 r.delete(k).unwrap();
             });
@@ -1232,24 +1431,23 @@ mod tests {
         ]
     }
 
-    /// Apply `op` to the relation and the model, asserting both agree on
-    /// every result.
-    fn apply(rel: &mut Relation, model: &mut BTreeMap<Key, Row>, op: &Op) {
+    /// Apply `op` to the relation and the model (rows of `arity` values),
+    /// asserting both agree on every result.
+    fn apply(rel: &mut Relation, model: &mut BTreeMap<Key, Row>, arity: usize, op: &Op) {
+        let row = |v: i64| wide_row(arity, v);
         match *op {
             Op::Insert(k, v) => {
-                let ok = rel.insert(Key(k), int_row(v)).is_ok();
+                let ok = rel.insert(Key(k), row(v)).is_ok();
                 assert_eq!(ok, !model.contains_key(&Key(k)));
-                model.entry(Key(k)).or_insert_with(|| int_row(v));
+                model.entry(Key(k)).or_insert_with(|| row(v));
             }
             Op::Upsert(k, v) => {
-                rel.upsert(Key(k), int_row(v)).unwrap();
-                model.insert(Key(k), int_row(v));
+                rel.upsert(Key(k), row(v)).unwrap();
+                model.insert(Key(k), row(v));
             }
             Op::Update(k, v) => {
-                let old = rel.update(Key(k), int_row(v)).ok();
-                let expected = model
-                    .get_mut(&Key(k))
-                    .map(|r| std::mem::replace(r, int_row(v)));
+                let old = rel.update(Key(k), row(v)).ok();
+                let expected = model.get_mut(&Key(k)).map(|r| std::mem::replace(r, row(v)));
                 assert_eq!(old, expected);
             }
             Op::Delete(k) => assert_eq!(rel.delete(Key(k)).ok(), model.remove(&Key(k))),
@@ -1263,8 +1461,9 @@ mod tests {
             Op::Append(n) => {
                 let from = model.keys().next_back().map_or(0, |k| k.0 + 1);
                 for k in from..from + n as u64 {
-                    rel.insert(Key(k), int_row(k as i64)).unwrap();
-                    model.insert(Key(k), int_row(k as i64));
+                    let stored = rel.insert_vacant_from(Key(k), row(k as i64)).unwrap();
+                    assert_eq!(stored, Ok(&row(k as i64)[..]));
+                    model.insert(Key(k), row(k as i64));
                 }
             }
             Op::DeleteRun(start, n) => {
@@ -1286,18 +1485,18 @@ mod tests {
         check_layout(rel);
         assert_eq!(rel.len(), model.len());
         assert_eq!(rel.is_empty(), model.is_empty());
-        assert!(rel.iter().eq(model.iter().map(|(k, r)| (*k, r))));
+        assert!(rel.iter().eq(model.iter().map(|(k, r)| (*k, &r[..]))));
         assert!(rel.keys().eq(model.keys().copied()));
         for k in model
             .keys()
             .flat_map(|k| [k.0.saturating_sub(1), k.0, k.0 + 1])
         {
-            assert_eq!(rel.get(Key(k)), model.get(&Key(k)));
+            assert_eq!(rel.get(Key(k)), model.get(&Key(k)).map(|r| &r[..]));
             assert_eq!(rel.contains_key(Key(k)), model.contains_key(&Key(k)));
         }
         let select = |keys: &[Key]| {
             let mut seen = Vec::new();
-            rel.select_rows(keys, |k, row| seen.push((k, row.clone())));
+            rel.select_rows(keys, |k, row| seen.push((k, row.to_vec())));
             let expected: Vec<(Key, Row)> = keys
                 .iter()
                 .filter_map(|k| model.get(k).map(|r| (*k, r.clone())))
@@ -1341,40 +1540,49 @@ mod tests {
         assert_eq!(minus, expected);
     }
 
+    /// The model-based test below at one arity.
+    fn behaves_like_an_ordered_map(arity: usize, ops: &[Op]) {
+        let mut rel = relation_of_arity(arity);
+        let mut model: BTreeMap<Key, Row> = BTreeMap::new();
+        for op in ops {
+            let (prev, prev_model) = (rel.clone(), model.clone());
+            apply(&mut rel, &mut model, arity, op);
+            agree(&rel, &model, &prev, &prev_model);
+            // The clone taken before the step still shows the old state.
+            assert!(prev.iter().eq(prev_model.iter().map(|(k, r)| (*k, &r[..]))));
+        }
+        let mut ascending = relation_of_arity(arity);
+        let mut descending = relation_of_arity(arity);
+        for (k, row) in &model {
+            ascending.insert(*k, row.clone()).unwrap();
+        }
+        for (k, row) in model.iter().rev() {
+            descending.insert(*k, row.clone()).unwrap();
+        }
+        for built in [&ascending, &descending] {
+            check_layout(built);
+            assert_eq!(built, &rel);
+            assert_eq!(format!("{built:?}"), format!("{rel:?}"));
+            assert_eq!(built.to_string(), rel.to_string());
+        }
+        assert_eq!(format!("{:?}", rel.rows), format!("{model:?}"));
+    }
+
     proptest::proptest! {
         /// The chunked store is a `BTreeMap<Key, Row>`: random mutation
         /// sequences — random keys, ascending appends that fill chunks, runs
         /// of deletes that empty them, splits — leave every read equal to
         /// the model's, and equal content is equal, `Debug`s and
-        /// `Display`s the same whatever order (so layout) built it.
+        /// `Display`s the same whatever order (so layout) built it. Each
+        /// sequence runs at arity 0 (keys only), 1 and 6, where a row read
+        /// or shifted at the wrong stride shows.
         #[test]
         fn chunked_rows_behave_like_an_ordered_map(
             ops in proptest::collection::vec(arb_op(), 1..40),
         ) {
-            let mut rel = Relation::with_columns("T", ["a"]);
-            let mut model: BTreeMap<Key, Row> = BTreeMap::new();
-            for op in &ops {
-                let (prev, prev_model) = (rel.clone(), model.clone());
-                apply(&mut rel, &mut model, op);
-                agree(&rel, &model, &prev, &prev_model);
-                // The clone taken before the step still shows the old state.
-                assert!(prev.iter().eq(prev_model.iter().map(|(k, r)| (*k, r))));
+            for arity in [0, 1, 6] {
+                behaves_like_an_ordered_map(arity, &ops);
             }
-            let mut ascending = Relation::with_columns("T", ["a"]);
-            let mut descending = Relation::with_columns("T", ["a"]);
-            for (k, row) in &model {
-                ascending.insert(*k, row.clone()).unwrap();
-            }
-            for (k, row) in model.iter().rev() {
-                descending.insert(*k, row.clone()).unwrap();
-            }
-            for built in [&ascending, &descending] {
-                check_layout(built);
-                assert_eq!(built, &rel);
-                assert_eq!(format!("{built:?}"), format!("{rel:?}"));
-                assert_eq!(built.to_string(), rel.to_string());
-            }
-            assert_eq!(format!("{:?}", rel.rows), format!("{model:?}"));
         }
     }
 }

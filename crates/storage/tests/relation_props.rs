@@ -98,7 +98,8 @@ enum IndexOp {
     Delete(u64),
     DeleteIfPresent(u64),
     Clear,
-    /// `n` ascending inserts past the last key: fills and starts chunks.
+    /// `n` ascending appends past the last key, through
+    /// `insert_vacant_from`: fills and starts chunks.
     Append(u64),
     /// Build (or fetch) the index over one payload column.
     Index(usize),
@@ -121,15 +122,26 @@ fn arb_index_op() -> impl Strategy<Value = IndexOp> {
         key().prop_map(IndexOp::DeleteIfPresent),
         Just(IndexOp::Clear),
         (1u64..150).prop_map(IndexOp::Append),
-        (0usize..2).prop_map(IndexOp::Index),
-        (0usize..2).prop_map(IndexOp::Index),
+        (0usize..WIDTH).prop_map(IndexOp::Index),
+        (0usize..WIDTH).prop_map(IndexOp::Index),
         Just(IndexOp::Fork),
         Just(IndexOp::CloneRows),
     ]
 }
 
+/// Columns of the relation [`built_indexes_follow_every_mutator`] indexes:
+/// wide enough that a row stored or read at the wrong stride puts another
+/// column's value under an index.
+const WIDTH: usize = 5;
+
 fn index_row(a: i64, b: u8) -> Vec<Value> {
-    vec![Value::Int(a), Value::text(format!("b{b}"))]
+    vec![
+        Value::Int(a),
+        Value::text(format!("b{b}")),
+        Value::Int(3 * a + i64::from(b)),
+        Value::text(format!("d{a}")),
+        Value::Int(-i64::from(b)),
+    ]
 }
 
 /// Every index `rel` has built, by column.
@@ -151,14 +163,14 @@ fn indexes_match_rows(rel: &Relation) {
 proptest! {
     /// A relation's own indexes under random sequences of every mutator,
     /// with clones and copy-on-write changes in between: every built index
-    /// equals a rebuild over the rows it sits with, and changing a copy
-    /// never changes an index the original holds.
+    /// (over any of five columns) equals a rebuild over the rows it sits
+    /// with, and changing a copy never changes an index the original holds.
     #[test]
     fn built_indexes_follow_every_mutator(
         ops in prop::collection::vec(arb_index_op(), 1..60),
     ) {
         use std::sync::Arc;
-        let mut rel = Arc::new(Relation::with_columns("T", ["a", "b"]));
+        let mut rel = Arc::new(Relation::with_columns("T", ["a", "b", "c", "d", "e"]));
         let mut held: Vec<(Arc<Relation>, Vec<Option<inverda_storage::ColumnIndex>>)> =
             Vec::new();
         for op in &ops {
@@ -186,7 +198,8 @@ proptest! {
                     let from = rel.keys().last().map_or(0, |k| k.0 + 1);
                     let rel = Arc::make_mut(&mut rel);
                     for k in from..from + n {
-                        rel.insert(Key(k), index_row(k as i64 % 4, (k % 3) as u8)).unwrap();
+                        let row = index_row(k as i64 % 4, (k % 3) as u8);
+                        rel.insert_vacant_from(Key(k), row).unwrap().unwrap();
                     }
                 }
                 IndexOp::Index(col) => {

@@ -59,7 +59,7 @@ fn main() {
     let (write_paper, row) = task2
         .iter()
         .find(|(_, row)| row[0] == Value::text("Write paper"))
-        .map(|(k, r)| (k, r.clone()))
+        .map(|(k, r)| (k, r.to_vec()))
         .unwrap();
     let before = db.count("Do!", "Todo").unwrap();
     db.update(

@@ -29,7 +29,12 @@
 # run's per-round slowdowns against the reference) are more than 3× apart
 # (`scripts/slowdown_gap.awk`): one side's calibration failed, so that pair's
 # reference-speed values compare calibrations, not code. They stay in the
-# table and the verdicts.
+# table and the verdicts. Last, per workload and side, the rounds whose
+# slowdown is exactly `1.000`: `Recorder::slowdown`'s fallback for a round
+# that ran no reference quantum, whose latencies are reported as measured
+# while every other round's are divided by its slowdown. A workload with
+# such rounds on either side has a bimodal median; read its rows with that
+# in mind.
 #
 # The exit status is non-zero if any row is `worse`. `SEEDS="1 2"` shortens
 # a trial run; a claim wants all ten.
@@ -68,22 +73,27 @@ done
 
 results="$tmp/results.tsv" # side, workload, seed, metric, value
 slowdowns="$tmp/slowdowns.tsv" # side, workload, seed, median per-round slowdown
+fallbacks="$tmp/fallbacks.tsv" # side, workload, seed, rounds at exactly 1.000, rounds
 : >"$results"
 : >"$slowdowns"
+: >"$fallbacks"
 run_side() { # run_side <side> <tree> <workload> <seed>
-    local side=$1 tree=$2 workload=$3 seed=$4 out line slowdown
+    local side=$1 tree=$2 workload=$3 seed=$4 out line slowdown fallback rounds
     out=$(bench "$tree" run --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
     # The per-round throughput and slowdown notes, for the record.
     grep '^  note:' <<<"$out" | sed "s/^  note:/$side $workload seed $seed:/" >&2 || true
-    slowdown=$(awk 'match($0, /time x slowdown\) [0-9. ]+/) {
+    # The median per-round slowdown, the rounds at the fallback, the rounds.
+    read -r slowdown fallback rounds < <(awk 'match($0, /time x slowdown\) [0-9. ]+/) {
         n = split(substr($0, RSTART + 17, RLENGTH - 17), v, " ")
+        for (i = 1; i <= n; i++) f += (v[i] == "1.000")
         for (i = 2; i <= n; i++)
             for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
-        if (n) print v[int((n + 1) / 2)]
+        if (n) print v[int((n + 1) / 2)], f + 0, n
         exit
-    }' <<<"$out")
+    }' <<<"$out") || true
     if [ -n "$slowdown" ]; then
         printf '%s\t%s\t%s\t%s\n' "$side" "$workload" "$seed" "$slowdown" >>"$slowdowns"
+        printf '%s\t%s\t%s\t%s\t%s\n' "$side" "$workload" "$seed" "$fallback" "$rounds" >>"$fallbacks"
     fi
     line=$(tail -n 1 <<<"$out")
     if [[ $line != *'"correct": true'* || $line != *'"failed": 0,'* ]]; then
@@ -176,4 +186,12 @@ if [ -n "$gaps" ]; then
     echo "Pairs whose slowdown notes are more than 3× apart (a failed calibration: their reference-speed values compare calibrations, not code; kept in the table):"
     sed 's/^/- /' <<<"$gaps"
 fi
+echo
+echo "Rounds whose slowdown is exactly 1.000 (\`Recorder::slowdown\`'s fallback for a round with no reference quantum, reported unscaled):"
+for workload in "${workloads[@]}"; do
+    awk -F'\t' -v w="$workload" '
+        $2 == w { f[$1] += $4; n[$1] += $5 }
+        END { printf "- `%s`: parent %d of %d rounds, change %d of %d\n", w, f["parent"], n["parent"], f["change"], n["change"] }
+    ' "$fallbacks"
+done
 ! grep -q '| worse |$' "$tmp/table"

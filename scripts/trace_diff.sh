@@ -21,7 +21,10 @@
 # time went, `scripts/ab.sh` says whether a metric moved. A `WARNING:` line
 # above the tables says that the two sides' `harness.slowdown` are more than
 # 3× apart (`scripts/slowdown_gap.awk`): one side's calibration failed, and
-# every reference-speed row compares calibrations, not code.
+# every reference-speed row compares calibrations, not code. A line above
+# the tables counts, per side, the traced rounds whose slowdown is exactly
+# `1.000`: `Recorder::slowdown`'s fallback for a round that ran no reference
+# quantum, whose values are reported as measured, not at reference speed.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -66,6 +69,12 @@ if [ -n "$gap" ]; then
     echo "WARNING: $gap; the reference-speed rows below compare calibrations, not code"
     echo
 fi
+fallback() { # fallback <trace file>: "<rounds at exactly 1.0> of <rounds>"
+    head -n 1 "$1" | sed 's/.*"slowdown_outside_window_then_by_round":\[\([^]]*\)\].*/\1/' |
+        awk -F', ' '{ for (i = 2; i <= NF; i++) f += ($i == "1.0"); printf "%d of %d", f, NF - 1 }'
+}
+echo "Rounds whose slowdown is exactly 1.000 (\`Recorder::slowdown\`'s fallback for a round with no reference quantum, reported unscaled): parent $(fallback "$tmp/parent.jsonl"), change $(fallback "$tmp/change.jsonl")"
+echo
 
 fmt='function fmt(v) { return v >= 1000 ? sprintf("%.0f", v) : v >= 100 ? sprintf("%.1f", v) : sprintf("%.4f", v) }
      function delta(p, c) { return p == 0 ? "n/a" : sprintf("%+.1f %%", (c - p) / p * 100) }'

@@ -144,7 +144,7 @@ fn the_head_title_probe_equals_scan_and_filter() {
         let mut filtered = Relation::new(scanned.schema().clone());
         for (k, row) in scanned.iter() {
             if bound.matches(row).unwrap() {
-                filtered.upsert(k, row.clone()).unwrap();
+                filtered.upsert(k, row.to_vec()).unwrap();
             }
         }
         assert!(
